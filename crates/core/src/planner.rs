@@ -158,10 +158,7 @@ fn rerun_mapper_partitions(
     for p in &meta.partitions {
         for (idx, block) in p.blocks().enumerate() {
             let key = MapInputKey::new(job, p.id, idx as u32);
-            let valid = store
-                .lookup(&key)
-                .is_some_and(|m| m.input_hash == block.content_hash);
-            if !valid {
+            if store.input_hash(&key) != Some(block.content_hash) {
                 pids.insert(p.id);
                 break; // one invalid mapper already forces the partition
             }

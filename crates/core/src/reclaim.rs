@@ -71,18 +71,9 @@ pub fn evict_last_waves(
     tasks_per_wave: usize,
     waves: usize,
 ) -> usize {
-    let store = cluster.map_outputs();
-    let mut keys = store.keys_for_job(job);
-    // keys_for_job returns sorted ascending (pid, block_idx); evict from
-    // the tail.
-    let to_drop = (tasks_per_wave * waves).min(keys.len());
-    let mut dropped = 0;
-    for key in keys.drain(keys.len() - to_drop..) {
-        if store.remove(&key) {
-            dropped += 1;
-        }
-    }
-    dropped
+    cluster
+        .map_outputs()
+        .evict_tail(job, tasks_per_wave * waves)
 }
 
 #[cfg(test)]

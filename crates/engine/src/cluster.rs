@@ -323,7 +323,7 @@ mod tests {
 
         let report = cl.fail_node(NodeId(1));
         assert_eq!(report.lost_in("f"), &[PartitionId(0)]);
-        assert!(cl.map_outputs().lookup(&key).is_none());
+        assert!(cl.map_outputs().input_hash(&key).is_none());
         assert_eq!(cl.live_nodes(), vec![NodeId(0), NodeId(2)]);
         assert!(!cl.is_alive(NodeId(1)));
     }

@@ -16,15 +16,25 @@
 //! Each entry lives on the node that computed the mapper (map outputs
 //! are "stored outside of the distributed file system, on the node that
 //! computed the mapper", §II) — killing a node drops its entries.
+//!
+//! Layout: one shard per job (persistence is per job, §IV-A, and so is
+//! reclamation), each holding its map entries in key order plus a
+//! **reducer-major posting list** — for every reduce task, the buckets
+//! mappers actually emitted for it, in map-key order. Every reducer
+//! shuffles from *all* mappers (§IV-B2), so a shuffle is planned by one
+//! ordered pass over the job's entries and one walk of the reducer's
+//! list ([`MapOutputStore::fetch_buckets`]) instead of a lookup per
+//! (reducer, mapper) pair.
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use rcmp_model::{
-    JobId, NodeId, PartitionId, Record, RecordReader, RecordWriter, ReduceTaskId, Result,
+    JobId, NodeId, PartitionId, RecordReader, RecordWriter, ReduceTaskId, Result, SplitId,
     SplitPartitioner,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::{Deref, DerefMut};
 
 /// Position of a mapper's input block within a job's input file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -45,17 +55,6 @@ impl MapInputKey {
             block_idx,
         }
     }
-}
-
-/// Metadata of a stored map output (no payload).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MapOutputMeta {
-    /// Node holding the output.
-    pub node: NodeId,
-    /// Fingerprint of the input block the mapper consumed.
-    pub input_hash: u64,
-    /// Encoded size per bucket.
-    pub bucket_sizes: BTreeMap<ReduceTaskId, u64>,
 }
 
 /// Per-bucket summary written by the map side so reducers can plan a
@@ -90,24 +89,300 @@ impl BucketIndex {
     }
 }
 
-struct IndexedBucket {
+/// One stored bucket in a reducer's posting list.
+struct Posting {
+    key: MapInputKey,
+    node: NodeId,
     data: Bytes,
-    /// `None` for buckets stored through the legacy [`MapOutputStore::insert`]
-    /// path (including deliberately corrupt chaos payloads, which must
-    /// not be scanned at insert time).
+    /// `None` for buckets stored through [`MapOutputStore::insert`]
+    /// (including deliberately corrupt chaos payloads, which must not
+    /// be scanned at insert time).
     index: Option<BucketIndex>,
 }
 
-struct StoredMapOutput {
-    node: NodeId,
-    input_hash: u64,
-    buckets: HashMap<ReduceTaskId, IndexedBucket>,
+impl Posting {
+    fn fetched(&self, narrow: Option<(SplitId, u32)>) -> FetchedBucket {
+        FetchedBucket {
+            key: self.key,
+            node: self.node,
+            data: self.data.clone(),
+            index: self.index,
+            narrow,
+        }
+    }
 }
 
-/// Cluster-wide registry + payload store for map outputs.
+/// One mapper's output as handed to the store, waiting to be indexed.
+struct Inserted {
+    key: MapInputKey,
+    node: NodeId,
+    input_hash: u64,
+    buckets: Vec<(ReduceTaskId, Bytes, Option<BucketIndex>)>,
+}
+
+/// One stored map output; its payloads live in the posting lists.
+struct MapEntry {
+    key: MapInputKey,
+    node: NodeId,
+    input_hash: u64,
+    bytes: u64,
+}
+
+/// The map outputs of one job.
+#[derive(Default)]
+struct Shard {
+    /// Ascending by key.
+    maps: Vec<MapEntry>,
+    /// Reducer-major index: the stored buckets of each reduce task,
+    /// ascending by map key. A key appears in a list only while it is
+    /// in `maps`.
+    postings: HashMap<ReduceTaskId, Vec<Posting>>,
+    /// Payload bytes held by `postings`.
+    bytes: u64,
+}
+
+impl Shard {
+    fn position(&self, key: &MapInputKey) -> std::result::Result<usize, usize> {
+        self.maps.binary_search_by_key(key, |m| m.key)
+    }
+
+    /// Folds freshly inserted outputs (ascending, distinct keys) into
+    /// the index, replacing any stored output of the same key.
+    fn absorb(&mut self, outputs: Vec<Inserted>) {
+        for out in &outputs {
+            self.remove(&out.key);
+        }
+        // Appending in key order leaves a list sorted unless it already
+        // held a higher key; only those lists are re-sorted.
+        let mut disordered = Vec::new();
+        for out in outputs {
+            let mut bytes = 0;
+            for (reduce, data, index) in out.buckets {
+                bytes += data.len() as u64;
+                let list = self.postings.entry(reduce).or_default();
+                if list.last().is_some_and(|p| p.key > out.key) {
+                    disordered.push(reduce);
+                }
+                list.push(Posting {
+                    key: out.key,
+                    node: out.node,
+                    data,
+                    index,
+                });
+            }
+            self.bytes += bytes;
+            self.maps.push(MapEntry {
+                key: out.key,
+                node: out.node,
+                input_hash: out.input_hash,
+                bytes,
+            });
+        }
+        // Stable sorts: a merge of the old run with the appended one,
+        // and a single scan when nothing is out of place.
+        self.maps.sort_by_key(|m| m.key);
+        disordered.sort_unstable();
+        disordered.dedup();
+        for reduce in disordered {
+            if let Some(list) = self.postings.get_mut(&reduce) {
+                list.sort_by_key(|p| p.key);
+            }
+        }
+    }
+
+    fn remove(&mut self, key: &MapInputKey) -> bool {
+        let Ok(i) = self.position(key) else {
+            return false;
+        };
+        self.bytes -= self.maps.remove(i).bytes;
+        self.postings.retain(|_, list| {
+            if let Ok(i) = list.binary_search_by_key(key, |p| p.key) {
+                list.remove(i);
+            }
+            !list.is_empty()
+        });
+        true
+    }
+
+    fn drop_node(&mut self, node: NodeId) -> usize {
+        let before = self.maps.len();
+        self.maps.retain(|m| m.node != node);
+        self.bytes = self.maps.iter().map(|m| m.bytes).sum();
+        self.postings.retain(|_, list| {
+            list.retain(|p| p.node != node);
+            !list.is_empty()
+        });
+        before - self.maps.len()
+    }
+
+    fn evict_tail(&mut self, count: usize) -> usize {
+        let keep = self.maps.len().saturating_sub(count);
+        let Some(cut) = self.maps.get(keep).map(|m| m.key) else {
+            return 0;
+        };
+        let dropped = self.maps.split_off(keep);
+        self.bytes -= dropped.iter().map(|m| m.bytes).sum::<u64>();
+        self.postings.retain(|_, list| {
+            list.truncate(list.partition_point(|p| p.key < cut));
+            !list.is_empty()
+        });
+        dropped.len()
+    }
+
+    /// The stored buckets of `reduce`, plus — for a split task — those
+    /// of its whole reducer, which a map output persisted from an
+    /// unsplit run serves instead.
+    fn lists(&self, reduce: ReduceTaskId) -> (&[Posting], &[Posting]) {
+        let list = |id| self.postings.get(&id).map_or(&[][..], Vec::as_slice);
+        let whole = match reduce.split {
+            Some(_) => list(ReduceTaskId::whole(reduce.job, reduce.partition)),
+            None => &[],
+        };
+        (list(reduce), whole)
+    }
+
+    /// Ordered merge-join of `inputs` (ascending, all of this job)
+    /// against the map entries and `reduce`'s posting lists.
+    fn join(
+        &self,
+        inputs: &[MapInputKey],
+        reduce: ReduceTaskId,
+        out: &mut BucketFetch,
+        seen: &mut Vec<bool>,
+    ) {
+        let (exact, whole) = self.lists(reduce);
+        let (mut m, mut e, mut w) = (0, 0, 0);
+        for key in inputs {
+            while self.maps.get(m).is_some_and(|x| x.key < *key) {
+                m += 1;
+            }
+            let Some(entry) = self.maps.get(m).filter(|x| x.key == *key) else {
+                out.missing.push(*key);
+                continue;
+            };
+            mark(seen, entry.node);
+            while exact.get(e).is_some_and(|p| p.key < *key) {
+                e += 1;
+            }
+            if let Some(p) = exact.get(e).filter(|p| p.key == *key) {
+                out.buckets.push(p.fetched(None));
+                continue;
+            }
+            while whole.get(w).is_some_and(|p| p.key < *key) {
+                w += 1;
+            }
+            if let Some(p) = whole.get(w).filter(|p| p.key == *key) {
+                out.buckets.push(p.fetched(reduce.split));
+            }
+        }
+    }
+
+    /// Single-key form of [`Shard::join`]: the serving node, and the
+    /// stored bucket if the mapper emitted one for `reduce`.
+    fn probe(
+        &self,
+        key: &MapInputKey,
+        reduce: ReduceTaskId,
+    ) -> Option<(NodeId, Option<FetchedBucket>)> {
+        let entry = &self.maps[self.position(key).ok()?];
+        let (exact, whole) = self.lists(reduce);
+        let find = |list: &[Posting], narrow| {
+            let i = list.binary_search_by_key(key, |p| p.key).ok()?;
+            Some(list[i].fetched(narrow))
+        };
+        let bucket = find(exact, None).or_else(|| find(whole, reduce.split));
+        Some((entry.node, bucket))
+    }
+}
+
+fn mark(seen: &mut Vec<bool>, node: NodeId) {
+    let i = node.index();
+    if i >= seen.len() {
+        seen.resize(i + 1, false);
+    }
+    seen[i] = true;
+}
+
+/// A stored bucket handed to a reducer by [`MapOutputStore::fetch_buckets`].
+pub struct FetchedBucket {
+    /// The map output it belongs to.
+    pub key: MapInputKey,
+    /// The node serving it.
+    pub node: NodeId,
+    data: Bytes,
+    index: Option<BucketIndex>,
+    /// Set when a split task fell back to the persisted whole bucket:
+    /// the split it must be narrowed to.
+    narrow: Option<(SplitId, u32)>,
+}
+
+impl FetchedBucket {
+    /// The payload the reducer reads, and its index when the map side
+    /// recorded one.
+    ///
+    /// A whole bucket serving a *split* task (the map output was
+    /// persisted from a run without splitting) is filtered by the
+    /// second-level hash here — **at the serving side**, so only
+    /// matching records count as transferred — and gets a freshly
+    /// computed index that inherits sortedness (filtering a sorted
+    /// stream preserves order). Decoding happens on the caller's
+    /// thread, after the store's lock is released; an undecodable
+    /// payload is an error, not a panic.
+    pub fn into_payload(self) -> Result<(Bytes, Option<BucketIndex>)> {
+        let Some((split_id, split_of)) = self.narrow else {
+            return Ok((self.data, self.index));
+        };
+        let part = SplitPartitioner::new(split_of);
+        let mut w = RecordWriter::new();
+        let mut idx = BucketIndex::empty();
+        idx.sorted = self.index.is_some_and(|i| i.sorted);
+        for rec in RecordReader::new(self.data) {
+            let rec = rec?;
+            if part.split_of(rec.key) == split_id {
+                if idx.records == 0 {
+                    idx.min_key = rec.key;
+                }
+                idx.max_key = rec.key;
+                idx.records += 1;
+                w.push(&rec);
+            }
+        }
+        idx.bytes = w.byte_len() as u64;
+        Ok((w.finish(), self.index.map(|_| idx)))
+    }
+}
+
+/// What one reduce task's shuffle reads from the store, gathered under
+/// a single shared-lock acquisition.
+#[derive(Default)]
+pub struct BucketFetch {
+    /// The stored buckets, in `inputs` order. A present map output
+    /// without one emitted no record for the reducer.
+    pub buckets: Vec<FetchedBucket>,
+    /// Inputs with no stored map output (mapper never ran, or its node
+    /// died).
+    pub missing: Vec<MapInputKey>,
+    /// Nodes holding at least one of the inputs' map outputs,
+    /// ascending — including those that serve no bucket.
+    pub sources: Vec<NodeId>,
+}
+
+type Shards = BTreeMap<JobId, Shard>;
+
+/// Cluster-wide registry + payload store for map outputs: one
+/// [`Shard`] per job behind a reader-writer lock.
+///
+/// Lock discipline: a mapper's insert only appends to `inserted`. The
+/// next operation of any other kind folds the backlog into the index
+/// under the exclusive lock before it proceeds, so every read sees
+/// every insert that happened before it. Reducers plan their shuffles
+/// under the shared lock, and nothing is decoded or encoded while any
+/// lock is held. Order: `shards` before `inserted`, never the reverse.
 #[derive(Default)]
 pub struct MapOutputStore {
-    inner: Mutex<HashMap<MapInputKey, StoredMapOutput>>,
+    shards: RwLock<Shards>,
+    /// Outputs inserted since the index was last brought up to date.
+    inserted: Mutex<Vec<Inserted>>,
     /// Armed transient shuffle failures: reducers running on these nodes
     /// fail their next N shuffle attempts retryably (fault injection).
     flakes: Mutex<HashMap<NodeId, u32>>,
@@ -129,18 +404,8 @@ impl MapOutputStore {
         input_hash: u64,
         buckets: HashMap<ReduceTaskId, Bytes>,
     ) {
-        let buckets = buckets
-            .into_iter()
-            .map(|(k, data)| (k, IndexedBucket { data, index: None }))
-            .collect();
-        self.inner.lock().insert(
-            key,
-            StoredMapOutput {
-                node,
-                input_hash,
-                buckets,
-            },
-        );
+        let buckets = buckets.into_iter().map(|(k, data)| (k, data, None));
+        self.insert_buckets(key, node, input_hash, buckets);
     }
 
     /// Stores (replacing) the output of one mapper together with the
@@ -154,157 +419,178 @@ impl MapOutputStore {
     ) {
         let buckets = buckets
             .into_iter()
-            .map(|(k, (data, index))| {
-                (
-                    k,
-                    IndexedBucket {
-                        data,
-                        index: Some(index),
-                    },
-                )
-            })
-            .collect();
-        self.inner.lock().insert(
+            .map(|(k, (data, index))| (k, data, Some(index)));
+        self.insert_buckets(key, node, input_hash, buckets);
+    }
+
+    fn insert_buckets(
+        &self,
+        key: MapInputKey,
+        node: NodeId,
+        input_hash: u64,
+        buckets: impl Iterator<Item = (ReduceTaskId, Bytes, Option<BucketIndex>)>,
+    ) {
+        let output = Inserted {
             key,
-            StoredMapOutput {
-                node,
-                input_hash,
-                buckets,
-            },
-        );
+            node,
+            input_hash,
+            buckets: buckets.collect(),
+        };
+        self.inserted.lock().push(output);
     }
 
-    /// Metadata lookup (for the planner / tracker reuse decision).
-    pub fn lookup(&self, key: &MapInputKey) -> Option<MapOutputMeta> {
-        self.inner.lock().get(key).map(|s| MapOutputMeta {
-            node: s.node,
-            input_hash: s.input_hash,
-            bucket_sizes: s
-                .buckets
-                .iter()
-                .map(|(k, v)| (*k, v.data.len() as u64))
-                .collect(),
-        })
+    /// The up-to-date index, exclusively.
+    fn write(&self) -> impl DerefMut<Target = Shards> + '_ {
+        let mut shards = self.shards.write();
+        let mut batch = std::mem::take(&mut *self.inserted.lock());
+        // Stable, so of several inserts of one key the last stays last;
+        // `dedup_by` drops the later of two equals, hence the swap.
+        batch.sort_by_key(|o| o.key);
+        batch.dedup_by(|later, earlier| {
+            let same = later.key == earlier.key;
+            if same {
+                std::mem::swap(later, earlier);
+            }
+            same
+        });
+        let mut batch = batch.into_iter().peekable();
+        while let Some(job) = batch.peek().map(|o| o.key.job) {
+            let of_job = std::iter::from_fn(|| batch.next_if(|o| o.key.job == job));
+            shards.entry(job).or_default().absorb(of_job.collect());
+        }
+        shards
     }
 
-    /// Fetches the bucket a reduce task needs from one map output.
+    /// The up-to-date index, shared.
+    fn read(&self) -> impl Deref<Target = Shards> + '_ {
+        if !self.inserted.lock().is_empty() {
+            drop(self.write());
+        }
+        self.shards.read()
+    }
+
+    /// Fingerprint of the input block the stored output of `key` was
+    /// computed from (the planner / tracker reuse decision); `None` if
+    /// no output is stored.
+    pub fn input_hash(&self, key: &MapInputKey) -> Option<u64> {
+        let shards = self.read();
+        let shard = shards.get(&key.job)?;
+        Some(shard.maps[shard.position(key).ok()?].input_hash)
+    }
+
+    /// Everything reduce task `reduce` reads from the map outputs
+    /// `inputs`, in one pass under the shared lock: which outputs are
+    /// missing, which nodes serve the rest, and the stored buckets.
+    /// Stored keys not named in `inputs` are ignored.
     ///
-    /// For a *split* reduce task whose exact bucket is absent (the map
-    /// output was persisted from a run without splitting), the whole
-    /// bucket of the task's partition is filtered by the second-level
-    /// hash **at the serving side**, so only matching records count as
-    /// transferred — mirroring a map-side serve that filters segments.
-    ///
-    /// Returns `(payload, serving_node)`; `None` only if the map output
-    /// entry itself does not exist (mapper never ran, or its node died).
-    /// An existing entry without a bucket for `reduce` means the mapper
-    /// emitted no record for that reducer: an **empty** bucket.
-    pub fn fetch_bucket(&self, key: &MapInputKey, reduce: ReduceTaskId) -> Option<(Bytes, NodeId)> {
-        self.fetch_bucket_indexed(key, reduce)
-            .map(|(payload, node, _)| (payload, node))
+    /// For the usual `inputs` — one job's keys in ascending order —
+    /// this is a merge-join against the job's ordered map entries and
+    /// the reducer's posting list: sequential compares per input and a
+    /// payload handle per stored bucket. Any other order is served by
+    /// per-key binary searches.
+    pub fn fetch_buckets(&self, inputs: &[MapInputKey], reduce: ReduceTaskId) -> BucketFetch {
+        let mut out = BucketFetch::default();
+        let mut seen = Vec::new();
+        let shards = self.read();
+        if inputs.windows(2).all(|w| w[0] <= w[1]) {
+            for run in inputs.chunk_by(|a, b| a.job == b.job) {
+                match shards.get(&run[0].job) {
+                    Some(shard) => shard.join(run, reduce, &mut out, &mut seen),
+                    None => out.missing.extend_from_slice(run),
+                }
+            }
+        } else {
+            for key in inputs {
+                match shards.get(&key.job).and_then(|s| s.probe(key, reduce)) {
+                    Some((node, bucket)) => {
+                        mark(&mut seen, node);
+                        out.buckets.extend(bucket);
+                    }
+                    None => out.missing.push(*key),
+                }
+            }
+        }
+        drop(shards);
+        out.sources = (0u32..)
+            .zip(&seen)
+            .filter_map(|(i, &s)| s.then_some(NodeId(i)))
+            .collect();
+        out
     }
 
-    /// Like [`MapOutputStore::fetch_bucket`], additionally returning the
-    /// bucket's index when the map side recorded one. A split fallback
-    /// inherits sortedness from the whole bucket's index (filtering a
-    /// sorted stream preserves order), so the re-encoded payload gets a
-    /// freshly computed index instead of losing it.
+    /// Fetches the bucket a reduce task needs from one map output:
+    /// `(payload, serving_node, index)`, the single-key form of
+    /// [`MapOutputStore::fetch_buckets`] +
+    /// [`FetchedBucket::into_payload`].
+    ///
+    /// `None` if the map output entry itself does not exist (mapper
+    /// never ran, or its node died) — or if it holds a whole bucket too
+    /// corrupt to narrow to the split asked for, which is as good as
+    /// lost. An existing entry without a bucket for `reduce` means the
+    /// mapper emitted no record for that reducer: an **empty** bucket.
     pub fn fetch_bucket_indexed(
         &self,
         key: &MapInputKey,
         reduce: ReduceTaskId,
     ) -> Option<(Bytes, NodeId, Option<BucketIndex>)> {
-        let inner = self.inner.lock();
-        let stored = inner.get(key)?;
-        if let Some(b) = stored.buckets.get(&reduce) {
-            return Some((b.data.clone(), stored.node, b.index));
-        }
-        // Split task falling back to the persisted whole bucket.
-        if let Some((split_id, split_of)) = reduce.split {
-            let whole = ReduceTaskId::whole(reduce.job, reduce.partition);
-            if let Some(bucket) = stored.buckets.get(&whole) {
-                let part = SplitPartitioner::new(split_of);
-                let mut w = RecordWriter::new();
-                let mut idx = BucketIndex::empty();
-                idx.sorted = bucket.index.is_some_and(|i| i.sorted);
-                for rec in RecordReader::new(bucket.data.clone()) {
-                    let rec = rec.expect("stored buckets are well-formed");
-                    if part.split_of(rec.key) == split_id {
-                        if idx.records == 0 {
-                            idx.min_key = rec.key;
-                        }
-                        idx.max_key = rec.key;
-                        idx.records += 1;
-                        w.push(&rec);
-                    }
-                }
-                idx.bytes = w.byte_len() as u64;
-                let index = bucket.index.map(|_| idx);
-                return Some((w.finish(), stored.node, index));
-            }
-        }
-        // Entry exists but the mapper produced nothing for this reducer.
-        Some((Bytes::new(), stored.node, Some(BucketIndex::empty())))
-    }
-
-    /// Decodes a fetched bucket into records (helper for reducers).
-    pub fn decode(bucket: Bytes) -> Result<Vec<Record>> {
-        RecordReader::decode_all(bucket)
+        let (node, bucket) = self.read().get(&key.job)?.probe(key, reduce)?;
+        let (data, index) = match bucket {
+            Some(b) => b.into_payload().ok()?,
+            None => (Bytes::new(), Some(BucketIndex::empty())),
+        };
+        Some((data, node, index))
     }
 
     /// Removes one entry (storage reclamation / eviction). Returns true
     /// if it existed.
     pub fn remove(&self, key: &MapInputKey) -> bool {
-        self.inner.lock().remove(key).is_some()
+        let mut shards = self.write();
+        shards.get_mut(&key.job).is_some_and(|s| s.remove(key))
     }
 
     /// Drops every map output stored on a failed node; returns how many
     /// entries were lost.
     pub fn drop_node(&self, node: NodeId) -> usize {
-        let mut inner = self.inner.lock();
-        let before = inner.len();
-        inner.retain(|_, s| s.node != node);
-        before - inner.len()
+        let mut shards = self.write();
+        shards.values_mut().map(|s| s.drop_node(node)).sum()
     }
 
     /// Drops every map output of one job (Hadoop's end-of-job cleanup,
-    /// and RCMP's storage reclamation after a replication point, §IV-C).
+    /// and RCMP's storage reclamation after a replication point, §IV-C)
+    /// by unlinking the job's shard; its payloads are freed after the
+    /// lock is released.
     pub fn clear_job(&self, job: JobId) -> usize {
-        let mut inner = self.inner.lock();
-        let before = inner.len();
-        inner.retain(|k, _| k.job != job);
-        before - inner.len()
+        let shard = self.write().remove(&job);
+        shard.map_or(0, |s| s.maps.len())
     }
 
-    /// All keys currently stored for one job.
+    /// Drops the `count` highest-keyed map outputs of one job (the ones
+    /// its last waves produced); returns how many were dropped.
+    pub fn evict_tail(&self, job: JobId, count: usize) -> usize {
+        let mut shards = self.write();
+        shards.get_mut(&job).map_or(0, |s| s.evict_tail(count))
+    }
+
+    /// All keys currently stored for one job, ascending.
     pub fn keys_for_job(&self, job: JobId) -> Vec<MapInputKey> {
-        let mut v: Vec<MapInputKey> = self
-            .inner
-            .lock()
-            .keys()
-            .filter(|k| k.job == job)
-            .copied()
-            .collect();
-        v.sort();
-        v
+        let shards = self.read();
+        shards
+            .get(&job)
+            .map_or_else(Vec::new, |s| s.maps.iter().map(|m| m.key).collect())
     }
 
     /// Total payload bytes currently persisted.
     pub fn total_bytes(&self) -> u64 {
-        self.inner
-            .lock()
-            .values()
-            .map(|s| s.buckets.values().map(|b| b.data.len() as u64).sum::<u64>())
-            .sum()
+        self.read().values().map(|s| s.bytes).sum()
     }
 
     /// Number of stored map outputs.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.read().values().map(|s| s.maps.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.len() == 0
     }
 
     /// Arms `times` transient shuffle failures against reducers running
@@ -337,7 +623,7 @@ impl MapOutputStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcmp_model::SplitId;
+    use rcmp_model::Record;
 
     fn bucket(recs: &[(u64, &[u8])]) -> Bytes {
         let mut w = RecordWriter::new();
@@ -360,11 +646,9 @@ mod tests {
     fn insert_lookup_fetch() {
         let s = MapOutputStore::new();
         let key = store_one(&s, 1, 2, 99);
-        let meta = s.lookup(&key).unwrap();
-        assert_eq!(meta.node, NodeId(2));
-        assert_eq!(meta.input_hash, 99);
+        assert_eq!(s.input_hash(&key), Some(99));
         let whole = ReduceTaskId::whole(JobId(1), PartitionId(1));
-        let (payload, src) = s.fetch_bucket(&key, whole).unwrap();
+        let (payload, src, _) = s.fetch_bucket_indexed(&key, whole).unwrap();
         assert_eq!(src, NodeId(2));
         assert_eq!(RecordReader::decode_all(payload).unwrap().len(), 4);
     }
@@ -376,12 +660,12 @@ mod tests {
         // Entry exists, bucket doesn't: the mapper emitted nothing for
         // this reducer → empty payload, not a loss.
         let other = ReduceTaskId::whole(JobId(1), PartitionId(7));
-        let (payload, src) = s.fetch_bucket(&key, other).unwrap();
+        let (payload, src, _) = s.fetch_bucket_indexed(&key, other).unwrap();
         assert!(payload.is_empty());
         assert_eq!(src, NodeId(0));
         // Entry itself missing: the map output is lost.
         assert!(s
-            .fetch_bucket(&MapInputKey::new(JobId(9), PartitionId(0), 0), other)
+            .fetch_bucket_indexed(&MapInputKey::new(JobId(9), PartitionId(0), 0), other)
             .is_none());
     }
 
@@ -394,7 +678,7 @@ mod tests {
         let mut seen = Vec::new();
         for i in 0..k {
             let split = ReduceTaskId::split(JobId(1), PartitionId(1), SplitId(i), k);
-            let (payload, _) = s.fetch_bucket(&key, split).unwrap();
+            let (payload, _, _) = s.fetch_bucket_indexed(&key, split).unwrap();
             for rec in RecordReader::decode_all(payload).unwrap() {
                 assert_eq!(part.split_of(rec.key), SplitId(i));
                 seen.push(rec.key);
@@ -492,9 +776,10 @@ mod tests {
         let s = MapOutputStore::new();
         let key = store_one(&s, 1, 0, 5);
         store_one(&s, 1, 3, 6); // same key, new node+hash
-        let meta = s.lookup(&key).unwrap();
-        assert_eq!(meta.node, NodeId(3));
-        assert_eq!(meta.input_hash, 6);
+        assert_eq!(s.input_hash(&key), Some(6));
+        let whole = ReduceTaskId::whole(JobId(1), PartitionId(1));
+        let (_, node, _) = s.fetch_bucket_indexed(&key, whole).unwrap();
+        assert_eq!(node, NodeId(3));
         assert_eq!(s.len(), 1);
     }
 }

@@ -6,7 +6,7 @@
 //! own node count as local, everything else as remote — the volumes the
 //! simulator's network model is validated against.
 
-use crate::mapstore::{MapInputKey, MapOutputStore};
+use crate::mapstore::{BucketIndex, MapInputKey, MapOutputStore};
 use bytes::Bytes;
 use rcmp_model::{NodeId, Record, RecordReader, ReduceTaskId, Result};
 use std::cmp::Reverse;
@@ -45,45 +45,76 @@ pub enum ShuffleFailure {
     Transient { node: NodeId },
 }
 
-/// Fetches, sorts and groups everything reduce task `reduce` needs.
+/// What one reducer fetched: the non-empty payloads in `inputs` order
+/// plus the locality accounting both shuffle paths report.
+struct Fetched {
+    payloads: Vec<(MapInputKey, Bytes, Option<BucketIndex>)>,
+    local_bytes: u64,
+    remote_bytes: u64,
+    per_source: Vec<(NodeId, u64)>,
+}
+
+/// Fetches every bucket reduce task `reduce` needs, in one pass over
+/// the store.
 ///
 /// `inputs` is the complete list of map-input keys of the job — a
 /// reducer needs a bucket from *every* mapper, including persisted ones
 /// (which is why the paper notes the shuffle stays a bottleneck even
-/// when few mappers are recomputed, §IV-B2).
+/// when few mappers are recomputed, §IV-B2). Every serving node gets a
+/// `per_source` row, even one whose map outputs held no bytes for this
+/// reducer.
+fn fetch(
+    store: &MapOutputStore,
+    inputs: &[MapInputKey],
+    reduce: ReduceTaskId,
+    node: NodeId,
+) -> std::result::Result<Fetched, ShuffleFailure> {
+    if store.take_flake(node) {
+        return Err(ShuffleFailure::Transient { node });
+    }
+    let fetch = store.fetch_buckets(inputs, reduce);
+    if !fetch.missing.is_empty() {
+        return Err(ShuffleFailure::MissingMapOutputs(fetch.missing));
+    }
+    let mut fetched = Fetched {
+        payloads: Vec::with_capacity(fetch.buckets.len()),
+        local_bytes: 0,
+        remote_bytes: 0,
+        per_source: fetch.sources.iter().map(|&n| (n, 0)).collect(),
+    };
+    for bucket in fetch.buckets {
+        let (key, source) = (bucket.key, bucket.node);
+        let (payload, index) = bucket
+            .into_payload()
+            .map_err(|e| ShuffleFailure::Corrupt { key, source: e })?;
+        if payload.is_empty() {
+            continue;
+        }
+        let len = payload.len() as u64;
+        if source == node {
+            fetched.local_bytes += len;
+        } else {
+            fetched.remote_bytes += len;
+        }
+        match fetched.per_source.binary_search_by_key(&source, |s| s.0) {
+            Ok(i) => fetched.per_source[i].1 += len,
+            Err(i) => fetched.per_source.insert(i, (source, len)),
+        }
+        fetched.payloads.push((key, payload, index));
+    }
+    Ok(fetched)
+}
+
+/// Fetches, sorts and groups everything reduce task `reduce` needs.
 pub fn shuffle_for_reduce(
     store: &MapOutputStore,
     inputs: &[MapInputKey],
     reduce: ReduceTaskId,
     node: NodeId,
 ) -> std::result::Result<ShuffleResult, ShuffleFailure> {
-    if store.take_flake(node) {
-        return Err(ShuffleFailure::Transient { node });
-    }
-
-    let mut missing = Vec::new();
-    let mut payloads: Vec<(MapInputKey, Bytes, NodeId)> = Vec::with_capacity(inputs.len());
-    for key in inputs {
-        match store.fetch_bucket(key, reduce) {
-            Some((payload, source)) => payloads.push((*key, payload, source)),
-            None => missing.push(*key),
-        }
-    }
-    if !missing.is_empty() {
-        return Err(ShuffleFailure::MissingMapOutputs(missing));
-    }
-
-    let mut local_bytes = 0u64;
-    let mut remote_bytes = 0u64;
-    let mut per_source: std::collections::BTreeMap<NodeId, u64> = std::collections::BTreeMap::new();
+    let fetched = fetch(store, inputs, reduce, node)?;
     let mut records: Vec<Record> = Vec::new();
-    for (key, payload, source) in payloads {
-        if source == node {
-            local_bytes += payload.len() as u64;
-        } else {
-            remote_bytes += payload.len() as u64;
-        }
-        *per_source.entry(source).or_insert(0) += payload.len() as u64;
+    for (key, payload, _) in fetched.payloads {
         for rec in RecordReader::new(payload) {
             match rec {
                 Ok(r) => records.push(r),
@@ -91,12 +122,11 @@ pub fn shuffle_for_reduce(
             }
         }
     }
-
     Ok(ShuffleResult {
         groups: sort_and_group(records),
-        local_bytes,
-        remote_bytes,
-        per_source: per_source.into_iter().collect(),
+        local_bytes: fetched.local_bytes,
+        remote_bytes: fetched.remote_bytes,
+        per_source: fetched.per_source,
     })
 }
 
@@ -198,7 +228,7 @@ pub struct StreamingShuffle {
 }
 
 impl StreamingShuffle {
-    /// Fetches every bucket, accounts locality exactly like
+    /// Fetches every bucket with the same pass and accounting as
     /// [`shuffle_for_reduce`], and prepares the merge runs. Unsorted
     /// (unindexed) buckets are decoded and sorted here, so corruption in
     /// them surfaces at plan time, as on the legacy path.
@@ -209,39 +239,13 @@ impl StreamingShuffle {
         node: NodeId,
         max_merge_width: u32,
     ) -> std::result::Result<Self, ShuffleFailure> {
-        if store.take_flake(node) {
-            return Err(ShuffleFailure::Transient { node });
-        }
-
-        let mut missing = Vec::new();
-        let mut payloads = Vec::with_capacity(inputs.len());
-        for key in inputs {
-            match store.fetch_bucket_indexed(key, reduce) {
-                Some((payload, source, index)) => payloads.push((*key, payload, source, index)),
-                None => missing.push(*key),
-            }
-        }
-        if !missing.is_empty() {
-            return Err(ShuffleFailure::MissingMapOutputs(missing));
-        }
-
-        let mut local_bytes = 0u64;
-        let mut remote_bytes = 0u64;
-        let mut per_source: std::collections::BTreeMap<NodeId, u64> =
-            std::collections::BTreeMap::new();
-        let mut stats = MergeStats::default();
-        let mut runs = Vec::new();
-        for (key, payload, source, index) in payloads {
-            if source == node {
-                local_bytes += payload.len() as u64;
-            } else {
-                remote_bytes += payload.len() as u64;
-            }
-            *per_source.entry(source).or_insert(0) += payload.len() as u64;
-            if payload.is_empty() {
-                stats.empty_runs_skipped += 1;
-                continue;
-            }
+        let fetched = fetch(store, inputs, reduce, node)?;
+        let mut stats = MergeStats {
+            empty_runs_skipped: (inputs.len() - fetched.payloads.len()) as u64,
+            ..MergeStats::default()
+        };
+        let mut runs = Vec::with_capacity(fetched.payloads.len());
+        for (key, payload, index) in fetched.payloads {
             if index.is_some_and(|i| i.sorted) {
                 stats.runs_presorted += 1;
                 stats.index_bytes_skipped += payload.len() as u64;
@@ -286,9 +290,9 @@ impl StreamingShuffle {
             runs,
             heap: BinaryHeap::new(),
             stats,
-            local_bytes,
-            remote_bytes,
-            per_source: per_source.into_iter().collect(),
+            local_bytes: fetched.local_bytes,
+            remote_bytes: fetched.remote_bytes,
+            per_source: fetched.per_source,
             failed: false,
         };
         for i in 0..this.runs.len() {
@@ -511,6 +515,37 @@ mod tests {
         let res = shuffle_for_reduce(&store, &[], r, NodeId(0)).unwrap();
         assert!(res.groups.is_empty());
         assert_eq!(res.local_bytes + res.remote_bytes, 0);
+    }
+
+    /// `insert` takes payloads unscanned, so a persisted whole bucket can
+    /// be garbage; a split reducer narrowing it must get a typed failure
+    /// naming the map output, on both paths.
+    #[test]
+    fn corrupt_whole_bucket_fails_a_split_reducer_with_its_key() {
+        use rcmp_model::SplitId;
+        let store = MapOutputStore::new();
+        let job = JobId(1);
+        let key = MapInputKey::new(job, PartitionId(0), 0);
+        let mut buckets = HashMap::new();
+        buckets.insert(
+            ReduceTaskId::whole(job, PartitionId(0)),
+            Bytes::from_static(&[0xde, 0xad]),
+        );
+        store.insert(key, NodeId(2), 0, buckets);
+        let split = ReduceTaskId::split(job, PartitionId(0), SplitId(1), 2);
+        for result in [
+            shuffle_for_reduce(&store, &[key], split, NodeId(0)),
+            shuffle_for_reduce_streaming(&store, &[key], split, NodeId(0), 64),
+        ] {
+            match result {
+                Err(ShuffleFailure::Corrupt { key: k, .. }) => assert_eq!(k, key),
+                other => panic!("expected corrupt failure, got {other:?}"),
+            }
+        }
+        assert!(
+            store.fetch_bucket_indexed(&key, split).is_none(),
+            "a bucket that cannot be narrowed serves nothing"
+        );
     }
 
     /// Builds a store with a mix of indexed (sorted) and legacy

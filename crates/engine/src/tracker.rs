@@ -807,10 +807,10 @@ impl<'a> JobTracker<'a> {
     /// Does the store hold an output for this mapper matching the
     /// current input block fingerprint?
     fn map_output_present(&self, task: &MapTask, ignore_fp: bool) -> bool {
-        match self.cluster.map_outputs().lookup(&task.key) {
-            Some(meta) => ignore_fp || meta.input_hash == task.block.content_hash,
-            None => false,
-        }
+        self.cluster
+            .map_outputs()
+            .input_hash(&task.key)
+            .is_some_and(|hash| ignore_fp || hash == task.block.content_hash)
     }
 
     /// Errors with [`Error::JobInputLost`] if any input partition was
@@ -1278,18 +1278,78 @@ impl<'a> JobTracker<'a> {
 
     /// Sleeps the policy's full-jitter delay before retry `attempt` and
     /// records it in the `retry.backoff_ms` histogram, the flight
-    /// recorder and the [`PhaseKind::RetryBackoff`] budget.
-    fn backoff(&self, retry: &rcmp_model::RetryPolicy, site_seed: u64, attempt: u32) {
+    /// recorder and the [`PhaseKind::RetryBackoff`] budget. Returns the
+    /// nanoseconds charged, so the caller can keep them out of its own
+    /// phase.
+    fn backoff(&self, retry: &rcmp_model::RetryPolicy, site_seed: u64, attempt: u32) -> u64 {
         let delay = retry.backoff_ms(site_seed, attempt);
         self.m_backoff_ms.observe(delay);
         self.recorder
             .record(EventCode::BackoffWait, None, delay, u64::from(attempt));
-        if delay > 0 {
-            let slept = Instant::now();
-            std::thread::sleep(std::time::Duration::from_millis(delay));
-            self.profiler
-                .add_ns(PhaseKind::RetryBackoff, slept.elapsed().as_nanos() as u64);
+        if delay == 0 {
+            return 0;
         }
+        let slept = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(delay));
+        let ns = slept.elapsed().as_nanos() as u64;
+        self.profiler.add_ns(PhaseKind::RetryBackoff, ns);
+        ns
+    }
+
+    /// Runs one reducer's shuffle, absorbing transient failures in place
+    /// with seeded full-jitter backoff (concurrent failing fetches
+    /// spread out instead of hammering the flaky path in lockstep) —
+    /// but not forever: a path this flaky needs the task rescheduled.
+    /// Charges the [`PhaseKind::ShuffleFetch`] budget with the time
+    /// spent fetching, the backoff sleeps excluded, and returns the
+    /// result with the tracer timestamps bracketing the whole shuffle.
+    fn shuffle_with_retry<T>(
+        &self,
+        node: NodeId,
+        id: ReduceTaskId,
+        shuffle: impl Fn() -> std::result::Result<T, ShuffleFailure>,
+    ) -> std::result::Result<(T, u64, u64), ReduceOutcome> {
+        let retry = self.cluster.config().retry;
+        let backoff_site = self.backoff_site_seed(id);
+        let start = self.tracer.now_us();
+        let mut backoff_ns = 0u64;
+        let mut attempt = 0u32;
+        let shuffled = loop {
+            attempt += 1;
+            match shuffle() {
+                Ok(shuffled) => break shuffled,
+                Err(ShuffleFailure::MissingMapOutputs(_)) => return Err(ReduceOutcome::Missing),
+                Err(ShuffleFailure::Corrupt { key, .. }) => {
+                    // The stored copy is permanently bad: retrying
+                    // the fetch returns the same bytes. Drop the
+                    // entry so the phase loop re-runs that mapper
+                    // from its input block, then report missing.
+                    self.cluster.map_outputs().remove(&key);
+                    return Err(ReduceOutcome::Missing);
+                }
+                Err(ShuffleFailure::Transient { .. }) => {
+                    self.m_shuffle_transients.inc();
+                    self.recorder.record(
+                        EventCode::ShuffleRetry,
+                        Some(node),
+                        u64::from(id.partition.0),
+                        u64::from(attempt),
+                    );
+                    if attempt >= retry.shuffle_attempts {
+                        return Err(ReduceOutcome::Retry(id));
+                    }
+                    backoff_ns += self.backoff(&retry, backoff_site, attempt);
+                }
+            }
+        };
+        let end = self.tracer.now_us();
+        let elapsed_us = end.saturating_sub(start);
+        self.m_shuffle_us.observe(elapsed_us);
+        self.profiler.add_us(
+            PhaseKind::ShuffleFetch,
+            elapsed_us.saturating_sub(backoff_ns / 1_000),
+        );
+        Ok((shuffled, start, end))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1306,69 +1366,26 @@ impl<'a> JobTracker<'a> {
         let t0 = Instant::now();
         let store = self.cluster.map_outputs();
         let shuffle_cfg = self.cluster.config().shuffle;
-        let retry = self.cluster.config().retry;
-        let backoff_site = self.backoff_site_seed(task.id);
         let block_size = self.cluster.config().block_size.as_u64() as usize;
         let mut out = ChunkingWriter::new(block_size);
-        let shuffle_start = self.tracer.now_us();
         let (local_bytes, remote_bytes) = if shuffle_cfg.streaming {
             // Streaming path: plan the fetches via the bucket indexes,
             // then k-way-merge the per-mapper sorted runs straight into
             // the reducer — no collect-all-then-sort pass.
-            let mut attempt = 0u32;
-            let mut merge = loop {
-                attempt += 1;
-                match StreamingShuffle::plan(
+            let plan = || {
+                StreamingShuffle::plan(
                     store,
                     input_keys,
                     task.id,
                     node,
                     shuffle_cfg.max_merge_width,
-                ) {
-                    Ok(m) => break m,
-                    Err(ShuffleFailure::MissingMapOutputs(_)) => return ReduceOutcome::Missing,
-                    Err(ShuffleFailure::Corrupt { key, .. }) => {
-                        // The stored copy is permanently bad: retrying
-                        // the fetch returns the same bytes. Drop the
-                        // entry so the phase loop re-runs that mapper
-                        // from its input block, then report missing.
-                        store.remove(&key);
-                        return ReduceOutcome::Missing;
-                    }
-                    Err(ShuffleFailure::Transient { .. }) => {
-                        self.m_shuffle_transients.inc();
-                        self.recorder.record(
-                            EventCode::ShuffleRetry,
-                            Some(node),
-                            u64::from(task.id.partition.0),
-                            u64::from(attempt),
-                        );
-                        // Retryable in place, but not forever: a path
-                        // this flaky needs the task rescheduled.
-                        if attempt >= retry.shuffle_attempts {
-                            return ReduceOutcome::Retry(task.id);
-                        }
-                        // Seeded full-jitter backoff: concurrent
-                        // failing fetches spread out instead of
-                        // hammering the flaky path in lockstep.
-                        self.backoff(&retry, backoff_site, attempt);
-                    }
-                }
+                )
             };
-            let shuffle_end = self.tracer.now_us();
-            self.m_shuffle_us
-                .observe(shuffle_end.saturating_sub(shuffle_start));
-            self.profiler.add_us(
-                PhaseKind::ShuffleFetch,
-                shuffle_end.saturating_sub(shuffle_start),
-            );
-            self.record_fetches(
-                &merge.per_source,
-                node,
-                task_span,
-                shuffle_start,
-                shuffle_end,
-            );
+            let (mut merge, start, end) = match self.shuffle_with_retry(node, task.id, plan) {
+                Ok(planned) => planned,
+                Err(outcome) => return outcome,
+            };
+            self.record_fetches(&merge.per_source, node, task_span, start, end);
             let (local, remote) = (merge.local_bytes, merge.remote_bytes);
             // Merge vs UDF attribution: the loop interleaves both, so
             // the UDF is timed per group and the remainder of the loop
@@ -1403,45 +1420,12 @@ impl<'a> JobTracker<'a> {
             (local, remote)
         } else {
             // Legacy oracle path: fetch everything, then sort-and-group.
-            let mut attempt = 0u32;
-            let shuffled = loop {
-                attempt += 1;
-                match shuffle_for_reduce(store, input_keys, task.id, node) {
-                    Ok(r) => break r,
-                    Err(ShuffleFailure::MissingMapOutputs(_)) => return ReduceOutcome::Missing,
-                    Err(ShuffleFailure::Corrupt { key, .. }) => {
-                        store.remove(&key);
-                        return ReduceOutcome::Missing;
-                    }
-                    Err(ShuffleFailure::Transient { .. }) => {
-                        self.m_shuffle_transients.inc();
-                        self.recorder.record(
-                            EventCode::ShuffleRetry,
-                            Some(node),
-                            u64::from(task.id.partition.0),
-                            u64::from(attempt),
-                        );
-                        if attempt >= retry.shuffle_attempts {
-                            return ReduceOutcome::Retry(task.id);
-                        }
-                        self.backoff(&retry, backoff_site, attempt);
-                    }
-                }
+            let fetch = || shuffle_for_reduce(store, input_keys, task.id, node);
+            let (shuffled, start, end) = match self.shuffle_with_retry(node, task.id, fetch) {
+                Ok(fetched) => fetched,
+                Err(outcome) => return outcome,
             };
-            let shuffle_end = self.tracer.now_us();
-            self.m_shuffle_us
-                .observe(shuffle_end.saturating_sub(shuffle_start));
-            self.profiler.add_us(
-                PhaseKind::ShuffleFetch,
-                shuffle_end.saturating_sub(shuffle_start),
-            );
-            self.record_fetches(
-                &shuffled.per_source,
-                node,
-                task_span,
-                shuffle_start,
-                shuffle_end,
-            );
+            self.record_fetches(&shuffled.per_source, node, task_span, start, end);
             let udf_start = Instant::now();
             for (key, values) in &shuffled.groups {
                 spec.reducer.reduce(*key, values, &mut |rec: Record| {

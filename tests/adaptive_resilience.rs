@@ -8,7 +8,7 @@ use rcmp::engine::failure::{Fault, FaultTrigger};
 use rcmp::engine::{Cluster, ScriptedInjector, TriggerPoint};
 use rcmp::model::rng::derive_indexed;
 use rcmp::model::{ClusterConfig, NodeId, RetryPolicy, SlotConfig};
-use rcmp::obs::{SnapshotValue, SpanKind};
+use rcmp::obs::{PhaseKind, SnapshotValue, SpanKind};
 use rcmp::policy::{optimal_interval, AdaptConfig, DynamicPolicy};
 use rcmp::sim::{simulate_chain, ChainSimConfig, FailureAt, HwProfile, WorkloadCfg};
 use rcmp::traces::{synthesize, TraceProfile, TraceStats};
@@ -351,6 +351,16 @@ fn shuffle_flakes_record_backoff_histogram() {
         ),
         other => panic!("retry.backoff_ms histogram missing: {other:?}"),
     }
+    // The sleeps belong to the backoff phase alone. The shuffle-fetch
+    // timer brackets the whole retry loop, so a fetch phase that still
+    // contained them could not come out below the backoff phase.
+    let backoff_us = outcome.phases.total_us(PhaseKind::RetryBackoff);
+    let fetch_us = outcome.phases.total_us(PhaseKind::ShuffleFetch);
+    assert!(backoff_us > 0, "the seeded schedule sleeps at least once");
+    assert!(
+        fetch_us < backoff_us,
+        "backoff sleeps charged to the fetch phase too: fetch {fetch_us} us, backoff {backoff_us} us"
+    );
 }
 
 /// The simulator charges the same seeded backoff into its clock: a
