@@ -18,12 +18,10 @@
 //!   failures: cancelling broken jobs, executing recovery plans
 //!   (including nested failures during recovery), replicating every
 //!   k-th output in hybrid mode;
-//! * [`reclaim`] — storage reclamation at replication points and the
-//!   wave-granularity eviction the paper sketches as future work;
+//! * [`reclaim`] — storage reclamation at replication points;
 //! * [`events`] — a structured event log of everything the middleware
 //!   does, for tests and reports.
 
-pub mod budget;
 pub mod dag;
 pub mod driver;
 pub mod dynamic;
@@ -32,7 +30,6 @@ pub mod planner;
 pub mod reclaim;
 pub mod strategy;
 
-pub use budget::{enforce_budget, StorageBudget};
 pub use dag::JobGraph;
 pub use driver::{ChainDriver, ChainOutcome};
 pub use dynamic::{

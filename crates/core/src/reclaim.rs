@@ -5,12 +5,6 @@
 //! state behind a point dead weight: once `out(k)` is replicated, no
 //! recovery ever needs `out(j)` for `j < k`, nor any persisted map
 //! output of a job at or before `k`. [`reclaim_before`] frees both.
-//!
-//! [`evict_last_waves`] implements the eviction policy the paper lists
-//! as future work ("deleting persisted outputs at the granularity of
-//! waves"): under storage pressure, drop a job's map outputs wave by
-//! wave — recomputing a whole dropped wave costs one extra map wave on
-//! recovery, so later waves (recomputed last) go first.
 
 use crate::dag::JobGraph;
 use rcmp_engine::Cluster;
@@ -56,24 +50,6 @@ pub fn reclaim_before(
         }
     }
     Ok(stats)
-}
-
-/// Evicts the persisted map outputs of `job`'s last `waves` waves,
-/// assuming `tasks_per_wave` mappers ran per wave (cluster map slots ×
-/// nodes at the time). Returns how many entries were dropped.
-///
-/// Eviction order is descending block position: the outputs produced in
-/// the last waves are dropped first, matching the paper's sketched
-/// wave-granularity policy.
-pub fn evict_last_waves(
-    cluster: &Cluster,
-    job: JobId,
-    tasks_per_wave: usize,
-    waves: usize,
-) -> usize {
-    cluster
-        .map_outputs()
-        .evict_tail(job, tasks_per_wave * waves)
 }
 
 #[cfg(test)]
@@ -146,27 +122,5 @@ mod tests {
         );
         assert!(cluster.dfs().file_exists("out/3"));
         assert_eq!(cluster.map_outputs().keys_for_job(JobId(3)).len(), 1);
-    }
-
-    #[test]
-    fn evict_drops_tail_waves() {
-        let cluster = Cluster::new(ClusterConfig::small_test(2));
-        for idx in 0..10 {
-            put_map_output(&cluster, 1, idx);
-        }
-        let dropped = evict_last_waves(&cluster, JobId(1), 2, 2);
-        assert_eq!(dropped, 4);
-        let left = cluster.map_outputs().keys_for_job(JobId(1));
-        assert_eq!(left.len(), 6);
-        // The survivors are the *first* waves.
-        assert!(left.iter().all(|k| k.block_idx < 6));
-    }
-
-    #[test]
-    fn evict_caps_at_available() {
-        let cluster = Cluster::new(ClusterConfig::small_test(2));
-        put_map_output(&cluster, 1, 0);
-        assert_eq!(evict_last_waves(&cluster, JobId(1), 4, 10), 1);
-        assert_eq!(evict_last_waves(&cluster, JobId(1), 4, 10), 0);
     }
 }

@@ -16,6 +16,10 @@
 //!
 //! ## Consistency rules
 //!
+//! What is admitted, evicted or spilled is decided by
+//! [`rcmp_policy::CacheLedger`], the bookkeeping the simulator runs too;
+//! this module adds the bytes, the hash guard and the counters.
+//!
 //! * **Stage, then commit.** A reducer stages its partition's
 //!   record-aligned chunks while writing them to the DFS; nothing is
 //!   readable until the whole job *commits* at successful completion, on
@@ -46,57 +50,25 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use rcmp_model::{ByteSize, NodeId, PartitionId};
 use rcmp_obs::{Counter, Gauge, MetricsRegistry};
-use std::collections::{BTreeMap, HashMap};
+use rcmp_policy::CacheLedger;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One committed partition: its record-aligned chunks (exactly the
-/// blocks written to the DFS, hash per chunk) resident on `holder`.
-struct Entry {
-    holder: NodeId,
-    /// `(content_hash, payload)` per block, in write order.
-    chunks: Vec<(u64, Bytes)>,
-    bytes: u64,
-    /// Recency stamp: bumped on commit and on pin, never on read, so
-    /// eviction order is independent of read interleaving.
-    seq: u64,
-}
-
-/// A partition staged by its writing reducer, awaiting job commit.
-struct Staged {
-    holder: NodeId,
-    chunks: Vec<(u64, Bytes)>,
-    bytes: u64,
-}
-
-#[derive(Default)]
+/// What is resident and who holds it is the shared
+/// [`rcmp_policy::CacheLedger`]'s decision; this side only keeps the
+/// bytes: one `(content_hash, payload)` list per ledger ticket, exactly
+/// the blocks written to the DFS, in write order.
 struct Inner {
-    /// Committed, readable entries keyed by `(file path, partition)`.
-    entries: HashMap<(String, PartitionId), Entry>,
-    /// Staged-but-uncommitted partitions per output file. BTreeMap so
-    /// commit admits partitions in ascending id order regardless of the
-    /// interleaving reduce tasks staged them in.
-    pending: HashMap<String, BTreeMap<PartitionId, Staged>>,
-    /// Pin counts per file path; a file's entries are evictable only
-    /// while its pin count is zero.
-    pins: HashMap<String, u32>,
-    /// Committed bytes currently resident.
-    used: u64,
-    /// Monotonic recency clock.
-    seq: u64,
+    ledger: CacheLedger<String>,
+    payloads: HashMap<u64, Vec<(u64, Bytes)>>,
 }
 
 impl Inner {
-    fn bump(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
-    fn pinned_bytes(&self) -> u64 {
-        self.entries
-            .iter()
-            .filter(|((path, _), _)| self.pins.get(path).copied().unwrap_or(0) > 0)
-            .map(|(_, e)| e.bytes)
-            .sum()
+    /// Frees the payloads of the tickets a ledger call dropped.
+    fn release(&mut self, dropped: impl IntoIterator<Item = u64>) {
+        for ticket in dropped {
+            self.payloads.remove(&ticket);
+        }
     }
 }
 
@@ -135,12 +107,10 @@ pub struct ChainCacheStats {
 /// the consistency rules; see `rcmp_model::ChainCacheConfig` for how it
 /// is switched on.
 pub struct ChainCache {
-    budget: u64,
     inner: Mutex<Inner>,
     hits: AtomicU64,
     hits_local: AtomicU64,
     misses: AtomicU64,
-    spills: AtomicU64,
     read_bytes: AtomicU64,
     obs: Option<ObsHandles>,
 }
@@ -149,12 +119,13 @@ impl ChainCache {
     /// An empty cache with the given committed-byte budget.
     pub fn new(budget: ByteSize) -> Self {
         Self {
-            budget: budget.as_u64(),
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(Inner {
+                ledger: CacheLedger::new(budget.as_u64()),
+                payloads: HashMap::new(),
+            }),
             hits: AtomicU64::new(0),
             hits_local: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            spills: AtomicU64::new(0),
             read_bytes: AtomicU64::new(0),
             obs: None,
         }
@@ -177,7 +148,21 @@ impl ChainCache {
 
     /// The committed-byte budget.
     pub fn budget(&self) -> ByteSize {
-        ByteSize::bytes(self.budget)
+        ByteSize::bytes(self.inner.lock().ledger.budget())
+    }
+
+    /// Runs one ledger mutation under the lock, frees the payloads of
+    /// whatever it dropped and republishes the spill counter and the
+    /// pinned-bytes gauge.
+    fn apply<D: IntoIterator<Item = u64>>(&self, op: impl FnOnce(&mut CacheLedger<String>) -> D) {
+        let mut inner = self.inner.lock();
+        let spills = inner.ledger.spills();
+        let dropped = op(&mut inner.ledger);
+        inner.release(dropped);
+        if let Some(obs) = &self.obs {
+            obs.spills.add(inner.ledger.spills() - spills);
+            obs.pinned_bytes.set(inner.ledger.pinned_bytes() as i64);
+        }
     }
 
     /// Stages one reducer's whole-partition output (the record-aligned
@@ -191,14 +176,10 @@ impl ChainCache {
             .collect();
         let bytes: u64 = hashed.iter().map(|(_, c)| c.len() as u64).sum();
         let mut inner = self.inner.lock();
-        inner.pending.entry(path.to_string()).or_default().insert(
-            pid,
-            Staged {
-                holder,
-                chunks: hashed,
-                bytes,
-            },
-        );
+        let ticket = inner
+            .ledger
+            .stage(path.to_string(), pid.raw(), holder.raw(), bytes);
+        inner.payloads.insert(ticket, hashed);
     }
 
     /// Commits every partition staged for `path`, admitting them in
@@ -208,65 +189,13 @@ impl ChainCache {
     /// control thread at successful job completion — never concurrently
     /// with itself — so cache state after each job is deterministic.
     pub fn commit(&self, path: &str) {
-        let mut inner = self.inner.lock();
-        let Some(staged) = inner.pending.remove(path) else {
-            return;
-        };
-        let mut spilled = 0u64;
-        for (pid, s) in staged {
-            // Replacing an existing version of the same partition frees
-            // its bytes first.
-            if let Some(old) = inner.entries.remove(&(path.to_string(), pid)) {
-                inner.used -= old.bytes;
-            }
-            if s.bytes > self.budget {
-                spilled += 1;
-                continue;
-            }
-            while inner.used + s.bytes > self.budget {
-                let victim = inner
-                    .entries
-                    .iter()
-                    .filter(|((p, _), _)| inner.pins.get(p).copied().unwrap_or(0) == 0)
-                    .min_by_key(|(_, e)| e.seq)
-                    .map(|(k, _)| k.clone());
-                match victim {
-                    Some(k) => {
-                        let e = inner.entries.remove(&k).expect("victim present");
-                        inner.used -= e.bytes;
-                    }
-                    None => break,
-                }
-            }
-            if inner.used + s.bytes > self.budget {
-                spilled += 1;
-                continue;
-            }
-            let seq = inner.bump();
-            inner.used += s.bytes;
-            inner.entries.insert(
-                (path.to_string(), pid),
-                Entry {
-                    holder: s.holder,
-                    chunks: s.chunks,
-                    bytes: s.bytes,
-                    seq,
-                },
-            );
-        }
-        if spilled > 0 {
-            self.spills.fetch_add(spilled, Ordering::Relaxed);
-            if let Some(obs) = &self.obs {
-                obs.spills.add(spilled);
-            }
-        }
-        self.publish_pinned(&inner);
+        self.apply(|ledger| ledger.commit(&path.to_string()));
     }
 
     /// Drops anything staged for `path` without committing it (a failed
     /// or abandoned run).
     pub fn abort(&self, path: &str) {
-        self.inner.lock().pending.remove(path);
+        self.apply(|ledger| ledger.abort(&path.to_string()));
     }
 
     /// Serves block `block_idx` of `(path, pid)` from memory, but only
@@ -282,26 +211,29 @@ impl ChainCache {
         expect_hash: u64,
         reader: NodeId,
     ) -> Option<(Bytes, NodeId)> {
-        let key = (path.to_string(), pid);
-        let mut inner = self.inner.lock();
-        let hit = match inner.entries.get(&key) {
-            Some(e) => match e.chunks.get(block_idx) {
-                Some((h, data)) if *h == expect_hash => Some((data.clone(), e.holder)),
-                Some(_) => {
-                    // Stale: the partition was rewritten behind us.
-                    let e = inner.entries.remove(&key).expect("entry present");
-                    inner.used -= e.bytes;
-                    None
+        let path = path.to_string();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let hit = inner
+            .ledger
+            .lookup(&path, pid.raw())
+            .and_then(|(holder, ticket)| {
+                match inner.payloads.get(&ticket)?.get(block_idx)? {
+                    (hash, data) if *hash == expect_hash => Some((data.clone(), NodeId(holder))),
+                    _ => {
+                        // Stale: the partition was rewritten behind us.
+                        let dropped = inner.ledger.remove(&path, pid.raw());
+                        inner.release(dropped);
+                        None
+                    }
                 }
-                None => None,
-            },
-            None => None,
-        };
-        drop(inner);
+            });
+        drop(guard);
         match hit {
             Some((data, holder)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.read_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
+                self.read_bytes
+                    .fetch_add(data.len() as u64, Ordering::Relaxed);
                 let local = holder == reader;
                 if local {
                     self.hits_local.fetch_add(1, Ordering::Relaxed);
@@ -329,89 +261,46 @@ impl ChainCache {
     /// stable-placement affinity hint. Purely advisory: scheduling to a
     /// non-holder only costs a miss.
     pub fn holder(&self, path: &str, pid: PartitionId) -> Option<NodeId> {
-        self.inner
-            .lock()
-            .entries
-            .get(&(path.to_string(), pid))
-            .map(|e| e.holder)
+        let inner = self.inner.lock();
+        inner
+            .ledger
+            .holder(&path.to_string(), pid.raw())
+            .map(NodeId)
     }
 
     /// Pins `path`: its entries can't be evicted until the matching
     /// [`ChainCache::unpin_file`]. Bumps recency (the file is about to
     /// be consumed). Pins nest.
     pub fn pin_file(&self, path: &str) {
-        let mut inner = self.inner.lock();
-        *inner.pins.entry(path.to_string()).or_insert(0) += 1;
-        let seq = inner.bump();
-        for ((p, _), e) in inner.entries.iter_mut() {
-            if p == path {
-                e.seq = seq;
-            }
-        }
-        self.publish_pinned(&inner);
+        self.apply(|ledger| {
+            ledger.pin(&path.to_string());
+            None
+        });
     }
 
     /// Releases one pin of `path`.
     pub fn unpin_file(&self, path: &str) {
-        let mut inner = self.inner.lock();
-        if let Some(c) = inner.pins.get_mut(path) {
-            *c = c.saturating_sub(1);
-            if *c == 0 {
-                inner.pins.remove(path);
-            }
-        }
-        self.publish_pinned(&inner);
+        self.apply(|ledger| {
+            ledger.unpin(&path.to_string());
+            None
+        });
     }
 
     /// Drops every committed entry and staged chunk of `path`.
     pub fn invalidate_file(&self, path: &str) {
-        let mut inner = self.inner.lock();
-        let keys: Vec<_> = inner
-            .entries
-            .keys()
-            .filter(|(p, _)| p == path)
-            .cloned()
-            .collect();
-        for k in keys {
-            let e = inner.entries.remove(&k).expect("entry present");
-            inner.used -= e.bytes;
-        }
-        inner.pending.remove(path);
-        self.publish_pinned(&inner);
+        self.apply(|ledger| ledger.invalidate_file(&path.to_string()));
     }
 
     /// Drops the committed entry and staged chunks of one partition.
     pub fn invalidate_partition(&self, path: &str, pid: PartitionId) {
-        let mut inner = self.inner.lock();
-        if let Some(e) = inner.entries.remove(&(path.to_string(), pid)) {
-            inner.used -= e.bytes;
-        }
-        if let Some(staged) = inner.pending.get_mut(path) {
-            staged.remove(&pid);
-        }
-        self.publish_pinned(&inner);
+        self.apply(|ledger| ledger.invalidate_partition(&path.to_string(), pid.raw()));
     }
 
     /// Drops everything `node` holds — committed and staged. Called on
     /// node death, drain and decommission so recovery (and post-churn
     /// scheduling) falls back to the DFS's persisted replicas.
     pub fn invalidate_node(&self, node: NodeId) {
-        let mut inner = self.inner.lock();
-        let keys: Vec<_> = inner
-            .entries
-            .iter()
-            .filter(|(_, e)| e.holder == node)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in keys {
-            let e = inner.entries.remove(&k).expect("entry present");
-            inner.used -= e.bytes;
-        }
-        for staged in inner.pending.values_mut() {
-            staged.retain(|_, s| s.holder != node);
-        }
-        inner.pending.retain(|_, staged| !staged.is_empty());
-        self.publish_pinned(&inner);
+        self.apply(|ledger| ledger.invalidate_node(node.raw()));
     }
 
     /// Point-in-time statistics.
@@ -421,16 +310,10 @@ impl ChainCache {
             hits: self.hits.load(Ordering::Relaxed),
             hits_local: self.hits_local.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            spills: self.spills.load(Ordering::Relaxed),
+            spills: inner.ledger.spills(),
             read_bytes: self.read_bytes.load(Ordering::Relaxed),
-            used_bytes: inner.used,
-            entries: inner.entries.len() as u64,
-        }
-    }
-
-    fn publish_pinned(&self, inner: &Inner) {
-        if let Some(obs) = &self.obs {
-            obs.pinned_bytes.set(inner.pinned_bytes() as i64);
+            used_bytes: inner.ledger.used_bytes(),
+            entries: inner.ledger.entries().count() as u64,
         }
     }
 }
@@ -467,10 +350,14 @@ mod tests {
             .get_chunk("out", PartitionId(0), 1, hash(&c1), NodeId(0))
             .expect("hit");
         assert_eq!(data, c1);
+        // A block index past the partition's chunks misses, entry intact.
+        assert!(cache
+            .get_chunk("out", PartitionId(0), 2, hash(&c1), NodeId(0))
+            .is_none());
         let s = cache.stats();
         assert_eq!(s.hits, 2);
         assert_eq!(s.hits_local, 1);
-        assert_eq!(s.misses, 1);
+        assert_eq!(s.misses, 2);
         assert_eq!(s.read_bytes, 30);
         assert_eq!(s.used_bytes, 30);
         assert_eq!(cache.holder("out", PartitionId(0)), Some(NodeId(2)));
@@ -508,92 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_oldest_unpinned_and_respects_pins() {
-        let cache = ChainCache::new(ByteSize::bytes(25));
-        let a = payload(10, 1);
-        cache.stage("a", PartitionId(0), NodeId(0), std::slice::from_ref(&a));
-        cache.commit("a");
-        let b = payload(10, 2);
-        cache.stage("b", PartitionId(0), NodeId(1), std::slice::from_ref(&b));
-        cache.commit("b");
-        assert_eq!(cache.stats().entries, 2);
-
-        // Pin "a": committing "c" must evict "b" (oldest unpinned), not "a".
-        cache.pin_file("a");
-        let c = payload(10, 3);
-        cache.stage("c", PartitionId(0), NodeId(2), std::slice::from_ref(&c));
-        cache.commit("c");
-        assert!(cache.holder("a", PartitionId(0)).is_some());
-        assert!(cache.holder("b", PartitionId(0)).is_none());
-        assert!(cache.holder("c", PartitionId(0)).is_some());
-        cache.unpin_file("a");
-
-        // With everything unpinned, the next commit evicts oldest-first.
-        let d = payload(20, 4);
-        cache.stage("d", PartitionId(0), NodeId(3), std::slice::from_ref(&d));
-        cache.commit("d");
-        assert!(cache.holder("d", PartitionId(0)).is_some());
-        assert_eq!(cache.stats().used_bytes, 20);
-    }
-
-    #[test]
-    fn pinned_entries_spill_rather_than_evict() {
-        let cache = ChainCache::new(ByteSize::bytes(10));
-        let a = payload(10, 1);
-        cache.stage("a", PartitionId(0), NodeId(0), std::slice::from_ref(&a));
-        cache.commit("a");
-        cache.pin_file("a");
-        let b = payload(10, 2);
-        cache.stage("b", PartitionId(0), NodeId(1), std::slice::from_ref(&b));
-        cache.commit("b");
-        // "a" is pinned and fills the budget: "b" spills.
-        assert!(cache.holder("a", PartitionId(0)).is_some());
-        assert!(cache.holder("b", PartitionId(0)).is_none());
-        assert_eq!(cache.stats().spills, 1);
-        cache.unpin_file("a");
-    }
-
-    #[test]
-    fn invalidations_drop_committed_and_staged() {
-        let cache = ChainCache::new(ByteSize::bytes(1024));
-        let c = payload(10, 1);
-        cache.stage("x", PartitionId(0), NodeId(0), std::slice::from_ref(&c));
-        cache.stage("x", PartitionId(1), NodeId(1), std::slice::from_ref(&c));
-        cache.commit("x");
-        cache.stage("y", PartitionId(0), NodeId(1), std::slice::from_ref(&c));
-
-        cache.invalidate_partition("x", PartitionId(0));
-        assert!(cache.holder("x", PartitionId(0)).is_none());
-        assert!(cache.holder("x", PartitionId(1)).is_some());
-
-        // Node 1 dies: its committed entry and its staged chunks go.
-        cache.invalidate_node(NodeId(1));
-        assert!(cache.holder("x", PartitionId(1)).is_none());
-        cache.commit("y");
-        assert!(cache.holder("y", PartitionId(0)).is_none());
-
-        cache.stage("z", PartitionId(0), NodeId(0), std::slice::from_ref(&c));
-        cache.commit("z");
-        cache.invalidate_file("z");
-        assert_eq!(cache.stats().entries, 0);
-        assert_eq!(cache.stats().used_bytes, 0);
-    }
-
-    #[test]
-    fn abort_drops_staged_only() {
-        let cache = ChainCache::new(ByteSize::bytes(1024));
-        let c = payload(10, 1);
-        cache.stage("x", PartitionId(0), NodeId(0), std::slice::from_ref(&c));
-        cache.commit("x");
-        cache.stage("y", PartitionId(0), NodeId(0), std::slice::from_ref(&c));
-        cache.abort("y");
-        cache.commit("y");
-        assert!(cache.holder("y", PartitionId(0)).is_none());
-        assert!(cache.holder("x", PartitionId(0)).is_some());
-    }
-
-    #[test]
-    fn recommit_replaces_previous_version() {
+    fn recommit_serves_only_the_new_version() {
         let cache = ChainCache::new(ByteSize::bytes(1024));
         let v1 = payload(10, 1);
         cache.stage("x", PartitionId(0), NodeId(0), std::slice::from_ref(&v1));
@@ -611,5 +413,106 @@ mod tests {
             .get_chunk("x", PartitionId(0), 0, hash(&v1), NodeId(0))
             .is_none());
         assert!(cache.holder("x", PartitionId(0)).is_none());
+    }
+
+    /// One script through the wrapper (dummy payloads derived from the
+    /// ticket) and a bare ledger: after every step they agree on
+    /// holders, bytes and spills, `get_chunk` hits exactly the ledger's
+    /// resident keys with the right version's bytes, and the payload
+    /// table holds exactly the tickets the ledger has not dropped.
+    #[test]
+    fn wrapper_stays_in_sync_with_a_bare_ledger() {
+        use rand::Rng;
+        use std::collections::BTreeSet;
+        const FILES: [&str; 3] = ["a", "b", "c"];
+        let dummy = |ticket: u64, len: u64| payload(len as usize, ticket as u8);
+        let cache = ChainCache::new(ByteSize::bytes(40));
+        let mut ledger: CacheLedger<String> = CacheLedger::new(40);
+        let mut live: BTreeSet<u64> = BTreeSet::new();
+        let mut peak_entries = 0;
+        let mut rng = rcmp_model::rng::rng_for(7, "chain-cache-sync");
+        for step in 0..800u32 {
+            let file = FILES[rng.gen_range(0..FILES.len())];
+            let owned = file.to_string();
+            let (pid, node) = (rng.gen_range(0..3u32), rng.gen_range(0..3u32));
+            let dropped = match rng.gen_range(0..10u32) {
+                0..=2 => {
+                    // 8..=48 bytes: commits evict, replace and (at 48 >
+                    // budget) spill.
+                    let len = 8 * rng.gen_range(1..7u64);
+                    let ticket = ledger.stage(owned, pid, node, len);
+                    live.insert(ticket);
+                    cache.stage(file, PartitionId(pid), NodeId(node), &[dummy(ticket, len)]);
+                    Vec::new()
+                }
+                3..=4 => {
+                    cache.commit(file);
+                    ledger.commit(&owned)
+                }
+                5 => {
+                    cache.abort(file);
+                    ledger.abort(&owned)
+                }
+                6 => {
+                    cache.pin_file(file);
+                    ledger.pin(&owned);
+                    if rng.gen_bool(0.7) {
+                        cache.unpin_file(file);
+                        ledger.unpin(&owned);
+                    }
+                    Vec::new()
+                }
+                7 => {
+                    cache.invalidate_partition(file, PartitionId(pid));
+                    ledger.invalidate_partition(&owned, pid)
+                }
+                8 => {
+                    cache.invalidate_file(file);
+                    ledger.invalidate_file(&owned)
+                }
+                _ => {
+                    cache.invalidate_node(NodeId(node));
+                    ledger.invalidate_node(node)
+                }
+            };
+            for ticket in dropped {
+                assert!(live.remove(&ticket), "step {step}: ticket dropped twice");
+            }
+
+            peak_entries = peak_entries.max(ledger.entries().count());
+            let stats = cache.stats();
+            assert_eq!(stats.used_bytes, ledger.used_bytes(), "step {step}");
+            assert_eq!(stats.spills, ledger.spills(), "step {step}");
+            assert_eq!(
+                stats.entries,
+                ledger.entries().count() as u64,
+                "step {step}"
+            );
+            let resident: HashMap<(&str, u32), (u32, u64)> = ledger
+                .entries()
+                .map(|(f, pid, holder, bytes)| ((f.as_str(), pid), (holder, bytes)))
+                .collect();
+            for file in FILES {
+                for pid in 0..3u32 {
+                    let p = PartitionId(pid);
+                    let Some(&(holder, bytes)) = resident.get(&(file, pid)) else {
+                        assert_eq!(cache.holder(file, p), None, "step {step}");
+                        assert!(cache.get_chunk(file, p, 0, 0, NodeId(0)).is_none());
+                        continue;
+                    };
+                    let (_, ticket) = ledger.lookup(&file.to_string(), pid).expect("resident");
+                    let want = dummy(ticket, bytes);
+                    assert_eq!(cache.holder(file, p), Some(NodeId(holder)), "step {step}");
+                    assert_eq!(
+                        cache.get_chunk(file, p, 0, hash(&want), NodeId(0)),
+                        Some((want, NodeId(holder))),
+                        "step {step}"
+                    );
+                }
+            }
+            let held: BTreeSet<u64> = cache.inner.lock().payloads.keys().copied().collect();
+            assert_eq!(held, live, "step {step}: payloads out of step with tickets");
+        }
+        assert!(ledger.spills() > 0 && peak_entries >= 3, "script too tame");
     }
 }

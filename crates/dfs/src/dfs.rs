@@ -6,7 +6,6 @@ use crate::namespace::{FileMeta, PartitionMeta, SegmentMeta};
 use crate::placement::{place_block, PlacementPolicy};
 use crate::report::{LossReport, RebalanceReport};
 use crate::storage::{NodeAccessStats, NodeStore};
-use crate::topology::RackTopology;
 use bytes::{Bytes, BytesMut};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
@@ -17,7 +16,7 @@ use rcmp_obs::{
     EventCode, FlightRecorder, Histogram, MetricsRegistry, PhaseKind, PhaseProfiler, SpanKind,
     Tracer,
 };
-use rcmp_policy::NodeStatus;
+use rcmp_policy::{rehome_target, NodeStatus, RackTopology, Rehome};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -99,6 +98,15 @@ impl NodeSlot {
             status: NodeStatus::Up,
         }
     }
+}
+
+/// One block of a validated copy plan: where verified bytes may come
+/// from and which nodes receive a new replica.
+struct BlockCopy {
+    id: BlockId,
+    content_hash: u64,
+    sources: Vec<NodeId>,
+    targets: Vec<NodeId>,
 }
 
 /// The distributed file system.
@@ -308,9 +316,11 @@ impl Dfs {
     /// block are validated before any byte is copied, so an
     /// impossible rebalance (a sole surviving replica with no Up node to
     /// take it) fails the whole call with namespace and stores
-    /// unchanged. Blocks whose every placement target already holds a
-    /// copy are dropped rather than moved (they stay readable, merely
-    /// less replicated) and counted in the report.
+    /// unchanged; a copy that fails mid-way (every source of some block
+    /// corrupt) removes the copies already placed. Blocks whose every
+    /// placement target already holds a copy are dropped rather than
+    /// moved (they stay readable, merely less replicated) and counted
+    /// in the report.
     pub fn decommission_node(&self, node: NodeId) -> Result<RebalanceReport> {
         match self.node_status(node) {
             None => {
@@ -331,84 +341,50 @@ impl Dfs {
             .filter(|&n| n != node)
             .collect();
 
-        // Phase 1: plan. (block, hash, verified-read sources, target).
-        // `None` target means drop-in-place: some other readable replica
-        // keeps the block alive.
-        let mut plan: Vec<(BlockId, u64, Vec<NodeId>, Option<NodeId>)> = Vec::new();
+        // Phase 1: plan. A block with no target is dropped in place:
+        // some other readable replica keeps it alive.
+        let mut plan: Vec<BlockCopy> = Vec::new();
         let mut dropped = 0usize;
         {
             let ns = self.namespace.read();
-            for meta in ns.values() {
-                for p in &meta.partitions {
-                    for b in p.blocks() {
-                        if !b.replicas.contains(&node) {
-                            continue;
-                        }
-                        let sources: Vec<NodeId> = b
-                            .replicas
-                            .iter()
-                            .copied()
-                            .filter(|&r| self.is_alive(r))
-                            .collect();
-                        match pool.iter().copied().find(|t| !b.replicas.contains(t)) {
-                            Some(t) => {
-                                plan.push((b.id, b.content_hash, sources, Some(t)));
-                            }
-                            None if sources.iter().any(|&s| s != node) => dropped += 1,
-                            None => {
-                                return Err(Error::InsufficientReplicaTargets {
-                                    wanted: 1,
-                                    alive: pool.len(),
-                                });
-                            }
-                        }
+            for b in ns
+                .values()
+                .flat_map(|meta| &meta.partitions)
+                .flat_map(PartitionMeta::blocks)
+                .filter(|b| b.replicas.contains(&node))
+            {
+                match rehome_target(&b.replicas, node, &pool, |n| self.is_alive(n)) {
+                    Rehome::Move(target) => plan.push(BlockCopy {
+                        id: b.id,
+                        content_hash: b.content_hash,
+                        sources: self.readable_of(&b.replicas),
+                        targets: vec![target],
+                    }),
+                    Rehome::Drop => dropped += 1,
+                    Rehome::Stuck => {
+                        return Err(Error::InsufficientReplicaTargets {
+                            wanted: 1,
+                            alive: pool.len(),
+                        });
                     }
                 }
             }
         }
 
-        // Phase 2: copy payloads per the validated plan, verifying
-        // against the recorded content hash (a corrupt source is
-        // demoted, never propagated — same discipline as
-        // `replicate_file`).
-        let mut report = RebalanceReport {
+        // Phase 2: copy payloads per the validated plan.
+        let bytes_moved = self.copy_blocks(&plan, |id| format!("block {id}"))?;
+        let report = RebalanceReport {
             node: Some(node),
+            blocks_moved: plan.len(),
+            bytes_moved,
             blocks_dropped: dropped,
-            ..Default::default()
         };
-        let mut added: Vec<(BlockId, NodeId)> = Vec::new();
-        for (id, content_hash, sources, target) in plan {
-            let Some(target) = target else { continue };
-            let mut data = None;
-            for source in sources {
-                let Some(store) = self.store(source) else {
-                    continue;
-                };
-                let Some(d) = store.get(id, None) else {
-                    continue;
-                };
-                if rcmp_model::hash::hash_bytes(&d) == content_hash {
-                    data = Some(d);
-                    break;
-                }
-                self.demote_replica(id, source);
-            }
-            let data = data.ok_or_else(|| Error::DataLoss {
-                path: format!("block {id}"),
-                partition: None,
-            })?;
-            report.blocks_moved += 1;
-            report.bytes_moved += data.len() as u64;
-            if let Some(store) = self.store(target) {
-                store.put(id, data);
-            }
-            added.push((id, target));
-        }
 
         // Phase 3: commit — new holders into the namespace, the leaving
         // node out of every replica set, store wiped, status flipped.
         {
-            let mut by_block: HashMap<BlockId, NodeId> = added.into_iter().collect();
+            let mut by_block: HashMap<BlockId, NodeId> =
+                plan.iter().map(|c| (c.id, c.targets[0])).collect();
             let mut ns = self.namespace.write();
             for meta in ns.values_mut() {
                 for p in &mut meta.partitions {
@@ -774,6 +750,62 @@ impl Dfs {
         })
     }
 
+    /// The members of `replicas` whose data can still be read.
+    fn readable_of(&self, replicas: &[NodeId]) -> Vec<NodeId> {
+        replicas
+            .iter()
+            .copied()
+            .filter(|&n| self.is_alive(n))
+            .collect()
+    }
+
+    /// Phase 2 of a plan-then-commit copy ([`Dfs::replicate_file`],
+    /// [`Dfs::decommission_node`]): each block's payload is taken from
+    /// its first source that passes verification — a corrupt source is
+    /// demoted, never propagated — and put on its targets. All or
+    /// nothing: when a block has no verifiable source left, the copies
+    /// already placed are removed again (they are in no replica set, so
+    /// nothing else ever would) and the call fails with
+    /// [`Error::DataLoss`] on `loss_path(block)`. Returns the bytes
+    /// copied.
+    fn copy_blocks(
+        &self,
+        plan: &[BlockCopy],
+        loss_path: impl Fn(BlockId) -> String,
+    ) -> Result<u64> {
+        let mut bytes = 0u64;
+        for (done, copy) in plan.iter().enumerate() {
+            let data = copy.sources.iter().find_map(|&source| {
+                let data = self.store(source)?.get(copy.id, None)?;
+                if rcmp_model::hash::hash_bytes(&data) == copy.content_hash {
+                    return Some(data);
+                }
+                self.demote_replica(copy.id, source);
+                None
+            });
+            let Some(data) = data else {
+                for placed in &plan[..done] {
+                    for &t in &placed.targets {
+                        if let Some(store) = self.store(t) {
+                            store.remove(placed.id);
+                        }
+                    }
+                }
+                return Err(Error::DataLoss {
+                    path: loss_path(copy.id),
+                    partition: None,
+                });
+            };
+            for &t in &copy.targets {
+                bytes += data.len() as u64;
+                if let Some(store) = self.store(t) {
+                    store.put(copy.id, data.clone());
+                }
+            }
+        }
+        Ok(bytes)
+    }
+
     /// Drops one replica of a block everywhere: the payload from the
     /// node's store and the node from the block's replica set in the
     /// namespace. Checksum-failed replicas go through here, making a
@@ -877,7 +909,9 @@ impl Dfs {
     /// Plan-then-commit: every block's source and targets are validated
     /// *before* any data is copied, so a lost block or a too-small
     /// cluster fails the whole call without orphaning copies in node
-    /// stores (a leak the property suite caught).
+    /// stores (a leak the property suite caught); a block whose every
+    /// source turns out corrupt during the copy removes the copies
+    /// already placed.
     pub fn replicate_file(&self, path: &str, factor: u32) -> Result<()> {
         if factor == 0 {
             return Err(Error::Config("replication factor must be >= 1".into()));
@@ -887,15 +921,10 @@ impl Dfs {
         // draining nodes still count as readable sources.
         let meta = self.file_meta(path)?;
         let live = self.placement_targets();
-        let mut plan: Vec<(BlockId, u64, Vec<NodeId>, Vec<NodeId>)> = Vec::new();
+        let mut plan: Vec<BlockCopy> = Vec::new();
         for p in &meta.partitions {
             for b in p.blocks() {
-                let have: Vec<NodeId> = b
-                    .replicas
-                    .iter()
-                    .copied()
-                    .filter(|&n| self.is_alive(n))
-                    .collect();
+                let have = self.readable_of(&b.replicas);
                 if have.is_empty() {
                     return Err(Error::DataLoss {
                         path: path.to_string(),
@@ -918,44 +947,25 @@ impl Dfs {
                     let mut rng = self.rng.lock();
                     candidates.shuffle(&mut *rng);
                 }
-                let targets: Vec<NodeId> = candidates.into_iter().take(need).collect();
-                plan.push((b.id, b.content_hash, have, targets));
+                candidates.truncate(need);
+                plan.push(BlockCopy {
+                    id: b.id,
+                    content_hash: b.content_hash,
+                    sources: have,
+                    targets: candidates,
+                });
             }
         }
-        // Phase 2: copy data per the validated plan, taking the payload
-        // from any replica that passes verification (a corrupt source is
-        // demoted, never propagated).
-        let mut added: Vec<(BlockId, Vec<NodeId>)> = Vec::new();
-        for (id, content_hash, have, targets) in plan {
-            let mut data = None;
-            for source in have {
-                let Some(d) = self.store(source).and_then(|s| s.get(id, None)) else {
-                    continue;
-                };
-                if rcmp_model::hash::hash_bytes(&d) == content_hash {
-                    data = Some(d);
-                    break;
-                }
-                self.demote_replica(id, source);
-            }
-            let data = data.ok_or_else(|| Error::DataLoss {
-                path: path.to_string(),
-                partition: None,
-            })?;
-            for &t in &targets {
-                if let Some(store) = self.store(t) {
-                    store.put(id, data.clone());
-                }
-            }
-            added.push((id, targets));
-        }
+        // Phase 2: copy data per the validated plan.
+        self.copy_blocks(&plan, |_| path.to_string())?;
         // Commit metadata updates.
         let mut ns = self.namespace.write();
         let meta = ns
             .get_mut(path)
             .ok_or_else(|| Error::FileNotFound(path.to_string()))?;
         meta.replication = meta.replication.max(factor);
-        let mut by_block: HashMap<BlockId, Vec<NodeId>> = added.into_iter().collect();
+        let mut by_block: HashMap<BlockId, Vec<NodeId>> =
+            plan.into_iter().map(|c| (c.id, c.targets)).collect();
         for p in &mut meta.partitions {
             for s in &mut p.segments {
                 for b in &mut s.blocks {
@@ -1483,6 +1493,58 @@ mod tests {
         let meta = d.file_meta("f").unwrap();
         let b = meta.partitions[0].blocks().next().unwrap();
         assert!(!b.replicas.contains(&NodeId(0)), "corrupt source demoted");
+    }
+
+    /// A two-block file on node 0 only, its second block corrupt: the
+    /// copy phase places block 1, then finds block 2 unverifiable.
+    fn healthy_then_corrupt_sole_source(d: &Dfs) {
+        d.create_file("f", 1, 1).unwrap();
+        d.write_partition_segment(
+            "f",
+            PartitionId(0),
+            payload(128, 9),
+            NodeId(0),
+            PlacementPolicy::WriterLocal,
+        )
+        .unwrap();
+        let locs = d.partition_locations("f", PartitionId(0)).unwrap();
+        assert_eq!(locs.len(), 2);
+        assert!(d.corrupt_block_replica(locs[1].id, NodeId(0)));
+    }
+
+    /// After the failed copy the only change is the demoted corrupt
+    /// replica: no copy of the healthy block is left behind.
+    fn assert_no_orphans(d: &Dfs) {
+        assert_eq!(d.total_used(), ByteSize::bytes(64), "corrupt block demoted");
+        assert_eq!(d.node_block_count(NodeId(0)), 1);
+        for n in 1..d.num_nodes() {
+            assert_eq!(d.node_block_count(NodeId(n)), 0, "orphan on n{n}");
+        }
+        let meta = d.file_meta("f").unwrap();
+        let replicas: Vec<_> = meta.partitions[0]
+            .blocks()
+            .map(|b| b.replicas.clone())
+            .collect();
+        assert_eq!(replicas, [vec![NodeId(0)], vec![]]);
+    }
+
+    #[test]
+    fn replicate_file_rolls_back_copies_when_a_later_block_is_unverifiable() {
+        let d = dfs(3);
+        healthy_then_corrupt_sole_source(&d);
+        let err = d.replicate_file("f", 2).unwrap_err();
+        assert!(matches!(err, Error::DataLoss { .. }), "{err:?}");
+        assert_no_orphans(&d);
+    }
+
+    #[test]
+    fn decommission_rolls_back_copies_when_a_later_block_is_unverifiable() {
+        let d = dfs(3);
+        healthy_then_corrupt_sole_source(&d);
+        let err = d.decommission_node(NodeId(0)).unwrap_err();
+        assert!(matches!(err, Error::DataLoss { .. }), "{err:?}");
+        assert_no_orphans(&d);
+        assert_eq!(d.node_status(NodeId(0)), Some(NodeStatus::Up));
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod namespace;
 pub mod placement;
 pub mod report;
 pub mod storage;
-pub mod topology;
 
 mod dfs;
 
@@ -45,4 +44,3 @@ pub use namespace::{FileMeta, PartitionMeta, SegmentMeta};
 pub use placement::PlacementPolicy;
 pub use report::{LossReport, RebalanceReport};
 pub use storage::NodeAccessStats;
-pub use topology::RackTopology;

@@ -1,9 +1,9 @@
 //! Replica placement policies.
 
-use crate::topology::{rack_aware_order, RackTopology};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rcmp_model::{Error, NodeId, Result};
+use rcmp_policy::{rack_aware_order, RackTopology};
 use serde::{Deserialize, Serialize};
 
 /// How the first replica of a freshly written block is placed.
@@ -147,7 +147,6 @@ mod tests {
 
     #[test]
     fn rack_aware_second_replica_leaves_writer_rack() {
-        use crate::topology::RackTopology;
         let t = RackTopology::new(9, 3);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(6);
         for _ in 0..50 {

@@ -4,8 +4,9 @@
 //! surviving where rack-oblivious placement can lose data.
 
 use bytes::Bytes;
-use rcmp_dfs::{Dfs, DfsConfig, PlacementPolicy, RackTopology};
+use rcmp_dfs::{Dfs, DfsConfig, PlacementPolicy};
 use rcmp_model::{ByteSize, NodeId, PartitionId};
+use rcmp_policy::RackTopology;
 
 const NODES: u32 = 9;
 const RACKS: u32 = 3;

@@ -48,7 +48,7 @@ impl Cluster {
 
     /// Like [`Cluster::new`] but with a rack topology: remote replicas
     /// are placed rack-aware (HDFS-style, §III-A).
-    pub fn with_topology(cfg: ClusterConfig, topology: rcmp_dfs::RackTopology) -> Self {
+    pub fn with_topology(cfg: ClusterConfig, topology: rcmp_policy::RackTopology) -> Self {
         Self::build(cfg, None, Some(topology))
     }
 
@@ -62,7 +62,7 @@ impl Cluster {
     fn build(
         cfg: ClusterConfig,
         read_delay: Option<Duration>,
-        topology: Option<rcmp_dfs::RackTopology>,
+        topology: Option<rcmp_policy::RackTopology>,
     ) -> Self {
         cfg.validate().expect("invalid cluster config");
         // One clock for the whole run: tracer spans, flight-recorder

@@ -215,20 +215,6 @@ impl Shard {
         before - self.maps.len()
     }
 
-    fn evict_tail(&mut self, count: usize) -> usize {
-        let keep = self.maps.len().saturating_sub(count);
-        let Some(cut) = self.maps.get(keep).map(|m| m.key) else {
-            return 0;
-        };
-        let dropped = self.maps.split_off(keep);
-        self.bytes -= dropped.iter().map(|m| m.bytes).sum::<u64>();
-        self.postings.retain(|_, list| {
-            list.truncate(list.partition_point(|p| p.key < cut));
-            !list.is_empty()
-        });
-        dropped.len()
-    }
-
     /// The stored buckets of `reduce`, plus — for a split task — those
     /// of its whole reducer, which a map output persisted from an
     /// unsplit run serves instead.
@@ -562,13 +548,6 @@ impl MapOutputStore {
     pub fn clear_job(&self, job: JobId) -> usize {
         let shard = self.write().remove(&job);
         shard.map_or(0, |s| s.maps.len())
-    }
-
-    /// Drops the `count` highest-keyed map outputs of one job (the ones
-    /// its last waves produced); returns how many were dropped.
-    pub fn evict_tail(&self, job: JobId, count: usize) -> usize {
-        let mut shards = self.write();
-        shards.get_mut(&job).map_or(0, |s| s.evict_tail(count))
     }
 
     /// All keys currently stored for one job, ascending.

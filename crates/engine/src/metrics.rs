@@ -81,15 +81,6 @@ pub struct IoBytes {
 }
 
 impl IoBytes {
-    /// Accumulates `other` into `self`. Kept for API compatibility;
-    /// prefer `+=` ([`AddAssign`]) or summing an iterator ([`Sum`]).
-    ///
-    /// [`AddAssign`]: std::ops::AddAssign
-    /// [`Sum`]: std::iter::Sum
-    pub fn add(&mut self, other: &IoBytes) {
-        *self += *other;
-    }
-
     /// Total shuffle volume.
     pub fn shuffle_total(&self) -> u64 {
         self.shuffle_local + self.shuffle_remote
@@ -246,7 +237,7 @@ mod tests {
         let by_ref: IoBytes = parts.iter().sum();
         let mut manual = IoBytes::default();
         for p in &parts {
-            manual.add(p);
+            manual += *p;
         }
         assert_eq!(by_value, manual);
         assert_eq!(by_ref, manual);

@@ -360,30 +360,6 @@ impl Iterator for StreamingShuffle {
     }
 }
 
-/// The streaming equivalent of [`shuffle_for_reduce`]: same fetches,
-/// same accounting, same groups — collected into a [`ShuffleResult`]
-/// (tests and the differential oracle; the tracker consumes the
-/// iterator incrementally instead).
-pub fn shuffle_for_reduce_streaming(
-    store: &MapOutputStore,
-    inputs: &[MapInputKey],
-    reduce: ReduceTaskId,
-    node: NodeId,
-    max_merge_width: u32,
-) -> std::result::Result<ShuffleResult, ShuffleFailure> {
-    let mut merge = StreamingShuffle::plan(store, inputs, reduce, node, max_merge_width)?;
-    let mut groups = Vec::new();
-    for group in &mut merge {
-        groups.push(group?);
-    }
-    Ok(ShuffleResult {
-        groups,
-        local_bytes: merge.local_bytes,
-        remote_bytes: merge.remote_bytes,
-        per_source: merge.per_source,
-    })
-}
-
 /// Sorts records by (key, value) and groups values per key.
 pub fn sort_and_group(mut records: Vec<Record>) -> Vec<(u64, Vec<Bytes>)> {
     records.sort_unstable_by(|a, b| a.key.cmp(&b.key).then_with(|| a.value.cmp(&b.value)));
@@ -408,6 +384,29 @@ mod tests {
     use super::*;
     use rcmp_model::{JobId, PartitionId, RecordWriter};
     use std::collections::HashMap;
+
+    /// The streaming equivalent of [`shuffle_for_reduce`]: same fetches,
+    /// same accounting, same groups — collected into a [`ShuffleResult`]
+    /// (the tracker consumes the iterator incrementally instead).
+    fn shuffle_for_reduce_streaming(
+        store: &MapOutputStore,
+        inputs: &[MapInputKey],
+        reduce: ReduceTaskId,
+        node: NodeId,
+        max_merge_width: u32,
+    ) -> std::result::Result<ShuffleResult, ShuffleFailure> {
+        let mut merge = StreamingShuffle::plan(store, inputs, reduce, node, max_merge_width)?;
+        let mut groups = Vec::new();
+        for group in &mut merge {
+            groups.push(group?);
+        }
+        Ok(ShuffleResult {
+            groups,
+            local_bytes: merge.local_bytes,
+            remote_bytes: merge.remote_bytes,
+            per_source: merge.per_source,
+        })
+    }
 
     fn bucket(recs: &[(u64, &[u8])]) -> Bytes {
         let mut w = RecordWriter::new();

@@ -499,7 +499,6 @@ impl<'a> JobTracker<'a> {
                 // instead of borrowing this round-local vector.
                 let input_keys: Arc<Vec<MapInputKey>> =
                     Arc::new(inputs.iter().map(|t| t.key).collect());
-                let mut interrupted = false;
                 let mut torn_partitions: BTreeSet<PartitionId> = BTreeSet::new();
                 for wave in waves {
                     let mid_kills = self.fire(
@@ -599,7 +598,6 @@ impl<'a> JobTracker<'a> {
                     reduce_wave_counter += 1;
                     let kills = self.fire(seq, spec.job, point, job_span, &mut report);
                     if wave_had_failures || !kills.is_empty() || !mid_kills.is_empty() {
-                        interrupted = true;
                         break;
                     }
                 }
@@ -644,7 +642,6 @@ impl<'a> JobTracker<'a> {
                 if pending_reduces.is_empty() && pending_maps.is_empty() {
                     break;
                 }
-                let _ = interrupted;
             }
             Ok(())
         })?;
@@ -1027,7 +1024,6 @@ impl<'a> JobTracker<'a> {
         compute_ns = mark.elapsed().as_nanos() as u64;
         let mut buckets: HashMap<ReduceTaskId, (Bytes, BucketIndex)> =
             HashMap::with_capacity(raw.len());
-        let mut output_bytes = 0u64;
         for (rtid, mut recs) in raw {
             let bucket_start = Instant::now();
             recs.sort_unstable_by(|a, b| a.key.cmp(&b.key).then_with(|| a.value.cmp(&b.value)));
@@ -1055,7 +1051,6 @@ impl<'a> JobTracker<'a> {
                 max_key: recs.last().map_or(0, |r| r.key),
                 sorted: true,
             };
-            output_bytes += index.bytes;
             buckets.insert(rtid, (w.finish(), index));
             write_ns += combined_at.elapsed().as_nanos() as u64;
         }
@@ -1081,7 +1076,6 @@ impl<'a> JobTracker<'a> {
         } else {
             io.map_input_remote = input_bytes;
         }
-        let _ = output_bytes; // map outputs are not DFS writes; not in IoBytes
         Ok(TaskRecord {
             id: task.id.into(),
             node,

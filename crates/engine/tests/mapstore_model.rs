@@ -202,7 +202,6 @@ enum Op {
     Remove(MapInputKey),
     DropNode(NodeId),
     ClearJob(JobId),
-    EvictTail(JobId, usize),
     Shuffle {
         reduce: ReduceTaskId,
         node: NodeId,
@@ -285,7 +284,6 @@ fn op() -> impl Strategy<Value = Op> {
         key().prop_map(Op::Remove),
         (0..NODES).prop_map(|n| Op::DropNode(NodeId(n))),
         (1..=JOBS).prop_map(|j| Op::ClearJob(JobId(j))),
-        (1..=JOBS, 0usize..4).prop_map(|(j, n)| Op::EvictTail(JobId(j), n)),
         shuffle,
         (key(), reduce_task()).prop_map(|(k, r)| Op::Fetch(k, r)),
     ]
@@ -384,14 +382,6 @@ proptest! {
                     let before = model.outputs.len();
                     model.outputs.retain(|k, _| k.job != *job);
                     prop_assert_eq!(store.clear_job(*job), before - model.outputs.len());
-                }
-                Op::EvictTail(job, count) => {
-                    let keys = model.keys_for_job(*job);
-                    let tail = &keys[keys.len().saturating_sub(*count)..];
-                    for key in tail {
-                        model.outputs.remove(key);
-                    }
-                    prop_assert_eq!(store.evict_tail(*job, *count), tail.len());
                 }
                 Op::Shuffle { reduce, node, shape, extra } => {
                     let picks = &inputs_for(model.keys_for_job(reduce.job), *shape, extra);

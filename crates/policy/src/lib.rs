@@ -36,6 +36,10 @@
 //! * [`Membership`] — the versioned, mutable node set: join / drain /
 //!   decommission / rejoin transitions with epoch numbers, snapshotted
 //!   identically by both backends.
+//! * [`CacheLedger`] — chain-cache admission, LRU-with-pin eviction and
+//!   spill bookkeeping; the engine hangs payloads off it, the simulator
+//!   prices reads against it. [`rehome_target`] is the matching single
+//!   rule for where a decommissioned node's replicas go.
 //! * [`assign_map_waves_kernel`] / [`assign_reduce_waves_kernel`] —
 //!   pluggable placement kernels (rack-aware, delay scheduling,
 //!   capacity-weighted) selected via
@@ -51,6 +55,7 @@
 #![deny(missing_docs)]
 
 pub mod adapt;
+mod cache;
 mod fair;
 mod membership;
 mod mitigation;
@@ -63,8 +68,9 @@ pub use adapt::{
     expected_chain_time, optimal_interval, AdaptConfig, AdaptationStep, AdaptivePolicy,
     DynamicPolicy, FailureIntensityEstimator, FaultObserver,
 };
+pub use cache::CacheLedger;
 pub use fair::{jain_index, DrrArbiter, Grant, TenantShare};
-pub use membership::{Membership, NodeInfo, NodeStatus};
+pub use membership::{rehome_target, Membership, NodeInfo, NodeStatus, Rehome};
 pub use mitigation::{choose_mitigation, HotspotMitigation, MitigationChoice, SplitPolicy};
 pub use plan::RecomputePlan;
 pub use tasks::{CacheAffinity, FnMapTasks, FnReduceTasks, MapTaskSet, ReduceTaskSet};

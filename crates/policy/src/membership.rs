@@ -251,6 +251,37 @@ impl Membership {
     }
 }
 
+/// Where one replica of a departing node goes (graceful decommission).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rehome<N> {
+    /// Copy the replica to this node.
+    Move(N),
+    /// Every candidate already holds a copy and another readable holder
+    /// remains: drop the replica in place.
+    Drop,
+    /// The departing node holds the last readable copy and no candidate
+    /// can take it; the decommission must fail.
+    Stuck,
+}
+
+/// The re-homing rule both backends apply to each replica `leaving`
+/// holds (so `holders` contains `leaving`): the first node of `pool`
+/// (the schedulable nodes, ascending) that does not already hold the
+/// data takes it; failing that the replica is dropped if some other
+/// holder is still `readable`.
+pub fn rehome_target<N: Copy + PartialEq>(
+    holders: &[N],
+    leaving: N,
+    pool: &[N],
+    readable: impl Fn(N) -> bool,
+) -> Rehome<N> {
+    match pool.iter().find(|t| !holders.contains(t)) {
+        Some(&t) => Rehome::Move(t),
+        None if holders.iter().any(|&h| h != leaving && readable(h)) => Rehome::Drop,
+        None => Rehome::Stuck,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,5 +342,20 @@ mod tests {
         let m = Membership::with_racks(10, 3); // 4+4+2 like RackTopology
         let racks = m.racks_for(&m.schedulable());
         assert_eq!(racks, vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2]);
+    }
+
+    #[test]
+    fn rehome_moves_then_drops_then_sticks() {
+        let readable = |n: u32| n != 9;
+        // First pool node that does not already hold a copy.
+        assert_eq!(
+            rehome_target(&[0, 1], 0, &[1, 2, 3], readable),
+            Rehome::Move(2)
+        );
+        // Every candidate holds one; node 1 keeps the data readable.
+        assert_eq!(rehome_target(&[0, 1], 0, &[1], readable), Rehome::Drop);
+        // The only other holder is unreadable: nowhere to go.
+        assert_eq!(rehome_target(&[0, 9], 0, &[9], readable), Rehome::Stuck);
+        assert_eq!(rehome_target(&[0], 0, &[], readable), Rehome::Stuck);
     }
 }

@@ -131,7 +131,7 @@ impl JobSim {
             f.partitions.clear();
         }
         if let Some(c) = state.chain_cache.as_mut() {
-            c.invalidate_file(job);
+            c.invalidate_file(&job);
         }
         self.run(state, job, None, replication, persist)
     }
@@ -148,7 +148,29 @@ impl JobSim {
         self.run(state, job, Some(spec), 1, persist)
     }
 
+    /// One run with its input file pinned in the chain cache for the
+    /// duration — what the engine tracker's `ChainCachePin` does — so
+    /// the run's own output cannot evict the partitions it is reading.
     fn run(
+        &self,
+        state: &mut SimState,
+        job: u32,
+        recompute: Option<&RecomputeSpec>,
+        replication: u32,
+        persist: bool,
+    ) -> Result<SimJobReport> {
+        let input_file = job - 1;
+        if let Some(c) = state.chain_cache.as_mut() {
+            c.pin(&input_file);
+        }
+        let result = self.run_pinned(state, job, recompute, replication, persist);
+        if let Some(c) = state.chain_cache.as_mut() {
+            c.unpin(&input_file);
+        }
+        result
+    }
+
+    fn run_pinned(
         &self,
         state: &mut SimState,
         job: u32,
@@ -590,15 +612,14 @@ impl JobSim {
             state.rewrite_partition(job, pid, segs);
         }
         // Write-behind done: admit this run's whole reducer outputs into
-        // the chain cache (ascending partition order, the consuming run's
-        // input file pinned — the same commit the engine tracker performs
-        // at successful job completion).
+        // the chain cache — the same commit the engine tracker performs
+        // at successful job completion.
         if let Some(cache) = state.chain_cache.as_mut() {
             for (&pid, &node) in &cache_writers {
                 let bytes = by_partition.get(&pid).copied().unwrap_or(0);
                 cache.stage(job, pid, node, bytes);
             }
-            cache.commit(job, Some(input_file));
+            cache.commit(&job);
         }
 
         if !persist {
@@ -841,5 +862,43 @@ mod tests {
         let (js, mut st) = sim(4);
         js.run_full(&mut st, 1, 1, false).unwrap();
         assert_eq!(st.persisted_bytes(), 0);
+    }
+
+    /// A recomputation run re-reads an older file. The run pins it, and
+    /// a pin makes a file the most recent (the engine's `pin_file`), so
+    /// the next admission under pressure evicts the stale remainder of
+    /// the *newer* file, as the engine does — where the old mirror,
+    /// which never bumped, threw out the file just re-read.
+    #[test]
+    fn recompute_reread_makes_its_input_most_recent_like_the_engine() {
+        let resident = |st: &SimState, file: u32| -> Vec<u32> {
+            (0..4)
+                .filter(|&p| st.cache_holder(file, p).is_some())
+                .collect()
+        };
+        // Size the budget to exactly the first three outputs.
+        let (js, mut probe) = sim(4);
+        probe.enable_chain_cache(u64::MAX);
+        for job in 1..=3 {
+            js.run_full(&mut probe, job, 1, true).unwrap();
+        }
+        let budget = probe.chain_cache.as_ref().unwrap().used_bytes();
+
+        let (js, mut st) = sim(4);
+        st.enable_chain_cache(budget);
+        for job in 1..=3 {
+            js.run_full(&mut st, job, 1, true).unwrap();
+        }
+        assert_eq!(st.chain_cache.as_ref().unwrap().entries().count(), 12);
+        // Regenerate partition 0 of out(2): re-reads out(1).
+        let spec = RecomputeSpec::new([0u32], None);
+        js.run_recompute(&mut st, 2, &spec, true).unwrap();
+        // Job 4 needs four partitions' room; out(3) is its pinned input.
+        js.run_full(&mut st, 4, 1, true).unwrap();
+        assert_eq!(resident(&st, 2), [0], "only the regenerated partition");
+        assert_eq!(resident(&st, 1), [1, 2, 3], "re-read file outlives it");
+        assert_eq!(resident(&st, 3), [0, 1, 2, 3]);
+        assert_eq!(resident(&st, 4), [0, 1, 2, 3]);
+        assert_eq!(st.chain_cache.as_ref().unwrap().spills(), 0);
     }
 }

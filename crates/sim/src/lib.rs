@@ -40,6 +40,6 @@ pub use hw::HwProfile;
 pub use jobsim::JobSim;
 pub use report::{SimChainReport, SimEvent, SimJobReport};
 pub use speculate::{SpeculationCfg, SpeculationStats};
-pub use state::{SimChainCache, SimState};
+pub use state::SimState;
 pub use trace::chain_trace;
 pub use workload::WorkloadCfg;

@@ -8,7 +8,7 @@
 
 use crate::workload::WorkloadCfg;
 use rcmp_model::{Error, Result};
-use rcmp_policy::Membership;
+use rcmp_policy::{rehome_target, CacheLedger, Membership, Rehome};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Node index (dense, 0-based).
@@ -78,130 +78,6 @@ impl SimFile {
     }
 }
 
-/// Mirror of the engine's `rcmp_dfs::ChainCache` at placement
-/// granularity: which node holds which `(file, partition)` in memory,
-/// under the same byte budget, commit order (ascending partition id)
-/// and LRU-with-pin eviction — so cache-on schedules and hit accounting
-/// agree between the simulator and the real engine. The simulator never
-/// holds bytes, so "spill" is the same pure bookkeeping drop it is in
-/// the engine (the DFS write-behind already persisted everything).
-#[derive(Clone, Debug, Default)]
-pub struct SimChainCache {
-    /// Byte budget; staged partitions above it are spilled at commit.
-    pub budget: u64,
-    /// (file, pid) → (holder, bytes, admission seq).
-    entries: BTreeMap<(FileId, u32), (Node, u64, u64)>,
-    /// Per-file staged outputs awaiting the run's commit.
-    staged: BTreeMap<FileId, BTreeMap<u32, (Node, u64)>>,
-    used: u64,
-    seq: u64,
-    /// Partitions dropped (never admitted or evicted) for budget.
-    pub spills: u64,
-}
-
-impl SimChainCache {
-    pub fn new(budget: u64) -> Self {
-        Self {
-            budget,
-            ..Self::default()
-        }
-    }
-
-    /// Node holding this partition in memory, if cached.
-    pub fn holder(&self, file: FileId, pid: u32) -> Option<Node> {
-        self.entries.get(&(file, pid)).map(|&(n, _, _)| n)
-    }
-
-    pub fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
-    /// Stages one reducer's whole-partition output for the running job.
-    pub fn stage(&mut self, file: FileId, pid: u32, holder: Node, bytes: u64) {
-        self.staged.entry(file).or_default().insert(pid, (holder, bytes));
-    }
-
-    /// Admits the staged partitions of `file` in ascending partition
-    /// order, evicting least-recently-admitted unpinned entries on
-    /// pressure. `pinned` (the consuming run's input file) is never
-    /// evicted. A partition larger than what pressure can free is
-    /// spilled, not admitted.
-    pub fn commit(&mut self, file: FileId, pinned: Option<FileId>) {
-        let Some(staged) = self.staged.remove(&file) else {
-            return;
-        };
-        for (pid, (holder, bytes)) in staged {
-            if let Some((_, b, _)) = self.entries.remove(&(file, pid)) {
-                self.used -= b;
-            }
-            if bytes > self.budget {
-                self.spills += 1;
-                continue;
-            }
-            while self.used + bytes > self.budget {
-                let victim = self
-                    .entries
-                    .iter()
-                    .filter(|(&(f, _), _)| Some(f) != pinned)
-                    .min_by_key(|(_, &(_, _, s))| s)
-                    .map(|(&k, _)| k);
-                match victim {
-                    Some(k) => {
-                        let (_, b, _) = self.entries.remove(&k).expect("victim exists");
-                        self.used -= b;
-                    }
-                    None => break,
-                }
-            }
-            if self.used + bytes > self.budget {
-                self.spills += 1;
-                continue;
-            }
-            self.seq += 1;
-            self.entries.insert((file, pid), (holder, bytes, self.seq));
-            self.used += bytes;
-        }
-    }
-
-    pub fn invalidate_partition(&mut self, file: FileId, pid: u32) {
-        if let Some((_, b, _)) = self.entries.remove(&(file, pid)) {
-            self.used -= b;
-        }
-        if let Some(s) = self.staged.get_mut(&file) {
-            s.remove(&pid);
-        }
-    }
-
-    pub fn invalidate_file(&mut self, file: FileId) {
-        let keys: Vec<_> = self
-            .entries
-            .range((file, 0)..(file + 1, 0))
-            .map(|(&k, _)| k)
-            .collect();
-        for k in keys {
-            let (_, b, _) = self.entries.remove(&k).expect("listed key");
-            self.used -= b;
-        }
-        self.staged.remove(&file);
-    }
-
-    pub fn invalidate_node(&mut self, node: Node) {
-        let keys: Vec<_> = self
-            .entries
-            .iter()
-            .filter(|(_, &(n, _, _))| n == node)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in keys {
-            let (_, b, _) = self.entries.remove(&k).expect("listed key");
-            self.used -= b;
-        }
-        for s in self.staged.values_mut() {
-            s.retain(|_, &mut (n, _)| n != node);
-        }
-    }
-}
-
 /// A persisted map output: where it lives and which input version it
 /// was computed from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -226,8 +102,10 @@ pub struct SimState {
     pub files: BTreeMap<FileId, SimFile>,
     /// Persisted map outputs.
     pub map_outputs: BTreeMap<MapKey, MapOutputRec>,
-    /// Inter-job chain cache mirror (None = cache off, the default).
-    pub chain_cache: Option<SimChainCache>,
+    /// Inter-job chain cache (None = cache off, the default): the same
+    /// `rcmp-policy` ledger the engine's `ChainCache` keeps, minus the
+    /// payloads — a dropped entry costs the simulator nothing to free.
+    pub chain_cache: Option<CacheLedger<FileId>>,
 }
 
 impl SimState {
@@ -279,14 +157,14 @@ impl SimState {
         }
     }
 
-    /// Turns on the chain-cache mirror with the given byte budget.
+    /// Turns on the chain cache with the given byte budget.
     pub fn enable_chain_cache(&mut self, budget: u64) {
-        self.chain_cache = Some(SimChainCache::new(budget));
+        self.chain_cache = Some(CacheLedger::new(budget));
     }
 
     /// Node holding `(file, pid)` in cache memory, if the cache is on.
     pub fn cache_holder(&self, file: FileId, pid: u32) -> Option<Node> {
-        self.chain_cache.as_ref().and_then(|c| c.holder(file, pid))
+        self.chain_cache.as_ref().and_then(|c| c.holder(&file, pid))
     }
 
     /// Current membership snapshot (statuses, capacities, racks, epoch).
@@ -370,14 +248,11 @@ impl SimState {
     }
 
     /// Gracefully removes a node: every segment replica it holds is
-    /// re-homed onto the first schedulable node not already holding the
-    /// segment (the sim mirror of `rcmp-dfs`'s plan/copy/commit
-    /// rebalance), its map outputs are dropped, and it leaves the
-    /// membership `Decommissioned`. Returns `(moved, dropped)` replica
-    /// counts; a replica is dropped in place when every target already
-    /// holds the segment. Fails with
-    /// [`Error::InsufficientReplicaTargets`] — leaving all state
-    /// unchanged — when a sole-replica segment has nowhere to go.
+    /// re-homed by [`rehome_target`] — the rule `rcmp-dfs` applies per
+    /// block — its map outputs are dropped, and it leaves the membership
+    /// `Decommissioned`. Returns `(moved, dropped)` replica counts.
+    /// Fails with [`Error::InsufficientReplicaTargets`] — leaving all
+    /// state unchanged — when a sole-replica segment has nowhere to go.
     pub fn decommission_node(&mut self, node: Node) -> Result<(usize, usize)> {
         if !self.membership.is_readable(node) {
             // Surface the membership's own typed transition error.
@@ -399,14 +274,11 @@ impl SimState {
                     if !seg.holders.contains(&node) {
                         continue;
                     }
-                    let others_readable = seg
-                        .holders
-                        .iter()
-                        .any(|&h| h != node && self.membership.is_readable(h));
-                    match pool.iter().copied().find(|t| !seg.holders.contains(t)) {
-                        Some(t) => plan.push((f, pid, si, Some(t))),
-                        None if others_readable => plan.push((f, pid, si, None)),
-                        None => {
+                    let readable = |n| self.membership.is_readable(n);
+                    match rehome_target(&seg.holders, node, &pool, readable) {
+                        Rehome::Move(t) => plan.push((f, pid, si, Some(t))),
+                        Rehome::Drop => plan.push((f, pid, si, None)),
+                        Rehome::Stuck => {
                             return Err(Error::InsufficientReplicaTargets {
                                 wanted: 1,
                                 alive: pool.len(),
@@ -516,7 +388,7 @@ impl SimState {
         // the old version must not serve (the engine's hash guard +
         // clear_partition hook, collapsed into one invalidation here).
         if let Some(c) = self.chain_cache.as_mut() {
-            c.invalidate_partition(file, pid);
+            c.invalidate_partition(&file, pid);
         }
         let f = self.files.entry(file).or_default();
         if f.partitions.len() <= pid as usize {
