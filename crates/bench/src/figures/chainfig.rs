@@ -16,8 +16,8 @@
 //! node-local hits; `fig_runner chain` exits non-zero when it fails.
 
 use rcmp_core::strategy::Strategy;
-use rcmp_model::{ByteSize, PlacementKernel};
 use rcmp_model::SlotConfig;
+use rcmp_model::{ByteSize, PlacementKernel};
 use rcmp_sim::{simulate_chain, ChainSimConfig, FailureAt, HwProfile, SimChainReport, WorkloadCfg};
 use serde::{Deserialize, Serialize};
 
@@ -68,7 +68,13 @@ fn workload(scale: u64) -> WorkloadCfg {
     wl
 }
 
-fn row_from(variant: &str, kernel: PlacementKernel, budget: &str, clean: &SimChainReport, failed: &SimChainReport) -> ChainRow {
+fn row_from(
+    variant: &str,
+    kernel: PlacementKernel,
+    budget: &str,
+    clean: &SimChainReport,
+    failed: &SimChainReport,
+) -> ChainRow {
     let mut hits = 0u64;
     let mut local = 0u64;
     let mut cache_bytes = 0u64;
@@ -105,12 +111,8 @@ fn run_one(
     budget: Option<ByteSize>,
     scale: u64,
 ) -> ChainRow {
-    let mut cfg = ChainSimConfig::new(
-        HwProfile::stic(),
-        workload(scale),
-        Strategy::rcmp_split(8),
-    )
-    .with_placement(kernel);
+    let mut cfg = ChainSimConfig::new(HwProfile::stic(), workload(scale), Strategy::rcmp_split(8))
+        .with_placement(kernel);
     if let Some(b) = budget {
         cfg = cfg.with_chain_cache(b);
     }

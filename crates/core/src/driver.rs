@@ -1,27 +1,31 @@
-//! The middleware driver: runs a multi-job computation under a strategy.
+//! The middleware driver: runs a multi-job computation under a strategy
+//! on the real engine.
 //!
-//! This is the paper's "middleware program" (§IV-A): it submits jobs in
-//! dependency order, watches for irreversible data loss, cancels broken
-//! jobs, plans and executes cascading recomputation (RCMP), restarts the
-//! chain (OPTIMISTIC / exhausted replication), and places replication
-//! points (hybrid). Nested failures — new losses during recovery — are
-//! handled by replanning from current cluster state, exactly as §IV-A
-//! describes ("If a new failure occurs while RCMP is recovering from a
-//! previous one, RCMP's behavior remains unchanged").
+//! The paper's "middleware program" (§IV-A) — submit jobs in dependency
+//! order, cancel a job whose input is irreversibly lost, plan and
+//! execute cascading recomputation (RCMP) or restart the chain
+//! (OPTIMISTIC / exhausted replication), replan on nested failures,
+//! place replication points (hybrid) — is `rcmp_policy::drive_chain`,
+//! the loop the simulator also runs. This module is its engine backend:
+//! a job run is a [`JobTracker`] run against the cluster, a backoff is
+//! a real sleep, a replication point is `replicate_file` plus
+//! [`reclaim_before`], and every transition is recorded in the
+//! [`EventLog`], the flight recorder and the phase profiler.
 
 use crate::dag::JobGraph;
-use crate::dynamic::{AdaptationStep, AdaptivePolicy, FaultObserver};
 use crate::events::{ChainEvent, EventLog};
-use crate::planner::plan_recovery;
+use crate::planner::ClusterLineage;
 use crate::reclaim::reclaim_before;
-use crate::strategy::{HotspotMitigation, SplitPolicy, Strategy};
+use crate::strategy::Strategy;
 use rcmp_engine::{
     Cluster, FailureInjector, JobReport, JobRun, JobSpec, JobTracker, NoFailures,
     RecomputeInstructions, RunMode,
 };
-use rcmp_model::rng::derive_indexed;
 use rcmp_model::{Error, JobId, Result};
 use rcmp_obs::{BlackboxDump, EventCode, Gauge, PhaseBreakdown, PhaseKind, SpanKind};
+use rcmp_policy::{
+    drive_chain, AdaptationStep, ChainBackend, ChainConfig, RecoveryPlan, RecoveryStep, RunOutcome,
+};
 use std::sync::Arc;
 
 /// How a cancelled job is re-run once its input is restored.
@@ -101,16 +105,6 @@ pub struct ChainDriver<'a> {
     g_k_current: Gauge,
 }
 
-/// Feeds observed faults into the closed-loop estimator, when the
-/// strategy runs one.
-fn observe_faults(adaptive: &mut Option<AdaptivePolicy>, faults: u32) {
-    if faults > 0 {
-        if let Some(policy) = adaptive.as_mut() {
-            policy.record_fault(faults);
-        }
-    }
-}
-
 impl<'a> ChainDriver<'a> {
     pub fn new(cluster: &'a Cluster, strategy: Strategy) -> Self {
         let metrics = cluster.metrics();
@@ -171,7 +165,7 @@ impl<'a> ChainDriver<'a> {
     /// `rcmp-blackbox-<label>.json` in that directory, so concurrent
     /// chains' dumps never overwrite each other.
     pub fn run(&self, specs: &[JobSpec]) -> Result<ChainOutcome> {
-        self.run_chain(specs).inspect_err(|e| {
+        self.drive(specs).inspect_err(|e| {
             let dump = BlackboxDump::capture(
                 e.to_string(),
                 self.cluster.recorder(),
@@ -192,7 +186,9 @@ impl<'a> ChainDriver<'a> {
         })
     }
 
-    fn run_chain(&self, specs: &[JobSpec]) -> Result<ChainOutcome> {
+    /// Sets the engine backend up over a fresh tracker and hands it to
+    /// the shared chain loop.
+    fn drive(&self, specs: &[JobSpec]) -> Result<ChainOutcome> {
         let graph = JobGraph::new(specs.iter().cloned())?;
         let order = graph.submission_order()?;
         let mut tracker = JobTracker::new(self.cluster, self.injector.clone());
@@ -202,169 +198,45 @@ impl<'a> ChainDriver<'a> {
         if let Some(e) = &self.executor {
             tracker = tracker.with_executor(e.clone());
         }
-        let mut outcome = ChainOutcome {
-            events: EventLog::with_tracer(self.cluster.tracer().clone()),
-            ..ChainOutcome::default()
+        let mut chain = EngineChain {
+            driver: self,
+            tracker,
+            lineage: ClusterLineage {
+                cluster: self.cluster,
+                graph: &graph,
+            },
+            outcome: ChainOutcome {
+                events: EventLog::with_tracer(self.cluster.tracer().clone()),
+                ..ChainOutcome::default()
+            },
         };
-        let replication = self.strategy.output_replication();
-        let persist = self.strategy.persists_outputs();
-
-        let max_attempts = self.cluster.config().max_recovery_attempts;
-        // The closed loop (§IV-C future work): survives chain restarts
-        // so the failure-intensity estimate keeps everything observed.
-        let mut adaptive: Option<AdaptivePolicy> = match self.strategy {
-            Strategy::AdaptiveHybrid { adapt, .. } => Some(AdaptivePolicy::new(adapt)),
-            _ => None,
-        };
-        let mut attempts = 0u32;
-        'chain: loop {
-            attempts += 1;
-            if attempts > max_attempts {
-                return Err(Error::RecoveryExhausted {
-                    job: *order.last().expect("non-empty chain"),
-                    attempts,
-                    reason: "too many chain restarts".into(),
-                });
-            }
-            let mut idx = 0usize;
-            let mut resume_job: Option<JobId> = None;
-            let mut jobs_since_point = 0u32;
-            // Bounds the cancel → recover → retry-same-job cycle: a
-            // scenario where recovery keeps "succeeding" but the job
-            // keeps losing its input again must end in a typed error,
-            // not a livelock.
-            let mut job_recoveries = 0u32;
-            while idx < order.len() {
-                let job = order[idx];
-                let mut spec = graph.spec(job).expect("job in graph").clone();
-                spec.output_replication = replication;
-
-                outcome.jobs_started += 1;
-                let seq = outcome.jobs_started;
-                let run = self.build_run(&spec, resume_job == Some(job), persist)?;
-                outcome.events.push(ChainEvent::JobStarted {
-                    seq,
-                    job,
-                    recompute: run.mode.is_recompute(),
-                });
-                resume_job = None;
-
-                let live_before = self.cluster.live_nodes();
-                let phases_before = self.cluster.profiler().snapshot();
-                match tracker.run(&run, seq) {
-                    Ok(report) => {
-                        outcome.job_phases.push((
-                            seq,
-                            self.cluster.profiler().snapshot().delta(&phases_before),
-                        ));
-                        let faults = self.record_losses(seq, &report, &mut outcome);
-                        observe_faults(&mut adaptive, faults);
-                        outcome.events.push(ChainEvent::JobCompleted {
-                            seq,
-                            job,
-                            map_tasks_run: report.map_tasks_run,
-                            map_tasks_reused: report.map_tasks_reused,
-                            reduce_tasks_run: report.reduce_tasks_run,
-                        });
-                        outcome.runs.push(report);
-                        self.maybe_replicate(
-                            &graph,
-                            &order,
-                            idx,
-                            seq,
-                            &mut jobs_since_point,
-                            &mut adaptive,
-                            &mut outcome,
-                        )?;
-                        idx += 1;
-                    }
-                    Err(Error::JobInputLost { .. }) => {
-                        let faults =
-                            self.record_losses_by_diff(seq, &live_before, &graph, &mut outcome);
-                        observe_faults(&mut adaptive, faults);
-                        outcome.events.push(ChainEvent::JobCancelled { seq, job });
-                        job_recoveries += 1;
-                        if job_recoveries > max_attempts {
-                            return Err(Error::RecoveryExhausted {
-                                job,
-                                attempts: job_recoveries,
-                                reason: "job kept losing its input after recovery".into(),
-                            });
-                        }
-                        // Seeded full-jitter backoff before another
-                        // cancel → recover → retry cycle of the same
-                        // job, so repeated cycles don't hammer a flaky
-                        // path in lockstep.
-                        let retry = self.cluster.config().retry;
-                        let delay = retry.backoff_ms(
-                            derive_indexed(
-                                self.cluster.config().seed,
-                                "chain-backoff",
-                                u64::from(job.0),
-                            ),
-                            job_recoveries,
-                        );
-                        if delay > 0 {
-                            std::thread::sleep(std::time::Duration::from_millis(delay));
-                        }
-                        match self.strategy {
-                            Strategy::Optimistic | Strategy::Replication { .. } => {
-                                // OPTIMISTIC discards everything and
-                                // restarts; exhausted replication has no
-                                // choice but the same (§V-B "More
-                                // failures").
-                                self.wipe_outputs(&graph, &order)?;
-                                outcome.restarts += 1;
-                                outcome.events.push(ChainEvent::ChainRestarted);
-                                continue 'chain;
-                            }
-                            Strategy::Rcmp { split, hotspot } => {
-                                self.recover(
-                                    &tracker,
-                                    &graph,
-                                    job,
-                                    split,
-                                    hotspot,
-                                    persist,
-                                    &mut adaptive,
-                                    &mut outcome,
-                                )?;
-                                resume_job = Some(job);
-                            }
-                            Strategy::Hybrid { split, .. }
-                            | Strategy::DynamicHybrid { split, .. }
-                            | Strategy::AdaptiveHybrid { split, .. } => {
-                                self.recover(
-                                    &tracker,
-                                    &graph,
-                                    job,
-                                    split,
-                                    HotspotMitigation::SplitReducers,
-                                    persist,
-                                    &mut adaptive,
-                                    &mut outcome,
-                                )?;
-                                resume_job = Some(job);
-                            }
-                        }
-                        // retry same idx
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            // A strict injector surfaces scripted triggers that never
-            // fired — a scenario that silently tested nothing.
-            if let Err(msg) = self.injector.finish() {
-                return Err(Error::Config(format!("failure injector: {msg}")));
-            }
-            outcome.phases = self.cluster.profiler().snapshot();
-            return Ok(outcome);
+        let config = self.cluster.config();
+        let summary = drive_chain(
+            &mut chain,
+            &ChainConfig {
+                strategy: self.strategy,
+                order: &order,
+                max_attempts: config.max_recovery_attempts,
+                retry: config.retry,
+                seed: config.seed,
+            },
+        )?;
+        // A strict injector surfaces scripted triggers that never
+        // fired — a scenario that silently tested nothing.
+        if let Err(msg) = self.injector.finish() {
+            return Err(Error::Config(format!("failure injector: {msg}")));
         }
+        let mut outcome = chain.outcome;
+        outcome.jobs_started = summary.jobs_started;
+        outcome.restarts = summary.restarts;
+        outcome.adaptation = summary.adaptation;
+        outcome.phases = self.cluster.profiler().snapshot();
+        Ok(outcome)
     }
 
     /// Builds the submission for a (re)run of a job at the head of the
     /// chain loop.
-    fn build_run(&self, spec: &JobSpec, retry: bool, persist: bool) -> Result<JobRun> {
+    fn build_run(&self, spec: JobSpec, retry: bool) -> Result<JobRun> {
         if retry {
             // A retried job re-derives its output from the DFS ground
             // truth. Drop any chain-cached partitions of the previous
@@ -401,125 +273,10 @@ impl<'a> ChainDriver<'a> {
             RunMode::Full
         };
         Ok(JobRun {
-            spec: spec.clone(),
+            spec,
             mode,
-            persist_map_outputs: persist,
+            persist_map_outputs: self.strategy.persists_outputs(),
         })
-    }
-
-    /// Returns the number of loss records observed (one per failed
-    /// node), which is what feeds the adaptive estimator.
-    fn record_losses(&self, seq: u64, report: &JobReport, outcome: &mut ChainOutcome) -> u32 {
-        for loss in &report.losses {
-            outcome.events.push(ChainEvent::LossObserved {
-                seq,
-                node: loss.node,
-                lost_partitions: loss.lost_partition_count(),
-            });
-        }
-        report.losses.len() as u32
-    }
-
-    /// A cancelled run's report (and its loss records) is consumed by
-    /// the error path, so losses behind a cancellation are recovered by
-    /// diffing node liveness around the run. `lost_partitions` reports
-    /// the *currently* lost partitions across the computation's files.
-    fn record_losses_by_diff(
-        &self,
-        seq: u64,
-        live_before: &[rcmp_model::NodeId],
-        graph: &JobGraph,
-        outcome: &mut ChainOutcome,
-    ) -> u32 {
-        let lost_now: usize = graph
-            .jobs()
-            .filter_map(|(_, spec)| self.cluster.dfs().file_meta(&spec.output).ok())
-            .map(|m| m.lost_partitions().len())
-            .sum();
-        let mut observed = 0u32;
-        for &node in live_before {
-            if !self.cluster.is_alive(node) {
-                outcome.events.push(ChainEvent::LossObserved {
-                    seq,
-                    node: Some(node),
-                    lost_partitions: lost_now,
-                });
-                observed += 1;
-            }
-        }
-        observed
-    }
-
-    /// Hybrid replication points: static modulus (§IV-C), the dynamic
-    /// expected-cost policy, or the closed-loop adaptive policy (§IV-C
-    /// future work).
-    #[allow(clippy::too_many_arguments)]
-    fn maybe_replicate(
-        &self,
-        graph: &JobGraph,
-        order: &[JobId],
-        idx: usize,
-        seq: u64,
-        jobs_since_point: &mut u32,
-        adaptive: &mut Option<AdaptivePolicy>,
-        outcome: &mut ChainOutcome,
-    ) -> Result<()> {
-        let (factor, reclaim, due) = match self.strategy {
-            Strategy::Hybrid {
-                every_k,
-                factor,
-                reclaim,
-                ..
-            } => {
-                let position = idx as u32 + 1;
-                (
-                    factor,
-                    reclaim,
-                    every_k != 0 && position.is_multiple_of(every_k),
-                )
-            }
-            Strategy::DynamicHybrid {
-                factor,
-                policy,
-                reclaim,
-                ..
-            } => {
-                *jobs_since_point += 1;
-                (factor, reclaim, policy.should_replicate(*jobs_since_point))
-            }
-            Strategy::AdaptiveHybrid {
-                factor, reclaim, ..
-            } => {
-                let policy = adaptive.as_mut().expect("AdaptiveHybrid carries a policy");
-                let due = policy.job_completed();
-                let step = *policy
-                    .trajectory()
-                    .last()
-                    .expect("job_completed records a step");
-                outcome.adaptation.push(step);
-                self.publish_adaptation(seq, &step);
-                (factor, reclaim, due)
-            }
-            _ => return Ok(()),
-        };
-        if !due {
-            return Ok(());
-        }
-        *jobs_since_point = 0;
-        let job = order[idx];
-        let spec = graph.spec(job).expect("job in graph");
-        self.cluster.dfs().replicate_file(&spec.output, factor)?;
-        outcome
-            .events
-            .push(ChainEvent::ReplicationPoint { job, factor });
-        if reclaim {
-            let stats = reclaim_before(self.cluster, graph, job)?;
-            outcome.events.push(ChainEvent::StorageReclaimed {
-                files_deleted: stats.files_deleted,
-                map_entries_dropped: stats.map_entries_dropped,
-            });
-        }
-        Ok(())
     }
 
     /// Publishes one adaptive decision to the observability layer:
@@ -551,122 +308,191 @@ impl<'a> ChainDriver<'a> {
             None,
         );
     }
+}
 
-    /// Executes cascading recomputation until `target`'s input is whole,
-    /// replanning after nested failures.
-    #[allow(clippy::too_many_arguments)]
-    fn recover(
-        &self,
-        tracker: &JobTracker<'_>,
-        graph: &JobGraph,
-        target: JobId,
-        split: SplitPolicy,
-        hotspot: HotspotMitigation,
-        persist: bool,
-        adaptive: &mut Option<AdaptivePolicy>,
-        outcome: &mut ChainOutcome,
-    ) -> Result<()> {
-        let max_attempts = self.cluster.config().max_recovery_attempts;
-        for _attempt in 0..max_attempts {
-            let plan = {
-                let _timer = self.cluster.profiler().span(PhaseKind::RecoveryPlanning);
-                plan_recovery(self.cluster, graph, target, split, hotspot)?
-            };
-            self.cluster.recorder().record(
-                EventCode::RecoveryPlanned,
-                None,
-                plan.steps.len() as u64,
-                plan.partition_count() as u64,
-            );
-            outcome.events.push(ChainEvent::RecoveryPlanned {
-                target,
-                steps: plan.steps.len(),
-                partitions: plan.partition_count(),
-            });
-            if plan.is_empty() {
-                return Ok(());
-            }
-            let mut nested = false;
-            for step in plan.steps {
-                let mut spec = graph.spec(step.job).expect("job in graph").clone();
-                spec.output_replication = 1;
-                outcome.jobs_started += 1;
-                let seq = outcome.jobs_started;
-                outcome.events.push(ChainEvent::JobStarted {
-                    seq,
-                    job: step.job,
-                    recompute: true,
-                });
-                let run = JobRun {
-                    spec,
-                    mode: RunMode::Recompute(step.instructions),
-                    persist_map_outputs: persist,
-                };
-                self.cluster.recorder().record(
-                    EventCode::RecomputeStarted,
-                    None,
-                    seq,
-                    u64::from(step.job.0),
-                );
-                let live_before = self.cluster.live_nodes();
-                let phases_before = self.cluster.profiler().snapshot();
-                match tracker.run(&run, seq) {
-                    Ok(report) => {
-                        outcome.job_phases.push((
-                            seq,
-                            self.cluster.profiler().snapshot().delta(&phases_before),
-                        ));
-                        let had_losses = !report.losses.is_empty();
-                        let faults = self.record_losses(seq, &report, outcome);
-                        observe_faults(adaptive, faults);
-                        outcome.events.push(ChainEvent::JobCompleted {
-                            seq,
-                            job: step.job,
-                            map_tasks_run: report.map_tasks_run,
-                            map_tasks_reused: report.map_tasks_reused,
-                            reduce_tasks_run: report.reduce_tasks_run,
-                        });
-                        outcome.runs.push(report);
-                        if had_losses {
-                            // A nested failure may have invalidated the
-                            // rest of the plan: replan from state.
-                            nested = true;
-                            break;
-                        }
-                    }
-                    Err(Error::JobInputLost { .. }) => {
-                        let faults = self.record_losses_by_diff(seq, &live_before, graph, outcome);
-                        observe_faults(adaptive, faults);
-                        outcome
-                            .events
-                            .push(ChainEvent::JobCancelled { seq, job: step.job });
-                        nested = true;
-                        break;
-                    }
-                    Err(e) => return Err(e),
+/// The engine backend of the chain loop: job runs are real
+/// [`JobTracker`] runs, waits are real sleeps, and every transition
+/// lands in the [`EventLog`], the flight recorder and the profiler.
+struct EngineChain<'r> {
+    driver: &'r ChainDriver<'r>,
+    tracker: JobTracker<'r>,
+    lineage: ClusterLineage<'r>,
+    outcome: ChainOutcome,
+}
+
+impl EngineChain<'_> {
+    /// Submits one run and files its report, or its cancellation.
+    fn execute(&mut self, seq: u64, run: &JobRun) -> Result<RunOutcome> {
+        let cluster = self.driver.cluster;
+        let job = run.spec.job;
+        let live_before = cluster.live_nodes();
+        let phases_before = cluster.profiler().snapshot();
+        match self.tracker.run(run, seq) {
+            Ok(report) => {
+                self.outcome
+                    .job_phases
+                    .push((seq, cluster.profiler().snapshot().delta(&phases_before)));
+                for loss in &report.losses {
+                    self.outcome.events.push(ChainEvent::LossObserved {
+                        seq,
+                        node: loss.node,
+                        lost_partitions: loss.lost_partition_count(),
+                    });
                 }
+                // One loss record per failed node: what feeds the
+                // adaptive estimator.
+                let faults = report.losses.len() as u32;
+                self.outcome.events.push(ChainEvent::JobCompleted {
+                    seq,
+                    job,
+                    map_tasks_run: report.map_tasks_run,
+                    map_tasks_reused: report.map_tasks_reused,
+                    reduce_tasks_run: report.reduce_tasks_run,
+                });
+                self.outcome.runs.push(report);
+                Ok(RunOutcome::Completed { faults })
             }
-            if !nested {
-                return Ok(());
+            Err(Error::JobInputLost { .. }) => {
+                let faults = self.record_losses_by_diff(seq, &live_before);
+                self.outcome
+                    .events
+                    .push(ChainEvent::JobCancelled { seq, job });
+                Ok(RunOutcome::Cancelled { faults })
             }
+            Err(e) => Err(e),
         }
-        Err(Error::RecoveryExhausted {
-            job: target,
-            attempts: max_attempts,
-            reason: "nested-failure recovery did not converge".into(),
-        })
     }
 
-    /// OPTIMISTIC restart: drop every produced output and persisted map
-    /// output; the chain starts over from the (replicated) input.
-    fn wipe_outputs(&self, graph: &JobGraph, order: &[JobId]) -> Result<()> {
-        for &job in order {
-            let spec = graph.spec(job).expect("job in graph");
-            if self.cluster.dfs().file_exists(&spec.output) {
-                self.cluster.dfs().delete_file(&spec.output)?;
+    /// A cancelled run's report (and its loss records) is consumed by
+    /// the error path, so losses behind a cancellation are recovered by
+    /// diffing node liveness around the run. `lost_partitions` reports
+    /// the *currently* lost partitions across the computation's files.
+    fn record_losses_by_diff(&mut self, seq: u64, live_before: &[rcmp_model::NodeId]) -> u32 {
+        let cluster = self.driver.cluster;
+        let lost_now: usize = self
+            .lineage
+            .graph
+            .jobs()
+            .filter_map(|(_, spec)| cluster.dfs().file_meta(&spec.output).ok())
+            .map(|m| m.lost_partitions().len())
+            .sum();
+        let mut observed = 0u32;
+        for &node in live_before {
+            if !cluster.is_alive(node) {
+                self.outcome.events.push(ChainEvent::LossObserved {
+                    seq,
+                    node: Some(node),
+                    lost_partitions: lost_now,
+                });
+                observed += 1;
             }
-            self.cluster.map_outputs().clear_job(job);
+        }
+        observed
+    }
+}
+
+impl<'r> ChainBackend for EngineChain<'r> {
+    type Lineage = ClusterLineage<'r>;
+
+    fn lineage(&self) -> &ClusterLineage<'r> {
+        &self.lineage
+    }
+
+    fn run_job(&mut self, seq: u64, job: JobId, retry: bool) -> Result<RunOutcome> {
+        let strategy = self.driver.strategy;
+        let mut spec = self.lineage.spec(job)?.clone();
+        spec.output_replication = strategy.output_replication();
+        let run = self.driver.build_run(spec, retry)?;
+        self.outcome.events.push(ChainEvent::JobStarted {
+            seq,
+            job,
+            recompute: run.mode.is_recompute(),
+        });
+        self.execute(seq, &run)
+    }
+
+    fn run_recompute(&mut self, seq: u64, step: RecoveryStep) -> Result<RunOutcome> {
+        let mut spec = self.lineage.spec(step.job)?.clone();
+        spec.output_replication = 1;
+        self.outcome.events.push(ChainEvent::JobStarted {
+            seq,
+            job: step.job,
+            recompute: true,
+        });
+        let run = JobRun {
+            spec,
+            mode: RunMode::Recompute(step.instructions),
+            persist_map_outputs: self.driver.strategy.persists_outputs(),
+        };
+        self.driver.cluster.recorder().record(
+            EventCode::RecomputeStarted,
+            None,
+            seq,
+            u64::from(step.job.0),
+        );
+        self.execute(seq, &run)
+    }
+
+    fn wait(&mut self, ms: u64) {
+        std::thread::sleep(std::time::Duration::from_millis(ms));
+    }
+
+    /// Drops every produced output and persisted map output; the chain
+    /// starts over from the (replicated) input.
+    fn restart(&mut self) -> Result<()> {
+        let cluster = self.driver.cluster;
+        for (&job, spec) in self.lineage.graph.jobs() {
+            if cluster.dfs().file_exists(&spec.output) {
+                cluster.dfs().delete_file(&spec.output)?;
+            }
+            cluster.map_outputs().clear_job(job);
+        }
+        self.outcome.events.push(ChainEvent::ChainRestarted);
+        Ok(())
+    }
+
+    fn planning<T>(&mut self, walk: impl FnOnce(&ClusterLineage<'r>) -> T) -> T {
+        let _timer = self
+            .driver
+            .cluster
+            .profiler()
+            .span(PhaseKind::RecoveryPlanning);
+        walk(&self.lineage)
+    }
+
+    fn planned(&mut self, target: JobId, plan: &RecoveryPlan) {
+        self.driver.cluster.recorder().record(
+            EventCode::RecoveryPlanned,
+            None,
+            plan.steps.len() as u64,
+            plan.partition_count() as u64,
+        );
+        self.outcome.events.push(ChainEvent::RecoveryPlanned {
+            target,
+            steps: plan.steps.len(),
+            partitions: plan.partition_count(),
+        });
+    }
+
+    fn replicate(&mut self, job: JobId, factor: u32, reclaim: bool) -> Result<()> {
+        let cluster = self.driver.cluster;
+        cluster
+            .dfs()
+            .replicate_file(&self.lineage.spec(job)?.output, factor)?;
+        self.outcome
+            .events
+            .push(ChainEvent::ReplicationPoint { job, factor });
+        if reclaim {
+            let stats = reclaim_before(cluster, self.lineage.graph, job)?;
+            self.outcome.events.push(ChainEvent::StorageReclaimed {
+                files_deleted: stats.files_deleted,
+                map_entries_dropped: stats.map_entries_dropped,
+            });
         }
         Ok(())
+    }
+
+    fn adapted(&mut self, seq: u64, step: &AdaptationStep) {
+        self.driver.publish_adaptation(seq, step);
     }
 }

@@ -1,68 +1,21 @@
-//! Cascading-recomputation planning.
+//! Cascading-recomputation planning against real cluster state.
 //!
-//! On irreversible data loss, the middleware must decide *which jobs to
-//! recompute, which reducer partitions of each, and in which order* so
-//! that the cancelled job's input is regenerated (Fig. 1). The planner
-//! walks the dependency graph backwards from the cancelled job:
-//!
-//! * the cancelled job restarts in full, so every lost partition of its
-//!   input file must be regenerated by the producing job;
-//! * a recomputation run of the producing job shuffles from **all** of
-//!   that job's mappers; the mappers whose persisted outputs are missing
-//!   (their node died) or stale (input fingerprint mismatch) must
-//!   re-run, and *their* input partitions — if lost — must be
-//!   regenerated one job deeper; and so on, possibly all the way back to
-//!   the (replicated) external input.
-//!
-//! The plan is **minimal**: a lost partition is regenerated only if some
-//! re-running task actually reads it. Lost partitions of already-consumed
-//! outputs that no re-running mapper touches are simply abandoned —
-//! recomputing them would be wasted work (property-tested in the
-//! integration suite).
-//!
-//! Reducer splitting (§IV-B1) is applied per step via the
-//! [`SplitPolicy`]; the engine's fingerprint rule then automatically
-//! invalidates persisted map outputs over split-regenerated partitions
-//! (Fig. 5), and those mappers re-read partitions this plan already
-//! regenerates, so no extra planning is needed for correctness.
+//! The backward lineage walk that decides *which jobs to recompute,
+//! which reducer partitions of each, and in which order* (Fig. 1) is
+//! `rcmp_policy::chain::plan_cascade`, shared with the simulator. This
+//! module supplies what it walks over on the engine side —
+//! [`ClusterLineage`], a [`LineageView`] of DFS metadata, the persisted
+//! map-output store and the job graph — and [`plan_recovery`], the
+//! planner entry point over it.
 
 use crate::dag::JobGraph;
 use crate::strategy::{HotspotMitigation, SplitPolicy};
-use rcmp_engine::{Cluster, MapInputKey, RecomputeInstructions};
+use rcmp_engine::{Cluster, JobSpec, MapInputKey};
 use rcmp_model::{Error, JobId, PartitionId, Result};
-use rcmp_policy::choose_mitigation;
+use rcmp_policy::{plan_cascade, LineageView};
 use std::collections::BTreeSet;
 
-/// One recomputation submission: run `job` with the given instructions.
-/// The instructions carry the whole decision, including the
-/// `SpreadOutput` hot-spot mitigation (`instructions.spread_output`),
-/// which the engine turns into a placement override.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RecoveryStep {
-    pub job: JobId,
-    pub instructions: RecomputeInstructions,
-}
-
-/// An ordered recovery plan (dependencies first). Executing every step
-/// in order makes the cancelled job's input readable again.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryPlan {
-    pub steps: Vec<RecoveryStep>,
-}
-
-impl RecoveryPlan {
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Total partitions regenerated across all steps.
-    pub fn partition_count(&self) -> usize {
-        self.steps
-            .iter()
-            .map(|s| s.instructions.partitions.len())
-            .sum()
-    }
-}
+pub use rcmp_policy::{RecoveryPlan, RecoveryStep};
 
 /// Plans recovery so that `target` (the cancelled job) can restart.
 ///
@@ -76,99 +29,79 @@ pub fn plan_recovery(
     split: SplitPolicy,
     hotspot: HotspotMitigation,
 ) -> Result<RecoveryPlan> {
-    let target_spec = graph
-        .spec(target)
-        .ok_or_else(|| Error::Config(format!("unknown job {target}")))?;
-    let survivors = cluster.live_nodes().len();
-    let mitigation = choose_mitigation(split, hotspot, survivors);
-
-    let mut steps_rev: Vec<RecoveryStep> = Vec::new();
-
-    // The cancelled job restarts in full: every lost partition of its
-    // input must come back.
-    let mut need_file = target_spec.input.clone();
-    let mut need: BTreeSet<PartitionId> = lost_partitions(cluster, &need_file)?;
-
-    while !need.is_empty() {
-        let Some(producer) = graph.producer_of(&need_file) else {
-            // External input with irreversible loss: unrecoverable by
-            // recomputation (the paper replicates external inputs).
-            return Err(Error::DataLoss {
-                path: need_file,
-                partition: need.first().copied(),
-            });
-        };
-        let spec = graph
-            .spec(producer)
-            .ok_or_else(|| Error::Config(format!("unknown producer {producer}")))?;
-
-        // Which of the producer's mappers will have to re-run? Those
-        // without a valid persisted output (missing node, or stale
-        // fingerprint from a previous regeneration).
-        let rerun_pids = rerun_mapper_partitions(cluster, producer, &spec.input)?;
-
-        let mut instructions = RecomputeInstructions::new(need.iter().copied(), mitigation.split);
-        instructions.spread_output = mitigation.spread_output;
-        steps_rev.push(RecoveryStep {
-            job: producer,
-            instructions,
-        });
-
-        // One job deeper: partitions the re-running mappers read that
-        // are lost must themselves be regenerated.
-        need_file = spec.input.clone();
-        let lost_deeper = lost_partitions(cluster, &need_file)?;
-        need = rerun_pids.intersection(&lost_deeper).copied().collect();
-    }
-
-    steps_rev.reverse();
-    Ok(RecoveryPlan { steps: steps_rev })
+    plan_cascade(&ClusterLineage { cluster, graph }, target, split, hotspot)
 }
 
-/// Partitions of a file that must be regenerated before it can be
-/// consumed: partitions that lost all replicas, plus partitions that are
-/// *unwritten* — a recomputation run clears its target partitions before
-/// regenerating them, so a nested failure can leave a partition empty
-/// without it being "lost"; treating it as intact would silently drop
-/// its records from every downstream job. Missing files need nothing
-/// (never created).
-fn lost_partitions(cluster: &Cluster, file: &str) -> Result<BTreeSet<PartitionId>> {
-    match cluster.dfs().file_meta(file) {
-        Ok(meta) => Ok(meta
+/// The engine's lineage state: a job graph over a live cluster.
+#[derive(Clone, Copy)]
+pub struct ClusterLineage<'a> {
+    pub cluster: &'a Cluster,
+    pub graph: &'a JobGraph,
+}
+
+impl<'a> ClusterLineage<'a> {
+    /// The spec of a job of this chain.
+    pub fn spec(&self, job: JobId) -> Result<&'a JobSpec> {
+        self.graph
+            .spec(job)
+            .ok_or_else(|| Error::Config(format!("unknown job {job}")))
+    }
+}
+
+impl LineageView for ClusterLineage<'_> {
+    fn producer(&self, job: JobId) -> Option<JobId> {
+        self.graph.producer_of(&self.graph.spec(job)?.input)
+    }
+
+    /// Partitions that lost all replicas, plus partitions that are
+    /// *unwritten* — a recomputation run clears its target partitions
+    /// before regenerating them, so a nested failure can leave a
+    /// partition empty without it being "lost"; treating it as intact
+    /// would silently drop its records from every downstream job.
+    /// Missing files need nothing (never created).
+    fn lost_input(&self, job: JobId) -> Result<BTreeSet<PartitionId>> {
+        match self.cluster.dfs().file_meta(&self.spec(job)?.input) {
+            Ok(meta) => Ok(meta
+                .partitions
+                .iter()
+                .filter(|p| p.is_lost() || !p.is_written())
+                .map(|p| p.id)
+                .collect()),
+            Err(Error::FileNotFound(_)) => Ok(BTreeSet::new()),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// A mapper must re-run when the store holds no output for it or
+    /// one whose input fingerprint is stale. A *lost* partition's
+    /// blocks are still listed in the metadata (with empty replica
+    /// sets), so enumeration is complete even for lost data.
+    fn rerun_input(&self, job: JobId) -> Result<BTreeSet<PartitionId>> {
+        let meta = self.cluster.dfs().file_meta(&self.spec(job)?.input)?;
+        let store = self.cluster.map_outputs();
+        Ok(meta
             .partitions
             .iter()
-            .filter(|p| p.is_lost() || !p.is_written())
+            .filter(|p| {
+                p.blocks().enumerate().any(|(idx, block)| {
+                    let key = MapInputKey::new(job, p.id, idx as u32);
+                    store.input_hash(&key) != Some(block.content_hash)
+                })
+            })
             .map(|p| p.id)
-            .collect()),
-        Err(Error::FileNotFound(_)) => Ok(BTreeSet::new()),
-        Err(e) => Err(e),
+            .collect())
     }
-}
 
-/// Input partitions read by mappers of `job` that would have to re-run
-/// today (no persisted output, or a stale input fingerprint).
-fn rerun_mapper_partitions(
-    cluster: &Cluster,
-    job: JobId,
-    input: &str,
-) -> Result<BTreeSet<PartitionId>> {
-    let meta = cluster.dfs().file_meta(input)?;
-    let store = cluster.map_outputs();
-    let mut pids = BTreeSet::new();
-    for p in &meta.partitions {
-        for (idx, block) in p.blocks().enumerate() {
-            let key = MapInputKey::new(job, p.id, idx as u32);
-            if store.input_hash(&key) != Some(block.content_hash) {
-                pids.insert(p.id);
-                break; // one invalid mapper already forces the partition
-            }
-        }
-        // A partition with zero blocks but no persisted outputs can't
-        // force anything; a *lost* partition's blocks are still listed
-        // in the metadata (with empty replica sets), so enumeration is
-        // complete even for lost data.
+    fn survivors(&self) -> usize {
+        self.cluster.live_nodes().len()
     }
-    Ok(pids)
+
+    fn input_path(&self, job: JobId) -> String {
+        self.graph
+            .spec(job)
+            .map(|s| s.input.clone())
+            .unwrap_or_default()
+    }
 }
 
 #[cfg(test)]

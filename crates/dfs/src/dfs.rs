@@ -20,7 +20,6 @@ use rcmp_policy::{rehome_target, NodeStatus, RackTopology, Rehome};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Configuration of the DFS substrate.
 #[derive(Clone, Debug)]
@@ -31,11 +30,6 @@ pub struct DfsConfig {
     pub block_size: ByteSize,
     /// Seed for placement randomness.
     pub seed: u64,
-    /// Optional artificial per-MiB read latency, used by hot-spot
-    /// experiments on the real engine so concurrent reads genuinely
-    /// overlap in wall-clock time. `None` (default) reads at memory
-    /// speed.
-    pub read_delay: Option<Duration>,
     /// Optional rack topology; when present, remote replicas are placed
     /// rack-aware (HDFS-style), protecting against single rack failures
     /// (§III-A).
@@ -52,7 +46,6 @@ impl DfsConfig {
             nodes,
             block_size,
             seed: 0xd5f5,
-            read_delay: None,
             topology: None,
             store_shards: NodeStore::DEFAULT_SHARDS,
         }
@@ -700,10 +693,7 @@ impl Dfs {
         let mut candidates = vec![preferred];
         candidates.extend(live_replicas.into_iter().filter(|&n| n != preferred));
         for source in candidates {
-            let Some(data) = self
-                .store(source)
-                .and_then(|s| s.get(loc.id, self.cfg.read_delay))
-            else {
+            let Some(data) = self.store(source).and_then(|s| s.get(loc.id)) else {
                 continue;
             };
             let verify_started = std::time::Instant::now();
@@ -776,7 +766,7 @@ impl Dfs {
         let mut bytes = 0u64;
         for (done, copy) in plan.iter().enumerate() {
             let data = copy.sources.iter().find_map(|&source| {
-                let data = self.store(source)?.get(copy.id, None)?;
+                let data = self.store(source)?.get(copy.id)?;
                 if rcmp_model::hash::hash_bytes(&data) == copy.content_hash {
                     return Some(data);
                 }
@@ -872,11 +862,9 @@ impl Dfs {
         let covering = {
             let ns = self.namespace.read();
             ns.iter().find_map(|(path, meta)| {
-                meta.partitions.iter().find_map(|p| {
-                    p.blocks()
-                        .any(|b| b.id == id)
-                        .then(|| (path.clone(), p.id))
-                })
+                meta.partitions
+                    .iter()
+                    .find_map(|p| p.blocks().any(|b| b.id == id).then(|| (path.clone(), p.id)))
             })
         };
         if let Some((path, pid)) = covering {

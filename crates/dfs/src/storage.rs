@@ -72,14 +72,8 @@ impl NodeStore {
         self.shard(id).write().insert(id, data);
     }
 
-    /// Reads a block, updating concurrency accounting. The optional
-    /// `read_delay` models a slow disk so that concurrent readers truly
-    /// overlap (used by hot-spot tests).
-    pub(crate) fn get(
-        &self,
-        id: BlockId,
-        read_delay: Option<std::time::Duration>,
-    ) -> Option<Bytes> {
+    /// Reads a block, updating concurrency accounting.
+    pub(crate) fn get(&self, id: BlockId) -> Option<Bytes> {
         let in_flight = self.current_reads.fetch_add(1, Ordering::SeqCst) + 1;
         self.max_concurrent_reads
             .fetch_max(in_flight, Ordering::SeqCst);
@@ -88,13 +82,6 @@ impl NodeStore {
         let data = self.shard(id).read().get(&id).cloned();
         if let Some(d) = &data {
             self.bytes_read.fetch_add(d.len() as u64, Ordering::Relaxed);
-            if let Some(delay) = read_delay {
-                // Scale the delay with the block size so bigger reads
-                // hold the "disk" longer, like a real drive.
-                let per_mib = delay.as_secs_f64();
-                let secs = per_mib * (d.len() as f64 / (1024.0 * 1024.0)).max(0.01);
-                std::thread::sleep(std::time::Duration::from_secs_f64(secs));
-            }
         }
         self.current_reads.fetch_sub(1, Ordering::SeqCst);
         data
@@ -166,20 +153,16 @@ impl NodeStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn put_get_remove() {
         let s = NodeStore::with_shards(NodeStore::DEFAULT_SHARDS);
         s.put(BlockId(1), Bytes::from_static(b"hello"));
-        assert_eq!(
-            s.get(BlockId(1), None).unwrap(),
-            Bytes::from_static(b"hello")
-        );
+        assert_eq!(s.get(BlockId(1)).unwrap(), Bytes::from_static(b"hello"));
         assert_eq!(s.used(), ByteSize::bytes(5));
         assert_eq!(s.block_count(), 1);
         assert!(s.remove(BlockId(1)).is_some());
-        assert!(s.get(BlockId(1), None).is_none());
+        assert!(s.get(BlockId(1)).is_none());
     }
 
     #[test]
@@ -197,8 +180,8 @@ mod tests {
     fn stats_account_io() {
         let s = NodeStore::with_shards(NodeStore::DEFAULT_SHARDS);
         s.put(BlockId(1), Bytes::from(vec![1u8; 100]));
-        s.get(BlockId(1), None);
-        s.get(BlockId(1), None);
+        s.get(BlockId(1));
+        s.get(BlockId(1));
         let st = s.stats();
         assert_eq!(st.bytes_written, 100);
         assert_eq!(st.bytes_read, 200);
@@ -218,7 +201,7 @@ mod tests {
                 s.put(BlockId(i), Bytes::from(vec![i as u8; (i as usize % 7) + 1]));
             }
             for i in (0..64u64).step_by(3) {
-                s.get(BlockId(i), None);
+                s.get(BlockId(i));
             }
             for i in (0..64u64).step_by(5) {
                 s.remove(BlockId(i));
@@ -231,30 +214,7 @@ mod tests {
         let ids = single.block_ids();
         assert_eq!(ids, sharded.block_ids());
         for id in ids {
-            assert_eq!(single.get(id, None), sharded.get(id, None));
+            assert_eq!(single.get(id), sharded.get(id));
         }
-    }
-
-    #[test]
-    fn concurrent_reads_observed() {
-        let s = Arc::new(NodeStore::with_shards(NodeStore::DEFAULT_SHARDS));
-        s.put(BlockId(1), Bytes::from(vec![1u8; 1024 * 1024]));
-        let delay = std::time::Duration::from_millis(30);
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    s.get(BlockId(1), Some(delay));
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(
-            s.stats().max_concurrent_reads >= 2,
-            "expected overlapping reads, got {:?}",
-            s.stats()
-        );
     }
 }

@@ -11,7 +11,6 @@ use rcmp_obs::{
 use rcmp_policy::Membership;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A collocated cluster (§II): every node is both a storage node (DFS
 /// blocks + persisted map outputs) and a compute node (task slots).
@@ -43,27 +42,16 @@ pub struct Cluster {
 
 impl Cluster {
     pub fn new(cfg: ClusterConfig) -> Self {
-        Self::build(cfg, None, None)
+        Self::build(cfg, None)
     }
 
     /// Like [`Cluster::new`] but with a rack topology: remote replicas
     /// are placed rack-aware (HDFS-style, §III-A).
     pub fn with_topology(cfg: ClusterConfig, topology: rcmp_policy::RackTopology) -> Self {
-        Self::build(cfg, None, Some(topology))
+        Self::build(cfg, Some(topology))
     }
 
-    /// Like [`Cluster::new`] but with an artificial per-MiB DFS read
-    /// latency so concurrent reads overlap in wall-clock time (hot-spot
-    /// experiments on the real engine).
-    pub fn with_read_delay(cfg: ClusterConfig, delay: Duration) -> Self {
-        Self::build(cfg, Some(delay), None)
-    }
-
-    fn build(
-        cfg: ClusterConfig,
-        read_delay: Option<Duration>,
-        topology: Option<rcmp_policy::RackTopology>,
-    ) -> Self {
+    fn build(cfg: ClusterConfig, topology: Option<rcmp_policy::RackTopology>) -> Self {
         cfg.validate().expect("invalid cluster config");
         // One clock for the whole run: tracer spans, flight-recorder
         // timestamps and phase-profiler guards all agree on an epoch.
@@ -79,7 +67,6 @@ impl Cluster {
             nodes: cfg.nodes,
             block_size: cfg.block_size,
             seed: cfg.seed,
-            read_delay,
             topology,
             store_shards: cfg.shuffle.store_shards,
         };

@@ -18,7 +18,6 @@ pub struct ChunkingWriter {
     chunk_size: usize,
     current: BytesMut,
     chunks: Vec<Bytes>,
-    records: usize,
     bytes: u64,
 }
 
@@ -29,7 +28,6 @@ impl ChunkingWriter {
             chunk_size,
             current: BytesMut::new(),
             chunks: Vec::new(),
-            records: 0,
             bytes: 0,
         }
     }
@@ -51,13 +49,7 @@ impl ChunkingWriter {
             self.chunks.push(full.freeze());
         }
         rec.encode_into(&mut self.current);
-        self.records += 1;
         self.bytes += enc as u64;
-    }
-
-    /// Number of records pushed.
-    pub fn record_count(&self) -> usize {
-        self.records
     }
 
     /// Total encoded bytes pushed.
@@ -88,7 +80,6 @@ mod tests {
         for r in &recs {
             w.push(r);
         }
-        assert_eq!(w.record_count(), 20);
         assert_eq!(w.byte_count(), 20 * 22);
         let chunks = w.finish();
         assert!(chunks.len() > 1);

@@ -8,7 +8,7 @@
 
 use crate::mapstore::{BucketIndex, MapInputKey, MapOutputStore};
 use bytes::Bytes;
-use rcmp_model::{NodeId, Record, RecordReader, ReduceTaskId, Result};
+use rcmp_model::{NodeId, Record, RecordReader, ReduceTaskId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -371,12 +371,6 @@ pub fn sort_and_group(mut records: Vec<Record>) -> Vec<(u64, Vec<Bytes>)> {
         }
     }
     groups
-}
-
-/// Decodes a whole partition's bytes into records (used by tests and
-/// output validation).
-pub fn decode_partition(data: Bytes) -> Result<Vec<Record>> {
-    RecordReader::decode_all(data)
 }
 
 #[cfg(test)]

@@ -28,9 +28,7 @@ use crate::failure::{FailureInjector, Fault, ProgressEvent, TriggerPoint};
 use crate::job::{JobRun, JobSpec, RunMode};
 use crate::mapstore::{BucketIndex, MapInputKey};
 use crate::metrics::{IoBytes, JobReport, ShuffleMetrics, TaskRecord};
-use crate::scheduler::{
-    assign_map_waves_kernel, assign_reduce_waves_kernel, ReduceAssignment, Waves,
-};
+use crate::scheduler::{assign_map_waves_kernel, assign_reduce_waves_kernel, Waves};
 use crate::shuffle::{shuffle_for_reduce, ShuffleFailure, StreamingShuffle};
 use crate::task::{MapTask, ReduceTask};
 use crate::udf::Combiner;
@@ -41,13 +39,13 @@ use rcmp_exec::{BackendExecutor, SessionExecutor, SlotOutcome, SlotTask, TaskCtx
 use rcmp_model::rng::derive_indexed;
 use rcmp_model::{
     Error, HashPartitioner, JobId, MapTaskId, NodeId, PartitionId, PlacementKernel, Record,
-    RecordReader, RecordWriter, ReduceTaskId, Result, SplitId, SplitPartitioner, TaskId, TenantId,
+    RecordReader, RecordWriter, ReduceTaskId, Result, SplitPartitioner, TaskId, TenantId,
 };
 use rcmp_obs::{
     Counter, EventCode, FaultKind, FlightRecorder, Histogram, Phase, PhaseKind, PhaseProfiler,
     SpanId, SpanKind, Tracer,
 };
-use rcmp_policy::PolicyCtx;
+use rcmp_policy::{reduce_task_set, reduce_tasks_for, PolicyCtx};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -307,7 +305,7 @@ impl<'a> JobTracker<'a> {
 
         // ----- output file + reduce task set ---------------------------
         let dfs = self.cluster.dfs();
-        let mut pending_reduces: Vec<ReduceTask> = match &instructions {
+        match &instructions {
             None => {
                 if dfs.file_exists(&spec.output) {
                     // A restarted job discards partial results (§V-A).
@@ -315,32 +313,18 @@ impl<'a> JobTracker<'a> {
                 }
                 self.cluster.map_outputs().clear_job(spec.job);
                 dfs.create_file(&spec.output, spec.output_replication, spec.num_reducers)?;
-                (0..spec.num_reducers)
-                    .map(|p| ReduceTask::new(ReduceTaskId::whole(spec.job, PartitionId(p))))
-                    .collect()
             }
             Some(i) => {
                 dfs.file_meta(&spec.output)?; // must exist
                 for &p in &i.partitions {
                     dfs.clear_partition(&spec.output, p)?;
                 }
-                i.partitions
-                    .iter()
-                    .flat_map(|&p| -> Vec<ReduceTask> {
-                        match i.split {
-                            None | Some(1) => {
-                                vec![ReduceTask::new(ReduceTaskId::whole(spec.job, p))]
-                            }
-                            Some(k) => (0..k)
-                                .map(|s| {
-                                    ReduceTask::new(ReduceTaskId::split(spec.job, p, SplitId(s), k))
-                                })
-                                .collect(),
-                        }
-                    })
-                    .collect()
             }
-        };
+        }
+        let (reduce_ids, reduce_style) =
+            reduce_task_set(instructions.as_ref(), spec.job, spec.num_reducers);
+        let mut pending_reduces: Vec<ReduceTask> =
+            reduce_ids.into_iter().map(ReduceTask::new).collect();
         // Partitions this run is responsible for (damage re-checks).
         let target_partitions: BTreeSet<PartitionId> = match &instructions {
             None => (0..spec.num_reducers).map(PartitionId).collect(),
@@ -479,17 +463,12 @@ impl<'a> JobTracker<'a> {
                     break;
                 }
                 let live = self.live_or_fail()?;
-                let style = if run.mode.is_recompute() {
-                    ReduceAssignment::Balance
-                } else {
-                    ReduceAssignment::RoundRobinByPartition
-                };
                 let membership = self.cluster.membership();
                 let waves: Waves<ReduceTask> = assign_reduce_waves_kernel(
                     pending_reduces.clone(),
                     &live,
                     self.cluster.config().slots.reduce,
-                    style,
+                    reduce_style,
                     self.cluster.config().placement,
                     &membership,
                     PolicyCtx::new(&self.tracer, Some(job_span)),
@@ -610,20 +589,9 @@ impl<'a> JobTracker<'a> {
                 for &p in &target_partitions {
                     if meta.partitions[p.index()].is_lost() || torn_partitions.contains(&p) {
                         dfs.clear_partition(&spec.output, p)?;
-                        let tasks: Vec<ReduceTask> = match &split_plan {
-                            Some((set, k)) if set.contains(&p) => (0..*k)
-                                .map(|s| {
-                                    ReduceTask::new(ReduceTaskId::split(
-                                        spec.job,
-                                        p,
-                                        SplitId(s),
-                                        *k,
-                                    ))
-                                })
-                                .collect(),
-                            _ => vec![ReduceTask::new(ReduceTaskId::whole(spec.job, p))],
-                        };
-                        for t in tasks {
+                        for t in reduce_tasks_for(instructions.as_ref(), spec.job, p)
+                            .map(ReduceTask::new)
+                        {
                             if !pending_reduces.iter().any(|x| x.id == t.id) {
                                 pending_reduces.push(t);
                             }

@@ -8,7 +8,7 @@
 //! makes progress) and at most what remains, and the lease returns its
 //! workers on drop — including on panic unwind.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 fn lock(m: &Mutex<u32>) -> MutexGuard<'_, u32> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -16,7 +16,6 @@ fn lock(m: &Mutex<u32>) -> MutexGuard<'_, u32> {
 
 struct Inner {
     available: Mutex<u32>,
-    freed: Condvar,
     total: u32,
 }
 
@@ -34,7 +33,6 @@ impl WorkerBudget {
         Self {
             inner: Arc::new(Inner {
                 available: Mutex::new(total),
-                freed: Condvar::new(),
                 total,
             }),
         }
@@ -70,30 +68,9 @@ impl WorkerBudget {
         }
     }
 
-    /// Blocks until at least one worker is free, then leases up to
-    /// `want` of the free ones.
-    pub fn lease_blocking(&self, want: u32) -> WorkerLease {
-        let want = want.max(1);
-        let mut avail = lock(&self.inner.available);
-        while *avail == 0 {
-            avail = self
-                .inner
-                .freed
-                .wait(avail)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        let granted = want.min(*avail);
-        *avail -= granted;
-        WorkerLease {
-            budget: self.clone(),
-            workers: granted,
-        }
-    }
-
     fn give_back(&self, workers: u32) {
         let mut avail = lock(&self.inner.available);
         *avail = (*avail + workers).min(self.inner.total);
-        self.inner.freed.notify_all();
     }
 }
 
@@ -150,16 +127,5 @@ mod tests {
         let b = WorkerBudget::new(0);
         assert_eq!(b.total(), 1);
         assert_eq!(b.lease(5).workers(), 1);
-    }
-
-    #[test]
-    fn blocking_lease_wakes_on_return() {
-        let b = WorkerBudget::new(1);
-        let l = b.lease(1);
-        let b2 = b.clone();
-        let waiter = std::thread::spawn(move || b2.lease_blocking(1).workers());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        drop(l);
-        assert_eq!(waiter.join().expect("no panic"), 1);
     }
 }

@@ -589,16 +589,6 @@ impl ClusterConfig {
         self.chain_cache.validate()?;
         Ok(())
     }
-
-    /// Total mapper slots across the cluster.
-    pub fn total_map_slots(&self) -> u32 {
-        self.nodes * self.slots.map
-    }
-
-    /// Total reducer slots across the cluster.
-    pub fn total_reduce_slots(&self) -> u32 {
-        self.nodes * self.slots.reduce
-    }
 }
 
 #[cfg(test)]
@@ -751,21 +741,14 @@ mod tests {
     fn chain_cache_validation() {
         assert!(ChainCacheConfig::default().validate().is_ok());
         assert!(!ChainCacheConfig::default().enabled);
-        assert!(ChainCacheConfig::enabled(ByteSize::mib(8)).validate().is_ok());
-        assert!(ChainCacheConfig::enabled(ByteSize::ZERO).validate().is_err());
+        assert!(ChainCacheConfig::enabled(ByteSize::mib(8))
+            .validate()
+            .is_ok());
+        assert!(ChainCacheConfig::enabled(ByteSize::ZERO)
+            .validate()
+            .is_err());
         let mut c = ClusterConfig::small_test(4);
         c.chain_cache = ChainCacheConfig::enabled(ByteSize::ZERO);
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn slot_totals() {
-        let c = ClusterConfig {
-            nodes: 10,
-            slots: SlotConfig::TWO_TWO,
-            ..ClusterConfig::small_test(10)
-        };
-        assert_eq!(c.total_map_slots(), 20);
-        assert_eq!(c.total_reduce_slots(), 20);
     }
 }

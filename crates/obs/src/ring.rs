@@ -94,13 +94,6 @@ pub struct FlightEvent {
     pub b: u64,
 }
 
-impl FlightEvent {
-    /// The node this event is attributed to, if any.
-    pub fn node_id(&self) -> Option<NodeId> {
-        (self.node != u32::MAX).then_some(NodeId(self.node))
-    }
-}
-
 /// One shard: a bounded deque plus exact local accounting.
 struct RingShard {
     buf: VecDeque<FlightEvent>,
@@ -205,16 +198,6 @@ impl FlightRecorder {
         r
     }
 
-    /// Turns recording on or off at runtime.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the recorder currently retains events.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// The clock this recorder timestamps with.
     pub fn clock(&self) -> &Clock {
         &self.clock
@@ -243,23 +226,6 @@ impl FlightRecorder {
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             self.samples.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Records an event with an explicit timestamp (used by replay and
-    /// by the simulator, where time is virtual).
-    pub fn record_at(&self, t_us: u64, code: EventCode, node: Option<NodeId>, a: u64, b: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.push(FlightEvent {
-            seq,
-            t_us,
-            node: node.map_or(u32::MAX, |n| n.0),
-            code,
-            a,
-            b,
-        });
     }
 
     fn push(&self, ev: FlightEvent) {

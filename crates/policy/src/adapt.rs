@@ -130,8 +130,6 @@ pub struct FailureIntensityEstimator {
     weight: f64,
     /// Per-job decay factor in `(0, 1]`; `1.0` = plain running mean.
     decay: f64,
-    /// Jobs observed (undecayed), for trajectory reporting.
-    observed: u64,
 }
 
 impl FailureIntensityEstimator {
@@ -143,7 +141,6 @@ impl FailureIntensityEstimator {
             faults: prior_rate.max(0.0) * w,
             weight: w,
             decay: decay.clamp(f64::MIN_POSITIVE, 1.0),
-            observed: 0,
         }
     }
 
@@ -152,7 +149,6 @@ impl FailureIntensityEstimator {
     pub fn observe(&mut self, faults: u32) {
         self.faults = self.decay * self.faults + f64::from(faults);
         self.weight = self.decay * self.weight + 1.0;
-        self.observed += 1;
     }
 
     /// Current fault-rate estimate (faults per job).
@@ -162,16 +158,6 @@ impl FailureIntensityEstimator {
         } else {
             self.faults / self.weight
         }
-    }
-
-    /// Effective sample size behind the current estimate.
-    pub fn effective_samples(&self) -> f64 {
-        self.weight
-    }
-
-    /// Jobs folded in since construction (prior excluded).
-    pub fn jobs_observed(&self) -> u64 {
-        self.observed
     }
 
     /// Normal-approximation confidence bounds on the rate at `z`
@@ -349,7 +335,6 @@ pub struct AdaptivePolicy {
     pending_faults: u32,
     completed: u64,
     trajectory: Vec<AdaptationStep>,
-    last_switched: bool,
 }
 
 impl AdaptivePolicy {
@@ -363,7 +348,6 @@ impl AdaptivePolicy {
             pending_faults: 0,
             completed: 0,
             trajectory: Vec::new(),
-            last_switched: false,
         }
     }
 
@@ -375,13 +359,6 @@ impl AdaptivePolicy {
     /// The underlying estimator (read-only).
     pub fn estimator(&self) -> &FailureIntensityEstimator {
         &self.est
-    }
-
-    /// Whether the most recent [`FaultObserver::job_completed`] call
-    /// switched the interval — the engine emits an `AdaptationPoint`
-    /// span exactly when this is true.
-    pub fn last_switched(&self) -> bool {
-        self.last_switched
     }
 
     /// The full adaptation trajectory, for diagnostics and reports.
@@ -418,13 +395,13 @@ impl FaultObserver for AdaptivePolicy {
         self.completed += 1;
         let candidate = optimal_interval(self.est.rate(), self.cfg.horizon, &self.cfg);
         let next = self.apply_hysteresis(candidate);
-        self.last_switched = next != self.interval;
+        let switched = next != self.interval;
         self.interval = next;
         self.trajectory.push(AdaptationStep {
             job: self.completed,
             rate: self.est.rate(),
             interval: self.interval,
-            switched: self.last_switched,
+            switched,
         });
         self.jobs_since_point += 1;
         match self.interval {

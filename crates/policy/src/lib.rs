@@ -23,7 +23,14 @@
 //! * [`assign_map_waves`] / [`assign_reduce_waves`] — the wave kernels.
 //! * [`RecomputePlan`] — the unified recomputation instruction set that
 //!   `rcmp-engine::RecomputeInstructions` and `rcmp-sim::RecomputeSpec`
-//!   are re-exports of.
+//!   are re-exports of; [`reduce_task_set`] expands a run into its
+//!   whole or split reduce tasks for both backends.
+//! * [`chain`] — the middleware program itself: [`plan_cascade`] (the
+//!   backward lineage walk to the minimum recomputation plan), the
+//!   replication cadence, and [`drive_chain`], the chain control loop
+//!   generic over a [`ChainBackend`]; the engine's `ChainDriver` and
+//!   the simulator's `chainsim` are its two backends. [`Strategy`] is
+//!   the menu it runs under.
 //! * [`choose_mitigation`] — hot-spot mitigation selection (split vs
 //!   spread-output, §IV-B2) shared by the middleware and the simulator.
 //! * [`PolicyCtx`] — optional `rcmp-obs` instrumentation: every
@@ -56,10 +63,12 @@
 
 pub mod adapt;
 mod cache;
+pub mod chain;
 mod fair;
 mod membership;
 mod mitigation;
 mod plan;
+mod strategy;
 mod tasks;
 mod topology;
 mod waves;
@@ -69,10 +78,15 @@ pub use adapt::{
     DynamicPolicy, FailureIntensityEstimator, FaultObserver,
 };
 pub use cache::CacheLedger;
+pub use chain::{
+    drive_chain, plan_cascade, ChainBackend, ChainConfig, ChainSummary, LineageView, RecoveryPlan,
+    RecoveryStep, RunOutcome,
+};
 pub use fair::{jain_index, DrrArbiter, Grant, TenantShare};
 pub use membership::{rehome_target, Membership, NodeInfo, NodeStatus, Rehome};
 pub use mitigation::{choose_mitigation, HotspotMitigation, MitigationChoice, SplitPolicy};
-pub use plan::RecomputePlan;
+pub use plan::{reduce_task_set, reduce_tasks_for, RecomputePlan};
+pub use strategy::Strategy;
 pub use tasks::{CacheAffinity, FnMapTasks, FnReduceTasks, MapTaskSet, ReduceTaskSet};
 pub use topology::{rack_aware_order, KernelTopology, RackTopology, SliceTopology, TopologyView};
 pub use waves::{

@@ -7,7 +7,8 @@
 //! recovery run do" a single value that planners produce and either
 //! backend consumes.
 
-use rcmp_model::PartitionId;
+use crate::waves::ReduceAssignment;
+use rcmp_model::{JobId, PartitionId, ReduceTaskId, SplitId};
 use std::collections::BTreeSet;
 
 /// Instructions for one recomputation run (§IV-B).
@@ -77,9 +78,81 @@ impl RecomputePlan {
     }
 }
 
+/// The reduce tasks that regenerate `partition` of `job`: one whole
+/// reducer on a full run (`plan == None`) or an unsplit recomputation,
+/// `split_factor()` split reducers otherwise (§IV-B1).
+pub fn reduce_tasks_for(
+    plan: Option<&RecomputePlan>,
+    job: JobId,
+    partition: PartitionId,
+) -> impl Iterator<Item = ReduceTaskId> {
+    let k = plan.map_or(1, RecomputePlan::split_factor);
+    (0..k).map(move |s| match k {
+        1 => ReduceTaskId::whole(job, partition),
+        _ => ReduceTaskId::split(job, partition, SplitId(s), k),
+    })
+}
+
+/// The reduce task set of one run, in ascending (partition, split)
+/// order, and how its tasks pick nodes: a full run reduces every
+/// partition round-robin (the `WR = R/(N·S)` layout of the paper's
+/// model); a recomputation reduces only its plan's partitions and
+/// balances them over the survivors (Fig. 4).
+pub fn reduce_task_set(
+    plan: Option<&RecomputePlan>,
+    job: JobId,
+    num_reducers: u32,
+) -> (Vec<ReduceTaskId>, ReduceAssignment) {
+    match plan {
+        None => (
+            (0..num_reducers)
+                .map(|p| ReduceTaskId::whole(job, PartitionId(p)))
+                .collect(),
+            ReduceAssignment::RoundRobinByPartition,
+        ),
+        Some(plan) => (
+            plan.partitions
+                .iter()
+                .flat_map(|&p| reduce_tasks_for(Some(plan), job, p))
+                .collect(),
+            ReduceAssignment::Balance,
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn task_set_expands_whole_and_split_reducers() {
+        let job = JobId(3);
+        let (full, style) = reduce_task_set(None, job, 3);
+        assert_eq!(style, ReduceAssignment::RoundRobinByPartition);
+        assert_eq!(
+            full,
+            (0..3)
+                .map(|p| ReduceTaskId::whole(job, PartitionId(p)))
+                .collect::<Vec<_>>()
+        );
+        // `Some(1)` and `None` both mean whole reducers.
+        for split in [None, Some(1)] {
+            let plan = RecomputePlan::new([2u32, 0], split);
+            let (tasks, style) = reduce_task_set(Some(&plan), job, 3);
+            assert_eq!(style, ReduceAssignment::Balance);
+            assert_eq!(
+                tasks,
+                [0, 2].map(|p| ReduceTaskId::whole(job, PartitionId(p)))
+            );
+        }
+        let plan = RecomputePlan::new([1u32], 2);
+        let (tasks, _) = reduce_task_set(Some(&plan), job, 3);
+        assert_eq!(
+            tasks,
+            [0, 1].map(|s| ReduceTaskId::split(job, PartitionId(1), SplitId(s), 2))
+        );
+        assert_eq!(tasks.len(), plan.reduce_task_count());
+    }
 
     #[test]
     fn new_accepts_both_backend_idioms() {

@@ -541,17 +541,23 @@ mod tests {
         // stable kernel must follow memory, not the disk replica.
         let layout: Vec<Vec<u32>> = (0..4).map(|_| vec![0u32]).collect();
         let cached: Vec<u32> = vec![0, 1, 2, 3];
-        let tasks = crate::tasks::CacheAffinity::new(layout_tasks(&layout), |t: usize| {
-            Some(cached[t])
-        });
+        let tasks =
+            crate::tasks::CacheAffinity::new(layout_tasks(&layout), |t: usize| Some(cached[t]));
         let live = nodes(4);
         let topo = SliceTopology::uniform(&live, 1);
-        let waves =
-            assign_map_waves_kernel(&topo, &tasks, PlacementKernel::Stable, PolicyCtx::disabled())
-                .unwrap();
+        let waves = assign_map_waves_kernel(
+            &topo,
+            &tasks,
+            PlacementKernel::Stable,
+            PolicyCtx::disabled(),
+        )
+        .unwrap();
         assert_eq!(waves.len(), 1);
         for &(node, task) in &waves[0] {
-            assert_eq!(cached[task], node, "task {task} must run on its cache holder");
+            assert_eq!(
+                cached[task], node,
+                "task {task} must run on its cache holder"
+            );
         }
     }
 
@@ -566,14 +572,15 @@ mod tests {
         let tasks = crate::tasks::CacheAffinity::new(layout_tasks(&layout), |t: usize| cached[t]);
         let live = nodes(2);
         let topo = SliceTopology::uniform(&live, 2);
-        let waves =
-            assign_map_waves_kernel(&topo, &tasks, PlacementKernel::Stable, PolicyCtx::disabled())
-                .unwrap();
-        let placed: std::collections::HashMap<usize, u32> = waves
-            .iter()
-            .flatten()
-            .map(|&(n, t)| (t, n))
-            .collect();
+        let waves = assign_map_waves_kernel(
+            &topo,
+            &tasks,
+            PlacementKernel::Stable,
+            PolicyCtx::disabled(),
+        )
+        .unwrap();
+        let placed: std::collections::HashMap<usize, u32> =
+            waves.iter().flatten().map(|&(n, t)| (t, n)).collect();
         assert_eq!(placed[&2], 0, "node 0 steals the unclaimed tasks first");
         assert_eq!(placed[&3], 0);
         assert_eq!(placed[&0], 1);

@@ -86,12 +86,6 @@ impl ChainRequest {
         self.injector = Some(injector);
         self
     }
-
-    /// Overrides the DRR cost (defaults to the job count).
-    pub fn with_cost(mut self, cost: u64) -> Self {
-        self.cost = cost.max(1);
-        self
-    }
 }
 
 /// Compact summary of a completed chain (the full

@@ -1,22 +1,28 @@
 //! Simulates a whole multi-job chain under a failure-resilience
-//! strategy, with wall-clock failure injection.
+//! strategy, with scripted failure injection.
 //!
-//! Mirrors the `rcmp-core` middleware's control flow in simulated time:
-//! the same cascading-recomputation planning (against the sim state's
-//! placement and map-output validity), the same cancellation semantics
-//! (failure at `offset` seconds into a job wastes `offset +
-//! detect_timeout` seconds, then the job is discarded and restarted —
-//! §V-A), the same OPTIMISTIC/REPL/hybrid behaviours.
+//! The control flow — cancel, plan the cascade, recompute, replan on a
+//! nested failure, restart under OPTIMISTIC/REPL, place hybrid
+//! replication points — is `rcmp_policy::drive_chain`, the loop the
+//! real middleware runs. This module is its simulator backend: it
+//! answers the planner's lineage questions from the sim state's
+//! placement and map-output validity, runs jobs through [`JobSim`], and
+//! charges simulated seconds — a failure `offset` seconds into a job
+//! wastes `offset + detect_timeout` seconds, then the job is discarded
+//! and restarted (§V-A).
 
 use crate::hw::HwProfile;
-use crate::jobsim::{JobSim, RecomputeSpec};
-use crate::report::{SimChainReport, SimEvent};
-use crate::state::{Node, SimState};
+use crate::jobsim::JobSim;
+use crate::report::{SimChainReport, SimEvent, SimJobReport};
+use crate::state::{FileId, Node, SimState};
 use crate::workload::WorkloadCfg;
-use rcmp_core::strategy::{HotspotMitigation, SplitPolicy, Strategy};
-use rcmp_model::rng::derive_indexed;
-use rcmp_model::{ChainCacheConfig, PlacementKernel, RetryPolicy};
-use rcmp_policy::{choose_mitigation, AdaptivePolicy, FaultObserver, Membership};
+use rcmp_model::{
+    ChainCacheConfig, Error, JobId, PartitionId, PlacementKernel, Result, RetryPolicy,
+};
+use rcmp_policy::{
+    drive_chain, ChainBackend, ChainConfig, LineageView, Membership, RecoveryPlan, RecoveryStep,
+    RunOutcome, Strategy,
+};
 use std::collections::BTreeSet;
 
 /// One scripted failure: kill `node` `offset` seconds into run `seq`
@@ -48,19 +54,19 @@ pub struct ChainSimConfig {
     pub wl: WorkloadCfg,
     pub strategy: Strategy,
     pub failures: Vec<FailureAt>,
-    /// Retry budgets and seeded backoff, mirroring the engine's
-    /// `ClusterConfig::retry`: the same full-jitter delays the engine
+    /// Retry budgets and seeded backoff (the engine's
+    /// `ClusterConfig::retry`): the same full-jitter delays the engine
     /// sleeps show up here as simulated time.
     pub retry: RetryPolicy,
     /// Seed the backoff jitter derives from (the engine uses
     /// `ClusterConfig::seed`).
     pub seed: u64,
-    /// Placement kernel, mirroring `ClusterConfig::placement`.
+    /// Placement kernel (the engine's `ClusterConfig::placement`).
     pub placement: PlacementKernel,
     /// Optional initial membership (racks, heterogeneous capacities).
     /// `None` = uniform over `wl.nodes`.
     pub membership: Option<Membership>,
-    /// Inter-job chain cache, mirroring `ClusterConfig::chain_cache`:
+    /// Inter-job chain cache (the engine's `ClusterConfig::chain_cache`):
     /// when enabled, each job's reducer outputs stay memory-resident
     /// (within the budget) for the next job's mappers.
     pub chain_cache: ChainCacheConfig,
@@ -113,34 +119,44 @@ impl ChainSimConfig {
     }
 }
 
-/// Simulates the chain to completion; panics only on unrecoverable
-/// configuration errors (e.g. every node failed).
+/// Bound on chain restarts, recovery cycles per job and replans per
+/// recovery — the engine's `ClusterConfig::max_recovery_attempts`.
+const MAX_ATTEMPTS: u32 = 100;
+
+/// Simulates the chain to completion.
+///
+/// # Panics
+///
+/// When the chain cannot complete — every node failed, external input
+/// lost, recovery exhausted — with the typed error's message.
 pub fn simulate_chain(cfg: &ChainSimConfig) -> SimChainReport {
-    Runner::new(cfg).run()
+    let mut runner = Runner::new(cfg);
+    let order: Vec<JobId> = (1..=cfg.wl.jobs).map(JobId).collect();
+    let chain = ChainConfig {
+        strategy: cfg.strategy,
+        order: &order,
+        max_attempts: MAX_ATTEMPTS,
+        retry: cfg.retry,
+        seed: cfg.seed,
+    };
+    let summary = drive_chain(&mut runner, &chain)
+        .unwrap_or_else(|e| panic!("chain simulation cannot complete: {e}"));
+    let mut report = runner.report;
+    report.total_time = runner.t;
+    report.jobs_started = summary.jobs_started;
+    report.adaptation = summary.adaptation;
+    report
 }
 
+/// The simulator backend of the chain loop: job runs are [`JobSim`]
+/// runs charged to a simulated clock, failures come from the script in
+/// [`ChainSimConfig::failures`], and every transition is a [`SimEvent`].
 struct Runner<'a> {
     cfg: &'a ChainSimConfig,
     js: JobSim,
     state: SimState,
     report: SimChainReport,
     t: f64,
-    seq: u64,
-    /// Jobs completed since the last replication point (dynamic hybrid).
-    jobs_since_point: u32,
-    /// The closed-loop policy (AdaptiveHybrid): literally the same
-    /// `rcmp_policy::adapt` kernel the engine driver runs, fed from the
-    /// sim's failure timeline, so decision sequences agree byte for
-    /// byte given the same fault sequence.
-    adaptive: Option<AdaptivePolicy>,
-    /// Cancel → recover → retry cycles this chain pass (the engine's
-    /// `job_recoveries` counter), which paces the chain-level backoff.
-    job_recoveries: u32,
-}
-
-enum RunOutcome {
-    Completed,
-    Cancelled,
 }
 
 impl<'a> Runner<'a> {
@@ -158,105 +174,17 @@ impl<'a> Runner<'a> {
             state,
             report: SimChainReport::default(),
             t: 0.0,
-            seq: 0,
-            jobs_since_point: 0,
-            adaptive: match cfg.strategy {
-                Strategy::AdaptiveHybrid { adapt, .. } => Some(AdaptivePolicy::new(adapt)),
-                _ => None,
-            },
-            job_recoveries: 0,
         }
     }
 
-    fn replication(&self) -> u32 {
-        self.cfg.strategy.output_replication()
-    }
-
-    fn persists(&self) -> bool {
-        self.cfg.strategy.persists_outputs()
-    }
-
-    /// Failures scheduled for the given run (the paper's FAIL X,X case
-    /// injects two failures in the same job, the second 15 s after the
-    /// first).
-    fn failures_for(&self, seq: u64) -> Vec<FailureAt> {
-        self.cfg
-            .failures
-            .iter()
-            .copied()
-            .filter(|f| f.seq == seq)
-            .collect()
-    }
-
-    fn run(mut self) -> SimChainReport {
-        let jobs = self.cfg.wl.jobs;
-        let mut restarts = 0u32;
-        'chain: loop {
-            let mut j = 1u32;
-            self.job_recoveries = 0;
-            while j <= jobs {
-                match self.run_one(j) {
-                    RunOutcome::Completed => {
-                        self.maybe_replicate(j);
-                        j += 1;
-                    }
-                    RunOutcome::Cancelled => {
-                        // Seeded backoff before another recovery cycle,
-                        // mirroring the engine driver's delay.
-                        self.job_recoveries += 1;
-                        let delay_ms = self.cfg.retry.backoff_ms(
-                            derive_indexed(self.cfg.seed, "chain-backoff", u64::from(j)),
-                            self.job_recoveries,
-                        );
-                        if delay_ms > 0 {
-                            let secs = delay_ms as f64 / 1000.0;
-                            self.t += secs;
-                            self.report.backoff_secs += secs;
-                        }
-                        match self.cfg.strategy {
-                            Strategy::Optimistic | Strategy::Replication { .. } => {
-                                // Restart the whole computation.
-                                restarts += 1;
-                                assert!(restarts < 100, "chain cannot make progress");
-                                self.report
-                                    .events
-                                    .push(SimEvent::ChainRestarted { at: self.t });
-                                for job in 1..=jobs {
-                                    self.state.clear_job_outputs(job);
-                                    if let Some(f) = self.state.files.get_mut(&job) {
-                                        f.partitions.clear();
-                                    }
-                                }
-                                continue 'chain;
-                            }
-                            Strategy::Rcmp { split, hotspot } => {
-                                self.recover(j, split, hotspot);
-                            }
-                            Strategy::Hybrid { split, .. }
-                            | Strategy::DynamicHybrid { split, .. }
-                            | Strategy::AdaptiveHybrid { split, .. } => {
-                                self.recover(j, split, HotspotMitigation::SplitReducers);
-                            }
-                        }
-                        // retry the same job
-                    }
-                }
-            }
-            self.report.total_time = self.t;
-            self.report.jobs_started = self.seq;
-            return self.report;
-        }
-    }
-
-    /// Runs one full (non-recompute) attempt of job `j`. Applies a
-    /// scheduled failure if one lands on this run.
-    fn run_one(&mut self, j: u32) -> RunOutcome {
-        self.seq += 1;
-        let seq = self.seq;
-        for f in self.failures_for(seq) {
-            // Failure mid-run: the work until detection is wasted (the
-            // paper's RCMP discards partial results; we apply the same
-            // accounting to every strategy — a ~45 s symmetric penalty).
+    /// Applies the failures scripted for run `seq` (the paper's FAIL
+    /// X,X case injects two in the same job) and returns how many
+    /// landed. The work until detection is wasted: the paper's RCMP
+    /// discards partial results, and the same accounting applies to
+    /// every strategy — a ~45 s symmetric penalty.
+    fn inject_failures(&mut self, seq: u64) -> u32 {
+        let mut landed = 0;
+        for f in self.cfg.failures.iter().filter(|f| f.seq == seq) {
             self.report.events.push(SimEvent::FailureInjected {
                 at: self.t + f.offset,
                 node: f.node,
@@ -267,184 +195,148 @@ impl<'a> Runner<'a> {
                 node: f.node,
             });
             self.state.fail_node(f.node);
-            self.observe_fault(1);
-            assert!(
-                !self.state.live_nodes().is_empty(),
-                "every node failed: unrecoverable"
-            );
+            landed += 1;
         }
-        self.finish_full(j, seq)
+        landed
     }
 
-    fn finish_full(&mut self, j: u32, seq: u64) -> RunOutcome {
-        // Check input availability (this or a previous failure may have
-        // broken it).
-        if j > 1 {
-            let lost = self.state.files[&(j - 1)].lost_partitions(&self.state);
-            if !lost.is_empty() {
-                return RunOutcome::Cancelled;
-            }
-        }
-        let (replication, persists) = (self.replication(), self.persists());
-        let mut rep = self
-            .js
-            .run_full(&mut self.state, j, replication, persists)
-            .expect("chain keeps at least one live node");
+    fn completed(&mut self, seq: u64, mut rep: SimJobReport) {
         rep.seq = seq;
         self.t += rep.duration;
         self.report.events.push(SimEvent::JobCompleted {
             seq,
-            job: j,
+            job: rep.job,
             at: self.t,
         });
         self.report.runs.push(rep);
-        RunOutcome::Completed
     }
 
-    /// Cascading recomputation so that job `target` can restart —
-    /// the sim-state version of `rcmp-core::planner::plan_recovery`.
-    fn recover(&mut self, target: u32, split: SplitPolicy, hotspot: HotspotMitigation) {
-        let survivors = self.state.live_nodes().len();
-        let mitigation = choose_mitigation(split, hotspot, survivors);
-
-        // Plan: walk back from the target's input.
-        let mut steps: Vec<(u32, BTreeSet<u32>)> = Vec::new();
-        let mut need_file = target - 1;
-        let mut need: BTreeSet<u32> = self
-            .state
+    fn lost_partitions(&self, file: FileId) -> BTreeSet<PartitionId> {
+        self.state
             .files
-            .get(&need_file)
+            .get(&file)
             .map(|f| f.lost_partitions(&self.state))
-            .unwrap_or_default();
-        while !need.is_empty() {
-            assert!(need_file >= 1, "external input lost: unrecoverable");
-            let producer = need_file;
-            steps.push((producer, need.clone()));
-            // Which input partitions do the producer's re-running
-            // mappers read?
-            let input = producer - 1;
-            let block = self.cfg.wl.block_size.as_u64();
-            let mut rerun_pids = BTreeSet::new();
-            for (pid, blk, _, _) in self.state.file_blocks(input, block) {
-                let v = self.state.partition_version(input, pid);
-                if !self.state.map_output_valid((producer, pid, blk), v) {
-                    rerun_pids.insert(pid);
-                }
-            }
-            let lost_deeper = self
-                .state
-                .files
-                .get(&input)
-                .map(|f| f.lost_partitions(&self.state))
-                .unwrap_or_default();
-            need = rerun_pids.intersection(&lost_deeper).copied().collect();
-            need_file = input;
+            .unwrap_or_default()
+            .into_iter()
+            .map(PartitionId)
+            .collect()
+    }
+}
+
+impl LineageView for Runner<'_> {
+    /// File `j` is job `j`'s output; file 0 is the external input.
+    fn producer(&self, job: JobId) -> Option<JobId> {
+        (job.0 > 1).then(|| JobId(job.0 - 1))
+    }
+
+    fn lost_input(&self, job: JobId) -> Result<BTreeSet<PartitionId>> {
+        Ok(self.lost_partitions(job.0 - 1))
+    }
+
+    fn rerun_input(&self, job: JobId) -> Result<BTreeSet<PartitionId>> {
+        let input = job.0 - 1;
+        let block = self.cfg.wl.block_size.as_u64();
+        Ok(self
+            .state
+            .file_blocks(input, block)
+            .into_iter()
+            .filter(|&(pid, blk, _, _)| {
+                let version = self.state.partition_version(input, pid);
+                !self.state.map_output_valid((job.0, pid, blk), version)
+            })
+            .map(|(pid, ..)| PartitionId(pid))
+            .collect())
+    }
+
+    fn survivors(&self) -> usize {
+        self.state.live_nodes().len()
+    }
+
+    fn input_path(&self, job: JobId) -> String {
+        match job.0 - 1 {
+            0 => "input".to_string(),
+            file => format!("out/{file}"),
         }
-        steps.reverse();
+    }
+}
+
+impl ChainBackend for Runner<'_> {
+    type Lineage = Self;
+
+    fn lineage(&self) -> &Self {
+        self
+    }
+
+    /// One full attempt of the job: the simulator always discards a
+    /// cancelled job's partial results (§V-A), so a retry is a full run.
+    fn run_job(&mut self, seq: u64, job: JobId, _retry: bool) -> Result<RunOutcome> {
+        let faults = self.inject_failures(seq);
+        if self.state.live_nodes().is_empty() {
+            return Err(Error::NoLiveNodes);
+        }
+        // This or a previous failure may have broken the input.
+        if !self.lost_partitions(job.0 - 1).is_empty() {
+            return Ok(RunOutcome::Cancelled { faults });
+        }
+        let strategy = self.cfg.strategy;
+        let rep = self.js.run_full(
+            &mut self.state,
+            job.0,
+            strategy.output_replication(),
+            strategy.persists_outputs(),
+        )?;
+        self.completed(seq, rep);
+        Ok(RunOutcome::Completed { faults })
+    }
+
+    /// A failure scripted onto a recovery run cancels it (§IV-A).
+    fn run_recompute(&mut self, seq: u64, step: RecoveryStep) -> Result<RunOutcome> {
+        let faults = self.inject_failures(seq);
+        if faults > 0 {
+            return Ok(RunOutcome::Cancelled { faults });
+        }
+        let persist = self.cfg.strategy.persists_outputs();
+        let rep =
+            self.js
+                .run_recompute(&mut self.state, step.job.0, &step.instructions, persist)?;
+        self.completed(seq, rep);
+        Ok(RunOutcome::Completed { faults })
+    }
+
+    /// The delay the engine sleeps shows up as simulated time.
+    fn wait(&mut self, ms: u64) {
+        let secs = ms as f64 / 1000.0;
+        self.t += secs;
+        self.report.backoff_secs += secs;
+    }
+
+    fn restart(&mut self) -> Result<()> {
+        self.report
+            .events
+            .push(SimEvent::ChainRestarted { at: self.t });
+        for job in 1..=self.cfg.wl.jobs {
+            self.state.clear_job_outputs(job);
+            if let Some(f) = self.state.files.get_mut(&job) {
+                f.partitions.clear();
+            }
+        }
+        Ok(())
+    }
+
+    fn planned(&mut self, _target: JobId, plan: &RecoveryPlan) {
         self.report.events.push(SimEvent::RecoveryPlanned {
-            steps: steps.len(),
-            partitions: steps.iter().map(|(_, p)| p.len()).sum(),
+            steps: plan.steps.len(),
+            partitions: plan.partition_count(),
         });
-
-        for (job, partitions) in steps {
-            self.seq += 1;
-            let seq = self.seq;
-            // A nested failure can land on a recovery run too (§IV-A).
-            let nested = self.failures_for(seq);
-            if !nested.is_empty() {
-                for f in nested {
-                    self.report.events.push(SimEvent::FailureInjected {
-                        at: self.t + f.offset,
-                        node: f.node,
-                    });
-                    self.t += f.offset + self.cfg.hw.detect_timeout;
-                    self.report.events.push(SimEvent::FailureDetected {
-                        at: self.t,
-                        node: f.node,
-                    });
-                    self.state.fail_node(f.node);
-                    self.observe_fault(1);
-                }
-                // Replan from merged damage and continue recovering.
-                return self.recover(target, split, hotspot);
-            }
-            let mut spec = RecomputeSpec::new(partitions.iter().copied(), mitigation.split);
-            spec.spread_output = mitigation.spread_output;
-            let persists = self.persists();
-            let mut rep = self
-                .js
-                .run_recompute(&mut self.state, job, &spec, persists)
-                .expect("chain keeps at least one live node");
-            rep.seq = seq;
-            self.t += rep.duration;
-            self.report.events.push(SimEvent::JobCompleted {
-                seq,
-                job,
-                at: self.t,
-            });
-            self.report.runs.push(rep);
-        }
     }
 
-    /// Feeds an observed node failure into the closed-loop estimator,
-    /// when the strategy runs one (the sim-timeline analogue of the
-    /// engine driver's loss records).
-    fn observe_fault(&mut self, n: u32) {
-        if let Some(policy) = self.adaptive.as_mut() {
-            policy.record_fault(n);
-        }
-    }
-
-    /// Hybrid replication point: static modulus (§IV-C), the dynamic
-    /// expected-cost policy, or the closed-loop adaptive policy (§IV-C
-    /// future work). After a due job, raise its output to `factor`
-    /// replicas, paying the copy time.
-    fn maybe_replicate(&mut self, j: u32) {
-        let (factor, reclaim, due) = match self.cfg.strategy {
-            Strategy::Hybrid {
-                every_k,
-                factor,
-                reclaim,
-                ..
-            } => (factor, reclaim, every_k != 0 && j.is_multiple_of(every_k)),
-            Strategy::DynamicHybrid {
-                factor,
-                policy,
-                reclaim,
-                ..
-            } => {
-                self.jobs_since_point += 1;
-                (
-                    factor,
-                    reclaim,
-                    policy.should_replicate(self.jobs_since_point),
-                )
-            }
-            Strategy::AdaptiveHybrid {
-                factor, reclaim, ..
-            } => {
-                let policy = self
-                    .adaptive
-                    .as_mut()
-                    .expect("AdaptiveHybrid carries a policy");
-                let due = policy.job_completed();
-                let step = *policy
-                    .trajectory()
-                    .last()
-                    .expect("job_completed records a step");
-                self.report.adaptation.push(step);
-                (factor, reclaim, due)
-            }
-            _ => return,
-        };
-        if !due {
-            return;
-        }
-        self.jobs_since_point = 0;
+    /// Raises the job's output to `factor` replicas, paying the copy
+    /// time: a cluster-wide parallel copy, bottlenecked on disk writes.
+    fn replicate(&mut self, job: JobId, factor: u32, reclaim: bool) -> Result<()> {
+        let j = job.0;
         let bytes = self.state.files.get(&j).map(|f| f.bytes()).unwrap_or(0);
         let copies = (factor.saturating_sub(1)) as u64 * bytes;
         let live = self.state.live_nodes().len().max(1) as f64;
-        // Cluster-wide parallel copy: disk write is the bottleneck.
         let secs = copies as f64 / (self.cfg.hw.disk_write_bw * live);
         self.t += secs;
         self.state.replicate_file(j, factor);
@@ -461,14 +353,15 @@ impl<'a> Runner<'a> {
                 }
             }
         }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::SimChainReport;
     use rcmp_model::{ByteSize, SlotConfig};
+    use rcmp_policy::SplitPolicy;
 
     fn wl_small() -> WorkloadCfg {
         WorkloadCfg {
@@ -645,5 +538,39 @@ mod tests {
                 .count(),
             2
         );
+    }
+
+    /// External input has no producer: once every holder of one of its
+    /// blocks is dead the cascade has nowhere to stop, and the shared
+    /// planner says so with a typed error.
+    #[test]
+    #[should_panic(expected = "irreversible data loss: input partition")]
+    fn lost_external_input_is_typed_data_loss() {
+        let holders = SimState::new(&wl_small()).files[&0].partitions[0].segments[0]
+            .holders
+            .clone();
+        assert_eq!(holders.len(), 3);
+        let kills = holders.iter().map(|&n| FailureAt::at_job(2, n)).collect();
+        run(Strategy::rcmp_no_split(), kills);
+    }
+
+    #[test]
+    #[should_panic(expected = "no live nodes")]
+    fn fully_dead_cluster_is_typed_no_live_nodes() {
+        let kills = (0..wl_small().nodes)
+            .map(|n| FailureAt::at_job(1, n))
+            .collect();
+        run(Strategy::rcmp_no_split(), kills);
+    }
+
+    /// A failure scripted onto every recovery run: recovery never gets
+    /// to finish a plan, and gives up after the replan budget instead
+    /// of recursing once per failure.
+    #[test]
+    #[should_panic(expected = "nested-failure recovery did not converge")]
+    fn failure_on_every_recovery_run_exhausts_the_replan_budget() {
+        let mut failures = vec![FailureAt::at_job(4, 5)];
+        failures.extend((5..400).map(|seq| FailureAt::at_job(seq, 5)));
+        run(Strategy::rcmp_no_split(), failures);
     }
 }

@@ -25,9 +25,9 @@ use crate::sched::{assign_map_waves_kernel, assign_reduce_waves_kernel};
 use crate::speculate::{speculate_wave, SpeculationCfg, WaveTask};
 use crate::state::{MapOutputRec, Node, Segment, SimState};
 use crate::workload::WorkloadCfg;
-use rcmp_model::{PlacementKernel, Result};
+use rcmp_model::{JobId, PlacementKernel, Result};
 use rcmp_obs::Tracer;
-use rcmp_policy::{PolicyCtx, ReduceAssignment};
+use rcmp_policy::{reduce_task_set, PolicyCtx};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -411,26 +411,20 @@ impl JobSim {
         let total_input: u64 = all_tasks.iter().map(|t| t.bytes).sum();
         let shuffle_total = (total_input as f64 * wl.map_ratio) as u64;
         let per_partition_shuffle = shuffle_total / wl.num_reducers as u64;
-        let reduce_tasks: Vec<(u32, u32, u64, u64)> = match recompute {
-            None => (0..wl.num_reducers)
-                .map(|p| {
-                    let f = per_partition_shuffle;
-                    (p, 0, f, (f as f64 * wl.reduce_ratio) as u64)
-                })
-                .collect(),
-            Some(spec) => {
-                let split = spec.split_factor();
-                spec.partitions
-                    .iter()
-                    .flat_map(|&p| {
-                        (0..split).map(move |s| {
-                            let f = per_partition_shuffle / split as u64;
-                            (p.raw(), s, f, (f as f64 * wl.reduce_ratio) as u64)
-                        })
-                    })
-                    .collect()
-            }
-        };
+        let (reduce_ids, r_style) = reduce_task_set(recompute, JobId(job), wl.num_reducers);
+        let reduce_tasks: Vec<(u32, u32, u64, u64)> = reduce_ids
+            .iter()
+            .map(|id| {
+                let (s, k) = id.split.map_or((0, 1), |(s, k)| (s.raw(), k));
+                let f = per_partition_shuffle / k as u64;
+                (
+                    id.partition.raw(),
+                    s,
+                    f,
+                    (f as f64 * wl.reduce_ratio) as u64,
+                )
+            })
+            .collect();
         report.reduce_tasks_run = reduce_tasks.len();
 
         // Map-output location profile for shuffle sourcing (valid
@@ -448,10 +442,6 @@ impl JobSim {
             .count();
 
         // ---------------- reduce phase ----------------------------------
-        let r_style = match recompute {
-            None => ReduceAssignment::RoundRobinByPartition,
-            Some(_) => ReduceAssignment::Balance,
-        };
         let r_waves = assign_reduce_waves_kernel(
             reduce_tasks.len(),
             &live,

@@ -16,10 +16,11 @@
 //! * **placement** of input blocks, reducer output segments and
 //!   persisted map outputs at task granularity, so node death computes
 //!   exactly which partitions and map outputs are lost;
-//! * the same **strategy** semantics as `rcmp-core` (RCMP with/without
-//!   splitting, REPL-k, OPTIMISTIC, hybrid), including cascading
-//!   recomputation with the fingerprint-reuse rule and failure-detection
-//!   timeouts.
+//! * the **strategy** semantics of the real middleware (RCMP
+//!   with/without splitting, REPL-k, OPTIMISTIC, hybrid) by running the
+//!   same `rcmp-policy` chain loop and planner it runs, including
+//!   cascading recomputation with the fingerprint-reuse rule and
+//!   failure-detection timeouts.
 //!
 //! Time advances per task phase from bandwidth shares; per-task
 //! durations are recorded so distributions (the mapper-time CDF of

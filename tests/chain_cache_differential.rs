@@ -72,11 +72,7 @@ fn faulted_run(
         Err(Error::RecoveryExhausted { .. }) => ("exhausted".to_string(), None),
         Err(e) => panic!("unexpected error {e}"),
     };
-    let hits = cl
-        .metrics()
-        .snapshot()
-        .counter("cache.hits")
-        .unwrap_or(0);
+    let hits = cl.metrics().snapshot().counter("cache.hits").unwrap_or(0);
     (status, events, hits)
 }
 

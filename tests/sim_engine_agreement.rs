@@ -3,9 +3,12 @@
 //! agree with the real engine's measured reports. Time is modeled;
 //! volume is arithmetic, and arithmetic has to match.
 
-use rcmp::engine::{Cluster, JobRun, JobTracker, NoFailures};
-use rcmp::model::{ByteSize, ClusterConfig, ExecutorConfig, SlotConfig};
-use rcmp::sim::{HwProfile, JobSim, SimState, WorkloadCfg};
+use rcmp::core::{ChainDriver, Strategy};
+use rcmp::engine::{Cluster, JobRun, JobTracker, NoFailures, ScriptedInjector, TriggerPoint};
+use rcmp::model::{ByteSize, ClusterConfig, ExecutorConfig, NodeId, SlotConfig};
+use rcmp::sim::{
+    simulate_chain, ChainSimConfig, FailureAt, HwProfile, JobSim, SimEvent, SimState, WorkloadCfg,
+};
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
 use std::sync::Arc;
 
@@ -203,4 +206,66 @@ fn recompute_fractions_agree() {
             "{name} re-ran too many mappers: {frac} vs ideal {ideal}"
         );
     }
+}
+
+/// Chain-level agreement (§V-A): both backends run one control loop,
+/// so the paper's 7-job chain with node 1 killed as job 7 starts is
+/// numbered identically — six recomputations, the restarted job 7,
+/// 14 runs in all — and planned once, with the same number of steps.
+#[test]
+fn late_failure_starts_fourteen_runs_in_both_backends() {
+    const JOBS: u32 = 7;
+    let cluster = Cluster::new(ClusterConfig {
+        block_size: ByteSize::bytes(BLOCK),
+        ..ClusterConfig::small_test(NODES)
+    });
+    let cfg = DataGenConfig {
+        value_size: 100,
+        ..DataGenConfig::test("input", NODES, BYTES_PER_PARTITION)
+    };
+    generate_input(cluster.dfs(), &cfg).unwrap();
+    let chain = ChainBuilder::new(JOBS, NODES).build();
+    let injector = Arc::new(ScriptedInjector::single(
+        7,
+        TriggerPoint::JobStart,
+        NodeId(1),
+    ));
+    let engine = ChainDriver::new(&cluster, Strategy::rcmp_no_split())
+        .with_injector(injector)
+        .run(&chain.jobs)
+        .unwrap();
+
+    let wl = WorkloadCfg {
+        nodes: NODES,
+        slots: SlotConfig::ONE_ONE,
+        jobs: JOBS,
+        per_node_input: ByteSize::bytes(BYTES_PER_PARTITION),
+        block_size: ByteSize::bytes(BLOCK),
+        num_reducers: NODES,
+        map_ratio: 1.0,
+        reduce_ratio: 1.0,
+        input_replication: 3,
+    };
+    let sim = simulate_chain(
+        &ChainSimConfig::new(HwProfile::stic(), wl, Strategy::rcmp_no_split())
+            .with_failures(vec![FailureAt::at_job(7, 1)]),
+    );
+
+    assert_eq!(engine.jobs_started, 14);
+    assert_eq!(sim.jobs_started, 14);
+    let engine_plans: Vec<usize> = engine
+        .events
+        .recoveries()
+        .map(|(_, steps, _)| steps)
+        .collect();
+    let sim_plans: Vec<usize> = sim
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            SimEvent::RecoveryPlanned { steps, .. } => Some(*steps),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(engine_plans, [6]);
+    assert_eq!(sim_plans, engine_plans);
 }
