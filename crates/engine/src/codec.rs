@@ -6,14 +6,15 @@
 //! records greedily into chunks no larger than the block size.
 
 use bytes::{Bytes, BytesMut};
-use rcmp_model::Record;
+use rcmp_model::{Error, Record, Result};
 
 /// Packs records into record-aligned chunks of at most `chunk_size` bytes.
 ///
 /// Each record is sized once (`encoded_len`) for the roll decision and
-/// then serialized exactly once, straight into the chunk's final buffer
-/// via [`Record::encode_into`] — there is no intermediate per-record
-/// encode-and-copy pass.
+/// then serialized exactly once via [`Record::encode_into`] into one
+/// staging buffer of `chunk_size` capacity, which every chunk reuses:
+/// sealing a chunk copies out exactly its bytes, and no chunk regrows
+/// its buffer from empty.
 pub struct ChunkingWriter {
     chunk_size: usize,
     current: BytesMut,
@@ -26,7 +27,7 @@ impl ChunkingWriter {
         assert!(chunk_size >= 12, "chunk size must fit at least a header");
         Self {
             chunk_size,
-            current: BytesMut::new(),
+            current: BytesMut::with_capacity(chunk_size),
             chunks: Vec::new(),
             bytes: 0,
         }
@@ -34,22 +35,28 @@ impl ChunkingWriter {
 
     /// Appends one record, starting a new chunk if it would overflow.
     ///
-    /// Panics if a single record exceeds the chunk size — callers must
-    /// size blocks above the maximum record size (the DFS would reject
-    /// the oversized chunk anyway).
-    pub fn push(&mut self, rec: &Record) {
+    /// A single record larger than the chunk size is an
+    /// [`Error::Config`]: blocks must be sized above the largest record
+    /// a UDF emits (the DFS would reject the oversized chunk anyway).
+    pub fn push(&mut self, rec: &Record) -> Result<()> {
         let enc = rec.encoded_len();
-        assert!(
-            enc <= self.chunk_size,
-            "record of {enc} bytes exceeds chunk size {}",
-            self.chunk_size
-        );
+        if enc > self.chunk_size {
+            return Err(Error::Config(format!(
+                "record of {enc} bytes exceeds the block size of {} bytes",
+                self.chunk_size
+            )));
+        }
         if self.current.len() + enc > self.chunk_size {
-            let full = std::mem::take(&mut self.current);
-            self.chunks.push(full.freeze());
+            self.seal();
         }
         rec.encode_into(&mut self.current);
         self.bytes += enc as u64;
+        Ok(())
+    }
+
+    fn seal(&mut self) {
+        self.chunks.push(Bytes::copy_from_slice(&self.current));
+        self.current.clear();
     }
 
     /// Total encoded bytes pushed.
@@ -60,7 +67,7 @@ impl ChunkingWriter {
     /// Finishes, returning the chunk list (possibly empty).
     pub fn finish(mut self) -> Vec<Bytes> {
         if !self.current.is_empty() {
-            self.chunks.push(self.current.freeze());
+            self.seal();
         }
         self.chunks
     }
@@ -78,7 +85,7 @@ mod tests {
             .map(|i| Record::new(i, vec![i as u8; 10])) // 22 bytes encoded
             .collect();
         for r in &recs {
-            w.push(r);
+            w.push(r).unwrap();
         }
         assert_eq!(w.byte_count(), 20 * 22);
         let chunks = w.finish();
@@ -101,15 +108,58 @@ mod tests {
         // Two records of 32 bytes exactly fill one 64-byte chunk.
         let mut w = ChunkingWriter::new(64);
         for i in 0..2 {
-            w.push(&Record::new(i, vec![0u8; 20])); // 32 bytes each
+            w.push(&Record::new(i, vec![0u8; 20])).unwrap(); // 32 bytes each
         }
         assert_eq!(w.finish().len(), 1);
     }
 
+    /// End to end: one job whose reducer emits one record larger than
+    /// the block size fails with the typed error — no worker panics, no
+    /// task is retried forever.
     #[test]
-    #[should_panic(expected = "exceeds chunk size")]
-    fn oversized_record_panics() {
-        let mut w = ChunkingWriter::new(16);
-        w.push(&Record::new(0, vec![0u8; 100]));
+    fn oversized_emission_fails_the_job_with_a_config_error() {
+        use crate::{Cluster, FnReducer, IdentityMapper, JobRun, JobSpec, JobTracker, NoFailures};
+        use rcmp_dfs::PlacementPolicy;
+        use rcmp_model::{ByteSize, ClusterConfig, Error, JobId, NodeId, PartitionId};
+        use std::sync::Arc;
+
+        let cluster = Cluster::new(ClusterConfig {
+            block_size: ByteSize::bytes(64),
+            ..ClusterConfig::small_test(2)
+        });
+        let mut input = ChunkingWriter::new(64);
+        input.push(&Record::new(1, vec![7u8; 8])).unwrap();
+        cluster.dfs().create_file("in", 1, 1).unwrap();
+        cluster
+            .dfs()
+            .write_partition_chunks(
+                "in",
+                PartitionId(0),
+                input.finish(),
+                NodeId(0),
+                PlacementPolicy::WriterLocal,
+            )
+            .unwrap();
+        let spec = JobSpec {
+            job: JobId(1),
+            input: "in".into(),
+            output: "out".into(),
+            num_reducers: 1,
+            output_replication: 1,
+            placement: PlacementPolicy::WriterLocal,
+            mapper: Arc::new(IdentityMapper),
+            reducer: Arc::new(FnReducer(|key, _: &[Bytes], emit: crate::udf::Emit<'_>| {
+                emit(Record::new(key, vec![0u8; 100]));
+            })),
+            combiner: None,
+            splittable: true,
+        };
+        let tracker = JobTracker::new(&cluster, Arc::new(NoFailures));
+        match tracker.run(&JobRun::full(spec), 1) {
+            Err(Error::Config(m)) => {
+                assert!(m.contains("112 bytes exceeds the block size of 64"), "{m}");
+            }
+            other => panic!("expected a config error, got {other:?}"),
+        }
     }
 }

@@ -26,7 +26,8 @@ pub struct ShuffleMetrics {
     pub index_bytes_skipped: Counter,
     /// `shuffle.empty_runs_skipped`: empty buckets skipped via index.
     pub empty_runs_skipped: Counter,
-    /// `shuffle.runs_coalesced`: runs pre-merged to respect the fan-in.
+    /// `shuffle.runs_coalesced`: runs placed under the nested merger to
+    /// respect the fan-in.
     pub runs_coalesced: Counter,
     /// `shuffle.heap_peak`: peak merge-heap size of the latest reducer.
     pub heap_peak: Gauge,

@@ -26,11 +26,11 @@ use crate::cluster::Cluster;
 use crate::codec::ChunkingWriter;
 use crate::failure::{FailureInjector, Fault, ProgressEvent, TriggerPoint};
 use crate::job::{JobRun, JobSpec, RunMode};
-use crate::mapstore::{BucketIndex, MapInputKey};
+use crate::mapstore::MapInputKey;
 use crate::metrics::{IoBytes, JobReport, ShuffleMetrics, TaskRecord};
 use crate::scheduler::{assign_map_waves_kernel, assign_reduce_waves_kernel, Waves};
 use crate::shuffle::{shuffle_for_reduce, ShuffleFailure, StreamingShuffle};
-use crate::task::{MapTask, ReduceTask};
+use crate::task::{encode_sorted_bucket, BucketSlots, MapBuckets, MapTask, ReduceTask};
 use crate::udf::Combiner;
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -38,8 +38,8 @@ use rcmp_dfs::{ChainCache, LossReport, PlacementPolicy};
 use rcmp_exec::{BackendExecutor, SessionExecutor, SlotOutcome, SlotTask, TaskCtx, WaveSpec};
 use rcmp_model::rng::derive_indexed;
 use rcmp_model::{
-    Error, HashPartitioner, JobId, MapTaskId, NodeId, PartitionId, PlacementKernel, Record,
-    RecordReader, RecordWriter, ReduceTaskId, Result, SplitPartitioner, TaskId, TenantId,
+    Error, JobId, MapTaskId, NodeId, PartitionId, PlacementKernel, Record, RecordReader,
+    ReduceTaskId, Result, TaskId, TenantId,
 };
 use rcmp_obs::{
     Counter, EventCode, FaultKind, FlightRecorder, Histogram, Phase, PhaseKind, PhaseProfiler,
@@ -53,6 +53,15 @@ use std::time::Instant;
 /// Maximum phase-recovery iterations before declaring the job stuck
 /// (defensive; real scenarios converge in a handful).
 const MAX_RECOVERY_ROUNDS: u32 = 1000;
+
+/// A reducer pulls key groups from the merge until they hold this many
+/// values, then runs the UDF over them: the merge / reduce-UDF
+/// attribution costs two clock reads per batch instead of two per
+/// group, and the groups' value buffers are reused from batch to batch.
+/// Counted in values, not groups, so a batch stays cache-resident
+/// between merge and UDF whatever the group size (one value per key on
+/// the chain, hundreds on an aggregation).
+const REDUCE_BATCH_VALUES: usize = 256;
 
 /// RAII pin on one file's chain-cache entries: held for the duration of
 /// a job run so the input partitions its mappers read cannot be evicted
@@ -130,6 +139,9 @@ enum ReduceOutcome {
     /// is reassigned next round without counting against its retry
     /// budget — it never ran.
     Cancelled,
+    /// The task hit an error no re-execution can cure (a reducer
+    /// emitting a record larger than a block): the job fails with it.
+    Fatal(Error),
 }
 
 impl<'a> JobTracker<'a> {
@@ -330,11 +342,11 @@ impl<'a> JobTracker<'a> {
             None => (0..spec.num_reducers).map(PartitionId).collect(),
             Some(i) => i.partitions.clone(),
         };
-        let split_plan: Option<(BTreeSet<PartitionId>, u32)> =
-            instructions.as_ref().and_then(|i| match i.split {
-                Some(k) if k > 1 => Some((i.partitions.clone(), k)),
-                _ => None,
-            });
+        let split_plan = instructions.as_ref().and_then(|i| match i.split {
+            Some(k) if k > 1 => Some((&i.partitions, k)),
+            _ => None,
+        });
+        let slots = BucketSlots::new(spec.job, spec.num_reducers, split_plan);
         // §IV-B2 spread-output mitigation: the plan scatters this run's
         // recomputed reducer output blocks over all nodes instead of
         // using the job's configured placement.
@@ -417,7 +429,7 @@ impl<'a> JobTracker<'a> {
                             session,
                             wave,
                             spec,
-                            &split_plan,
+                            &slots,
                             seq,
                             map_wave_counter,
                             wave_open.id,
@@ -553,6 +565,7 @@ impl<'a> JobTracker<'a> {
                                 wave_had_failures = true;
                                 report.tasks_cancelled += 1;
                             }
+                            ReduceOutcome::Fatal(e) => return Err(e),
                             ReduceOutcome::Torn { task, loss } => {
                                 wave_had_failures = true;
                                 report.task_retries += 1;
@@ -831,7 +844,7 @@ impl<'a> JobTracker<'a> {
         session: &SessionExecutor<'_, 'env>,
         wave: Vec<(NodeId, MapTask)>,
         spec: &'env JobSpec,
-        split_plan: &'env Option<(BTreeSet<PartitionId>, u32)>,
+        slots: &'env BucketSlots,
         seq: u64,
         wave_idx: u32,
         wave_span: SpanId,
@@ -843,8 +856,7 @@ impl<'a> JobTracker<'a> {
             .into_iter()
             .map(|(node, task)| {
                 SlotTask::new(move |ctx: &TaskCtx| {
-                    let result =
-                        self.run_map_task(node, task, spec, split_plan, wave_idx, wave_span);
+                    let result = self.run_map_task(node, task, spec, slots, wave_idx, wave_span);
                     if cancel_on_fatal && result.is_err() {
                         ctx.cancel_wave();
                     }
@@ -900,13 +912,13 @@ impl<'a> JobTracker<'a> {
         node: NodeId,
         task: MapTask,
         spec: &JobSpec,
-        split_plan: &Option<(BTreeSet<PartitionId>, u32)>,
+        slots: &BucketSlots,
         wave_idx: u32,
         wave_span: SpanId,
     ) -> std::result::Result<TaskRecord, Error> {
         let tid: TaskId = task.id.into();
         let open = self.tracer.open();
-        let result = self.map_task_inner(node, task, spec, split_plan, wave_idx);
+        let result = self.map_task_inner(node, task, spec, slots, wave_idx);
         let kind = match &result {
             Ok(rec) => SpanKind::Task {
                 id: tid,
@@ -933,7 +945,7 @@ impl<'a> JobTracker<'a> {
         node: NodeId,
         task: MapTask,
         spec: &JobSpec,
-        split_plan: &Option<(BTreeSet<PartitionId>, u32)>,
+        slots: &BucketSlots,
         wave_idx: u32,
     ) -> std::result::Result<TaskRecord, Error> {
         let t0 = Instant::now();
@@ -964,12 +976,7 @@ impl<'a> JobTracker<'a> {
             None => self.cluster.dfs().read_block(&task.block, node)?,
         };
         let input_bytes = data.len() as u64;
-        let hp = HashPartitioner::new(spec.num_reducers);
-        let sp = split_plan
-            .as_ref()
-            .map(|(set, k)| (set, SplitPartitioner::new(*k), *k));
-        let mut raw: HashMap<ReduceTaskId, Vec<Record>> = HashMap::new();
-        let job = spec.job;
+        let mut raw = MapBuckets::new(slots);
         // Phase accounting: local accumulators, flushed to the profiler
         // once per task (three clock reads per bucket, none per record).
         let mut compute_ns;
@@ -978,21 +985,11 @@ impl<'a> JobTracker<'a> {
         let mark = Instant::now();
         for rec in RecordReader::new(data) {
             let rec = rec?;
-            spec.mapper.map(rec, &mut |out: Record| {
-                let pid = hp.partition_of(out.key);
-                let rtid = match &sp {
-                    Some((set, part, k)) if set.contains(&pid) => {
-                        ReduceTaskId::split(job, pid, part.split_of(out.key), *k)
-                    }
-                    _ => ReduceTaskId::whole(job, pid),
-                };
-                raw.entry(rtid).or_default().push(out);
-            });
+            spec.mapper.map(rec, &mut |out: Record| raw.push(out));
         }
         compute_ns = mark.elapsed().as_nanos() as u64;
-        let mut buckets: HashMap<ReduceTaskId, (Bytes, BucketIndex)> =
-            HashMap::with_capacity(raw.len());
-        for (rtid, mut recs) in raw {
+        let mut buckets = HashMap::new();
+        for (rtid, mut recs) in raw.into_buckets() {
             let bucket_start = Instant::now();
             recs.sort_unstable_by(|a, b| a.key.cmp(&b.key).then_with(|| a.value.cmp(&b.value)));
             let sorted_at = Instant::now();
@@ -1008,18 +1005,7 @@ impl<'a> JobTracker<'a> {
             }
             let combined_at = Instant::now();
             combine_ns += (combined_at - sorted_at).as_nanos() as u64;
-            let mut w = RecordWriter::default();
-            for r in &recs {
-                w.push(r);
-            }
-            let index = BucketIndex {
-                records: recs.len() as u64,
-                bytes: w.byte_len() as u64,
-                min_key: recs.first().map_or(0, |r| r.key),
-                max_key: recs.last().map_or(0, |r| r.key),
-                sorted: true,
-            };
-            buckets.insert(rtid, (w.finish(), index));
+            buckets.insert(rtid, encode_sorted_bucket(&recs));
             write_ns += combined_at.elapsed().as_nanos() as u64;
         }
         // Storing on a node that died mid-wave is pointless but harmless:
@@ -1153,8 +1139,14 @@ impl<'a> JobTracker<'a> {
                         wave_span,
                     );
                     // A torn write is a node death observed mid-task —
-                    // the wave's fatal-fault signal.
-                    if cancel_on_fatal && matches!(outcome, ReduceOutcome::Torn { .. }) {
+                    // the wave's fatal-fault signal; a fatal task error
+                    // ends the job outright.
+                    if cancel_on_fatal
+                        && matches!(
+                            outcome,
+                            ReduceOutcome::Torn { .. } | ReduceOutcome::Fatal(_)
+                        )
+                    {
                         ctx.cancel_wave();
                     }
                     outcome
@@ -1330,6 +1322,14 @@ impl<'a> JobTracker<'a> {
         let shuffle_cfg = self.cluster.config().shuffle;
         let block_size = self.cluster.config().block_size.as_u64() as usize;
         let mut out = ChunkingWriter::new(block_size);
+        // The emit callback cannot return an error; the first one parks
+        // here and fails the task once the UDF call has returned.
+        let mut emit_error: Option<Error> = None;
+        let mut emit = |rec: Record| {
+            if emit_error.is_none() {
+                emit_error = out.push(&rec).err();
+            }
+        };
         let (local_bytes, remote_bytes) = if shuffle_cfg.streaming {
             // Streaming path: plan the fetches via the bucket indexes,
             // then k-way-merge the per-mapper sorted runs straight into
@@ -1349,30 +1349,49 @@ impl<'a> JobTracker<'a> {
             };
             self.record_fetches(&merge.per_source, node, task_span, start, end);
             let (local, remote) = (merge.local_bytes, merge.remote_bytes);
-            // Merge vs UDF attribution: the loop interleaves both, so
-            // the UDF is timed per group and the remainder of the loop
-            // is the merge (two clock reads per group, flushed once).
+            // Merge vs UDF attribution: groups are pulled a batch at a
+            // time and the UDF runs over the batch, so the UDF is timed
+            // per batch and the remainder of the loop is the merge.
             let merge_started = Instant::now();
             let mut udf_ns = 0u64;
-            for group in merge.by_ref() {
-                match group {
-                    Ok((key, values)) => {
-                        let udf_start = Instant::now();
-                        spec.reducer.reduce(key, &values, &mut |rec: Record| {
-                            out.push(&rec);
-                        });
-                        udf_ns += udf_start.elapsed().as_nanos() as u64;
+            let mut batch: Vec<(u64, Vec<Bytes>)> = Vec::new();
+            let mut drained = false;
+            while !drained {
+                let (mut pulled, mut held) = (0, 0);
+                while held < REDUCE_BATCH_VALUES {
+                    if pulled == batch.len() {
+                        batch.push((0, Vec::new()));
                     }
-                    // A lazily-decoded run can surface corruption
-                    // mid-merge; treat it exactly like plan-time
-                    // corruption.
-                    Err(ShuffleFailure::Corrupt { key, .. }) => {
-                        store.remove(&key);
-                        return ReduceOutcome::Missing;
+                    match merge.next_group_into(&mut batch[pulled].1) {
+                        None => {
+                            drained = true;
+                            break;
+                        }
+                        Some(Ok(key)) => {
+                            batch[pulled].0 = key;
+                            held += batch[pulled].1.len();
+                            pulled += 1;
+                        }
+                        // A lazily-decoded run can surface corruption
+                        // mid-merge; treat it exactly like plan-time
+                        // corruption.
+                        Some(Err(ShuffleFailure::Corrupt { key, .. })) => {
+                            store.remove(&key);
+                            return ReduceOutcome::Missing;
+                        }
+                        Some(Err(ShuffleFailure::MissingMapOutputs(_))) => {
+                            return ReduceOutcome::Missing
+                        }
+                        Some(Err(ShuffleFailure::Transient { .. })) => {
+                            return ReduceOutcome::Retry(task.id)
+                        }
                     }
-                    Err(ShuffleFailure::MissingMapOutputs(_)) => return ReduceOutcome::Missing,
-                    Err(ShuffleFailure::Transient { .. }) => return ReduceOutcome::Retry(task.id),
                 }
+                let udf_start = Instant::now();
+                for (key, values) in &batch[..pulled] {
+                    spec.reducer.reduce(*key, values, &mut emit);
+                }
+                udf_ns += udf_start.elapsed().as_nanos() as u64;
             }
             let loop_ns = merge_started.elapsed().as_nanos() as u64;
             self.profiler
@@ -1390,14 +1409,15 @@ impl<'a> JobTracker<'a> {
             self.record_fetches(&shuffled.per_source, node, task_span, start, end);
             let udf_start = Instant::now();
             for (key, values) in &shuffled.groups {
-                spec.reducer.reduce(*key, values, &mut |rec: Record| {
-                    out.push(&rec);
-                });
+                spec.reducer.reduce(*key, values, &mut emit);
             }
             self.profiler
                 .add_ns(PhaseKind::ReduceUdf, udf_start.elapsed().as_nanos() as u64);
             (shuffled.local_bytes, shuffled.remote_bytes)
         };
+        if let Some(e) = emit_error {
+            return ReduceOutcome::Fatal(e);
+        }
         let output_bytes = out.byte_count();
         let chunks = out.finish();
         if self.torn.lock().remove(&node) {

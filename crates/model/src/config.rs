@@ -276,9 +276,11 @@ pub struct ShuffleConfig {
     /// collect-all-then-sort path, kept as the differential-testing
     /// oracle (both produce byte-identical output).
     pub streaming: bool,
-    /// Maximum merge fan-in: when a reducer has more sorted runs than
-    /// this, the smallest runs are coalesced pairwise first so the heap
-    /// never holds more than `max_merge_width` cursors.
+    /// Maximum fan-in of the reducer's top-level merge heap: when a
+    /// reducer has more sorted runs than this, the smallest runs by
+    /// payload bytes (ties in input order) are merged by one nested
+    /// streaming merger that feeds the top-level heap as a single run,
+    /// so that heap never holds more than `max_merge_width` heads.
     pub max_merge_width: u32,
     /// Shards per node block store (keyed by `BlockId` hash). `1`
     /// degenerates to the old single-lock store and is kept as the

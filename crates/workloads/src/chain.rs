@@ -14,6 +14,7 @@ use rcmp_engine::udf::{Combiner, Emit, Mapper, Reducer};
 use rcmp_engine::JobSpec;
 use rcmp_model::partition::mix64;
 use rcmp_model::{JobId, Record};
+use std::hint::black_box;
 use std::sync::Arc;
 
 /// Deterministic pseudo-random bytes for a seed (shared with datagen).
@@ -78,8 +79,13 @@ pub struct ChainReducer {
 impl Reducer for ChainReducer {
     fn reduce(&self, key: u64, values: &[Bytes], emit: Emit<'_>) {
         for v in values {
-            let _digest = md5_u64(v);
-            let _sum: u64 = v.iter().map(|&b| b as u64).sum();
+            // Nothing downstream reads the reducer's two correctness
+            // computations (the mapper's feed its key scatter), and
+            // `md5` is allocation-free and inlinable, so without
+            // `black_box` the optimiser may delete the very work the
+            // paper's workload is defined by.
+            black_box(md5_u64(v));
+            black_box(v.iter().map(|&b| b as u64).sum::<u64>());
             let new_len = ((v.len() as f64) * self.ratio).round() as usize;
             emit(Record::new(key, resize_value(v, new_len)));
         }
