@@ -153,7 +153,7 @@ fn spot_run(rate: f64, label: &str, strategy: Strategy, scale: u64) -> SimSpotRo
     let points = rep
         .events
         .iter()
-        .filter(|e| matches!(e, rcmp_sim::SimEvent::ReplicationPoint { .. }))
+        .filter(|e| matches!(e, rcmp_policy::ChainEvent::ReplicationPoint { .. }))
         .count();
     let phases = rep.phase_breakdown();
     SimSpotRow {

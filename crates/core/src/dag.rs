@@ -2,8 +2,8 @@
 //!
 //! The user submits a multi-job computation with explicit dependencies;
 //! the middleware submits each job only after its producers completed
-//! (§IV-A). The graph also answers the two questions recovery planning
-//! needs: *which job produced this file* and *which jobs consume it*.
+//! (§IV-A). The graph also answers the question recovery planning
+//! needs: *which job produced this file*.
 
 use rcmp_engine::JobSpec;
 use rcmp_model::{Error, JobId, Result};
@@ -16,8 +16,6 @@ pub struct JobGraph {
     specs: BTreeMap<JobId, JobSpec>,
     /// file path → producing job.
     producer: BTreeMap<String, JobId>,
-    /// file path → consuming jobs.
-    consumers: BTreeMap<String, Vec<JobId>>,
 }
 
 impl JobGraph {
@@ -30,10 +28,6 @@ impl JobGraph {
                 return Err(Error::Config(format!("two jobs produce {}", spec.output)));
             }
             g.producer.insert(spec.output.clone(), spec.job);
-            g.consumers
-                .entry(spec.input.clone())
-                .or_default()
-                .push(spec.job);
             if g.specs.insert(spec.job, spec).is_some() {
                 return Err(Error::Config("duplicate job id".into()));
             }
@@ -48,11 +42,6 @@ impl JobGraph {
     /// The job producing `file`, if any (external inputs have none).
     pub fn producer_of(&self, file: &str) -> Option<JobId> {
         self.producer.get(file).copied()
-    }
-
-    /// Jobs consuming `file`.
-    pub fn consumers_of(&self, file: &str) -> &[JobId] {
-        self.consumers.get(file).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The jobs `job` directly depends on.
@@ -140,7 +129,6 @@ mod tests {
         assert_eq!(g.len(), 3);
         assert_eq!(g.producer_of("out/2"), Some(JobId(2)));
         assert_eq!(g.producer_of("input"), None);
-        assert_eq!(g.consumers_of("out/1"), &[JobId(2)]);
         assert_eq!(g.dependencies(JobId(3)), vec![JobId(2)]);
         assert!(g.dependencies(JobId(1)).is_empty());
         assert_eq!(
@@ -158,7 +146,6 @@ mod tests {
             spec(3, "shared", "out/b"),
         ])
         .unwrap();
-        assert_eq!(g.consumers_of("shared"), &[JobId(2), JobId(3)]);
         let order = g.submission_order().unwrap();
         assert_eq!(order[0], JobId(1));
     }

@@ -9,11 +9,12 @@
 //! the loop the simulator also runs. This module is its engine backend:
 //! a job run is a [`JobTracker`] run against the cluster, a backoff is
 //! a real sleep, a replication point is `replicate_file` plus
-//! [`reclaim_before`], and every transition is recorded in the
-//! [`EventLog`], the flight recorder and the phase profiler.
+//! [`reclaim_before`], and time is wall-clock microseconds since the
+//! chain started. The loop writes the [`EventLog`]; this backend
+//! mirrors each event into the tracer and flight recorder as it is
+//! logged, and charges the phase profiler.
 
 use crate::dag::JobGraph;
-use crate::events::{ChainEvent, EventLog};
 use crate::planner::ClusterLineage;
 use crate::reclaim::reclaim_before;
 use crate::strategy::Strategy;
@@ -21,12 +22,14 @@ use rcmp_engine::{
     Cluster, FailureInjector, JobReport, JobRun, JobSpec, JobTracker, NoFailures,
     RecomputeInstructions, RunMode,
 };
-use rcmp_model::{Error, JobId, Result};
+use rcmp_model::{Error, JobId, NodeId, Result};
 use rcmp_obs::{BlackboxDump, EventCode, Gauge, PhaseBreakdown, PhaseKind, SpanKind};
 use rcmp_policy::{
-    drive_chain, AdaptationStep, ChainBackend, ChainConfig, RecoveryPlan, RecoveryStep, RunOutcome,
+    drive_chain, AdaptationStep, ChainBackend, ChainConfig, ChainEvent, Clock, EventLog, Loss,
+    Reclaimed, RecoveryStep, RunOutcome, Stamp, TaskCounts,
 };
 use std::sync::Arc;
+use std::time::Instant;
 
 /// How a cancelled job is re-run once its input is restored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,12 +50,12 @@ pub struct ChainOutcome {
     /// Every job run executed, in submission order (including
     /// recomputations and restarts).
     pub runs: Vec<JobReport>,
+    /// Everything the chain loop did, stamped in wall-clock
+    /// microseconds since the chain started.
     pub events: EventLog,
     /// Total job runs started — the paper's job numbering (§V-A: a
     /// 7-job chain with a late failure starts 14 jobs).
     pub jobs_started: u64,
-    /// Whole-chain restarts (OPTIMISTIC, exhausted replication).
-    pub restarts: u32,
     /// The adaptive policy's decision after each completed chain job
     /// (empty unless the strategy is [`Strategy::AdaptiveHybrid`]).
     pub adaptation: Vec<AdaptationStep>,
@@ -205,10 +208,10 @@ impl<'a> ChainDriver<'a> {
                 cluster: self.cluster,
                 graph: &graph,
             },
-            outcome: ChainOutcome {
-                events: EventLog::with_tracer(self.cluster.tracer().clone()),
-                ..ChainOutcome::default()
-            },
+            started: Instant::now(),
+            run_started_us: 0,
+            runs: Vec::new(),
+            job_phases: Vec::new(),
         };
         let config = self.cluster.config();
         let summary = drive_chain(
@@ -226,12 +229,14 @@ impl<'a> ChainDriver<'a> {
         if let Err(msg) = self.injector.finish() {
             return Err(Error::Config(format!("failure injector: {msg}")));
         }
-        let mut outcome = chain.outcome;
-        outcome.jobs_started = summary.jobs_started;
-        outcome.restarts = summary.restarts;
-        outcome.adaptation = summary.adaptation;
-        outcome.phases = self.cluster.profiler().snapshot();
-        Ok(outcome)
+        Ok(ChainOutcome {
+            runs: chain.runs,
+            events: summary.events,
+            jobs_started: summary.jobs_started,
+            adaptation: summary.adaptation,
+            phases: self.cluster.profiler().snapshot(),
+            job_phases: chain.job_phases,
+        })
     }
 
     /// Builds the submission for a (re)run of a job at the head of the
@@ -311,55 +316,64 @@ impl<'a> ChainDriver<'a> {
 }
 
 /// The engine backend of the chain loop: job runs are real
-/// [`JobTracker`] runs, waits are real sleeps, and every transition
-/// lands in the [`EventLog`], the flight recorder and the profiler.
+/// [`JobTracker`] runs, waits are real sleeps, the clock is wall time
+/// since the chain started, and every event the loop logs is mirrored
+/// into the cluster's tracer and flight recorder.
 struct EngineChain<'r> {
     driver: &'r ChainDriver<'r>,
     tracker: JobTracker<'r>,
     lineage: ClusterLineage<'r>,
-    outcome: ChainOutcome,
+    started: Instant,
+    /// Tracer time the current run started at: the loop logs a run's
+    /// `JobStarted` once the run is over, and the mirror puts it back.
+    run_started_us: u64,
+    runs: Vec<JobReport>,
+    job_phases: Vec<(u64, PhaseBreakdown)>,
 }
 
 impl EngineChain<'_> {
     /// Submits one run and files its report, or its cancellation.
     fn execute(&mut self, seq: u64, run: &JobRun) -> Result<RunOutcome> {
         let cluster = self.driver.cluster;
-        let job = run.spec.job;
         let live_before = cluster.live_nodes();
         let phases_before = cluster.profiler().snapshot();
-        match self.tracker.run(run, seq) {
+        self.run_started_us = cluster.tracer().now_us();
+        let (losses, completed) = match self.tracker.run(run, seq) {
             Ok(report) => {
-                self.outcome
-                    .job_phases
+                self.job_phases
                     .push((seq, cluster.profiler().snapshot().delta(&phases_before)));
-                for loss in &report.losses {
-                    self.outcome.events.push(ChainEvent::LossObserved {
-                        seq,
-                        node: loss.node,
-                        lost_partitions: loss.lost_partition_count(),
-                    });
-                }
-                // One loss record per failed node: what feeds the
-                // adaptive estimator.
-                let faults = report.losses.len() as u32;
-                self.outcome.events.push(ChainEvent::JobCompleted {
-                    seq,
-                    job,
+                let losses = report
+                    .losses
+                    .iter()
+                    .map(|loss| self.loss(loss.node, loss.lost_partition_count()))
+                    .collect();
+                let tasks = TaskCounts {
                     map_tasks_run: report.map_tasks_run,
                     map_tasks_reused: report.map_tasks_reused,
                     reduce_tasks_run: report.reduce_tasks_run,
-                });
-                self.outcome.runs.push(report);
-                Ok(RunOutcome::Completed { faults })
+                };
+                self.runs.push(report);
+                (losses, Some(tasks))
             }
-            Err(Error::JobInputLost { .. }) => {
-                let faults = self.record_losses_by_diff(seq, &live_before);
-                self.outcome
-                    .events
-                    .push(ChainEvent::JobCancelled { seq, job });
-                Ok(RunOutcome::Cancelled { faults })
-            }
-            Err(e) => Err(e),
+            Err(Error::JobInputLost { .. }) => (self.losses_by_diff(&live_before), None),
+            Err(e) => return Err(e),
+        };
+        Ok(RunOutcome {
+            losses,
+            completed,
+            resumed: run.mode.is_recompute(),
+        })
+    }
+
+    /// A loss seen now: the engine declares a crashed node dead
+    /// synchronously, so its fault and detection share one stamp.
+    fn loss(&self, node: Option<NodeId>, lost_partitions: usize) -> Loss {
+        let now = self.now();
+        Loss {
+            node,
+            lost_partitions,
+            fault: now,
+            detected: now,
         }
     }
 
@@ -367,7 +381,7 @@ impl EngineChain<'_> {
     /// the error path, so losses behind a cancellation are recovered by
     /// diffing node liveness around the run. `lost_partitions` reports
     /// the *currently* lost partitions across the computation's files.
-    fn record_losses_by_diff(&mut self, seq: u64, live_before: &[rcmp_model::NodeId]) -> u32 {
+    fn losses_by_diff(&self, live_before: &[NodeId]) -> Vec<Loss> {
         let cluster = self.driver.cluster;
         let lost_now: usize = self
             .lineage
@@ -376,18 +390,11 @@ impl EngineChain<'_> {
             .filter_map(|(_, spec)| cluster.dfs().file_meta(&spec.output).ok())
             .map(|m| m.lost_partitions().len())
             .sum();
-        let mut observed = 0u32;
-        for &node in live_before {
-            if !cluster.is_alive(node) {
-                self.outcome.events.push(ChainEvent::LossObserved {
-                    seq,
-                    node: Some(node),
-                    lost_partitions: lost_now,
-                });
-                observed += 1;
-            }
-        }
-        observed
+        live_before
+            .iter()
+            .filter(|&&node| !cluster.is_alive(node))
+            .map(|&node| self.loss(Some(node), lost_now))
+            .collect()
     }
 }
 
@@ -398,27 +405,24 @@ impl<'r> ChainBackend for EngineChain<'r> {
         &self.lineage
     }
 
+    fn now(&self) -> Stamp {
+        Stamp {
+            clock: Clock::WallMicros,
+            at: self.started.elapsed().as_micros() as f64,
+        }
+    }
+
     fn run_job(&mut self, seq: u64, job: JobId, retry: bool) -> Result<RunOutcome> {
         let strategy = self.driver.strategy;
         let mut spec = self.lineage.spec(job)?.clone();
         spec.output_replication = strategy.output_replication();
         let run = self.driver.build_run(spec, retry)?;
-        self.outcome.events.push(ChainEvent::JobStarted {
-            seq,
-            job,
-            recompute: run.mode.is_recompute(),
-        });
         self.execute(seq, &run)
     }
 
     fn run_recompute(&mut self, seq: u64, step: RecoveryStep) -> Result<RunOutcome> {
         let mut spec = self.lineage.spec(step.job)?.clone();
         spec.output_replication = 1;
-        self.outcome.events.push(ChainEvent::JobStarted {
-            seq,
-            job: step.job,
-            recompute: true,
-        });
         let run = JobRun {
             spec,
             mode: RunMode::Recompute(step.instructions),
@@ -447,7 +451,6 @@ impl<'r> ChainBackend for EngineChain<'r> {
             }
             cluster.map_outputs().clear_job(job);
         }
-        self.outcome.events.push(ChainEvent::ChainRestarted);
         Ok(())
     }
 
@@ -460,39 +463,78 @@ impl<'r> ChainBackend for EngineChain<'r> {
         walk(&self.lineage)
     }
 
-    fn planned(&mut self, target: JobId, plan: &RecoveryPlan) {
-        self.driver.cluster.recorder().record(
-            EventCode::RecoveryPlanned,
-            None,
-            plan.steps.len() as u64,
-            plan.partition_count() as u64,
-        );
-        self.outcome.events.push(ChainEvent::RecoveryPlanned {
-            target,
-            steps: plan.steps.len(),
-            partitions: plan.partition_count(),
-        });
-    }
-
-    fn replicate(&mut self, job: JobId, factor: u32, reclaim: bool) -> Result<()> {
+    fn replicate(&mut self, job: JobId, factor: u32, reclaim: bool) -> Result<Reclaimed> {
         let cluster = self.driver.cluster;
         cluster
             .dfs()
             .replicate_file(&self.lineage.spec(job)?.output, factor)?;
-        self.outcome
-            .events
-            .push(ChainEvent::ReplicationPoint { job, factor });
-        if reclaim {
-            let stats = reclaim_before(cluster, self.lineage.graph, job)?;
-            self.outcome.events.push(ChainEvent::StorageReclaimed {
-                files_deleted: stats.files_deleted,
-                map_entries_dropped: stats.map_entries_dropped,
-            });
+        if !reclaim {
+            return Ok(Reclaimed::default());
         }
-        Ok(())
+        reclaim_before(cluster, self.lineage.graph, job)
     }
 
     fn adapted(&mut self, seq: u64, step: &AdaptationStep) {
         self.driver.publish_adaptation(seq, step);
+    }
+
+    /// Mirrors the logged event into the tracer, so the durable log and
+    /// the trace never disagree. `RecoveryPlanned` also goes to the
+    /// flight recorder and becomes a `RecoveryPlan` span in the causal
+    /// chain — caused by the loss that triggered it, and the cause of
+    /// the recomputation runs it submits; every other event becomes a
+    /// generic instant, a `JobStarted` at its run's start.
+    fn observe(&mut self, event: &ChainEvent) {
+        let cluster = self.driver.cluster;
+        let tracer = cluster.tracer();
+        let (seq, label) = match event {
+            ChainEvent::RecoveryPlanned {
+                target,
+                steps,
+                partitions,
+            } => {
+                cluster.recorder().record(
+                    EventCode::RecoveryPlanned,
+                    None,
+                    *steps as u64,
+                    *partitions as u64,
+                );
+                let plan = SpanKind::RecoveryPlan {
+                    target: *target,
+                    steps: *steps as u32,
+                    partitions: *partitions as u32,
+                };
+                let id = tracer.instant(plan, None, tracer.current_cause(), None);
+                tracer.mark_cause(id);
+                return;
+            }
+            ChainEvent::JobStarted {
+                seq,
+                job,
+                recompute,
+            } => {
+                let tag = if *recompute { " recompute" } else { "" };
+                (*seq, format!("job_started {job}{tag}"))
+            }
+            ChainEvent::JobCompleted { seq, job, .. } => (*seq, format!("job_completed {job}")),
+            ChainEvent::LossObserved {
+                seq,
+                lost_partitions,
+                ..
+            } => (*seq, format!("loss_observed {lost_partitions} partitions")),
+            ChainEvent::JobCancelled { seq, job } => (*seq, format!("job_cancelled {job}")),
+            ChainEvent::ReplicationPoint { job, factor } => {
+                (0, format!("replication_point {job} x{factor}"))
+            }
+            ChainEvent::StorageReclaimed { files_deleted, .. } => {
+                (0, format!("storage_reclaimed {files_deleted} files"))
+            }
+            ChainEvent::ChainRestarted => (0, "chain_restarted".to_string()),
+        };
+        let at = match event {
+            ChainEvent::JobStarted { .. } => self.run_started_us,
+            _ => tracer.now_us(),
+        };
+        tracer.record(SpanKind::Event { seq, label }, None, None, None, at, at);
     }
 }

@@ -18,24 +18,24 @@
 //!   (REPL-2/REPL-3), OPTIMISTIC, and the hybrid of §IV-C;
 //! * [`driver`] — [`ChainDriver`], the engine backend of the chain
 //!   loop: real job runs, cancellations, recovery runs, replication
-//!   points, all recorded;
-//! * [`reclaim`] — storage reclamation at replication points;
-//! * [`events`] — a structured event log of everything the middleware
-//!   does, for tests and reports.
+//!   points, mirrored into the cluster's tracer as the loop logs them;
+//! * [`reclaim`] — storage reclamation at replication points.
+//!
+//! [`ChainEvent`] and [`EventLog`] — the structured record of
+//! everything the middleware does — are the loop's, re-exported here.
 
 pub mod dag;
 pub mod driver;
-pub mod events;
 pub mod planner;
 pub mod reclaim;
 pub mod strategy;
 
 pub use dag::JobGraph;
 pub use driver::{ChainDriver, ChainOutcome};
-pub use events::{ChainEvent, EventLog};
 pub use planner::{plan_recovery, RecoveryPlan, RecoveryStep};
 pub use rcmp_policy::adapt::{
     AdaptConfig, AdaptationStep, AdaptivePolicy, DynamicPolicy, FailureIntensityEstimator,
     FaultObserver,
 };
+pub use rcmp_policy::{ChainEvent, EventLog};
 pub use strategy::{HotspotMitigation, SplitPolicy, Strategy};

@@ -9,13 +9,7 @@
 use crate::dag::JobGraph;
 use rcmp_engine::Cluster;
 use rcmp_model::{JobId, Result};
-
-/// What a reclamation pass freed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReclaimStats {
-    pub files_deleted: usize,
-    pub map_entries_dropped: usize,
-}
+use rcmp_policy::Reclaimed;
 
 /// Frees recovery state made obsolete by a replication point at
 /// `replicated` (whose output was just raised to factor ≥ 2):
@@ -24,17 +18,13 @@ pub struct ReclaimStats {
 ///   in submission order (already consumed, never needed again);
 /// * drops the persisted map outputs of `replicated` and everything
 ///   before it (their reducer outputs are replicated or deleted).
-pub fn reclaim_before(
-    cluster: &Cluster,
-    graph: &JobGraph,
-    replicated: JobId,
-) -> Result<ReclaimStats> {
+pub fn reclaim_before(cluster: &Cluster, graph: &JobGraph, replicated: JobId) -> Result<Reclaimed> {
     let order = graph.submission_order()?;
     let pos = order
         .iter()
         .position(|&j| j == replicated)
         .ok_or_else(|| rcmp_model::Error::Config(format!("unknown job {replicated}")))?;
-    let mut stats = ReclaimStats::default();
+    let mut stats = Reclaimed::default();
     for (i, &job) in order.iter().enumerate() {
         if i > pos {
             break;

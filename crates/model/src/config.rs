@@ -480,9 +480,6 @@ pub struct ClusterConfig {
     pub slots: SlotConfig,
     /// DFS block size (the paper uses 256 MB).
     pub block_size: ByteSize,
-    /// Seconds after a node stops heart-beating before it is declared
-    /// dead (the paper configures 30 s for both Hadoop and RCMP).
-    pub failure_detection_secs: f64,
     /// Seed for all placement/scheduling randomness.
     pub seed: u64,
     /// Upper bound on recovery rounds the middleware attempts before
@@ -515,7 +512,6 @@ impl ClusterConfig {
             nodes,
             slots: SlotConfig::ONE_ONE,
             block_size: ByteSize::mib(1),
-            failure_detection_secs: 30.0,
             seed: 0xc0ffee,
             max_recovery_attempts: 100,
             executor: ExecutorConfig::default(),
@@ -532,7 +528,6 @@ impl ClusterConfig {
             nodes: 10,
             slots,
             block_size: ByteSize::mib(256),
-            failure_detection_secs: 30.0,
             seed: 0x57_1c,
             max_recovery_attempts: 100,
             executor: ExecutorConfig::default(),
@@ -549,7 +544,6 @@ impl ClusterConfig {
             nodes: 60,
             slots: SlotConfig::ONE_ONE,
             block_size: ByteSize::mib(256),
-            failure_detection_secs: 30.0,
             seed: 0xdc0,
             max_recovery_attempts: 100,
             executor: ExecutorConfig::default(),
@@ -570,11 +564,6 @@ impl ClusterConfig {
         }
         if self.block_size.is_zero() {
             return Err(Error::Config("block size must be positive".into()));
-        }
-        if self.failure_detection_secs <= 0.0 || self.failure_detection_secs.is_nan() {
-            return Err(Error::Config(
-                "failure detection timeout must be positive".into(),
-            ));
         }
         if self.max_recovery_attempts == 0 {
             return Err(Error::Config(
@@ -619,9 +608,6 @@ mod tests {
         c.block_size = ByteSize::ZERO;
         assert!(c.validate().is_err());
         c.block_size = ByteSize::mib(1);
-        c.failure_detection_secs = 0.0;
-        assert!(c.validate().is_err());
-        c.failure_detection_secs = 30.0;
         c.max_recovery_attempts = 0;
         assert!(c.validate().is_err());
     }

@@ -16,12 +16,13 @@
 //!   decision taken after every completed chain job;
 //! * [`drive_chain`] — the loop itself, generic over a [`ChainBackend`]
 //!   that performs the effects. `rcmp-core`'s `ChainDriver` is the
-//!   engine backend (real job runs, real sleeps, event log, profiler);
+//!   engine backend (real job runs, real sleeps, profiler, tracer);
 //!   `rcmp-sim`'s `chainsim` is the simulator backend (modelled job
 //!   runs, scripted failures, simulated seconds).
 //!
-//! DESIGN.md §3.6 tabulates the loop's states and the backend method
-//! each transition calls.
+//! The loop alone writes the chain's [`EventLog`], stamping each
+//! [`ChainEvent`] with [`ChainBackend::now`]. DESIGN.md §3.6 tabulates
+//! its states, the backend calls and the events each transition logs.
 //!
 //! Every cycle is bounded by [`ChainConfig::max_attempts`] and ends in
 //! `Ok` or a typed [`Error`]: `RecoveryExhausted` (too many restarts,
@@ -36,7 +37,8 @@ use crate::mitigation::{choose_mitigation, HotspotMitigation, SplitPolicy};
 use crate::plan::RecomputePlan;
 use crate::strategy::Strategy;
 use rcmp_model::rng::derive_indexed;
-use rcmp_model::{Error, JobId, PartitionId, Result, RetryPolicy};
+use rcmp_model::{Error, JobId, NodeId, PartitionId, Result, RetryPolicy};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One recomputation submission: run `job` with the given instructions.
@@ -153,32 +155,95 @@ pub fn plan_cascade<V: LineageView + ?Sized>(
     Ok(RecoveryPlan { steps })
 }
 
-/// How one job run ended, as far as the chain loop is concerned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The run finished and its output is written. `faults` counts the
-    /// loss records it observed on the way (one per failed node).
-    Completed {
-        /// Loss records observed during the run.
-        faults: u32,
-    },
-    /// The run could not continue because its input is irreversibly
-    /// lost; nothing it wrote counts.
-    Cancelled {
-        /// Loss records observed during the run.
-        faults: u32,
-    },
+/// Which clock a chain's stamps are read from: wall-clock and simulated
+/// time are different units and never share an unlabelled column.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Clock {
+    /// Wall-clock microseconds since the chain started (the engine).
+    #[default]
+    WallMicros,
+    /// Simulated seconds since the chain started (the simulator).
+    SimSeconds,
+}
+
+/// A reading of a backend's clock: the number travels with its unit.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Stamp {
+    /// The clock that was read.
+    pub clock: Clock,
+    /// The reading, in `clock`'s unit.
+    pub at: f64,
+}
+
+/// One node failure a backend observed during a run.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Loss {
+    /// The failed node, when the backend can name it.
+    pub node: Option<NodeId>,
+    /// Partitions the failure left irreversibly lost.
+    pub lost_partitions: usize,
+    /// When the fault struck.
+    pub fault: Stamp,
+    /// When the node was declared dead (the simulator: `detect_timeout`
+    /// later; the engine detects a crash synchronously).
+    pub detected: Stamp,
+}
+
+/// Tasks a completed run executed and reused.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TaskCounts {
+    /// Mappers executed.
+    pub map_tasks_run: usize,
+    /// Mappers whose persisted output was reused.
+    pub map_tasks_reused: usize,
+    /// Reduce tasks executed (splits count individually).
+    pub reduce_tasks_run: usize,
+}
+
+/// How one job run ended, with what only the backend can know about it.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RunOutcome {
+    /// One record per node that failed during the run.
+    pub losses: Vec<Loss>,
+    /// What the run executed if it finished; `None` if it was cancelled
+    /// because its input is irreversibly lost.
+    pub completed: Option<TaskCounts>,
+    /// A retried chain job re-ran only its missing partitions (the
+    /// engine's `RestartMode::ResumePartial`).
+    pub resumed: bool,
+}
+
+impl RunOutcome {
+    /// A run cancelled because its input is irreversibly lost.
+    pub fn cancelled(losses: Vec<Loss>) -> Self {
+        Self {
+            losses,
+            ..Self::default()
+        }
+    }
+}
+
+/// What reclamation behind a replication point freed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Reclaimed {
+    /// Intermediate files deleted.
+    pub files_deleted: usize,
+    /// Persisted map outputs dropped.
+    pub map_entries_dropped: usize,
 }
 
 /// The effects [`drive_chain`] needs performed. Each backend decides
 /// what a run, a wait or a replication point *is*; the loop decides
-/// when each happens.
+/// when each happens, and logs it.
 pub trait ChainBackend {
     /// The state the planner walks.
     type Lineage: LineageView;
 
     /// The backend's current lineage state.
     fn lineage(&self) -> &Self::Lineage;
+
+    /// Reads the backend's clock; every logged event is stamped with it.
+    fn now(&self) -> Stamp;
 
     /// Runs chain job `job` as run number `seq`. `retry` is set when
     /// this is the re-run of a job whose input recovery just restored.
@@ -201,16 +266,246 @@ pub trait ChainBackend {
         walk(self.lineage())
     }
 
-    /// A recovery plan for `target` was computed (possibly empty).
-    fn planned(&mut self, target: JobId, plan: &RecoveryPlan);
-
     /// A replication point is due after `job`: raise its output to
     /// `factor` replicas and, if `reclaim`, free the recovery state the
-    /// point makes obsolete (§IV-C).
-    fn replicate(&mut self, job: JobId, factor: u32, reclaim: bool) -> Result<()>;
+    /// point makes obsolete (§IV-C) and say what that freed.
+    fn replicate(&mut self, job: JobId, factor: u32, reclaim: bool) -> Result<Reclaimed>;
 
     /// The closed-loop policy took a decision after run `seq`.
     fn adapted(&mut self, _seq: u64, _step: &AdaptationStep) {}
+
+    /// The loop just logged `event`.
+    fn observe(&mut self, _event: &ChainEvent) {}
+}
+
+/// Everything the middleware does while driving a multi-job chain. In
+/// every variant `seq` is the run number (the paper's job numbering)
+/// and `job` the chain job that run executed.
+#[allow(missing_docs)] // fields: see the variant docs
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ChainEvent {
+    /// A job run was submitted; `recompute` marks a recovery step or a
+    /// retry resumed partially.
+    JobStarted {
+        seq: u64,
+        job: JobId,
+        recompute: bool,
+    },
+    /// Run `seq` finished and its output is written, having executed
+    /// and reused the given tasks.
+    JobCompleted {
+        seq: u64,
+        job: JobId,
+        map_tasks_run: usize,
+        map_tasks_reused: usize,
+        reduce_tasks_run: usize,
+    },
+    /// A node death caused irreversible loss during run `seq`.
+    LossObserved {
+        seq: u64,
+        node: Option<NodeId>,
+        lost_partitions: usize,
+    },
+    /// The running job could not continue; recovery begins.
+    JobCancelled { seq: u64, job: JobId },
+    /// A recovery plan for the cancelled `target` was computed.
+    RecoveryPlanned {
+        target: JobId,
+        steps: usize,
+        partitions: usize,
+    },
+    /// Hybrid mode replicated a job's output (§IV-C).
+    ReplicationPoint { job: JobId, factor: u32 },
+    /// Storage reclaimed behind a replication point.
+    StorageReclaimed {
+        files_deleted: usize,
+        map_entries_dropped: usize,
+    },
+    /// OPTIMISTIC (or exhausted replication) restarted the whole chain.
+    ChainRestarted,
+}
+
+/// The record of one chain, written by [`drive_chain`] alone: every
+/// event in order, stamped on the backend's [`Clock`]. Equality ignores
+/// the clock and the stamps.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+pub struct EventLog {
+    clock: Clock,
+    events: Vec<ChainEvent>,
+    /// `(fault, at)` per event: when it was logged (a loss: when it was
+    /// detected) and, for a `LossObserved`, when its fault struck —
+    /// `at` for every other event.
+    stamps: Vec<(f64, f64)>,
+}
+
+/// How long recovering from one loss took, in its log's clock unit.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RecoveryTimes {
+    /// The run during which the loss was observed.
+    pub seq: u64,
+    /// Fault → detected.
+    pub detect: f64,
+    /// Detected → the first recovery plan after it.
+    pub plan: f64,
+    /// That plan → the last step of the converged plan finished (the
+    /// converged plan itself when it had no steps).
+    pub recompute: f64,
+    /// Recomputed → the cancelled job started again.
+    pub resume: f64,
+}
+
+impl RecoveryTimes {
+    /// Fault → resumed: the loss's time to recovery.
+    pub fn total(&self) -> f64 {
+        self.detect + self.plan + self.recompute + self.resume
+    }
+}
+
+impl EventLog {
+    /// An empty log stamped on `clock`.
+    pub fn new(clock: Clock) -> Self {
+        Self {
+            clock,
+            ..Self::default()
+        }
+    }
+
+    /// The clock every stamp in the log was read from.
+    pub fn clock(&self) -> Clock {
+        self.clock
+    }
+
+    /// Appends `event`, which happened at `at`.
+    pub fn push(&mut self, at: f64, event: ChainEvent) {
+        self.push_loss(at, at, event);
+    }
+
+    /// Appends a `LossObserved` whose fault struck at `fault` and was
+    /// detected at `detected`.
+    pub fn push_loss(&mut self, fault: f64, detected: f64, event: ChainEvent) {
+        self.events.push(event);
+        self.stamps.push((fault, detected));
+    }
+
+    /// The events, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &ChainEvent> {
+        self.events.iter()
+    }
+
+    /// The events with their stamps: `(fault, at, event)`, where `at` is
+    /// when the event was logged (a loss: when it was detected) and
+    /// `fault` is when a loss's fault struck (`at` otherwise).
+    pub fn stamped(&self) -> impl Iterator<Item = (f64, f64, &ChainEvent)> {
+        let stamps = self.stamps.iter();
+        stamps.zip(&self.events).map(|(&(f, at), e)| (f, at, e))
+    }
+
+    fn count(&self, is: impl Fn(&ChainEvent) -> bool) -> usize {
+        self.iter().filter(|e| is(e)).count()
+    }
+
+    /// Number of recomputation runs submitted.
+    pub fn recompute_runs(&self) -> usize {
+        self.count(|e| {
+            matches!(
+                e,
+                ChainEvent::JobStarted {
+                    recompute: true,
+                    ..
+                }
+            )
+        })
+    }
+
+    /// Number of chain restarts.
+    pub fn restarts(&self) -> usize {
+        self.count(|e| matches!(e, ChainEvent::ChainRestarted))
+    }
+
+    /// Number of loss events observed.
+    pub fn losses(&self) -> usize {
+        self.count(|e| matches!(e, ChainEvent::LossObserved { .. }))
+    }
+
+    /// Every event that names `job` — starts, completions, cancellations
+    /// and recovery plans targeting it.
+    pub fn events_for_job(&self, job: JobId) -> impl Iterator<Item = &ChainEvent> {
+        self.iter().filter(move |e| match e {
+            ChainEvent::JobStarted { job: j, .. }
+            | ChainEvent::JobCompleted { job: j, .. }
+            | ChainEvent::JobCancelled { job: j, .. }
+            | ChainEvent::RecoveryPlanned { target: j, .. }
+            | ChainEvent::ReplicationPoint { job: j, .. } => *j == job,
+            _ => false,
+        })
+    }
+
+    /// Recovery plans in order: `(target, steps, partitions)`.
+    pub fn recoveries(&self) -> impl Iterator<Item = (JobId, usize, usize)> + '_ {
+        self.iter().filter_map(|e| match *e {
+            ChainEvent::RecoveryPlanned {
+                target,
+                steps,
+                partitions,
+            } => Some((target, steps, partitions)),
+            _ => None,
+        })
+    }
+
+    /// The highest run sequence number any event carries — i.e. how many
+    /// job runs the chain started (the paper's job numbering).
+    pub fn last_seq(&self) -> Option<u64> {
+        self.iter()
+            .filter_map(|e| match *e {
+                ChainEvent::JobStarted { seq, .. }
+                | ChainEvent::JobCompleted { seq, .. }
+                | ChainEvent::LossObserved { seq, .. }
+                | ChainEvent::JobCancelled { seq, .. } => Some(seq),
+                _ => None,
+            })
+            .max()
+    }
+
+    /// Recovery time per loss (MTTR's legs), derived from the stamps in
+    /// one pass. A loss is answered by the next plan; the plan's target
+    /// starting again ends the recovery, whose recompute leg ends with
+    /// the last run completed since the latest (converged) plan. A loss
+    /// no plan answers before a restart or the log's end has no entry.
+    pub fn recovery_times(&self) -> Vec<RecoveryTimes> {
+        let (mut unplanned, mut planned, mut times) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut target, mut recomputed) = (None, 0.0);
+        for (&(fault, at), e) in self.stamps.iter().zip(&self.events) {
+            match *e {
+                ChainEvent::LossObserved { seq, .. } => unplanned.push((seq, fault, at)),
+                ChainEvent::ChainRestarted => unplanned.clear(),
+                ChainEvent::RecoveryPlanned { target: t, .. } => {
+                    planned.extend(unplanned.drain(..).map(|loss| (loss, at)));
+                    (target, recomputed) = (Some(t), at);
+                }
+                ChainEvent::JobCompleted { .. } => recomputed = at,
+                ChainEvent::JobStarted { job, .. } if Some(job) == target => {
+                    times.extend(planned.drain(..).map(|((seq, fault, detected), plan)| {
+                        RecoveryTimes {
+                            seq,
+                            detect: detected - fault,
+                            plan: plan - detected,
+                            recompute: recomputed - plan,
+                            resume: at - recomputed,
+                        }
+                    }));
+                    target = None;
+                }
+                _ => {}
+            }
+        }
+        times
+    }
+}
+
+impl PartialEq for EventLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.events == other.events
+    }
 }
 
 /// What [`drive_chain`] needs to know about one chain.
@@ -236,11 +531,11 @@ pub struct ChainSummary {
     /// Total job runs started — the paper's job numbering (§V-A: a
     /// 7-job chain with a late failure starts 14 jobs).
     pub jobs_started: u64,
-    /// Whole-chain restarts.
-    pub restarts: u32,
     /// The closed-loop policy's decision after each completed chain job
     /// (empty unless the strategy is [`Strategy::AdaptiveHybrid`]).
     pub adaptation: Vec<AdaptationStep>,
+    /// Everything the loop did, in order, on the backend's clock.
+    pub events: EventLog,
 }
 
 /// Hybrid replication points: static modulus (§IV-C), the dynamic
@@ -266,9 +561,9 @@ impl Cadence {
         }
     }
 
-    fn record_faults(&mut self, faults: u32) {
+    fn record_faults(&mut self, faults: usize) {
         if let Some(policy) = self.adaptive.as_mut() {
-            policy.record_fault(faults);
+            policy.record_fault(faults as u32);
         }
     }
 
@@ -306,134 +601,342 @@ impl Cadence {
     }
 }
 
+/// One chain being driven: the backend, the loop's counters, and the
+/// log only the loop writes. Every event is stamped with the backend's
+/// clock, shown to [`ChainBackend::observe`] and appended to the log.
+struct Chain<'a, B> {
+    backend: &'a mut B,
+    cfg: &'a ChainConfig<'a>,
+    cadence: Cadence,
+    seq: u64,
+    log: EventLog,
+}
+
 /// Runs the chain to completion on `backend`.
 pub fn drive_chain<B: ChainBackend>(
     backend: &mut B,
     cfg: &ChainConfig<'_>,
 ) -> Result<ChainSummary> {
-    let Some(&last) = cfg.order.last() else {
-        return Ok(ChainSummary::default());
+    let log = EventLog::new(backend.now().clock);
+    let cadence = Cadence::new(cfg.strategy);
+    let mut chain = Chain {
+        backend,
+        cfg,
+        cadence,
+        seq: 0,
+        log,
     };
-    let mut cadence = Cadence::new(cfg.strategy);
-    let mut seq = 0u64;
-    let mut restarts = 0u32;
-    let mut passes = 0u32;
-    'chain: loop {
-        passes += 1;
-        if passes > cfg.max_attempts {
-            return Err(Error::RecoveryExhausted {
-                job: last,
-                attempts: passes,
-                reason: "too many chain restarts".into(),
-            });
-        }
-        let mut idx = 0usize;
-        let mut retry = false;
-        // Bounds the cancel → recover → retry-same-job cycle: a
-        // scenario where recovery keeps "succeeding" but the job keeps
-        // losing its input again must end in a typed error, not a
-        // livelock.
-        let mut job_recoveries = 0u32;
-        while let Some(&job) = cfg.order.get(idx) {
-            seq += 1;
-            match backend.run_job(seq, job, std::mem::take(&mut retry))? {
-                RunOutcome::Completed { faults } => {
-                    cadence.record_faults(faults);
-                    let (point, adapted) = cadence.job_completed(idx as u32 + 1);
-                    if let Some(step) = &adapted {
-                        backend.adapted(seq, step);
-                    }
-                    if let Some((factor, reclaim)) = point {
-                        backend.replicate(job, factor, reclaim)?;
-                    }
-                    idx += 1;
-                }
-                RunOutcome::Cancelled { faults } => {
-                    cadence.record_faults(faults);
-                    job_recoveries += 1;
-                    if job_recoveries > cfg.max_attempts {
-                        return Err(Error::RecoveryExhausted {
-                            job,
-                            attempts: job_recoveries,
-                            reason: "job kept losing its input after recovery".into(),
-                        });
-                    }
-                    // Seeded full-jitter backoff, so repeated cycles
-                    // don't hammer a flaky path in lockstep.
-                    let delay = cfg.retry.backoff_ms(
-                        derive_indexed(cfg.seed, "chain-backoff", u64::from(job.0)),
-                        job_recoveries,
-                    );
-                    if delay > 0 {
-                        backend.wait(delay);
-                    }
-                    let (split, hotspot) = match cfg.strategy {
-                        Strategy::Optimistic | Strategy::Replication { .. } => {
-                            // OPTIMISTIC discards everything and
-                            // restarts; exhausted replication has no
-                            // choice but the same (§V-B "More
-                            // failures").
-                            backend.restart()?;
-                            restarts += 1;
-                            continue 'chain;
-                        }
-                        Strategy::Rcmp { split, hotspot } => (split, hotspot),
-                        Strategy::Hybrid { split, .. }
-                        | Strategy::DynamicHybrid { split, .. }
-                        | Strategy::AdaptiveHybrid { split, .. } => {
-                            (split, HotspotMitigation::SplitReducers)
-                        }
-                    };
-                    recover(backend, cfg, &mut cadence, &mut seq, job, split, hotspot)?;
-                    retry = true;
-                }
-            }
-        }
-        return Ok(ChainSummary {
-            jobs_started: seq,
-            restarts,
-            adaptation: cadence.into_trajectory(),
-        });
-    }
+    chain.drive()?;
+    Ok(ChainSummary {
+        jobs_started: chain.seq,
+        adaptation: chain.cadence.into_trajectory(),
+        events: chain.log,
+    })
 }
 
-/// Executes cascading recomputation until `target`'s input is whole,
-/// replanning from current state after a nested failure — "if a new
-/// failure occurs while RCMP is recovering from a previous one, RCMP's
-/// behavior remains unchanged" (§IV-A).
-fn recover<B: ChainBackend>(
-    backend: &mut B,
-    cfg: &ChainConfig<'_>,
-    cadence: &mut Cadence,
-    seq: &mut u64,
-    target: JobId,
-    split: SplitPolicy,
-    hotspot: HotspotMitigation,
-) -> Result<()> {
-    for _ in 0..cfg.max_attempts {
-        let plan = backend.planning(|view| plan_cascade(view, target, split, hotspot))?;
-        backend.planned(target, &plan);
-        let mut nested = false;
-        for step in plan.steps {
-            *seq += 1;
-            match backend.run_recompute(*seq, step)? {
-                RunOutcome::Completed { faults: 0 } => {}
-                RunOutcome::Completed { faults } | RunOutcome::Cancelled { faults } => {
-                    // A nested failure may have invalidated the rest of
-                    // the plan: replan from state.
-                    cadence.record_faults(faults);
+impl<B: ChainBackend> Chain<'_, B> {
+    fn emit(&mut self, event: ChainEvent) {
+        let at = self.backend.now().at;
+        self.emit_at(at, event);
+    }
+
+    fn emit_at(&mut self, at: f64, event: ChainEvent) {
+        self.backend.observe(&event);
+        self.log.push(at, event);
+    }
+
+    /// Submits the next run — chain job `job`, or recovery `step` of it
+    /// — and logs its start, one `LossObserved` per failed node, then
+    /// its completion or cancellation. Its faults feed the cadence.
+    fn run(&mut self, job: JobId, retry: bool, step: Option<RecoveryStep>) -> Result<RunOutcome> {
+        self.seq += 1;
+        let (seq, started, recovery) = (self.seq, self.backend.now().at, step.is_some());
+        let run = match step {
+            Some(step) => self.backend.run_recompute(seq, step)?,
+            None => self.backend.run_job(seq, job, retry)?,
+        };
+        let recompute = recovery || run.resumed;
+        self.emit_at(
+            started,
+            ChainEvent::JobStarted {
+                seq,
+                job,
+                recompute,
+            },
+        );
+        for loss in &run.losses {
+            let (node, lost_partitions) = (loss.node, loss.lost_partitions);
+            let event = ChainEvent::LossObserved {
+                seq,
+                node,
+                lost_partitions,
+            };
+            self.backend.observe(&event);
+            self.log.push_loss(loss.fault.at, loss.detected.at, event);
+        }
+        self.emit(match run.completed {
+            Some(tasks) => ChainEvent::JobCompleted {
+                seq,
+                job,
+                map_tasks_run: tasks.map_tasks_run,
+                map_tasks_reused: tasks.map_tasks_reused,
+                reduce_tasks_run: tasks.reduce_tasks_run,
+            },
+            None => ChainEvent::JobCancelled { seq, job },
+        });
+        self.cadence.record_faults(run.losses.len());
+        Ok(run)
+    }
+
+    fn drive(&mut self) -> Result<()> {
+        let cfg = self.cfg;
+        let Some(&last) = cfg.order.last() else {
+            return Ok(());
+        };
+        let mut passes = 0u32;
+        'chain: loop {
+            passes += 1;
+            if passes > cfg.max_attempts {
+                return Err(Error::RecoveryExhausted {
+                    job: last,
+                    attempts: passes,
+                    reason: "too many chain restarts".into(),
+                });
+            }
+            let mut idx = 0usize;
+            let mut retry = false;
+            // Bounds the cancel → recover → retry-same-job cycle: a
+            // scenario where recovery keeps "succeeding" but the job
+            // keeps losing its input again must end in a typed error,
+            // not a livelock.
+            let mut job_recoveries = 0u32;
+            while let Some(&job) = cfg.order.get(idx) {
+                let run = self.run(job, std::mem::take(&mut retry), None)?;
+                if run.completed.is_some() {
+                    self.completed(job, idx as u32 + 1)?;
+                    idx += 1;
+                    continue;
+                }
+                job_recoveries += 1;
+                if job_recoveries > cfg.max_attempts {
+                    return Err(Error::RecoveryExhausted {
+                        job,
+                        attempts: job_recoveries,
+                        reason: "job kept losing its input after recovery".into(),
+                    });
+                }
+                // Seeded full-jitter backoff, so repeated cycles don't
+                // hammer a flaky path in lockstep.
+                let delay = cfg.retry.backoff_ms(
+                    derive_indexed(cfg.seed, "chain-backoff", u64::from(job.0)),
+                    job_recoveries,
+                );
+                if delay > 0 {
+                    self.backend.wait(delay);
+                }
+                let Some((split, hotspot)) = cfg.strategy.recovery() else {
+                    // OPTIMISTIC discards everything and restarts;
+                    // exhausted replication has no choice but the same
+                    // (§V-B "More failures").
+                    self.backend.restart()?;
+                    self.emit(ChainEvent::ChainRestarted);
+                    continue 'chain;
+                };
+                self.recover(job, split, hotspot)?;
+                retry = true;
+            }
+            return Ok(());
+        }
+    }
+
+    /// Chain job `job`, at 1-based `position`, completed: the cadence
+    /// decides, and a replication point it calls for is placed.
+    fn completed(&mut self, job: JobId, position: u32) -> Result<()> {
+        let (point, adapted) = self.cadence.job_completed(position);
+        if let Some(step) = &adapted {
+            self.backend.adapted(self.seq, step);
+        }
+        let Some((factor, reclaim)) = point else {
+            return Ok(());
+        };
+        let freed = self.backend.replicate(job, factor, reclaim)?;
+        self.emit(ChainEvent::ReplicationPoint { job, factor });
+        if reclaim {
+            self.emit(ChainEvent::StorageReclaimed {
+                files_deleted: freed.files_deleted,
+                map_entries_dropped: freed.map_entries_dropped,
+            });
+        }
+        Ok(())
+    }
+
+    /// Executes cascading recomputation until `target`'s input is whole,
+    /// replanning from current state after a nested failure — "if a new
+    /// failure occurs while RCMP is recovering from a previous one,
+    /// RCMP's behavior remains unchanged" (§IV-A).
+    fn recover(
+        &mut self,
+        target: JobId,
+        split: SplitPolicy,
+        hotspot: HotspotMitigation,
+    ) -> Result<()> {
+        for _ in 0..self.cfg.max_attempts {
+            let plan = self
+                .backend
+                .planning(|view| plan_cascade(view, target, split, hotspot))?;
+            self.emit(ChainEvent::RecoveryPlanned {
+                target,
+                steps: plan.steps.len(),
+                partitions: plan.partition_count(),
+            });
+            // A nested failure may have invalidated the rest of the
+            // plan: replan from state.
+            let mut nested = false;
+            for step in plan.steps {
+                let run = self.run(step.job, false, Some(step))?;
+                if run.completed.is_none() || !run.losses.is_empty() {
                     nested = true;
                     break;
                 }
             }
+            if !nested {
+                return Ok(());
+            }
         }
-        if !nested {
-            return Ok(());
+        Err(Error::RecoveryExhausted {
+            job: target,
+            attempts: self.cfg.max_attempts,
+            reason: "nested-failure recovery did not converge".into(),
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn started(seq: u64, job: u32, recompute: bool) -> ChainEvent {
+        let job = JobId(job);
+        ChainEvent::JobStarted {
+            seq,
+            job,
+            recompute,
         }
     }
-    Err(Error::RecoveryExhausted {
-        job: target,
-        attempts: cfg.max_attempts,
-        reason: "nested-failure recovery did not converge".into(),
-    })
+
+    fn completed(seq: u64, job: u32) -> ChainEvent {
+        ChainEvent::JobCompleted {
+            seq,
+            job: JobId(job),
+            map_tasks_run: 1,
+            map_tasks_reused: 0,
+            reduce_tasks_run: 1,
+        }
+    }
+
+    fn loss(seq: u64) -> ChainEvent {
+        let node = Some(NodeId(1));
+        ChainEvent::LossObserved {
+            seq,
+            node,
+            lost_partitions: 3,
+        }
+    }
+
+    fn planned(target: u32, steps: usize) -> ChainEvent {
+        let target = JobId(target);
+        ChainEvent::RecoveryPlanned {
+            target,
+            steps,
+            partitions: steps,
+        }
+    }
+
+    #[test]
+    fn counters() {
+        let mut log = EventLog::default();
+        log.push(0.0, started(1, 1, false));
+        log.push(1.0, started(2, 1, true));
+        log.push(2.0, ChainEvent::ChainRestarted);
+        log.push_loss(2.0, 2.5, loss(2));
+        assert_eq!(log.recompute_runs(), 1);
+        assert_eq!(log.restarts(), 1);
+        assert_eq!(log.losses(), 1);
+        assert_eq!(log.last_seq(), Some(2));
+    }
+
+    /// Job 3 loses its input; the first plan's only step is cut short
+    /// by a nested loss, the replan's two steps finish, and job 3 starts
+    /// again. Both losses are timed up to that restart of job 3; the
+    /// recompute leg of each ends where the converged plan's last step
+    /// finished.
+    #[test]
+    fn recovery_times_follow_the_converged_plan() {
+        let mut log = EventLog::new(Clock::SimSeconds);
+        log.push(0.0, started(3, 3, false));
+        log.push_loss(1.0, 4.0, loss(3));
+        log.push(
+            4.0,
+            ChainEvent::JobCancelled {
+                seq: 3,
+                job: JobId(3),
+            },
+        );
+        log.push(5.0, planned(3, 1));
+        log.push(5.0, started(4, 2, true));
+        log.push_loss(6.0, 9.0, loss(4));
+        log.push(
+            9.0,
+            ChainEvent::JobCancelled {
+                seq: 4,
+                job: JobId(2),
+            },
+        );
+        log.push(9.0, planned(3, 2));
+        log.push(9.0, started(5, 1, true));
+        log.push(11.0, completed(5, 1));
+        log.push(11.0, started(6, 2, true));
+        log.push(14.0, completed(6, 2));
+        log.push(14.0, started(7, 3, false));
+        log.push(20.0, completed(7, 3));
+        let times = log.recovery_times();
+        let first = RecoveryTimes {
+            seq: 3,
+            detect: 3.0,
+            plan: 1.0,
+            recompute: 9.0,
+            resume: 0.0,
+        };
+        let nested = RecoveryTimes {
+            seq: 4,
+            detect: 3.0,
+            plan: 0.0,
+            recompute: 5.0,
+            resume: 0.0,
+        };
+        assert_eq!(times, [first, nested]);
+        assert_eq!(first.total(), 14.0 - 1.0);
+    }
+
+    /// A loss the chain answers by restarting, and one its run absorbed,
+    /// have no recovery to time.
+    #[test]
+    fn restarts_and_absorbed_losses_are_not_timed() {
+        let mut log = EventLog::default();
+        log.push(0.0, started(1, 1, false));
+        log.push_loss(1.0, 1.0, loss(1));
+        log.push(2.0, completed(1, 1));
+        log.push(2.0, started(2, 2, false));
+        log.push_loss(3.0, 3.0, loss(2));
+        log.push(
+            3.0,
+            ChainEvent::JobCancelled {
+                seq: 2,
+                job: JobId(2),
+            },
+        );
+        log.push(3.0, ChainEvent::ChainRestarted);
+        log.push(3.0, started(3, 1, false));
+        assert!(log.recovery_times().is_empty());
+    }
 }

@@ -29,8 +29,9 @@
 //!   backward lineage walk to the minimum recomputation plan), the
 //!   replication cadence, and [`drive_chain`], the chain control loop
 //!   generic over a [`ChainBackend`]; the engine's `ChainDriver` and
-//!   the simulator's `chainsim` are its two backends. [`Strategy`] is
-//!   the menu it runs under.
+//!   the simulator's `chainsim` are its two backends. The loop writes
+//!   the one [`EventLog`] of [`ChainEvent`]s both report. [`Strategy`]
+//!   is the menu it runs under.
 //! * [`choose_mitigation`] — hot-spot mitigation selection (split vs
 //!   spread-output, §IV-B2) shared by the middleware and the simulator.
 //! * [`PolicyCtx`] — optional `rcmp-obs` instrumentation: every
@@ -79,8 +80,9 @@ pub use adapt::{
 };
 pub use cache::CacheLedger;
 pub use chain::{
-    drive_chain, plan_cascade, ChainBackend, ChainConfig, ChainSummary, LineageView, RecoveryPlan,
-    RecoveryStep, RunOutcome,
+    drive_chain, plan_cascade, ChainBackend, ChainConfig, ChainEvent, ChainSummary, Clock,
+    EventLog, LineageView, Loss, Reclaimed, RecoveryPlan, RecoveryStep, RecoveryTimes, RunOutcome,
+    Stamp, TaskCounts,
 };
 pub use fair::{jain_index, DrrArbiter, Grant, TenantShare};
 pub use membership::{rehome_target, Membership, NodeInfo, NodeStatus, Rehome};

@@ -113,6 +113,21 @@ impl Strategy {
         }
     }
 
+    /// How a strategy that recovers by recomputation splits reducers and
+    /// mitigates hot-spots; `None` for strategies that restart the chain
+    /// instead (OPTIMISTIC, and replication once its replicas are gone).
+    pub fn recovery(&self) -> Option<(SplitPolicy, HotspotMitigation)> {
+        match *self {
+            Strategy::Optimistic | Strategy::Replication { .. } => None,
+            Strategy::Rcmp { split, hotspot } => Some((split, hotspot)),
+            Strategy::Hybrid { split, .. }
+            | Strategy::DynamicHybrid { split, .. }
+            | Strategy::AdaptiveHybrid { split, .. } => {
+                Some((split, HotspotMitigation::SplitReducers))
+            }
+        }
+    }
+
     /// Whether task outputs persist across jobs.
     pub fn persists_outputs(&self) -> bool {
         matches!(
@@ -136,13 +151,19 @@ mod tests {
         assert!(Strategy::rcmp_no_split().persists_outputs());
         assert!(!Strategy::Optimistic.persists_outputs());
         assert!(!Strategy::Replication { factor: 2 }.persists_outputs());
-        assert!(Strategy::Hybrid {
+        let hybrid = Strategy::Hybrid {
             split: SplitPolicy::None,
             every_k: 5,
             factor: 2,
-            reclaim: true
-        }
-        .persists_outputs());
+            reclaim: true,
+        };
+        assert!(hybrid.persists_outputs());
+        assert_eq!(Strategy::Optimistic.recovery(), None);
+        assert_eq!(Strategy::Replication { factor: 2 }.recovery(), None);
+        let split = (SplitPolicy::Fixed(8), HotspotMitigation::SplitReducers);
+        assert_eq!(Strategy::rcmp_split(8).recovery(), Some(split));
+        let hybrid_split = (SplitPolicy::None, HotspotMitigation::SplitReducers);
+        assert_eq!(hybrid.recovery(), Some(hybrid_split));
         assert!(Strategy::DynamicHybrid {
             split: SplitPolicy::None,
             factor: 2,

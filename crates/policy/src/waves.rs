@@ -63,11 +63,6 @@ impl<'a> PolicyCtx<'a> {
         }
     }
 
-    /// Like [`PolicyCtx::new`] but tolerating an optional tracer.
-    pub fn maybe(tracer: Option<&'a Tracer>, parent: Option<SpanId>) -> Self {
-        Self { tracer, parent }
-    }
-
     fn emit(&self, label: String) {
         if let Some(t) = self.tracer {
             t.instant(SpanKind::Event { seq: 0, label }, self.parent, None, None);

@@ -18,14 +18,19 @@
 //! * `jobs_started` is the number of runs the backend was asked for,
 //!   numbered 1, 2, 3, …;
 //! * every script ends in `Ok` or a typed error within the
-//!   `max_attempts` bound — no livelock.
+//!   `max_attempts` bound — no livelock;
+//! * the event stream the loop logs obeys its grammar: `JobStarted`
+//!   seqs run 1, 2, 3, … without gaps; every `JobCancelled` is followed
+//!   by `RecoveryPlanned` or `ChainRestarted`; a plan's recomputations
+//!   start right after it, in plan order, until a nested failure; and
+//!   stamps never decrease.
 
 use proptest::prelude::*;
 use rcmp_model::{Error, JobId, PartitionId, Result, RetryPolicy};
 use rcmp_policy::{
-    drive_chain, AdaptConfig, ChainBackend, ChainConfig, DynamicPolicy, HotspotMitigation,
-    LineageView, RecomputePlan, RecoveryPlan, RecoveryStep, RunOutcome, SplitPolicy,
-    Strategy as Resilience,
+    drive_chain, plan_cascade, AdaptConfig, ChainBackend, ChainConfig, ChainEvent, Clock,
+    DynamicPolicy, HotspotMitigation, LineageView, Loss, Reclaimed, RecomputePlan, RecoveryPlan,
+    RecoveryStep, RunOutcome, SplitPolicy, Stamp, Strategy as Resilience, TaskCounts,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -223,22 +228,57 @@ struct Fake<'a> {
     recovered: Option<JobId>,
     trace: Vec<String>,
     violations: Vec<String>,
+    /// Every event the loop logged, as `observe` saw it.
+    events: Vec<ChainEvent>,
+    /// The step jobs of every logged plan, re-derived from the world
+    /// when the plan was logged.
+    plans: Vec<Vec<JobId>>,
 }
 
 impl Fake<'_> {
-    fn begin_run(&mut self, seq: u64) -> u32 {
+    fn begin_run(&mut self, seq: u64) -> Vec<Loss> {
         self.calls += 1;
         if seq != self.calls {
             self.violations
                 .push(format!("run {} numbered {seq}", self.calls));
         }
-        let mut faults = 0;
+        let mut losses = Vec::new();
         for &(_, node) in self.script.kills.iter().filter(|k| k.0 == seq) {
             if std::mem::take(&mut self.world.alive[node as usize]) {
-                faults += 1;
+                losses.push(Loss {
+                    node: Some(rcmp_model::NodeId(node)),
+                    lost_partitions: 0,
+                    fault: self.now(),
+                    detected: self.now(),
+                });
             }
         }
-        faults
+        losses
+    }
+
+    /// A logged plan must be the one the planner computes from the
+    /// world as it stands when the plan is logged.
+    fn logged_plan(&mut self, target: JobId, steps: usize, partitions: usize) {
+        let Some((split, hotspot)) = self.script.strategy.recovery() else {
+            let strategy = self.script.strategy;
+            self.violations
+                .push(format!("{strategy:?} planned a recovery"));
+            return;
+        };
+        let Ok(plan) = plan_cascade(&self.world, target, split, hotspot) else {
+            self.violations
+                .push(format!("unplannable plan for {target} logged"));
+            return;
+        };
+        if (plan.steps.len(), plan.partition_count()) != (steps, partitions) {
+            self.violations.push(format!(
+                "plan for {target} logged as {steps} steps, {partitions} partitions"
+            ));
+        }
+        self.check_plan(target, &plan);
+        self.plans.push(plan.steps.iter().map(|s| s.job).collect());
+        self.recovered = Some(target);
+        self.trace.push(format!("plan for {target}: {steps} steps"));
     }
 
     /// The planner properties, checked against the state the plan was
@@ -290,8 +330,15 @@ impl ChainBackend for Fake<'_> {
         &self.world
     }
 
+    fn now(&self) -> Stamp {
+        Stamp {
+            clock: Clock::SimSeconds,
+            at: self.calls as f64,
+        }
+    }
+
     fn run_job(&mut self, seq: u64, job: JobId, retry: bool) -> Result<RunOutcome> {
-        let faults = self.begin_run(seq);
+        let losses = self.begin_run(seq);
         if retry != (self.recovered == Some(job)) {
             self.violations
                 .push(format!("run {seq} of {job}: retry = {retry}"));
@@ -304,7 +351,7 @@ impl ChainBackend for Fake<'_> {
         if self.script.flake == Flake::CancelJob(job.0) || !self.world.lost(job.0 - 1).is_empty() {
             self.cancels += 1;
             self.trace.push(format!("{seq}: {job} cancelled"));
-            return Ok(RunOutcome::Cancelled { faults });
+            return Ok(RunOutcome::cancelled(losses));
         }
         let strategy = self.script.strategy;
         self.world
@@ -313,22 +360,22 @@ impl ChainBackend for Fake<'_> {
             self.world.map_out[job.0 as usize].fill(None);
         }
         self.trace.push(format!("{seq}: {job} completed"));
-        Ok(RunOutcome::Completed { faults })
+        Ok(completed(losses))
     }
 
     fn run_recompute(&mut self, seq: u64, step: RecoveryStep) -> Result<RunOutcome> {
-        let faults = self.begin_run(seq);
+        let losses = self.begin_run(seq);
         if self.world.live().is_empty() {
             return Err(Error::NoLiveNodes);
         }
         let starved = self.world.starved(step.job.0);
-        if starved && faults == 0 {
+        if starved && losses.is_empty() {
             self.violations
                 .push(format!("run {seq}: planned step {} has no input", step.job));
         }
         if starved || self.script.flake == Flake::CancelRecoveries {
             self.trace.push(format!("{seq}: re-{} cancelled", step.job));
-            return Ok(RunOutcome::Cancelled { faults });
+            return Ok(RunOutcome::cancelled(losses));
         }
         self.world
             .execute(step.job.0, Some(&step.instructions), 1, seq);
@@ -336,7 +383,7 @@ impl ChainBackend for Fake<'_> {
             "{seq}: re-{} {:?}",
             step.job, step.instructions.partitions
         ));
-        Ok(RunOutcome::Completed { faults })
+        Ok(completed(losses))
     }
 
     fn wait(&mut self, ms: u64) {
@@ -355,14 +402,7 @@ impl ChainBackend for Fake<'_> {
         Ok(())
     }
 
-    fn planned(&mut self, target: JobId, plan: &RecoveryPlan) {
-        self.check_plan(target, plan);
-        self.recovered = Some(target);
-        self.trace
-            .push(format!("plan for {target}: {} steps", plan.steps.len()));
-    }
-
-    fn replicate(&mut self, job: JobId, factor: u32, reclaim: bool) -> Result<()> {
+    fn replicate(&mut self, job: JobId, factor: u32, reclaim: bool) -> Result<Reclaimed> {
         let live = self.world.live();
         for part in &mut self.world.files[job.0 as usize] {
             let holders = part.holders.get_or_insert_with(BTreeSet::new);
@@ -382,12 +422,120 @@ impl ChainBackend for Fake<'_> {
             }
         }
         self.trace.push(format!("replicate {job} x{factor}"));
-        Ok(())
+        Ok(Reclaimed::default())
+    }
+
+    fn observe(&mut self, event: &ChainEvent) {
+        if let ChainEvent::RecoveryPlanned {
+            target,
+            steps,
+            partitions,
+        } = *event
+        {
+            self.logged_plan(target, steps, partitions);
+        }
+        self.events.push(event.clone());
+    }
+}
+
+fn completed(losses: Vec<Loss>) -> RunOutcome {
+    RunOutcome {
+        losses,
+        completed: Some(TaskCounts::default()),
+        resumed: false,
+    }
+}
+
+/// The grammar of the logged stream. `plans` holds each logged plan's
+/// step jobs; `failed` says the chain ended in an error, which may cut
+/// the stream short anywhere.
+fn check_grammar(
+    events: &[ChainEvent],
+    plans: &[Vec<JobId>],
+    failed: bool,
+) -> std::result::Result<(), String> {
+    let mut next_seq = 1;
+    let mut plans = plans.iter();
+    for (i, e) in events.iter().enumerate() {
+        match *e {
+            ChainEvent::JobStarted { seq, .. } => {
+                if seq != next_seq {
+                    return Err(format!("event {i}: run {seq} started, expected {next_seq}"));
+                }
+                next_seq += 1;
+            }
+            ChainEvent::JobCancelled { .. } => match events.get(i + 1) {
+                Some(ChainEvent::RecoveryPlanned { .. } | ChainEvent::ChainRestarted) => {}
+                None if failed => {}
+                other => return Err(format!("event {i}: cancellation followed by {other:?}")),
+            },
+            ChainEvent::RecoveryPlanned { target, .. } => {
+                let steps = plans.next().ok_or("a plan was logged twice")?;
+                plan_runs(events, i, target, steps, failed)?;
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// The runs after the plan logged at `at`: its steps start in plan
+/// order, each followed by its losses and outcome; a nested failure (a
+/// loss or a cancellation) cuts the plan short and is followed by a
+/// replan; a plan that converges is followed by `target` starting
+/// again.
+fn plan_runs(
+    events: &[ChainEvent],
+    at: usize,
+    target: JobId,
+    steps: &[JobId],
+    failed: bool,
+) -> std::result::Result<(), String> {
+    let cut_short = |k: usize| match events.get(k) {
+        Some(ChainEvent::RecoveryPlanned { .. }) => Ok(()),
+        None if failed => Ok(()),
+        other => Err(format!(
+            "plan at {at}: nested failure followed by {other:?}"
+        )),
+    };
+    let mut k = at + 1;
+    for &job in steps {
+        match events.get(k) {
+            Some(ChainEvent::JobStarted {
+                job: j,
+                recompute: true,
+                ..
+            }) if *j == job => k += 1,
+            None if failed => return Ok(()),
+            other => return Err(format!("plan at {at}: step {job} is {other:?}")),
+        }
+        let losses = events[k..]
+            .iter()
+            .take_while(|e| matches!(e, ChainEvent::LossObserved { .. }))
+            .count();
+        k += losses;
+        match events.get(k) {
+            Some(ChainEvent::JobCompleted { .. }) if losses == 0 => k += 1,
+            Some(ChainEvent::JobCompleted { .. } | ChainEvent::JobCancelled { .. }) => {
+                return cut_short(k + 1)
+            }
+            None if failed => return Ok(()),
+            other => return Err(format!("plan at {at}: step {job} ended in {other:?}")),
+        }
+    }
+    match events.get(k) {
+        Some(ChainEvent::JobStarted { job, .. }) if *job == target => Ok(()),
+        None if failed => Ok(()),
+        other => Err(format!("plan at {at} converged, then {other:?}")),
     }
 }
 
 /// Everything one script produces that a replay must reproduce.
-type Ending = (std::result::Result<(u64, u32, usize), Error>, Vec<String>);
+type Ending = (
+    std::result::Result<(u64, usize, usize), Error>,
+    Vec<String>,
+    Vec<ChainEvent>,
+);
 
 fn run(script: &Script) -> std::result::Result<Ending, TestCaseError> {
     let order: Vec<JobId> = (1..=script.jobs).map(JobId).collect();
@@ -400,6 +548,8 @@ fn run(script: &Script) -> std::result::Result<Ending, TestCaseError> {
         recovered: None,
         trace: Vec::new(),
         violations: Vec::new(),
+        events: Vec::new(),
+        plans: Vec::new(),
     };
     let result = drive_chain(
         &mut fake,
@@ -418,6 +568,9 @@ fn run(script: &Script) -> std::result::Result<Ending, TestCaseError> {
         fake.trace
     );
     prop_assert!(fake.waits <= fake.cancels);
+    if let Err(why) = check_grammar(&fake.events, &fake.plans, result.is_err()) {
+        prop_assert!(false, "{why}\nevents: {:#?}", fake.events);
+    }
     // No livelock: passes × (jobs + cancels, each recovered by at most
     // `max_attempts` plans of at most `jobs` steps).
     let (a, j) = (u64::from(script.max_attempts), u64::from(script.jobs));
@@ -429,7 +582,19 @@ fn run(script: &Script) -> std::result::Result<Ending, TestCaseError> {
     match &result {
         Ok(summary) => {
             prop_assert_eq!(summary.jobs_started, fake.calls);
-            prop_assert!(summary.restarts < script.max_attempts);
+            prop_assert!(summary.events.restarts() < script.max_attempts as usize);
+            // `observe` saw exactly what was logged, and the stamps
+            // never decrease: a loss's fault is no earlier than what
+            // came before it, and no later than its detection.
+            prop_assert!(summary.events.iter().eq(&fake.events));
+            let mut last = 0.0;
+            for (fault, at, e) in summary.events.stamped() {
+                prop_assert!(
+                    last <= fault && fault <= at,
+                    "{e:?} at {fault}..{at} after {last}"
+                );
+                last = at;
+            }
             prop_assert!(fake.world.lost(script.jobs).is_empty());
             prop_assert!((0..script.parts as usize).all(|p| fake.world.readable(script.jobs, p)));
             let adaptive = matches!(script.strategy, Resilience::AdaptiveHybrid { .. });
@@ -456,8 +621,8 @@ fn run(script: &Script) -> std::result::Result<Ending, TestCaseError> {
             other => prop_assert!(false, "flake ended in {other:?}"),
         }
     }
-    let ending = result.map(|s| (s.jobs_started, s.restarts, s.adaptation.len()));
-    Ok((ending, fake.trace))
+    let ending = result.map(|s| (s.jobs_started, s.events.restarts(), s.adaptation.len()));
+    Ok((ending, fake.trace, fake.events))
 }
 
 fn strategy() -> impl Strategy<Value = Resilience> {
@@ -555,7 +720,7 @@ fn generated_scripts_cover_cascades_errors_and_points() {
     for case in 0..1024 {
         let mut rng = proptest::test_runner::case_rng("coverage", case);
         let script = script().sample(&mut rng);
-        let (ending, trace) = run(&script).unwrap();
+        let (ending, trace, _) = run(&script).unwrap();
         let mut hit = |what| *seen.entry(what).or_default() += 1;
         if trace
             .iter()

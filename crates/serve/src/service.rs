@@ -455,7 +455,7 @@ fn run_chain(
             .unwrap_or_else(|_| Err(Error::Config(format!("chain runner panicked: {label}"))))
             .map(|o| ChainSummary {
                 jobs_started: o.jobs_started,
-                restarts: o.restarts,
+                restarts: o.events.restarts() as u32,
                 map_tasks: o.total_map_tasks(),
                 reduce_tasks: o.total_reduce_tasks(),
             })

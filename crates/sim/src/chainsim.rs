@@ -9,19 +9,21 @@
 //! placement and map-output validity, runs jobs through [`JobSim`], and
 //! charges simulated seconds — a failure `offset` seconds into a job
 //! wastes `offset + detect_timeout` seconds, then the job is discarded
-//! and restarted (§V-A).
+//! and restarted (§V-A). Its clock is the simulated one, so the loop's
+//! event log is stamped in simulated seconds and a loss's fault and
+//! detection stamps lie `detect_timeout` apart.
 
 use crate::hw::HwProfile;
 use crate::jobsim::JobSim;
-use crate::report::{SimChainReport, SimEvent, SimJobReport};
+use crate::report::{SimChainReport, SimJobReport};
 use crate::state::{FileId, Node, SimState};
 use crate::workload::WorkloadCfg;
 use rcmp_model::{
-    ChainCacheConfig, Error, JobId, PartitionId, PlacementKernel, Result, RetryPolicy,
+    ChainCacheConfig, Error, JobId, NodeId, PartitionId, PlacementKernel, Result, RetryPolicy,
 };
 use rcmp_policy::{
-    drive_chain, ChainBackend, ChainConfig, LineageView, Membership, RecoveryPlan, RecoveryStep,
-    RunOutcome, Strategy,
+    drive_chain, ChainBackend, ChainConfig, Clock, LineageView, Loss, Membership, Reclaimed,
+    RecoveryStep, RunOutcome, Stamp, Strategy, TaskCounts,
 };
 use std::collections::BTreeSet;
 
@@ -119,6 +121,14 @@ impl ChainSimConfig {
     }
 }
 
+/// A reading of the simulated clock.
+fn sim_time(at: f64) -> Stamp {
+    Stamp {
+        clock: Clock::SimSeconds,
+        at,
+    }
+}
+
 /// Bound on chain restarts, recovery cycles per job and replans per
 /// recovery — the engine's `ClusterConfig::max_recovery_attempts`.
 const MAX_ATTEMPTS: u32 = 100;
@@ -145,12 +155,13 @@ pub fn simulate_chain(cfg: &ChainSimConfig) -> SimChainReport {
     report.total_time = runner.t;
     report.jobs_started = summary.jobs_started;
     report.adaptation = summary.adaptation;
+    report.events = summary.events;
     report
 }
 
 /// The simulator backend of the chain loop: job runs are [`JobSim`]
 /// runs charged to a simulated clock, failures come from the script in
-/// [`ChainSimConfig::failures`], and every transition is a [`SimEvent`].
+/// [`ChainSimConfig::failures`], and the clock is simulated seconds.
 struct Runner<'a> {
     cfg: &'a ChainSimConfig,
     js: JobSim,
@@ -178,37 +189,40 @@ impl<'a> Runner<'a> {
     }
 
     /// Applies the failures scripted for run `seq` (the paper's FAIL
-    /// X,X case injects two in the same job) and returns how many
-    /// landed. The work until detection is wasted: the paper's RCMP
-    /// discards partial results, and the same accounting applies to
-    /// every strategy — a ~45 s symmetric penalty.
-    fn inject_failures(&mut self, seq: u64) -> u32 {
-        let mut landed = 0;
+    /// X,X case injects two in the same job), one [`Loss`] each. The
+    /// work until detection is wasted: the paper's RCMP discards partial
+    /// results, and the same accounting applies to every strategy — a
+    /// ~45 s symmetric penalty.
+    fn inject_failures(&mut self, seq: u64) -> Vec<Loss> {
+        let mut losses = Vec::new();
         for f in self.cfg.failures.iter().filter(|f| f.seq == seq) {
-            self.report.events.push(SimEvent::FailureInjected {
-                at: self.t + f.offset,
-                node: f.node,
-            });
+            let fault = sim_time(self.t + f.offset);
             self.t += f.offset + self.cfg.hw.detect_timeout;
-            self.report.events.push(SimEvent::FailureDetected {
-                at: self.t,
-                node: f.node,
+            let lost = self.state.fail_node(f.node);
+            losses.push(Loss {
+                node: Some(NodeId(f.node)),
+                lost_partitions: lost.values().map(BTreeSet::len).sum(),
+                fault,
+                detected: self.now(),
             });
-            self.state.fail_node(f.node);
-            landed += 1;
         }
-        landed
+        losses
     }
 
-    fn completed(&mut self, seq: u64, mut rep: SimJobReport) {
+    fn completed(&mut self, seq: u64, mut rep: SimJobReport, losses: Vec<Loss>) -> RunOutcome {
         rep.seq = seq;
         self.t += rep.duration;
-        self.report.events.push(SimEvent::JobCompleted {
-            seq,
-            job: rep.job,
-            at: self.t,
-        });
+        let tasks = TaskCounts {
+            map_tasks_run: rep.mappers_run,
+            map_tasks_reused: rep.mappers_reused,
+            reduce_tasks_run: rep.reduce_tasks_run,
+        };
         self.report.runs.push(rep);
+        RunOutcome {
+            losses,
+            completed: Some(tasks),
+            resumed: false,
+        }
     }
 
     fn lost_partitions(&self, file: FileId) -> BTreeSet<PartitionId> {
@@ -267,16 +281,20 @@ impl ChainBackend for Runner<'_> {
         self
     }
 
+    fn now(&self) -> Stamp {
+        sim_time(self.t)
+    }
+
     /// One full attempt of the job: the simulator always discards a
     /// cancelled job's partial results (§V-A), so a retry is a full run.
     fn run_job(&mut self, seq: u64, job: JobId, _retry: bool) -> Result<RunOutcome> {
-        let faults = self.inject_failures(seq);
+        let losses = self.inject_failures(seq);
         if self.state.live_nodes().is_empty() {
             return Err(Error::NoLiveNodes);
         }
         // This or a previous failure may have broken the input.
         if !self.lost_partitions(job.0 - 1).is_empty() {
-            return Ok(RunOutcome::Cancelled { faults });
+            return Ok(RunOutcome::cancelled(losses));
         }
         let strategy = self.cfg.strategy;
         let rep = self.js.run_full(
@@ -285,22 +303,20 @@ impl ChainBackend for Runner<'_> {
             strategy.output_replication(),
             strategy.persists_outputs(),
         )?;
-        self.completed(seq, rep);
-        Ok(RunOutcome::Completed { faults })
+        Ok(self.completed(seq, rep, losses))
     }
 
     /// A failure scripted onto a recovery run cancels it (§IV-A).
     fn run_recompute(&mut self, seq: u64, step: RecoveryStep) -> Result<RunOutcome> {
-        let faults = self.inject_failures(seq);
-        if faults > 0 {
-            return Ok(RunOutcome::Cancelled { faults });
+        let losses = self.inject_failures(seq);
+        if !losses.is_empty() {
+            return Ok(RunOutcome::cancelled(losses));
         }
         let persist = self.cfg.strategy.persists_outputs();
         let rep =
             self.js
                 .run_recompute(&mut self.state, step.job.0, &step.instructions, persist)?;
-        self.completed(seq, rep);
-        Ok(RunOutcome::Completed { faults })
+        Ok(self.completed(seq, rep, losses))
     }
 
     /// The delay the engine sleeps shows up as simulated time.
@@ -311,9 +327,6 @@ impl ChainBackend for Runner<'_> {
     }
 
     fn restart(&mut self) -> Result<()> {
-        self.report
-            .events
-            .push(SimEvent::ChainRestarted { at: self.t });
         for job in 1..=self.cfg.wl.jobs {
             self.state.clear_job_outputs(job);
             if let Some(f) = self.state.files.get_mut(&job) {
@@ -323,16 +336,9 @@ impl ChainBackend for Runner<'_> {
         Ok(())
     }
 
-    fn planned(&mut self, _target: JobId, plan: &RecoveryPlan) {
-        self.report.events.push(SimEvent::RecoveryPlanned {
-            steps: plan.steps.len(),
-            partitions: plan.partition_count(),
-        });
-    }
-
     /// Raises the job's output to `factor` replicas, paying the copy
     /// time: a cluster-wide parallel copy, bottlenecked on disk writes.
-    fn replicate(&mut self, job: JobId, factor: u32, reclaim: bool) -> Result<()> {
+    fn replicate(&mut self, job: JobId, factor: u32, reclaim: bool) -> Result<Reclaimed> {
         let j = job.0;
         let bytes = self.state.files.get(&j).map(|f| f.bytes()).unwrap_or(0);
         let copies = (factor.saturating_sub(1)) as u64 * bytes;
@@ -340,20 +346,19 @@ impl ChainBackend for Runner<'_> {
         let secs = copies as f64 / (self.cfg.hw.disk_write_bw * live);
         self.t += secs;
         self.state.replicate_file(j, factor);
-        self.report
-            .events
-            .push(SimEvent::ReplicationPoint { job: j, at: self.t });
+        let mut freed = Reclaimed::default();
         if reclaim {
             for job in 1..=j {
-                self.state.clear_job_outputs(job);
+                freed.map_entries_dropped += self.state.clear_job_outputs(job);
             }
             for job in 1..j {
                 if let Some(f) = self.state.files.get_mut(&job) {
+                    freed.files_deleted += usize::from(!f.partitions.is_empty());
                     f.partitions.clear();
                 }
             }
         }
-        Ok(())
+        Ok(freed)
     }
 }
 
@@ -361,7 +366,7 @@ impl ChainBackend for Runner<'_> {
 mod tests {
     use super::*;
     use rcmp_model::{ByteSize, SlotConfig};
-    use rcmp_policy::SplitPolicy;
+    use rcmp_policy::{ChainEvent, SplitPolicy};
 
     fn wl_small() -> WorkloadCfg {
         WorkloadCfg {
@@ -455,26 +460,14 @@ mod tests {
             Strategy::Replication { factor: 2 },
             vec![FailureAt::at_job(3, 5)],
         );
-        assert_eq!(
-            r.events
-                .iter()
-                .filter(|e| matches!(e, SimEvent::ChainRestarted { .. }))
-                .count(),
-            0
-        );
+        assert_eq!(r.events.restarts(), 0);
         assert_eq!(r.jobs_started, 4, "no resubmissions: intra-job recovery");
     }
 
     #[test]
     fn optimistic_restarts_on_loss() {
         let r = run(Strategy::Optimistic, vec![FailureAt::at_job(3, 5)]);
-        assert_eq!(
-            r.events
-                .iter()
-                .filter(|e| matches!(e, SimEvent::ChainRestarted { .. }))
-                .count(),
-            1
-        );
+        assert_eq!(r.events.restarts(), 1);
         assert!(r.jobs_started > 4);
     }
 
@@ -493,7 +486,7 @@ mod tests {
             .events
             .iter()
             .filter_map(|e| match e {
-                SimEvent::ReplicationPoint { job, .. } => Some(*job),
+                ChainEvent::ReplicationPoint { job, .. } => Some(job.0),
                 _ => None,
             })
             .collect();
@@ -516,12 +509,7 @@ mod tests {
             vec![FailureAt::at_job(4, 5), FailureAt::at_job(5, 4)],
         );
         assert!(r.jobs_started > 5);
-        let detected = r
-            .events
-            .iter()
-            .filter(|e| matches!(e, SimEvent::FailureDetected { .. }))
-            .count();
-        assert_eq!(detected, 2);
+        assert_eq!(r.events.losses(), 2);
     }
 
     #[test]
@@ -531,13 +519,7 @@ mod tests {
             vec![FailureAt::at_job(2, 0), FailureAt::at_job(6, 3)],
         );
         assert!(r.total_time > 0.0);
-        assert_eq!(
-            r.events
-                .iter()
-                .filter(|e| matches!(e, SimEvent::FailureDetected { .. }))
-                .count(),
-            2
-        );
+        assert_eq!(r.events.losses(), 2);
     }
 
     /// External input has no producer: once every holder of one of its

@@ -26,10 +26,8 @@ use crate::speculate::{speculate_wave, SpeculationCfg, WaveTask};
 use crate::state::{MapOutputRec, Node, Segment, SimState};
 use crate::workload::WorkloadCfg;
 use rcmp_model::{JobId, PlacementKernel, Result};
-use rcmp_obs::Tracer;
 use rcmp_policy::{reduce_task_set, PolicyCtx};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Instructions for a recomputation run. This *is* the shared
 /// [`rcmp_policy::RecomputePlan`] — the same type the engine consumes as
@@ -38,7 +36,7 @@ use std::sync::Arc;
 pub use rcmp_policy::RecomputePlan as RecomputeSpec;
 
 /// Simulates job runs for one workload + hardware profile.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct JobSim {
     pub hw: HwProfile,
     pub wl: WorkloadCfg,
@@ -52,21 +50,6 @@ pub struct JobSim {
     /// Placement kernel driving wave assignment (`Default` reproduces
     /// the historical slot-pull byte for byte).
     pub placement: PlacementKernel,
-    /// Optional tracer: scheduling decisions emit `policy.*` spans.
-    pub tracer: Option<Arc<Tracer>>,
-}
-
-impl std::fmt::Debug for JobSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobSim")
-            .field("hw", &self.hw)
-            .field("wl", &self.wl)
-            .field("speculation", &self.speculation)
-            .field("noncollocated", &self.noncollocated)
-            .field("placement", &self.placement)
-            .field("traced", &self.tracer.is_some())
-            .finish()
-    }
 }
 
 struct MapTaskSim {
@@ -84,7 +67,6 @@ impl JobSim {
             speculation: None,
             noncollocated: false,
             placement: PlacementKernel::Default,
-            tracer: None,
         }
     }
 
@@ -97,13 +79,6 @@ impl JobSim {
     /// Selects the placement kernel waves are assigned with.
     pub fn with_placement(mut self, kernel: PlacementKernel) -> Self {
         self.placement = kernel;
-        self
-    }
-
-    /// Attaches a tracer: every wave-assignment decision emits a
-    /// `policy.*` span.
-    pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
-        self.tracer = Some(tracer);
         self
     }
 
@@ -187,7 +162,7 @@ impl JobSim {
         // mid-run transitions (none today) would only affect later runs,
         // matching the engine's snapshot-per-phase behaviour.
         let membership = state.membership().clone();
-        let ctx = PolicyCtx::maybe(self.tracer.as_deref(), None);
+        let ctx = PolicyCtx::disabled();
 
         let mut report = SimJobReport {
             job,

@@ -39,7 +39,7 @@ pub mod workload;
 pub use chainsim::{simulate_chain, ChainSimConfig, FailureAt};
 pub use hw::HwProfile;
 pub use jobsim::JobSim;
-pub use report::{SimChainReport, SimEvent, SimJobReport};
+pub use report::{SimChainReport, SimJobReport};
 pub use speculate::{SpeculationCfg, SpeculationStats};
 pub use state::SimState;
 pub use trace::chain_trace;

@@ -2,6 +2,7 @@
 
 use crate::speculate::SpeculationStats;
 use rcmp_obs::{PhaseBreakdown, PhaseKind};
+use rcmp_policy::EventLog;
 use serde::{Deserialize, Serialize};
 
 /// Simulated seconds → profiler microseconds.
@@ -68,24 +69,14 @@ pub struct SimJobReport {
     pub speculation: SpeculationStats,
 }
 
-/// Timeline entry of the chain simulation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum SimEvent {
-    JobCompleted { seq: u64, job: u32, at: f64 },
-    FailureInjected { at: f64, node: u32 },
-    FailureDetected { at: f64, node: u32 },
-    RecoveryPlanned { steps: usize, partitions: usize },
-    ChainRestarted { at: f64 },
-    ReplicationPoint { job: u32, at: f64 },
-}
-
 /// Outcome of one simulated chain execution.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct SimChainReport {
     /// Total simulated time, seconds.
     pub total_time: f64,
     pub runs: Vec<SimJobReport>,
-    pub events: Vec<SimEvent>,
+    /// Everything the chain loop did, stamped in simulated seconds.
+    pub events: EventLog,
     pub jobs_started: u64,
     /// Simulated time spent in seeded retry backoff (modelled from
     /// `rcmp_model::RetryPolicy`, mirroring the engine's delays).
@@ -132,11 +123,7 @@ impl SimChainReport {
                 rc_n += u64::from(run.map_waves + run.reduce_waves);
             }
         }
-        let planned = self
-            .events
-            .iter()
-            .filter(|e| matches!(e, SimEvent::RecoveryPlanned { .. }))
-            .count() as u64;
+        let planned = self.events.recoveries().count() as u64;
         PhaseBreakdown::from_parts(&[
             (PhaseKind::MapCompute, map_us, map_n),
             (PhaseKind::ReduceUdf, reduce_us, reduce_n),
@@ -173,6 +160,8 @@ impl SimChainReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcmp_model::JobId;
+    use rcmp_policy::ChainEvent;
 
     #[test]
     fn io_aggregation() {
@@ -230,10 +219,13 @@ mod tests {
             ..Default::default()
         });
         r.backoff_secs = 0.25;
-        r.events.push(SimEvent::RecoveryPlanned {
+        let plan = ChainEvent::RecoveryPlanned {
+            target: JobId(2),
             steps: 1,
             partitions: 4,
-        });
+        };
+        let log = &mut r.events;
+        log.push(0.0, plan);
 
         let b = r.phase_breakdown();
         // Same rows, same order as an engine profiler snapshot.

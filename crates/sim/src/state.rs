@@ -416,9 +416,11 @@ impl SimState {
     }
 
     /// Drops all map outputs of one consuming job (Hadoop-mode cleanup /
-    /// hybrid reclamation).
-    pub fn clear_job_outputs(&mut self, job: u32) {
+    /// hybrid reclamation), returning how many there were.
+    pub fn clear_job_outputs(&mut self, job: u32) -> usize {
+        let before = self.map_outputs.len();
         self.map_outputs.retain(|k, _| k.0 != job);
+        before - self.map_outputs.len()
     }
 
     /// Total bytes of persisted map outputs (storage accounting).

@@ -1,10 +1,12 @@
 //! Converts a [`SimChainReport`] into the observability span schema.
 //!
-//! The simulator predates the tracer and keeps its own timeline
-//! ([`SimEvent`]s in seconds); this module lowers that timeline into the
-//! same [`Trace`] the real engine produces, so the analyzers and
-//! exporters in `rcmp-obs` (slot occupancy, critical path, Chrome trace
-//! export) work on simulated chains at paper scale too.
+//! A simulated chain is recorded in the same
+//! [`EventLog`](rcmp_policy::EventLog) the chain loop writes for the
+//! engine, stamped in simulated seconds. This module lowers that log,
+//! with the per-run reports, into the same [`Trace`] the engine's
+//! tracer holds, so the analyzers and exporters in `rcmp-obs` (slot
+//! occupancy, critical path, Chrome trace export) work on simulated
+//! chains at paper scale too.
 //!
 //! Mapping notes:
 //!
@@ -18,16 +20,20 @@
 //!   count. Wave capacity is the chain's fullest wave of that phase
 //!   (full runs fill the cluster, so this estimates the cluster's slot
 //!   capacity); recomputation runs then show Fig. 4's under-utilization.
-//! * `FailureInjected` becomes a `Fault` instant; `RecoveryPlanned`
-//!   becomes a `RecoveryPlan` span caused by the latest fault (the sim
-//!   event does not name the recovery target, so the plan's `target` is
-//!   `JobId(0)`); each recompute `JobRun` is caused by the latest plan
-//!   (or fault) at its start time — the same causal chain the engine
-//!   records live.
+//! * A `LossObserved` becomes a `Fault` instant at its fault stamp and
+//!   a `failure_detected` instant at its detection stamp;
+//!   `RecoveryPlanned` becomes a `RecoveryPlan` span for its target,
+//!   caused by the latest fault and drawn at the cancellation that
+//!   called for it (the backoff before planning is not drawn); each
+//!   recompute `JobRun` is caused by the latest plan (or fault) at its
+//!   start time — the same causal chain the engine records live.
+//!   Restarts and replication points are instants; starts,
+//!   cancellations and reclamation add no span.
 
-use crate::report::{SimChainReport, SimEvent, SimJobReport};
+use crate::report::{SimChainReport, SimJobReport};
 use rcmp_model::{JobId, NodeId, TaskId};
 use rcmp_obs::{FaultKind, Phase, Span, SpanId, SpanKind, Trace};
+use rcmp_policy::ChainEvent;
 
 /// Seconds → span microseconds.
 fn us(seconds: f64) -> u64 {
@@ -69,6 +75,17 @@ impl Builder {
             kind,
         });
         id
+    }
+
+    /// A zero-length span at `at` seconds.
+    fn instant(
+        &mut self,
+        kind: SpanKind,
+        cause: Option<SpanId>,
+        node: Option<NodeId>,
+        at: f64,
+    ) -> SpanId {
+        self.push(kind, None, cause, node, us(at), us(at))
     }
 }
 
@@ -238,88 +255,48 @@ pub fn chain_trace(report: &SimChainReport) -> Trace {
     // `causes` is the chronological list of candidate cause spans.
     let mut completed_at: Vec<(u64, f64)> = Vec::new();
     let mut causes: Vec<(u64, SpanId)> = Vec::new();
-    let mut last_at = 0.0f64;
+    let mut cancelled_at = 0.0f64;
     let mut last_fault: Option<SpanId> = None;
-    for e in &report.events {
-        match e {
-            SimEvent::JobCompleted { seq, at, .. } => {
-                completed_at.push((*seq, *at));
-                last_at = *at;
-            }
-            SimEvent::FailureInjected { at, node } => {
-                let id = b.push(
-                    SpanKind::Fault {
-                        seq: 0,
-                        kind: FaultKind::NodeCrash,
-                        at: "Simulated".to_string(),
-                    },
-                    None,
-                    None,
-                    Some(NodeId(*node)),
-                    us(*at),
-                    us(*at),
-                );
+    let event = |label: String| SpanKind::Event { seq: 0, label };
+    for (fault, at, e) in report.events.stamped() {
+        match *e {
+            ChainEvent::JobCompleted { seq, .. } => completed_at.push((seq, at)),
+            ChainEvent::LossObserved { node, .. } => {
+                let kind = SpanKind::Fault {
+                    seq: 0,
+                    kind: FaultKind::NodeCrash,
+                    at: "Simulated".to_string(),
+                };
+                let id = b.instant(kind, None, node, fault);
                 last_fault = Some(id);
-                causes.push((us(*at), id));
-                last_at = *at;
+                causes.push((us(fault), id));
+                let label = node.map_or("failure_detected".into(), |n| {
+                    format!("failure_detected node {}", n.raw())
+                });
+                b.instant(event(label), None, node, at);
             }
-            SimEvent::FailureDetected { at, node } => {
-                b.push(
-                    SpanKind::Event {
-                        seq: 0,
-                        label: format!("failure_detected node {node}"),
-                    },
-                    None,
-                    None,
-                    Some(NodeId(*node)),
-                    us(*at),
-                    us(*at),
-                );
-                last_at = *at;
+            ChainEvent::JobCancelled { .. } => cancelled_at = at,
+            ChainEvent::RecoveryPlanned {
+                target,
+                steps,
+                partitions,
+            } => {
+                let plan = SpanKind::RecoveryPlan {
+                    target,
+                    steps: steps as u32,
+                    partitions: partitions as u32,
+                };
+                let id = b.instant(plan, last_fault, None, cancelled_at);
+                causes.push((us(cancelled_at), id));
             }
-            SimEvent::RecoveryPlanned { steps, partitions } => {
-                let id = b.push(
-                    SpanKind::RecoveryPlan {
-                        target: JobId(0),
-                        steps: *steps as u32,
-                        partitions: *partitions as u32,
-                    },
-                    None,
-                    last_fault,
-                    None,
-                    us(last_at),
-                    us(last_at),
-                );
-                causes.push((us(last_at), id));
+            ChainEvent::ChainRestarted => {
+                b.instant(event("chain_restarted".into()), None, None, at);
             }
-            SimEvent::ChainRestarted { at } => {
-                b.push(
-                    SpanKind::Event {
-                        seq: 0,
-                        label: "chain_restarted".to_string(),
-                    },
-                    None,
-                    None,
-                    None,
-                    us(*at),
-                    us(*at),
-                );
-                last_at = *at;
+            ChainEvent::ReplicationPoint { job, .. } => {
+                let label = format!("replication_point job {}", job.raw());
+                b.instant(event(label), None, None, at);
             }
-            SimEvent::ReplicationPoint { job, at } => {
-                b.push(
-                    SpanKind::Event {
-                        seq: 0,
-                        label: format!("replication_point job {job}"),
-                    },
-                    None,
-                    None,
-                    None,
-                    us(*at),
-                    us(*at),
-                );
-                last_at = *at;
-            }
+            ChainEvent::JobStarted { .. } | ChainEvent::StorageReclaimed { .. } => {}
         }
     }
 
@@ -356,6 +333,16 @@ mod tests {
     use super::*;
     use crate::report::SimIo;
 
+    fn completed(seq: u64, job: u32) -> ChainEvent {
+        ChainEvent::JobCompleted {
+            seq,
+            job: JobId(job),
+            map_tasks_run: 3,
+            map_tasks_reused: 0,
+            reduce_tasks_run: 2,
+        }
+    }
+
     fn run(seq: u64, job: u32, dur: f64, recompute: bool) -> SimJobReport {
         SimJobReport {
             job,
@@ -381,11 +368,8 @@ mod tests {
     fn lowers_runs_waves_and_tasks() {
         let mut rep = SimChainReport::default();
         rep.runs.push(run(1, 1, 10.0, false));
-        rep.events.push(SimEvent::JobCompleted {
-            seq: 1,
-            job: 1,
-            at: 10.0,
-        });
+        let log = &mut rep.events;
+        log.push(10.0, completed(1, 1));
         let tr = chain_trace(&rep);
         assert_eq!(tr.of_kind("JobRun").count(), 1);
         assert_eq!(tr.of_kind("Wave").count(), 3, "2 map + 1 reduce");
@@ -405,27 +389,31 @@ mod tests {
     fn recompute_run_is_caused_by_the_plan() {
         let mut rep = SimChainReport::default();
         rep.runs.push(run(1, 1, 10.0, false));
-        rep.runs.push(run(2, 1, 5.0, true));
-        rep.events.push(SimEvent::JobCompleted {
-            seq: 1,
-            job: 1,
-            at: 10.0,
-        });
-        rep.events
-            .push(SimEvent::FailureInjected { at: 11.0, node: 2 });
-        rep.events.push(SimEvent::RecoveryPlanned {
-            steps: 1,
-            partitions: 4,
-        });
-        rep.events.push(SimEvent::JobCompleted {
+        rep.runs.push(run(3, 1, 5.0, true));
+        let log = &mut rep.events;
+        log.push(10.0, completed(1, 1));
+        let loss = ChainEvent::LossObserved {
             seq: 2,
-            job: 1,
-            at: 17.0,
-        });
+            node: Some(NodeId(2)),
+            lost_partitions: 4,
+        };
+        log.push_loss(11.0, 11.5, loss);
+        let (seq, job) = (2, JobId(2));
+        log.push(11.5, ChainEvent::JobCancelled { seq, job });
+        let (steps, partitions) = (1, 4);
+        let planned = ChainEvent::RecoveryPlanned {
+            target: job,
+            steps,
+            partitions,
+        };
+        log.push(11.5, planned);
+        log.push(17.0, completed(3, 1));
         let tr = chain_trace(&rep);
         let plan = tr.of_kind("RecoveryPlan").next().expect("plan span");
         let fault = tr.of_kind("Fault").next().expect("fault span");
         assert_eq!(plan.cause, Some(fault.id));
+        assert_eq!(fault.start_us, 11_000_000);
+        assert_eq!(plan.start_us, 11_500_000);
         let recompute = tr
             .spans()
             .iter()

@@ -13,7 +13,6 @@ fn test_cluster(nodes: u32) -> Cluster {
         nodes,
         slots: SlotConfig::ONE_ONE,
         block_size: rcmp_model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         executor: rcmp_model::ExecutorConfig::default(),
         shuffle: Default::default(),

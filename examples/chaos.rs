@@ -22,7 +22,6 @@ fn cluster() -> Cluster {
         nodes: NODES,
         slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         executor: ExecutorConfig::from_env_or_default(),
         shuffle: Default::default(),
@@ -73,7 +72,7 @@ fn main() {
         println!(
             "corrupt replica under REPL-2: jobs_started={} restarts={} digest_ok={}",
             outcome.jobs_started,
-            outcome.restarts,
+            outcome.events.restarts(),
             digest == golden
         );
     }
@@ -116,7 +115,6 @@ fn main() {
             nodes: 1,
             slots: SlotConfig::ONE_ONE,
             block_size: ByteSize::kib(4),
-            failure_detection_secs: 30.0,
             max_recovery_attempts: 100,
             executor: ExecutorConfig::from_env_or_default(),
             shuffle: Default::default(),

@@ -20,7 +20,6 @@ fn main() {
         nodes: 5,
         slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         // Thread-per-slot by default; `RCMP_EXECUTOR=async` (or
         // `ExecutorConfig::async_auto()`) runs the same seeded

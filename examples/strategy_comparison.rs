@@ -27,7 +27,6 @@ fn run(strategy: Strategy, label: &str) {
         nodes: NODES,
         slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         executor: ExecutorConfig::from_env_or_default(),
         shuffle: Default::default(),
@@ -54,7 +53,7 @@ fn run(strategy: Strategy, label: &str) {
     println!(
         "{label:<22} runs={:<3} restarts={} maps={:<4} reduces={:<3} shuffle={:>9} out+repl={:>9}  records={}",
         outcome.jobs_started,
-        outcome.restarts,
+        outcome.events.restarts(),
         outcome.total_map_tasks(),
         outcome.total_reduce_tasks(),
         format!("{}", ByteSize::bytes(io.shuffle_total())),

@@ -30,7 +30,6 @@ fn main() {
         nodes: NODES,
         slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         executor: ExecutorConfig::from_env_or_default(),
         shuffle: Default::default(),

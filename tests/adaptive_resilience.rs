@@ -21,7 +21,6 @@ fn cluster() -> Cluster {
         nodes: 5,
         slots: SlotConfig::ONE_ONE,
         block_size: rcmp::model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         executor: rcmp::model::ExecutorConfig::default(),
         shuffle: Default::default(),

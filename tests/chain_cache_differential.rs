@@ -31,7 +31,6 @@ fn cluster(cache: ChainCacheConfig, placement: PlacementKernel) -> Cluster {
         nodes: NODES,
         slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         // The serial reactor is pinned so the recovery event sequence
         // is exactly replayable even when a fault kills a node mid-wave
@@ -158,7 +157,6 @@ fn stable_kernel_is_fully_local_on_balanced_partitions() {
         // 8k test records over 4 partitions ≈ 224 KiB each: one 1 MiB
         // block per partition.
         block_size: ByteSize::mib(1),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         executor: ExecutorConfig::async_workers(1),
         shuffle: Default::default(),

@@ -21,7 +21,6 @@ fn cluster(nodes: u32) -> Cluster {
         nodes,
         slots: SlotConfig::ONE_ONE,
         block_size: rcmp::model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         executor: rcmp::model::ExecutorConfig::default(),
         shuffle: Default::default(),
@@ -64,7 +63,7 @@ fn rcmp_failure_free_runs_each_job_once() {
         .unwrap();
     assert_eq!(outcome.jobs_started, 3);
     assert_eq!(outcome.events.recompute_runs(), 0);
-    assert_eq!(outcome.restarts, 0);
+    assert_eq!(outcome.events.restarts(), 0);
 }
 
 /// The Fig. 1 scenario: a failure late in the chain cascades back and
@@ -92,7 +91,11 @@ fn rcmp_cascading_recovery_preserves_output() {
         Some(outcome.jobs_started),
         "the event log numbers every run the driver started"
     );
-    assert_eq!(outcome.restarts, 0, "RCMP never restarts the chain");
+    assert_eq!(
+        outcome.events.restarts(),
+        0,
+        "RCMP never restarts the chain"
+    );
     assert_eq!(final_digest(&cl, &chain), reference);
 }
 
@@ -213,7 +216,7 @@ fn optimistic_restarts_and_still_correct() {
         .with_injector(injector)
         .run(&chain.jobs)
         .unwrap();
-    assert_eq!(outcome.restarts, 1);
+    assert_eq!(outcome.events.restarts(), 1);
     assert_eq!(
         outcome.jobs_started,
         3 + 3,
@@ -238,7 +241,7 @@ fn replication_absorbs_single_failure() {
         .run(&chain.jobs)
         .unwrap();
     assert_eq!(outcome.jobs_started, 3, "no resubmissions needed");
-    assert_eq!(outcome.restarts, 0);
+    assert_eq!(outcome.events.restarts(), 0);
     assert_eq!(final_digest(&cl, &chain), reference);
 }
 

@@ -35,7 +35,6 @@ fn cluster_cached(executor: ExecutorConfig, chain_cache: ChainCacheConfig) -> Cl
         nodes: NODES,
         slots: SlotConfig::ONE_ONE,
         block_size: rcmp::model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         executor,
         shuffle: Default::default(),
@@ -346,7 +345,11 @@ fn corrupt_replica_under_repl2_recovers_from_survivor() {
         .with_injector(injector)
         .run(&chain.jobs)
         .unwrap();
-    assert_eq!(outcome.restarts, 0, "corruption must not force a restart");
+    assert_eq!(
+        outcome.events.restarts(),
+        0,
+        "corruption must not force a restart"
+    );
     assert_eq!(
         outcome.jobs_started, JOBS as u64,
         "the surviving replica makes recomputation unnecessary"
@@ -375,7 +378,11 @@ fn corrupt_replica_under_rcmp_recomputes() {
         .with_injector(injector)
         .run(&chain.jobs)
         .unwrap();
-    assert_eq!(outcome.restarts, 0, "RCMP never restarts the chain");
+    assert_eq!(
+        outcome.events.restarts(),
+        0,
+        "RCMP never restarts the chain"
+    );
     let digest = digest_file(cl.dfs(), chain.final_output(), cl.live_nodes()[0])
         .unwrap()
         .0;
@@ -453,7 +460,6 @@ fn permanent_shuffle_flake_exhausts_retry_budget() {
         nodes: 1,
         slots: SlotConfig::ONE_ONE,
         block_size: rcmp::model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         executor: ExecutorConfig::from_env_or_default(),
         shuffle: Default::default(),
@@ -496,7 +502,6 @@ fn failed_run_traces_every_injected_fault() {
         nodes: 1,
         slots: SlotConfig::ONE_ONE,
         block_size: rcmp::model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         executor: ExecutorConfig::from_env_or_default(),
         shuffle: Default::default(),
@@ -572,7 +577,6 @@ fn unrecoverable_input_exhausts_chain_restart_budget() {
         nodes: NODES,
         slots: SlotConfig::ONE_ONE,
         block_size: rcmp::model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 3,
         executor: ExecutorConfig::from_env_or_default(),
         shuffle: Default::default(),
@@ -818,7 +822,6 @@ fn every_placement_kernel_converges_chaos_chain_to_golden() {
             nodes: NODES,
             slots: SlotConfig::ONE_ONE,
             block_size: rcmp::model::ByteSize::kib(4),
-            failure_detection_secs: 30.0,
             max_recovery_attempts: 100,
             executor: ExecutorConfig::from_env_or_default(),
             shuffle: Default::default(),

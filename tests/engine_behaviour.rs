@@ -16,7 +16,6 @@ fn cluster(nodes: u32, slots: SlotConfig) -> Cluster {
         nodes,
         slots,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         seed: 3,
         // CI reruns this binary with RCMP_EXECUTOR=async (executor matrix).

@@ -67,7 +67,6 @@ fn engine_run(
         nodes: 4,
         slots: SlotConfig::TWO_TWO,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         seed: 9,
         executor,
@@ -121,7 +120,6 @@ fn crash_run(
         nodes: 4,
         slots: SlotConfig::TWO_TWO,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         seed: 11,
         executor,

@@ -28,7 +28,6 @@ fn cluster(max_recovery_attempts: u32) -> Cluster {
         nodes: NODES,
         slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts,
         executor: rcmp::model::ExecutorConfig::default(),
         shuffle: Default::default(),

@@ -20,7 +20,6 @@ fn setup() -> (Cluster, rcmp::workloads::ChainSpec, JobGraph) {
         nodes: NODES,
         slots: SlotConfig::ONE_ONE,
         block_size: rcmp::model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         executor: rcmp::model::ExecutorConfig::default(),
         shuffle: Default::default(),

@@ -20,7 +20,6 @@ fn cluster() -> Cluster {
         nodes: NODES,
         slots: SlotConfig::ONE_ONE,
         block_size: rcmp::model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         executor: rcmp::model::ExecutorConfig::default(),
         shuffle: Default::default(),
@@ -100,7 +99,7 @@ proptest! {
             .run(&chain.jobs)
             .unwrap();
         if !matches!(strategy, Strategy::Optimistic) {
-            prop_assert_eq!(outcome.restarts, 0, "RCMP never restarts the chain");
+            prop_assert_eq!(outcome.events.restarts(), 0, "RCMP never restarts the chain");
         }
         let digest = digest_file(cl.dfs(), chain.final_output(), cl.live_nodes()[0])
             .unwrap()
@@ -136,7 +135,7 @@ proptest! {
             .with_injector(injector)
             .run(&chain.jobs)
             .unwrap();
-        prop_assert_eq!(outcome.restarts, 0);
+        prop_assert_eq!(outcome.events.restarts(), 0);
         let digest = digest_file(cl.dfs(), chain.final_output(), cl.live_nodes()[0])
             .unwrap()
             .0;

@@ -28,7 +28,6 @@ fn cluster(seed: u64, shuffle: ShuffleConfig, executor: ExecutorConfig) -> Clust
         nodes: NODES,
         slots: SlotConfig::TWO_TWO,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         seed,
         executor,

@@ -3,11 +3,14 @@
 //! agree with the real engine's measured reports. Time is modeled;
 //! volume is arithmetic, and arithmetic has to match.
 
-use rcmp::core::{ChainDriver, Strategy};
+use rcmp::core::{ChainDriver, ChainEvent, EventLog, Strategy};
 use rcmp::engine::{Cluster, JobRun, JobTracker, NoFailures, ScriptedInjector, TriggerPoint};
-use rcmp::model::{ByteSize, ClusterConfig, ExecutorConfig, NodeId, SlotConfig};
+use rcmp::model::{
+    ByteSize, ChainCacheConfig, ClusterConfig, ExecutorConfig, NodeId, PlacementKernel, SlotConfig,
+};
+use rcmp::policy::Clock;
 use rcmp::sim::{
-    simulate_chain, ChainSimConfig, FailureAt, HwProfile, JobSim, SimEvent, SimState, WorkloadCfg,
+    simulate_chain, ChainSimConfig, FailureAt, HwProfile, JobSim, SimState, WorkloadCfg,
 };
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
 use std::sync::Arc;
@@ -25,7 +28,6 @@ fn engine_run() -> rcmp::engine::JobReport {
         nodes: NODES,
         slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::bytes(BLOCK),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         seed: 5,
         executor: ExecutorConfig::from_env_or_default(),
@@ -132,7 +134,6 @@ fn recompute_fractions_agree() {
         nodes: NODES,
         slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::bytes(BLOCK),
-        failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
         seed: 5,
         executor: ExecutorConfig::from_env_or_default(),
@@ -208,10 +209,33 @@ fn recompute_fractions_agree() {
     }
 }
 
+/// The event stream with the stamps and the backends' own payload
+/// counts projected away: what the shared loop decided.
+fn skeleton(log: &EventLog) -> Vec<ChainEvent> {
+    log.iter()
+        .map(|e| match *e {
+            ChainEvent::JobCompleted { seq, job, .. } => ChainEvent::JobCompleted {
+                seq,
+                job,
+                map_tasks_run: 0,
+                map_tasks_reused: 0,
+                reduce_tasks_run: 0,
+            },
+            ChainEvent::LossObserved { seq, node, .. } => ChainEvent::LossObserved {
+                seq,
+                node,
+                lost_partitions: 0,
+            },
+            ref other => other.clone(),
+        })
+        .collect()
+}
+
 /// Chain-level agreement (§V-A): both backends run one control loop,
-/// so the paper's 7-job chain with node 1 killed as job 7 starts is
-/// numbered identically — six recomputations, the restarted job 7,
-/// 14 runs in all — and planned once, with the same number of steps.
+/// so the paper's 7-job chain with node 1 killed as job 7 starts logs
+/// one event sequence in both — run 7 started, its loss, its
+/// cancellation, one plan of six steps for job 7, six recomputations,
+/// job 7 again: 14 runs in all.
 #[test]
 fn late_failure_starts_fourteen_runs_in_both_backends() {
     const JOBS: u32 = 7;
@@ -253,19 +277,80 @@ fn late_failure_starts_fourteen_runs_in_both_backends() {
 
     assert_eq!(engine.jobs_started, 14);
     assert_eq!(sim.jobs_started, 14);
-    let engine_plans: Vec<usize> = engine
+    let steps: Vec<usize> = engine.events.recoveries().map(|(_, s, _)| s).collect();
+    assert_eq!(steps, [6]);
+    assert_eq!(engine.events.clock(), Clock::WallMicros);
+    assert_eq!(sim.events.clock(), Clock::SimSeconds);
+    assert_eq!(skeleton(&sim.events), skeleton(&engine.events));
+}
+
+/// MTTR on the simulated clock, for the paper's STIC FAIL 7: the
+/// detection leg is exactly the profile's heartbeat timeout, and the
+/// four legs add up to the time from the fault to job 7 starting again.
+#[test]
+fn recovery_times_on_the_simulated_clock() {
+    let hw = HwProfile::stic();
+    let wl = WorkloadCfg::stic(SlotConfig::ONE_ONE);
+    let victim = wl.nodes - 1;
+    let report = simulate_chain(
+        &ChainSimConfig::new(hw.clone(), wl, Strategy::rcmp_no_split())
+            .with_failures(vec![FailureAt::at_job(7, victim)]),
+    );
+    let times = report.events.recovery_times();
+    assert_eq!(times.len(), 1, "{times:?}");
+    let t = times[0];
+    assert_eq!(t.seq, 7);
+    assert_eq!(t.detect, hw.detect_timeout, "{t:?}");
+    let fault = report
         .events
-        .recoveries()
-        .map(|(_, steps, _)| steps)
-        .collect();
-    let sim_plans: Vec<usize> = sim
+        .stamped()
+        .find_map(|(fault, _, e)| matches!(e, ChainEvent::LossObserved { .. }).then_some(fault))
+        .unwrap();
+    let resumed = report
         .events
-        .iter()
-        .filter_map(|e| match e {
-            SimEvent::RecoveryPlanned { steps, .. } => Some(*steps),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(engine_plans, [6]);
-    assert_eq!(sim_plans, engine_plans);
+        .stamped()
+        .find_map(|(_, at, e)| matches!(e, ChainEvent::JobStarted { seq: 14, .. }).then_some(at))
+        .unwrap();
+    assert!((t.total() - (resumed - fault)).abs() < 1e-9, "{t:?}");
+    assert!(
+        t.plan > 0.0 && t.recompute > 0.0 && t.resume == 0.0,
+        "{t:?}"
+    );
+}
+
+/// MTTR on the wall clock, for the benchmark's `chain_kill` shape
+/// (async executor, chain cache, stable placement, split recovery):
+/// every leg is a real, non-negative duration inside the chain's wall
+/// time.
+#[test]
+fn recovery_times_on_the_wall_clock() {
+    const NODES: u32 = 5;
+    let cluster = Cluster::new(ClusterConfig {
+        block_size: ByteSize::kib(4),
+        executor: ExecutorConfig::async_workers(2),
+        placement: PlacementKernel::Stable,
+        chain_cache: ChainCacheConfig::enabled(ByteSize::mib(64)),
+        ..ClusterConfig::small_test(NODES)
+    });
+    generate_input(cluster.dfs(), &DataGenConfig::test("input", NODES, 20_000)).unwrap();
+    let chain = ChainBuilder::new(7, NODES).build();
+    let injector = Arc::new(ScriptedInjector::single(
+        7,
+        TriggerPoint::JobStart,
+        NodeId(1),
+    ));
+    let started = std::time::Instant::now();
+    let outcome = ChainDriver::new(&cluster, Strategy::rcmp_split(4))
+        .with_injector(injector)
+        .run(&chain.jobs)
+        .unwrap();
+    let wall_us = started.elapsed().as_micros() as f64;
+    let times = outcome.events.recovery_times();
+    assert_eq!(times.len(), 1, "{times:?}");
+    let t = times[0];
+    for leg in [t.detect, t.plan, t.recompute, t.resume] {
+        assert!(leg >= 0.0, "{t:?}");
+    }
+    assert!(t.recompute > 0.0, "six recomputations take time: {t:?}");
+    assert!(t.total() <= wall_us, "{t:?} vs {wall_us} us");
 }
