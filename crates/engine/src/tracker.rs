@@ -983,9 +983,17 @@ impl<'a> JobTracker<'a> {
         let mut combine_ns = 0u64;
         let mut write_ns = 0u64;
         let mark = Instant::now();
-        for rec in RecordReader::new(data) {
-            let rec = rec?;
-            spec.mapper.map(rec, &mut |out: Record| raw.push(out));
+        // The mapper sees the block as one record stream; the first
+        // codec error ends the stream, parks here and fails the task.
+        let mut decode_error: Option<Error> = None;
+        {
+            let mut records = RecordReader::new(data)
+                .map_while(|rec| rec.map_err(|e| decode_error = Some(e)).ok());
+            spec.mapper
+                .map_block(&mut records, &mut |out: Record| raw.push(out));
+        }
+        if let Some(e) = decode_error {
+            return Err(e);
         }
         compute_ns = mark.elapsed().as_nanos() as u64;
         let mut buckets = HashMap::new();
@@ -1388,9 +1396,7 @@ impl<'a> JobTracker<'a> {
                     }
                 }
                 let udf_start = Instant::now();
-                for (key, values) in &batch[..pulled] {
-                    spec.reducer.reduce(*key, values, &mut emit);
-                }
+                spec.reducer.reduce_groups(&batch[..pulled], &mut emit);
                 udf_ns += udf_start.elapsed().as_nanos() as u64;
             }
             let loop_ns = merge_started.elapsed().as_nanos() as u64;
@@ -1408,9 +1414,7 @@ impl<'a> JobTracker<'a> {
             };
             self.record_fetches(&shuffled.per_source, node, task_span, start, end);
             let udf_start = Instant::now();
-            for (key, values) in &shuffled.groups {
-                spec.reducer.reduce(*key, values, &mut emit);
-            }
+            spec.reducer.reduce_groups(&shuffled.groups, &mut emit);
             self.profiler
                 .add_ns(PhaseKind::ReduceUdf, udf_start.elapsed().as_nanos() as u64);
             (shuffled.local_bytes, shuffled.remote_bytes)
@@ -1481,5 +1485,57 @@ impl<'a> JobTracker<'a> {
                 input_source: None,
             },
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::failure::NoFailures;
+    use crate::udf::{IdentityMapper, IdentityReducer};
+    use rcmp_model::{ClusterConfig, RecordWriter};
+
+    /// A block cut inside its last record's value: the mapper has seen
+    /// the whole records before the cut, but the task fails with the
+    /// decoder's typed error and stores no map output.
+    #[test]
+    fn map_task_over_a_truncated_block_fails_with_codec_and_stores_nothing() {
+        let cluster = Cluster::new(ClusterConfig::small_test(2));
+        let mut w = RecordWriter::new();
+        for key in 0..5u64 {
+            w.push(&Record::new(key, vec![key as u8; 40]));
+        }
+        let block = w.finish();
+        let cut = block.slice(..block.len() - 7);
+        let dfs = cluster.dfs();
+        dfs.create_file("input", 1, 1).unwrap();
+        dfs.write_partition_chunks(
+            "input",
+            PartitionId(0),
+            vec![cut],
+            NodeId(0),
+            PlacementPolicy::WriterLocal,
+        )
+        .unwrap();
+        let spec = JobSpec {
+            job: JobId(1),
+            input: "input".into(),
+            output: "out/1".into(),
+            num_reducers: 2,
+            output_replication: 1,
+            placement: PlacementPolicy::WriterLocal,
+            mapper: Arc::new(IdentityMapper),
+            reducer: Arc::new(IdentityReducer),
+            combiner: None,
+            splittable: true,
+        };
+        let tracker = JobTracker::new(&cluster, Arc::new(NoFailures));
+        let task = tracker.enumerate_inputs(&spec).unwrap().remove(0);
+        let slots = BucketSlots::new(spec.job, spec.num_reducers, None);
+        let err = tracker
+            .map_task_inner(NodeId(0), task.clone(), &spec, &slots, 0)
+            .unwrap_err();
+        assert!(matches!(err, Error::Codec(_)), "{err:?}");
+        assert_eq!(cluster.map_outputs().input_hash(&task.key), None);
     }
 }

@@ -16,6 +16,14 @@ pub type Emit<'a> = &'a mut dyn FnMut(Record);
 /// The map UDF: applied to each input record (§II).
 pub trait Mapper: Send + Sync {
     fn map(&self, record: Record, emit: Emit<'_>);
+
+    /// Maps one input block's records: the engine's only entry point.
+    /// Must emit what [`Mapper::map`] on each record in turn would.
+    fn map_block(&self, records: &mut dyn Iterator<Item = Record>, emit: Emit<'_>) {
+        for record in records {
+            self.map(record, emit);
+        }
+    }
 }
 
 /// The reduce UDF: applied once per key with all the key's values (§II).
@@ -25,6 +33,14 @@ pub trait Mapper: Send + Sync {
 /// to regenerate byte-identical partitions.
 pub trait Reducer: Send + Sync {
     fn reduce(&self, key: u64, values: &[Bytes], emit: Emit<'_>);
+
+    /// Reduces a batch of key groups: the engine's only entry point.
+    /// Must emit what [`Reducer::reduce`] on each group in turn would.
+    fn reduce_groups(&self, groups: &[(u64, Vec<Bytes>)], emit: Emit<'_>) {
+        for (key, values) in groups {
+            self.reduce(*key, values, emit);
+        }
+    }
 }
 
 /// The optional map-side combiner: pre-aggregates one mapper's bucket

@@ -9,9 +9,11 @@
 //! engine-level analogue of the paper's per-record MD5 + byte-sum
 //! correctness computations.
 
-use crate::md5::md5_u64;
+use crate::md5::{md5_u64, md5_u64x2};
 use bytes::Bytes;
 use rcmp_model::Record;
+use std::borrow::Borrow;
+use std::convert::Infallible;
 
 /// Commutative digest of a multiset of records.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -32,12 +34,43 @@ pub struct OutputDigest {
 }
 
 impl OutputDigest {
-    /// Folds one record in.
-    pub fn add_record(&mut self, rec: &Record) {
-        let mut buf = Vec::with_capacity(8 + rec.value.len());
-        buf.extend_from_slice(&rec.key.to_le_bytes());
-        buf.extend_from_slice(&rec.value);
-        let h = md5_u64(&buf);
+    /// Digest of an iterator of records.
+    pub fn of_records<'a>(records: impl IntoIterator<Item = &'a Record>) -> Self {
+        let Ok(d) = Self::of_stream(records.into_iter().map(Ok::<_, Infallible>));
+        d
+    }
+
+    /// Digest of an encoded record stream.
+    pub fn of_encoded(data: Bytes) -> rcmp_model::Result<Self> {
+        Self::of_stream(rcmp_model::RecordReader::new(data))
+    }
+
+    /// The one digest body: records are hashed two at a time on
+    /// [`md5_u64x2`]'s lanes, both staged as `key || value` into one
+    /// reused buffer; an odd last record goes alone.
+    fn of_stream<R: Borrow<Record>, E>(
+        mut records: impl Iterator<Item = Result<R, E>>,
+    ) -> Result<Self, E> {
+        let (mut d, mut buf) = (Self::default(), Vec::new());
+        while let Some(x) = records.next().transpose()? {
+            let x = x.borrow();
+            buf.clear();
+            stage(&mut buf, x);
+            let Some(y) = records.next().transpose()? else {
+                d.fold(x, md5_u64(&buf));
+                break;
+            };
+            let (y, split) = (y.borrow(), buf.len());
+            stage(&mut buf, y);
+            let (hx, hy) = md5_u64x2(&buf[..split], &buf[split..]);
+            d.fold(x, hx);
+            d.fold(y, hy);
+        }
+        Ok(d)
+    }
+
+    /// Folds in a record whose `md5(key || value)` prefix is `h`.
+    fn fold(&mut self, rec: &Record, h: u64) {
         self.count += 1;
         self.md5_xor ^= h;
         self.md5_sum = self.md5_sum.wrapping_add(h);
@@ -45,24 +78,6 @@ impl OutputDigest {
             .byte_sum
             .wrapping_add(rec.value.iter().map(|&b| b as u64).sum::<u64>());
         self.value_bytes += rec.value.len() as u64;
-    }
-
-    /// Digest of an iterator of records.
-    pub fn of_records<'a>(records: impl IntoIterator<Item = &'a Record>) -> Self {
-        let mut d = Self::default();
-        for r in records {
-            d.add_record(r);
-        }
-        d
-    }
-
-    /// Digest of an encoded record stream.
-    pub fn of_encoded(data: Bytes) -> rcmp_model::Result<Self> {
-        let mut d = Self::default();
-        for rec in rcmp_model::RecordReader::new(data) {
-            d.add_record(&rec?);
-        }
-        Ok(d)
     }
 
     /// Merges another digest (digests of disjoint partitions combine to
@@ -74,6 +89,12 @@ impl OutputDigest {
         self.byte_sum = self.byte_sum.wrapping_add(other.byte_sum);
         self.value_bytes += other.value_bytes;
     }
+}
+
+/// Appends the bytes a record's digest hashes: `key (8B LE) || value`.
+fn stage(buf: &mut Vec<u8>, rec: &Record) {
+    buf.extend_from_slice(&rec.key.to_le_bytes());
+    buf.extend_from_slice(&rec.value);
 }
 
 /// Digest of a whole DFS file (all partitions merged). The per-partition
@@ -149,6 +170,36 @@ mod tests {
             left,
             OutputDigest::of_records(&[rec(1, b"x"), rec(2, b"y")])
         );
+    }
+
+    /// The definition, one record and one lane at a time.
+    fn one_lane(recs: &[Record]) -> OutputDigest {
+        let mut d = OutputDigest::default();
+        for r in recs {
+            let mut buf = r.key.to_le_bytes().to_vec();
+            buf.extend_from_slice(&r.value);
+            d.fold(r, md5_u64(&buf));
+        }
+        d
+    }
+
+    /// The paired digest of encoded and of in-memory records against the
+    /// one-lane definition, across odd and even record counts.
+    #[test]
+    fn paired_digest_equals_one_lane_definition() {
+        for n in [0u64, 1, 2, 3, 4097] {
+            let recs: Vec<Record> = (0..n)
+                .map(|i| Record::new(i * 7919, crate::chain::value_of(i, (i % 131) as usize)))
+                .collect();
+            let mut w = rcmp_model::RecordWriter::new();
+            for r in &recs {
+                w.push(r);
+            }
+            let d = OutputDigest::of_encoded(w.finish()).unwrap();
+            assert_eq!(d, OutputDigest::of_records(&recs), "{n} records");
+            assert_eq!(d, one_lane(&recs), "{n} records");
+            assert_eq!(d.count, n);
+        }
     }
 
     #[test]

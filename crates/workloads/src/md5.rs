@@ -9,6 +9,12 @@
 //! UDF), so the compression function is fully unrolled over constant
 //! tables and reads whole blocks straight from the caller's slice; only
 //! the padded tail is staged, on the stack.
+//!
+//! One stream runs at the bound of its own dependency chain (each step
+//! needs the last), so the hot callers hash records in pairs: [`md5x2`]
+//! alternates two messages' steps through the same step macros, and the
+//! second chain fills the first one's latency. Safe scalar Rust, no
+//! intrinsics.
 
 /// Per-step left-rotate amounts.
 const S: [u32; 64] = [
@@ -136,67 +142,91 @@ macro_rules! step {
     };
 }
 
-/// Four steps; the register roles rotate instead of the values.
+/// Four steps over each lane `(words, a, b, c, d)`, lanes alternating
+/// step by step; the register roles rotate instead of the values.
 macro_rules! four {
-    ($f:ident, $a:ident, $b:ident, $c:ident, $d:ident, $m:ident, $i:expr) => {
-        step!($f, $a, $b, $c, $d, $m, $i);
-        step!($f, $d, $a, $b, $c, $m, $i + 1);
-        step!($f, $c, $d, $a, $b, $m, $i + 2);
-        step!($f, $b, $c, $d, $a, $m, $i + 3);
+    ($f:ident, $i:expr, $(($m:ident, $a:ident, $b:ident, $c:ident, $d:ident)),+) => {
+        $(step!($f, $a, $b, $c, $d, $m, $i);)+
+        $(step!($f, $d, $a, $b, $c, $m, $i + 1);)+
+        $(step!($f, $c, $d, $a, $b, $m, $i + 2);)+
+        $(step!($f, $b, $c, $d, $a, $m, $i + 3);)+
     };
 }
 
-/// Folds one 64-byte block into the state.
-#[inline]
-fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
-    let mut m = [0u32; 16];
-    for (w, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
-        *w = u32::from_le_bytes(bytes.try_into().expect("chunks_exact(4)"));
-    }
-    let [mut a, mut b, mut c, mut d] = *state;
-    four!(f1, a, b, c, d, m, 0);
-    four!(f1, a, b, c, d, m, 4);
-    four!(f1, a, b, c, d, m, 8);
-    four!(f1, a, b, c, d, m, 12);
-    four!(f2, a, b, c, d, m, 16);
-    four!(f2, a, b, c, d, m, 20);
-    four!(f2, a, b, c, d, m, 24);
-    four!(f2, a, b, c, d, m, 28);
-    four!(f3, a, b, c, d, m, 32);
-    four!(f3, a, b, c, d, m, 36);
-    four!(f3, a, b, c, d, m, 40);
-    four!(f3, a, b, c, d, m, 44);
-    four!(f4, a, b, c, d, m, 48);
-    four!(f4, a, b, c, d, m, 52);
-    four!(f4, a, b, c, d, m, 56);
-    four!(f4, a, b, c, d, m, 60);
-    state[0] = state[0].wrapping_add(a);
-    state[1] = state[1].wrapping_add(b);
-    state[2] = state[2].wrapping_add(c);
-    state[3] = state[3].wrapping_add(d);
+/// One 16-step round over each lane.
+macro_rules! round {
+    ($f:ident, $i:expr, $($lane:tt),+) => {
+        four!($f, $i, $($lane),+);
+        four!($f, $i + 4, $($lane),+);
+        four!($f, $i + 8, $($lane),+);
+        four!($f, $i + 12, $($lane),+);
+    };
 }
 
-/// Computes the MD5 digest of `data`.
-pub fn md5(data: &[u8]) -> [u8; 16] {
-    let mut state: [u32; 4] = [0x6745_2301, 0xefcd_ab89, 0x98ba_dcfe, 0x1032_5476];
-    let (blocks, rest) = data.as_chunks::<64>();
-    for block in blocks {
-        compress(&mut state, block);
-    }
+/// Folds one 64-byte block of each lane `(words, a, b, c, d)` into the
+/// lane's state `a, b, c, d`.
+macro_rules! compress {
+    ($($lane:tt),+) => {
+        round!(f1, 0, $($lane),+);
+        round!(f2, 16, $($lane),+);
+        round!(f3, 32, $($lane),+);
+        round!(f4, 48, $($lane),+);
+    };
+}
 
-    // Padding: 0x80, zeros, 64-bit little-endian bit length — one block
-    // when the remainder leaves room for the nine bytes, else two.
-    let mut tail = [[0u8; 64]; 2];
+const INIT: [u32; 4] = [0x6745_2301, 0xefcd_ab89, 0x98ba_dcfe, 0x1032_5476];
+
+#[inline(always)]
+fn words(block: &[u8; 64]) -> [u32; 16] {
+    let mut m = [0u32; 16];
+    for (w, bytes) in m.iter_mut().zip(block.as_chunks::<4>().0) {
+        *w = u32::from_le_bytes(*bytes);
+    }
+    m
+}
+
+#[inline]
+fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
+    let m = words(block);
+    let [mut a, mut b, mut c, mut d] = *state;
+    compress!((m, a, b, c, d));
+    for (s, v) in state.iter_mut().zip([a, b, c, d]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// [`compress`] on two independent messages at once.
+#[inline]
+fn compress2(sx: &mut [u32; 4], x: &[u8; 64], sy: &mut [u32; 4], y: &[u8; 64]) {
+    let (m, n) = (words(x), words(y));
+    let [mut a, mut b, mut c, mut d] = *sx;
+    let [mut e, mut f, mut g, mut h] = *sy;
+    compress!((m, a, b, c, d), (n, e, f, g, h));
+    for (s, v) in sx
+        .iter_mut()
+        .chain(sy.iter_mut())
+        .zip([a, b, c, d, e, f, g, h])
+    {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// Stages the padded tail of `data` — its last partial block, 0x80,
+/// zeros and the 64-bit little-endian bit length — and returns its block
+/// count: one when the remainder leaves room for the nine bytes, else two.
+#[inline(always)]
+fn pad(tail: &mut [[u8; 64]; 2], data: &[u8]) -> usize {
+    let rest = data.as_chunks::<64>().1;
     let flat = tail.as_flattened_mut();
     flat[..rest.len()].copy_from_slice(rest);
     flat[rest.len()] = 0x80;
     let padded = if rest.len() < 56 { 64 } else { 128 };
     let bit_len = (data.len() as u64).wrapping_mul(8);
     flat[padded - 8..padded].copy_from_slice(&bit_len.to_le_bytes());
-    for block in &tail[..padded / 64] {
-        compress(&mut state, block);
-    }
+    padded / 64
+}
 
+fn digest(state: [u32; 4]) -> [u8; 16] {
     let mut out = [0u8; 16];
     for (o, w) in out.chunks_exact_mut(4).zip(state) {
         o.copy_from_slice(&w.to_le_bytes());
@@ -204,10 +234,52 @@ pub fn md5(data: &[u8]) -> [u8; 16] {
     out
 }
 
+/// Computes the MD5 digest of `data`.
+pub fn md5(data: &[u8]) -> [u8; 16] {
+    let mut state = INIT;
+    for block in data.as_chunks::<64>().0 {
+        compress(&mut state, block);
+    }
+    let mut tail = [[0u8; 64]; 2];
+    let n = pad(&mut tail, data);
+    for block in &tail[..n] {
+        compress(&mut state, block);
+    }
+    digest(state)
+}
+
+/// `(md5(x), md5(y))`, with the blocks both messages have compressed
+/// interleaved; the longer message finishes on one lane.
+pub fn md5x2(x: &[u8], y: &[u8]) -> ([u8; 16], [u8; 16]) {
+    let (mut tx, mut ty) = ([[0u8; 64]; 2], [[0u8; 64]; 2]);
+    let (nx, ny) = (pad(&mut tx, x), pad(&mut ty, y));
+    let (wx, wy) = (x.as_chunks::<64>().0, y.as_chunks::<64>().0);
+    let both = (wx.len() + nx).min(wy.len() + ny);
+    let mut bx = wx.iter().chain(&tx[..nx]);
+    let mut by = wy.iter().chain(&ty[..ny]);
+    let (mut sx, mut sy) = (INIT, INIT);
+    for (p, q) in bx.by_ref().zip(by.by_ref()).take(both) {
+        compress2(&mut sx, p, &mut sy, q);
+    }
+    bx.for_each(|p| compress(&mut sx, p));
+    by.for_each(|q| compress(&mut sy, q));
+    (digest(sx), digest(sy))
+}
+
+fn prefix(d: [u8; 16]) -> u64 {
+    u64::from_le_bytes(d.as_chunks::<8>().0[0])
+}
+
 /// First 8 bytes of the MD5 digest as a little-endian u64 — a compact
 /// per-record fingerprint for the workload's correctness accounting.
 pub fn md5_u64(data: &[u8]) -> u64 {
-    u64::from_le_bytes(md5(data)[0..8].try_into().unwrap())
+    prefix(md5(data))
+}
+
+/// [`md5_u64`] of two messages, hashed by [`md5x2`].
+pub fn md5_u64x2(x: &[u8], y: &[u8]) -> (u64, u64) {
+    let (dx, dy) = md5x2(x, y);
+    (prefix(dx), prefix(dy))
 }
 
 /// Hex rendering of a digest (for tests and reports).
@@ -327,6 +399,25 @@ mod tests {
     fn matches_reference_on_one_mebibyte() {
         let data = pattern(1 << 20);
         assert_eq!(md5(&data), md5_reference(&data));
+    }
+
+    /// Every length pair up to 130 bytes, so each lane crosses the 55/56
+    /// and 119/120 padding boundaries against every block count of the
+    /// other lane, plus a long message beside an empty one both ways.
+    #[test]
+    fn md5x2_equals_two_single_lanes() {
+        let (x, y) = (pattern(130), pattern(131));
+        let y = &y[1..];
+        for lx in 0..=130 {
+            for ly in 0..=130 {
+                let (a, b) = (&x[..lx], &y[..ly]);
+                assert_eq!(md5x2(a, b), (md5(a), md5(b)), "lengths ({lx}, {ly})");
+            }
+        }
+        let long = pattern(1 << 20);
+        assert_eq!(md5x2(&long, &[]), (md5(&long), md5(&[])));
+        assert_eq!(md5x2(&[], &long), (md5(&[]), md5(&long)));
+        assert_eq!(md5_u64x2(b"hello", b""), (md5_u64(b"hello"), md5_u64(b"")));
     }
 
     #[test]

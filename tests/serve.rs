@@ -54,10 +54,11 @@ fn solo_golden(jobs: u32) -> OutputDigest {
 }
 
 /// Two concurrent tenants, transient chaos (no node deaths) scripted on
-/// tenant 0's chain: tenant 1's output must be byte-identical to its
-/// solo run, and tenant 0 must still converge via recomputation.
+/// tenant 0's chain, beside a tenant 1 that writes two replicas (REPL-2):
+/// tenant 1's output must be byte-identical to its solo run, and tenant 0
+/// must still converge via recomputation.
 #[test]
-fn chaos_on_one_tenant_leaves_the_other_digest_golden() {
+fn chaos_on_one_tenant_leaves_a_replicated_neighbour_golden() {
     let golden = solo_golden(2);
 
     let cluster = Arc::new(Cluster::new(test_config(NODES)));
@@ -78,8 +79,12 @@ fn chaos_on_one_tenant_leaves_the_other_digest_golden() {
     service.register_tenant(t1, TenantShare::minimal());
 
     // Transient faults only: corruption and a shuffle flake recover via
-    // recomputation without changing cluster membership, so tenant 1
-    // cannot even be indirectly affected by node loss.
+    // recomputation without changing cluster membership. The corruption
+    // hits the newest block on node 1, which can be tenant 1's when its
+    // chain got there first; tenant 1 writes two replicas, so the corrupt
+    // one is demoted and every verified read falls back to the other.
+    // (A job's output is written with its strategy's replication
+    // factor, whatever the chain spec says.)
     let injector = ScriptedInjector::default().tolerate_unfired();
     injector.add_fault(FaultTrigger {
         seq: 1,
@@ -112,7 +117,8 @@ fn chaos_on_one_tenant_leaves_the_other_digest_golden() {
         .expect("t0 admitted");
     let ticket1 = service
         .submit(
-            ChainRequest::new(t1, chain1.jobs.clone(), Strategy::rcmp_split(3)).with_label("t1/c0"),
+            ChainRequest::new(t1, chain1.jobs.clone(), Strategy::Replication { factor: 2 })
+                .with_label("t1/c0"),
         )
         .expect("t1 admitted");
 
