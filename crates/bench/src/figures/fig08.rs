@@ -85,11 +85,9 @@ fn strategies(case: FailCase, split: u32) -> Vec<(String, Strategy)> {
     v
 }
 
-/// Runs one Fig.-8 panel over the given scenarios. The strategy ×
-/// scenario grid is embarrassingly parallel, so the simulations run on
-/// the rayon pool.
+/// Runs one Fig.-8 panel over the given scenarios: one simulation per
+/// strategy × scenario cell.
 pub fn run_with(case: FailCase, scenarios: &[Scenario]) -> Fig08Result {
-    use rayon::prelude::*;
     let grid: Vec<(String, String, rcmp_core::Strategy, Scenario)> = scenarios
         .iter()
         .flat_map(|scenario| {
@@ -101,7 +99,7 @@ pub fn run_with(case: FailCase, scenarios: &[Scenario]) -> Fig08Result {
         })
         .collect();
     let cells: Vec<(String, String, f64)> = grid
-        .into_par_iter()
+        .into_iter()
         .map(|(name, scen_name, strategy, scenario)| {
             let victim = scenario.wl.nodes - 1;
             let cfg = ChainSimConfig::new(scenario.hw.clone(), scenario.wl.clone(), strategy)

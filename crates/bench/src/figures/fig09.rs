@@ -36,7 +36,7 @@ fn workload(scale_down: u64) -> WorkloadCfg {
 }
 
 /// Runs Fig. 9. `scale_down` divides the per-node input (1 = paper
-/// scale) so tests and Criterion runs stay quick.
+/// scale) so tests and `--quick` runs finish fast.
 pub fn run_scaled(scale_down: u64) -> Fig09Result {
     let wl = workload(scale_down);
     let hw = HwProfile::stic();

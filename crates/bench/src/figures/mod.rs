@@ -3,7 +3,6 @@
 //! figure's rows/series.
 
 pub mod chainfig;
-pub mod execfig;
 pub mod extras;
 pub mod fig02;
 pub mod fig08;
@@ -16,8 +15,6 @@ pub mod fig14;
 pub mod obsfig;
 pub mod placementfig;
 pub mod resiliencefig;
-pub mod servefig;
-pub mod shufflefig;
 pub mod tracefig;
 
 use rcmp_model::SlotConfig;
@@ -59,7 +56,7 @@ pub fn paper_scenarios() -> Vec<Scenario> {
     ]
 }
 
-/// A quick variant for unit tests and Criterion runs: same shape, a
+/// A quick variant for unit tests and `--quick` runs: same shape, a
 /// fraction of the task counts.
 pub fn quick_scenarios() -> Vec<Scenario> {
     paper_scenarios()

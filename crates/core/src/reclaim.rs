@@ -67,7 +67,7 @@ mod tests {
     }
 
     fn put_map_output(cluster: &Cluster, job: u32, idx: u32) {
-        cluster.map_outputs().insert(
+        cluster.map_outputs().insert_indexed(
             MapInputKey::new(JobId(job), PartitionId(0), idx),
             NodeId(0),
             0,

@@ -281,7 +281,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapstore::MapInputKey;
+    use crate::mapstore::{BucketIndex, MapInputKey};
     use bytes::Bytes;
     use rcmp_dfs::PlacementPolicy;
     use rcmp_model::{ByteSize, JobId, PartitionId, ReduceTaskId};
@@ -304,9 +304,9 @@ mod tests {
         let mut buckets = HashMap::new();
         buckets.insert(
             ReduceTaskId::whole(JobId(1), PartitionId(0)),
-            Bytes::from_static(b""),
+            (Bytes::new(), BucketIndex::empty()),
         );
-        cl.map_outputs().insert(key, NodeId(1), 0, buckets);
+        cl.map_outputs().insert_indexed(key, NodeId(1), 0, buckets);
 
         let report = cl.fail_node(NodeId(1));
         assert_eq!(report.lost_in("f"), &[PartitionId(0)]);

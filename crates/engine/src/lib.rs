@@ -47,7 +47,7 @@ pub use failure::{
 pub use job::{JobRun, JobSpec, RecomputeInstructions, RunMode};
 pub use mapstore::{BucketIndex, MapInputKey, MapOutputStore};
 pub use metrics::{IoBytes, JobReport, ShuffleMetrics, TaskRecord};
-pub use shuffle::{MergeStats, ShuffleFailure, ShuffleResult, StreamingShuffle};
+pub use shuffle::{MergeStats, ShuffleFailure, StreamingShuffle};
 pub use tracker::JobTracker;
 pub use udf::{
     Combiner, FnCombiner, FnMapper, FnReducer, IdentityMapper, IdentityReducer, Mapper, Reducer,

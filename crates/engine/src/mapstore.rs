@@ -94,10 +94,7 @@ struct Posting {
     key: MapInputKey,
     node: NodeId,
     data: Bytes,
-    /// `None` for buckets stored through [`MapOutputStore::insert`]
-    /// (including deliberately corrupt chaos payloads, which must not
-    /// be scanned at insert time).
-    index: Option<BucketIndex>,
+    index: BucketIndex,
 }
 
 impl Posting {
@@ -117,7 +114,7 @@ struct Inserted {
     key: MapInputKey,
     node: NodeId,
     input_hash: u64,
-    buckets: Vec<(ReduceTaskId, Bytes, Option<BucketIndex>)>,
+    buckets: Vec<(ReduceTaskId, Bytes, BucketIndex)>,
 }
 
 /// One stored map output; its payloads live in the posting lists.
@@ -296,15 +293,14 @@ pub struct FetchedBucket {
     /// The node serving it.
     pub node: NodeId,
     data: Bytes,
-    index: Option<BucketIndex>,
+    index: BucketIndex,
     /// Set when a split task fell back to the persisted whole bucket:
     /// the split it must be narrowed to.
     narrow: Option<(SplitId, u32)>,
 }
 
 impl FetchedBucket {
-    /// The payload the reducer reads, and its index when the map side
-    /// recorded one.
+    /// The payload the reducer reads, and its index.
     ///
     /// A whole bucket serving a *split* task (the map output was
     /// persisted from a run without splitting) is filtered by the
@@ -314,14 +310,14 @@ impl FetchedBucket {
     /// stream preserves order). Decoding happens on the caller's
     /// thread, after the store's lock is released; an undecodable
     /// payload is an error, not a panic.
-    pub fn into_payload(self) -> Result<(Bytes, Option<BucketIndex>)> {
+    pub fn into_payload(self) -> Result<(Bytes, BucketIndex)> {
         let Some((split_id, split_of)) = self.narrow else {
             return Ok((self.data, self.index));
         };
         let part = SplitPartitioner::new(split_of);
         let mut w = RecordWriter::new();
         let mut idx = BucketIndex::empty();
-        idx.sorted = self.index.is_some_and(|i| i.sorted);
+        idx.sorted = self.index.sorted;
         for rec in RecordReader::new(self.data) {
             let rec = rec?;
             if part.split_of(rec.key) == split_id {
@@ -334,7 +330,7 @@ impl FetchedBucket {
             }
         }
         idx.bytes = w.byte_len() as u64;
-        Ok((w.finish(), self.index.map(|_| idx)))
+        Ok((w.finish(), idx))
     }
 }
 
@@ -379,23 +375,10 @@ impl MapOutputStore {
         Self::default()
     }
 
-    /// Stores (replacing) the output of one mapper. Buckets stored this
-    /// way carry no index — the payload is never scanned, so arbitrary
-    /// (even corrupt) bytes are accepted and reducers fall back to the
-    /// decode-and-sort path for them.
-    pub fn insert(
-        &self,
-        key: MapInputKey,
-        node: NodeId,
-        input_hash: u64,
-        buckets: HashMap<ReduceTaskId, Bytes>,
-    ) {
-        let buckets = buckets.into_iter().map(|(k, data)| (k, data, None));
-        self.insert_buckets(key, node, input_hash, buckets);
-    }
-
     /// Stores (replacing) the output of one mapper together with the
-    /// per-bucket index the map side computed while encoding.
+    /// per-bucket index the map side computed while encoding. Payloads
+    /// are not scanned: a bucket whose index does not attest `sorted`
+    /// may hold any bytes, and reducers decode and sort it at plan time.
     pub fn insert_indexed(
         &self,
         key: MapInputKey,
@@ -403,24 +386,14 @@ impl MapOutputStore {
         input_hash: u64,
         buckets: HashMap<ReduceTaskId, (Bytes, BucketIndex)>,
     ) {
-        let buckets = buckets
-            .into_iter()
-            .map(|(k, (data, index))| (k, data, Some(index)));
-        self.insert_buckets(key, node, input_hash, buckets);
-    }
-
-    fn insert_buckets(
-        &self,
-        key: MapInputKey,
-        node: NodeId,
-        input_hash: u64,
-        buckets: impl Iterator<Item = (ReduceTaskId, Bytes, Option<BucketIndex>)>,
-    ) {
         let output = Inserted {
             key,
             node,
             input_hash,
-            buckets: buckets.collect(),
+            buckets: buckets
+                .into_iter()
+                .map(|(reduce, (data, index))| (reduce, data, index))
+                .collect(),
         };
         self.inserted.lock().push(output);
     }
@@ -518,11 +491,11 @@ impl MapOutputStore {
         &self,
         key: &MapInputKey,
         reduce: ReduceTaskId,
-    ) -> Option<(Bytes, NodeId, Option<BucketIndex>)> {
+    ) -> Option<(Bytes, NodeId, BucketIndex)> {
         let (node, bucket) = self.read().get(&key.job)?.probe(key, reduce)?;
         let (data, index) = match bucket {
             Some(b) => b.into_payload().ok()?,
-            None => (Bytes::new(), Some(BucketIndex::empty())),
+            None => (Bytes::new(), BucketIndex::empty()),
         };
         Some((data, node, index))
     }
@@ -612,12 +585,28 @@ mod tests {
         w.finish()
     }
 
+    /// The index of `bucket(&[(1, b"a"), .., (4, b"d")])`.
+    fn index_1_to_4(payload: &Bytes) -> BucketIndex {
+        BucketIndex {
+            records: 4,
+            bytes: payload.len() as u64,
+            min_key: 1,
+            max_key: 4,
+            sorted: true,
+        }
+    }
+
     fn store_one(store: &MapOutputStore, job: u32, node: u32, hash: u64) -> MapInputKey {
         let key = MapInputKey::new(JobId(job), PartitionId(0), 0);
         let whole = ReduceTaskId::whole(JobId(job), PartitionId(1));
-        let mut buckets = HashMap::new();
-        buckets.insert(whole, bucket(&[(1, b"a"), (2, b"b"), (3, b"c"), (4, b"d")]));
-        store.insert(key, NodeId(node), hash, buckets);
+        let payload = bucket(&[(1, b"a"), (2, b"b"), (3, b"c"), (4, b"d")]);
+        let idx = index_1_to_4(&payload);
+        store.insert_indexed(
+            key,
+            NodeId(node),
+            hash,
+            HashMap::from([(whole, (payload, idx))]),
+        );
         key
     }
 
@@ -717,37 +706,24 @@ mod tests {
         let key = MapInputKey::new(JobId(1), PartitionId(0), 0);
         let whole = ReduceTaskId::whole(JobId(1), PartitionId(1));
         let payload = bucket(&[(1, b"a"), (2, b"b"), (3, b"c"), (4, b"d")]);
-        let idx = BucketIndex {
-            records: 4,
-            bytes: payload.len() as u64,
-            min_key: 1,
-            max_key: 4,
-            sorted: true,
-        };
+        let idx = index_1_to_4(&payload);
         let mut buckets = HashMap::new();
         buckets.insert(whole, (payload, idx));
         s.insert_indexed(key, NodeId(0), 7, buckets);
 
         let (_, _, got) = s.fetch_bucket_indexed(&key, whole).unwrap();
-        assert_eq!(got, Some(idx));
+        assert_eq!(got, idx);
 
         // Split fallback recomputes the filtered bucket's index and
         // inherits sortedness from the whole bucket.
         let split = ReduceTaskId::split(JobId(1), PartitionId(1), SplitId(0), 2);
         let (payload, _, sub) = s.fetch_bucket_indexed(&key, split).unwrap();
-        let sub = sub.expect("indexed whole bucket yields indexed split");
         assert!(sub.sorted);
         assert_eq!(sub.bytes, payload.len() as u64);
         assert_eq!(
             sub.records as usize,
             RecordReader::decode_all(payload).unwrap().len()
         );
-
-        // Legacy (unindexed) inserts surface no index.
-        let s2 = MapOutputStore::new();
-        let k2 = store_one(&s2, 1, 0, 0);
-        let (_, _, none) = s2.fetch_bucket_indexed(&k2, whole).unwrap();
-        assert_eq!(none, None);
     }
 
     #[test]

@@ -133,8 +133,7 @@ pub struct TaskRecord {
     /// Wave index within its phase.
     pub wave: u32,
     pub io: IoBytes,
-    /// Wall-clock task duration (meaningful only with an artificial DFS
-    /// read delay; at memory speed it is noise).
+    /// Wall-clock duration of the task body on its slot.
     pub duration: Duration,
     /// For mappers: the node the input block was read from.
     pub input_source: Option<NodeId>,

@@ -12,19 +12,10 @@ use rcmp_model::{NodeId, Record, RecordReader, ReduceTaskId};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-/// Outcome of one reducer's shuffle + sort + group.
-#[derive(Debug)]
-pub struct ShuffleResult {
-    /// Key groups in ascending key order; each group's values are sorted
-    /// byte-wise so the reduce invocation is deterministic regardless of
-    /// fetch order.
-    pub groups: Vec<(u64, Vec<Bytes>)>,
-    pub local_bytes: u64,
-    pub remote_bytes: u64,
-    /// Bytes fetched per serving node, ascending by node — the
-    /// shuffle-source attribution behind the Fig. 6 hot-spot report.
-    pub per_source: Vec<(NodeId, u64)>,
-}
+/// Fan-in cap of a reducer's top-level merge heap: past this many
+/// sorted runs, the smallest go under one nested merger (see
+/// [`StreamingShuffle::plan`]).
+pub(crate) const MAX_MERGE_WIDTH: u32 = 64;
 
 /// Why a shuffle could not complete.
 #[derive(Debug)]
@@ -46,9 +37,9 @@ pub enum ShuffleFailure {
 }
 
 /// What one reducer fetched: the non-empty payloads in `inputs` order
-/// plus the locality accounting both shuffle paths report.
+/// plus their locality accounting.
 struct Fetched {
-    payloads: Vec<(MapInputKey, Bytes, Option<BucketIndex>)>,
+    payloads: Vec<(MapInputKey, Bytes, BucketIndex)>,
     local_bytes: u64,
     remote_bytes: u64,
     per_source: Vec<(NodeId, u64)>,
@@ -105,31 +96,6 @@ fn fetch(
     Ok(fetched)
 }
 
-/// Fetches, sorts and groups everything reduce task `reduce` needs.
-pub fn shuffle_for_reduce(
-    store: &MapOutputStore,
-    inputs: &[MapInputKey],
-    reduce: ReduceTaskId,
-    node: NodeId,
-) -> std::result::Result<ShuffleResult, ShuffleFailure> {
-    let fetched = fetch(store, inputs, reduce, node)?;
-    let mut records: Vec<Record> = Vec::new();
-    for (key, payload, _) in fetched.payloads {
-        for rec in RecordReader::new(payload) {
-            match rec {
-                Ok(r) => records.push(r),
-                Err(e) => return Err(ShuffleFailure::Corrupt { key, source: e }),
-            }
-        }
-    }
-    Ok(ShuffleResult {
-        groups: sort_and_group(records),
-        local_bytes: fetched.local_bytes,
-        remote_bytes: fetched.remote_bytes,
-        per_source: fetched.per_source,
-    })
-}
-
 /// Counters a [`StreamingShuffle`] accumulates while planning and
 /// merging, mirrored into the `shuffle.*` metrics by the tracker.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -145,7 +111,7 @@ pub struct MergeStats {
     /// Empty buckets skipped without decoding anything.
     pub empty_runs_skipped: u64,
     /// Runs placed under the nested merger because the fan-in exceeded
-    /// the configured `max_merge_width`.
+    /// the merge width.
     pub runs_coalesced: u64,
     /// Peak size of the top-level heap (bounded by the merge width).
     pub heap_peak: u64,
@@ -159,7 +125,8 @@ enum Source {
         reader: RecordReader,
         key: MapInputKey,
     },
-    /// An unindexed bucket, decoded and sorted at plan time.
+    /// A bucket whose index does not attest order, decoded and sorted
+    /// at plan time.
     Sorted(std::vec::IntoIter<Record>),
     /// The runs beyond the fan-in cap, merged as they are read.
     Nested(Box<Merger>),
@@ -303,12 +270,13 @@ impl Merger {
 /// under the nested merger alike.
 ///
 /// Byte-identity invariant: the concatenation of the yielded groups is
-/// exactly [`sort_and_group`] of the same records — the legacy path
-/// remains available as the differential-testing oracle.
+/// exactly [`sort_and_group`] of the same records, the reference the
+/// tests hold the merge to.
 pub struct StreamingShuffle {
     merger: Merger,
     stats: MergeStats,
-    /// Locality accounting, identical to the legacy path's.
+    /// Locality accounting: payload bytes served by `node` itself, by
+    /// other nodes, and per serving node (ascending).
     pub local_bytes: u64,
     pub remote_bytes: u64,
     pub per_source: Vec<(NodeId, u64)>,
@@ -316,17 +284,18 @@ pub struct StreamingShuffle {
 }
 
 impl StreamingShuffle {
-    /// Fetches every bucket with the same pass and accounting as
-    /// [`shuffle_for_reduce`], and prepares the merge runs. Unsorted
-    /// (unindexed) buckets are decoded and sorted here, so corruption in
-    /// them surfaces at plan time, as on the legacy path; a pre-sorted
-    /// bucket is only read as far as its first record.
+    /// Fetches every bucket in one pass over the store, and prepares the
+    /// merge runs. Buckets not attested sorted are decoded and sorted
+    /// here, so corruption in them surfaces at plan time; a pre-sorted
+    /// bucket is only read as far as its first record. At most `width`
+    /// runs (at least 2) feed the top-level heap; the engine passes
+    /// 64.
     pub fn plan(
         store: &MapOutputStore,
         inputs: &[MapInputKey],
         reduce: ReduceTaskId,
         node: NodeId,
-        max_merge_width: u32,
+        width: u32,
     ) -> std::result::Result<Self, ShuffleFailure> {
         let fetched = fetch(store, inputs, reduce, node)?;
         let mut stats = MergeStats {
@@ -337,7 +306,7 @@ impl StreamingShuffle {
         let mut runs: Vec<(usize, Source)> = Vec::with_capacity(fetched.payloads.len());
         for (key, payload, index) in fetched.payloads {
             let bytes = payload.len();
-            let source = if index.is_some_and(|i| i.sorted) {
+            let source = if index.sorted {
                 stats.runs_presorted += 1;
                 stats.index_bytes_skipped += bytes as u64;
                 Source::Lazy {
@@ -362,7 +331,7 @@ impl StreamingShuffle {
         // and nothing is decoded ahead of the merge.
         let sources_of =
             |runs: Vec<(usize, Source)>| runs.into_iter().map(|(_, s)| s).collect::<Vec<_>>();
-        let width = (max_merge_width.max(2)) as usize;
+        let width = width.max(2) as usize;
         let sources = if runs.len() > width {
             let excess = runs.len() - width + 1;
             runs.sort_by_key(|&(bytes, _)| bytes);
@@ -434,7 +403,8 @@ impl Iterator for StreamingShuffle {
     }
 }
 
-/// Sorts records by (key, value) and groups values per key.
+/// Sorts records by (key, value) and groups values per key: the
+/// reference a [`StreamingShuffle`]'s groups must equal.
 pub fn sort_and_group(mut records: Vec<Record>) -> Vec<(u64, Vec<Bytes>)> {
     records.sort_unstable_by(|a, b| a.key.cmp(&b.key).then_with(|| a.value.cmp(&b.value)));
     let mut groups: Vec<(u64, Vec<Bytes>)> = Vec::new();
@@ -454,22 +424,48 @@ mod tests {
     use rcmp_model::{JobId, PartitionId, RecordWriter};
     use std::collections::HashMap;
 
-    /// The streaming equivalent of [`shuffle_for_reduce`]: same fetches,
-    /// same accounting, same groups — collected into a [`ShuffleResult`]
-    /// (the tracker consumes the iterator incrementally instead).
-    fn shuffle_for_reduce_streaming(
+    /// One reducer's whole shuffle: its groups and locality accounting.
+    #[derive(Debug, PartialEq)]
+    struct Shuffled {
+        groups: Vec<(u64, Vec<Bytes>)>,
+        local_bytes: u64,
+        remote_bytes: u64,
+        per_source: Vec<(NodeId, u64)>,
+    }
+
+    /// The sort-all oracle: the same fetch, then every record decoded
+    /// and handed to [`sort_and_group`].
+    fn sort_all(
         store: &MapOutputStore,
         inputs: &[MapInputKey],
         reduce: ReduceTaskId,
         node: NodeId,
-        max_merge_width: u32,
-    ) -> std::result::Result<ShuffleResult, ShuffleFailure> {
-        let mut merge = StreamingShuffle::plan(store, inputs, reduce, node, max_merge_width)?;
-        let mut groups = Vec::new();
-        for group in &mut merge {
-            groups.push(group?);
+    ) -> std::result::Result<Shuffled, ShuffleFailure> {
+        let fetched = fetch(store, inputs, reduce, node)?;
+        let mut records = Vec::new();
+        for (key, payload, _) in fetched.payloads {
+            let decoded = RecordReader::decode_all(payload)
+                .map_err(|e| ShuffleFailure::Corrupt { key, source: e })?;
+            records.extend(decoded);
         }
-        Ok(ShuffleResult {
+        Ok(Shuffled {
+            groups: sort_and_group(records),
+            local_bytes: fetched.local_bytes,
+            remote_bytes: fetched.remote_bytes,
+            per_source: fetched.per_source,
+        })
+    }
+
+    /// The streaming merge at the engine's width, drained.
+    fn streamed(
+        store: &MapOutputStore,
+        inputs: &[MapInputKey],
+        reduce: ReduceTaskId,
+        node: NodeId,
+    ) -> std::result::Result<Shuffled, ShuffleFailure> {
+        let mut merge = StreamingShuffle::plan(store, inputs, reduce, node, MAX_MERGE_WIDTH)?;
+        let groups = merge.by_ref().collect::<std::result::Result<_, _>>()?;
+        Ok(Shuffled {
             groups,
             local_bytes: merge.local_bytes,
             remote_bytes: merge.remote_bytes,
@@ -483,6 +479,33 @@ mod tests {
             w.push(&Record::new(k, v.to_vec()));
         }
         w.finish()
+    }
+
+    /// Stores `payload` as reducer `r`'s bucket of map output `key`
+    /// under an index that attests only its size, not its order — so
+    /// any bytes, even corrupt ones, go in unscanned.
+    fn insert_unsorted(
+        store: &MapOutputStore,
+        key: MapInputKey,
+        node: NodeId,
+        r: ReduceTaskId,
+        payload: Bytes,
+    ) {
+        let idx = BucketIndex {
+            bytes: payload.len() as u64,
+            sorted: false,
+            ..BucketIndex::empty()
+        };
+        store.insert_indexed(key, node, 0, HashMap::from([(r, (payload, idx))]));
+    }
+
+    /// A sorted, indexed single-bucket map output for reducer `r`.
+    fn insert_sorted(store: &MapOutputStore, key: MapInputKey, r: ReduceTaskId, payload: Bytes) {
+        let idx = BucketIndex {
+            bytes: payload.len() as u64,
+            ..BucketIndex::empty()
+        };
+        store.insert_indexed(key, NodeId(0), 0, HashMap::from([(r, (payload, idx))]));
     }
 
     #[test]
@@ -514,15 +537,13 @@ mod tests {
         let r = ReduceTaskId::whole(job, PartitionId(0));
         for (i, node) in [(0u32, 0u32), (1, 5)] {
             let key = MapInputKey::new(job, PartitionId(0), i);
-            let mut buckets = HashMap::new();
-            buckets.insert(r, bucket(&[(i as u64, b"v")]));
-            store.insert(key, NodeId(node), 0, buckets);
+            insert_unsorted(&store, key, NodeId(node), r, bucket(&[(i as u64, b"v")]));
         }
         let inputs = vec![
             MapInputKey::new(job, PartitionId(0), 0),
             MapInputKey::new(job, PartitionId(0), 1),
         ];
-        let res = shuffle_for_reduce(&store, &inputs, r, NodeId(0)).unwrap();
+        let res = streamed(&store, &inputs, r, NodeId(0)).unwrap();
         assert_eq!(res.groups.len(), 2);
         assert!(res.local_bytes > 0, "bucket from node 0 is local");
         assert!(res.remote_bytes > 0, "bucket from node 5 is remote");
@@ -535,12 +556,11 @@ mod tests {
 
     #[test]
     fn missing_outputs_reported() {
-        let store = MapOutputStore::new();
-        let job = JobId(1);
-        let r = ReduceTaskId::whole(job, PartitionId(0));
-        let inputs = vec![MapInputKey::new(job, PartitionId(0), 0)];
-        match shuffle_for_reduce(&store, &inputs, r, NodeId(0)) {
-            Err(ShuffleFailure::MissingMapOutputs(m)) => assert_eq!(m, inputs),
+        let (store, mut inputs, r) = mixed_store(3);
+        let gone = MapInputKey::new(JobId(1), PartitionId(0), 99);
+        inputs.push(gone);
+        match streamed(&store, &inputs, r, NodeId(0)) {
+            Err(ShuffleFailure::MissingMapOutputs(m)) => assert_eq!(m, vec![gone]),
             other => panic!("expected missing outputs, got {other:?}"),
         }
     }
@@ -551,28 +571,30 @@ mod tests {
         let job = JobId(1);
         let r = ReduceTaskId::whole(job, PartitionId(0));
         store.arm_flake(NodeId(0), 1);
-        match shuffle_for_reduce(&store, &[], r, NodeId(0)) {
+        match streamed(&store, &[], r, NodeId(0)) {
             Err(ShuffleFailure::Transient { node }) => assert_eq!(node, NodeId(0)),
             other => panic!("expected transient failure, got {other:?}"),
         }
         // The flake is consumed; the retry succeeds.
-        assert!(shuffle_for_reduce(&store, &[], r, NodeId(0)).is_ok());
+        assert!(streamed(&store, &[], r, NodeId(0)).is_ok());
         // Other nodes were never affected.
-        assert!(shuffle_for_reduce(&store, &[], r, NodeId(1)).is_ok());
+        assert!(streamed(&store, &[], r, NodeId(1)).is_ok());
     }
 
+    /// A bucket not attested sorted is decoded at plan time, so its
+    /// corruption fails the plan and names the map output.
     #[test]
-    fn corrupt_payload_names_the_map_output() {
+    fn corrupt_payload_names_the_map_output_at_plan_time() {
         let store = MapOutputStore::new();
         let job = JobId(1);
         let r = ReduceTaskId::whole(job, PartitionId(0));
         let key = MapInputKey::new(job, PartitionId(0), 0);
-        let mut buckets = HashMap::new();
-        buckets.insert(r, Bytes::from_static(&[0xde, 0xad])); // truncated frame
-        store.insert(key, NodeId(2), 0, buckets);
-        match shuffle_for_reduce(&store, &[key], r, NodeId(0)) {
+        // A truncated frame.
+        insert_unsorted(&store, key, NodeId(2), r, Bytes::from_static(&[0xde, 0xad]));
+        match StreamingShuffle::plan(&store, &[key], r, NodeId(0), MAX_MERGE_WIDTH) {
             Err(ShuffleFailure::Corrupt { key: k, .. }) => assert_eq!(k, key),
-            other => panic!("expected corrupt failure, got {other:?}"),
+            Err(other) => panic!("expected corrupt failure, got {other:?}"),
+            Ok(_) => panic!("expected corrupt failure, got a plan"),
         }
     }
 
@@ -580,35 +602,31 @@ mod tests {
     fn empty_inputs_empty_result() {
         let store = MapOutputStore::new();
         let r = ReduceTaskId::whole(JobId(1), PartitionId(0));
-        let res = shuffle_for_reduce(&store, &[], r, NodeId(0)).unwrap();
+        let res = streamed(&store, &[], r, NodeId(0)).unwrap();
         assert!(res.groups.is_empty());
         assert_eq!(res.local_bytes + res.remote_bytes, 0);
     }
 
-    /// `insert` takes payloads unscanned, so a persisted whole bucket can
-    /// be garbage; a split reducer narrowing it must get a typed failure
-    /// naming the map output, on both paths.
+    /// A persisted whole bucket can be garbage; a split reducer
+    /// narrowing it must get a typed failure naming the map output.
     #[test]
     fn corrupt_whole_bucket_fails_a_split_reducer_with_its_key() {
         use rcmp_model::SplitId;
         let store = MapOutputStore::new();
         let job = JobId(1);
         let key = MapInputKey::new(job, PartitionId(0), 0);
-        let mut buckets = HashMap::new();
-        buckets.insert(
-            ReduceTaskId::whole(job, PartitionId(0)),
+        let whole = ReduceTaskId::whole(job, PartitionId(0));
+        insert_unsorted(
+            &store,
+            key,
+            NodeId(2),
+            whole,
             Bytes::from_static(&[0xde, 0xad]),
         );
-        store.insert(key, NodeId(2), 0, buckets);
         let split = ReduceTaskId::split(job, PartitionId(0), SplitId(1), 2);
-        for result in [
-            shuffle_for_reduce(&store, &[key], split, NodeId(0)),
-            shuffle_for_reduce_streaming(&store, &[key], split, NodeId(0), 64),
-        ] {
-            match result {
-                Err(ShuffleFailure::Corrupt { key: k, .. }) => assert_eq!(k, key),
-                other => panic!("expected corrupt failure, got {other:?}"),
-            }
+        match streamed(&store, &[key], split, NodeId(0)) {
+            Err(ShuffleFailure::Corrupt { key: k, .. }) => assert_eq!(k, key),
+            other => panic!("expected corrupt failure, got {other:?}"),
         }
         assert!(
             store.fetch_bucket_indexed(&key, split).is_none(),
@@ -616,10 +634,9 @@ mod tests {
         );
     }
 
-    /// Builds a store with a mix of indexed (sorted) and legacy
-    /// (unsorted, unindexed) buckets for one reducer.
+    /// Builds a store with a mix of sorted and unsorted buckets for one
+    /// reducer.
     fn mixed_store(mappers: u32) -> (MapOutputStore, Vec<MapInputKey>, ReduceTaskId) {
-        use crate::mapstore::BucketIndex;
         let store = MapOutputStore::new();
         let job = JobId(1);
         let r = ReduceTaskId::whole(job, PartitionId(0));
@@ -629,11 +646,9 @@ mod tests {
             inputs.push(key);
             let base = u64::from(i);
             if i % 3 == 0 {
-                // Unsorted legacy bucket: decoded + sorted at plan time.
+                // Unsorted bucket: decoded + sorted at plan time.
                 let payload = bucket(&[(base + 7, b"z"), (base, b"m"), (base + 3, b"a")]);
-                let mut buckets = HashMap::new();
-                buckets.insert(r, payload);
-                store.insert(key, NodeId(i % 4), 0, buckets);
+                insert_unsorted(&store, key, NodeId(i % 4), r, payload);
             } else {
                 // Sorted, indexed bucket: streamed as a lazy run.
                 let payload = bucket(&[(base, b"a"), (base, b"b"), (base + 5, b"c")]);
@@ -653,27 +668,23 @@ mod tests {
     }
 
     #[test]
-    fn streaming_merge_matches_legacy_oracle() {
+    fn streaming_merge_matches_sort_all_oracle() {
         let (store, inputs, r) = mixed_store(9);
-        let legacy = shuffle_for_reduce(&store, &inputs, r, NodeId(0)).unwrap();
-        let streamed = shuffle_for_reduce_streaming(&store, &inputs, r, NodeId(0), 64).unwrap();
-        assert_eq!(legacy.groups, streamed.groups);
-        assert_eq!(legacy.local_bytes, streamed.local_bytes);
-        assert_eq!(legacy.remote_bytes, streamed.remote_bytes);
-        assert_eq!(legacy.per_source, streamed.per_source);
+        let oracle = sort_all(&store, &inputs, r, NodeId(0)).unwrap();
+        assert_eq!(streamed(&store, &inputs, r, NodeId(0)).unwrap(), oracle);
     }
 
     #[test]
     fn streaming_coalesces_beyond_merge_width_and_stays_exact() {
         let (store, inputs, r) = mixed_store(12);
-        let legacy = shuffle_for_reduce(&store, &inputs, r, NodeId(1)).unwrap();
+        let oracle = sort_all(&store, &inputs, r, NodeId(1)).unwrap();
         let mut merge = StreamingShuffle::plan(&store, &inputs, r, NodeId(1), 3).unwrap();
         let mut groups = Vec::new();
         for g in &mut merge {
             groups.push(g.unwrap());
         }
         let stats = merge.stats();
-        assert_eq!(legacy.groups, groups);
+        assert_eq!(oracle.groups, groups);
         // 12 runs at width 3: ten go under the nested merger, which is
         // the third run of a top-level heap of three.
         assert_eq!(stats.runs_coalesced, 10);
@@ -681,15 +692,6 @@ mod tests {
         assert_eq!(stats.heap_peak, 3);
         assert_eq!(stats.runs_presorted, 8);
         assert!(stats.index_bytes_skipped > 0);
-    }
-
-    /// A sorted, indexed single-bucket map output for reducer `r`.
-    fn insert_sorted(store: &MapOutputStore, key: MapInputKey, r: ReduceTaskId, payload: Bytes) {
-        let idx = BucketIndex {
-            bytes: payload.len() as u64,
-            ..BucketIndex::empty()
-        };
-        store.insert_indexed(key, NodeId(0), 0, HashMap::from([(r, (payload, idx))]));
     }
 
     /// The runs that go under the nested merger are the smallest by
@@ -772,7 +774,7 @@ mod tests {
 
     /// One generated run: its records (few distinct keys; values empty,
     /// or prefixes of one another) and whether it is stored sorted and
-    /// indexed or as an unindexed, unsorted legacy bucket.
+    /// attested so, or unsorted under an index that attests no order.
     fn run_strategy() -> impl Strategy<Value = (Vec<(u64, Vec<u8>)>, bool)> {
         let value = prop_oneof![
             Just(Vec::new()),
@@ -816,7 +818,7 @@ mod tests {
                     recs.sort();
                     insert_sorted(&store, key, r, encode(&recs));
                 } else {
-                    store.insert(key, NodeId(0), 0, HashMap::from([(r, encode(&recs))]));
+                    insert_unsorted(&store, key, NodeId(0), r, encode(&recs));
                 }
             }
             let expect = sort_and_group(all);
@@ -835,38 +837,6 @@ mod tests {
                 let groups: Vec<_> = merge.by_ref().map(|g| g.unwrap()).collect();
                 prop_assert_eq!(&groups, &expect, "width {}", width);
             }
-        }
-    }
-
-    #[test]
-    fn streaming_reports_missing_and_transient_like_legacy() {
-        let (store, mut inputs, r) = mixed_store(3);
-        inputs.push(MapInputKey::new(JobId(1), PartitionId(0), 99));
-        match shuffle_for_reduce_streaming(&store, &inputs, r, NodeId(0), 64) {
-            Err(ShuffleFailure::MissingMapOutputs(m)) => {
-                assert_eq!(m, vec![MapInputKey::new(JobId(1), PartitionId(0), 99)]);
-            }
-            other => panic!("expected missing outputs, got {other:?}"),
-        }
-        store.arm_flake(NodeId(0), 1);
-        match shuffle_for_reduce_streaming(&store, &inputs[..3], r, NodeId(0), 64) {
-            Err(ShuffleFailure::Transient { node }) => assert_eq!(node, NodeId(0)),
-            other => panic!("expected transient failure, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn streaming_surfaces_corruption_at_plan_time() {
-        let store = MapOutputStore::new();
-        let job = JobId(1);
-        let r = ReduceTaskId::whole(job, PartitionId(0));
-        let key = MapInputKey::new(job, PartitionId(0), 0);
-        let mut buckets = HashMap::new();
-        buckets.insert(r, Bytes::from_static(&[0xde, 0xad]));
-        store.insert(key, NodeId(2), 0, buckets);
-        match shuffle_for_reduce_streaming(&store, &[key], r, NodeId(0), 64) {
-            Err(ShuffleFailure::Corrupt { key: k, .. }) => assert_eq!(k, key),
-            other => panic!("expected corrupt failure, got {other:?}"),
         }
     }
 }

@@ -29,7 +29,7 @@ use crate::job::{JobRun, JobSpec, RunMode};
 use crate::mapstore::MapInputKey;
 use crate::metrics::{IoBytes, JobReport, ShuffleMetrics, TaskRecord};
 use crate::scheduler::{assign_map_waves_kernel, assign_reduce_waves_kernel, Waves};
-use crate::shuffle::{shuffle_for_reduce, ShuffleFailure, StreamingShuffle};
+use crate::shuffle::{ShuffleFailure, StreamingShuffle, MAX_MERGE_WIDTH};
 use crate::task::{encode_sorted_bucket, BucketSlots, MapBuckets, MapTask, ReduceTask};
 use crate::udf::Combiner;
 use bytes::Bytes;
@@ -1327,7 +1327,6 @@ impl<'a> JobTracker<'a> {
     ) -> ReduceOutcome {
         let t0 = Instant::now();
         let store = self.cluster.map_outputs();
-        let shuffle_cfg = self.cluster.config().shuffle;
         let block_size = self.cluster.config().block_size.as_u64() as usize;
         let mut out = ChunkingWriter::new(block_size);
         // The emit callback cannot return an error; the first one parks
@@ -1338,87 +1337,61 @@ impl<'a> JobTracker<'a> {
                 emit_error = out.push(&rec).err();
             }
         };
-        let (local_bytes, remote_bytes) = if shuffle_cfg.streaming {
-            // Streaming path: plan the fetches via the bucket indexes,
-            // then k-way-merge the per-mapper sorted runs straight into
-            // the reducer — no collect-all-then-sort pass.
-            let plan = || {
-                StreamingShuffle::plan(
-                    store,
-                    input_keys,
-                    task.id,
-                    node,
-                    shuffle_cfg.max_merge_width,
-                )
-            };
-            let (mut merge, start, end) = match self.shuffle_with_retry(node, task.id, plan) {
-                Ok(planned) => planned,
-                Err(outcome) => return outcome,
-            };
-            self.record_fetches(&merge.per_source, node, task_span, start, end);
-            let (local, remote) = (merge.local_bytes, merge.remote_bytes);
-            // Merge vs UDF attribution: groups are pulled a batch at a
-            // time and the UDF runs over the batch, so the UDF is timed
-            // per batch and the remainder of the loop is the merge.
-            let merge_started = Instant::now();
-            let mut udf_ns = 0u64;
-            let mut batch: Vec<(u64, Vec<Bytes>)> = Vec::new();
-            let mut drained = false;
-            while !drained {
-                let (mut pulled, mut held) = (0, 0);
-                while held < REDUCE_BATCH_VALUES {
-                    if pulled == batch.len() {
-                        batch.push((0, Vec::new()));
+        // Plan the fetches via the bucket indexes, then k-way-merge the
+        // per-mapper sorted runs straight into the reducer.
+        let plan = || StreamingShuffle::plan(store, input_keys, task.id, node, MAX_MERGE_WIDTH);
+        let (mut merge, start, end) = match self.shuffle_with_retry(node, task.id, plan) {
+            Ok(planned) => planned,
+            Err(outcome) => return outcome,
+        };
+        self.record_fetches(&merge.per_source, node, task_span, start, end);
+        // Merge vs UDF attribution: groups are pulled a batch at a time
+        // and the UDF runs over the batch, so the UDF is timed per batch
+        // and the remainder of the loop is the merge.
+        let merge_started = Instant::now();
+        let mut udf_ns = 0u64;
+        let mut batch: Vec<(u64, Vec<Bytes>)> = Vec::new();
+        let mut drained = false;
+        while !drained {
+            let (mut pulled, mut held) = (0, 0);
+            while held < REDUCE_BATCH_VALUES {
+                if pulled == batch.len() {
+                    batch.push((0, Vec::new()));
+                }
+                match merge.next_group_into(&mut batch[pulled].1) {
+                    None => {
+                        drained = true;
+                        break;
                     }
-                    match merge.next_group_into(&mut batch[pulled].1) {
-                        None => {
-                            drained = true;
-                            break;
-                        }
-                        Some(Ok(key)) => {
-                            batch[pulled].0 = key;
-                            held += batch[pulled].1.len();
-                            pulled += 1;
-                        }
-                        // A lazily-decoded run can surface corruption
-                        // mid-merge; treat it exactly like plan-time
-                        // corruption.
-                        Some(Err(ShuffleFailure::Corrupt { key, .. })) => {
-                            store.remove(&key);
-                            return ReduceOutcome::Missing;
-                        }
-                        Some(Err(ShuffleFailure::MissingMapOutputs(_))) => {
-                            return ReduceOutcome::Missing
-                        }
-                        Some(Err(ShuffleFailure::Transient { .. })) => {
-                            return ReduceOutcome::Retry(task.id)
-                        }
+                    Some(Ok(key)) => {
+                        batch[pulled].0 = key;
+                        held += batch[pulled].1.len();
+                        pulled += 1;
+                    }
+                    // A lazily-decoded run can surface corruption
+                    // mid-merge; treat it exactly like plan-time
+                    // corruption.
+                    Some(Err(ShuffleFailure::Corrupt { key, .. })) => {
+                        store.remove(&key);
+                        return ReduceOutcome::Missing;
+                    }
+                    Some(Err(ShuffleFailure::MissingMapOutputs(_))) => {
+                        return ReduceOutcome::Missing
+                    }
+                    Some(Err(ShuffleFailure::Transient { .. })) => {
+                        return ReduceOutcome::Retry(task.id)
                     }
                 }
-                let udf_start = Instant::now();
-                spec.reducer.reduce_groups(&batch[..pulled], &mut emit);
-                udf_ns += udf_start.elapsed().as_nanos() as u64;
             }
-            let loop_ns = merge_started.elapsed().as_nanos() as u64;
-            self.profiler
-                .add_ns(PhaseKind::StreamingMerge, loop_ns.saturating_sub(udf_ns));
-            self.profiler.add_ns(PhaseKind::ReduceUdf, udf_ns);
-            self.m_shuffle.observe_merge(&merge.stats());
-            (local, remote)
-        } else {
-            // Legacy oracle path: fetch everything, then sort-and-group.
-            let fetch = || shuffle_for_reduce(store, input_keys, task.id, node);
-            let (shuffled, start, end) = match self.shuffle_with_retry(node, task.id, fetch) {
-                Ok(fetched) => fetched,
-                Err(outcome) => return outcome,
-            };
-            self.record_fetches(&shuffled.per_source, node, task_span, start, end);
             let udf_start = Instant::now();
-            spec.reducer.reduce_groups(&shuffled.groups, &mut emit);
-            self.profiler
-                .add_ns(PhaseKind::ReduceUdf, udf_start.elapsed().as_nanos() as u64);
-            (shuffled.local_bytes, shuffled.remote_bytes)
-        };
+            spec.reducer.reduce_groups(&batch[..pulled], &mut emit);
+            udf_ns += udf_start.elapsed().as_nanos() as u64;
+        }
+        let loop_ns = merge_started.elapsed().as_nanos() as u64;
+        self.profiler
+            .add_ns(PhaseKind::StreamingMerge, loop_ns.saturating_sub(udf_ns));
+        self.profiler.add_ns(PhaseKind::ReduceUdf, udf_ns);
+        self.m_shuffle.observe_merge(&merge.stats());
         if let Some(e) = emit_error {
             return ReduceOutcome::Fatal(e);
         }
@@ -1468,8 +1441,8 @@ impl<'a> JobTracker<'a> {
             Err(_) => return ReduceOutcome::Retry(task.id),
         }
         let io = IoBytes {
-            shuffle_local: local_bytes,
-            shuffle_remote: remote_bytes,
+            shuffle_local: merge.local_bytes,
+            shuffle_remote: merge.remote_bytes,
             output_written: output_bytes,
             replication_written: output_bytes * (spec.output_replication as u64 - 1),
             ..IoBytes::default()

@@ -10,7 +10,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use rcmp_engine::mapstore::{BucketIndex, MapInputKey, MapOutputStore};
-use rcmp_engine::shuffle::{shuffle_for_reduce, sort_and_group};
+use rcmp_engine::shuffle::sort_and_group;
 use rcmp_engine::{MergeStats, ShuffleFailure, StreamingShuffle};
 use rcmp_model::{
     JobId, NodeId, PartitionId, Record, RecordReader, RecordWriter, ReduceTaskId, SplitId,
@@ -46,7 +46,7 @@ fn index_of(records: &[Record], bytes: usize, sorted: bool) -> BucketIndex {
     }
 }
 
-type Bucket = (Bytes, Option<BucketIndex>);
+type Bucket = (Bytes, BucketIndex);
 
 #[derive(Default)]
 struct Model {
@@ -59,7 +59,7 @@ impl Model {
         &self,
         key: &MapInputKey,
         reduce: ReduceTaskId,
-    ) -> Option<(Bytes, NodeId, Option<BucketIndex>)> {
+    ) -> Option<(Bytes, NodeId, BucketIndex)> {
         let (node, _, buckets) = self.outputs.get(key)?;
         if let Some((data, index)) = buckets.get(&reduce) {
             return Some((data.clone(), *node, *index));
@@ -73,14 +73,14 @@ impl Model {
                 .filter(|r| part.split_of(r.key) == split)
                 .collect();
             let payload = encode(&kept);
-            let narrowed = index.map(|i| BucketIndex {
+            let narrowed = BucketIndex {
                 min_key: kept.first().map_or(0, |r| r.key),
                 max_key: kept.last().map_or(0, |r| r.key),
-                ..index_of(&kept, payload.len(), i.sorted)
-            });
+                ..index_of(&kept, payload.len(), index.sorted)
+            };
             return Some((payload, *node, narrowed));
         }
-        Some((Bytes::new(), *node, Some(BucketIndex::empty())))
+        Some((Bytes::new(), *node, BucketIndex::empty()))
     }
 
     fn shuffle(
@@ -111,7 +111,7 @@ impl Model {
             }
             out.stats.runs_merged += 1;
             out.stats.heap_peak += 1;
-            if index.is_some_and(|i| i.sorted) {
+            if index.sorted {
                 out.stats.runs_presorted += 1;
                 out.stats.index_bytes_skipped += len;
             }
@@ -179,7 +179,8 @@ enum BucketKind {
     Indexed,
     /// Indexed, but not attested sorted.
     IndexedUnsorted,
-    /// Raw payload through `insert`: no index, arbitrary order.
+    /// Arbitrary order under an index that attests only the payload
+    /// size, as a store must accept unscanned bytes.
     Plain,
 }
 
@@ -321,12 +322,6 @@ fn apply_insert(
     hash: u64,
     specs: &[BucketSpec],
 ) {
-    // One call stores buckets of one kind: indexed or plain.
-    let plain = specs
-        .first()
-        .is_some_and(|b| matches!(b.kind, BucketKind::Plain));
-    let mut indexed: HashMap<ReduceTaskId, (Bytes, BucketIndex)> = HashMap::new();
-    let mut raw: HashMap<ReduceTaskId, Bytes> = HashMap::new();
     let mut stored: HashMap<ReduceTaskId, Bucket> = HashMap::new();
     for spec in specs {
         let mut records: Vec<Record> = spec
@@ -334,25 +329,22 @@ fn apply_insert(
             .iter()
             .map(|&(k, v)| Record::new(k, vec![v]))
             .collect();
-        let sorted = !plain && matches!(spec.kind, BucketKind::Indexed);
+        let sorted = matches!(spec.kind, BucketKind::Indexed);
         if sorted {
             records.sort_by(|a, b| a.key.cmp(&b.key).then_with(|| a.value.cmp(&b.value)));
         }
         let payload = encode(&records);
-        if plain {
-            raw.insert(spec.reduce, payload.clone());
-            stored.insert(spec.reduce, (payload, None));
-        } else {
-            let index = index_of(&records, payload.len(), sorted);
-            indexed.insert(spec.reduce, (payload.clone(), index));
-            stored.insert(spec.reduce, (payload, Some(index)));
-        }
+        let index = match spec.kind {
+            BucketKind::Plain => BucketIndex {
+                bytes: payload.len() as u64,
+                sorted: false,
+                ..BucketIndex::empty()
+            },
+            _ => index_of(&records, payload.len(), sorted),
+        };
+        stored.insert(spec.reduce, (payload, index));
     }
-    if plain {
-        store.insert(key, node, hash, raw);
-    } else {
-        store.insert_indexed(key, node, hash, indexed);
-    }
+    store.insert_indexed(key, node, hash, stored.clone());
     model.outputs.insert(key, (node, hash, stored));
 }
 
@@ -387,19 +379,6 @@ proptest! {
                     let picks = &inputs_for(model.keys_for_job(reduce.job), *shape, extra);
                     let expected = model.shuffle(picks, *reduce, *node);
                     prop_assert_eq!(&streamed(&store, picks, *reduce, *node), &expected);
-                    let legacy = shuffle_for_reduce(&store, picks, *reduce, *node);
-                    match (legacy, expected) {
-                        (Ok(got), Ok(want)) => {
-                            prop_assert_eq!(got.groups, want.groups);
-                            prop_assert_eq!(got.local_bytes, want.local_bytes);
-                            prop_assert_eq!(got.remote_bytes, want.remote_bytes);
-                            prop_assert_eq!(got.per_source, want.per_source);
-                        }
-                        (Err(ShuffleFailure::MissingMapOutputs(got)), Err(want)) => {
-                            prop_assert_eq!(got, want);
-                        }
-                        (got, want) => prop_assert!(false, "legacy {got:?} vs model {want:?}"),
-                    }
                 }
                 Op::Fetch(key, reduce) => {
                     prop_assert_eq!(

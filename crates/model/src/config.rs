@@ -267,21 +267,9 @@ impl ChainCacheConfig {
     }
 }
 
-/// Shuffle data-path tuning: streaming merge vs the legacy sort-all
-/// oracle, merge fan-in, and block-store sharding.
+/// Shuffle data-path tuning: block-store sharding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShuffleConfig {
-    /// Use the k-way streaming merge over indexed, pre-sorted map
-    /// buckets. When `false` the reducer falls back to the legacy
-    /// collect-all-then-sort path, kept as the differential-testing
-    /// oracle (both produce byte-identical output).
-    pub streaming: bool,
-    /// Maximum fan-in of the reducer's top-level merge heap: when a
-    /// reducer has more sorted runs than this, the smallest runs by
-    /// payload bytes (ties in input order) are merged by one nested
-    /// streaming merger that feeds the top-level heap as a single run,
-    /// so that heap never holds more than `max_merge_width` heads.
-    pub max_merge_width: u32,
     /// Shards per node block store (keyed by `BlockId` hash). `1`
     /// degenerates to the old single-lock store and is kept as the
     /// accounting oracle for the sharded path.
@@ -290,22 +278,7 @@ pub struct ShuffleConfig {
 
 impl Default for ShuffleConfig {
     fn default() -> Self {
-        Self {
-            streaming: true,
-            max_merge_width: 64,
-            store_shards: 8,
-        }
-    }
-}
-
-impl ShuffleConfig {
-    /// The legacy collect-all-then-sort path with a single-lock store.
-    pub fn legacy() -> Self {
-        Self {
-            streaming: false,
-            store_shards: 1,
-            ..Self::default()
-        }
+        Self { store_shards: 8 }
     }
 }
 
@@ -491,7 +464,7 @@ pub struct ClusterConfig {
     /// Which wave-executor backend the engine runs slot tasks on.
     #[serde(default)]
     pub executor: ExecutorConfig,
-    /// Shuffle data-path tuning (streaming merge, fan-in, store shards).
+    /// Shuffle data-path tuning (store shards).
     #[serde(default)]
     pub shuffle: ShuffleConfig,
     /// Retry budgets and seeded backoff for recovery paths.
@@ -569,9 +542,6 @@ impl ClusterConfig {
             return Err(Error::Config(
                 "max recovery attempts must be at least 1".into(),
             ));
-        }
-        if self.shuffle.max_merge_width < 2 {
-            return Err(Error::Config("merge width must be at least 2".into()));
         }
         if self.shuffle.store_shards == 0 {
             return Err(Error::Config("store shards must be at least 1".into()));

@@ -27,8 +27,8 @@
 //!
 //! The [`soak`] module drives the service with multi-tenant scenarios
 //! and reports throughput, latency percentiles and Jain's fairness
-//! index — the `servefig` pseudo-figure and the serve soak tests are
-//! built on it.
+//! index — the serve soak tests and the `serve_soak` example are built
+//! on it.
 
 #![deny(missing_docs)]
 

@@ -98,22 +98,18 @@ fn stage(buf: &mut Vec<u8>, rec: &Record) {
 }
 
 /// Digest of a whole DFS file (all partitions merged). The per-partition
-/// digests are also returned, enabling partition-level comparisons
-/// (recomputed partitions must match their originals exactly).
-///
-/// Partitions are digested in parallel (rayon): MD5 over every record
-/// is the expensive part of golden-output validation, and partitions
-/// are independent.
+/// digests are also returned, in partition order, enabling
+/// partition-level comparisons (recomputed partitions must match their
+/// originals exactly).
 pub fn digest_file(
     dfs: &rcmp_dfs::Dfs,
     path: &str,
     reader: rcmp_model::NodeId,
 ) -> rcmp_model::Result<(OutputDigest, Vec<OutputDigest>)> {
-    use rayon::prelude::*;
     let meta = dfs.file_meta(path)?;
     let per_partition: Vec<OutputDigest> = meta
         .partitions
-        .par_iter()
+        .iter()
         .map(|p| {
             let data = dfs.read_partition(path, p.id, reader)?;
             OutputDigest::of_encoded(data)

@@ -1,10 +1,10 @@
-//! Differential tests for the shuffle data-path overhaul.
+//! Differential tests for the shuffle data path.
 //!
 //! The streaming merge, the map-side combiner and the sharded block
-//! stores are all *performance* changes; the contract is that none of
-//! them is observable in the output. Each test here runs the new path
-//! against its kept-alive oracle — the legacy collect-all-then-sort
-//! shuffle, the combiner-less job, the single-lock store — and demands
+//! stores are all *performance* mechanisms; the contract is that none of
+//! them is observable in the output. Each test here holds the engine to
+//! an oracle — the sort-all shuffle rebuilt from the job's own map
+//! outputs, the combiner-less job, the single-lock store — and demands
 //! byte-identical digests (and, where the accounting is deterministic,
 //! identical I/O numbers).
 //!
@@ -14,11 +14,17 @@
 
 use proptest::prelude::*;
 use rcmp::core::{ChainDriver, Strategy};
-use rcmp::engine::{Cluster, JobRun, JobTracker, NoFailures, RandomizedInjector};
-use rcmp::model::{ByteSize, ClusterConfig, Error, ExecutorConfig, ShuffleConfig, SlotConfig};
+use rcmp::engine::shuffle::sort_and_group;
+use rcmp::engine::{
+    Cluster, JobReport, JobRun, JobSpec, JobTracker, NoFailures, RandomizedInjector,
+};
+use rcmp::model::{
+    ByteSize, ClusterConfig, Error, ExecutorConfig, PartitionId, RecordReader, ReduceTaskId,
+    ShuffleConfig, SlotConfig,
+};
 use rcmp::obs::SnapshotValue;
 use rcmp::workloads::checksum::digest_file;
-use rcmp::workloads::{generate_input, AggBuilder, ChainBuilder, DataGenConfig};
+use rcmp::workloads::{generate_input, AggBuilder, ChainBuilder, DataGenConfig, OutputDigest};
 use std::sync::Arc;
 
 const NODES: u32 = 4;
@@ -38,39 +44,73 @@ fn cluster(seed: u64, shuffle: ShuffleConfig, executor: ExecutorConfig) -> Clust
     })
 }
 
-/// Runs one chain job and returns its report plus the output digest.
-fn chain_run(
-    seed: u64,
-    records: u64,
-    shuffle: ShuffleConfig,
-) -> (rcmp::engine::JobReport, rcmp::workloads::OutputDigest) {
-    let cl = cluster(seed, shuffle, ExecutorConfig::from_env_or_default());
-    generate_input(cl.dfs(), &DataGenConfig::test("input", NODES, records)).unwrap();
-    let chain = ChainBuilder::new(1, NODES * 2).build();
-    let tracker = JobTracker::new(&cl, Arc::new(NoFailures));
-    let report = tracker.run(&JobRun::full(chain.job(1).clone()), 1).unwrap();
-    let digest = digest_file(cl.dfs(), chain.final_output(), cl.live_nodes()[0])
-        .unwrap()
-        .0;
-    (report, digest)
+/// One fault-free job run, beside the sort-all oracle's view of it.
+struct Run {
+    report: JobReport,
+    /// The output file's digest, and its per-partition digests.
+    digest: OutputDigest,
+    partitions: Vec<OutputDigest>,
+    /// The oracle's per-partition digests.
+    oracle: Vec<OutputDigest>,
+    /// Payload bytes the oracle fetched over all reduce tasks.
+    oracle_shuffle: u64,
 }
 
-/// Runs the aggregation job, returning its report plus the digest.
-fn agg_run(
-    seed: u64,
-    records: u64,
-    combine: bool,
-    shuffle: ShuffleConfig,
-) -> (rcmp::engine::JobReport, rcmp::workloads::OutputDigest) {
-    let cl = cluster(seed, shuffle, ExecutorConfig::from_env_or_default());
+impl Run {
+    fn shuffle_bytes(&self) -> u64 {
+        self.report.io.shuffle_local + self.report.io.shuffle_remote
+    }
+}
+
+fn run(seed: u64, records: u64, spec: JobSpec) -> Run {
+    let cl = cluster(
+        seed,
+        ShuffleConfig::default(),
+        ExecutorConfig::from_env_or_default(),
+    );
     generate_input(cl.dfs(), &DataGenConfig::test("input", NODES, records)).unwrap();
-    let spec = AggBuilder::new(NODES * 2, 16).combine(combine).build();
     let tracker = JobTracker::new(&cl, Arc::new(NoFailures));
     let report = tracker.run(&JobRun::full(spec.clone()), 1).unwrap();
-    let digest = digest_file(cl.dfs(), &spec.output, cl.live_nodes()[0])
-        .unwrap()
-        .0;
-    (report, digest)
+    let (digest, partitions) = digest_file(cl.dfs(), &spec.output, cl.live_nodes()[0]).unwrap();
+    let (oracle, oracle_shuffle) = sort_all(&cl, &spec);
+    Run {
+        report,
+        digest,
+        partitions,
+        oracle,
+        oracle_shuffle,
+    }
+}
+
+/// The sort-all shuffle over the map outputs `spec`'s run persisted:
+/// for each reduce task, every bucket the store serves it is decoded,
+/// the records go through `sort_and_group`, and the job's reducer runs
+/// over the groups. Returns each partition's output digest and the
+/// payload bytes fetched.
+fn sort_all(cl: &Cluster, spec: &JobSpec) -> (Vec<OutputDigest>, u64) {
+    let store = cl.map_outputs();
+    let inputs = store.keys_for_job(spec.job);
+    let mut fetched = 0;
+    let digests = (0..spec.num_reducers)
+        .map(|p| {
+            let fetch = store.fetch_buckets(&inputs, ReduceTaskId::whole(spec.job, PartitionId(p)));
+            assert!(
+                fetch.missing.is_empty(),
+                "a fault-free run keeps every map output"
+            );
+            let mut records = Vec::new();
+            for bucket in fetch.buckets {
+                let (payload, _) = bucket.into_payload().unwrap();
+                fetched += payload.len() as u64;
+                records.extend(RecordReader::decode_all(payload).unwrap());
+            }
+            let mut out = Vec::new();
+            spec.reducer
+                .reduce_groups(&sort_and_group(records), &mut |rec| out.push(rec));
+            OutputDigest::of_records(&out)
+        })
+        .collect();
+    (digests, fetched)
 }
 
 proptest! {
@@ -80,22 +120,19 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// The streaming k-way merge against the legacy sort-all oracle:
-    /// same cluster seed, same input — byte-identical output digest,
-    /// identical schedule shape, identical I/O accounting (down to the
-    /// shuffle byte counts, which the merge path recomputes from the
-    /// bucket indexes).
+    /// The streaming k-way merge against the sort-all oracle: every
+    /// output partition's digest equals the oracle's, and the shuffle
+    /// bytes the job accounted equal the payload bytes the oracle
+    /// fetched.
     #[test]
     fn streaming_merge_matches_legacy_oracle(
         seed in 1u64..100_000,
         records in 5_000u64..25_000,
     ) {
-        let (legacy, legacy_digest) = chain_run(seed, records, ShuffleConfig::legacy());
-        let (streaming, streaming_digest) = chain_run(seed, records, ShuffleConfig::default());
-        prop_assert_eq!(legacy_digest, streaming_digest, "output diverged at seed {}", seed);
-        prop_assert_eq!(legacy.io, streaming.io, "I/O accounting diverged at seed {}", seed);
-        prop_assert_eq!(legacy.map_waves, streaming.map_waves);
-        prop_assert_eq!(legacy.reduce_waves, streaming.reduce_waves);
+        let chain = ChainBuilder::new(1, NODES * 2).build();
+        let run = run(seed, records, chain.job(1).clone());
+        prop_assert_eq!(&run.partitions, &run.oracle, "output diverged at seed {}", seed);
+        prop_assert_eq!(run.shuffle_bytes(), run.oracle_shuffle, "shuffle bytes at seed {}", seed);
     }
 
     /// Combiner correctness: the aggregation job's output digest is
@@ -108,20 +145,20 @@ proptest! {
         seed in 1u64..100_000,
         records in 40_000u64..100_000,
     ) {
-        let (raw, raw_digest) = agg_run(seed, records, false, ShuffleConfig::default());
-        let (combined, combined_digest) = agg_run(seed, records, true, ShuffleConfig::default());
-        prop_assert_eq!(raw_digest, combined_digest, "combiner changed the output at seed {}", seed);
-        let raw_shuffle = raw.io.shuffle_local + raw.io.shuffle_remote;
-        let combined_shuffle = combined.io.shuffle_local + combined.io.shuffle_remote;
+        let agg = |combine| AggBuilder::new(NODES * 2, 16).combine(combine).build();
+        let raw = run(seed, records, agg(false));
+        let combined = run(seed, records, agg(true));
+        prop_assert_eq!(raw.digest, combined.digest, "combiner changed the output at seed {}", seed);
         prop_assert!(
-            combined_shuffle * 2 < raw_shuffle,
+            combined.shuffle_bytes() * 2 < raw.shuffle_bytes(),
             "combiner should at least halve shuffle volume: {} vs {}",
-            combined_shuffle,
-            raw_shuffle
+            combined.shuffle_bytes(),
+            raw.shuffle_bytes()
         );
-        // And combining must also agree with the legacy oracle.
-        let (_, legacy_digest) = agg_run(seed, records, true, ShuffleConfig::legacy());
-        prop_assert_eq!(legacy_digest, combined_digest);
+        // And the merge over combined buckets must agree with the
+        // sort-all oracle.
+        prop_assert_eq!(&combined.partitions, &combined.oracle);
+        prop_assert_eq!(combined.shuffle_bytes(), combined.oracle_shuffle);
     }
 }
 
@@ -141,7 +178,6 @@ fn sharded_store_accounting_matches_single_lock_under_chaos() {
         for shards in [1u32, 8] {
             let shuffle = ShuffleConfig {
                 store_shards: shards,
-                ..ShuffleConfig::default()
             };
             let cl = cluster(17, shuffle, ExecutorConfig::async_workers(1));
             generate_input(cl.dfs(), &DataGenConfig::test("input", NODES, 10_000)).unwrap();
