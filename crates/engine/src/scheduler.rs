@@ -11,11 +11,8 @@
 //! back onto tasks.
 
 use crate::task::{MapTask, ReduceTask};
-use rcmp_model::{NodeId, PlacementKernel, Result};
-use rcmp_policy::{
-    CacheAffinity, FnReduceTasks, KernelTopology, MapTaskSet, Membership, PolicyCtx, SliceTopology,
-    WaveAssignment,
-};
+use rcmp_model::{NodeId, Result};
+use rcmp_policy::{FnReduceTasks, MapTaskSet, PolicyCtx, SliceTopology, WaveAssignment};
 
 pub use rcmp_policy::ReduceAssignment;
 
@@ -25,20 +22,29 @@ pub type Waves<T> = Vec<Vec<(NodeId, T)>>;
 
 /// The kernel's view of a slice of engine map tasks: the primary holder
 /// is the block's first replica (the writer-local copy, see
-/// `rcmp-dfs`'s placement), any listed replica is local.
-struct MapTaskSlice<'a>(&'a [MapTask]);
+/// `rcmp-dfs`'s placement), any listed replica is local, and
+/// `cached[t]` names the node whose chain cache holds task `t`'s input
+/// partition (empty when the cache is off).
+struct MapTaskSlice<'a> {
+    tasks: &'a [MapTask],
+    cached: &'a [Option<NodeId>],
+}
 
 impl MapTaskSet<NodeId> for MapTaskSlice<'_> {
     fn len(&self) -> usize {
-        self.0.len()
+        self.tasks.len()
     }
 
     fn is_primary_holder(&self, task: usize, node: NodeId) -> bool {
-        self.0[task].block.replicas.first() == Some(&node)
+        self.tasks[task].block.replicas.first() == Some(&node)
     }
 
     fn holds_replica(&self, task: usize, node: NodeId) -> bool {
-        self.0[task].block.replicas.contains(&node)
+        self.tasks[task].block.replicas.contains(&node)
+    }
+
+    fn cache_holder(&self, task: usize) -> Option<NodeId> {
+        self.cached.get(task).copied().flatten()
     }
 }
 
@@ -49,88 +55,45 @@ fn resolve<T>(assignment: WaveAssignment<NodeId>, tasks: Vec<T>) -> Waves<T> {
         .into_iter()
         .map(|wave| {
             wave.into_iter()
+                // Invariant: the kernel places each index once (its oracle proptest pins it).
                 .map(|(n, t)| (n, slots[t].take().expect("kernel assigns each task once")))
                 .collect()
         })
         .collect()
 }
 
-/// Assigns map tasks to waves over the live nodes via the shared
-/// kernel. Errors with [`rcmp_model::Error::NoLiveNodes`] when the
-/// cluster has no survivors.
+/// Assigns map tasks to waves over `topo` via the shared kernel.
+///
+/// `cached` is the chain-cache holder map, aligned with `tasks`:
+/// `cached[t]` names the node holding task `t`'s input partition in
+/// memory, if any (empty when the cache is off). Only the `Stable`
+/// kernel reads it. Errors with [`rcmp_model::Error::NoLiveNodes`] when
+/// the cluster has no survivors.
 pub fn assign_map_waves(
     tasks: Vec<MapTask>,
-    live: &[NodeId],
-    slots: u32,
-    ctx: PolicyCtx<'_>,
-) -> Result<Waves<MapTask>> {
-    let topo = SliceTopology::uniform(live, slots);
-    let assignment = rcmp_policy::assign_map_waves(&topo, &MapTaskSlice(&tasks), ctx)?;
-    Ok(resolve(assignment, tasks))
-}
-
-/// Like [`assign_map_waves`] but through the configured placement
-/// kernel, with per-node capacity and rack hints drawn from a
-/// membership snapshot (aligned position-for-position with `live`).
-///
-/// `cached` is the chain-cache affinity map, aligned with `tasks`:
-/// `cached[t]` names the node holding task `t`'s input partition in
-/// memory, if any. Only the `Stable` kernel consults it; pass an empty
-/// slice when the cache is off (every kernel then behaves exactly as
-/// before the cache existed).
-pub fn assign_map_waves_kernel(
-    tasks: Vec<MapTask>,
-    live: &[NodeId],
-    slots: u32,
-    kernel: PlacementKernel,
-    membership: &Membership,
+    topo: &SliceTopology<'_, NodeId>,
     cached: &[Option<NodeId>],
     ctx: PolicyCtx<'_>,
 ) -> Result<Waves<MapTask>> {
-    let raw: Vec<u32> = live.iter().map(|n| n.raw()).collect();
-    let caps = membership.caps_for(&raw);
-    let racks = membership.racks_for(&raw);
-    let topo = KernelTopology::uniform(live, slots, &caps, &racks);
-    let set = CacheAffinity::new(MapTaskSlice(&tasks), |t: usize| {
-        cached.get(t).copied().flatten()
-    });
-    let assignment = rcmp_policy::assign_map_waves_kernel(&topo, &set, kernel, ctx)?;
+    let set = MapTaskSlice {
+        tasks: &tasks,
+        cached,
+    };
+    let assignment = rcmp_policy::assign_map_waves(topo, &set, ctx)?;
     Ok(resolve(assignment, tasks))
 }
 
-/// Assigns reduce tasks to waves over the live nodes via the shared
-/// kernel. Errors with [`rcmp_model::Error::NoLiveNodes`] when the
-/// cluster has no survivors.
+/// Assigns reduce tasks to waves over `topo` via the shared kernel.
+/// Errors with [`rcmp_model::Error::NoLiveNodes`] when the cluster has
+/// no survivors.
 pub fn assign_reduce_waves(
     tasks: Vec<ReduceTask>,
-    live: &[NodeId],
-    slots: u32,
+    topo: &SliceTopology<'_, NodeId>,
     style: ReduceAssignment,
     ctx: PolicyCtx<'_>,
 ) -> Result<Waves<ReduceTask>> {
-    let topo = SliceTopology::uniform(live, slots);
     let set = FnReduceTasks::new(tasks.len(), |t| tasks[t].id.partition.index());
-    let assignment = rcmp_policy::assign_reduce_waves(&topo, &set, style, ctx)?;
-    Ok(resolve(assignment, tasks))
-}
-
-/// Like [`assign_reduce_waves`] but through the configured placement
-/// kernel, with capacity/rack hints from a membership snapshot.
-pub fn assign_reduce_waves_kernel(
-    tasks: Vec<ReduceTask>,
-    live: &[NodeId],
-    slots: u32,
-    style: ReduceAssignment,
-    kernel: PlacementKernel,
-    membership: &Membership,
-    ctx: PolicyCtx<'_>,
-) -> Result<Waves<ReduceTask>> {
-    let raw: Vec<u32> = live.iter().map(|n| n.raw()).collect();
-    let caps = membership.caps_for(&raw);
-    let racks = membership.racks_for(&raw);
-    let topo = KernelTopology::uniform(live, slots, &caps, &racks);
-    let set = FnReduceTasks::new(tasks.len(), |t| tasks[t].id.partition.index());
-    let assignment = rcmp_policy::assign_reduce_waves_kernel(&topo, &set, style, kernel, ctx)?;
+    let assignment = rcmp_policy::assign_reduce_waves(topo, &set, style, ctx)?;
     Ok(resolve(assignment, tasks))
 }
 
@@ -139,7 +102,10 @@ mod tests {
     use super::*;
     use crate::mapstore::MapInputKey;
     use rcmp_dfs::BlockLocation;
-    use rcmp_model::{BlockId, ByteSize, Error, JobId, MapTaskId, PartitionId, ReduceTaskId};
+    use rcmp_model::{
+        BlockId, ByteSize, Error, JobId, MapTaskId, PartitionId, PlacementKernel, ReduceTaskId,
+    };
+    use rcmp_policy::Membership;
 
     fn nodes(n: u32) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()
@@ -162,209 +128,75 @@ mod tests {
         ReduceTask::new(ReduceTaskId::whole(JobId(1), PartitionId(p)))
     }
 
-    #[test]
-    fn balanced_map_tasks_prefer_local() {
-        // 4 tasks, 4 nodes, 1 replica each on its "own" node.
-        let tasks: Vec<MapTask> = (0..4).map(|i| map_task(i, &[i])).collect();
-        let waves = assign_map_waves(tasks, &nodes(4), 1, PolicyCtx::disabled()).unwrap();
-        assert_eq!(waves.len(), 1);
-        for (node, task) in &waves[0] {
-            assert!(
-                task.block.replicas.contains(node),
-                "task should be local: {task:?} on {node}"
-            );
-        }
-    }
-
-    #[test]
-    fn few_tasks_spread_over_nodes_not_piled_on_replica_holder() {
-        // The hot-spot scenario: 3 blocks all on node 0, 4 live nodes.
-        let tasks: Vec<MapTask> = (0..3).map(|i| map_task(i, &[0])).collect();
-        let waves = assign_map_waves(tasks, &nodes(4), 1, PolicyCtx::disabled()).unwrap();
-        // All three run in a single wave on three different nodes.
-        assert_eq!(waves.len(), 1);
-        let used: std::collections::HashSet<NodeId> = waves[0].iter().map(|(n, _)| *n).collect();
-        assert_eq!(used.len(), 3);
-    }
-
-    #[test]
-    fn waves_respect_slots() {
-        let tasks: Vec<MapTask> = (0..8).map(|i| map_task(i, &[])).collect();
-        let waves = assign_map_waves(tasks, &nodes(2), 2, PolicyCtx::disabled()).unwrap();
-        // 8 tasks / (2 nodes * 2 slots) = 2 waves.
-        assert_eq!(waves.len(), 2);
-        for wave in &waves {
-            let mut per_node = std::collections::HashMap::new();
-            for (n, _) in wave {
-                *per_node.entry(*n).or_insert(0) += 1;
-            }
-            assert!(per_node.values().all(|&c| c <= 2));
-        }
-    }
-
-    #[test]
-    fn initial_reducers_round_robin() {
-        // 10 reducers, 10 nodes, 1 slot: exactly 1 wave (WR = 1).
-        let tasks: Vec<ReduceTask> = (0..10).map(reduce_task).collect();
-        let waves = assign_reduce_waves(
-            tasks,
-            &nodes(10),
-            1,
-            ReduceAssignment::RoundRobinByPartition,
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        assert_eq!(waves.len(), 1);
-        for (node, task) in &waves[0] {
-            assert_eq!(node.raw(), task.id.partition.raw() % 10);
-        }
-    }
-
-    #[test]
-    fn round_robin_gives_paper_wave_count() {
-        // 40 reducers, 10 nodes, 1 slot: WR = 4 waves.
-        let tasks: Vec<ReduceTask> = (0..40).map(reduce_task).collect();
-        let waves = assign_reduce_waves(
-            tasks,
-            &nodes(10),
-            1,
-            ReduceAssignment::RoundRobinByPartition,
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        assert_eq!(waves.len(), 4);
-    }
-
-    #[test]
-    fn balance_spreads_splits_over_all_nodes() {
-        use rcmp_model::SplitId;
-        // 1 recomputed reducer split 8 ways, 9 surviving nodes (Fig. 4b).
-        let tasks: Vec<ReduceTask> = (0..8)
-            .map(|i| ReduceTask::new(ReduceTaskId::split(JobId(1), PartitionId(0), SplitId(i), 8)))
-            .collect();
-        let waves = assign_reduce_waves(
-            tasks,
-            &nodes(9),
-            1,
-            ReduceAssignment::Balance,
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        assert_eq!(waves.len(), 1, "all splits fit one wave across nodes");
-        let used: std::collections::HashSet<NodeId> = waves[0].iter().map(|(n, _)| *n).collect();
-        assert_eq!(used.len(), 8);
-    }
-
-    #[test]
-    fn no_split_recompute_uses_one_node_per_reducer() {
-        // 1 recomputed whole reducer, 9 nodes: 1 task on 1 node — the
-        // paper's under-utilization (Fig. 4a).
-        let waves = assign_reduce_waves(
-            vec![reduce_task(0)],
-            &nodes(9),
-            1,
-            ReduceAssignment::Balance,
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        assert_eq!(waves.len(), 1);
-        assert_eq!(waves[0].len(), 1);
-    }
-
-    #[test]
-    fn empty_task_list_zero_waves() {
-        let waves = assign_map_waves(Vec::new(), &nodes(2), 1, PolicyCtx::disabled()).unwrap();
-        assert!(waves.is_empty());
-        let waves = assign_reduce_waves(
-            Vec::new(),
-            &nodes(2),
-            1,
-            ReduceAssignment::Balance,
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        assert!(waves.is_empty());
-    }
-
-    #[test]
-    fn default_kernel_matches_plain_assignment() {
-        let m = Membership::uniform(4);
-        let mk = |i| map_task(i, &[i % 4]);
-        let tasks: Vec<MapTask> = (0..7).map(mk).collect();
-        let plain = assign_map_waves(tasks.clone(), &nodes(4), 1, PolicyCtx::disabled()).unwrap();
-        let kernel = assign_map_waves_kernel(
-            tasks,
-            &nodes(4),
-            1,
-            PlacementKernel::Default,
-            &m,
-            &[],
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        let ids = |w: &Waves<MapTask>| -> Vec<Vec<(NodeId, u32)>> {
-            w.iter()
-                .map(|wave| wave.iter().map(|(n, t)| (*n, t.id.index)).collect())
-                .collect()
-        };
-        assert_eq!(ids(&plain), ids(&kernel));
+    fn on_big<T>(waves: &Waves<T>) -> usize {
+        waves
+            .iter()
+            .flatten()
+            .filter(|(n, _)| *n == NodeId(1))
+            .count()
     }
 
     #[test]
     fn capacity_weighted_kernel_uses_membership_caps() {
         let mut m = Membership::uniform(1);
         m.join(3, 0); // node 1 weighs 3×
+        let live = nodes(2);
+        let topo = SliceTopology::for_kernel(&live, 1, PlacementKernel::CapacityWeighted, &m);
+
         let tasks: Vec<MapTask> = (0..8).map(|i| map_task(i, &[])).collect();
-        let waves = assign_map_waves_kernel(
-            tasks,
-            &nodes(2),
-            1,
-            PlacementKernel::CapacityWeighted,
-            &m,
-            &[],
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
+        let waves = assign_map_waves(tasks, &topo, &[], PolicyCtx::disabled()).unwrap();
         assert_eq!(
             waves.len(),
             2,
             "3×-weighted node packs the job into 2 waves"
         );
-        let on_big = waves
-            .iter()
-            .flatten()
-            .filter(|(n, _)| *n == NodeId(1))
-            .count();
-        assert_eq!(on_big, 6);
+        assert_eq!(on_big(&waves), 6);
+
+        let tasks: Vec<ReduceTask> = (0..8).map(|_| reduce_task(0)).collect();
+        let waves = assign_reduce_waves(
+            tasks,
+            &topo,
+            ReduceAssignment::Balance,
+            PolicyCtx::disabled(),
+        )
+        .unwrap();
+        assert_eq!(on_big(&waves), 6, "weighted balance loads node 1 3× harder");
     }
 
     #[test]
     fn stable_kernel_follows_cache_affinity() {
         let m = Membership::uniform(4);
+        let live = nodes(4);
         // Every block's DFS replica sits on node 0, but each task's
         // partition is cached on its "own" node.
         let tasks: Vec<MapTask> = (0..4).map(|i| map_task(i, &[0])).collect();
         let cached: Vec<Option<NodeId>> = (0..4).map(|i| Some(NodeId(i))).collect();
-        let waves = assign_map_waves_kernel(
-            tasks,
-            &nodes(4),
-            1,
-            PlacementKernel::Stable,
-            &m,
-            &cached,
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
+        let stable = SliceTopology::for_kernel(&live, 1, PlacementKernel::Stable, &m);
+        let waves =
+            assign_map_waves(tasks.clone(), &stable, &cached, PolicyCtx::disabled()).unwrap();
         assert_eq!(waves.len(), 1);
         for (node, task) in &waves[0] {
             assert_eq!(*node, NodeId(task.id.index), "task follows its cached copy");
         }
+        // Other kernels are handed the same holders and ignore them.
+        let default = SliceTopology::for_kernel(&live, 1, PlacementKernel::Default, &m);
+        let waves = assign_map_waves(tasks, &default, &cached, PolicyCtx::disabled()).unwrap();
+        assert_eq!(waves[0][0].0, NodeId(0), "default follows the DFS primary");
     }
 
     #[test]
     fn dead_cluster_is_a_typed_error() {
-        let err =
-            assign_map_waves(vec![map_task(0, &[0])], &[], 1, PolicyCtx::disabled()).unwrap_err();
+        let topo = SliceTopology::new(&[], 1, 1);
+        let err = assign_map_waves(vec![map_task(0, &[0])], &topo, &[], PolicyCtx::disabled())
+            .unwrap_err();
+        assert_eq!(err, Error::NoLiveNodes);
+        let err = assign_reduce_waves(
+            vec![reduce_task(0)],
+            &topo,
+            ReduceAssignment::RoundRobinByPartition,
+            PolicyCtx::disabled(),
+        )
+        .unwrap_err();
         assert_eq!(err, Error::NoLiveNodes);
     }
 }

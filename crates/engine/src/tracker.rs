@@ -28,7 +28,7 @@ use crate::failure::{FailureInjector, Fault, ProgressEvent, TriggerPoint};
 use crate::job::{JobRun, JobSpec, RunMode};
 use crate::mapstore::MapInputKey;
 use crate::metrics::{IoBytes, JobReport, ShuffleMetrics, TaskRecord};
-use crate::scheduler::{assign_map_waves_kernel, assign_reduce_waves_kernel, Waves};
+use crate::scheduler::{assign_map_waves, assign_reduce_waves, Waves};
 use crate::shuffle::{ShuffleFailure, StreamingShuffle, MAX_MERGE_WIDTH};
 use crate::task::{encode_sorted_bucket, BucketSlots, MapBuckets, MapTask, ReduceTask};
 use crate::udf::Combiner;
@@ -38,14 +38,14 @@ use rcmp_dfs::{ChainCache, LossReport, PlacementPolicy};
 use rcmp_exec::{BackendExecutor, SessionExecutor, SlotOutcome, SlotTask, TaskCtx, WaveSpec};
 use rcmp_model::rng::derive_indexed;
 use rcmp_model::{
-    Error, JobId, MapTaskId, NodeId, PartitionId, PlacementKernel, Record, RecordReader,
-    ReduceTaskId, Result, TaskId, TenantId,
+    Error, JobId, MapTaskId, NodeId, PartitionId, Record, RecordReader, ReduceTaskId, Result,
+    TaskId, TenantId,
 };
 use rcmp_obs::{
     Counter, EventCode, FaultKind, FlightRecorder, Histogram, Phase, PhaseKind, PhaseProfiler,
     SpanId, SpanKind, Tracer,
 };
-use rcmp_policy::{reduce_task_set, reduce_tasks_for, PolicyCtx};
+use rcmp_policy::{reduce_task_set, reduce_tasks_for, PolicyCtx, SliceTopology};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -370,34 +370,31 @@ impl<'a> JobTracker<'a> {
                     self.check_inputs_available(spec, &pending_maps)?;
                     let live = self.live_or_fail()?;
                     let membership = self.cluster.membership();
-                    // Partition-stable placement: under the `stable`
-                    // kernel, route each map task to the node whose chain
-                    // cache holds its input partition in memory (job i's
-                    // reducer output read by job i+1's mappers). A holder
-                    // that is no longer live yields no affinity and the
-                    // kernel degrades to replica locality.
-                    let cached: Vec<Option<NodeId>> =
-                        if self.cluster.config().placement == PlacementKernel::Stable {
-                            match self.cluster.dfs().chain_cache() {
-                                Some(cache) => pending_maps
-                                    .iter()
-                                    .map(|t| {
-                                        cache
-                                            .holder(&spec.input, t.key.pid)
-                                            .filter(|h| live.contains(h))
-                                    })
-                                    .collect(),
-                                None => Vec::new(),
-                            }
-                        } else {
-                            Vec::new()
-                        };
-                    let waves = assign_map_waves_kernel(
-                        pending_maps.clone(),
+                    let topo = SliceTopology::for_kernel(
                         &live,
                         self.cluster.config().slots.map,
                         self.cluster.config().placement,
                         &membership,
+                    );
+                    // Which live node's chain cache holds each task's
+                    // input partition (job i's reducer output read by job
+                    // i+1's mappers). The `stable` kernel routes tasks to
+                    // those holders; a holder that is no longer live
+                    // yields no affinity.
+                    let cached: Vec<Option<NodeId>> = match self.cluster.dfs().chain_cache() {
+                        Some(cache) => pending_maps
+                            .iter()
+                            .map(|t| {
+                                cache
+                                    .holder(&spec.input, t.key.pid)
+                                    .filter(|h| live.contains(h))
+                            })
+                            .collect(),
+                        None => Vec::new(),
+                    };
+                    let waves = assign_map_waves(
+                        pending_maps.clone(),
+                        &topo,
                         &cached,
                         PolicyCtx::new(&self.tracer, Some(job_span)),
                     )?;
@@ -476,13 +473,16 @@ impl<'a> JobTracker<'a> {
                 }
                 let live = self.live_or_fail()?;
                 let membership = self.cluster.membership();
-                let waves: Waves<ReduceTask> = assign_reduce_waves_kernel(
-                    pending_reduces.clone(),
+                let topo = SliceTopology::for_kernel(
                     &live,
                     self.cluster.config().slots.reduce,
-                    reduce_style,
                     self.cluster.config().placement,
                     &membership,
+                );
+                let waves: Waves<ReduceTask> = assign_reduce_waves(
+                    pending_reduces.clone(),
+                    &topo,
+                    reduce_style,
                     PolicyCtx::new(&self.tracer, Some(job_span)),
                 )?;
                 // Owned by `Arc` because session workers may briefly outlive
@@ -1215,7 +1215,6 @@ impl<'a> JobTracker<'a> {
         outcome
     }
 
-    #[allow(clippy::too_many_arguments)]
     /// Stable per-retry-site seed for shuffle backoff: distinct reduce
     /// tasks (including distinct splits of one partition) derive
     /// distinct jitter schedules from the one cluster seed, so a storm

@@ -38,6 +38,13 @@ macro_rules! id_type {
             }
         }
 
+        impl From<$name> for $repr {
+            #[inline]
+            fn from(id: $name) -> Self {
+                id.0
+            }
+        }
+
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 write!(f, concat!($prefix, "{}"), self.0)

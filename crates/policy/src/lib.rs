@@ -14,13 +14,18 @@
 //! that recovery *policy* should be a first-class module separable from
 //! the execution substrate:
 //!
-//! * [`TopologyView`] — what the kernel needs to know about a cluster:
-//!   live nodes and per-phase slot counts. [`SliceTopology`] adapts a
-//!   plain node slice.
+//! * [`SliceTopology`] — what the kernel needs to know about a cluster:
+//!   live nodes, per-phase slot counts, the placement kernel, and the
+//!   capacities and racks that kernel reads. Both backends build it
+//!   with [`SliceTopology::for_kernel`] from a [`Membership`] snapshot.
 //! * [`MapTaskSet`] / [`ReduceTaskSet`] — what it needs to know about
-//!   the work: task count, replica/primary-holder queries, partition
-//!   keys. [`FnMapTasks`] / [`FnReduceTasks`] adapt closures.
-//! * [`assign_map_waves`] / [`assign_reduce_waves`] — the wave kernels.
+//!   the work: task count, replica/primary-holder and chain-cache
+//!   queries, partition keys. [`FnMapTasks`] / [`FnReduceTasks`] adapt
+//!   closures.
+//! * [`assign_map_waves`] / [`assign_reduce_waves`] — the wave kernels,
+//!   one entry point per phase for every placement kernel (default,
+//!   rack-aware, delay scheduling, capacity-weighted, partition-stable;
+//!   `rcmp_model::PlacementKernel`), all running one claim loop.
 //! * [`RecomputePlan`] — the unified recomputation instruction set that
 //!   `rcmp-engine::RecomputeInstructions` and `rcmp-sim::RecomputeSpec`
 //!   are re-exports of; [`reduce_task_set`] expands a run into its
@@ -48,10 +53,6 @@
 //!   spill bookkeeping; the engine hangs payloads off it, the simulator
 //!   prices reads against it. [`rehome_target`] is the matching single
 //!   rule for where a decommissioned node's replicas go.
-//! * [`assign_map_waves_kernel`] / [`assign_reduce_waves_kernel`] —
-//!   pluggable placement kernels (rack-aware, delay scheduling,
-//!   capacity-weighted) selected via
-//!   `rcmp_model::PlacementKernel`, all sharing one claim loop.
 //! * [`RackTopology`] — the single node→rack layout shared by DFS
 //!   replica placement and the rack-aware kernel (formerly duplicated
 //!   in `rcmp-dfs`).
@@ -89,9 +90,8 @@ pub use membership::{rehome_target, Membership, NodeInfo, NodeStatus, Rehome};
 pub use mitigation::{choose_mitigation, HotspotMitigation, MitigationChoice, SplitPolicy};
 pub use plan::{reduce_task_set, reduce_tasks_for, RecomputePlan};
 pub use strategy::Strategy;
-pub use tasks::{CacheAffinity, FnMapTasks, FnReduceTasks, MapTaskSet, ReduceTaskSet};
-pub use topology::{rack_aware_order, KernelTopology, RackTopology, SliceTopology, TopologyView};
+pub use tasks::{FnMapTasks, FnReduceTasks, MapTaskSet, ReduceTaskSet};
+pub use topology::{rack_aware_order, RackTopology, SliceTopology};
 pub use waves::{
-    assign_map_waves, assign_map_waves_kernel, assign_reduce_waves, assign_reduce_waves_kernel,
-    queues_to_waves, queues_to_waves_weighted, PolicyCtx, ReduceAssignment, WaveAssignment,
+    assign_map_waves, assign_reduce_waves, PolicyCtx, ReduceAssignment, WaveAssignment,
 };

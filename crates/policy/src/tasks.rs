@@ -28,62 +28,13 @@ pub trait MapTaskSet<N> {
     /// (data-locality tie-breaking, §III-A)?
     fn holds_replica(&self, task: usize, node: N) -> bool;
 
-    /// Does `node` hold task `task`'s input partition *in memory* in the
-    /// inter-job chain cache (M3R-style partition stability)? Only the
-    /// `Stable` kernel consults this; the default — no affinity — makes
-    /// every kernel behave exactly as before the cache existed.
-    fn cache_affine(&self, _task: usize, _node: N) -> bool {
-        false
-    }
-
-    /// Does *some* node hold task `task`'s input partition in the chain
-    /// cache? Used by the `Stable` kernel's steal fallback to prefer
-    /// stealing tasks nobody has an in-memory claim on.
-    fn has_cache_affinity(&self, _task: usize) -> bool {
-        false
-    }
-}
-
-/// Wraps a [`MapTaskSet`] with an inter-job chain-cache affinity map:
-/// `holder(task)` names the node whose memory holds the task's input
-/// partition (if any). The `Stable` kernel claims cache-affine tasks
-/// first; all other queries delegate to the inner set.
-pub struct CacheAffinity<S, A> {
-    inner: S,
-    holder: A,
-}
-
-impl<S, A> CacheAffinity<S, A> {
-    /// Overlay `holder(task) -> Option<node>` onto `inner`.
-    pub fn new(inner: S, holder: A) -> Self {
-        Self { inner, holder }
-    }
-}
-
-impl<N, S, A> MapTaskSet<N> for CacheAffinity<S, A>
-where
-    N: PartialEq,
-    S: MapTaskSet<N>,
-    A: Fn(usize) -> Option<N>,
-{
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn is_primary_holder(&self, task: usize, node: N) -> bool {
-        self.inner.is_primary_holder(task, node)
-    }
-
-    fn holds_replica(&self, task: usize, node: N) -> bool {
-        self.inner.holds_replica(task, node)
-    }
-
-    fn cache_affine(&self, task: usize, node: N) -> bool {
-        (self.holder)(task) == Some(node)
-    }
-
-    fn has_cache_affinity(&self, task: usize) -> bool {
-        (self.holder)(task).is_some()
+    /// The node holding task `task`'s input partition *in memory* in
+    /// the inter-job chain cache, if any (M3R-style partition
+    /// stability). Only the `Stable` kernel consults it; the default —
+    /// nothing cached — makes every kernel behave exactly as before the
+    /// cache existed.
+    fn cache_holder(&self, _task: usize) -> Option<N> {
+        None
     }
 }
 
@@ -102,8 +53,8 @@ pub trait ReduceTaskSet {
     fn partition_index(&self, task: usize) -> usize;
 }
 
-/// A [`MapTaskSet`] over closures — the simulator's adapter, and handy
-/// in tests and benches.
+/// A [`MapTaskSet`] over closures, with nothing cached — handy in tests
+/// and benches.
 pub struct FnMapTasks<P, Q> {
     len: usize,
     primary: Q,
@@ -175,27 +126,14 @@ mod tests {
         assert!(maps.is_primary_holder(1, 1));
         assert!(!maps.is_primary_holder(1, 2));
         assert!(maps.holds_replica(1, 2));
+        assert_eq!(
+            MapTaskSet::<u32>::cache_holder(&maps, 1),
+            None,
+            "closures carry no cache"
+        );
 
         let reds = FnReduceTasks::new(4, |t| t * 2);
         assert_eq!(reds.len(), 4);
         assert_eq!(reds.partition_index(3), 6);
-    }
-
-    #[test]
-    fn cache_affinity_overlay_delegates_and_answers() {
-        let maps = FnMapTasks::new(3, |t, n: u32| t as u32 == n, |t, n: u32| t as u32 <= n);
-        // No affinity by default on the plain adapter.
-        assert!(!MapTaskSet::<u32>::has_cache_affinity(&maps, 0));
-        assert!(!maps.cache_affine(0, 0u32));
-
-        let overlaid = CacheAffinity::new(maps, |t| if t == 1 { Some(2u32) } else { None });
-        assert_eq!(MapTaskSet::<u32>::len(&overlaid), 3);
-        assert!(overlaid.cache_affine(1, 2));
-        assert!(!overlaid.cache_affine(1, 1));
-        assert!(overlaid.has_cache_affinity(1));
-        assert!(!overlaid.has_cache_affinity(0));
-        // Inner queries still answered.
-        assert!(overlaid.is_primary_holder(1, 1));
-        assert!(overlaid.holds_replica(1, 2));
     }
 }

@@ -3,10 +3,11 @@
 //! The engine schedules over `rcmp_model::NodeId`s owned by a live
 //! `Cluster`; the simulator over bare `u32`s in a `SimState`. The kernel
 //! only ever needs the *live* node list (survivors, in failure
-//! scenarios) and the per-phase slot counts, so that is all the trait
-//! asks for. The placement kernels additionally read per-position
-//! capacity and rack hints, defaulted to a homogeneous flat cluster so
-//! existing adapters keep working unchanged.
+//! scenarios), the per-phase slot counts, the placement kernel, and the
+//! per-position capacity and rack hints that kernel reads — so that is
+//! all [`SliceTopology`] holds. Both backends build it through
+//! [`SliceTopology::for_kernel`], the one place membership turns into
+//! capacities and racks.
 //!
 //! [`RackTopology`] is the single source of truth for node→rack layout:
 //! `rcmp-dfs` re-exports it for replica placement, and
@@ -14,148 +15,103 @@
 //! same contiguous-block rule — the two representations that used to
 //! drift are now one struct.
 
-use rcmp_model::NodeId;
+use crate::Membership;
+use rcmp_model::{NodeId, PlacementKernel};
 use serde::{Deserialize, Serialize};
-use std::fmt::Debug;
 
-/// What the wave kernels need to know about a cluster.
+/// What the wave kernels need to know about a cluster for one phase.
 ///
-/// `Node` is whatever the backend uses to name a machine; the kernel
-/// treats it as an opaque copyable token and returns it in assignments.
-pub trait TopologyView {
-    /// Backend node identifier (engine: `NodeId`; simulator: `u32`).
-    type Node: Copy + Eq + Ord + Debug;
-
-    /// Nodes currently alive, in the backend's canonical order. The
-    /// order matters: round-robin placement and steal order are defined
-    /// over it, and both backends must present the same order for
-    /// agreement to hold (both use ascending node id).
-    fn live_nodes(&self) -> Vec<Self::Node>;
-
-    /// Concurrent map tasks per node (§II's `SM`).
-    fn map_slots(&self) -> u32;
-
-    /// Concurrent reduce tasks per node (§II's `SR`).
-    fn reduce_slots(&self) -> u32;
-
-    /// Capacity weight of the node at position `pos` of
-    /// [`TopologyView::live_nodes`] (the capacity-weighted kernel's
-    /// slot multiplier). Defaults to 1 — a homogeneous cluster.
-    fn capacity_at(&self, _pos: usize) -> u32 {
-        1
-    }
-
-    /// Rack index of the node at position `pos` of
-    /// [`TopologyView::live_nodes`]. Defaults to 0 — a flat cluster.
-    fn rack_at(&self, _pos: usize) -> u32 {
-        0
-    }
-}
-
-/// A [`TopologyView`] over a plain slice of live nodes with uniform
-/// slot counts — the adapter both backends use today.
-#[derive(Clone, Copy, Debug)]
+/// `N` is whatever the backend uses to name a machine (engine:
+/// `NodeId`; simulator: `u32`); the kernel treats it as an opaque
+/// copyable token and returns it in assignments. The live order
+/// matters: round-robin placement and steal order are defined over it,
+/// and both backends present ascending node id.
+#[derive(Clone, Debug)]
 pub struct SliceTopology<'a, N> {
     live: &'a [N],
     map_slots: u32,
     reduce_slots: u32,
+    kernel: PlacementKernel,
+    /// Claim weights aligned with `live`; empty (weight 1 everywhere)
+    /// unless the kernel is `CapacityWeighted`.
+    caps: Vec<u32>,
+    /// Rack indices aligned with `live`; empty (one rack) unless the
+    /// kernel is `RackAware`.
+    racks: Vec<u32>,
 }
 
-impl<'a, N: Copy + Eq + Ord + Debug> SliceTopology<'a, N> {
-    /// View over `live` with distinct map/reduce slot counts.
+impl<'a, N: Copy> SliceTopology<'a, N> {
+    /// A flat, homogeneous cluster under [`PlacementKernel::Default`],
+    /// with distinct map/reduce slot counts.
     pub fn new(live: &'a [N], map_slots: u32, reduce_slots: u32) -> Self {
         Self {
             live,
             map_slots,
             reduce_slots,
+            kernel: PlacementKernel::Default,
+            caps: Vec::new(),
+            racks: Vec::new(),
         }
     }
 
-    /// View over `live` with the same slot count for both phases —
-    /// callers scheduling a single phase only ever read one of them.
-    pub fn uniform(live: &'a [N], slots: u32) -> Self {
-        Self::new(live, slots, slots)
-    }
-}
-
-impl<N: Copy + Eq + Ord + Debug> TopologyView for SliceTopology<'_, N> {
-    type Node = N;
-
-    fn live_nodes(&self) -> Vec<N> {
-        self.live.to_vec()
-    }
-
-    fn map_slots(&self) -> u32 {
-        self.map_slots
-    }
-
-    fn reduce_slots(&self) -> u32 {
-        self.reduce_slots
-    }
-}
-
-/// A [`TopologyView`] carrying per-position capacity and rack vectors
-/// alongside the live list — the adapter the placement kernels use when
-/// a [`crate::Membership`] is in play.
-///
-/// `caps` and `racks` are aligned position-for-position with `live`
-/// (see [`crate::Membership::caps_for`] / [`crate::Membership::racks_for`]);
-/// an empty slice means "uniform" (capacity 1 / rack 0 everywhere).
-#[derive(Clone, Copy, Debug)]
-pub struct KernelTopology<'a, N> {
-    live: &'a [N],
-    map_slots: u32,
-    reduce_slots: u32,
-    caps: &'a [u32],
-    racks: &'a [u32],
-}
-
-impl<'a, N: Copy + Eq + Ord + Debug> KernelTopology<'a, N> {
-    /// View over `live` with capacity/rack hints (empty = uniform).
-    pub fn new(
+    /// One phase's view under `kernel`, `slots` per node, with the
+    /// capacities and racks that kernel reads drawn from `membership`
+    /// (aligned position-for-position with `live`).
+    pub fn for_kernel(
         live: &'a [N],
-        map_slots: u32,
-        reduce_slots: u32,
-        caps: &'a [u32],
-        racks: &'a [u32],
-    ) -> Self {
-        debug_assert!(caps.is_empty() || caps.len() == live.len());
-        debug_assert!(racks.is_empty() || racks.len() == live.len());
+        slots: u32,
+        kernel: PlacementKernel,
+        membership: &Membership,
+    ) -> Self
+    where
+        N: Into<u32>,
+    {
+        let raw = || -> Vec<u32> { live.iter().map(|&n| n.into()).collect() };
         Self {
-            live,
-            map_slots,
-            reduce_slots,
-            caps,
-            racks,
+            caps: match kernel {
+                PlacementKernel::CapacityWeighted => membership.caps_for(&raw()),
+                _ => Vec::new(),
+            },
+            racks: match kernel {
+                PlacementKernel::RackAware => membership.racks_for(&raw()),
+                _ => Vec::new(),
+            },
+            kernel,
+            ..Self::new(live, slots, slots)
         }
     }
 
-    /// Uniform slot count for both phases.
-    pub fn uniform(live: &'a [N], slots: u32, caps: &'a [u32], racks: &'a [u32]) -> Self {
-        Self::new(live, slots, slots, caps, racks)
-    }
-}
-
-impl<N: Copy + Eq + Ord + Debug> TopologyView for KernelTopology<'_, N> {
-    type Node = N;
-
-    fn live_nodes(&self) -> Vec<N> {
-        self.live.to_vec()
+    /// Nodes currently alive, in the backend's canonical order.
+    pub fn live(&self) -> &'a [N] {
+        self.live
     }
 
-    fn map_slots(&self) -> u32 {
+    /// Concurrent map tasks per node (§II's `SM`).
+    pub fn map_slots(&self) -> u32 {
         self.map_slots
     }
 
-    fn reduce_slots(&self) -> u32 {
+    /// Concurrent reduce tasks per node (§II's `SR`).
+    pub fn reduce_slots(&self) -> u32 {
         self.reduce_slots
     }
 
-    fn capacity_at(&self, pos: usize) -> u32 {
-        self.caps.get(pos).copied().unwrap_or(1).max(1)
+    /// The placement kernel this phase schedules under.
+    pub fn kernel(&self) -> PlacementKernel {
+        self.kernel
     }
 
-    fn rack_at(&self, pos: usize) -> u32 {
+    /// Tasks the node at position `pos` of [`SliceTopology::live`]
+    /// claims per round and packs per slot: its membership capacity
+    /// under `CapacityWeighted`, 1 under every other kernel.
+    pub fn capacity_at(&self, pos: usize) -> u32 {
+        self.caps.get(pos).copied().unwrap_or(1)
+    }
+
+    /// Rack index of the node at position `pos` of
+    /// [`SliceTopology::live`]: its membership rack under `RackAware`,
+    /// 0 under every other kernel.
+    pub fn rack_at(&self, pos: usize) -> u32 {
         self.racks.get(pos).copied().unwrap_or(0)
     }
 }
@@ -265,32 +221,30 @@ mod tests {
     fn slice_topology_reports_its_inputs() {
         let live = [3u32, 5, 7];
         let t = SliceTopology::new(&live, 2, 4);
-        assert_eq!(t.live_nodes(), vec![3, 5, 7]);
+        assert_eq!(t.live(), &[3, 5, 7]);
         assert_eq!(t.map_slots(), 2);
         assert_eq!(t.reduce_slots(), 4);
-        let u = SliceTopology::uniform(&live, 3);
-        assert_eq!(u.map_slots(), 3);
-        assert_eq!(u.reduce_slots(), 3);
-        // Slice topologies are homogeneous and flat by default.
-        assert_eq!(u.capacity_at(0), 1);
-        assert_eq!(u.rack_at(2), 0);
+        assert_eq!(t.kernel(), PlacementKernel::Default);
+        // Plain slice topologies are homogeneous and flat.
+        assert_eq!(t.capacity_at(0), 1);
+        assert_eq!(t.rack_at(2), 0);
     }
 
     #[test]
-    fn kernel_topology_carries_hints() {
+    fn for_kernel_reads_only_the_hints_its_kernel_uses() {
+        let mut m = Membership::with_racks(2, 2);
+        m.join(4, 1);
         let live = [0u32, 1, 2];
-        let caps = [2u32, 1, 4];
-        let racks = [0u32, 1, 1];
-        let t = KernelTopology::new(&live, 1, 2, &caps, &racks);
-        assert_eq!(t.live_nodes(), vec![0, 1, 2]);
-        assert_eq!(t.map_slots(), 1);
-        assert_eq!(t.reduce_slots(), 2);
-        assert_eq!(t.capacity_at(2), 4);
-        assert_eq!(t.rack_at(1), 1);
-        // Empty hint slices degrade to uniform/flat.
-        let u = KernelTopology::uniform(&live, 1, &[], &[]);
-        assert_eq!(u.capacity_at(1), 1);
-        assert_eq!(u.rack_at(1), 0);
+        let cw = SliceTopology::for_kernel(&live, 3, PlacementKernel::CapacityWeighted, &m);
+        assert_eq!((cw.map_slots(), cw.reduce_slots()), (3, 3));
+        assert_eq!(cw.capacity_at(2), 4);
+        assert_eq!(cw.rack_at(1), 0, "racks unread under capacity-weighted");
+        let rack = SliceTopology::for_kernel(&live, 1, PlacementKernel::RackAware, &m);
+        assert_eq!(rack.rack_at(1), 1);
+        assert_eq!(rack.capacity_at(2), 1, "capacities unread under rack-aware");
+        let ids = [NodeId(2)];
+        let stable = SliceTopology::for_kernel(&ids, 1, PlacementKernel::Stable, &m);
+        assert_eq!((stable.capacity_at(0), stable.rack_at(0)), (1, 0));
     }
 
     #[test]

@@ -21,12 +21,14 @@
 
 use crate::hw::HwProfile;
 use crate::report::SimJobReport;
-use crate::sched::{assign_map_waves_kernel, assign_reduce_waves_kernel};
 use crate::speculate::{speculate_wave, SpeculationCfg, WaveTask};
 use crate::state::{MapOutputRec, Node, Segment, SimState};
 use crate::workload::WorkloadCfg;
 use rcmp_model::{JobId, PlacementKernel, Result};
-use rcmp_policy::{reduce_task_set, PolicyCtx};
+use rcmp_policy::{
+    assign_map_waves, assign_reduce_waves, reduce_task_set, FnReduceTasks, MapTaskSet, PolicyCtx,
+    SliceTopology,
+};
 use std::collections::BTreeMap;
 
 /// Instructions for a recomputation run. This *is* the shared
@@ -57,6 +59,36 @@ struct MapTaskSim {
     blk: u32,
     bytes: u64,
     holders: Vec<Node>,
+}
+
+/// The kernel's view of one run's mappers, as the engine's scheduler
+/// views its `MapTask`s: the primary is a block's first holder and any
+/// holder is local — neither exists when storage is non-collocated —
+/// and `cache_src[t]` is the live node whose chain cache holds task
+/// `t`'s input partition.
+struct MapTaskView<'a> {
+    all: &'a [MapTaskSim],
+    to_run: &'a [usize],
+    cache_src: &'a [Option<Node>],
+    noncollocated: bool,
+}
+
+impl MapTaskSet<Node> for MapTaskView<'_> {
+    fn len(&self) -> usize {
+        self.to_run.len()
+    }
+
+    fn is_primary_holder(&self, task: usize, node: Node) -> bool {
+        !self.noncollocated && self.all[self.to_run[task]].holders.first() == Some(&node)
+    }
+
+    fn holds_replica(&self, task: usize, node: Node) -> bool {
+        !self.noncollocated && self.all[self.to_run[task]].holders.contains(&node)
+    }
+
+    fn cache_holder(&self, task: usize) -> Option<Node> {
+        self.cache_src[task]
+    }
 }
 
 impl JobSim {
@@ -209,9 +241,9 @@ impl JobSim {
         let mut map_phase = 0.0f64;
         let noncol = self.noncollocated;
         // Chain-cache affinity: which node holds each task's input
-        // partition in memory. Consulted for *scheduling* only under the
-        // `Stable` kernel (mirroring the engine tracker); consulted for
-        // *reads* whenever the cache is on.
+        // partition in memory. The kernel routes tasks to it under the
+        // `Stable` kernel (as the engine tracker does); reads use it
+        // whenever the cache is on.
         let cache_src: Vec<Option<Node>> = to_run
             .iter()
             .map(|&i| {
@@ -220,18 +252,14 @@ impl JobSim {
                     .filter(|&h| state.is_alive(h) && !noncol)
             })
             .collect();
-        let stable = self.placement == PlacementKernel::Stable;
-        let waves = assign_map_waves_kernel(
-            to_run.len(),
-            &live,
-            wl.slots.map,
-            self.placement,
-            &membership,
-            |ti, n| !noncol && all_tasks[to_run[ti]].holders.first() == Some(&n),
-            |ti, n| !noncol && all_tasks[to_run[ti]].holders.contains(&n),
-            |ti| if stable { cache_src[ti] } else { None },
-            ctx,
-        )?;
+        let view = MapTaskView {
+            all: &all_tasks,
+            to_run: &to_run,
+            cache_src: &cache_src,
+            noncollocated: noncol,
+        };
+        let topo = SliceTopology::for_kernel(&live, wl.slots.map, self.placement, &membership);
+        let waves = assign_map_waves(&topo, &view, ctx)?;
         report.map_waves = waves.len() as u32;
         for wave in &waves {
             // Source per task: the chain-cache holder's memory when the
@@ -417,16 +445,9 @@ impl JobSim {
             .count();
 
         // ---------------- reduce phase ----------------------------------
-        let r_waves = assign_reduce_waves_kernel(
-            reduce_tasks.len(),
-            &live,
-            wl.slots.reduce,
-            r_style,
-            self.placement,
-            &membership,
-            |t| reduce_tasks[t].0 as usize,
-            ctx,
-        )?;
+        let topo = SliceTopology::for_kernel(&live, wl.slots.reduce, self.placement, &membership);
+        let reds = FnReduceTasks::new(reduce_tasks.len(), |t| reduce_tasks[t].0 as usize);
+        let r_waves = assign_reduce_waves(&topo, &reds, r_style, ctx)?;
         report.reduce_waves = r_waves.len() as u32;
 
         // Paper §V-D: the SLOW SHUFFLE delay applies per transfer,
@@ -647,6 +668,68 @@ mod tests {
         let wl = small_wl(nodes);
         let state = SimState::new(&wl);
         (JobSim::new(HwProfile::stic(), wl), state)
+    }
+
+    #[test]
+    fn task_view_schedules_like_closures_over_the_same_holders() {
+        // Holders include dead node 4; task 1 is reused (not run).
+        let all: Vec<MapTaskSim> = [
+            vec![2, 0],
+            vec![1],
+            vec![],
+            vec![0, 2],
+            vec![4, 1],
+            vec![1, 3],
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, holders)| MapTaskSim {
+            pid: i as u32,
+            blk: 0,
+            bytes: 1,
+            holders,
+        })
+        .collect();
+        let to_run = [0, 2, 3, 4, 5];
+        let cache_src = vec![None; to_run.len()];
+        let mut m = rcmp_policy::Membership::with_racks(4, 2);
+        m.join(3, 1);
+        let live = m.schedulable();
+        let holders = |t: usize| &all[to_run[t]].holders;
+        let kernels = [
+            PlacementKernel::Default,
+            PlacementKernel::RackAware,
+            PlacementKernel::Delay { rounds: 2 },
+            PlacementKernel::CapacityWeighted,
+            PlacementKernel::Stable,
+        ];
+        for kernel in kernels {
+            let topo = SliceTopology::for_kernel(&live, 2, kernel, &m);
+            let ctx = PolicyCtx::disabled();
+            let view = |noncollocated| MapTaskView {
+                all: &all,
+                to_run: &to_run,
+                cache_src: &cache_src,
+                noncollocated,
+            };
+            let collocated = rcmp_policy::FnMapTasks::new(
+                to_run.len(),
+                |t, n| holders(t).first() == Some(&n),
+                |t, n| holders(t).contains(&n),
+            );
+            assert_eq!(
+                assign_map_waves(&topo, &view(false), ctx),
+                assign_map_waves(&topo, &collocated, ctx),
+                "{kernel:?}, collocated"
+            );
+            // Separate storage: no node holds any input locally.
+            let remote = rcmp_policy::FnMapTasks::new(to_run.len(), |_, _| false, |_, _| false);
+            assert_eq!(
+                assign_map_waves(&topo, &view(true), ctx),
+                assign_map_waves(&topo, &remote, ctx),
+                "{kernel:?}, non-collocated"
+            );
+        }
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! * per-node **disk** bandwidth with a concurrency-dependent seek
 //!   penalty (the hot-spot mechanism of §IV-B2);
 //! * per-node **NIC** bandwidth and an oversubscribed fabric;
-//! * mapper/reducer **slots** and wave scheduling identical in policy to
-//!   the real engine (`rcmp-engine::scheduler`), so wave counts and
-//!   transfer volumes can be validated against real engine runs;
+//! * mapper/reducer **slots** and wave scheduling by the very kernel the
+//!   real engine calls (`rcmp_policy::assign_{map,reduce}_waves` over a
+//!   `SliceTopology::for_kernel`; `jobsim` implements its `MapTaskSet`),
+//!   so wave counts and transfer volumes can be validated against real
+//!   engine runs;
 //! * **placement** of input blocks, reducer output segments and
 //!   persisted map outputs at task granularity, so node death computes
 //!   exactly which partitions and map outputs are lost;
@@ -30,7 +32,6 @@ pub mod chainsim;
 pub mod hw;
 pub mod jobsim;
 pub mod report;
-pub mod sched;
 pub mod speculate;
 pub mod state;
 pub mod trace;

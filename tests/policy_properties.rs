@@ -1,8 +1,9 @@
-//! Property-based validation of the shared policy kernel (ISSUE 3): the
-//! engine's and the simulator's wave-assignment adapters are two views
-//! of ONE implementation, so over randomized clusters, slot counts and
-//! replica layouts they must produce *identical* schedules — same wave
-//! counts, same per-node task counts, same locality fractions.
+//! Property-based validation of the shared policy kernel: the engine's
+//! wave-assignment adapter (owned `MapTask`/`ReduceTask`s, chain-cache
+//! holders) is a view of ONE implementation, so over randomized
+//! clusters, membership churn, slot counts and replica layouts it must
+//! produce *identical* schedules to the kernel run over plain task
+//! indices, as the simulator runs it.
 
 use proptest::prelude::*;
 use rcmp::dfs::BlockLocation;
@@ -12,11 +13,10 @@ use rcmp::engine::MapInputKey;
 use rcmp::model::PlacementKernel;
 use rcmp::model::{BlockId, ByteSize, Error, JobId, MapTaskId, NodeId, PartitionId, ReduceTaskId};
 use rcmp::policy::{
-    expected_chain_time, optimal_interval, AdaptConfig, AdaptivePolicy, FaultObserver, Membership,
-    PolicyCtx, ReduceAssignment,
+    assign_map_waves, assign_reduce_waves, expected_chain_time, optimal_interval, AdaptConfig,
+    AdaptivePolicy, FaultObserver, FnReduceTasks, MapTaskSet, Membership, PolicyCtx,
+    ReduceAssignment, SliceTopology,
 };
-use rcmp::sim::sched as sim;
-use std::collections::BTreeMap;
 
 /// Engine map task `idx` whose block replicas live on `holders`.
 fn map_task(idx: usize, holders: &[u32]) -> MapTask {
@@ -29,6 +29,32 @@ fn map_task(idx: usize, holders: &[u32]) -> MapTask {
             content_hash: 0,
             replicas: holders.iter().map(|&n| NodeId(n)).collect(),
         },
+    }
+}
+
+/// Plain map tasks over node indices: task `t`'s replicas are
+/// `layout[t]` (the first is the primary) and `cached[t]` names the node
+/// whose chain cache holds its input partition.
+struct Layout<'a> {
+    layout: &'a [Vec<u32>],
+    cached: &'a [Option<u32>],
+}
+
+impl MapTaskSet<u32> for Layout<'_> {
+    fn len(&self) -> usize {
+        self.layout.len()
+    }
+
+    fn is_primary_holder(&self, task: usize, node: u32) -> bool {
+        self.layout[task].first() == Some(&node)
+    }
+
+    fn holds_replica(&self, task: usize, node: u32) -> bool {
+        self.layout[task].contains(&node)
+    }
+
+    fn cache_holder(&self, task: usize) -> Option<u32> {
+        self.cached[task]
     }
 }
 
@@ -45,7 +71,7 @@ fn flatten_engine(waves: &[Vec<(NodeId, MapTask)>]) -> Vec<(usize, u32, usize)> 
         .collect()
 }
 
-fn flatten_sim(waves: &[Vec<(u32, usize)>]) -> Vec<(usize, u32, usize)> {
+fn flatten_plain(waves: &[Vec<(u32, usize)>]) -> Vec<(usize, u32, usize)> {
     waves
         .iter()
         .enumerate()
@@ -53,23 +79,37 @@ fn flatten_sim(waves: &[Vec<(u32, usize)>]) -> Vec<(usize, u32, usize)> {
         .collect()
 }
 
-fn per_node_counts(flat: &[(usize, u32, usize)]) -> BTreeMap<u32, usize> {
-    flat.iter().fold(BTreeMap::new(), |mut m, &(_, n, _)| {
-        *m.entry(n).or_insert(0) += 1;
-        m
-    })
+/// Applies one random membership transition; failed transitions are
+/// typed no-ops, so whatever lands is applied.
+fn churn_step(m: &mut Membership, op: u8, target: u32) {
+    let t = target % m.len() as u32;
+    match op {
+        0 => drop(m.drain(t)),
+        1 => drop(m.rejoin(t)),
+        2 => drop(m.decommission(t)),
+        3 => drop(m.mark_dead(t)),
+        _ => drop(m.join(1 + target % 4, target % 3)),
+    }
 }
 
-/// Fraction of assignments whose node holds a replica of the task.
-fn locality_fraction(flat: &[(usize, u32, usize)], layout: &[Vec<u32>]) -> f64 {
-    if flat.is_empty() {
-        return 1.0;
+/// Marks every node dead: the schedule check then runs against a
+/// cluster with no survivors.
+fn kill_all(m: &mut Membership) {
+    for n in 0..m.len() as u32 {
+        drop(m.mark_dead(n));
     }
-    let local = flat
-        .iter()
-        .filter(|&&(_, n, t)| layout[t].contains(&n))
-        .count();
-    local as f64 / flat.len() as f64
+}
+
+fn kernel_of(sel: u8, delay_rounds: u32) -> PlacementKernel {
+    match sel {
+        0 => PlacementKernel::Default,
+        1 => PlacementKernel::RackAware,
+        2 => PlacementKernel::Delay {
+            rounds: delay_rounds,
+        },
+        3 => PlacementKernel::CapacityWeighted,
+        _ => PlacementKernel::Stable,
+    }
 }
 
 proptest! {
@@ -79,154 +119,34 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Map scheduling: for random replica layouts the two adapters emit
-    /// the exact same (wave, node, task) schedule.
-    #[test]
-    fn map_waves_agree(
-        nodes in 1u32..12,
-        slots in 1u32..4,
-        raw_layout in prop::collection::vec(
-            prop::collection::vec(0u32..12, 0usize..4),
-            0usize..48,
-        ),
-    ) {
-        // Clamp replica holders onto the live node range, dropping
-        // duplicates but keeping order (first holder = primary).
-        let layout: Vec<Vec<u32>> = raw_layout
-            .iter()
-            .map(|hs| {
-                let mut seen = Vec::new();
-                for &h in hs {
-                    let n = h % nodes;
-                    if !seen.contains(&n) {
-                        seen.push(n);
-                    }
-                }
-                seen
-            })
-            .collect();
-        let live_sim: Vec<u32> = (0..nodes).collect();
-        let live_eng: Vec<NodeId> = (0..nodes).map(NodeId).collect();
-
-        let eng_tasks: Vec<MapTask> = layout
-            .iter()
-            .enumerate()
-            .map(|(i, hs)| map_task(i, hs))
-            .collect();
-        let eng_waves =
-            eng::assign_map_waves(eng_tasks, &live_eng, slots, PolicyCtx::disabled()).unwrap();
-        let sim_waves = sim::assign_map_waves(
-            layout.len(),
-            &live_sim,
-            slots,
-            |t, n| layout[t].first() == Some(&n),
-            |t, n| layout[t].contains(&n),
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-
-        let ef = flatten_engine(&eng_waves);
-        let sf = flatten_sim(&sim_waves);
-        prop_assert_eq!(eng_waves.len(), sim_waves.len(), "wave counts");
-        prop_assert_eq!(
-            per_node_counts(&ef),
-            per_node_counts(&sf),
-            "per-node task counts"
-        );
-        prop_assert_eq!(
-            locality_fraction(&ef, &layout),
-            locality_fraction(&sf, &layout),
-            "locality fractions"
-        );
-        // Strongest form: one kernel ⇒ byte-identical schedules.
-        prop_assert_eq!(ef, sf, "schedules");
-    }
-
-    /// Reduce scheduling agrees under both assignment styles.
-    #[test]
-    fn reduce_waves_agree(
-        nodes in 1u32..12,
-        slots in 1u32..4,
-        parts in prop::collection::vec(0u32..40, 0usize..48),
-        balance in prop::bool::ANY,
-    ) {
-        let style = if balance {
-            ReduceAssignment::Balance
-        } else {
-            ReduceAssignment::RoundRobinByPartition
-        };
-        let live_sim: Vec<u32> = (0..nodes).collect();
-        let live_eng: Vec<NodeId> = (0..nodes).map(NodeId).collect();
-
-        let eng_tasks: Vec<ReduceTask> = parts
-            .iter()
-            .map(|&p| ReduceTask::new(ReduceTaskId::whole(JobId(1), PartitionId(p))))
-            .collect();
-        let eng_waves =
-            eng::assign_reduce_waves(eng_tasks, &live_eng, slots, style, PolicyCtx::disabled())
-                .unwrap();
-        let sim_waves = sim::assign_reduce_waves(
-            parts.len(),
-            &live_sim,
-            slots,
-            style,
-            |t| parts[t] as usize,
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-
-        prop_assert_eq!(eng_waves.len(), sim_waves.len(), "wave counts");
-        // Compare (wave, node, partition) triples: the engine returns
-        // owned tasks, so the partition id is the common currency.
-        let ef: Vec<(usize, u32, u32)> = eng_waves
-            .iter()
-            .enumerate()
-            .flat_map(|(w, wave)| {
-                wave.iter()
-                    .map(move |(n, t)| (w, n.raw(), t.id.partition.raw()))
-            })
-            .collect();
-        let parts_ref = &parts;
-        let sf: Vec<(usize, u32, u32)> = sim_waves
-            .iter()
-            .enumerate()
-            .flat_map(|(w, wave)| wave.iter().map(move |&(n, t)| (w, n, parts_ref[t])))
-            .collect();
-        prop_assert_eq!(ef, sf, "schedules");
-    }
-
-    /// Elastic membership churn (ISSUE 8): drive a shared membership
-    /// through random join/drain/decommission/rejoin/crash transitions
-    /// and re-derive map schedules at *every epoch* with each placement
-    /// kernel — the engine and simulator adapters must stay
-    /// byte-identical the whole way through.
+    /// Elastic membership churn: drive a shared membership through
+    /// random join/drain/decommission/rejoin/crash transitions, then
+    /// kill every node, and re-derive map schedules at *every epoch*
+    /// with each placement kernel — the engine adapter and the plain
+    /// kernel must stay byte-identical the whole way through, and a
+    /// dead cluster is the same typed error on both.
     #[test]
     fn kernel_map_waves_agree_across_membership_churn(
-        nodes in 2u32..10,
+        nodes in 1u32..12,
         slots in 1u32..4,
         kernel_sel in 0u8..5,
         delay_rounds in 0u32..4,
         churn in prop::collection::vec((0u8..5, 0u32..64), 1usize..12),
         raw_layout in prop::collection::vec(
             prop::collection::vec(0u32..16, 0usize..4),
-            0usize..40,
+            0usize..48,
         ),
-        cache_sel in prop::collection::vec((any::<bool>(), 0u32..16), 0usize..40),
+        cache_sel in prop::collection::vec((any::<bool>(), 0u32..16), 0usize..48),
     ) {
-        let kernel = match kernel_sel {
-            0 => PlacementKernel::Default,
-            1 => PlacementKernel::RackAware,
-            2 => PlacementKernel::Delay { rounds: delay_rounds },
-            3 => PlacementKernel::CapacityWeighted,
-            _ => PlacementKernel::Stable,
-        };
+        let kernel = kernel_of(kernel_sel, delay_rounds);
         let mut m = Membership::with_racks(nodes, 1 + nodes / 3);
 
         let check = |m: &Membership| -> Result<(), TestCaseError> {
-            let live_sim = m.schedulable();
+            let live_plain = m.schedulable();
             let live_eng: Vec<NodeId> =
-                live_sim.iter().copied().map(NodeId).collect();
-            // Holders land on any known node, live or not.
+                live_plain.iter().copied().map(NodeId).collect();
+            // Holders land on any known node, live or not, dropping
+            // duplicates but keeping order (first holder = primary).
             let layout: Vec<Vec<u32>> = raw_layout
                 .iter()
                 .map(|hs| {
@@ -245,8 +165,8 @@ proptest! {
                 .enumerate()
                 .map(|(i, hs)| map_task(i, hs))
                 .collect();
-            // Chain-cache affinity, identical on both sides (only the
-            // Stable kernel reads it).
+            // Chain-cache holders, identical on both sides (only the
+            // Stable kernel reads them).
             let cached: Vec<Option<u32>> = (0..layout.len())
                 .map(|t| match cache_sel.get(t) {
                     Some(&(true, n)) => Some(n % m.len() as u32),
@@ -255,36 +175,34 @@ proptest! {
                 .collect();
             let cached_eng: Vec<Option<NodeId>> =
                 cached.iter().map(|o| o.map(NodeId)).collect();
-            let eng = eng::assign_map_waves_kernel(
-                eng_tasks, &live_eng, slots, kernel, m, &cached_eng, PolicyCtx::disabled(),
-            );
-            let sim = sim::assign_map_waves_kernel(
-                layout.len(),
-                &live_sim,
-                slots,
-                kernel,
-                m,
-                |t, n| layout[t].first() == Some(&n),
-                |t, n| layout[t].contains(&n),
-                |t| cached.get(t).copied().flatten(),
+            let eng = eng::assign_map_waves(
+                eng_tasks,
+                &SliceTopology::for_kernel(&live_eng, slots, kernel, m),
+                &cached_eng,
                 PolicyCtx::disabled(),
             );
-            match (eng, sim) {
-                (Ok(e), Ok(s)) => {
+            let plain = assign_map_waves(
+                &SliceTopology::for_kernel(&live_plain, slots, kernel, m),
+                &Layout { layout: &layout, cached: &cached },
+                PolicyCtx::disabled(),
+            );
+            match (eng, plain) {
+                (Ok(e), Ok(p)) => {
                     prop_assert_eq!(
                         flatten_engine(&e),
-                        flatten_sim(&s),
+                        flatten_plain(&p),
                         "schedules diverged at epoch {}",
                         m.epoch()
                     );
                 }
-                (Err(e), Err(s)) => {
+                (Err(e), Err(p)) => {
+                    prop_assert!(live_plain.is_empty());
                     prop_assert!(matches!(e, Error::NoLiveNodes));
-                    prop_assert!(matches!(s, Error::NoLiveNodes));
+                    prop_assert!(matches!(p, Error::NoLiveNodes));
                 }
-                (e, s) => prop_assert!(
+                (e, p) => prop_assert!(
                     false,
-                    "one adapter failed at epoch {}: {e:?} vs {s:?}",
+                    "one side failed at epoch {}: {e:?} vs {p:?}",
                     m.epoch()
                 ),
             }
@@ -293,36 +211,26 @@ proptest! {
 
         check(&m)?;
         for &(op, target) in &churn {
-            let t = target % m.len() as u32;
-            // Failed transitions are typed no-ops; apply whatever lands.
-            match op {
-                0 => drop(m.drain(t)),
-                1 => drop(m.rejoin(t)),
-                2 => drop(m.decommission(t)),
-                3 => drop(m.mark_dead(t)),
-                _ => drop(m.join(1 + target % 4, target % 3)),
-            }
+            churn_step(&mut m, op, target);
             check(&m)?;
         }
+        kill_all(&mut m);
+        check(&m)?;
     }
 
     /// Same churn property for reduce scheduling, both styles, all
     /// kernels.
     #[test]
     fn kernel_reduce_waves_agree_across_membership_churn(
-        nodes in 2u32..10,
+        nodes in 1u32..12,
         slots in 1u32..4,
-        kernel_sel in 0u8..4,
+        kernel_sel in 0u8..5,
+        delay_rounds in 0u32..4,
         balance in prop::bool::ANY,
         churn in prop::collection::vec((0u8..5, 0u32..64), 1usize..10),
-        parts in prop::collection::vec(0u32..40, 0usize..40),
+        parts in prop::collection::vec(0u32..40, 0usize..48),
     ) {
-        let kernel = match kernel_sel {
-            0 => PlacementKernel::Default,
-            1 => PlacementKernel::RackAware,
-            2 => PlacementKernel::Delay { rounds: 2 },
-            _ => PlacementKernel::CapacityWeighted,
-        };
+        let kernel = kernel_of(kernel_sel, delay_rounds);
         let style = if balance {
             ReduceAssignment::Balance
         } else {
@@ -331,28 +239,30 @@ proptest! {
         let mut m = Membership::with_racks(nodes, 1 + nodes / 3);
 
         let check = |m: &Membership| -> Result<(), TestCaseError> {
-            let live_sim = m.schedulable();
+            let live_plain = m.schedulable();
             let live_eng: Vec<NodeId> =
-                live_sim.iter().copied().map(NodeId).collect();
+                live_plain.iter().copied().map(NodeId).collect();
             let eng_tasks: Vec<ReduceTask> = parts
                 .iter()
                 .map(|&p| ReduceTask::new(ReduceTaskId::whole(JobId(1), PartitionId(p))))
                 .collect();
-            let eng = eng::assign_reduce_waves_kernel(
-                eng_tasks, &live_eng, slots, style, kernel, m, PolicyCtx::disabled(),
-            );
-            let sim = sim::assign_reduce_waves_kernel(
-                parts.len(),
-                &live_sim,
-                slots,
+            let eng = eng::assign_reduce_waves(
+                eng_tasks,
+                &SliceTopology::for_kernel(&live_eng, slots, kernel, m),
                 style,
-                kernel,
-                m,
-                |t| parts[t] as usize,
                 PolicyCtx::disabled(),
             );
-            match (eng, sim) {
-                (Ok(e), Ok(s)) => {
+            let plain = assign_reduce_waves(
+                &SliceTopology::for_kernel(&live_plain, slots, kernel, m),
+                &FnReduceTasks::new(parts.len(), |t| parts[t] as usize),
+                style,
+                PolicyCtx::disabled(),
+            );
+            match (eng, plain) {
+                (Ok(e), Ok(p)) => {
+                    // Compare (wave, node, partition) triples: the engine
+                    // returns owned tasks, so the partition id is the
+                    // common currency.
                     let ef: Vec<(usize, u32, u32)> = e
                         .iter()
                         .enumerate()
@@ -362,22 +272,23 @@ proptest! {
                         })
                         .collect();
                     let parts_ref = &parts;
-                    let sf: Vec<(usize, u32, u32)> = s
+                    let pf: Vec<(usize, u32, u32)> = p
                         .iter()
                         .enumerate()
                         .flat_map(|(w, wave)| {
                             wave.iter().map(move |&(n, t)| (w, n, parts_ref[t]))
                         })
                         .collect();
-                    prop_assert_eq!(ef, sf, "schedules diverged at epoch {}", m.epoch());
+                    prop_assert_eq!(ef, pf, "schedules diverged at epoch {}", m.epoch());
                 }
-                (Err(e), Err(s)) => {
+                (Err(e), Err(p)) => {
+                    prop_assert!(live_plain.is_empty());
                     prop_assert!(matches!(e, Error::NoLiveNodes));
-                    prop_assert!(matches!(s, Error::NoLiveNodes));
+                    prop_assert!(matches!(p, Error::NoLiveNodes));
                 }
-                (e, s) => prop_assert!(
+                (e, p) => prop_assert!(
                     false,
-                    "one adapter failed at epoch {}: {e:?} vs {s:?}",
+                    "one side failed at epoch {}: {e:?} vs {p:?}",
                     m.epoch()
                 ),
             }
@@ -386,35 +297,11 @@ proptest! {
 
         check(&m)?;
         for &(op, target) in &churn {
-            let t = target % m.len() as u32;
-            match op {
-                0 => drop(m.drain(t)),
-                1 => drop(m.rejoin(t)),
-                2 => drop(m.decommission(t)),
-                3 => drop(m.mark_dead(t)),
-                _ => drop(m.join(1 + target % 4, target % 3)),
-            }
+            churn_step(&mut m, op, target);
             check(&m)?;
         }
-    }
-
-    /// A fully-dead cluster is the same typed error everywhere.
-    #[test]
-    fn dead_cluster_agrees(tasks in 1usize..20) {
-        let eng_tasks: Vec<MapTask> =
-            (0..tasks).map(|i| map_task(i, &[0])).collect();
-        let e = eng::assign_map_waves(eng_tasks, &[], 1, PolicyCtx::disabled()).unwrap_err();
-        let s = sim::assign_map_waves(
-            tasks,
-            &[],
-            1,
-            |_, _| false,
-            |_, _| false,
-            PolicyCtx::disabled(),
-        )
-        .unwrap_err();
-        prop_assert!(matches!(e, Error::NoLiveNodes));
-        prop_assert!(matches!(s, Error::NoLiveNodes));
+        kill_all(&mut m);
+        check(&m)?;
     }
 
     /// The adaptive cadence is the argmin of the analytic chain-time
