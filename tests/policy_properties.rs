@@ -17,6 +17,7 @@ use rcmp::policy::{
     AdaptivePolicy, FaultObserver, FnReduceTasks, MapTaskSet, Membership, PolicyCtx,
     ReduceAssignment, SliceTopology,
 };
+use std::collections::BTreeMap;
 
 /// Engine map task `idx` whose block replicas live on `holders`.
 fn map_task(idx: usize, holders: &[u32]) -> MapTask {
@@ -79,6 +80,25 @@ fn flatten_plain(waves: &[Vec<(u32, usize)>]) -> Vec<(usize, u32, usize)> {
         .collect()
 }
 
+fn per_node_counts(flat: &[(usize, u32, usize)]) -> BTreeMap<u32, usize> {
+    flat.iter().fold(BTreeMap::new(), |mut m, &(_, n, _)| {
+        *m.entry(n).or_insert(0) += 1;
+        m
+    })
+}
+
+/// Fraction of assignments whose node holds a replica of the task.
+fn locality_fraction(flat: &[(usize, u32, usize)], layout: &[Vec<u32>]) -> f64 {
+    if flat.is_empty() {
+        return 1.0;
+    }
+    let local = flat
+        .iter()
+        .filter(|&&(_, n, t)| layout[t].contains(&n))
+        .count();
+    local as f64 / flat.len() as f64
+}
+
 /// Applies one random membership transition; failed transitions are
 /// typed no-ops, so whatever lands is applied.
 fn churn_step(m: &mut Membership, op: u8, target: u32) {
@@ -118,6 +138,155 @@ proptest! {
         max_shrink_iters: 50,
         ..ProptestConfig::default()
     })]
+
+    /// Map scheduling on a flat, fully live cluster: for random replica
+    /// layouts the engine adapter and the plain kernel emit the exact
+    /// same (wave, node, task) schedule.
+    #[test]
+    fn map_waves_agree(
+        nodes in 1u32..12,
+        slots in 1u32..4,
+        raw_layout in prop::collection::vec(
+            prop::collection::vec(0u32..12, 0usize..4),
+            0usize..48,
+        ),
+    ) {
+        // Clamp replica holders onto the live node range, dropping
+        // duplicates but keeping order (first holder = primary).
+        let layout: Vec<Vec<u32>> = raw_layout
+            .iter()
+            .map(|hs| {
+                let mut seen = Vec::new();
+                for &h in hs {
+                    let n = h % nodes;
+                    if !seen.contains(&n) {
+                        seen.push(n);
+                    }
+                }
+                seen
+            })
+            .collect();
+        let uncached = vec![None; layout.len()];
+        let live_plain: Vec<u32> = (0..nodes).collect();
+        let live_eng: Vec<NodeId> = (0..nodes).map(NodeId).collect();
+
+        let eng_tasks: Vec<MapTask> = layout
+            .iter()
+            .enumerate()
+            .map(|(i, hs)| map_task(i, hs))
+            .collect();
+        let eng_waves = eng::assign_map_waves(
+            eng_tasks,
+            &SliceTopology::new(&live_eng, slots, slots),
+            &vec![None; layout.len()],
+            PolicyCtx::disabled(),
+        )
+        .unwrap();
+        let plain_waves = assign_map_waves(
+            &SliceTopology::new(&live_plain, slots, slots),
+            &Layout { layout: &layout, cached: &uncached },
+            PolicyCtx::disabled(),
+        )
+        .unwrap();
+
+        let ef = flatten_engine(&eng_waves);
+        let pf = flatten_plain(&plain_waves);
+        prop_assert_eq!(eng_waves.len(), plain_waves.len(), "wave counts");
+        prop_assert_eq!(
+            per_node_counts(&ef),
+            per_node_counts(&pf),
+            "per-node task counts"
+        );
+        prop_assert_eq!(
+            locality_fraction(&ef, &layout),
+            locality_fraction(&pf, &layout),
+            "locality fractions"
+        );
+        // Strongest form: one kernel ⇒ byte-identical schedules.
+        prop_assert_eq!(ef, pf, "schedules");
+    }
+
+    /// Reduce scheduling on a flat, fully live cluster agrees under both
+    /// assignment styles.
+    #[test]
+    fn reduce_waves_agree(
+        nodes in 1u32..12,
+        slots in 1u32..4,
+        parts in prop::collection::vec(0u32..40, 0usize..48),
+        balance in prop::bool::ANY,
+    ) {
+        let style = if balance {
+            ReduceAssignment::Balance
+        } else {
+            ReduceAssignment::RoundRobinByPartition
+        };
+        let live_plain: Vec<u32> = (0..nodes).collect();
+        let live_eng: Vec<NodeId> = (0..nodes).map(NodeId).collect();
+
+        let eng_tasks: Vec<ReduceTask> = parts
+            .iter()
+            .map(|&p| ReduceTask::new(ReduceTaskId::whole(JobId(1), PartitionId(p))))
+            .collect();
+        let eng_waves = eng::assign_reduce_waves(
+            eng_tasks,
+            &SliceTopology::new(&live_eng, slots, slots),
+            style,
+            PolicyCtx::disabled(),
+        )
+        .unwrap();
+        let plain_waves = assign_reduce_waves(
+            &SliceTopology::new(&live_plain, slots, slots),
+            &FnReduceTasks::new(parts.len(), |t| parts[t] as usize),
+            style,
+            PolicyCtx::disabled(),
+        )
+        .unwrap();
+
+        prop_assert_eq!(eng_waves.len(), plain_waves.len(), "wave counts");
+        // Compare (wave, node, partition) triples: the engine returns
+        // owned tasks, so the partition id is the common currency.
+        let ef: Vec<(usize, u32, u32)> = eng_waves
+            .iter()
+            .enumerate()
+            .flat_map(|(w, wave)| {
+                wave.iter()
+                    .map(move |(n, t)| (w, n.raw(), t.id.partition.raw()))
+            })
+            .collect();
+        let parts_ref = &parts;
+        let pf: Vec<(usize, u32, u32)> = plain_waves
+            .iter()
+            .enumerate()
+            .flat_map(|(w, wave)| wave.iter().map(move |&(n, t)| (w, n, parts_ref[t])))
+            .collect();
+        prop_assert_eq!(ef, pf, "schedules");
+    }
+
+    /// A fully-dead cluster is the same typed error everywhere.
+    #[test]
+    fn dead_cluster_agrees(tasks in 1usize..20) {
+        let eng_tasks: Vec<MapTask> =
+            (0..tasks).map(|i| map_task(i, &[0])).collect();
+        let no_nodes_eng: [NodeId; 0] = [];
+        let no_nodes_plain: [u32; 0] = [];
+        let layout = vec![vec![0u32]; tasks];
+        let uncached = vec![None; tasks];
+        let e = eng::assign_map_waves(
+            eng_tasks,
+            &SliceTopology::new(&no_nodes_eng, 1, 1),
+            &vec![None; tasks],
+            PolicyCtx::disabled(),
+        )
+        .unwrap_err();
+        let p = assign_map_waves(
+            &SliceTopology::new(&no_nodes_plain, 1, 1),
+            &Layout { layout: &layout, cached: &uncached },
+            PolicyCtx::disabled(),
+        )
+        .unwrap_err();
+        prop_assert!(matches!(e, Error::NoLiveNodes));
+        prop_assert!(matches!(p, Error::NoLiveNodes));
+    }
 
     /// Elastic membership churn: drive a shared membership through
     /// random join/drain/decommission/rejoin/crash transitions, then
