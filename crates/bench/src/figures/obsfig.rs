@@ -6,13 +6,15 @@
 //! no tracer/metrics/profiler attached to the reactor, no per-task
 //! instrumentation) and once with the *full* tier on — always-on
 //! flight-recorder events per task, phase-profiler attribution,
-//! reactor poll/park accounting and exec metrics. The configurations
-//! are interleaved and best-of-N timed, and the gate asserts the full
-//! tier costs less than the 5% wall-clock budget. The recorder's own
-//! sampled self-measurement (ns per record call, drop accounting,
-//! bytes retained) rides along in the JSON.
+//! reactor poll/park accounting and exec metrics. Each configuration
+//! has its own reactor session, opened once as the engine opens one per
+//! job, and only `run_wave` is timed. The configurations are
+//! interleaved and best-of-N timed, and the gate asserts the full tier
+//! costs less than the 5% wall-clock budget. The recorder's own sampled
+//! self-measurement (ns per record call, drop accounting, bytes
+//! retained) rides along in the JSON.
 
-use rcmp_exec::{AsyncExecutor, Executor, SlotTask, TaskCtx, WaveSpec};
+use rcmp_exec::{AsyncExecutor, AsyncSession, SlotTask, TaskCtx, WaveSpec};
 use rcmp_model::ClusterConfig;
 use rcmp_obs::{
     Clock, EventCode, FlightRecorder, MetricsRegistry, PhaseKind, PhaseProfiler, RecorderStats,
@@ -73,7 +75,7 @@ fn slot_body(i: u64) -> u64 {
 /// `TaskDone` flight-recorder event. With a disabled recorder and no
 /// profiler this degenerates to the bare wave.
 fn time_wave(
-    exec: &AsyncExecutor,
+    session: &AsyncSession<'_, '_>,
     tasks: u32,
     recorder: &Arc<FlightRecorder>,
     profiler: Option<&Arc<PhaseProfiler>>,
@@ -98,7 +100,7 @@ fn time_wave(
         .collect();
     let spec = WaveSpec::new("obs-bench-wave", 42);
     let start = Instant::now();
-    let outcomes = exec.run_wave(&spec, wave);
+    let outcomes = session.run_wave(&spec, wave);
     let elapsed = start.elapsed();
     assert_eq!(outcomes.len(), tasks as usize);
     elapsed
@@ -123,16 +125,21 @@ pub fn run_with(tasks: u32, repeats: u32) -> ObsBench {
         .with_obs(tracer, &metrics)
         .with_profiler(profiler.clone());
 
-    let mut baseline = Duration::MAX;
-    let mut telemetry = Duration::MAX;
-    // One untimed warmup of each configuration, then interleave the
-    // timed rounds so drift hits both sides equally.
-    time_wave(&off_exec, tasks, &off_recorder, None);
-    time_wave(&on_exec, tasks, &on_recorder, Some(&profiler));
-    for _ in 0..repeats {
-        baseline = baseline.min(time_wave(&off_exec, tasks, &off_recorder, None));
-        telemetry = telemetry.min(time_wave(&on_exec, tasks, &on_recorder, Some(&profiler)));
-    }
+    let (baseline, telemetry) = off_exec.with_session(|off| {
+        on_exec.with_session(|on| {
+            let mut baseline = Duration::MAX;
+            let mut telemetry = Duration::MAX;
+            // One untimed warmup of each configuration, then interleave
+            // the timed rounds so drift hits both sides equally.
+            time_wave(off, tasks, &off_recorder, None);
+            time_wave(on, tasks, &on_recorder, Some(&profiler));
+            for _ in 0..repeats {
+                baseline = baseline.min(time_wave(off, tasks, &off_recorder, None));
+                telemetry = telemetry.min(time_wave(on, tasks, &on_recorder, Some(&profiler)));
+            }
+            (baseline, telemetry)
+        })
+    });
 
     let base_us = baseline.as_secs_f64() * 1e6;
     let full_us = telemetry.as_secs_f64() * 1e6;

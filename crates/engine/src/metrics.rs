@@ -162,10 +162,6 @@ pub struct JobReport {
     /// Tasks that failed and were re-executed within this run
     /// (Hadoop-style task-level recovery).
     pub task_retries: usize,
-    /// Tasks skipped by cooperative wave cancellation
-    /// (`ExecutorConfig::cancel_on_fatal`); they stay pending and are
-    /// reassigned in the next round, like retried tasks, but never ran.
-    pub tasks_cancelled: usize,
     pub duration: Duration,
 }
 

@@ -116,6 +116,16 @@ pub struct JobTracker<'a> {
     m_shuffle: ShuffleMetrics,
 }
 
+/// What every wave of one job run is stamped with.
+struct RunAt {
+    seq: u64,
+    job: JobId,
+    /// The run's `JobRun` span: parent of its waves, faults and losses.
+    span: SpanId,
+    /// Recompute runs charge their wave time to `RecomputeWave`.
+    recompute: bool,
+}
+
 enum ReduceOutcome {
     Done(ReduceTask, TaskRecord),
     /// Shuffle found map outputs missing (lost to a failure, or dropped
@@ -134,11 +144,6 @@ enum ReduceOutcome {
         task: ReduceTask,
         loss: LossReport,
     },
-    /// The wave was cooperatively cancelled before the task started
-    /// (`ExecutorConfig::cancel_on_fatal`); the task stays pending and
-    /// is reassigned next round without counting against its retry
-    /// budget — it never ran.
-    Cancelled,
     /// The task hit an error no re-execution can cure (a reducer
     /// emitting a record larger than a block): the job fails with it.
     Fatal(Error),
@@ -362,7 +367,15 @@ impl<'a> JobTracker<'a> {
         // the pool size while `exec.waves` climbs).
         let mut map_wave_counter = 0u32;
         let mut reduce_wave_counter = 0u32;
-        let mut reduce_retry_counts: HashMap<ReduceTaskId, u32> = HashMap::new();
+        let mut map_retries: HashMap<MapInputKey, u32> = HashMap::new();
+        let mut reduce_retries: HashMap<ReduceTaskId, u32> = HashMap::new();
+        let at = RunAt {
+            seq,
+            job: spec.job,
+            span: job_span,
+            recompute: run.mode.is_recompute(),
+        };
+        let slot_cfg = self.cluster.config().slots;
         self.wave_executor().with_session(|session| -> Result<()> {
             for _round in 0..MAX_RECOVERY_ROUNDS {
                 // MAP PHASE: ensure every needed map output exists.
@@ -372,7 +385,7 @@ impl<'a> JobTracker<'a> {
                     let membership = self.cluster.membership();
                     let topo = SliceTopology::for_kernel(
                         &live,
-                        self.cluster.config().slots.map,
+                        slot_cfg.map,
                         self.cluster.config().placement,
                         &membership,
                     );
@@ -400,56 +413,54 @@ impl<'a> JobTracker<'a> {
                     )?;
                     let mut interrupted = false;
                     for wave in waves {
-                        // Mid-wave kills land after assignment, before
-                        // execution: tasks placed on the victim fail with it.
-                        let mid_kills = self.fire(
-                            seq,
-                            spec.job,
-                            TriggerPoint::MidMapWave(map_wave_counter),
-                            job_span,
-                            &mut report,
-                        );
-                        let wave_open = self.tracer.open();
-                        let wave_kind = SpanKind::Wave {
-                            phase: Phase::Map,
-                            index: map_wave_counter,
-                            tasks: wave.len() as u32,
-                            capacity: live.len() as u32 * self.cluster.config().slots.map,
-                        };
-                        self.recorder.record(
-                            EventCode::WaveStart,
-                            None,
-                            u64::from(map_wave_counter),
-                            wave.len() as u64,
-                        );
-                        let had_failures = self.execute_map_wave(
+                        let wave_idx = map_wave_counter;
+                        let slots = &slots;
+                        interrupted = self.run_wave(
                             session,
+                            &at,
+                            (Phase::Map, wave_idx, live.len() as u32 * slot_cfg.map),
                             wave,
-                            spec,
-                            &slots,
-                            seq,
-                            map_wave_counter,
-                            wave_open.id,
                             &mut report,
-                        );
-                        self.tracer
-                            .close(wave_open, wave_kind, Some(job_span), None, None);
-                        let wave_us = self.tracer.now_us().saturating_sub(wave_open.start_us);
-                        if run.mode.is_recompute() {
-                            self.profiler.add_us(PhaseKind::RecomputeWave, wave_us);
-                        }
-                        self.recorder.record(
-                            EventCode::WaveEnd,
-                            None,
-                            u64::from(map_wave_counter),
-                            wave_us,
-                        );
-                        let had_failures = had_failures?;
-                        let point = TriggerPoint::AfterMapWave(map_wave_counter);
+                            |node, task: MapTask, wave_span| {
+                                SlotTask::new(move |_: &TaskCtx| {
+                                    let key = task.key;
+                                    self.run_map_task(node, task, spec, slots, wave_idx, wave_span)
+                                        .map_err(|e| (key, e))
+                                })
+                            },
+                            |outcome, report| match outcome {
+                                Ok(rec) => {
+                                    self.recorder.record(
+                                        EventCode::TaskDone,
+                                        Some(rec.node),
+                                        u64::from(rec.id.job().0),
+                                        u64::from(wave_idx),
+                                    );
+                                    report.io += rec.io;
+                                    report.tasks.push(rec);
+                                    report.map_tasks_run += 1;
+                                    Ok(false)
+                                }
+                                Err((key, e)) => {
+                                    self.recorder.record(
+                                        EventCode::TaskRetry,
+                                        None,
+                                        0,
+                                        u64::from(wave_idx),
+                                    );
+                                    report.task_retries += 1;
+                                    self.charge_retry(&mut map_retries, key, spec.job, || {
+                                        format!(
+                                            "map task over {} block {} kept failing: {e}",
+                                            key.pid, key.block_idx
+                                        )
+                                    })?;
+                                    Ok(true)
+                                }
+                            },
+                        )?;
                         map_wave_counter += 1;
-                        let kills = self.fire(seq, spec.job, point, job_span, &mut report);
-                        if had_failures || !kills.is_empty() || !mid_kills.is_empty() {
-                            interrupted = true;
+                        if interrupted {
                             break;
                         }
                     }
@@ -475,7 +486,7 @@ impl<'a> JobTracker<'a> {
                 let membership = self.cluster.membership();
                 let topo = SliceTopology::for_kernel(
                     &live,
-                    self.cluster.config().slots.reduce,
+                    slot_cfg.reduce,
                     self.cluster.config().placement,
                     &membership,
                 );
@@ -492,82 +503,48 @@ impl<'a> JobTracker<'a> {
                     Arc::new(inputs.iter().map(|t| t.key).collect());
                 let mut torn_partitions: BTreeSet<PartitionId> = BTreeSet::new();
                 for wave in waves {
-                    let mid_kills = self.fire(
-                        seq,
-                        spec.job,
-                        TriggerPoint::MidReduceWave(reduce_wave_counter),
-                        job_span,
-                        &mut report,
-                    );
-                    let wave_open = self.tracer.open();
-                    let wave_kind = SpanKind::Wave {
-                        phase: Phase::Reduce,
-                        index: reduce_wave_counter,
-                        tasks: wave.len() as u32,
-                        capacity: live.len() as u32 * self.cluster.config().slots.reduce,
-                    };
-                    self.recorder.record(
-                        EventCode::WaveStart,
-                        None,
-                        u64::from(reduce_wave_counter),
-                        wave.len() as u64,
-                    );
-                    let outcomes = self.execute_reduce_wave(
+                    let wave_idx = reduce_wave_counter;
+                    let reassign = self.run_wave(
                         session,
+                        &at,
+                        (Phase::Reduce, wave_idx, live.len() as u32 * slot_cfg.reduce),
                         wave,
-                        &input_keys,
-                        spec,
-                        placement,
-                        seq,
-                        reduce_wave_counter,
-                        wave_open.id,
-                    );
-                    self.tracer
-                        .close(wave_open, wave_kind, Some(job_span), None, None);
-                    let wave_us = self.tracer.now_us().saturating_sub(wave_open.start_us);
-                    if run.mode.is_recompute() {
-                        self.profiler.add_us(PhaseKind::RecomputeWave, wave_us);
-                    }
-                    self.recorder.record(
-                        EventCode::WaveEnd,
-                        None,
-                        u64::from(reduce_wave_counter),
-                        wave_us,
-                    );
-                    let outcomes = outcomes?;
-                    let mut wave_had_failures = false;
-                    for outcome in outcomes {
-                        match outcome {
+                        &mut report,
+                        |node, task: ReduceTask, wave_span| {
+                            let input_keys = Arc::clone(&input_keys);
+                            SlotTask::new(move |_: &TaskCtx| {
+                                self.run_reduce_task(
+                                    node,
+                                    task,
+                                    input_keys.as_slice(),
+                                    spec,
+                                    placement,
+                                    wave_idx,
+                                    wave_span,
+                                )
+                            })
+                        },
+                        |outcome, report| match outcome {
                             ReduceOutcome::Done(task, rec) => {
                                 report.io += rec.io;
                                 report.tasks.push(rec);
                                 report.reduce_tasks_run += 1;
                                 pending_reduces.retain(|t| t.id != task.id);
+                                Ok(false)
                             }
                             ReduceOutcome::Missing => {
-                                wave_had_failures = true;
                                 report.task_retries += 1;
+                                Ok(true)
                             }
                             ReduceOutcome::Retry(id) => {
-                                wave_had_failures = true;
                                 report.task_retries += 1;
-                                let count = reduce_retry_counts.entry(id).or_insert(0);
-                                *count += 1;
-                                if *count > self.cluster.config().retry.task_retries {
-                                    return Err(Error::RecoveryExhausted {
-                                        job: spec.job,
-                                        attempts: *count,
-                                        reason: format!("reduce task {id} kept failing retryably"),
-                                    });
-                                }
+                                self.charge_retry(&mut reduce_retries, id, spec.job, || {
+                                    format!("reduce task {id} kept failing retryably")
+                                })?;
+                                Ok(true)
                             }
-                            ReduceOutcome::Cancelled => {
-                                wave_had_failures = true;
-                                report.tasks_cancelled += 1;
-                            }
-                            ReduceOutcome::Fatal(e) => return Err(e),
+                            ReduceOutcome::Fatal(e) => Err(e),
                             ReduceOutcome::Torn { task, loss } => {
-                                wave_had_failures = true;
                                 report.task_retries += 1;
                                 // A torn write silently damaged the output
                                 // partition — a loss in its own right.
@@ -583,13 +560,12 @@ impl<'a> JobTracker<'a> {
                                 self.tracer.mark_cause(loss_span);
                                 report.losses.push(loss);
                                 torn_partitions.insert(task.id.partition);
+                                Ok(true)
                             }
-                        }
-                    }
-                    let point = TriggerPoint::AfterReduceWave(reduce_wave_counter);
+                        },
+                    )?;
                     reduce_wave_counter += 1;
-                    let kills = self.fire(seq, spec.job, point, job_span, &mut report);
-                    if wave_had_failures || !kills.is_empty() || !mid_kills.is_empty() {
+                    if reassign {
                         break;
                     }
                 }
@@ -834,75 +810,127 @@ impl<'a> JobTracker<'a> {
         }
     }
 
-    /// Runs one wave of mappers on the job's executor session.
-    /// Returns whether any task failed (triggering reassignment);
-    /// errors only when the executor abandoned a task (contained
-    /// panic), which escalates as [`Error::ExecutorShutdown`].
+    /// Runs one assigned wave through the job's executor session, inside
+    /// the bracket both phases share, in this order: the mid-wave
+    /// injection point (kills land after assignment, before execution,
+    /// so tasks placed on the victim fail with it), the `Wave` span and
+    /// `WaveStart`, the slot tasks `task` builds under the wave's span,
+    /// run under the metrics hot scope, `account` over each outcome in
+    /// input order, the span close, `RecomputeWave` time and `WaveEnd`,
+    /// then the after-wave injection point. `(phase, index, capacity)`
+    /// names the wave: its phase, its index within that phase in this
+    /// run, and the live slot capacity it was assigned against.
+    ///
+    /// `account` says whether its task failed. The first error it
+    /// returns — or a panicked task, as [`Error::ExecutorShutdown`] —
+    /// stops the accounting and fails the job once `WaveEnd` is
+    /// recorded. Otherwise returns whether the phase loop must
+    /// reassign: a task failed or an injection point killed a node.
     #[allow(clippy::too_many_arguments)]
-    fn execute_map_wave<'env>(
+    fn run_wave<'env, W, T: Send + 'env>(
         &'env self,
         session: &SessionExecutor<'_, 'env>,
-        wave: Vec<(NodeId, MapTask)>,
-        spec: &'env JobSpec,
-        slots: &'env BucketSlots,
-        seq: u64,
-        wave_idx: u32,
-        wave_span: SpanId,
+        at: &RunAt,
+        (phase, index, capacity): (Phase, u32, u32),
+        wave: Vec<(NodeId, W)>,
         report: &mut JobReport,
+        task: impl Fn(NodeId, W, SpanId) -> SlotTask<'env, T>,
+        mut account: impl FnMut(T, &mut JobReport) -> Result<bool>,
     ) -> Result<bool> {
-        let exec_spec = self.wave_spec("map-wave", seq, wave_idx, wave_span);
-        let cancel_on_fatal = self.cluster.config().executor.cancel_on_fatal;
-        let tasks: Vec<SlotTask<'env, std::result::Result<TaskRecord, Error>>> = wave
+        let (kind, label, mid, after) = match phase {
+            Phase::Map => (
+                "map",
+                "map-wave",
+                TriggerPoint::MidMapWave(index),
+                TriggerPoint::AfterMapWave(index),
+            ),
+            Phase::Reduce => (
+                "reduce",
+                "reduce-wave",
+                TriggerPoint::MidReduceWave(index),
+                TriggerPoint::AfterReduceWave(index),
+            ),
+        };
+        let mid_kills = self.fire(at.seq, at.job, mid, at.span, report);
+        let wave_open = self.tracer.open();
+        let tasks = wave.len();
+        self.recorder
+            .record(EventCode::WaveStart, None, u64::from(index), tasks as u64);
+        let slot_tasks: Vec<SlotTask<'env, T>> = wave
             .into_iter()
-            .map(|(node, task)| {
-                SlotTask::new(move |ctx: &TaskCtx| {
-                    let result = self.run_map_task(node, task, spec, slots, wave_idx, wave_span);
-                    if cancel_on_fatal && result.is_err() {
-                        ctx.cancel_wave();
-                    }
-                    result
-                })
-            })
+            .map(|(node, w)| task(node, w, wave_open.id))
             .collect();
+        // The async backend's queue order is a pure function of the
+        // cluster seed, the run sequence number and the wave index, so
+        // replays are bit-identical.
+        let seed = derive_indexed(
+            self.cluster.config().seed,
+            label,
+            (at.seq << 32) | u64::from(index),
+        );
+        let spec = WaveSpec::new(label, seed).with_parent(wave_open.id);
         let outcomes = {
             // Wave in flight: by-name metric resolution debug-asserts
             // until the guard drops — hot paths must use the handles
             // resolved at construction time.
             let _hot = self.cluster.metrics().enter_hot_scope();
-            session.run_wave(&exec_spec, tasks)
+            session.run_wave(&spec, slot_tasks)
         };
-        let mut had_failures = false;
-        for outcome in outcomes {
-            match outcome {
-                SlotOutcome::Completed(Ok(rec)) => {
-                    self.recorder.record(
-                        EventCode::TaskDone,
-                        Some(rec.node),
-                        u64::from(rec.id.job().0),
-                        u64::from(wave_idx),
-                    );
-                    report.io += rec.io;
-                    report.tasks.push(rec);
-                    report.map_tasks_run += 1;
-                }
-                SlotOutcome::Completed(Err(_)) => {
-                    self.recorder
-                        .record(EventCode::TaskRetry, None, 0, u64::from(wave_idx));
-                    had_failures = true;
-                    report.task_retries += 1;
-                }
-                SlotOutcome::Cancelled => {
-                    had_failures = true;
-                    report.tasks_cancelled += 1;
-                }
+        let failed = outcomes.into_iter().try_fold(false, |failed, outcome| {
+            let task_failed = match outcome {
+                SlotOutcome::Completed(value) => account(value, report)?,
                 SlotOutcome::Abandoned => {
                     return Err(Error::ExecutorShutdown {
-                        reason: format!("map task panicked in wave {wave_idx}"),
-                    });
+                        reason: format!("{kind} task panicked in wave {index}"),
+                    })
                 }
-            }
+            };
+            Ok(failed || task_failed)
+        });
+        self.tracer.close(
+            wave_open,
+            SpanKind::Wave {
+                phase,
+                index,
+                tasks: tasks as u32,
+                capacity,
+            },
+            Some(at.span),
+            None,
+            None,
+        );
+        let wave_us = self.tracer.now_us().saturating_sub(wave_open.start_us);
+        if at.recompute {
+            self.profiler.add_us(PhaseKind::RecomputeWave, wave_us);
         }
-        Ok(had_failures)
+        self.recorder
+            .record(EventCode::WaveEnd, None, u64::from(index), wave_us);
+        let failed = failed?;
+        let kills = self.fire(at.seq, at.job, after, at.span, report);
+        Ok(failed || !kills.is_empty() || !mid_kills.is_empty())
+    }
+
+    /// Charges one retry of task `key` against the per-task budget
+    /// (`RetryPolicy::task_retries`); past it the job escalates to
+    /// [`Error::RecoveryExhausted`] instead of re-running the task
+    /// forever.
+    fn charge_retry<K: Eq + std::hash::Hash>(
+        &self,
+        spent: &mut HashMap<K, u32>,
+        key: K,
+        job: JobId,
+        reason: impl FnOnce() -> String,
+    ) -> Result<()> {
+        let count = spent.entry(key).or_insert(0);
+        *count += 1;
+        if *count > self.cluster.config().retry.task_retries {
+            return Err(Error::RecoveryExhausted {
+                job,
+                attempts: *count,
+                reason: reason(),
+            });
+        }
+        Ok(())
     }
 
     /// Span wrapper around [`Self::map_task_inner`]: one `Task` span per
@@ -1094,87 +1122,6 @@ impl<'a> JobTracker<'a> {
                 end,
             );
         }
-    }
-
-    /// Seed and span identity for one wave submission: the queue order
-    /// of the async backend is a pure function of the cluster seed, the
-    /// run sequence number and the wave index, so replays are
-    /// bit-identical.
-    fn wave_spec(
-        &self,
-        label: &'static str,
-        seq: u64,
-        wave_idx: u32,
-        wave_span: SpanId,
-    ) -> WaveSpec {
-        let seed = derive_indexed(
-            self.cluster.config().seed,
-            label,
-            (seq << 32) | u64::from(wave_idx),
-        );
-        WaveSpec::new(label, seed).with_parent(wave_span)
-    }
-
-    /// Runs one wave of reducers on the job's executor session.
-    /// Errors only when the executor abandoned a task (contained
-    /// panic), which escalates as [`Error::ExecutorShutdown`].
-    #[allow(clippy::too_many_arguments)]
-    fn execute_reduce_wave<'env>(
-        &'env self,
-        session: &SessionExecutor<'_, 'env>,
-        wave: Vec<(NodeId, ReduceTask)>,
-        input_keys: &Arc<Vec<MapInputKey>>,
-        spec: &'env JobSpec,
-        placement: PlacementPolicy,
-        seq: u64,
-        wave_idx: u32,
-        wave_span: SpanId,
-    ) -> Result<Vec<ReduceOutcome>> {
-        let exec_spec = self.wave_spec("reduce-wave", seq, wave_idx, wave_span);
-        let cancel_on_fatal = self.cluster.config().executor.cancel_on_fatal;
-        let tasks: Vec<SlotTask<'env, ReduceOutcome>> = wave
-            .into_iter()
-            .map(|(node, task)| {
-                let input_keys = Arc::clone(input_keys);
-                SlotTask::new(move |ctx: &TaskCtx| {
-                    let outcome = self.run_reduce_task(
-                        node,
-                        task,
-                        input_keys.as_slice(),
-                        spec,
-                        placement,
-                        wave_idx,
-                        wave_span,
-                    );
-                    // A torn write is a node death observed mid-task —
-                    // the wave's fatal-fault signal; a fatal task error
-                    // ends the job outright.
-                    if cancel_on_fatal
-                        && matches!(
-                            outcome,
-                            ReduceOutcome::Torn { .. } | ReduceOutcome::Fatal(_)
-                        )
-                    {
-                        ctx.cancel_wave();
-                    }
-                    outcome
-                })
-            })
-            .collect();
-        // Wave in flight: by-name metric resolution debug-asserts until
-        // the guard drops.
-        let _hot = self.cluster.metrics().enter_hot_scope();
-        session
-            .run_wave(&exec_spec, tasks)
-            .into_iter()
-            .map(|o| match o {
-                SlotOutcome::Completed(outcome) => Ok(outcome),
-                SlotOutcome::Cancelled => Ok(ReduceOutcome::Cancelled),
-                SlotOutcome::Abandoned => Err(Error::ExecutorShutdown {
-                    reason: format!("reduce task panicked in wave {wave_idx}"),
-                }),
-            })
-            .collect()
     }
 
     /// Span wrapper around [`Self::reduce_task_inner`]: one `Task` span
@@ -1467,6 +1414,21 @@ mod tests {
     use crate::udf::{IdentityMapper, IdentityReducer};
     use rcmp_model::{ClusterConfig, RecordWriter};
 
+    fn identity_job(num_reducers: u32) -> JobSpec {
+        JobSpec {
+            job: JobId(1),
+            input: "input".into(),
+            output: "out/1".into(),
+            num_reducers,
+            output_replication: 1,
+            placement: PlacementPolicy::WriterLocal,
+            mapper: Arc::new(IdentityMapper),
+            reducer: Arc::new(IdentityReducer),
+            combiner: None,
+            splittable: true,
+        }
+    }
+
     /// A block cut inside its last record's value: the mapper has seen
     /// the whole records before the cut, but the task fails with the
     /// decoder's typed error and stores no map output.
@@ -1489,18 +1451,7 @@ mod tests {
             PlacementPolicy::WriterLocal,
         )
         .unwrap();
-        let spec = JobSpec {
-            job: JobId(1),
-            input: "input".into(),
-            output: "out/1".into(),
-            num_reducers: 2,
-            output_replication: 1,
-            placement: PlacementPolicy::WriterLocal,
-            mapper: Arc::new(IdentityMapper),
-            reducer: Arc::new(IdentityReducer),
-            combiner: None,
-            splittable: true,
-        };
+        let spec = identity_job(2);
         let tracker = JobTracker::new(&cluster, Arc::new(NoFailures));
         let task = tracker.enumerate_inputs(&spec).unwrap().remove(0);
         let slots = BucketSlots::new(spec.job, spec.num_reducers, None);
@@ -1509,5 +1460,45 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, Error::Codec(_)), "{err:?}");
         assert_eq!(cluster.map_outputs().input_hash(&task.key), None);
+    }
+
+    /// A map task that fails on every attempt exhausts its retry budget
+    /// instead of spinning the map phase forever: every input block is
+    /// five bytes with a valid checksum, so each mapper fails with a
+    /// codec error each time it runs. The job runs on its own thread so
+    /// that a hang fails the test instead of stalling the suite.
+    #[test]
+    fn map_task_that_always_fails_exhausts_its_retry_budget() {
+        let (done, result) = std::sync::mpsc::channel();
+        let job = std::thread::spawn(move || {
+            let cluster = Cluster::new(ClusterConfig::small_test(2));
+            let dfs = cluster.dfs();
+            dfs.create_file("input", 1, 2).unwrap();
+            for p in 0..2 {
+                dfs.write_partition_chunks(
+                    "input",
+                    PartitionId(p),
+                    vec![Bytes::from_static(&[1, 2, 3, 4, 5])],
+                    NodeId(p),
+                    PlacementPolicy::WriterLocal,
+                )
+                .unwrap();
+            }
+            let tracker = JobTracker::new(&cluster, Arc::new(NoFailures));
+            let run = JobRun::full(identity_job(2));
+            let _ = done.send(tracker.run(&run, 1));
+        });
+        let err = result
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("the job must end, not spin on a failing mapper")
+            .unwrap_err();
+        job.join()
+            .expect("the job thread exits once it has reported");
+        let retries = ClusterConfig::small_test(2).retry.task_retries;
+        assert!(
+            matches!(err, Error::RecoveryExhausted { job: JobId(1), attempts, .. }
+                if attempts == retries + 1),
+            "{err:?}"
+        );
     }
 }

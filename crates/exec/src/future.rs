@@ -23,14 +23,12 @@ enum State<'env, T> {
 
 /// A slot task as a [`Future`] resolving to its [`SlotOutcome`].
 ///
-/// The state machine is `Queued → Yielded → Done`; the wave's cancel
-/// token is checked on every poll, so a cancelled task resolves without
-/// running its body. A panicking body is contained with
-/// [`catch_unwind`] and resolves to [`SlotOutcome::Abandoned`] — poll
-/// itself never unwinds, so reactor locks are never poisoned by task
-/// bodies (the engine escalates any abandoned task to a typed
-/// `Error::ExecutorShutdown`).
-pub struct TaskFuture<'env, T> {
+/// The state machine is `Queued → Yielded → Done`. A panicking body is
+/// contained with [`catch_unwind`] and resolves to
+/// [`SlotOutcome::Abandoned`] — poll itself never unwinds, so reactor
+/// locks are never poisoned by task bodies (the engine escalates any
+/// abandoned task to a typed `Error::ExecutorShutdown`).
+pub(crate) struct TaskFuture<'env, T> {
     state: State<'env, T>,
 }
 
@@ -53,23 +51,17 @@ impl<T> Future for TaskFuture<'_, T> {
         let this = self.get_mut();
         match std::mem::replace(&mut this.state, State::Done) {
             State::Queued(run, ctx) => {
-                if ctx.is_cancelled() {
-                    return Poll::Ready(SlotOutcome::Cancelled);
-                }
                 cx.waker().wake_by_ref();
                 this.state = State::Yielded(run, ctx);
                 Poll::Pending
             }
-            State::Yielded(run, ctx) => {
-                if ctx.is_cancelled() {
-                    return Poll::Ready(SlotOutcome::Cancelled);
-                }
-                match catch_unwind(AssertUnwindSafe(move || run(&ctx))) {
-                    Ok(v) => Poll::Ready(SlotOutcome::Completed(v)),
-                    Err(_) => Poll::Ready(SlotOutcome::Abandoned),
-                }
-            }
-            State::Done => Poll::Ready(SlotOutcome::Cancelled),
+            State::Yielded(run, ctx) => match catch_unwind(AssertUnwindSafe(move || run(&ctx))) {
+                Ok(v) => Poll::Ready(SlotOutcome::Completed(v)),
+                Err(_) => Poll::Ready(SlotOutcome::Abandoned),
+            },
+            // The reactor never polls a resolved future; if something
+            // did, the body is gone and there is no value to return.
+            State::Done => Poll::Ready(SlotOutcome::Abandoned),
         }
     }
 }
@@ -77,7 +69,6 @@ impl<T> Future for TaskFuture<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::CancelToken;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::task::{Wake, Waker};
@@ -98,8 +89,7 @@ mod tests {
     fn admission_yield_then_complete() {
         let counting = Arc::new(CountingWaker(AtomicUsize::new(0)));
         let waker = Waker::from(counting.clone());
-        let ctx = TaskCtx::new(CancelToken::new(), 0);
-        let mut fut = TaskFuture::new(Box::new(|_: &TaskCtx| 41 + 1), ctx);
+        let mut fut = TaskFuture::new(Box::new(|_: &TaskCtx| 41 + 1), TaskCtx::new(0));
         assert!(matches!(poll_once(&mut fut, &waker), Poll::Pending));
         assert_eq!(counting.0.load(Ordering::SeqCst), 1, "woke itself");
         match poll_once(&mut fut, &waker) {
@@ -109,38 +99,10 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_before_first_poll_skips_body() {
-        let waker = Waker::from(Arc::new(CountingWaker(AtomicUsize::new(0))));
-        let token = CancelToken::new();
-        token.cancel();
-        let ctx = TaskCtx::new(token, 0);
-        let mut fut = TaskFuture::new(Box::new(|_: &TaskCtx| panic!("must not run")), ctx);
-        assert!(matches!(
-            poll_once(&mut fut, &waker),
-            Poll::Ready(SlotOutcome::Cancelled)
-        ));
-    }
-
-    #[test]
-    fn cancelled_between_polls_skips_body() {
-        let waker = Waker::from(Arc::new(CountingWaker(AtomicUsize::new(0))));
-        let token = CancelToken::new();
-        let ctx = TaskCtx::new(token.clone(), 0);
-        let mut fut = TaskFuture::new(Box::new(|_: &TaskCtx| panic!("must not run")), ctx);
-        assert!(matches!(poll_once(&mut fut, &waker), Poll::Pending));
-        token.cancel();
-        assert!(matches!(
-            poll_once(&mut fut, &waker),
-            Poll::Ready(SlotOutcome::Cancelled)
-        ));
-    }
-
-    #[test]
     fn panic_is_contained_as_abandoned() {
         let waker = Waker::from(Arc::new(CountingWaker(AtomicUsize::new(0))));
-        let ctx = TaskCtx::new(CancelToken::new(), 0);
         let mut fut: TaskFuture<'_, u32> =
-            TaskFuture::new(Box::new(|_: &TaskCtx| panic!("boom")), ctx);
+            TaskFuture::new(Box::new(|_: &TaskCtx| panic!("boom")), TaskCtx::new(0));
         assert!(matches!(poll_once(&mut fut, &waker), Poll::Pending));
         assert!(matches!(
             poll_once(&mut fut, &waker),

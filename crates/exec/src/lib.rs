@@ -3,17 +3,19 @@
 //! The engine executes a job as a sequence of *waves*: a batch of slot
 //! tasks assigned by the policy kernel, run concurrently, whose
 //! outcomes are collected in input order before the next wave starts.
-//! This crate captures that contract as the [`Executor`] trait and
-//! implements it twice:
+//! Every wave takes one path: the job opens a session with
+//! [`BackendExecutor::with_session`] and submits each wave through
+//! [`SessionExecutor::run_wave`]. Two backends serve it:
 //!
 //! * [`ThreadedExecutor`] — one OS thread per occupied slot per wave
 //!   (Hadoop 1.0.3's process-per-slot model, and the engine's original
 //!   behaviour, extracted verbatim).
-//! * [`AsyncExecutor`] — a hand-rolled cooperative reactor: slot tasks
-//!   become [`TaskFuture`]s, a seeded-deterministic ready queue feeds a
-//!   bounded pool of worker threads, and a wake/park condvar keeps idle
-//!   workers cheap. Thousands of simulated slots run in one process
-//!   with at most `workers` OS threads.
+//! * [`AsyncExecutor`] — a hand-rolled cooperative reactor: the session
+//!   spawns a bounded pool of worker threads once per job, slot tasks
+//!   become futures, a seeded-deterministic ready queue feeds the pool,
+//!   and a wake/park condvar keeps idle workers cheap. Thousands of
+//!   simulated slots run in one process with at most `workers` OS
+//!   threads.
 //!
 //! Backend choice is configuration (`ExecutorConfig` on
 //! `ClusterConfig`), threaded through [`BackendExecutor`] so the
@@ -33,10 +35,8 @@ mod task;
 mod threaded;
 
 pub use budget::{WorkerBudget, WorkerLease};
-pub use future::TaskFuture;
-pub use metrics::ExecMetrics;
 pub use reactor::{AsyncExecutor, AsyncSession};
-pub use task::{CancelToken, SlotOutcome, SlotTask, TaskCtx};
+pub use task::{SlotOutcome, SlotTask, TaskCtx};
 pub use threaded::ThreadedExecutor;
 
 use rcmp_model::{ExecutorConfig, ExecutorKind};
@@ -70,24 +70,6 @@ impl WaveSpec {
         self.parent = Some(parent);
         self
     }
-}
-
-/// The wave contract: run every slot task of one wave, honour the
-/// wave's cancel token, and return one [`SlotOutcome`] per task *in
-/// input order*.
-///
-/// Implementations must run each task body at most once, must not let a
-/// task panic escape (contain it as [`SlotOutcome::Abandoned`]), and
-/// must return only once every task has resolved — the engine processes
-/// a wave's outcomes as a unit before consulting the failure injector
-/// again.
-pub trait Executor {
-    /// Executes one wave.
-    fn run_wave<'env, T: Send + 'env>(
-        &self,
-        spec: &WaveSpec,
-        tasks: Vec<SlotTask<'env, T>>,
-    ) -> Vec<SlotOutcome<T>>;
 }
 
 /// Configuration-selected backend, so callers hold one concrete type.
@@ -155,9 +137,7 @@ impl BackendExecutor {
 /// threaded backend passes straight through to its per-wave threads.
 ///
 /// `'s` is the session scope, `'env` the environment slot tasks may
-/// borrow from. This cannot implement [`Executor`] — the trait
-/// quantifies `'env` per call, but a session fixes it for its whole
-/// lifetime — so it exposes the same `run_wave` shape inherently.
+/// borrow from (fixed for the whole session).
 pub enum SessionExecutor<'s, 'env> {
     /// Stateless pass-through to the per-slot-thread backend.
     Threaded(ThreadedExecutor),
@@ -166,10 +146,12 @@ pub enum SessionExecutor<'s, 'env> {
 }
 
 impl<'env> SessionExecutor<'_, 'env> {
-    /// Executes one wave through the session. Same contract as
-    /// [`Executor::run_wave`]: outcomes in input order, panics
-    /// contained as [`SlotOutcome::Abandoned`], returns only once every
-    /// task has resolved.
+    /// Executes one wave through the session: runs every slot task
+    /// exactly once and returns one [`SlotOutcome`] per task *in input
+    /// order*. A task panic is contained as [`SlotOutcome::Abandoned`],
+    /// and the call returns only once every task has resolved — the
+    /// engine processes a wave's outcomes as a unit before consulting
+    /// the failure injector again.
     pub fn run_wave<T: Send + 'env>(
         &self,
         spec: &WaveSpec,
@@ -178,19 +160,6 @@ impl<'env> SessionExecutor<'_, 'env> {
         match self {
             SessionExecutor::Threaded(t) => t.run_wave(spec, tasks),
             SessionExecutor::Async(s) => s.run_wave(spec, tasks),
-        }
-    }
-}
-
-impl Executor for BackendExecutor {
-    fn run_wave<'env, T: Send + 'env>(
-        &self,
-        spec: &WaveSpec,
-        tasks: Vec<SlotTask<'env, T>>,
-    ) -> Vec<SlotOutcome<T>> {
-        match self {
-            BackendExecutor::Threaded(t) => t.run_wave(spec, tasks),
-            BackendExecutor::Async(a) => a.run_wave(spec, tasks),
         }
     }
 }
@@ -213,24 +182,20 @@ mod tests {
 
     #[test]
     fn backends_agree_on_outcomes() {
-        let mk = || {
-            (0..200)
+        let run = |cfg: &ExecutorConfig| -> Vec<Option<usize>> {
+            let tasks: Vec<SlotTask<'_, usize>> = (0..200)
                 .map(|i| SlotTask::new(move |_: &TaskCtx| i * 3))
-                .collect::<Vec<SlotTask<'_, usize>>>()
-        };
-        let spec = WaveSpec::new("agree", 42);
-        let threaded: Vec<Option<usize>> = BackendExecutor::from_config(&ExecutorConfig::default())
-            .run_wave(&spec, mk())
-            .into_iter()
-            .map(SlotOutcome::completed)
-            .collect();
-        let asynced: Vec<Option<usize>> =
-            BackendExecutor::from_config(&ExecutorConfig::async_workers(4))
-                .run_wave(&spec, mk())
+                .collect();
+            BackendExecutor::from_config(cfg)
+                .with_session(|s| s.run_wave(&WaveSpec::new("agree", 42), tasks))
                 .into_iter()
                 .map(SlotOutcome::completed)
-                .collect();
-        assert_eq!(threaded, asynced);
+                .collect()
+        };
+        assert_eq!(
+            run(&ExecutorConfig::default()),
+            run(&ExecutorConfig::async_workers(4))
+        );
     }
 
     #[test]

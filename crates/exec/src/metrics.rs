@@ -9,12 +9,12 @@ use rcmp_obs::{Counter, Gauge, MetricsRegistry};
 /// them, while the threaded backend — kept byte-identical to the
 /// pre-executor code — records nothing.
 #[derive(Clone)]
-pub struct ExecMetrics {
+pub(crate) struct ExecMetrics {
     /// Instantaneous ready-queue depth (last observed).
     pub ready_depth: Gauge,
     /// Worker threads currently parked waiting for work.
     pub parked_workers: Gauge,
-    /// OS worker threads used by the most recent wave.
+    /// OS worker threads of the current session's pool.
     pub workers: Gauge,
     /// Average polls per task of the most recent wave (×1000, so the
     /// nominal 2.0 polls/task reads as 2000).
@@ -27,15 +27,13 @@ pub struct ExecMetrics {
     pub park_ns: Counter,
     /// Tasks that ran to completion.
     pub tasks_completed: Counter,
-    /// Tasks skipped by cooperative cancellation.
-    pub tasks_cancelled: Counter,
     /// Tasks whose body panicked.
     pub tasks_abandoned: Counter,
     /// Waves executed.
     pub waves: Counter,
-    /// OS worker threads spawned. In session mode this stays at the
-    /// pool size while `waves` climbs — the observable for the
-    /// pool-per-job (rather than pool-per-wave) lifetime.
+    /// OS worker threads spawned. This stays at the pool size while
+    /// `waves` climbs — the observable for the pool-per-job (rather
+    /// than pool-per-wave) lifetime.
     pub worker_starts: Counter,
 }
 
@@ -51,7 +49,6 @@ impl ExecMetrics {
             poll_ns: registry.counter("exec.poll_ns"),
             park_ns: registry.counter("exec.park_ns"),
             tasks_completed: registry.counter("exec.tasks_completed"),
-            tasks_cancelled: registry.counter("exec.tasks_cancelled"),
             tasks_abandoned: registry.counter("exec.tasks_abandoned"),
             waves: registry.counter("exec.waves"),
             worker_starts: registry.counter("exec.worker_starts"),

@@ -1,13 +1,15 @@
 //! The hand-rolled cooperative reactor behind [`AsyncExecutor`].
 //!
-//! One wave at a time: the wave's slot tasks are lifted into
-//! [`TaskFuture`]s held in per-slot mutexes on the caller's stack, a
-//! seeded shuffle of their indices primes the ready queue, and a bounded
-//! pool of scoped worker threads multiplexes them — pop an index, poll
-//! that future, park on a condvar when the queue runs dry. Wakers
-//! (`std::task::Wake` over an `Arc` of the reactor's shared state)
-//! re-enqueue their index and unpark one worker; when the last task
-//! resolves, every parked worker is released and the scope joins.
+//! A job opens one [`AsyncSession`], which spawns a bounded pool of
+//! scoped worker threads for the job's lifetime. Each wave submitted
+//! through it is served one at a time: the wave's slot tasks are lifted
+//! into [`TaskFuture`]s held in per-slot mutexes, a seeded shuffle of
+//! their indices primes the ready queue, and the pool multiplexes them
+//! — pop an index, poll that future, park on a condvar when the queue
+//! runs dry. Wakers (`std::task::Wake` over an `Arc` of the wave's
+//! shared state) re-enqueue their index and unpark one worker; when the
+//! last task resolves, every parked worker is released and the
+//! submitter's completion latch trips.
 //!
 //! The queue seed makes the *initial* service order a pure function of
 //! `(seed, label)`; with one worker the whole execution order is. With
@@ -17,8 +19,8 @@
 
 use crate::future::TaskFuture;
 use crate::metrics::ExecMetrics;
-use crate::task::{CancelToken, SlotOutcome, SlotTask, TaskCtx};
-use crate::{Executor, WaveSpec};
+use crate::task::{SlotOutcome, SlotTask, TaskCtx};
+use crate::WaveSpec;
 use rand::seq::SliceRandom;
 use rcmp_model::rng::rng_for;
 use rcmp_obs::{MetricsRegistry, PhaseKind, PhaseProfiler, SpanKind, Tracer};
@@ -43,8 +45,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Wakers require `'static` state (`std::task::Waker` erases
 /// lifetimes), so everything reachable from one — the ready queue of
 /// task *indices*, the park condvar and the counters — lives in this
-/// `Arc`. The futures themselves stay on the wave's stack frame,
-/// accessed only by the scoped workers.
+/// `Arc`. The futures themselves live in the wave's [`WaveState`],
+/// accessed only by the session's workers.
 struct Shared {
     queue: Mutex<VecDeque<usize>>,
     ready: Condvar,
@@ -57,9 +59,9 @@ struct Shared {
     park_ns: AtomicU64,
     /// Number of park episodes this wave (each condvar wait counts one).
     parks: AtomicU64,
-    /// Completion latch for session mode: the wave submitter waits here,
-    /// never on `ready` — `enqueue`'s `notify_one` could otherwise wake
-    /// the submitter instead of a parked worker and stall the wave.
+    /// Completion latch: the wave submitter waits here, never on
+    /// `ready` — `enqueue`'s `notify_one` could otherwise wake the
+    /// submitter instead of a parked worker and stall the wave.
     done: Mutex<bool>,
     done_cv: Condvar,
     metrics: Option<ExecMetrics>,
@@ -130,8 +132,8 @@ impl Shared {
     }
 
     /// Marks one task resolved; the last one releases every parked
-    /// worker so the pool can drain, and trips the completion latch for
-    /// a session-mode submitter.
+    /// worker back to the session and trips the submitter's completion
+    /// latch.
     fn task_done(&self) {
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             {
@@ -295,7 +297,7 @@ pub struct AsyncSession<'s, 'env> {
 
 impl<'env> AsyncSession<'_, 'env> {
     /// Executes one wave on the session's shared worker pool. Same
-    /// contract as [`Executor::run_wave`]: outcomes in input order,
+    /// contract as `SessionExecutor::run_wave`: outcomes in input order,
     /// panics contained, returns only once every task has resolved.
     pub fn run_wave<T: Send + 'env>(
         &self,
@@ -311,11 +313,9 @@ impl<'env> AsyncSession<'_, 'env> {
         if let Some(m) = &exec.metrics {
             m.waves.inc();
         }
-        let cancel = CancelToken::new();
         let shared = Arc::new(Shared::new(n, exec.metrics.clone()));
         {
-            // Seeded-deterministic initial service order, exactly as in
-            // the standalone wave path.
+            // Seeded-deterministic initial service order.
             let mut order: Vec<usize> = (0..n).collect();
             order.shuffle(&mut rng_for(spec.seed, spec.label));
             let mut q = lock(&shared.queue);
@@ -327,10 +327,7 @@ impl<'env> AsyncSession<'_, 'env> {
             .enumerate()
             .map(|(i, t)| {
                 Mutex::new(Slot {
-                    fut: Some(TaskFuture::new(
-                        t.into_fn(),
-                        TaskCtx::new(cancel.clone(), i),
-                    )),
+                    fut: Some(TaskFuture::new(t.into_fn(), TaskCtx::new(i))),
                     outcome: None,
                 })
             })
@@ -350,26 +347,34 @@ impl<'env> AsyncSession<'_, 'env> {
         shared.wait_done();
         // Workers may still hold the `Arc<WaveState>` briefly, so take
         // each outcome out of its slot instead of unwrapping the Arc.
+        // Every slot has resolved once the latch trips; an empty one
+        // could only mean its future was lost, which reads as abandoned.
         let outcomes: Vec<SlotOutcome<T>> = wave
             .slots
             .iter()
-            .map(|m| lock(m).outcome.take().unwrap_or(SlotOutcome::Cancelled))
+            .map(|m| lock(m).outcome.take().unwrap_or(SlotOutcome::Abandoned))
             .collect();
-        exec.flush_reactor_time(&shared);
+        // One flush per wave: the hot loop only touches the wave-local
+        // atomics in `Shared`.
         let polls = shared.polls.load(Ordering::Relaxed);
-        let cancelled = outcomes.iter().filter(|o| o.is_cancelled()).count();
+        let poll_ns = shared.poll_ns.load(Ordering::Relaxed);
+        let park_ns = shared.park_ns.load(Ordering::Relaxed);
+        if let Some(p) = &exec.profiler {
+            p.add_many_ns(PhaseKind::ReactorPoll, poll_ns, polls);
+            p.add_many_ns(
+                PhaseKind::ReactorPark,
+                park_ns,
+                shared.parks.load(Ordering::Relaxed),
+            );
+        }
         if let Some(m) = &exec.metrics {
+            let abandoned = outcomes.iter().filter(|o| o.is_abandoned()).count() as u64;
+            m.poll_ns.add(poll_ns);
+            m.park_ns.add(park_ns);
             m.polls.add(polls);
             m.polls_per_task_milli.set((polls * 1000 / n as u64) as i64);
-            m.tasks_cancelled.add(cancelled as u64);
-            m.tasks_abandoned
-                .add(outcomes.iter().filter(|o| o.is_abandoned()).count() as u64);
-            m.tasks_completed.add(
-                outcomes
-                    .iter()
-                    .filter(|o| matches!(o, SlotOutcome::Completed(_)))
-                    .count() as u64,
-            );
+            m.tasks_abandoned.add(abandoned);
+            m.tasks_completed.add(n as u64 - abandoned);
         }
         if let (Some(tracer), Some(start)) = (&exec.tracer, started) {
             let end = tracer.now_us();
@@ -379,7 +384,6 @@ impl<'env> AsyncSession<'_, 'env> {
                     tasks: n as u32,
                     workers: self.workers as u32,
                     polls,
-                    cancelled: cancelled as u32,
                 },
                 spec.parent,
                 None,
@@ -397,9 +401,9 @@ impl<'env> AsyncSession<'_, 'env> {
     }
 }
 
-/// The cooperative reactor backend: `workers` OS threads multiplex the
-/// whole wave, so thousands of simulated slots run in one process with
-/// a bounded thread count.
+/// The cooperative reactor backend: each job session's `workers` OS
+/// threads multiplex every wave, so thousands of simulated slots run in
+/// one process with a bounded thread count.
 pub struct AsyncExecutor {
     workers: usize,
     tracer: Option<Arc<Tracer>>,
@@ -440,24 +444,6 @@ impl AsyncExecutor {
     pub fn with_profiler(mut self, profiler: Arc<PhaseProfiler>) -> Self {
         self.profiler = Some(profiler);
         self
-    }
-
-    /// Flushes one wave's accumulated poll/park time into the exec
-    /// metrics and the phase profiler (one flush per wave — the hot
-    /// loop only touches the wave-local atomics in [`Shared`]).
-    fn flush_reactor_time(&self, shared: &Shared) {
-        let poll_ns = shared.poll_ns.load(Ordering::Relaxed);
-        let park_ns = shared.park_ns.load(Ordering::Relaxed);
-        let polls = shared.polls.load(Ordering::Relaxed);
-        let parks = shared.parks.load(Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.poll_ns.add(poll_ns);
-            m.park_ns.add(park_ns);
-        }
-        if let Some(p) = &self.profiler {
-            p.add_many_ns(PhaseKind::ReactorPoll, poll_ns, polls);
-            p.add_many_ns(PhaseKind::ReactorPark, park_ns, parks);
-        }
     }
 
     /// The resolved OS worker-thread count.
@@ -514,107 +500,9 @@ impl AsyncExecutor {
     }
 }
 
-impl Executor for AsyncExecutor {
-    fn run_wave<'env, T: Send + 'env>(
-        &self,
-        spec: &WaveSpec,
-        tasks: Vec<SlotTask<'env, T>>,
-    ) -> Vec<SlotOutcome<T>> {
-        let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = self.workers.min(n).max(1);
-        let started = self.tracer.as_ref().map(|t| t.now_us());
-        if let Some(m) = &self.metrics {
-            m.waves.inc();
-            m.workers.set(workers as i64);
-        }
-        let cancel = CancelToken::new();
-        let shared = Arc::new(Shared::new(n, self.metrics.clone()));
-        {
-            // Seeded-deterministic initial service order.
-            let mut order: Vec<usize> = (0..n).collect();
-            order.shuffle(&mut rng_for(spec.seed, spec.label));
-            let mut q = lock(&shared.queue);
-            q.extend(order);
-            shared.note_depth(q.len());
-        }
-        let slots: Vec<Mutex<Slot<'env, T>>> = tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                Mutex::new(Slot {
-                    fut: Some(TaskFuture::new(
-                        t.into_fn(),
-                        TaskCtx::new(cancel.clone(), i),
-                    )),
-                    outcome: None,
-                })
-            })
-            .collect();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let shared = &shared;
-                let slots = &slots;
-                s.spawn(move || {
-                    if let Some(m) = &shared.metrics {
-                        m.worker_starts.inc();
-                    }
-                    worker_loop(shared, slots);
-                });
-            }
-        });
-        self.flush_reactor_time(&shared);
-        let polls = shared.polls.load(Ordering::Relaxed);
-        let outcomes: Vec<SlotOutcome<T>> = slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .outcome
-                    .unwrap_or(SlotOutcome::Cancelled)
-            })
-            .collect();
-        let cancelled = outcomes.iter().filter(|o| o.is_cancelled()).count();
-        if let Some(m) = &self.metrics {
-            m.polls.add(polls);
-            m.polls_per_task_milli.set((polls * 1000 / n as u64) as i64);
-            m.tasks_cancelled.add(cancelled as u64);
-            m.tasks_abandoned
-                .add(outcomes.iter().filter(|o| o.is_abandoned()).count() as u64);
-            m.tasks_completed.add(
-                outcomes
-                    .iter()
-                    .filter(|o| matches!(o, SlotOutcome::Completed(_)))
-                    .count() as u64,
-            );
-        }
-        if let (Some(tracer), Some(start)) = (&self.tracer, started) {
-            let end = tracer.now_us();
-            tracer.record(
-                SpanKind::ExecutorWave {
-                    backend: "async".into(),
-                    tasks: n as u32,
-                    workers: workers as u32,
-                    polls,
-                    cancelled: cancelled as u32,
-                },
-                spec.parent,
-                None,
-                None,
-                start,
-                end,
-            );
-        }
-        outcomes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     fn wave(n: usize) -> Vec<SlotTask<'static, usize>> {
         (0..n)
@@ -627,10 +515,19 @@ mod tests {
             .collect()
     }
 
+    /// Runs `tasks` as the only wave of a fresh session on `exec`.
+    fn one_wave<'env, T: Send + 'env>(
+        exec: &'env AsyncExecutor,
+        spec: &WaveSpec,
+        tasks: Vec<SlotTask<'env, T>>,
+    ) -> Vec<SlotOutcome<T>> {
+        exec.with_session(|session| session.run_wave(spec, tasks))
+    }
+
     #[test]
     fn outcomes_are_input_ordered() {
         let exec = AsyncExecutor::new(3);
-        let out = exec.run_wave(&WaveSpec::new("t", 7), wave(100));
+        let out = one_wave(&exec, &WaveSpec::new("t", 7), wave(100));
         for (i, o) in out.into_iter().enumerate() {
             assert_eq!(o.completed(), Some(i * 2));
         }
@@ -640,7 +537,7 @@ mod tests {
     fn polls_are_exactly_two_per_task() {
         let reg = MetricsRegistry::new();
         let exec = AsyncExecutor::new(2).with_obs(Arc::new(Tracer::new()), &reg);
-        let out = exec.run_wave(&WaveSpec::new("t", 1), wave(50));
+        let out = one_wave(&exec, &WaveSpec::new("t", 1), wave(50));
         assert_eq!(out.len(), 50);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("exec.polls"), Some(100));
@@ -664,7 +561,7 @@ mod tests {
                     SlotTask::new(move |_: &TaskCtx| lock(order).push(i))
                 })
                 .collect();
-            AsyncExecutor::new(1).run_wave(&WaveSpec::new("order", seed), tasks);
+            one_wave(&AsyncExecutor::new(1), &WaveSpec::new("order", seed), tasks);
             order.into_inner().unwrap_or_else(PoisonError::into_inner)
         };
         let a = record(5);
@@ -678,25 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_drains_wave_early() {
-        // Single worker: the first task cancels the wave, so every task
-        // served after it is skipped.
-        let ran = AtomicUsize::new(0);
-        let tasks: Vec<SlotTask<'_, ()>> = (0..64)
-            .map(|_| {
-                let ran = &ran;
-                SlotTask::new(move |ctx: &TaskCtx| {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                    ctx.cancel_wave();
-                })
-            })
-            .collect();
-        let out = AsyncExecutor::new(1).run_wave(&WaveSpec::new("c", 3), tasks);
-        assert_eq!(ran.load(Ordering::SeqCst), 1);
-        assert_eq!(out.iter().filter(|o| o.is_cancelled()).count(), 63);
-    }
-
-    #[test]
     fn panic_abandons_only_that_task() {
         let tasks: Vec<SlotTask<'_, u32>> = (0..8)
             .map(|i| {
@@ -706,7 +584,7 @@ mod tests {
                 })
             })
             .collect();
-        let out = AsyncExecutor::new(2).run_wave(&WaveSpec::new("p", 9), tasks);
+        let out = one_wave(&AsyncExecutor::new(2), &WaveSpec::new("p", 9), tasks);
         assert!(out[3].is_abandoned());
         assert_eq!(
             out.iter()
@@ -721,7 +599,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let tracer = Arc::new(Tracer::new());
         let exec = AsyncExecutor::new(2).with_obs(tracer.clone(), &reg);
-        exec.run_wave(&WaveSpec::new("s", 11), wave(10));
+        one_wave(&exec, &WaveSpec::new("s", 11), wave(10));
         let trace = tracer.snapshot();
         let span = trace.of_kind("ExecutorWave").next().expect("span emitted");
         match &span.kind {
@@ -730,13 +608,11 @@ mod tests {
                 tasks,
                 workers,
                 polls,
-                cancelled,
             } => {
                 assert_eq!(backend, "async");
                 assert_eq!(*tasks, 10);
                 assert_eq!(*workers, 2);
                 assert_eq!(*polls, 20);
-                assert_eq!(*cancelled, 0);
             }
             other => panic!("unexpected kind {other:?}"),
         }
@@ -756,7 +632,7 @@ mod tests {
                 })
             })
             .collect();
-        exec.run_wave(&WaveSpec::new("timed", 1), tasks);
+        one_wave(&exec, &WaveSpec::new("timed", 1), tasks);
         // 16 × 1 ms of task body runs inside `poll`, so well over a
         // millisecond of poll time must have been attributed.
         assert!(reg.snapshot().counter("exec.poll_ns").unwrap() > 1_000_000);
@@ -767,9 +643,11 @@ mod tests {
 
     #[test]
     fn empty_wave_is_a_noop() {
-        let out: Vec<SlotOutcome<()>> =
-            AsyncExecutor::new(4).run_wave(&WaveSpec::new("e", 0), Vec::new());
+        let reg = MetricsRegistry::new();
+        let exec = AsyncExecutor::new(4).with_obs(Arc::new(Tracer::new()), &reg);
+        let out: Vec<SlotOutcome<()>> = one_wave(&exec, &WaveSpec::new("e", 0), Vec::new());
         assert!(out.is_empty());
+        assert_eq!(reg.snapshot().counter("exec.waves"), Some(0));
     }
 
     #[test]
@@ -821,29 +699,11 @@ mod tests {
     }
 
     #[test]
-    fn session_outcomes_match_standalone_waves() {
-        let standalone = AsyncExecutor::new(4).run_wave(&WaveSpec::new("cmp", 21), wave(64));
-        let exec = AsyncExecutor::new(4);
-        let sessioned = exec.with_session(|s| s.run_wave(&WaveSpec::new("cmp", 21), wave(64)));
-        let a: Vec<Option<usize>> = standalone.into_iter().map(SlotOutcome::completed).collect();
-        let b: Vec<Option<usize>> = sessioned.into_iter().map(SlotOutcome::completed).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn session_closure_panic_shuts_pool_down_and_propagates() {
         let exec = AsyncExecutor::new(2);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             exec.with_session(|_s| panic!("scripted session panic"))
         }));
         assert!(r.is_err(), "the closure panic must propagate");
-    }
-
-    #[test]
-    fn session_empty_wave_is_a_noop() {
-        let exec = AsyncExecutor::new(2);
-        let out: Vec<SlotOutcome<()>> =
-            exec.with_session(|s| s.run_wave(&WaveSpec::new("e", 0), Vec::new()));
-        assert!(out.is_empty());
     }
 }

@@ -1,44 +1,14 @@
 //! The unit of executor work: a boxed slot-task closure plus the
-//! context (cancel token, slot index) it runs with.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-/// Shared cancellation flag for one wave.
-///
-/// Any task can raise it (see [`TaskCtx::cancel_wave`]); both executor
-/// backends check it before *starting* each task, so a poisoned wave
-/// drains early instead of running every remaining slot task. Tasks
-/// already running are never interrupted — cancellation is cooperative.
-#[derive(Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Raises the flag. Idempotent.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Whether the flag has been raised.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-}
+//! context (slot index) it runs with.
 
 /// Per-task execution context handed to the slot-task closure.
 pub struct TaskCtx {
-    cancel: CancelToken,
     index: usize,
 }
 
 impl TaskCtx {
-    pub(crate) fn new(cancel: CancelToken, index: usize) -> Self {
-        Self { cancel, index }
+    pub(crate) fn new(index: usize) -> Self {
+        Self { index }
     }
 
     /// The task's position in the wave's input order (also the index of
@@ -46,23 +16,11 @@ impl TaskCtx {
     pub fn index(&self) -> usize {
         self.index
     }
-
-    /// Whether the wave has been cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.is_cancelled()
-    }
-
-    /// Cancels the rest of the wave: tasks that have not started yet
-    /// complete as [`SlotOutcome::Cancelled`].
-    pub fn cancel_wave(&self) {
-        self.cancel.cancel();
-    }
 }
 
 pub(crate) type TaskFn<'env, T> = Box<dyn FnOnce(&TaskCtx) -> T + Send + 'env>;
 
-/// One logical slot task: a closure the executor will run exactly once
-/// (or skip, if the wave is cancelled first).
+/// One logical slot task: a closure the executor will run exactly once.
 ///
 /// The closure borrows from the caller's environment (`'env`), so the
 /// engine's task bodies can capture `&JobTracker` without `'static`
@@ -87,8 +45,6 @@ impl<'env, T> SlotTask<'env, T> {
 pub enum SlotOutcome<T> {
     /// The task body ran to completion and returned this value.
     Completed(T),
-    /// The wave was cancelled before the task body started.
-    Cancelled,
     /// The task body panicked; the executor contained the panic. The
     /// engine surfaces this as `Error::ExecutorShutdown`.
     Abandoned,
@@ -99,13 +55,8 @@ impl<T> SlotOutcome<T> {
     pub fn completed(self) -> Option<T> {
         match self {
             SlotOutcome::Completed(v) => Some(v),
-            _ => None,
+            SlotOutcome::Abandoned => None,
         }
-    }
-
-    /// Whether the task was skipped by cancellation.
-    pub fn is_cancelled(&self) -> bool {
-        matches!(self, SlotOutcome::Cancelled)
     }
 
     /// Whether the task body panicked.
@@ -119,28 +70,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cancel_token_is_shared() {
-        let t = CancelToken::new();
-        let u = t.clone();
-        assert!(!u.is_cancelled());
-        t.cancel();
-        assert!(u.is_cancelled());
-    }
-
-    #[test]
-    fn ctx_exposes_index_and_cancel() {
-        let ctx = TaskCtx::new(CancelToken::new(), 7);
-        assert_eq!(ctx.index(), 7);
-        assert!(!ctx.is_cancelled());
-        ctx.cancel_wave();
-        assert!(ctx.is_cancelled());
+    fn ctx_exposes_index() {
+        assert_eq!(TaskCtx::new(7).index(), 7);
     }
 
     #[test]
     fn outcome_accessors() {
         assert_eq!(SlotOutcome::Completed(3).completed(), Some(3));
-        assert!(SlotOutcome::<u32>::Cancelled.is_cancelled());
         assert!(SlotOutcome::<u32>::Abandoned.is_abandoned());
-        assert_eq!(SlotOutcome::<u32>::Cancelled.completed(), None);
+        assert_eq!(SlotOutcome::<u32>::Abandoned.completed(), None);
     }
 }

@@ -1,21 +1,17 @@
 //! The per-slot OS-thread backend (Hadoop 1.0.3's TaskTracker model).
 
-use crate::task::{CancelToken, SlotOutcome, SlotTask, TaskCtx};
-use crate::{Executor, WaveSpec};
+use crate::task::{SlotOutcome, SlotTask, TaskCtx};
+use crate::WaveSpec;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One OS thread per occupied slot per wave, spawned in input order
 /// under `std::thread::scope` and joined in input order — exactly the
-/// engine's original wave loop, extracted behind the [`Executor`]
-/// contract. The only behavioural delta is hardening: a panicking task
-/// used to abort the whole process via `join().expect(...)`; here it is
-/// contained as [`SlotOutcome::Abandoned`] and surfaced as a typed
-/// error by the engine.
-///
-/// The wave's cancel token is honoured at task start: threads all spawn
-/// immediately, so how many tasks observe a cancellation raised
-/// mid-wave depends on OS scheduling — one reason `cancel_on_fatal`
-/// defaults to off (see `ExecutorConfig`).
+/// engine's original wave loop, extracted behind the wave contract
+/// (see `SessionExecutor::run_wave`). The only behavioural delta is
+/// hardening: a panicking task used to abort the whole process via
+/// `join().expect(...)`; here it is contained as
+/// [`SlotOutcome::Abandoned`] and surfaced as a typed error by the
+/// engine.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ThreadedExecutor;
 
@@ -24,25 +20,20 @@ impl ThreadedExecutor {
     pub fn new() -> Self {
         Self
     }
-}
 
-impl Executor for ThreadedExecutor {
-    fn run_wave<'env, T: Send + 'env>(
+    /// Executes one wave: outcomes in input order, panics contained.
+    pub fn run_wave<'env, T: Send + 'env>(
         &self,
         _spec: &WaveSpec,
         tasks: Vec<SlotTask<'env, T>>,
     ) -> Vec<SlotOutcome<T>> {
-        let cancel = CancelToken::new();
         std::thread::scope(|s| {
             let handles: Vec<_> = tasks
                 .into_iter()
                 .enumerate()
                 .map(|(i, t)| {
-                    let ctx = TaskCtx::new(cancel.clone(), i);
+                    let ctx = TaskCtx::new(i);
                     s.spawn(move || {
-                        if ctx.is_cancelled() {
-                            return SlotOutcome::Cancelled;
-                        }
                         let run = t.into_fn();
                         match catch_unwind(AssertUnwindSafe(move || run(&ctx))) {
                             Ok(v) => SlotOutcome::Completed(v),
@@ -97,29 +88,5 @@ mod tests {
                 .count(),
             3
         );
-    }
-
-    #[test]
-    fn pre_cancelled_token_skips_late_tasks() {
-        // Cancellation is honoured at task start; a wave cancelled by
-        // its very first action ends with skipped tasks.
-        let first = std::sync::atomic::AtomicBool::new(true);
-        let tasks: Vec<SlotTask<'_, ()>> = (0..256)
-            .map(|_| {
-                let first = &first;
-                SlotTask::new(move |ctx: &TaskCtx| {
-                    if first.swap(false, std::sync::atomic::Ordering::SeqCst) {
-                        ctx.cancel_wave();
-                    }
-                })
-            })
-            .collect();
-        let out = ThreadedExecutor::new().run_wave(&WaveSpec::new("c", 0), tasks);
-        assert_eq!(out.len(), 256);
-        // Timing-dependent how many, but the outcome vector is complete
-        // and every entry is either Completed or Cancelled.
-        assert!(out
-            .iter()
-            .all(|o| o.is_cancelled() || matches!(o, SlotOutcome::Completed(()))));
     }
 }

@@ -53,7 +53,7 @@ pub enum ExecutorKind {
 /// Wave-executor backend selection, threaded through [`ClusterConfig`]
 /// so the engine, the chaos harness and the figure runner all pick a
 /// backend in one place.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecutorConfig {
     /// Backend to execute waves with.
     pub backend: ExecutorKind,
@@ -61,25 +61,6 @@ pub struct ExecutorConfig {
     /// auto-size to the machine's available parallelism. Ignored by
     /// [`ExecutorKind::Threaded`].
     pub workers: u32,
-    /// Cooperatively cancel the rest of a wave once one of its tasks
-    /// hits a fatal (node-death-shaped) failure, so a poisoned wave
-    /// drains early instead of running every remaining slot task.
-    ///
-    /// Off by default: with cancellation on, *which* tasks of a
-    /// poisoned wave completed depends on worker timing, so wave counts
-    /// (and therefore randomized fault schedules keyed to wave-indexed
-    /// trigger points) stop being a pure function of the seed.
-    pub cancel_on_fatal: bool,
-}
-
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        Self {
-            backend: ExecutorKind::Threaded,
-            workers: 0,
-            cancel_on_fatal: false,
-        }
-    }
 }
 
 impl ExecutorConfig {
@@ -96,14 +77,7 @@ impl ExecutorConfig {
         Self {
             backend: ExecutorKind::Async,
             workers,
-            ..Self::default()
         }
-    }
-
-    /// Enables [`ExecutorConfig::cancel_on_fatal`].
-    pub fn with_cancel_on_fatal(mut self) -> Self {
-        self.cancel_on_fatal = true;
-        self
     }
 
     /// Backend override from the `RCMP_EXECUTOR` environment variable
@@ -605,13 +579,11 @@ mod tests {
         let cfg = ClusterConfig::small_test(4);
         assert_eq!(cfg.executor.backend, ExecutorKind::Threaded);
         assert_eq!(cfg.executor.workers, 0);
-        assert!(!cfg.executor.cancel_on_fatal);
         assert_eq!(
-            ExecutorConfig::async_workers(8).with_cancel_on_fatal(),
+            ExecutorConfig::async_workers(8),
             ExecutorConfig {
                 backend: ExecutorKind::Async,
                 workers: 8,
-                cancel_on_fatal: true,
             }
         );
     }

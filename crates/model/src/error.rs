@@ -179,11 +179,11 @@ mod tests {
     #[test]
     fn executor_shutdown_message() {
         let e = Error::ExecutorShutdown {
-            reason: "wave cancelled after fatal fault".into(),
+            reason: "map task panicked in wave 0".into(),
         };
         assert_eq!(
             e.to_string(),
-            "executor shut down: wave cancelled after fatal fault"
+            "executor shut down: map task panicked in wave 0"
         );
     }
 

@@ -160,8 +160,6 @@ pub enum SpanKind {
         workers: u32,
         /// Total future polls across the wave.
         polls: u64,
-        /// Tasks cooperatively cancelled before running.
-        cancelled: u32,
     },
     /// The closed-loop adaptive policy re-derived its replication
     /// interval after a job completed (`rcmp_policy::adapt`). The

@@ -1,11 +1,10 @@
 //! Executor-backend acceptance tests: the async reactor's OS-thread
-//! budget at DCO scale, cross-backend agreement on the real engine, and
-//! cooperative wave cancellation after a fatal fault.
+//! budget at DCO scale, and cross-backend agreement on the real engine.
 
-use rcmp::engine::{Cluster, JobRun, JobTracker, NoFailures, ScriptedInjector, TriggerPoint};
-use rcmp::exec::{AsyncExecutor, Executor, SlotOutcome, SlotTask, TaskCtx, WaveSpec};
+use rcmp::engine::{Cluster, JobRun, JobTracker, NoFailures};
+use rcmp::exec::{BackendExecutor, SlotOutcome, SlotTask, TaskCtx, WaveSpec};
 use rcmp::model::{ByteSize, ClusterConfig, ExecutorConfig, NodeId, SlotConfig, TaskId};
-use rcmp::obs::{MetricsRegistry, SnapshotValue, SpanKind, Tracer};
+use rcmp::obs::{MetricsRegistry, SnapshotValue, Tracer};
 use rcmp::workloads::checksum::digest_file;
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
 use std::sync::Arc;
@@ -17,9 +16,10 @@ fn num_cpus() -> usize {
 }
 
 /// Acceptance: a DCO-scale wave — every slot of all 60 nodes 80 times
-/// over, 4800 logical tasks — runs on the async backend with at most
-/// `num_cpus` worker OS threads, observed through the `exec.workers`
-/// gauge the reactor sets when it sizes the wave's pool.
+/// over, 4800 logical tasks — runs through an async-backend session
+/// with at most `num_cpus` worker OS threads, observed through the
+/// `exec.workers` gauge the reactor sets when it sizes the session's
+/// pool.
 #[test]
 fn async_dco_wave_runs_on_bounded_worker_pool() {
     const TASKS_PER_NODE: usize = 80;
@@ -29,11 +29,13 @@ fn async_dco_wave_runs_on_bounded_worker_pool() {
 
     let tracer = Arc::new(Tracer::new());
     let registry = MetricsRegistry::new();
-    let exec = AsyncExecutor::new(0).with_obs(tracer, &registry);
+    let exec =
+        BackendExecutor::from_config(&ExecutorConfig::async_auto()).with_obs(tracer, &registry);
     let tasks: Vec<SlotTask<'_, usize>> = (0..total)
         .map(|i| SlotTask::new(move |_: &TaskCtx| i))
         .collect();
-    let outcomes = exec.run_wave(&WaveSpec::new("dco-wave", 0xdc0), tasks);
+    let outcomes =
+        exec.with_session(|session| session.run_wave(&WaveSpec::new("dco-wave", 0xdc0), tasks));
 
     assert_eq!(outcomes.len(), total);
     for (i, o) in outcomes.iter().enumerate() {
@@ -107,75 +109,4 @@ fn backends_execute_identical_schedules() {
         assert_eq!(threaded.io, asynced.io, "I/O accounting diverged: {cfg:?}");
         assert_eq!(threaded_digest, async_digest, "output diverged: {cfg:?}");
     }
-}
-
-fn crash_run(
-    executor: ExecutorConfig,
-) -> (
-    rcmp::engine::JobReport,
-    usize,
-    rcmp::workloads::OutputDigest,
-) {
-    let cl = Cluster::new(ClusterConfig {
-        nodes: 4,
-        slots: SlotConfig::TWO_TWO,
-        block_size: ByteSize::kib(4),
-        max_recovery_attempts: 100,
-        seed: 11,
-        executor,
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: Default::default(),
-        chain_cache: Default::default(),
-    });
-    generate_input(cl.dfs(), &DataGenConfig::test("input", 4, 33_000)).unwrap();
-    let chain = ChainBuilder::new(1, 4).build();
-    // Kill node 1 after wave 0 is assigned but before it executes: its
-    // in-flight map tasks hit fatal node-death failures when they run.
-    let injector = Arc::new(ScriptedInjector::single(
-        1,
-        TriggerPoint::MidMapWave(0),
-        NodeId(1),
-    ));
-    let tracker = JobTracker::new(&cl, injector);
-    let report = tracker.run(&JobRun::full(chain.job(1).clone()), 1).unwrap();
-    let task_spans = cl
-        .tracer()
-        .snapshot()
-        .spans()
-        .iter()
-        .filter(|s| matches!(s.kind, SpanKind::Task { .. }))
-        .count();
-    let digest = digest_file(cl.dfs(), chain.final_output(), cl.live_nodes()[0])
-        .unwrap()
-        .0;
-    (report, task_spans, digest)
-}
-
-/// Cooperative cancellation: with `cancel_on_fatal` on, the first fatal
-/// failure of a wave drains the rest of it — the skipped tasks never
-/// open task spans and are re-assigned in the next recovery round — so
-/// the trace holds strictly fewer task spans than the same crash
-/// without cancellation, and the output is still exact.
-#[test]
-fn cancel_on_fatal_drains_poisoned_wave_early() {
-    // Single worker: the wave drains in seeded order, so how many tasks
-    // run before the fatal one is a pure function of the seed.
-    let (baseline, baseline_spans, baseline_digest) = crash_run(ExecutorConfig::async_workers(1));
-    let (cancelled, cancelled_spans, cancelled_digest) =
-        crash_run(ExecutorConfig::async_workers(1).with_cancel_on_fatal());
-
-    assert_eq!(baseline.tasks_cancelled, 0);
-    assert!(
-        cancelled.tasks_cancelled > 0,
-        "the fatal fault must cancel at least one queued task"
-    );
-    assert!(
-        cancelled_spans < baseline_spans,
-        "cancelled run must attempt fewer tasks ({cancelled_spans} vs {baseline_spans})"
-    );
-    assert_eq!(
-        baseline_digest, cancelled_digest,
-        "cancellation must not change the output"
-    );
 }
