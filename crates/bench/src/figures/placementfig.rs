@@ -21,8 +21,8 @@ use rcmp_policy::Membership;
 use rcmp_sim::{simulate_chain, ChainSimConfig, FailureAt, HwProfile, WorkloadCfg};
 use serde::{Deserialize, Serialize};
 
-/// The four kernels the comparison sweeps, in `RCMP_PLACEMENT` syntax
-/// order: `default`, `rack`, `delay:3`, `capacity`.
+/// The four kernels the comparison sweeps, by label: `default`,
+/// `rack`, `delay:3`, `capacity`.
 pub fn kernels() -> [PlacementKernel; 4] {
     [
         PlacementKernel::Default,
@@ -37,7 +37,7 @@ pub fn kernels() -> [PlacementKernel; 4] {
 pub struct PlacementRow {
     /// Cluster scenario label.
     pub scenario: String,
-    /// Kernel label (`PlacementKernel::label` / `RCMP_PLACEMENT`).
+    /// Kernel label (`PlacementKernel::label`).
     pub kernel: String,
     /// Cluster width.
     pub nodes: u32,

@@ -17,7 +17,7 @@ use rcmp_obs::{
     Tracer,
 };
 use rcmp_policy::{rehome_target, NodeStatus, RackTopology, Rehome};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -508,11 +508,28 @@ impl Dfs {
 
     /// Appends one writer's segment whose blocks are exactly the given
     /// chunks (callers guarantee record alignment; chunks may be smaller
-    /// than the block size but must not be larger).
+    /// than the block size but must not be larger). The unsplit case of
+    /// [`Dfs::write_split_chunks`].
     pub fn write_partition_chunks(
         &self,
         path: &str,
         pid: PartitionId,
+        chunks: Vec<Bytes>,
+        writer: NodeId,
+        policy: PlacementPolicy,
+    ) -> Result<()> {
+        self.write_split_chunks(path, pid, 0, chunks, writer, policy)
+    }
+
+    /// [`Dfs::write_partition_chunks`] for split `split` of a reducer:
+    /// the segment goes after every segment of a lower or equal split,
+    /// so the partition's block order (the next job's mapper numbering)
+    /// does not depend on which split finished first.
+    pub fn write_split_chunks(
+        &self,
+        path: &str,
+        pid: PartitionId,
+        split: u32,
         chunks: Vec<Bytes>,
         writer: NodeId,
         policy: PlacementPolicy,
@@ -602,12 +619,18 @@ impl Dfs {
             obs.write_us.observe(dur);
             obs.profiler.add_us(PhaseKind::DfsWrite, dur);
         }
-        let segment = SegmentMeta { writer, blocks };
+        let segment = SegmentMeta {
+            writer,
+            split,
+            blocks,
+        };
         let mut ns = self.namespace.write();
         let meta = ns
             .get_mut(path)
             .ok_or_else(|| Error::FileNotFound(path.to_string()))?;
-        meta.partitions[pid.index()].segments.push(segment);
+        let segments = &mut meta.partitions[pid.index()].segments;
+        let at = segments.partition_point(|s| s.split <= split);
+        segments.insert(at, segment);
         Ok(())
     }
 
@@ -820,20 +843,31 @@ impl Dfs {
         }
     }
 
-    /// Fault injection: silently corrupts the payload of one block
-    /// replica stored on `node` — the *highest* block id present, i.e.
-    /// the most recently written block, which in a running chain is a
-    /// job output rather than the (better-replicated) chain input.
-    /// Deterministic for a given store state. Namespace metadata —
-    /// including the recorded checksum — is untouched; the damage is
-    /// discovered by the next verified read. Returns the victim block,
-    /// or `None` when the node stores nothing corruptible.
+    /// Fault injection: silently corrupts one block replica on `node`:
+    /// the last, in namespace order (partition, split, chunk), of the
+    /// most recently written file with a replica there — in a running
+    /// chain a job output, not the better-replicated chain input.
+    /// Namespace order, not block id, because concurrent writers draw
+    /// ids in a race; files rank by their newest id on the node, since
+    /// one chain never writes two files in one wave. Metadata and the
+    /// recorded checksum are untouched: the next verified read finds
+    /// the damage. Returns the victim, or `None` if nothing corrupts.
     pub fn corrupt_replica_on(&self, node: NodeId) -> Option<BlockId> {
         let store = self.store(node)?;
-        let victim = store
-            .block_ids()
+        let held: HashSet<BlockId> = store.block_ids().into_iter().collect();
+        let mut files: Vec<Vec<BlockId>> = (self.namespace.read().values())
+            .map(|meta| {
+                let blocks = meta.partitions.iter().flat_map(PartitionMeta::blocks);
+                blocks
+                    .map(|b| b.id)
+                    .filter(|id| held.contains(id))
+                    .collect()
+            })
+            .collect();
+        files.sort_by_key(|ids| std::cmp::Reverse(ids.iter().max().copied()));
+        let victim = files
             .into_iter()
-            .rev()
+            .flat_map(|ids| ids.into_iter().rev())
             .find(|&id| store.corrupt(id))?;
         self.invalidate_cached_block(victim);
         Some(victim)
@@ -1533,6 +1567,54 @@ mod tests {
         assert!(matches!(err, Error::DataLoss { .. }), "{err:?}");
         assert_no_orphans(&d);
         assert_eq!(d.node_status(NodeId(0)), Some(NodeStatus::Up));
+    }
+
+    /// Splits that finish out of order still leave the partition in
+    /// split order.
+    #[test]
+    fn split_segments_keep_split_order() {
+        let d = dfs(4);
+        d.create_file("f", 1, 1).unwrap();
+        for split in [2u32, 0, 1] {
+            let chunk = payload(8, split as u8);
+            d.write_split_chunks(
+                "f",
+                PartitionId(0),
+                split,
+                vec![chunk],
+                NodeId(split),
+                PlacementPolicy::WriterLocal,
+            )
+            .unwrap();
+        }
+        let got = d.read_partition("f", PartitionId(0), NodeId(3)).unwrap();
+        let want: Vec<u8> = [0u8, 1, 2].iter().flat_map(|&b| [b; 8]).collect();
+        assert_eq!(&got[..], &want[..]);
+    }
+
+    /// The corruption victim comes from the most recently written file
+    /// on the node, and within it is the last block in namespace order,
+    /// whatever order its blocks' ids were drawn in.
+    #[test]
+    fn corruption_victim_is_last_block_of_newest_file() {
+        let d = dfs(2);
+        let write = |path: &str, pid: u32| {
+            d.write_partition_segment(
+                path,
+                PartitionId(pid),
+                payload(8, 7),
+                NodeId(0),
+                PlacementPolicy::WriterLocal,
+            )
+            .unwrap();
+        };
+        d.create_file("old", 1, 1).unwrap();
+        d.create_file("new", 1, 2).unwrap();
+        write("old", 0);
+        write("new", 1);
+        write("new", 0); // the highest id, but not the last block
+        let last = d.partition_locations("new", PartitionId(1)).unwrap()[0].id;
+        assert_eq!(d.corrupt_replica_on(NodeId(0)), Some(last));
     }
 
     #[test]

@@ -12,6 +12,10 @@ use serde::{Deserialize, Serialize};
 pub struct SegmentMeta {
     /// Node that produced this segment (for provenance/debugging).
     pub writer: NodeId,
+    /// Split index of the writer (`0` for an unsplit one). A partition
+    /// keeps its segments in split order, whatever order the splits
+    /// finished in.
+    pub split: u32,
     pub blocks: Vec<BlockInfo>,
 }
 
@@ -124,10 +128,12 @@ mod tests {
         let mut f = FileMeta::new("out/1", 1, 2);
         f.partitions[0].segments.push(SegmentMeta {
             writer: NodeId(0),
+            split: 0,
             blocks: vec![block(1, 100, &[0]), block(2, 50, &[0])],
         });
         f.partitions[1].segments.push(SegmentMeta {
             writer: NodeId(1),
+            split: 0,
             blocks: vec![block(3, 25, &[1])],
         });
         assert_eq!(f.partitions[0].size(), ByteSize::bytes(150));
@@ -140,6 +146,7 @@ mod tests {
         let mut p = PartitionMeta::new(PartitionId(0));
         p.segments.push(SegmentMeta {
             writer: NodeId(0),
+            split: 0,
             blocks: vec![block(1, 10, &[0, 1]), block(2, 10, &[0])],
         });
         assert!(!p.is_lost());

@@ -14,14 +14,19 @@
 //!   loss-report → recomputation path.
 //! * [`Fault::CorruptReplica`] — silent bit-flip in one stored replica;
 //!   caught by checksum verification on read.
-//! * [`Fault::TornWrite`] — a node dies mid-write after committing a
-//!   strict prefix of its output chunks; healed by the tracker's
-//!   torn-partition re-enqueue.
+//! * [`Fault::TornWrite`] — a reducer commits a strict prefix of its
+//!   output chunks and its node dies at the wave boundary; healed by
+//!   the tracker's torn-partition re-enqueue.
 //! * [`Fault::ShuffleFlake`] — transient shuffle-fetch failures;
 //!   absorbed by bounded retry.
 //! * [`Fault::NodeDrain`] — graceful membership removal (the benign
 //!   counterpart of a crash): the node stops taking tasks and replicas
 //!   but its data stays readable, so nothing needs recovery at all.
+//!
+//! Partial faults (torn writes and flakes) are armed on the chain's
+//! tracker, handed to specific reduce tasks when their wave is
+//! assigned, and committed by the control thread at the wave boundary,
+//! so a schedule replays identically on every executor backend.
 //!
 //! The [`RandomizedInjector`] turns these into seeded chaos schedules
 //! for soak testing.
@@ -80,12 +85,14 @@ pub enum Fault {
     /// Namespace metadata (including the recorded checksum) is left
     /// untouched, so the damage surfaces on the next verified read.
     CorruptReplica { node: NodeId },
-    /// Arm a torn write: the next partition write performed by this node
-    /// commits only a strict prefix of its chunks and the node dies
-    /// mid-write.
+    /// Arm a torn write: the first reducer assigned to this node in the
+    /// next reduce wave commits only a strict prefix of its chunks, and
+    /// the node dies at the end of that wave. A reducer that fails
+    /// before writing passes the arm on to the node's next reducer.
     TornWrite { node: NodeId },
     /// Arm transient shuffle failures: the next `times` shuffle attempts
-    /// by reducers running on this node fail retryably.
+    /// by this chain's reducers on this node fail retryably, handed out
+    /// in wave input order, at most one attempt budget per task.
     ShuffleFlake { node: NodeId, times: u32 },
     /// Gracefully drain the node (Up → Draining): it stops receiving
     /// tasks and new replicas, but everything it stores stays readable.

@@ -365,9 +365,6 @@ pub struct MapOutputStore {
     shards: RwLock<Shards>,
     /// Outputs inserted since the index was last brought up to date.
     inserted: Mutex<Vec<Inserted>>,
-    /// Armed transient shuffle failures: reducers running on these nodes
-    /// fail their next N shuffle attempts retryably (fault injection).
-    flakes: Mutex<HashMap<NodeId, u32>>,
 }
 
 impl MapOutputStore {
@@ -544,32 +541,6 @@ impl MapOutputStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Arms `times` transient shuffle failures against reducers running
-    /// on `node` (fault injection: a flaky network path or a serving
-    /// node briefly refusing connections).
-    pub fn arm_flake(&self, node: NodeId, times: u32) {
-        if times == 0 {
-            return;
-        }
-        *self.flakes.lock().entry(node).or_insert(0) += times;
-    }
-
-    /// Consumes one armed flake for `node`. Returns true when the
-    /// caller's shuffle attempt must fail transiently.
-    pub fn take_flake(&self, node: NodeId) -> bool {
-        let mut flakes = self.flakes.lock();
-        match flakes.get_mut(&node) {
-            Some(n) => {
-                *n -= 1;
-                if *n == 0 {
-                    flakes.remove(&node);
-                }
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -684,20 +655,6 @@ mod tests {
         assert!(s.is_empty());
         store_one(&s, 1, 0, 0);
         assert!(s.total_bytes() > 0);
-    }
-
-    #[test]
-    fn flakes_decrement_and_clear() {
-        let s = MapOutputStore::new();
-        assert!(!s.take_flake(NodeId(0)), "nothing armed");
-        s.arm_flake(NodeId(0), 2);
-        s.arm_flake(NodeId(0), 1); // stacks
-        s.arm_flake(NodeId(1), 0); // no-op
-        assert!(!s.take_flake(NodeId(1)));
-        for _ in 0..3 {
-            assert!(s.take_flake(NodeId(0)));
-        }
-        assert!(!s.take_flake(NodeId(0)), "budget consumed");
     }
 
     #[test]

@@ -30,10 +30,6 @@ pub enum ShuffleFailure {
         key: MapInputKey,
         source: rcmp_model::Error,
     },
-    /// The fetch failed transiently (flaky network path, serving node
-    /// briefly unreachable). Retrying the shuffle is expected to
-    /// succeed.
-    Transient { node: NodeId },
 }
 
 /// What one reducer fetched: the non-empty payloads in `inputs` order
@@ -60,9 +56,6 @@ fn fetch(
     reduce: ReduceTaskId,
     node: NodeId,
 ) -> std::result::Result<Fetched, ShuffleFailure> {
-    if store.take_flake(node) {
-        return Err(ShuffleFailure::Transient { node });
-    }
     let fetch = store.fetch_buckets(inputs, reduce);
     if !fetch.missing.is_empty() {
         return Err(ShuffleFailure::MissingMapOutputs(fetch.missing));
@@ -563,22 +556,6 @@ mod tests {
             Err(ShuffleFailure::MissingMapOutputs(m)) => assert_eq!(m, vec![gone]),
             other => panic!("expected missing outputs, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn armed_flake_fails_transiently_then_clears() {
-        let store = MapOutputStore::new();
-        let job = JobId(1);
-        let r = ReduceTaskId::whole(job, PartitionId(0));
-        store.arm_flake(NodeId(0), 1);
-        match streamed(&store, &[], r, NodeId(0)) {
-            Err(ShuffleFailure::Transient { node }) => assert_eq!(node, NodeId(0)),
-            other => panic!("expected transient failure, got {other:?}"),
-        }
-        // The flake is consumed; the retry succeeds.
-        assert!(streamed(&store, &[], r, NodeId(0)).is_ok());
-        // Other nodes were never affected.
-        assert!(streamed(&store, &[], r, NodeId(1)).is_ok());
     }
 
     /// A bucket not attested sorted is decoded at plan time, so its

@@ -34,7 +34,7 @@ use crate::task::{encode_sorted_bucket, BucketSlots, MapBuckets, MapTask, Reduce
 use crate::udf::Combiner;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use rcmp_dfs::{ChainCache, LossReport, PlacementPolicy};
+use rcmp_dfs::{ChainCache, PlacementPolicy};
 use rcmp_exec::{BackendExecutor, SessionExecutor, SlotOutcome, SlotTask, TaskCtx, WaveSpec};
 use rcmp_model::rng::derive_indexed;
 use rcmp_model::{
@@ -46,7 +46,7 @@ use rcmp_obs::{
     SpanId, SpanKind, Tracer,
 };
 use rcmp_policy::{reduce_task_set, reduce_tasks_for, PolicyCtx, SliceTopology};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -99,9 +99,12 @@ pub struct JobTracker<'a> {
     /// admitted chain its own reactor session from a global worker
     /// budget). `None` runs on the cluster's shared executor.
     executor: Option<Arc<BackendExecutor>>,
-    /// Nodes armed for a torn write: their next partition write commits
-    /// only a strict prefix of its chunks and the node dies mid-write.
+    /// Partial faults armed by the injector, not yet handed to a task:
+    /// nodes whose next reducer tears its write, and shuffle attempts
+    /// left to fail per node. They belong to this tracker, so to its
+    /// chain, and never reach another chain.
     torn: Mutex<BTreeSet<NodeId>>,
+    flakes: Mutex<BTreeMap<NodeId, u32>>,
     tracer: Arc<Tracer>,
     /// Always-on flight recorder (compact events, ring-buffered).
     recorder: Arc<FlightRecorder>,
@@ -126,23 +129,33 @@ struct RunAt {
     recompute: bool,
 }
 
+/// The partial faults one reduce task carries, handed out on the
+/// control thread when its wave is assigned: whether it tears its
+/// write, and how many of its shuffle attempts fail transiently.
+#[derive(Clone, Copy)]
+struct TaskFaults {
+    torn: bool,
+    flakes: u32,
+}
+
 enum ReduceOutcome {
     Done(ReduceTask, TaskRecord),
-    /// Shuffle found map outputs missing (lost to a failure, or dropped
-    /// because their payload failed to decode); the task stays pending
-    /// and the phase loop re-runs the mappers first.
-    Missing,
+    /// Shuffle found map outputs missing (lost to a failure, or — with
+    /// the key — a stored output whose payload failed to decode, which
+    /// the wave's accounting drops); the task stays pending and the
+    /// phase loop re-runs the mappers first.
+    Missing(Option<MapInputKey>),
     /// Execution failed for a retryable reason (e.g. writer node died,
     /// or transient shuffle failures exhausted their attempt budget);
     /// the task stays pending and is reassigned next round.
     Retry(ReduceTaskId),
-    /// The writer died mid-write leaving a strict prefix of the
-    /// partition's chunks committed. The partition may look healthy
-    /// (written, replicated) while silently missing records, so the
-    /// phase loop must clear and fully re-reduce it.
+    /// The writer committed a strict prefix of the partition's chunks
+    /// and its node dies at the wave boundary. The partition may look
+    /// healthy (written, replicated) while silently missing records, so
+    /// the phase loop must clear and fully re-reduce it.
     Torn {
         task: ReduceTask,
-        loss: LossReport,
+        node: NodeId,
     },
     /// The task hit an error no re-execution can cure (a reducer
     /// emitting a record larger than a block): the job fails with it.
@@ -157,6 +170,7 @@ impl<'a> JobTracker<'a> {
             tenant: None,
             executor: None,
             torn: Mutex::new(BTreeSet::new()),
+            flakes: Mutex::new(BTreeMap::new()),
             tracer: cluster.tracer().clone(),
             recorder: cluster.recorder().clone(),
             profiler: cluster.profiler().clone(),
@@ -510,57 +524,76 @@ impl<'a> JobTracker<'a> {
                         (Phase::Reduce, wave_idx, live.len() as u32 * slot_cfg.reduce),
                         wave,
                         &mut report,
+                        // Called in input order after the mid-wave
+                        // injection point, so which task carries each
+                        // armed fault is fixed before any task runs.
                         |node, task: ReduceTask, wave_span| {
+                            let faults = self.take_faults(node);
                             let input_keys = Arc::clone(&input_keys);
                             SlotTask::new(move |_: &TaskCtx| {
-                                self.run_reduce_task(
+                                let outcome = self.run_reduce_task(
                                     node,
                                     task,
+                                    faults,
                                     input_keys.as_slice(),
                                     spec,
                                     placement,
                                     wave_idx,
                                     wave_span,
-                                )
+                                );
+                                (node, faults.torn, outcome)
                             })
                         },
-                        |outcome, report| match outcome {
-                            ReduceOutcome::Done(task, rec) => {
-                                report.io += rec.io;
-                                report.tasks.push(rec);
-                                report.reduce_tasks_run += 1;
-                                pending_reduces.retain(|t| t.id != task.id);
-                                Ok(false)
+                        |(node, torn, outcome), report| {
+                            if torn && !matches!(outcome, ReduceOutcome::Torn { .. }) {
+                                // Failed before its write: re-arm.
+                                self.torn.lock().insert(node);
                             }
-                            ReduceOutcome::Missing => {
-                                report.task_retries += 1;
-                                Ok(true)
-                            }
-                            ReduceOutcome::Retry(id) => {
-                                report.task_retries += 1;
-                                self.charge_retry(&mut reduce_retries, id, spec.job, || {
-                                    format!("reduce task {id} kept failing retryably")
-                                })?;
-                                Ok(true)
-                            }
-                            ReduceOutcome::Fatal(e) => Err(e),
-                            ReduceOutcome::Torn { task, loss } => {
-                                report.task_retries += 1;
-                                // A torn write silently damaged the output
-                                // partition — a loss in its own right.
-                                let loss_span = self.tracer.instant(
-                                    SpanKind::Loss {
-                                        seq,
-                                        lost_partitions: 1,
-                                    },
-                                    Some(job_span),
-                                    None,
-                                    loss.node,
-                                );
-                                self.tracer.mark_cause(loss_span);
-                                report.losses.push(loss);
-                                torn_partitions.insert(task.id.partition);
-                                Ok(true)
+                            match outcome {
+                                ReduceOutcome::Done(task, rec) => {
+                                    report.io += rec.io;
+                                    report.tasks.push(rec);
+                                    report.reduce_tasks_run += 1;
+                                    pending_reduces.retain(|t| t.id != task.id);
+                                    Ok(false)
+                                }
+                                ReduceOutcome::Missing(corrupt) => {
+                                    // Drop a corrupt output: its mapper
+                                    // re-runs.
+                                    if let Some(key) = corrupt {
+                                        self.cluster.map_outputs().remove(&key);
+                                    }
+                                    report.task_retries += 1;
+                                    Ok(true)
+                                }
+                                ReduceOutcome::Retry(id) => {
+                                    report.task_retries += 1;
+                                    self.charge_retry(&mut reduce_retries, id, spec.job, || {
+                                        format!("reduce task {id} kept failing retryably")
+                                    })?;
+                                    Ok(true)
+                                }
+                                ReduceOutcome::Fatal(e) => Err(e),
+                                ReduceOutcome::Torn { task, node } => {
+                                    report.task_retries += 1;
+                                    // The torn writer dies at the wave
+                                    // boundary, unseen by its siblings;
+                                    // its partition is a loss of its own.
+                                    let loss = self.cluster.fail_node(node);
+                                    let loss_span = self.tracer.instant(
+                                        SpanKind::Loss {
+                                            seq,
+                                            lost_partitions: 1,
+                                        },
+                                        Some(job_span),
+                                        None,
+                                        loss.node,
+                                    );
+                                    self.tracer.mark_cause(loss_span);
+                                    report.losses.push(loss);
+                                    torn_partitions.insert(task.id.partition);
+                                    Ok(true)
+                                }
                             }
                         },
                     )?;
@@ -707,7 +740,9 @@ impl<'a> JobTracker<'a> {
                     self.torn.lock().insert(node);
                 }
                 Fault::ShuffleFlake { node, times } => {
-                    self.cluster.map_outputs().arm_flake(node, times);
+                    let mut flakes = self.flakes.lock();
+                    let left = flakes.entry(node).or_insert(0);
+                    *left = left.saturating_add(times);
                 }
                 Fault::NodeDrain { node } => {
                     // Graceful membership change, not a failure: the
@@ -723,6 +758,23 @@ impl<'a> JobTracker<'a> {
             }
         }
         kills
+    }
+
+    /// Hands the next reduce task on `node` its share of the faults
+    /// armed there: the torn write, if one is armed, and up to one
+    /// task's shuffle-attempt budget of flakes. What is left stays armed
+    /// for the node's next reducers.
+    fn take_faults(&self, node: NodeId) -> TaskFaults {
+        let mut flakes = self.flakes.lock();
+        let left = flakes.remove(&node).unwrap_or(0);
+        let taken = left.min(self.cluster.config().retry.shuffle_attempts);
+        if left > taken {
+            flakes.insert(node, left - taken);
+        }
+        TaskFaults {
+            torn: self.torn.lock().remove(&node),
+            flakes: taken,
+        }
     }
 
     /// Nodes the next wave may be scheduled on (Up only — draining
@@ -1132,6 +1184,7 @@ impl<'a> JobTracker<'a> {
         &self,
         node: NodeId,
         task: ReduceTask,
+        faults: TaskFaults,
         input_keys: &[MapInputKey],
         spec: &JobSpec,
         placement: PlacementPolicy,
@@ -1140,8 +1193,9 @@ impl<'a> JobTracker<'a> {
     ) -> ReduceOutcome {
         let tid: TaskId = task.id.into();
         let open = self.tracer.open();
-        let outcome =
-            self.reduce_task_inner(node, task, input_keys, spec, placement, wave_idx, open.id);
+        let outcome = self.reduce_task_inner(
+            node, task, faults, input_keys, spec, placement, wave_idx, open.id,
+        );
         let (ok, bytes_in, bytes_out) = match &outcome {
             ReduceOutcome::Done(_, rec) => (true, rec.io.shuffle_total(), rec.io.output_written),
             _ => (false, 0, 0),
@@ -1204,50 +1258,45 @@ impl<'a> JobTracker<'a> {
         ns
     }
 
-    /// Runs one reducer's shuffle, absorbing transient failures in place
-    /// with seeded full-jitter backoff (concurrent failing fetches
-    /// spread out instead of hammering the flaky path in lockstep) —
-    /// but not forever: a path this flaky needs the task rescheduled.
-    /// Charges the [`PhaseKind::ShuffleFetch`] budget with the time
-    /// spent fetching, the backoff sleeps excluded, and returns the
-    /// result with the tracer timestamps bracketing the whole shuffle.
+    /// Runs one reducer's shuffle. Its first `flakes` attempts fail
+    /// transiently (armed shuffle flakes, never more than the attempt
+    /// budget) and are absorbed in place with seeded full-jitter backoff
+    /// (concurrent failing fetches spread out instead of hammering the
+    /// flaky path in lockstep) — but not forever: a task whose every
+    /// attempt flaked needs rescheduling. Charges the
+    /// [`PhaseKind::ShuffleFetch`] budget with the time spent fetching,
+    /// the backoff sleeps excluded, and returns the result with the
+    /// tracer timestamps bracketing the whole shuffle.
     fn shuffle_with_retry<T>(
         &self,
         node: NodeId,
         id: ReduceTaskId,
-        shuffle: impl Fn() -> std::result::Result<T, ShuffleFailure>,
+        flakes: u32,
+        shuffle: impl FnOnce() -> std::result::Result<T, ShuffleFailure>,
     ) -> std::result::Result<(T, u64, u64), ReduceOutcome> {
         let retry = self.cluster.config().retry;
-        let backoff_site = self.backoff_site_seed(id);
         let start = self.tracer.now_us();
         let mut backoff_ns = 0u64;
-        let mut attempt = 0u32;
-        let shuffled = loop {
-            attempt += 1;
-            match shuffle() {
-                Ok(shuffled) => break shuffled,
-                Err(ShuffleFailure::MissingMapOutputs(_)) => return Err(ReduceOutcome::Missing),
-                Err(ShuffleFailure::Corrupt { key, .. }) => {
-                    // The stored copy is permanently bad: retrying
-                    // the fetch returns the same bytes. Drop the
-                    // entry so the phase loop re-runs that mapper
-                    // from its input block, then report missing.
-                    self.cluster.map_outputs().remove(&key);
-                    return Err(ReduceOutcome::Missing);
-                }
-                Err(ShuffleFailure::Transient { .. }) => {
-                    self.m_shuffle_transients.inc();
-                    self.recorder.record(
-                        EventCode::ShuffleRetry,
-                        Some(node),
-                        u64::from(id.partition.0),
-                        u64::from(attempt),
-                    );
-                    if attempt >= retry.shuffle_attempts {
-                        return Err(ReduceOutcome::Retry(id));
-                    }
-                    backoff_ns += self.backoff(&retry, backoff_site, attempt);
-                }
+        for attempt in 1..=flakes {
+            self.m_shuffle_transients.inc();
+            self.recorder.record(
+                EventCode::ShuffleRetry,
+                Some(node),
+                u64::from(id.partition.0),
+                u64::from(attempt),
+            );
+            if attempt >= retry.shuffle_attempts {
+                return Err(ReduceOutcome::Retry(id));
+            }
+            backoff_ns += self.backoff(&retry, self.backoff_site_seed(id), attempt);
+        }
+        let shuffled = match shuffle() {
+            Ok(shuffled) => shuffled,
+            Err(ShuffleFailure::MissingMapOutputs(_)) => return Err(ReduceOutcome::Missing(None)),
+            // The stored copy is permanently bad: a retry would fetch
+            // the same bytes.
+            Err(ShuffleFailure::Corrupt { key, .. }) => {
+                return Err(ReduceOutcome::Missing(Some(key)))
             }
         };
         let end = self.tracer.now_us();
@@ -1265,6 +1314,7 @@ impl<'a> JobTracker<'a> {
         &self,
         node: NodeId,
         task: ReduceTask,
+        faults: TaskFaults,
         input_keys: &[MapInputKey],
         spec: &JobSpec,
         placement: PlacementPolicy,
@@ -1286,10 +1336,11 @@ impl<'a> JobTracker<'a> {
         // Plan the fetches via the bucket indexes, then k-way-merge the
         // per-mapper sorted runs straight into the reducer.
         let plan = || StreamingShuffle::plan(store, input_keys, task.id, node, MAX_MERGE_WIDTH);
-        let (mut merge, start, end) = match self.shuffle_with_retry(node, task.id, plan) {
-            Ok(planned) => planned,
-            Err(outcome) => return outcome,
-        };
+        let (mut merge, start, end) =
+            match self.shuffle_with_retry(node, task.id, faults.flakes, plan) {
+                Ok(planned) => planned,
+                Err(outcome) => return outcome,
+            };
         self.record_fetches(&merge.per_source, node, task_span, start, end);
         // Merge vs UDF attribution: groups are pulled a batch at a time
         // and the UDF runs over the batch, so the UDF is timed per batch
@@ -1318,14 +1369,10 @@ impl<'a> JobTracker<'a> {
                     // mid-merge; treat it exactly like plan-time
                     // corruption.
                     Some(Err(ShuffleFailure::Corrupt { key, .. })) => {
-                        store.remove(&key);
-                        return ReduceOutcome::Missing;
+                        return ReduceOutcome::Missing(Some(key))
                     }
                     Some(Err(ShuffleFailure::MissingMapOutputs(_))) => {
-                        return ReduceOutcome::Missing
-                    }
-                    Some(Err(ShuffleFailure::Transient { .. })) => {
-                        return ReduceOutcome::Retry(task.id)
+                        return ReduceOutcome::Missing(None)
                     }
                 }
             }
@@ -1343,22 +1390,25 @@ impl<'a> JobTracker<'a> {
         }
         let output_bytes = out.byte_count();
         let chunks = out.finish();
-        if self.torn.lock().remove(&node) {
+        let dfs = self.cluster.dfs();
+        let split = task.id.split.map_or(0, |(split, _)| split.raw());
+        if faults.torn {
             // Armed torn write: commit only a strict prefix of the
-            // chunks, then die mid-write. The committed prefix can look
-            // like a healthy written partition — the Torn outcome is
-            // what forces the phase loop to clear and re-reduce it.
+            // chunks. The committed prefix can look like a healthy
+            // written partition — the Torn outcome is what kills the
+            // node at the wave boundary and forces the phase loop to
+            // clear and re-reduce the partition.
             let keep = chunks.len() / 2;
             let prefix: Vec<_> = chunks.into_iter().take(keep).collect();
-            let _ = self.cluster.dfs().write_partition_chunks(
+            let _ = dfs.write_split_chunks(
                 &spec.output,
                 task.id.partition,
+                split,
                 prefix,
                 node,
                 placement,
             );
-            let loss = self.cluster.fail_node(node);
-            return ReduceOutcome::Torn { task, loss };
+            return ReduceOutcome::Torn { task, node };
         }
         // Stage whole-reducer output in the chain cache alongside the
         // durable DFS write (write-behind keeps lineage intact: every
@@ -1366,15 +1416,14 @@ impl<'a> JobTracker<'a> {
         // are never cached — a split writes only a segment of the
         // partition, and the cache is keyed by whole partitions.
         // `Bytes` clones are refcount bumps, so staging is free.
-        let stage = self
-            .cluster
-            .dfs()
+        let stage = dfs
             .chain_cache()
             .filter(|_| task.id.split.is_none())
             .map(|cache| (cache.clone(), chunks.clone()));
-        match self.cluster.dfs().write_partition_chunks(
+        match dfs.write_split_chunks(
             &spec.output,
             task.id.partition,
+            split,
             chunks,
             node,
             placement,
@@ -1460,6 +1509,46 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, Error::Codec(_)), "{err:?}");
         assert_eq!(cluster.map_outputs().input_hash(&task.key), None);
+    }
+
+    /// Armed faults are handed out per reduce task, in the order tasks
+    /// ask: flakes armed twice stack, each task takes at most one
+    /// shuffle-attempt budget of them, the rest waits for the node's
+    /// next task, and a torn write goes to the first task only.
+    #[test]
+    fn armed_faults_are_handed_out_one_task_at_a_time() {
+        let cluster = Cluster::new(ClusterConfig::small_test(2));
+        let budget = cluster.config().retry.shuffle_attempts;
+        let injector = crate::failure::ScriptedInjector::default();
+        for fault in [
+            Fault::ShuffleFlake {
+                node: NodeId(0),
+                times: budget,
+            },
+            Fault::ShuffleFlake {
+                node: NodeId(0),
+                times: 2,
+            },
+            Fault::TornWrite { node: NodeId(0) },
+        ] {
+            injector.add_fault(crate::failure::FaultTrigger {
+                seq: 1,
+                point: TriggerPoint::JobStart,
+                fault,
+            });
+        }
+        let tracker = JobTracker::new(&cluster, Arc::new(injector));
+        let span = tracker.tracer.open().id;
+        let mut report = JobReport::default();
+        tracker.fire(1, JobId(1), TriggerPoint::JobStart, span, &mut report);
+        let handed = |node| {
+            let faults = tracker.take_faults(NodeId(node));
+            (faults.torn, faults.flakes)
+        };
+        assert_eq!(handed(1), (false, 0), "nothing armed on n1");
+        assert_eq!(handed(0), (true, budget));
+        assert_eq!(handed(0), (false, 2));
+        assert_eq!(handed(0), (false, 0), "every arm handed out");
     }
 
     /// A map task that fails on every attempt exhausts its retry budget

@@ -79,33 +79,6 @@ impl ExecutorConfig {
             workers,
         }
     }
-
-    /// Backend override from the `RCMP_EXECUTOR` environment variable
-    /// (`threaded`, `async`, or `async:<workers>`), falling back to the
-    /// default when unset or unparseable. Lets whole test binaries be
-    /// re-run under the other backend (the CI executor matrix) without
-    /// touching each construction site.
-    pub fn from_env_or_default() -> Self {
-        match std::env::var("RCMP_EXECUTOR") {
-            Ok(v) => Self::parse(&v).unwrap_or_default(),
-            Err(_) => Self::default(),
-        }
-    }
-
-    /// Parses a backend spec (`threaded` | `async` | `async:<workers>`).
-    pub fn parse(spec: &str) -> Option<Self> {
-        let spec = spec.trim();
-        if spec.eq_ignore_ascii_case("threaded") {
-            return Some(Self::default());
-        }
-        if spec.eq_ignore_ascii_case("async") {
-            return Some(Self::async_auto());
-        }
-        let rest = spec
-            .strip_prefix("async:")
-            .or_else(|| spec.strip_prefix("ASYNC:"))?;
-        rest.parse::<u32>().ok().map(Self::async_workers)
-    }
 }
 
 /// Which placement kernel assigns tasks to nodes.
@@ -144,42 +117,6 @@ pub enum PlacementKernel {
 }
 
 impl PlacementKernel {
-    /// Kernel override from the `RCMP_PLACEMENT` environment variable
-    /// (`default`, `rack`, `delay:<rounds>`, or `capacity`), falling
-    /// back to the default when unset or unparseable. Lets whole test
-    /// binaries be re-run under another kernel (the CI placement
-    /// matrix) without touching each construction site.
-    pub fn from_env_or_default() -> Self {
-        match std::env::var("RCMP_PLACEMENT") {
-            Ok(v) => Self::parse(&v).unwrap_or_default(),
-            Err(_) => Self::default(),
-        }
-    }
-
-    /// Parses a kernel spec (`default` | `rack` | `delay:<rounds>` |
-    /// `capacity` | `stable`).
-    pub fn parse(spec: &str) -> Option<Self> {
-        let spec = spec.trim();
-        if spec.eq_ignore_ascii_case("default") {
-            return Some(Self::Default);
-        }
-        if spec.eq_ignore_ascii_case("rack") {
-            return Some(Self::RackAware);
-        }
-        if spec.eq_ignore_ascii_case("capacity") {
-            return Some(Self::CapacityWeighted);
-        }
-        if spec.eq_ignore_ascii_case("stable") {
-            return Some(Self::Stable);
-        }
-        let rest = spec
-            .strip_prefix("delay:")
-            .or_else(|| spec.strip_prefix("DELAY:"))?;
-        rest.parse::<u32>()
-            .ok()
-            .map(|rounds| Self::Delay { rounds })
-    }
-
     /// Short label for figure tables and CI logs.
     pub fn label(&self) -> String {
         match self {
@@ -268,7 +205,7 @@ impl Default for ShuffleConfig {
 /// The jitter is a pure function of `(site_seed, attempt)` — no RNG
 /// state, no wall clock — so two retry sites with distinct seeds get
 /// distinct schedules while a replay of the same seed reproduces every
-/// delay exactly, keeping chaos replays under `async:1` byte-identical.
+/// delay exactly, keeping chaos replays byte-identical on every backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Transient shuffle failures absorbed per reduce-task execution
@@ -557,24 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn executor_spec_parsing() {
-        assert_eq!(
-            ExecutorConfig::parse("threaded"),
-            Some(ExecutorConfig::default())
-        );
-        assert_eq!(
-            ExecutorConfig::parse("async"),
-            Some(ExecutorConfig::async_auto())
-        );
-        assert_eq!(
-            ExecutorConfig::parse("async:4"),
-            Some(ExecutorConfig::async_workers(4))
-        );
-        assert_eq!(ExecutorConfig::parse("async:lots"), None);
-        assert_eq!(ExecutorConfig::parse("fibers"), None);
-    }
-
-    #[test]
     fn executor_defaults_to_threaded() {
         let cfg = ClusterConfig::small_test(4);
         assert_eq!(cfg.executor.backend, ExecutorKind::Threaded);
@@ -636,31 +555,12 @@ mod tests {
     }
 
     #[test]
-    fn placement_spec_parsing() {
-        assert_eq!(
-            PlacementKernel::parse("default"),
-            Some(PlacementKernel::Default)
-        );
-        assert_eq!(
-            PlacementKernel::parse("rack"),
-            Some(PlacementKernel::RackAware)
-        );
-        assert_eq!(
-            PlacementKernel::parse("delay:3"),
-            Some(PlacementKernel::Delay { rounds: 3 })
-        );
-        assert_eq!(
-            PlacementKernel::parse("capacity"),
-            Some(PlacementKernel::CapacityWeighted)
-        );
-        assert_eq!(
-            PlacementKernel::parse("stable"),
-            Some(PlacementKernel::Stable)
-        );
-        assert_eq!(PlacementKernel::Stable.label(), "stable");
-        assert_eq!(PlacementKernel::parse("delay:soon"), None);
-        assert_eq!(PlacementKernel::parse("anywhere"), None);
+    fn placement_labels() {
+        assert_eq!(PlacementKernel::Default.label(), "default");
+        assert_eq!(PlacementKernel::RackAware.label(), "rack");
         assert_eq!(PlacementKernel::Delay { rounds: 3 }.label(), "delay:3");
+        assert_eq!(PlacementKernel::CapacityWeighted.label(), "capacity");
+        assert_eq!(PlacementKernel::Stable.label(), "stable");
         assert_eq!(
             ClusterConfig::small_test(2).placement,
             PlacementKernel::Default

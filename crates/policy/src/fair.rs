@@ -17,7 +17,7 @@
 //!
 //! The arbiter is purely deterministic — no clock, no RNG — so a replay
 //! of the same submission sequence grants in the same order, which is
-//! what the serve soak's exact-replay mode relies on.
+//! what the serve soak relies on to replay a seed.
 
 use rcmp_model::TenantId;
 use std::collections::{BTreeMap, VecDeque};

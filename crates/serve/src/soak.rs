@@ -65,6 +65,9 @@ pub struct SoakScenario {
     /// Seed for the shared chaos injector carried by `chaos` tenants'
     /// chains (`None` disables chaos).
     pub chaos_seed: Option<u64>,
+    /// Wave-executor backend of the scenario's clusters. An async
+    /// backend also gives every admitted chain its own reactor.
+    pub executor: ExecutorConfig,
 }
 
 impl SoakScenario {
@@ -85,6 +88,7 @@ impl SoakScenario {
             },
             tenants: Vec::new(),
             chaos_seed: None,
+            executor: ExecutorConfig::default(),
         }
     }
 
@@ -151,7 +155,7 @@ impl SoakScenario {
 
     fn cluster_config(&self) -> ClusterConfig {
         let mut cfg = ClusterConfig::small_test(self.nodes);
-        cfg.executor = ExecutorConfig::from_env_or_default();
+        cfg.executor = self.executor;
         cfg
     }
 }

@@ -23,7 +23,7 @@ fn cluster() -> Cluster {
         slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
         max_recovery_attempts: 100,
-        executor: ExecutorConfig::from_env_or_default(),
+        executor: ExecutorConfig::default(),
         shuffle: Default::default(),
         retry: Default::default(),
         placement: Default::default(),
@@ -116,7 +116,7 @@ fn main() {
             slots: SlotConfig::ONE_ONE,
             block_size: ByteSize::kib(4),
             max_recovery_attempts: 100,
-            executor: ExecutorConfig::from_env_or_default(),
+            executor: ExecutorConfig::default(),
             shuffle: Default::default(),
             retry: Default::default(),
             placement: Default::default(),

@@ -21,10 +21,9 @@ fn main() {
         slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
         max_recovery_attempts: 100,
-        // Thread-per-slot by default; `RCMP_EXECUTOR=async` (or
-        // `ExecutorConfig::async_auto()`) runs the same seeded
-        // schedule on the cooperative reactor instead.
-        executor: ExecutorConfig::from_env_or_default(),
+        // Thread-per-slot; `ExecutorConfig::async_auto()` runs the
+        // same seeded schedule on the cooperative reactor instead.
+        executor: ExecutorConfig::default(),
         shuffle: Default::default(),
         retry: Default::default(),
         placement: Default::default(),

@@ -11,7 +11,7 @@
 
 use rcmp::core::Strategy;
 use rcmp::engine::Cluster;
-use rcmp::model::{ClusterConfig, Error, ExecutorConfig, ServeConfig, TenantId};
+use rcmp::model::{ClusterConfig, Error, ServeConfig, TenantId};
 use rcmp::obs::tenant_view;
 use rcmp::policy::TenantShare;
 use rcmp::serve::soak::{run_scenario, SoakScenario};
@@ -24,9 +24,7 @@ const PARTITIONS: u32 = 4;
 
 fn main() {
     // --- Part 1: the submission loop, spelled out. -------------------
-    let mut cfg = ClusterConfig::small_test(NODES);
-    cfg.executor = ExecutorConfig::from_env_or_default();
-    let cluster = Arc::new(Cluster::new(cfg));
+    let cluster = Arc::new(Cluster::new(ClusterConfig::small_test(NODES)));
     generate_input(
         cluster.dfs(),
         &DataGenConfig::test("input", PARTITIONS, 20_000),

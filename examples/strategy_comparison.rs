@@ -28,7 +28,7 @@ fn run(strategy: Strategy, label: &str) {
         slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
         max_recovery_attempts: 100,
-        executor: ExecutorConfig::from_env_or_default(),
+        executor: ExecutorConfig::default(),
         shuffle: Default::default(),
         retry: Default::default(),
         placement: Default::default(),

@@ -6,10 +6,9 @@
 //! everything except where fault-free reads come from. Each test here
 //! runs the cached path against its kept-alive oracle — the identical
 //! chain with `chain_cache` disabled — and demands byte-identical
-//! output digests; under the serial reactor (`async:1`) it also
-//! demands the *exact same recovery event sequence*, fault schedules
-//! included, because cache invalidation must never change which
-//! partitions are lost, planned or recomputed.
+//! output digests and the *exact same recovery event sequence*, fault
+//! schedules included, because cache invalidation must never change
+//! which partitions are lost, planned or recomputed.
 
 use proptest::prelude::*;
 use rcmp::core::{ChainDriver, EventLog, Strategy};
@@ -32,10 +31,7 @@ fn cluster(cache: ChainCacheConfig, placement: PlacementKernel) -> Cluster {
         slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
         max_recovery_attempts: 100,
-        // The serial reactor is pinned so the recovery event sequence
-        // is exactly replayable even when a fault kills a node mid-wave
-        // (see `serial_reactor_replays_full_chaos_exactly`).
-        executor: ExecutorConfig::async_workers(1),
+        executor: ExecutorConfig::default(),
         shuffle: Default::default(),
         retry: Default::default(),
         placement,
@@ -158,7 +154,7 @@ fn stable_kernel_is_fully_local_on_balanced_partitions() {
         // block per partition.
         block_size: ByteSize::mib(1),
         max_recovery_attempts: 100,
-        executor: ExecutorConfig::async_workers(1),
+        executor: ExecutorConfig::default(),
         shuffle: Default::default(),
         retry: Default::default(),
         placement: PlacementKernel::Stable,

@@ -8,9 +8,8 @@
 //! byte-identical digests (and, where the accounting is deterministic,
 //! identical I/O numbers).
 //!
-//! The whole binary honours `RCMP_EXECUTOR`, so the CI executor matrix
-//! re-runs these differentials under the threaded, `async` and
-//! `async:2` backends.
+//! Each proptest case draws its wave-executor backend and placement
+//! kernel, so the differentials hold on every one of them.
 
 use proptest::prelude::*;
 use rcmp::core::{ChainDriver, Strategy};
@@ -19,8 +18,8 @@ use rcmp::engine::{
     Cluster, JobReport, JobRun, JobSpec, JobTracker, NoFailures, RandomizedInjector,
 };
 use rcmp::model::{
-    ByteSize, ClusterConfig, Error, ExecutorConfig, PartitionId, RecordReader, ReduceTaskId,
-    ShuffleConfig, SlotConfig,
+    ByteSize, ClusterConfig, Error, ExecutorConfig, PartitionId, PlacementKernel, RecordReader,
+    ReduceTaskId, ShuffleConfig, SlotConfig,
 };
 use rcmp::obs::SnapshotValue;
 use rcmp::workloads::checksum::digest_file;
@@ -29,7 +28,27 @@ use std::sync::Arc;
 
 const NODES: u32 = 4;
 
-fn cluster(seed: u64, shuffle: ShuffleConfig, executor: ExecutorConfig) -> Cluster {
+/// One (backend, kernel) leg, drawn by index from a proptest case.
+fn leg(backend: usize, kernel: usize) -> (ExecutorConfig, PlacementKernel) {
+    let backends = [
+        ExecutorConfig::default(),
+        ExecutorConfig::async_auto(),
+        ExecutorConfig::async_workers(2),
+    ];
+    let kernels = [
+        PlacementKernel::Default,
+        PlacementKernel::RackAware,
+        PlacementKernel::Delay { rounds: 3 },
+        PlacementKernel::CapacityWeighted,
+    ];
+    (backends[backend], kernels[kernel])
+}
+
+fn cluster(
+    seed: u64,
+    shuffle: ShuffleConfig,
+    (executor, placement): (ExecutorConfig, PlacementKernel),
+) -> Cluster {
     Cluster::new(ClusterConfig {
         nodes: NODES,
         slots: SlotConfig::TWO_TWO,
@@ -39,7 +58,7 @@ fn cluster(seed: u64, shuffle: ShuffleConfig, executor: ExecutorConfig) -> Clust
         executor,
         shuffle,
         retry: Default::default(),
-        placement: Default::default(),
+        placement,
         chain_cache: Default::default(),
     })
 }
@@ -62,12 +81,8 @@ impl Run {
     }
 }
 
-fn run(seed: u64, records: u64, spec: JobSpec) -> Run {
-    let cl = cluster(
-        seed,
-        ShuffleConfig::default(),
-        ExecutorConfig::from_env_or_default(),
-    );
+fn run(seed: u64, records: u64, spec: JobSpec, leg: (ExecutorConfig, PlacementKernel)) -> Run {
+    let cl = cluster(seed, ShuffleConfig::default(), leg);
     generate_input(cl.dfs(), &DataGenConfig::test("input", NODES, records)).unwrap();
     let tracker = JobTracker::new(&cl, Arc::new(NoFailures));
     let report = tracker.run(&JobRun::full(spec.clone()), 1).unwrap();
@@ -128,11 +143,14 @@ proptest! {
     fn streaming_merge_matches_legacy_oracle(
         seed in 1u64..100_000,
         records in 5_000u64..25_000,
+        backend in 0usize..3,
+        kernel in 0usize..4,
     ) {
+        let leg = leg(backend, kernel);
         let chain = ChainBuilder::new(1, NODES * 2).build();
-        let run = run(seed, records, chain.job(1).clone());
-        prop_assert_eq!(&run.partitions, &run.oracle, "output diverged at seed {}", seed);
-        prop_assert_eq!(run.shuffle_bytes(), run.oracle_shuffle, "shuffle bytes at seed {}", seed);
+        let run = run(seed, records, chain.job(1).clone(), leg);
+        prop_assert_eq!(&run.partitions, &run.oracle, "output diverged at seed {} on {:?}", seed, leg);
+        prop_assert_eq!(run.shuffle_bytes(), run.oracle_shuffle, "shuffle bytes at seed {} on {:?}", seed, leg);
     }
 
     /// Combiner correctness: the aggregation job's output digest is
@@ -144,11 +162,14 @@ proptest! {
     fn combiner_preserves_output_and_shrinks_shuffle(
         seed in 1u64..100_000,
         records in 40_000u64..100_000,
+        backend in 0usize..3,
+        kernel in 0usize..4,
     ) {
+        let leg = leg(backend, kernel);
         let agg = |combine| AggBuilder::new(NODES * 2, 16).combine(combine).build();
-        let raw = run(seed, records, agg(false));
-        let combined = run(seed, records, agg(true));
-        prop_assert_eq!(raw.digest, combined.digest, "combiner changed the output at seed {}", seed);
+        let raw = run(seed, records, agg(false), leg);
+        let combined = run(seed, records, agg(true), leg);
+        prop_assert_eq!(raw.digest, combined.digest, "combiner changed the output at seed {} on {:?}", seed, leg);
         prop_assert!(
             combined.shuffle_bytes() * 2 < raw.shuffle_bytes(),
             "combiner should at least halve shuffle volume: {} vs {}",
@@ -179,7 +200,11 @@ fn sharded_store_accounting_matches_single_lock_under_chaos() {
             let shuffle = ShuffleConfig {
                 store_shards: shards,
             };
-            let cl = cluster(17, shuffle, ExecutorConfig::async_workers(1));
+            let cl = cluster(
+                17,
+                shuffle,
+                (ExecutorConfig::async_workers(1), PlacementKernel::Default),
+            );
             generate_input(cl.dfs(), &DataGenConfig::test("input", NODES, 10_000)).unwrap();
             let chain = ChainBuilder::new(2, NODES).build();
             let injector = Arc::new(
@@ -224,7 +249,7 @@ fn job_reuses_one_worker_pool_across_all_waves() {
     let cl = cluster(
         29,
         ShuffleConfig::default(),
-        ExecutorConfig::async_workers(2),
+        (ExecutorConfig::async_workers(2), PlacementKernel::Default),
     );
     generate_input(cl.dfs(), &DataGenConfig::test("input", NODES, 15_000)).unwrap();
     let chain = ChainBuilder::new(1, NODES * 2).build();

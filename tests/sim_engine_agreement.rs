@@ -30,7 +30,7 @@ fn engine_run() -> rcmp::engine::JobReport {
         block_size: ByteSize::bytes(BLOCK),
         max_recovery_attempts: 100,
         seed: 5,
-        executor: ExecutorConfig::from_env_or_default(),
+        executor: ExecutorConfig::default(),
         shuffle: Default::default(),
         retry: Default::default(),
         placement: Default::default(),
@@ -136,7 +136,7 @@ fn recompute_fractions_agree() {
         block_size: ByteSize::bytes(BLOCK),
         max_recovery_attempts: 100,
         seed: 5,
-        executor: ExecutorConfig::from_env_or_default(),
+        executor: ExecutorConfig::default(),
         shuffle: Default::default(),
         retry: Default::default(),
         placement: Default::default(),
