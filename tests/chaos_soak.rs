@@ -393,6 +393,66 @@ fn every_backend_replays_chaos_identically() {
     }
 }
 
+/// Backend determinism under the paper's fail-stop failure model, at
+/// the default kernel and slots: with a crash-only chaos schedule the
+/// threaded backend and the reactor at auto and 1 workers drive the
+/// 7-job chain through identical recovery event sequences — every loss,
+/// recovery plan and recompute run in the same order — and every seed
+/// kills at least one node.
+#[test]
+fn backends_replay_identical_recovery_sequences() {
+    for seed in [11u64, 4096, 777_777] {
+        let mut first: Option<(Leg, (String, Option<EventLog>))> = None;
+        for executor in [
+            ExecutorConfig::default(),
+            ExecutorConfig::async_auto(),
+            ExecutorConfig::async_workers(1),
+        ] {
+            let leg = Leg {
+                executor,
+                ..Leg::default()
+            };
+            let (outcome, fired) = chaos_replay(leg, seed, CRASH_ONLY);
+            assert!(
+                fired.contains(&format!("{:?}", FaultKind::NodeCrash)),
+                "{}: schedule injected no kills — test lost its teeth",
+                leg.repro(seed)
+            );
+            match &first {
+                None => first = Some((leg, outcome)),
+                Some((base, expected)) => assert_eq!(
+                    &outcome,
+                    expected,
+                    "{} diverged from {}",
+                    leg.repro(seed),
+                    base.repro(seed)
+                ),
+            }
+        }
+    }
+}
+
+/// The serial reactor (`async_workers(1)`) replays full-shape chaos —
+/// torn writes, shuffle flakes, replica corruption — exactly: two runs
+/// of the same seed end with the same outcome and event sequence.
+#[test]
+fn serial_reactor_replays_full_chaos_exactly() {
+    let leg = Leg {
+        executor: ExecutorConfig::async_workers(1),
+        ..Leg::default()
+    };
+    for seed in [11u64, 4096, 777_777] {
+        let first = chaos_replay(leg, seed, FULL_SHAPE);
+        let second = chaos_replay(leg, seed, FULL_SHAPE);
+        assert_eq!(
+            first,
+            second,
+            "{}: serial reactor replay diverged",
+            leg.repro(seed)
+        );
+    }
+}
+
 /// An armed shuffle flake belongs to the chain whose injector raised
 /// it. Flakes armed after job 1's last reduce wave are never handed to
 /// a reducer; they die with job 1's tracker instead of failing the
