@@ -57,15 +57,7 @@ pub fn run_scaled(scale_down: u64) -> Fig09Result {
             } else {
                 (x, y)
             };
-            let failures = vec![
-                FailureAt::at_job(fx, n - 1),
-                FailureAt {
-                    seq: fy,
-                    // Same-run second failure arrives 15 s after the first.
-                    offset: if fx == fy { 30.0 } else { 15.0 },
-                    node: n - 2,
-                },
-            ];
+            let failures = vec![FailureAt::at_job(fx, n - 1), FailureAt::at_job(fy, n - 2)];
             let cfg =
                 ChainSimConfig::new(hw.clone(), wl.clone(), *strategy).with_failures(failures);
             let rep = simulate_chain(&cfg);

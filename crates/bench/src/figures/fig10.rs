@@ -33,13 +33,11 @@ fn measure(strategy: Strategy, wl: &WorkloadCfg, hw: &HwProfile) -> MeasuredAver
     let clean = simulate_chain(&ChainSimConfig::new(hw.clone(), wl.clone(), strategy));
     let job_full = clean.mean_initial_job_time();
 
-    // Kill a node right at the start: every job runs on N−1 nodes.
+    // Kill a node as the chain starts: every later job runs on N−1
+    // nodes.
     let reduced = simulate_chain(
-        &ChainSimConfig::new(hw.clone(), wl.clone(), strategy).with_failures(vec![FailureAt {
-            seq: 1,
-            offset: 0.0,
-            node: wl.nodes - 1,
-        }]),
+        &ChainSimConfig::new(hw.clone(), wl.clone(), strategy)
+            .with_failures(vec![FailureAt::at_job(1, wl.nodes - 1)]),
     );
     // Skip the first run (it carries the failure overhead).
     let reduced_times: Vec<f64> = reduced

@@ -332,30 +332,31 @@ struct EngineChain<'r> {
 }
 
 impl EngineChain<'_> {
-    /// Submits one run and files its report, or its cancellation.
+    /// Submits one run and files its report, or its cancellation. Either
+    /// way the run's losses come back in firing order, one per fault.
     fn execute(&mut self, seq: u64, run: &JobRun) -> Result<RunOutcome> {
         let cluster = self.driver.cluster;
-        let live_before = cluster.live_nodes();
         let phases_before = cluster.profiler().snapshot();
         self.run_started_us = cluster.tracer().now_us();
-        let (losses, completed) = match self.tracker.run(run, seq) {
-            Ok(report) => {
+        let (report, result) = self.tracker.run_reporting(run, seq);
+        let losses = report
+            .losses
+            .iter()
+            .map(|loss| self.loss(loss.node, loss.lost_partition_count()))
+            .collect();
+        let completed = match result {
+            Ok(()) => {
                 self.job_phases
                     .push((seq, cluster.profiler().snapshot().delta(&phases_before)));
-                let losses = report
-                    .losses
-                    .iter()
-                    .map(|loss| self.loss(loss.node, loss.lost_partition_count()))
-                    .collect();
                 let tasks = TaskCounts {
                     map_tasks_run: report.map_tasks_run,
                     map_tasks_reused: report.map_tasks_reused,
                     reduce_tasks_run: report.reduce_tasks_run,
                 };
                 self.runs.push(report);
-                (losses, Some(tasks))
+                Some(tasks)
             }
-            Err(Error::JobInputLost { .. }) => (self.losses_by_diff(&live_before), None),
+            Err(Error::JobInputLost { .. }) => None,
             Err(e) => return Err(e),
         };
         Ok(RunOutcome {
@@ -375,26 +376,6 @@ impl EngineChain<'_> {
             fault: now,
             detected: now,
         }
-    }
-
-    /// A cancelled run's report (and its loss records) is consumed by
-    /// the error path, so losses behind a cancellation are recovered by
-    /// diffing node liveness around the run. `lost_partitions` reports
-    /// the *currently* lost partitions across the computation's files.
-    fn losses_by_diff(&self, live_before: &[NodeId]) -> Vec<Loss> {
-        let cluster = self.driver.cluster;
-        let lost_now: usize = self
-            .lineage
-            .graph
-            .jobs()
-            .filter_map(|(_, spec)| cluster.dfs().file_meta(&spec.output).ok())
-            .map(|m| m.lost_partitions().len())
-            .sum();
-        live_before
-            .iter()
-            .filter(|&&node| !cluster.is_alive(node))
-            .map(|&node| self.loss(Some(node), lost_now))
-            .collect()
     }
 }
 

@@ -29,7 +29,8 @@ pub fn plan_recovery(
     split: SplitPolicy,
     hotspot: HotspotMitigation,
 ) -> Result<RecoveryPlan> {
-    plan_cascade(&ClusterLineage { cluster, graph }, target, split, hotspot)
+    let view = ClusterLineage { cluster, graph };
+    plan_cascade(&view, target, split, hotspot, &BTreeSet::new())
 }
 
 /// The engine's lineage state: a job graph over a live cluster.
@@ -93,7 +94,7 @@ impl LineageView for ClusterLineage<'_> {
     }
 
     fn survivors(&self) -> usize {
-        self.cluster.live_nodes().len()
+        self.cluster.schedulable_nodes().len()
     }
 
     fn input_path(&self, job: JobId) -> String {

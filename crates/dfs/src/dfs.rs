@@ -224,14 +224,8 @@ impl Dfs {
     }
 
     /// Membership lifecycle status of `node`, if it is a member.
-    pub fn node_status(&self, node: NodeId) -> Option<NodeStatus> {
+    fn node_status(&self, node: NodeId) -> Option<NodeStatus> {
         self.nodes.read().get(node.index()).map(|s| s.status)
-    }
-
-    /// Total member count, including drained, decommissioned and dead
-    /// nodes (indices are never reused).
-    pub fn num_nodes(&self) -> u32 {
-        self.nodes.read().len() as u32
     }
 
     fn store(&self, node: NodeId) -> Option<Arc<NodeStore>> {
@@ -873,17 +867,6 @@ impl Dfs {
         Some(victim)
     }
 
-    /// Fault injection: corrupts a specific block replica on `node`.
-    /// Returns false when that node does not store the block (or the
-    /// payload is empty).
-    pub fn corrupt_block_replica(&self, id: BlockId, node: NodeId) -> bool {
-        let hit = self.store(node).is_some_and(|s| s.corrupt(id));
-        if hit {
-            self.invalidate_cached_block(id);
-        }
-        hit
-    }
-
     /// Drops the chain-cache entry covering `id`, modelling injected
     /// corruption as node-local damage that reaches the in-memory copy
     /// too: the next read takes the DFS path, hits the corrupt replica,
@@ -1066,11 +1049,6 @@ impl Dfs {
         self.store(node).map(|s| s.stats()).unwrap_or_default()
     }
 
-    /// Bytes currently stored on one node.
-    pub fn node_used(&self, node: NodeId) -> ByteSize {
-        self.store(node).map(|s| s.used()).unwrap_or(ByteSize::ZERO)
-    }
-
     /// Bytes currently stored across the cluster.
     pub fn total_used(&self) -> ByteSize {
         let stores: Vec<Arc<NodeStore>> = self
@@ -1081,16 +1059,37 @@ impl Dfs {
             .collect();
         stores.iter().map(|s| s.used()).sum()
     }
-
-    /// Number of block replicas currently stored on one node.
-    pub fn node_block_count(&self, node: NodeId) -> usize {
-        self.store(node).map(|s| s.block_count()).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What the tests inspect and break on one node's store.
+    impl Dfs {
+        /// Total member count, including departed nodes.
+        fn num_nodes(&self) -> u32 {
+            self.nodes.read().len() as u32
+        }
+
+        fn node_used(&self, node: NodeId) -> ByteSize {
+            self.store(node).map(|s| s.used()).unwrap_or(ByteSize::ZERO)
+        }
+
+        fn node_block_count(&self, node: NodeId) -> usize {
+            self.store(node).map(|s| s.block_count()).unwrap_or(0)
+        }
+
+        /// Corrupts one block replica on `node`; false when the node
+        /// does not store it.
+        fn corrupt_block_replica(&self, id: BlockId, node: NodeId) -> bool {
+            let hit = self.store(node).is_some_and(|s| s.corrupt(id));
+            if hit {
+                self.invalidate_cached_block(id);
+            }
+            hit
+        }
+    }
 
     fn dfs(nodes: u32) -> Dfs {
         Dfs::new(DfsConfig::new(nodes, ByteSize::bytes(64)))

@@ -198,12 +198,6 @@ impl Cluster {
         self.membership.lock().clone()
     }
 
-    /// Current membership epoch: bumped by every join / drain /
-    /// decommission / rejoin / death.
-    pub fn membership_epoch(&self) -> u64 {
-        self.membership.lock().epoch()
-    }
-
     /// Updates the membership gauges and emits a `membership.*` span
     /// after a successful transition.
     fn note_transition(&self, what: &str, node: NodeId) {
@@ -318,23 +312,23 @@ mod tests {
     #[test]
     fn membership_transitions_track_epoch_and_gauges() {
         let cl = Cluster::new(ClusterConfig::small_test(3));
-        assert_eq!(cl.membership_epoch(), 0);
+        assert_eq!(cl.membership().epoch(), 0);
         assert_eq!(cl.schedulable_nodes().len(), 3);
 
         cl.drain_node(NodeId(1)).unwrap();
-        assert_eq!(cl.membership_epoch(), 1);
+        assert_eq!(cl.membership().epoch(), 1);
         assert_eq!(cl.schedulable_nodes(), vec![NodeId(0), NodeId(2)]);
         assert_eq!(cl.live_nodes().len(), 3, "draining stays readable");
 
         let joined = cl.join_node(1, 0);
         assert_eq!(joined, NodeId(3));
-        assert_eq!(cl.membership_epoch(), 2);
+        assert_eq!(cl.membership().epoch(), 2);
 
         cl.rejoin_node(NodeId(1)).unwrap();
         assert_eq!(cl.schedulable_nodes().len(), 4);
 
         cl.fail_node(NodeId(2));
-        assert_eq!(cl.membership_epoch(), 4);
+        assert_eq!(cl.membership().epoch(), 4);
         let snap = cl.metrics().snapshot();
         assert!(snap.get("membership.epoch").is_some());
         assert_eq!(

@@ -1,5 +1,10 @@
 //! Failure injection.
 //!
+//! The fault script itself — [`FailureAt`], [`TriggerPoint`], [`Fault`]
+//! — lives in `rcmp-policy`, because the simulator replays the same
+//! entries; this module holds the engine's side of it, the injectors
+//! the tracker consults.
+//!
 //! The paper injects failures by killing a node's TaskTracker and
 //! DataNode processes 15 s into a job (§V-A). The engine's equivalent
 //! is an injector consulted at deterministic execution points — job
@@ -35,28 +40,7 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rcmp_model::{JobId, NodeId};
-use serde::{Deserialize, Serialize};
-
-/// Where in a job's execution the injector is consulted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum TriggerPoint {
-    /// Right after JobInit, before the first map wave (the paper's
-    /// "15 s after the start of some job" lands here or in the first
-    /// map wave for our workloads).
-    JobStart,
-    /// During the given map wave (0-based): fired after the wave's tasks
-    /// are assigned but before they execute, so a node killed here dies
-    /// with map tasks of that wave in flight.
-    MidMapWave(u32),
-    /// After the given map wave (0-based) completes.
-    AfterMapWave(u32),
-    /// During the given reduce wave (0-based): fired after assignment,
-    /// before execution — a kill here fails in-flight reducers.
-    MidReduceWave(u32),
-    /// After the given reduce wave (0-based) completes. The paper's
-    /// "just before the job completes" (Fig. 1) is the last reduce wave.
-    AfterReduceWave(u32),
-}
+pub use rcmp_policy::{FailureAt, Fault, TriggerPoint};
 
 /// Execution-progress event reported to the injector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,62 +53,10 @@ pub struct ProgressEvent {
     pub point: TriggerPoint,
 }
 
-/// A fault raised at a trigger point.
-///
-/// Each shape is detected and recovered by a different mechanism (see
-/// DESIGN.md "Fault model"): kills by the loss-report → recomputation
-/// path, corruption by checksum verification on read, torn writes by
-/// the tracker's torn-partition re-enqueue, and flakes by bounded
-/// shuffle retry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fault {
-    /// Kill the node outright: its DFS block replicas and persisted map
-    /// outputs are gone immediately.
-    NodeCrash(NodeId),
-    /// Silently flip bits in one DFS block replica stored on the node.
-    /// Namespace metadata (including the recorded checksum) is left
-    /// untouched, so the damage surfaces on the next verified read.
-    CorruptReplica { node: NodeId },
-    /// Arm a torn write: the first reducer assigned to this node in the
-    /// next reduce wave commits only a strict prefix of its chunks, and
-    /// the node dies at the end of that wave. A reducer that fails
-    /// before writing passes the arm on to the node's next reducer.
-    TornWrite { node: NodeId },
-    /// Arm transient shuffle failures: the next `times` shuffle attempts
-    /// by this chain's reducers on this node fail retryably, handed out
-    /// in wave input order, at most one attempt budget per task.
-    ShuffleFlake { node: NodeId, times: u32 },
-    /// Gracefully drain the node (Up → Draining): it stops receiving
-    /// tasks and new replicas, but everything it stores stays readable.
-    /// The tracker skips the drain when the node is not Up or when it is
-    /// the last schedulable node, so a drain can never strand a chain.
-    NodeDrain { node: NodeId },
-}
-
-impl Fault {
-    /// The node this fault targets.
-    pub fn node(&self) -> NodeId {
-        match *self {
-            Fault::NodeCrash(n)
-            | Fault::CorruptReplica { node: n }
-            | Fault::TornWrite { node: n }
-            | Fault::ShuffleFlake { node: n, .. }
-            | Fault::NodeDrain { node: n } => n,
-        }
-    }
-}
-
 /// Decides which faults are raised at a given execution point.
 pub trait FailureInjector: Send + Sync {
-    /// Returns the nodes to kill at this point (usually empty).
-    fn poll(&self, event: &ProgressEvent) -> Vec<NodeId>;
-
-    /// Returns the faults to raise at this point. The default wraps
-    /// [`FailureInjector::poll`], so plain node-kill injectors only
-    /// implement that.
-    fn poll_faults(&self, event: &ProgressEvent) -> Vec<Fault> {
-        self.poll(event).into_iter().map(Fault::NodeCrash).collect()
-    }
+    /// Returns the faults to raise at this point (usually none).
+    fn poll_faults(&self, event: &ProgressEvent) -> Vec<Fault>;
 
     /// Called by the driver once the chain completes. An injector whose
     /// script did not fully play out returns a description of what never
@@ -140,76 +72,50 @@ pub trait FailureInjector: Send + Sync {
 pub struct NoFailures;
 
 impl FailureInjector for NoFailures {
-    fn poll(&self, _event: &ProgressEvent) -> Vec<NodeId> {
+    fn poll_faults(&self, _event: &ProgressEvent) -> Vec<Fault> {
         Vec::new()
     }
 }
 
-/// One scripted kill.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Trigger {
-    /// Fire during the run with this sequence number.
-    pub seq: u64,
-    pub point: TriggerPoint,
-    pub node: NodeId,
-}
-
-/// One scripted non-kill fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultTrigger {
-    /// Fire during the run with this sequence number.
-    pub seq: u64,
-    pub point: TriggerPoint,
-    pub fault: Fault,
-}
-
-/// Raises scripted (seq, point) → fault. Each trigger fires at most
-/// once.
+/// Replays a fault script: each [`FailureAt`] fires once, at its
+/// `(seq, point)`, in script order among the entries sharing that
+/// point.
 ///
-/// By default [`ScriptedInjector::finish`] reports triggers that never
+/// By default [`ScriptedInjector::finish`] reports entries that never
 /// fired (e.g. `AfterMapWave(5)` of a 3-wave job) as an error, so a
 /// mis-scripted scenario fails instead of silently testing nothing.
 /// Scenarios that intentionally script possibly-unreachable points opt
 /// out with [`ScriptedInjector::tolerate_unfired`].
 #[derive(Debug, Default)]
 pub struct ScriptedInjector {
-    triggers: Mutex<Vec<Trigger>>,
-    faults: Mutex<Vec<FaultTrigger>>,
+    script: Mutex<Vec<FailureAt>>,
     tolerate_unfired: bool,
 }
 
 impl ScriptedInjector {
-    pub fn new(triggers: impl IntoIterator<Item = Trigger>) -> Self {
+    pub fn new(script: impl IntoIterator<Item = FailureAt>) -> Self {
         Self {
-            triggers: Mutex::new(triggers.into_iter().collect()),
-            faults: Mutex::new(Vec::new()),
+            script: Mutex::new(script.into_iter().collect()),
             tolerate_unfired: false,
         }
     }
 
     /// Convenience: kill `node` at `point` of run `seq`.
     pub fn single(seq: u64, point: TriggerPoint, node: NodeId) -> Self {
-        Self::new([Trigger { seq, point, node }])
+        Self::single_fault(seq, point, Fault::NodeCrash(node))
     }
 
     /// Convenience: raise one fault at `point` of run `seq`.
     pub fn single_fault(seq: u64, point: TriggerPoint, fault: Fault) -> Self {
-        let inj = Self::default();
-        inj.add_fault(FaultTrigger { seq, point, fault });
-        inj
+        Self::new([FailureAt { seq, point, fault }])
     }
 
-    /// Adds another kill trigger (e.g. a second failure scheduled later).
-    pub fn add(&self, trigger: Trigger) {
-        self.triggers.lock().push(trigger);
+    /// Appends another entry (e.g. a second failure scheduled later).
+    pub fn add(&self, entry: FailureAt) {
+        self.script.lock().push(entry);
     }
 
-    /// Adds a non-kill fault trigger.
-    pub fn add_fault(&self, trigger: FaultTrigger) {
-        self.faults.lock().push(trigger);
-    }
-
-    /// Accept triggers that never fire: `finish()` succeeds even with
+    /// Accept entries that never fire: `finish()` succeeds even with
     /// leftovers. For scenarios that intentionally script points the
     /// run may never reach.
     pub fn tolerate_unfired(mut self) -> Self {
@@ -217,57 +123,32 @@ impl ScriptedInjector {
         self
     }
 
-    /// Kill triggers that have not fired yet.
-    pub fn unfired(&self) -> Vec<Trigger> {
-        self.triggers.lock().clone()
-    }
-
-    /// Fault triggers that have not fired yet.
-    pub fn unfired_faults(&self) -> Vec<FaultTrigger> {
-        self.faults.lock().clone()
+    /// Entries that have not fired yet.
+    pub fn unfired(&self) -> Vec<FailureAt> {
+        self.script.lock().clone()
     }
 }
 
 impl FailureInjector for ScriptedInjector {
-    fn poll(&self, event: &ProgressEvent) -> Vec<NodeId> {
-        let mut triggers = self.triggers.lock();
-        let mut fired = Vec::new();
-        triggers.retain(|t| {
-            if t.seq == event.seq && t.point == event.point {
-                fired.push(t.node);
-                false
-            } else {
-                true
-            }
-        });
-        fired
-    }
-
     fn poll_faults(&self, event: &ProgressEvent) -> Vec<Fault> {
-        let mut fired: Vec<Fault> = self.poll(event).into_iter().map(Fault::NodeCrash).collect();
-        let mut faults = self.faults.lock();
-        faults.retain(|t| {
-            if t.seq == event.seq && t.point == event.point {
-                fired.push(t.fault);
-                false
-            } else {
-                true
+        let mut fired = Vec::new();
+        self.script.lock().retain(|f| {
+            let due = f.seq == event.seq && f.point == event.point;
+            if due {
+                fired.push(f.fault);
             }
+            !due
         });
         fired
     }
 
     fn finish(&self) -> std::result::Result<(), String> {
-        if self.tolerate_unfired {
-            return Ok(());
-        }
-        let kills = self.unfired();
-        let faults = self.unfired_faults();
-        if kills.is_empty() && faults.is_empty() {
+        let unfired = self.unfired();
+        if self.tolerate_unfired || unfired.is_empty() {
             Ok(())
         } else {
             Err(format!(
-                "scripted triggers never fired (mis-scripted scenario?): kills {kills:?}, faults {faults:?}"
+                "scripted faults never fired (mis-scripted scenario?): {unfired:?}"
             ))
         }
     }
@@ -374,10 +255,6 @@ impl RandomizedInjector {
 }
 
 impl FailureInjector for RandomizedInjector {
-    fn poll(&self, _event: &ProgressEvent) -> Vec<NodeId> {
-        Vec::new()
-    }
-
     fn poll_faults(&self, event: &ProgressEvent) -> Vec<Fault> {
         let mut rng = self.event_rng(event);
         // Fixed draw order keeps the schedule a function of the seed
@@ -424,9 +301,13 @@ mod tests {
         }
     }
 
+    fn crash(seq: u64, point: TriggerPoint, node: u32) -> FailureAt {
+        let fault = Fault::NodeCrash(NodeId(node));
+        FailureAt { seq, point, fault }
+    }
+
     #[test]
     fn no_failures_is_silent() {
-        assert!(NoFailures.poll(&ev(1, TriggerPoint::JobStart)).is_empty());
         assert!(NoFailures
             .poll_faults(&ev(1, TriggerPoint::JobStart))
             .is_empty());
@@ -436,63 +317,54 @@ mod tests {
     #[test]
     fn scripted_fires_once_at_exact_point() {
         let inj = ScriptedInjector::single(2, TriggerPoint::AfterMapWave(1), NodeId(3));
-        assert!(inj.poll(&ev(1, TriggerPoint::AfterMapWave(1))).is_empty());
-        assert!(inj.poll(&ev(2, TriggerPoint::AfterMapWave(0))).is_empty());
-        assert_eq!(
-            inj.poll(&ev(2, TriggerPoint::AfterMapWave(1))),
-            vec![NodeId(3)]
-        );
-        assert!(inj.poll(&ev(2, TriggerPoint::AfterMapWave(1))).is_empty());
+        let at = |seq, w| inj.poll_faults(&ev(seq, TriggerPoint::AfterMapWave(w)));
+        assert!(at(1, 1).is_empty());
+        assert!(at(2, 0).is_empty());
+        assert_eq!(at(2, 1), vec![Fault::NodeCrash(NodeId(3))]);
+        assert!(at(2, 1).is_empty());
         assert!(inj.unfired().is_empty());
     }
 
     #[test]
     fn multiple_triggers_same_point() {
         let inj = ScriptedInjector::new([
-            Trigger {
-                seq: 1,
-                point: TriggerPoint::JobStart,
-                node: NodeId(0),
-            },
-            Trigger {
-                seq: 1,
-                point: TriggerPoint::JobStart,
-                node: NodeId(1),
-            },
+            crash(1, TriggerPoint::JobStart, 0),
+            crash(1, TriggerPoint::JobStart, 1),
         ]);
-        let killed = inj.poll(&ev(1, TriggerPoint::JobStart));
-        assert_eq!(killed, vec![NodeId(0), NodeId(1)]);
+        let killed = inj.poll_faults(&ev(1, TriggerPoint::JobStart));
+        assert_eq!(
+            killed,
+            vec![Fault::NodeCrash(NodeId(0)), Fault::NodeCrash(NodeId(1))]
+        );
     }
 
     #[test]
     fn add_appends_trigger() {
         let inj = ScriptedInjector::default();
-        inj.add(Trigger {
-            seq: 4,
-            point: TriggerPoint::AfterReduceWave(0),
-            node: NodeId(2),
-        });
+        inj.add(crash(4, TriggerPoint::AfterReduceWave(0), 2));
         assert_eq!(inj.unfired().len(), 1);
         assert_eq!(
-            inj.poll(&ev(4, TriggerPoint::AfterReduceWave(0))),
-            vec![NodeId(2)]
+            inj.poll_faults(&ev(4, TriggerPoint::AfterReduceWave(0))),
+            vec![Fault::NodeCrash(NodeId(2))]
         );
     }
 
+    /// Entries sharing a point fire in script order, whatever their
+    /// shape.
     #[test]
     fn fault_triggers_fire_once_alongside_kills() {
-        let inj = ScriptedInjector::single(1, TriggerPoint::JobStart, NodeId(0));
-        inj.add_fault(FaultTrigger {
-            seq: 1,
-            point: TriggerPoint::JobStart,
-            fault: Fault::CorruptReplica { node: NodeId(2) },
-        });
+        let inj = ScriptedInjector::single_fault(
+            1,
+            TriggerPoint::JobStart,
+            Fault::CorruptReplica { node: NodeId(2) },
+        );
+        inj.add(crash(1, TriggerPoint::JobStart, 0));
         let fired = inj.poll_faults(&ev(1, TriggerPoint::JobStart));
         assert_eq!(
             fired,
             vec![
+                Fault::CorruptReplica { node: NodeId(2) },
                 Fault::NodeCrash(NodeId(0)),
-                Fault::CorruptReplica { node: NodeId(2) }
             ]
         );
         assert!(inj.poll_faults(&ev(1, TriggerPoint::JobStart)).is_empty());

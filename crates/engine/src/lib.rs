@@ -41,7 +41,7 @@ pub mod udf;
 
 pub use cluster::Cluster;
 pub use failure::{
-    FailureInjector, Fault, FaultTrigger, NoFailures, ProgressEvent, RandomizedInjector,
+    FailureAt, FailureInjector, Fault, NoFailures, ProgressEvent, RandomizedInjector,
     ScriptedInjector, TriggerPoint,
 };
 pub use job::{JobRun, JobSpec, RecomputeInstructions, RunMode};

@@ -218,6 +218,15 @@ impl<'a> JobTracker<'a> {
     /// or loss that triggered it), captured *before* execution so faults
     /// injected during this run don't retroactively re-attribute it.
     pub fn run(&self, run: &JobRun, seq: u64) -> Result<JobReport> {
+        let (report, result) = self.run_reporting(run, seq);
+        result.map(|()| report)
+    }
+
+    /// [`Self::run`], with the report handed back whatever the outcome:
+    /// a run that stopped early — cancelled on lost input
+    /// ([`Error::JobInputLost`]) or failed — reports what it did until
+    /// then, its losses in firing order.
+    pub fn run_reporting(&self, run: &JobRun, seq: u64) -> (JobReport, Result<()>) {
         let cause = if run.mode.is_recompute() {
             self.tracer.current_cause()
         } else {
@@ -239,7 +248,12 @@ impl<'a> JobTracker<'a> {
             .dfs()
             .chain_cache()
             .map(|cache| ChainCachePin::new(cache.clone(), run.spec.input.clone()));
-        let result = self.run_inner(run, seq, open.id);
+        let mut report = JobReport {
+            job: run.spec.job,
+            seq,
+            ..JobReport::default()
+        };
+        let result = self.run_inner(run, seq, open.id, &mut report);
         if result.is_err() {
             // A failed/cancelled run never publishes partial output: drop
             // anything its reducers staged (the DFS restart path will
@@ -267,13 +281,19 @@ impl<'a> JobTracker<'a> {
             cause,
             None,
         );
-        if let Ok(report) = &result {
+        if result.is_ok() {
             self.m_task_retries.add(report.task_retries as u64);
         }
-        result
+        (report, result)
     }
 
-    fn run_inner(&self, run: &JobRun, seq: u64, job_span: SpanId) -> Result<JobReport> {
+    fn run_inner(
+        &self,
+        run: &JobRun,
+        seq: u64,
+        job_span: SpanId,
+        report: &mut JobReport,
+    ) -> Result<()> {
         let spec = &run.spec;
         let started = Instant::now();
         if spec.num_reducers == 0 {
@@ -303,13 +323,7 @@ impl<'a> JobTracker<'a> {
             }
         };
 
-        let mut report = JobReport {
-            job: spec.job,
-            seq,
-            ..JobReport::default()
-        };
-
-        self.fire(seq, spec.job, TriggerPoint::JobStart, job_span, &mut report);
+        self.fire(seq, spec.job, TriggerPoint::JobStart, job_span, report);
 
         // ----- mapper reuse decision (pre-flight) -----------------------
         // Computed *before* any destructive output mutation (deleting a
@@ -434,7 +448,7 @@ impl<'a> JobTracker<'a> {
                             &at,
                             (Phase::Map, wave_idx, live.len() as u32 * slot_cfg.map),
                             wave,
-                            &mut report,
+                            report,
                             |node, task: MapTask, wave_span| {
                                 SlotTask::new(move |_: &TaskCtx| {
                                     let key = task.key;
@@ -523,7 +537,7 @@ impl<'a> JobTracker<'a> {
                         &at,
                         (Phase::Reduce, wave_idx, live.len() as u32 * slot_cfg.reduce),
                         wave,
-                        &mut report,
+                        report,
                         // Called in input order after the mid-wave
                         // injection point, so which task carries each
                         // armed fault is fixed before any task runs.
@@ -655,7 +669,7 @@ impl<'a> JobTracker<'a> {
         report.map_waves = map_wave_counter;
         report.reduce_waves = reduce_wave_counter;
         report.duration = started.elapsed();
-        Ok(report)
+        Ok(())
     }
 
     // ------------------------------------------------------------ helpers
@@ -745,13 +759,11 @@ impl<'a> JobTracker<'a> {
                     *left = left.saturating_add(times);
                 }
                 Fault::NodeDrain { node } => {
-                    // Graceful membership change, not a failure: the
-                    // drain is skipped when the node is not currently
-                    // schedulable or is the last schedulable node, so an
-                    // injected drain can never strand the chain. Data on
-                    // the drained node stays readable — no recovery runs.
-                    let schedulable = self.cluster.schedulable_nodes();
-                    if schedulable.len() > 1 && schedulable.contains(&node) {
+                    // Graceful membership change, not a failure: skipped
+                    // unless the membership allows it, so an injected
+                    // drain can never strand the chain. Data on the
+                    // drained node stays readable — no recovery runs.
+                    if self.cluster.membership().drainable(node.raw()) {
                         let _ = self.cluster.drain_node(node);
                     }
                 }
@@ -1531,7 +1543,7 @@ mod tests {
             },
             Fault::TornWrite { node: NodeId(0) },
         ] {
-            injector.add_fault(crate::failure::FaultTrigger {
+            injector.add(crate::failure::FailureAt {
                 seq: 1,
                 point: TriggerPoint::JobStart,
                 fault,

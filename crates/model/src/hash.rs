@@ -34,11 +34,6 @@ pub fn hash_bytes(data: &[u8]) -> u64 {
     mix64(h ^ data.len() as u64)
 }
 
-/// Combines two fingerprints order-sensitively.
-pub fn hash_combine(a: u64, b: u64) -> u64 {
-    mix64(a.rotate_left(17) ^ b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,11 +53,5 @@ mod tests {
         let a = hash_bytes(&[1, 2, 3, 4, 5, 6, 7, 8]);
         let b = hash_bytes(&[1, 2, 3, 4, 5, 6, 7, 8, 9]);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn combine_is_order_sensitive() {
-        assert_ne!(hash_combine(1, 2), hash_combine(2, 1));
-        assert_eq!(hash_combine(1, 2), hash_combine(1, 2));
     }
 }

@@ -15,7 +15,7 @@ use crate::partition::mix64;
 ///
 /// The label keeps streams for different purposes independent even when
 /// they share the experiment-level seed.
-pub fn derive_seed(parent: u64, label: &str) -> u64 {
+fn derive_seed(parent: u64, label: &str) -> u64 {
     let mut h = parent ^ 0x51_7c_c1_b7_27_22_0a_95;
     for &b in label.as_bytes() {
         h = mix64(h ^ b as u64);

@@ -168,7 +168,7 @@ impl Tracer {
     }
 
     /// Total spans recorded so far.
-    pub fn span_count(&self) -> usize {
+    fn span_count(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
 

@@ -94,7 +94,8 @@ pub trait LineageView {
     /// Fig. 5 rule).
     fn rerun_input(&self, job: JobId) -> Result<BTreeSet<PartitionId>>;
 
-    /// Nodes that can take recomputation work, which sizes
+    /// Nodes that can take recomputation work — schedulable ones, so a
+    /// draining node does not count — which sizes
     /// [`SplitPolicy::Survivors`].
     fn survivors(&self) -> usize;
 
@@ -119,11 +120,17 @@ pub trait LineageView {
 /// [`choose_mitigation`]; the mappers a split regeneration invalidates
 /// (Fig. 5) re-read partitions the plan already regenerates, so they
 /// need no extra planning.
+///
+/// `reclaimed` holds the jobs whose outputs a replication point deleted
+/// (§IV-C). A step whose input is one of them cannot run: reaching it
+/// is as irreversible as reaching a lost external input, and fails the
+/// same way, with [`Error::DataLoss`] naming that input.
 pub fn plan_cascade<V: LineageView + ?Sized>(
     view: &V,
     target: JobId,
     split: SplitPolicy,
     hotspot: HotspotMitigation,
+    reclaimed: &BTreeSet<JobId>,
 ) -> Result<RecoveryPlan> {
     let mitigation = choose_mitigation(split, hotspot, view.survivors());
     let mut steps = Vec::new();
@@ -138,6 +145,15 @@ pub fn plan_cascade<V: LineageView + ?Sized>(
                 partition: need.first().copied(),
             });
         };
+        if view
+            .producer(producer)
+            .is_some_and(|p| reclaimed.contains(&p))
+        {
+            return Err(Error::DataLoss {
+                path: view.input_path(producer),
+                partition: None,
+            });
+        }
         let rerun = view.rerun_input(producer)?;
         let mut instructions = RecomputePlan::new(need, mitigation.split);
         instructions.spread_output = mitigation.spread_output;
@@ -610,6 +626,9 @@ struct Chain<'a, B> {
     cadence: Cadence,
     seq: u64,
     log: EventLog,
+    /// Jobs whose outputs a replication point deleted since the chain
+    /// last (re)started.
+    reclaimed: BTreeSet<JobId>,
 }
 
 /// Runs the chain to completion on `backend`.
@@ -625,6 +644,7 @@ pub fn drive_chain<B: ChainBackend>(
         cadence,
         seq: 0,
         log,
+        reclaimed: BTreeSet::new(),
     };
     chain.drive()?;
     Ok(ChainSummary {
@@ -739,6 +759,7 @@ impl<B: ChainBackend> Chain<'_, B> {
                     // exhausted replication has no choice but the same
                     // (§V-B "More failures").
                     self.backend.restart()?;
+                    self.reclaimed.clear();
                     self.emit(ChainEvent::ChainRestarted);
                     continue 'chain;
                 };
@@ -762,6 +783,9 @@ impl<B: ChainBackend> Chain<'_, B> {
         let freed = self.backend.replicate(job, factor, reclaim)?;
         self.emit(ChainEvent::ReplicationPoint { job, factor });
         if reclaim {
+            // Every output before the point is gone (§IV-C).
+            let before = &self.cfg.order[..position as usize - 1];
+            self.reclaimed.extend(before.iter().copied());
             self.emit(ChainEvent::StorageReclaimed {
                 files_deleted: freed.files_deleted,
                 map_entries_dropped: freed.map_entries_dropped,
@@ -781,9 +805,10 @@ impl<B: ChainBackend> Chain<'_, B> {
         hotspot: HotspotMitigation,
     ) -> Result<()> {
         for _ in 0..self.cfg.max_attempts {
+            let reclaimed = &self.reclaimed;
             let plan = self
                 .backend
-                .planning(|view| plan_cascade(view, target, split, hotspot))?;
+                .planning(|view| plan_cascade(view, target, split, hotspot, reclaimed))?;
             self.emit(ChainEvent::RecoveryPlanned {
                 target,
                 steps: plan.steps.len(),

@@ -46,6 +46,9 @@
 //!   re-derives the replication cadence from it, shared (like the wave
 //!   kernels) by the engine and the simulator so their decision
 //!   sequences agree byte for byte.
+//! * [`FailureAt`] — the fault script, `(run, TriggerPoint, Fault)`
+//!   with no clock in it: the engine's injector, the simulator and the
+//!   chain-machine model replay the same entries.
 //! * [`Membership`] — the versioned, mutable node set: join / drain /
 //!   decommission / rejoin transitions with epoch numbers, snapshotted
 //!   identically by both backends.
@@ -67,6 +70,7 @@ pub mod adapt;
 mod cache;
 pub mod chain;
 mod fair;
+mod fault;
 mod membership;
 mod mitigation;
 mod plan;
@@ -86,6 +90,7 @@ pub use chain::{
     Stamp, TaskCounts,
 };
 pub use fair::{jain_index, DrrArbiter, Grant, TenantShare};
+pub use fault::{FailureAt, Fault, TriggerPoint};
 pub use membership::{rehome_target, Membership, NodeInfo, NodeStatus, Rehome};
 pub use mitigation::{choose_mitigation, HotspotMitigation, MitigationChoice, SplitPolicy};
 pub use plan::{reduce_task_set, reduce_tasks_for, RecomputePlan};

@@ -187,6 +187,14 @@ impl Membership {
         self.nodes.len() as u32 - 1
     }
 
+    /// May a scripted drain take `n`? Only an Up node that is not the
+    /// last schedulable one: a drain must never strand a chain. Both
+    /// backends check this before either the DFS or the membership
+    /// changes, and skip the drain otherwise.
+    pub fn drainable(&self, n: u32) -> bool {
+        self.is_schedulable(n) && self.schedulable().len() > 1
+    }
+
     /// Starts draining `n`: Up → Draining. Bumps the epoch.
     pub fn drain(&mut self, n: u32) -> Result<()> {
         self.transition(n, &[NodeStatus::Up], NodeStatus::Draining, "drain")

@@ -29,8 +29,9 @@ use proptest::prelude::*;
 use rcmp_model::{Error, JobId, PartitionId, Result, RetryPolicy};
 use rcmp_policy::{
     drive_chain, plan_cascade, AdaptConfig, ChainBackend, ChainConfig, ChainEvent, Clock,
-    DynamicPolicy, HotspotMitigation, LineageView, Loss, Reclaimed, RecomputePlan, RecoveryPlan,
-    RecoveryStep, RunOutcome, SplitPolicy, Stamp, Strategy as Resilience, TaskCounts,
+    DynamicPolicy, FailureAt, Fault, HotspotMitigation, LineageView, Loss, Reclaimed,
+    RecomputePlan, RecoveryPlan, RecoveryStep, RunOutcome, SplitPolicy, Stamp,
+    Strategy as Resilience, TaskCounts,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -213,8 +214,8 @@ struct Script {
     nodes: u32,
     strategy: Resilience,
     max_attempts: u32,
-    /// `(run number, node)`: the node dies as that run starts.
-    kills: Vec<(u64, u32)>,
+    /// `JobStart` crashes: the node dies as that run starts.
+    kills: Vec<FailureAt>,
     flake: Flake,
 }
 
@@ -243,10 +244,13 @@ impl Fake<'_> {
                 .push(format!("run {} numbered {seq}", self.calls));
         }
         let mut losses = Vec::new();
-        for &(_, node) in self.script.kills.iter().filter(|k| k.0 == seq) {
-            if std::mem::take(&mut self.world.alive[node as usize]) {
+        for kill in self.script.kills.iter().filter(|k| k.seq == seq) {
+            let Fault::NodeCrash(node) = kill.fault else {
+                continue;
+            };
+            if std::mem::take(&mut self.world.alive[node.index()]) {
                 losses.push(Loss {
-                    node: Some(rcmp_model::NodeId(node)),
+                    node: Some(node),
                     lost_partitions: 0,
                     fault: self.now(),
                     detected: self.now(),
@@ -265,7 +269,11 @@ impl Fake<'_> {
                 .push(format!("{strategy:?} planned a recovery"));
             return;
         };
-        let Ok(plan) = plan_cascade(&self.world, target, split, hotspot) else {
+        let reclaimed = (0..self.world.reclaimed.len() as u32)
+            .filter(|&j| self.world.reclaimed[j as usize])
+            .map(JobId)
+            .collect();
+        let Ok(plan) = plan_cascade(&self.world, target, split, hotspot, &reclaimed) else {
             self.violations
                 .push(format!("unplannable plan for {target} logged"));
             return;
@@ -398,6 +406,7 @@ impl ChainBackend for Fake<'_> {
             self.world.files[job].fill(Part::default());
             self.world.map_out[job].fill(None);
         }
+        self.world.reclaimed.fill(false);
         self.trace.push("restart".into());
         Ok(())
     }
@@ -605,12 +614,19 @@ fn run(script: &Script) -> std::result::Result<Ending, TestCaseError> {
         }
         // A typed ending names something true of the world.
         Err(Error::RecoveryExhausted { .. }) => {}
-        Err(Error::DataLoss { path, partition }) => {
-            prop_assert_eq!(path.as_str(), "file/0");
-            prop_assert!(fake.world.lost(0).contains(&partition.expect("named")));
-        }
+        Err(Error::DataLoss { path, partition }) => match partition {
+            Some(p) => {
+                prop_assert_eq!(path.as_str(), "file/0");
+                prop_assert!(fake.world.lost(0).contains(p));
+            }
+            // A replication point deleted the input the cascade reached:
+            // the loop says so before any backend looks for the file.
+            None => {
+                let file: usize = path["file/".len()..].parse().unwrap();
+                prop_assert!(fake.world.reclaimed[file], "{path} was never reclaimed");
+            }
+        },
         Err(Error::NoLiveNodes) => prop_assert!(fake.world.live().is_empty()),
-        Err(Error::FileNotFound(_)) => prop_assert!(fake.world.reclaimed.contains(&true)),
         Err(other) => prop_assert!(false, "untyped ending: {other}"),
     }
     if script.flake != Flake::None && script.kills.is_empty() {
@@ -691,7 +707,10 @@ fn script() -> impl Strategy<Value = Script> {
                 nodes,
                 strategy,
                 max_attempts,
-                kills: kills.into_iter().map(|(s, n)| (s, n % nodes)).collect(),
+                kills: kills
+                    .into_iter()
+                    .map(|(s, n)| FailureAt::at_job(s, n % nodes))
+                    .collect(),
                 flake: match flake {
                     0 => Flake::CancelJob(1 + flaky_job % jobs),
                     1 => Flake::CancelRecoveries,

@@ -7,47 +7,34 @@
 //! real middleware runs. This module is its simulator backend: it
 //! answers the planner's lineage questions from the sim state's
 //! placement and map-output validity, runs jobs through [`JobSim`], and
-//! charges simulated seconds — a failure `offset` seconds into a job
-//! wastes `offset + detect_timeout` seconds, then the job is discarded
-//! and restarted (§V-A). Its clock is the simulated one, so the loop's
-//! event log is stamped in simulated seconds and a loss's fault and
-//! detection stamps lie `detect_timeout` apart.
+//! charges simulated seconds. The fault script is the engine's
+//! ([`FailureAt`]); the simulator has no wave clock, so it replays
+//! `JobStart` entries only. The k-th crash scripted for a run strikes
+//! 15·k s after the previous one was detected (after the run started,
+//! for the first) and wastes that offset plus `detect_timeout`, then
+//! the job is discarded and restarted (§V-A). A drain takes no time.
+//! The loop's event log is stamped in simulated seconds, and a loss's
+//! fault and detection stamps lie `detect_timeout` apart.
 
 use crate::hw::HwProfile;
 use crate::jobsim::JobSim;
 use crate::report::{SimChainReport, SimJobReport};
-use crate::state::{FileId, Node, SimState};
+use crate::state::{FileId, SimState};
 use crate::workload::WorkloadCfg;
 use rcmp_model::{
-    ChainCacheConfig, Error, JobId, NodeId, PartitionId, PlacementKernel, Result, RetryPolicy,
+    ChainCacheConfig, Error, JobId, PartitionId, PlacementKernel, Result, RetryPolicy,
 };
 use rcmp_policy::{
-    drive_chain, ChainBackend, ChainConfig, Clock, LineageView, Loss, Membership, Reclaimed,
-    RecoveryStep, RunOutcome, Stamp, Strategy, TaskCounts,
+    drive_chain, ChainBackend, ChainConfig, Clock, Fault, LineageView, Loss, Membership, Reclaimed,
+    RecoveryStep, RunOutcome, Stamp, Strategy, TaskCounts, TriggerPoint,
 };
 use std::collections::BTreeSet;
 
-/// One scripted failure: kill `node` `offset` seconds into run `seq`
-/// (the paper injects 15 s after job start; seq numbering counts every
-/// run, so "failure at job 7" after earlier recomputations shifts —
-/// exactly the paper's Fig. 7 numbering).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FailureAt {
-    pub seq: u64,
-    pub offset: f64,
-    pub node: Node,
-}
+pub use rcmp_policy::FailureAt;
 
-impl FailureAt {
-    /// The paper's standard injection: 15 s into run `seq`.
-    pub fn at_job(seq: u64, node: Node) -> Self {
-        Self {
-            seq,
-            offset: 15.0,
-            node,
-        }
-    }
-}
+/// Seconds into a run the paper injects its failure (§V-A); the k-th
+/// crash scripted for one run is charged `k` times this.
+const CRASH_OFFSET: f64 = 15.0;
 
 /// Chain simulation configuration.
 #[derive(Clone, Debug)]
@@ -137,9 +124,24 @@ const MAX_ATTEMPTS: u32 = 100;
 ///
 /// # Panics
 ///
-/// When the chain cannot complete — every node failed, external input
-/// lost, recovery exhausted — with the typed error's message.
+/// When [`try_simulate_chain`] fails, with the typed error's message.
 pub fn simulate_chain(cfg: &ChainSimConfig) -> SimChainReport {
+    try_simulate_chain(cfg).unwrap_or_else(|e| panic!("chain simulation cannot complete: {e}"))
+}
+
+/// Simulates the chain to completion, or to the typed error that ends
+/// it: every node failed, external or reclaimed input lost, recovery
+/// exhausted, or a scripted fault the simulator cannot replay
+/// ([`Error::Config`]).
+pub fn try_simulate_chain(cfg: &ChainSimConfig) -> Result<SimChainReport> {
+    if let Some(f) = cfg.failures.iter().find(|f| {
+        f.point != TriggerPoint::JobStart
+            || !matches!(f.fault, Fault::NodeCrash(_) | Fault::NodeDrain { .. })
+    }) {
+        return Err(Error::Config(format!(
+            "the simulator replays JobStart crashes and drains only, not {f:?}"
+        )));
+    }
     let mut runner = Runner::new(cfg);
     let order: Vec<JobId> = (1..=cfg.wl.jobs).map(JobId).collect();
     let chain = ChainConfig {
@@ -149,14 +151,13 @@ pub fn simulate_chain(cfg: &ChainSimConfig) -> SimChainReport {
         retry: cfg.retry,
         seed: cfg.seed,
     };
-    let summary = drive_chain(&mut runner, &chain)
-        .unwrap_or_else(|e| panic!("chain simulation cannot complete: {e}"));
+    let summary = drive_chain(&mut runner, &chain)?;
     let mut report = runner.report;
     report.total_time = runner.t;
     report.jobs_started = summary.jobs_started;
     report.adaptation = summary.adaptation;
     report.events = summary.events;
-    report
+    Ok(report)
 }
 
 /// The simulator backend of the chain loop: job runs are [`JobSim`]
@@ -188,25 +189,36 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// Applies the failures scripted for run `seq` (the paper's FAIL
-    /// X,X case injects two in the same job), one [`Loss`] each. The
-    /// work until detection is wasted: the paper's RCMP discards partial
-    /// results, and the same accounting applies to every strategy — a
-    /// ~45 s symmetric penalty.
-    fn inject_failures(&mut self, seq: u64) -> Vec<Loss> {
+    /// Applies the faults scripted for run `seq`, in script order: a
+    /// crash (the paper's FAIL X,X case injects two in the same job)
+    /// is one [`Loss`], a drain is skipped unless
+    /// [`Membership::drainable`] allows it. The work until a crash's
+    /// detection is wasted: the paper's RCMP discards partial results,
+    /// and the same accounting applies to every strategy — a ~45 s
+    /// symmetric penalty for the first crash.
+    fn inject_failures(&mut self, seq: u64) -> Result<Vec<Loss>> {
         let mut losses = Vec::new();
         for f in self.cfg.failures.iter().filter(|f| f.seq == seq) {
-            let fault = sim_time(self.t + f.offset);
-            self.t += f.offset + self.cfg.hw.detect_timeout;
-            let lost = self.state.fail_node(f.node);
-            losses.push(Loss {
-                node: Some(NodeId(f.node)),
-                lost_partitions: lost.values().map(BTreeSet::len).sum(),
-                fault,
-                detected: self.now(),
-            });
+            match f.fault {
+                Fault::NodeCrash(node) => {
+                    let offset = CRASH_OFFSET * (losses.len() + 1) as f64;
+                    let fault = sim_time(self.t + offset);
+                    self.t += offset + self.cfg.hw.detect_timeout;
+                    let lost = self.state.fail_node(node.raw());
+                    losses.push(Loss {
+                        node: Some(node),
+                        lost_partitions: lost.values().map(BTreeSet::len).sum(),
+                        fault,
+                        detected: self.now(),
+                    });
+                }
+                Fault::NodeDrain { node } if self.state.membership().drainable(node.raw()) => {
+                    self.state.drain_node(node.raw())?;
+                }
+                _ => {}
+            }
         }
-        losses
+        Ok(losses)
     }
 
     fn completed(&mut self, seq: u64, mut rep: SimJobReport, losses: Vec<Loss>) -> RunOutcome {
@@ -288,7 +300,7 @@ impl ChainBackend for Runner<'_> {
     /// One full attempt of the job: the simulator always discards a
     /// cancelled job's partial results (§V-A), so a retry is a full run.
     fn run_job(&mut self, seq: u64, job: JobId, _retry: bool) -> Result<RunOutcome> {
-        let losses = self.inject_failures(seq);
+        let losses = self.inject_failures(seq)?;
         if self.state.live_nodes().is_empty() {
             return Err(Error::NoLiveNodes);
         }
@@ -306,11 +318,20 @@ impl ChainBackend for Runner<'_> {
         Ok(self.completed(seq, rep, losses))
     }
 
-    /// A failure scripted onto a recovery run cancels it (§IV-A).
+    /// A crash scripted onto a recovery run cancels it when a mapper
+    /// the step must re-run lost its input (§IV-A), as the engine's
+    /// pre-flight check does; a crash that spares that input leaves the
+    /// step running on the survivors, and the loop replans after it.
     fn run_recompute(&mut self, seq: u64, step: RecoveryStep) -> Result<RunOutcome> {
-        let losses = self.inject_failures(seq);
+        let losses = self.inject_failures(seq)?;
         if !losses.is_empty() {
-            return Ok(RunOutcome::cancelled(losses));
+            if self.state.live_nodes().is_empty() {
+                return Err(Error::NoLiveNodes);
+            }
+            let lost = self.lost_input(step.job)?;
+            if !self.rerun_input(step.job)?.is_disjoint(&lost) {
+                return Ok(RunOutcome::cancelled(losses));
+            }
         }
         let persist = self.cfg.strategy.persists_outputs();
         let rep =
@@ -545,14 +566,16 @@ mod tests {
         run(Strategy::rcmp_no_split(), kills);
     }
 
-    /// A failure scripted onto every recovery run: recovery never gets
-    /// to finish a plan, and gives up after the replan budget instead
-    /// of recursing once per failure.
+    /// A crash scripted onto every run from run 4 on, all of the node
+    /// run 4 killed: the later ones destroy nothing, so each recovery
+    /// step finishes on the survivors and the loop replans after it, as
+    /// on the engine, until the chain completes.
     #[test]
-    #[should_panic(expected = "nested-failure recovery did not converge")]
-    fn failure_on_every_recovery_run_exhausts_the_replan_budget() {
-        let mut failures = vec![FailureAt::at_job(4, 5)];
-        failures.extend((5..400).map(|seq| FailureAt::at_job(seq, 5)));
-        run(Strategy::rcmp_no_split(), failures);
+    fn crashes_that_spare_every_recovery_step_still_converge() {
+        let failures = (4..400).map(|seq| FailureAt::at_job(seq, 5)).collect();
+        let r = run(Strategy::rcmp_no_split(), failures);
+        assert_eq!(r.events.losses() as u64, r.jobs_started - 3);
+        let plans: Vec<usize> = r.events.recoveries().map(|(_, steps, _)| steps).collect();
+        assert_eq!(plans, [3, 2, 1, 0]);
     }
 }

@@ -37,7 +37,7 @@ pub mod state;
 pub mod trace;
 pub mod workload;
 
-pub use chainsim::{simulate_chain, ChainSimConfig, FailureAt};
+pub use chainsim::{simulate_chain, try_simulate_chain, ChainSimConfig, FailureAt};
 pub use hw::HwProfile;
 pub use jobsim::JobSim;
 pub use report::{SimChainReport, SimJobReport};

@@ -65,28 +65,29 @@ impl WorkloadCfg {
     pub fn total_input(&self) -> ByteSize {
         self.per_node_input * self.nodes as u64
     }
-
-    /// Mappers per job (one per input block) at chain start.
-    pub fn mappers_per_job(&self) -> u64 {
-        self.per_node_input.blocks_of(self.block_size) * self.nodes as u64
-    }
-
-    /// Mapper waves in an initial run (WM in the paper's model).
-    pub fn initial_map_waves(&self) -> u64 {
-        let slots_total = (self.nodes * self.slots.map) as u64;
-        self.mappers_per_job().div_ceil(slots_total)
-    }
-
-    /// Reducer waves in an initial run (WR).
-    pub fn initial_reduce_waves(&self) -> u64 {
-        let slots_total = (self.nodes * self.slots.reduce) as u64;
-        (self.num_reducers as u64).div_ceil(slots_total)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The paper's model counts for an initial run: mappers per job (one
+    /// per input block) and the map and reduce waves (WM, WR).
+    impl WorkloadCfg {
+        fn mappers_per_job(&self) -> u64 {
+            self.per_node_input.blocks_of(self.block_size) * self.nodes as u64
+        }
+
+        fn initial_map_waves(&self) -> u64 {
+            let slots_total = (self.nodes * self.slots.map) as u64;
+            self.mappers_per_job().div_ceil(slots_total)
+        }
+
+        fn initial_reduce_waves(&self) -> u64 {
+            let slots_total = (self.nodes * self.slots.reduce) as u64;
+            (self.num_reducers as u64).div_ceil(slots_total)
+        }
+    }
 
     #[test]
     fn paper_scale_counts() {

@@ -1,7 +1,8 @@
 //! End-to-end engine tests: real jobs over real data.
 
 use rcmp_engine::{
-    Cluster, JobRun, JobTracker, NoFailures, RecomputeInstructions, ScriptedInjector, TriggerPoint,
+    Cluster, FailureAt, Fault, JobRun, JobTracker, NoFailures, RecomputeInstructions,
+    ScriptedInjector, TriggerPoint,
 };
 use rcmp_model::{ClusterConfig, Error, NodeId, PartitionId, SlotConfig};
 use rcmp_workloads::checksum::digest_file;
@@ -353,15 +354,15 @@ fn repl3_survives_double_failure() {
     gen_input(&cluster, 5, 30_000);
     let chain = ChainBuilder::new(1, 5).replication(3).build();
     let injector = Arc::new(ScriptedInjector::new([
-        rcmp_engine::failure::Trigger {
+        FailureAt {
             seq: 1,
             point: TriggerPoint::AfterMapWave(0),
-            node: NodeId(1),
+            fault: Fault::NodeCrash(NodeId(1)),
         },
-        rcmp_engine::failure::Trigger {
+        FailureAt {
             seq: 1,
             point: TriggerPoint::AfterReduceWave(0),
-            node: NodeId(3),
+            fault: Fault::NodeCrash(NodeId(3)),
         },
     ]));
     let tracker = JobTracker::new(&cluster, injector);

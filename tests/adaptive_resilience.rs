@@ -4,7 +4,7 @@
 //! seeded retry backoff that replaces the old herd-prone flat retries.
 
 use rcmp::core::{ChainDriver, ChainEvent, SplitPolicy, Strategy};
-use rcmp::engine::failure::{Fault, FaultTrigger};
+use rcmp::engine::failure::Fault;
 use rcmp::engine::{Cluster, ScriptedInjector, TriggerPoint};
 use rcmp::model::rng::derive_indexed;
 use rcmp::model::{ClusterConfig, NodeId, RetryPolicy, SlotConfig};
@@ -326,7 +326,7 @@ fn shuffle_flakes_record_backoff_histogram() {
     let chain = ChainBuilder::new(2, 5).build();
     let injector = Arc::new(ScriptedInjector::default().tolerate_unfired());
     for node in [0u32, 2, 4] {
-        injector.add_fault(FaultTrigger {
+        injector.add(FailureAt {
             seq: 1,
             point: TriggerPoint::JobStart,
             fault: Fault::ShuffleFlake {

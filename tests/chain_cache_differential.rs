@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use rcmp::core::{ChainDriver, EventLog, Strategy};
-use rcmp::engine::failure::{Fault, FaultTrigger};
+use rcmp::engine::failure::{FailureAt, Fault};
 use rcmp::engine::{Cluster, ScriptedInjector, TriggerPoint};
 use rcmp::model::{
     ByteSize, ChainCacheConfig, ClusterConfig, Error, ExecutorConfig, NodeId, PlacementKernel,
@@ -46,7 +46,7 @@ fn cluster(cache: ChainCacheConfig, placement: PlacementKernel) -> Cluster {
 fn faulted_run(
     cache: ChainCacheConfig,
     placement: PlacementKernel,
-    fault: Option<FaultTrigger>,
+    fault: Option<FailureAt>,
 ) -> (String, Option<EventLog>, u64) {
     let cl = cluster(cache, placement);
     generate_input(cl.dfs(), &DataGenConfig::test("input", NODES, 8_000)).unwrap();
@@ -54,7 +54,7 @@ fn faulted_run(
     let mut driver = ChainDriver::new(&cl, Strategy::rcmp_split(2));
     if let Some(trigger) = fault {
         let injector = Arc::new(ScriptedInjector::default());
-        injector.add_fault(trigger);
+        injector.add(trigger);
         driver = driver.with_injector(injector);
     }
     let (status, events) = match driver.run(&chain.jobs) {
@@ -102,7 +102,7 @@ proptest! {
             0 => TriggerPoint::JobStart,
             _ => TriggerPoint::AfterMapWave(0),
         };
-        let trigger = FaultTrigger { seq, point, fault };
+        let trigger = FailureAt { seq, point, fault };
         let (off, off_events, off_hits) = faulted_run(
             ChainCacheConfig::default(),
             PlacementKernel::Default,
@@ -187,7 +187,7 @@ fn stable_kernel_is_fully_local_on_balanced_partitions() {
 #[test]
 fn stable_kernel_survives_crash_to_oracle_digest() {
     for node in 0..NODES {
-        let trigger = FaultTrigger {
+        let trigger = FailureAt {
             seq: 2,
             point: TriggerPoint::AfterMapWave(0),
             fault: Fault::NodeCrash(NodeId(node)),

@@ -9,8 +9,8 @@
 use rcmp::core::driver::RestartMode;
 use rcmp::core::strategy::HotspotMitigation;
 use rcmp::core::{ChainDriver, ChainEvent, SplitPolicy, Strategy};
-use rcmp::engine::failure::Trigger;
 use rcmp::engine::{Cluster, ScriptedInjector, TriggerPoint};
+use rcmp::engine::{FailureAt, Fault};
 use rcmp::model::{ClusterConfig, JobId, NodeId, SlotConfig};
 use rcmp::workloads::checksum::{digest_file, OutputDigest};
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
@@ -143,15 +143,15 @@ fn rcmp_survives_double_failure() {
     let reference = reference_digest(6, 4);
     let (cl, chain) = setup(6, 4);
     let injector = Arc::new(ScriptedInjector::new([
-        Trigger {
+        FailureAt {
             seq: 2,
             point: TriggerPoint::JobStart,
-            node: NodeId(1),
+            fault: Fault::NodeCrash(NodeId(1)),
         },
-        Trigger {
+        FailureAt {
             seq: 5, // after recovery of the first failure, a later run
             point: TriggerPoint::JobStart,
-            node: NodeId(3),
+            fault: Fault::NodeCrash(NodeId(3)),
         },
     ]));
     let outcome = ChainDriver::new(&cl, Strategy::rcmp_split(4))
@@ -176,15 +176,15 @@ fn rcmp_survives_nested_failure_during_recovery() {
     // First kill as job 3 starts (seq 3). Recovery steps follow as seq
     // 4+; kill another node inside the first recovery run.
     let injector = Arc::new(ScriptedInjector::new([
-        Trigger {
+        FailureAt {
             seq: 3,
             point: TriggerPoint::JobStart,
-            node: NodeId(0),
+            fault: Fault::NodeCrash(NodeId(0)),
         },
-        Trigger {
+        FailureAt {
             seq: 4,
             point: TriggerPoint::AfterMapWave(0),
-            node: NodeId(1),
+            fault: Fault::NodeCrash(NodeId(1)),
         },
     ]));
     let outcome = ChainDriver::new(&cl, Strategy::rcmp_no_split())

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use rcmp::core::{ChainDriver, EventLog, Strategy};
-use rcmp::engine::failure::{Fault, FaultTrigger};
+use rcmp::engine::failure::{FailureAt, Fault};
 use rcmp::engine::{
     Cluster, JobRun, JobTracker, NoFailures, RandomizedInjector, ScriptedInjector, TriggerPoint,
 };
@@ -604,7 +604,7 @@ fn transient_shuffle_flakes_are_absorbed() {
         let chain = setup(&cl);
         let injector = Arc::new(ScriptedInjector::default().tolerate_unfired());
         for (seq, node) in [(1u64, 0u32), (3, 2), (5, 4)] {
-            injector.add_fault(FaultTrigger {
+            injector.add(FailureAt {
                 seq,
                 point: TriggerPoint::JobStart,
                 fault: Fault::ShuffleFlake {
@@ -692,7 +692,7 @@ fn failed_run_traces_every_injected_fault() {
         generate_input(cl.dfs(), &gen).unwrap();
         let chain = ChainBuilder::new(1, 1).build();
         let injector = Arc::new(ScriptedInjector::default().tolerate_unfired());
-        injector.add_fault(FaultTrigger {
+        injector.add(FailureAt {
             seq: 1,
             point: TriggerPoint::JobStart,
             fault: Fault::ShuffleFlake {
@@ -700,7 +700,7 @@ fn failed_run_traces_every_injected_fault() {
                 times: u32::MAX,
             },
         });
-        injector.add_fault(FaultTrigger {
+        injector.add(FailureAt {
             seq: 1,
             point: TriggerPoint::JobStart,
             fault: Fault::CorruptReplica { node: NodeId(0) },
@@ -773,7 +773,7 @@ fn unrecoverable_input_exhausts_chain_restart_budget() {
         let victims = meta.partitions[0].block_locations()[0].replicas.clone();
         let injector = Arc::new(ScriptedInjector::default().tolerate_unfired());
         for node in victims {
-            injector.add_fault(FaultTrigger {
+            injector.add(FailureAt {
                 seq: 1,
                 point: TriggerPoint::JobStart,
                 fault: Fault::NodeCrash(node),
@@ -803,7 +803,7 @@ fn soak_diagnostics(
     injector: &ScriptedInjector,
     adaptation: &[rcmp::policy::AdaptationStep],
 ) -> String {
-    let unfired = injector.unfired_faults();
+    let unfired = injector.unfired();
     let mut out = format!("unfired faults ({}):\n", unfired.len());
     for f in &unfired {
         out.push_str(&format!("  {f:?}\n"));
@@ -840,12 +840,12 @@ fn adaptive_hybrid_soaks_through_mixed_chaos() {
         let cl = cluster_on(leg, ChainCacheConfig::default());
         let chain = setup(&cl);
         let injector = Arc::new(ScriptedInjector::default().tolerate_unfired());
-        injector.add_fault(FaultTrigger {
+        injector.add(FailureAt {
             seq: 2,
             point: TriggerPoint::JobStart,
             fault: Fault::NodeCrash(NodeId(1)),
         });
-        injector.add_fault(FaultTrigger {
+        injector.add(FailureAt {
             seq: 4,
             point: TriggerPoint::JobStart,
             fault: Fault::ShuffleFlake {
@@ -853,7 +853,7 @@ fn adaptive_hybrid_soaks_through_mixed_chaos() {
                 times: 2,
             },
         });
-        injector.add_fault(FaultTrigger {
+        injector.add(FailureAt {
             seq: 5,
             point: TriggerPoint::JobStart,
             fault: Fault::CorruptReplica { node: NodeId(3) },
@@ -923,12 +923,12 @@ fn drain_during_recompute_converges_to_golden() {
         // 1's lost partitions. Drain node 2 after that run's first map
         // wave: the strict injector check proves the drain really fired
         // mid-recompute.
-        injector.add_fault(FaultTrigger {
+        injector.add(FailureAt {
             seq: 2,
             point: TriggerPoint::JobStart,
             fault: Fault::NodeCrash(NodeId(1)),
         });
-        injector.add_fault(FaultTrigger {
+        injector.add(FailureAt {
             seq: 3,
             point: TriggerPoint::AfterMapWave(0),
             fault: Fault::NodeDrain { node: NodeId(2) },
@@ -1005,12 +1005,12 @@ fn every_placement_kernel_converges_chaos_chain_to_golden() {
         let cl = cluster_on(leg, ChainCacheConfig::default());
         let chain = setup(&cl);
         let injector = Arc::new(ScriptedInjector::default().tolerate_unfired());
-        injector.add_fault(FaultTrigger {
+        injector.add(FailureAt {
             seq: 2,
             point: TriggerPoint::JobStart,
             fault: Fault::NodeCrash(NodeId(1)),
         });
-        injector.add_fault(FaultTrigger {
+        injector.add(FailureAt {
             seq: 4,
             point: TriggerPoint::JobStart,
             fault: Fault::ShuffleFlake {
@@ -1018,7 +1018,7 @@ fn every_placement_kernel_converges_chaos_chain_to_golden() {
                 times: 2,
             },
         });
-        injector.add_fault(FaultTrigger {
+        injector.add(FailureAt {
             seq: 5,
             point: TriggerPoint::JobStart,
             fault: Fault::CorruptReplica { node: NodeId(3) },

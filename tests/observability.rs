@@ -6,7 +6,7 @@
 //! (Fig. 4).
 
 use rcmp::core::{ChainDriver, ChainEvent, ChainOutcome, Strategy};
-use rcmp::engine::failure::{Fault, FaultTrigger};
+use rcmp::engine::failure::{FailureAt, Fault};
 use rcmp::engine::{Cluster, ScriptedInjector, TriggerPoint};
 use rcmp::model::{ByteSize, ClusterConfig, Error, NodeId, SlotConfig, TaskId};
 use rcmp::obs::{
@@ -427,12 +427,12 @@ fn chaos_chain_death_parks_a_complete_blackbox() {
     generate_input(cl.dfs(), &DataGenConfig::test("input", NODES, 12_000)).unwrap();
     let chain = ChainBuilder::new(JOBS, NODES).build();
     let injector = Arc::new(ScriptedInjector::default().tolerate_unfired());
-    injector.add_fault(FaultTrigger {
+    injector.add(FailureAt {
         seq: KILL_SEQ,
         point: TriggerPoint::JobStart,
         fault: Fault::NodeCrash(VICTIM),
     });
-    injector.add_fault(FaultTrigger {
+    injector.add(FailureAt {
         seq: retry_seq,
         point: TriggerPoint::JobStart,
         fault: Fault::NodeCrash(NodeId(1)),

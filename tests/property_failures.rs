@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use rcmp::core::strategy::HotspotMitigation;
 use rcmp::core::{ChainDriver, SplitPolicy, Strategy};
-use rcmp::engine::failure::Trigger;
 use rcmp::engine::{Cluster, ScriptedInjector, TriggerPoint};
+use rcmp::engine::{FailureAt, Fault};
 use rcmp::model::{ClusterConfig, NodeId, SlotConfig};
 use rcmp::workloads::checksum::{digest_file, OutputDigest};
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
@@ -123,8 +123,8 @@ proptest! {
         // The second trigger's run may never happen (the chain can
         // finish first), so opt out of the strict unfired check.
         let injector = Arc::new(ScriptedInjector::new([
-            Trigger { seq: seq1, point: point_from(p1), node: NodeId(nodes[0]) },
-            Trigger { seq: seq1 + seq2, point: point_from(p2), node: NodeId(nodes[1]) },
+            FailureAt { seq: seq1, point: point_from(p1), fault: Fault::NodeCrash(NodeId(nodes[0])), },
+            FailureAt { seq: seq1 + seq2, point: point_from(p2), fault: Fault::NodeCrash(NodeId(nodes[1])), },
         ]).tolerate_unfired());
         let strategy = if split {
             Strategy::rcmp_split(3)

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use rcmp::core::{ChainDriver, Strategy};
-use rcmp::engine::{Cluster, Fault, FaultTrigger, ScriptedInjector, TriggerPoint};
+use rcmp::engine::{Cluster, FailureAt, Fault, ScriptedInjector, TriggerPoint};
 use rcmp::model::rng::derive_indexed;
 use rcmp::model::{ClusterConfig, Error, ExecutorConfig, NodeId, ServeConfig, TenantId};
 use rcmp::obs::tenant_view;
@@ -93,12 +93,12 @@ fn chaos_on_one_tenant_leaves_a_replicated_neighbour_golden() {
         // (A job's output is written with its strategy's replication
         // factor, whatever the chain spec says.)
         let injector = ScriptedInjector::default().tolerate_unfired();
-        injector.add_fault(FaultTrigger {
+        injector.add(FailureAt {
             seq: 1,
             point: TriggerPoint::AfterMapWave(0),
             fault: Fault::CorruptReplica { node: NodeId(1) },
         });
-        injector.add_fault(FaultTrigger {
+        injector.add(FailureAt {
             seq: 2,
             point: TriggerPoint::MidReduceWave(0),
             fault: Fault::ShuffleFlake {
@@ -226,7 +226,7 @@ proptest! {
                 } else {
                     Fault::ShuffleFlake { node, times: 1 }
                 };
-                injector.add_fault(FaultTrigger {
+                injector.add(FailureAt {
                     seq: 1 + derive_indexed(chaos_seed, "seq", k) % 2,
                     point,
                     fault,
