@@ -8,8 +8,9 @@
 //! numbering), *where* in it ([`TriggerPoint`]) and *what* ([`Fault`]).
 //! The engine's injector fires an entry at its execution point; the
 //! simulator reads a `JobStart` crash as the paper's offset (the k-th
-//! crash scripted for a run lands 15·k s in) and a `JobStart` drain as
-//! an instant membership change. The chain-machine model consumes the
+//! crash scripted for a run strikes 15·k s after the previous one was
+//! detected, or after the run started) and a `JobStart` drain as an
+//! instant membership change. The chain-machine model consumes the
 //! same type.
 
 use rcmp_model::NodeId;
