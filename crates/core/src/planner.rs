@@ -10,9 +10,9 @@
 
 use crate::dag::JobGraph;
 use crate::strategy::{HotspotMitigation, SplitPolicy};
-use rcmp_engine::{Cluster, JobSpec, MapInputKey};
-use rcmp_model::{Error, JobId, PartitionId, Result};
-use rcmp_policy::{plan_cascade, LineageView};
+use rcmp_engine::{Cluster, JobSpec};
+use rcmp_model::{Error, JobId, Result};
+use rcmp_policy::{plan_cascade, InputView, LineageView};
 use std::collections::BTreeSet;
 
 pub use rcmp_policy::{RecoveryPlan, RecoveryStep};
@@ -54,43 +54,13 @@ impl LineageView for ClusterLineage<'_> {
         self.graph.producer_of(&self.graph.spec(job)?.input)
     }
 
-    /// Partitions that lost all replicas, plus partitions that are
-    /// *unwritten* — a recomputation run clears its target partitions
-    /// before regenerating them, so a nested failure can leave a
-    /// partition empty without it being "lost"; treating it as intact
-    /// would silently drop its records from every downstream job.
-    /// Missing files need nothing (never created).
-    fn lost_input(&self, job: JobId) -> Result<BTreeSet<PartitionId>> {
-        match self.cluster.dfs().file_meta(&self.spec(job)?.input) {
-            Ok(meta) => Ok(meta
-                .partitions
-                .iter()
-                .filter(|p| p.is_lost() || !p.is_written())
-                .map(|p| p.id)
-                .collect()),
-            Err(Error::FileNotFound(_)) => Ok(BTreeSet::new()),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// A mapper must re-run when the store holds no output for it or
-    /// one whose input fingerprint is stale. A *lost* partition's
-    /// blocks are still listed in the metadata (with empty replica
-    /// sets), so enumeration is complete even for lost data.
-    fn rerun_input(&self, job: JobId) -> Result<BTreeSet<PartitionId>> {
-        let meta = self.cluster.dfs().file_meta(&self.spec(job)?.input)?;
-        let store = self.cluster.map_outputs();
-        Ok(meta
-            .partitions
-            .iter()
-            .filter(|p| {
-                p.blocks().enumerate().any(|(idx, block)| {
-                    let key = MapInputKey::new(job, p.id, idx as u32);
-                    store.input_hash(&key) != Some(block.content_hash)
-                })
-            })
-            .map(|p| p.id)
-            .collect())
+    /// DFS metadata for readability, the map-output store for the
+    /// stored fingerprints. A *lost* partition's blocks are still listed
+    /// in the metadata (with empty replica sets), so enumeration is
+    /// complete even for lost data.
+    fn input(&self, job: JobId) -> Result<InputView> {
+        let (_, view) = self.cluster.map_inputs(job, &self.spec(job)?.input)?;
+        Ok(view)
     }
 
     fn survivors(&self) -> usize {
@@ -110,7 +80,7 @@ mod tests {
     use super::*;
     use rcmp_dfs::PlacementPolicy;
     use rcmp_engine::{IdentityMapper, IdentityReducer, JobSpec};
-    use rcmp_model::{ClusterConfig, NodeId};
+    use rcmp_model::{ClusterConfig, NodeId, PartitionId};
     use std::sync::Arc;
 
     fn spec(job: u32, input: &str, output: &str) -> JobSpec {

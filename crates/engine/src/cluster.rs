@@ -1,14 +1,15 @@
 //! The collocated cluster: DFS + map-output store + liveness.
 
-use crate::mapstore::MapOutputStore;
+use crate::mapstore::{MapInputKey, MapOutputStore};
+use crate::task::MapTask;
 use parking_lot::Mutex;
-use rcmp_dfs::{Dfs, DfsConfig, LossReport, RebalanceReport};
+use rcmp_dfs::{BlockLocation, Dfs, DfsConfig, LossReport, RebalanceReport};
 use rcmp_exec::BackendExecutor;
-use rcmp_model::{ClusterConfig, NodeId, Result};
+use rcmp_model::{ClusterConfig, JobId, MapTaskId, NodeId, Result};
 use rcmp_obs::{
     BlackboxDump, Clock, FlightRecorder, Gauge, MetricsRegistry, PhaseProfiler, SpanKind, Tracer,
 };
-use rcmp_policy::Membership;
+use rcmp_policy::{InputView, MapInput, Membership};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -269,6 +270,36 @@ impl Cluster {
             self.note_transition("dead", node);
         }
         report
+    }
+
+    /// `job`'s mappers over its input file `input`, one per block, and
+    /// the snapshot `rcmp_policy::job_init` and the planner decide over:
+    /// one metadata read and one map-output lookup per block.
+    pub fn map_inputs(&self, job: JobId, input: &str) -> Result<(Vec<MapTask>, InputView)> {
+        let meta = self.dfs.file_meta(input)?;
+        let live = self.dfs.live_nodes();
+        let mut tasks = Vec::new();
+        let mut view = InputView::default();
+        for p in &meta.partitions {
+            if !p.is_written() {
+                view.unwritten.insert(p.id);
+            }
+            for (bi, block) in p.blocks().enumerate() {
+                let key = MapInputKey::new(job, p.id, bi as u32);
+                view.blocks.push(MapInput {
+                    partition: p.id,
+                    readable: block.replicas.iter().any(|n| live.contains(n)),
+                    stored: self.map_outputs.input_hash(&key),
+                    current: block.content_hash,
+                });
+                tasks.push(MapTask {
+                    id: MapTaskId::new(job, tasks.len() as u32),
+                    key,
+                    block: BlockLocation::from(block),
+                });
+            }
+        }
+        Ok((tasks, view))
     }
 }
 

@@ -38,14 +38,15 @@ use rcmp_dfs::{ChainCache, PlacementPolicy};
 use rcmp_exec::{BackendExecutor, SessionExecutor, SlotOutcome, SlotTask, TaskCtx, WaveSpec};
 use rcmp_model::rng::derive_indexed;
 use rcmp_model::{
-    Error, JobId, MapTaskId, NodeId, PartitionId, Record, RecordReader, ReduceTaskId, Result,
-    TaskId, TenantId,
+    Error, JobId, NodeId, PartitionId, Record, RecordReader, ReduceTaskId, Result, TaskId, TenantId,
 };
 use rcmp_obs::{
     Counter, EventCode, FaultKind, FlightRecorder, Histogram, Phase, PhaseKind, PhaseProfiler,
     SpanId, SpanKind, Tracer,
 };
-use rcmp_policy::{reduce_task_set, reduce_tasks_for, PolicyCtx, SliceTopology};
+use rcmp_policy::{
+    job_init, reduce_task_set, reduce_tasks_for, PolicyCtx, RecomputePlan, SliceTopology,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -305,19 +306,9 @@ impl<'a> JobTracker<'a> {
         let instructions = match &run.mode {
             RunMode::Full => None,
             RunMode::Recompute(i) => {
-                if let Some(k) = i.split {
-                    if k == 0 {
-                        return Err(Error::Config("split factor must be >= 1".into()));
-                    }
-                    if k > 1 && !spec.splittable {
-                        return Err(Error::UnsplittableJob(spec.job));
-                    }
-                }
-                if i.partitions.iter().any(|p| p.raw() >= spec.num_reducers) {
-                    return Err(Error::Config(format!(
-                        "recompute partition out of range for {} reducers",
-                        spec.num_reducers
-                    )));
+                i.validate(spec.job, spec.num_reducers, spec.splittable)?;
+                if i.force_rerun_mappers.is_some() {
+                    return Err(Error::Config("force_rerun_mappers is sim-only".into()));
                 }
                 Some(i.clone())
             }
@@ -325,28 +316,21 @@ impl<'a> JobTracker<'a> {
 
         self.fire(seq, spec.job, TriggerPoint::JobStart, job_span, report);
 
-        // ----- mapper reuse decision (pre-flight) -----------------------
-        // Computed *before* any destructive output mutation (deleting a
+        // ----- JobInit (pre-flight) -------------------------------------
+        // Decided *before* any destructive output mutation (deleting a
         // Full run's old output, clearing a recompute's target
         // partitions): if the input is not readable the job must cancel
         // leaving the cluster exactly as it found it — otherwise
         // recovery planning would see partitions this run cleared
         // itself as empty-but-not-lost.
-        let reuse = instructions.as_ref().is_some_and(|i| i.reuse_map_outputs);
-        let ignore_fp = instructions
-            .as_ref()
-            .is_some_and(|i| i.unsafe_ignore_fingerprints);
-        self.check_input_complete(spec)?;
-        let mut inputs = self.enumerate_inputs(spec)?;
-        let mut pending_maps: Vec<MapTask> = Vec::new();
-        for t in &inputs {
-            if self.map_output_ok(t, reuse, ignore_fp) {
-                report.map_tasks_reused += 1;
-            } else {
-                pending_maps.push(t.clone());
-            }
-        }
-        self.check_inputs_available(spec, &pending_maps)?;
+        let (mut inputs, mut pending_maps) = self.init_maps(spec, instructions.as_ref())?;
+        report.map_tasks_reused += inputs.len() - pending_maps.len();
+        // The in-loop refreshes re-run whatever map output went missing
+        // since, under the run's own fingerprint rule.
+        let refresh = RecomputePlan {
+            reuse_map_outputs: true,
+            ..instructions.clone().unwrap_or_else(RecomputePlan::empty)
+        };
 
         // ----- output file + reduce task set ---------------------------
         let dfs = self.cluster.dfs();
@@ -408,7 +392,6 @@ impl<'a> JobTracker<'a> {
             for _round in 0..MAX_RECOVERY_ROUNDS {
                 // MAP PHASE: ensure every needed map output exists.
                 while !pending_maps.is_empty() {
-                    self.check_inputs_available(spec, &pending_maps)?;
                     let live = self.live_or_fail()?;
                     let membership = self.cluster.membership();
                     let topo = SliceTopology::for_kernel(
@@ -493,12 +476,7 @@ impl<'a> JobTracker<'a> {
                         }
                     }
                     // Refresh: which map outputs are still missing?
-                    inputs = self.enumerate_inputs(spec)?;
-                    pending_maps = inputs
-                        .iter()
-                        .filter(|t| !self.map_output_present(t, ignore_fp))
-                        .cloned()
-                        .collect();
+                    (inputs, pending_maps) = self.init_maps(spec, Some(&refresh))?;
                     if !interrupted && !pending_maps.is_empty() {
                         // Defensive: tasks ran without interruption but
                         // outputs still missing would mean a bug.
@@ -636,12 +614,7 @@ impl<'a> JobTracker<'a> {
                 }
 
                 // Refresh missing map outputs for the next round.
-                inputs = self.enumerate_inputs(spec)?;
-                pending_maps = inputs
-                    .iter()
-                    .filter(|t| !self.map_output_present(t, ignore_fp))
-                    .cloned()
-                    .collect();
+                (inputs, pending_maps) = self.init_maps(spec, Some(&refresh))?;
 
                 if pending_reduces.is_empty() && pending_maps.is_empty() {
                     break;
@@ -799,79 +772,19 @@ impl<'a> JobTracker<'a> {
         Ok(live)
     }
 
-    /// One mapper per input block, enumerated from current metadata.
-    fn enumerate_inputs(&self, spec: &JobSpec) -> Result<Vec<MapTask>> {
-        let meta = self.cluster.dfs().file_meta(&spec.input)?;
-        let mut tasks = Vec::new();
-        let mut index = 0u32;
-        for p in &meta.partitions {
-            for (bi, loc) in p.block_locations().into_iter().enumerate() {
-                tasks.push(MapTask {
-                    id: MapTaskId::new(spec.job, index),
-                    key: MapInputKey::new(spec.job, p.id, bi as u32),
-                    block: loc,
-                });
-                index += 1;
-            }
-        }
-        Ok(tasks)
-    }
-
-    /// Does a valid persisted output exist for this mapper (reuse path)?
-    fn map_output_ok(&self, task: &MapTask, reuse: bool, ignore_fp: bool) -> bool {
-        reuse && self.map_output_present(task, ignore_fp)
-    }
-
-    /// Does the store hold an output for this mapper matching the
-    /// current input block fingerprint?
-    fn map_output_present(&self, task: &MapTask, ignore_fp: bool) -> bool {
-        self.cluster
-            .map_outputs()
-            .input_hash(&task.key)
-            .is_some_and(|hash| ignore_fp || hash == task.block.content_hash)
-    }
-
-    /// Errors with [`Error::JobInputLost`] if any input partition was
-    /// never (re)written — e.g. cleared by a recomputation run that a
-    /// nested failure cancelled. Such a partition has no blocks, so it
-    /// would otherwise be silently skipped, dropping its records from
-    /// every downstream job.
-    fn check_input_complete(&self, spec: &JobSpec) -> Result<()> {
-        let meta = self.cluster.dfs().file_meta(&spec.input)?;
-        let unwritten: Vec<PartitionId> = meta
-            .partitions
-            .iter()
-            .filter(|p| !p.is_written())
-            .map(|p| p.id)
-            .collect();
-        if unwritten.is_empty() {
-            Ok(())
-        } else {
-            Err(Error::JobInputLost {
-                job: spec.job,
-                lost_partitions: unwritten,
-            })
-        }
-    }
-
-    /// Errors with [`Error::JobInputLost`] if any pending mapper's input
-    /// block has no live replica.
-    fn check_inputs_available(&self, spec: &JobSpec, pending: &[MapTask]) -> Result<()> {
-        let mut lost: Vec<PartitionId> = pending
-            .iter()
-            .filter(|t| !t.block.replicas.iter().any(|&n| self.cluster.is_alive(n)))
-            .map(|t| t.key.pid)
-            .collect();
-        if lost.is_empty() {
-            Ok(())
-        } else {
-            lost.sort();
-            lost.dedup();
-            Err(Error::JobInputLost {
-                job: spec.job,
-                lost_partitions: lost,
-            })
-        }
+    /// JobInit over the input as it stands now
+    /// ([`rcmp_policy::job_init`]): every mapper of the job, and those
+    /// that must run; persisted outputs stand in for the rest. Fails
+    /// with [`Error::JobInputLost`] if the input is lost.
+    fn init_maps(
+        &self,
+        spec: &JobSpec,
+        plan: Option<&RecomputePlan>,
+    ) -> Result<(Vec<MapTask>, Vec<MapTask>)> {
+        let (inputs, view) = self.cluster.map_inputs(spec.job, &spec.input)?;
+        let rerun = job_init(spec.job, plan, &view)?;
+        let pending = rerun.iter().map(|&i| inputs[i].clone()).collect();
+        Ok((inputs, pending))
     }
 
     /// Runs one assigned wave through the job's executor session, inside
@@ -1514,7 +1427,11 @@ mod tests {
         .unwrap();
         let spec = identity_job(2);
         let tracker = JobTracker::new(&cluster, Arc::new(NoFailures));
-        let task = tracker.enumerate_inputs(&spec).unwrap().remove(0);
+        let task = cluster
+            .map_inputs(spec.job, &spec.input)
+            .unwrap()
+            .0
+            .remove(0);
         let slots = BucketSlots::new(spec.job, spec.num_reducers, None);
         let err = tracker
             .map_task_inner(NodeId(0), task.clone(), &spec, &slots, 0)
@@ -1601,5 +1518,34 @@ mod tests {
                 if attempts == retries + 1),
             "{err:?}"
         );
+    }
+
+    /// Forcing mappers is the simulator's knob: the engine rejects it
+    /// before it touches the cluster, as it rejects any invalid plan.
+    #[test]
+    fn recompute_rejects_forced_mappers_and_touches_nothing() {
+        let cluster = Cluster::new(ClusterConfig::small_test(2));
+        let dfs = cluster.dfs();
+        dfs.create_file("input", 1, 1).unwrap();
+        let mut w = RecordWriter::new();
+        w.push(&Record::new(1, vec![1; 8]));
+        dfs.write_partition_chunks(
+            "input",
+            PartitionId(0),
+            vec![w.finish()],
+            NodeId(0),
+            PlacementPolicy::WriterLocal,
+        )
+        .unwrap();
+        let tracker = JobTracker::new(&cluster, Arc::new(NoFailures));
+        tracker.run(&JobRun::full(identity_job(2)), 1).unwrap();
+        let before = dfs.file_meta("out/1").unwrap();
+        let mut plan = RecomputePlan::new([0u32], None);
+        plan.force_rerun_mappers = Some(1);
+        let err = tracker
+            .run(&JobRun::recompute(identity_job(2), plan), 2)
+            .unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err:?}");
+        assert_eq!(dfs.file_meta("out/1").unwrap(), before);
     }
 }

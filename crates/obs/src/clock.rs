@@ -51,11 +51,6 @@ impl Clock {
             Source::Manual(cell) => cell.load(Ordering::SeqCst),
         }
     }
-
-    /// True when this clock is driven manually (virtual time).
-    pub fn is_manual(&self) -> bool {
-        matches!(self.0, Source::Manual(_))
-    }
 }
 
 /// Writer handle for a manual [`Clock`].
@@ -68,13 +63,6 @@ impl ManualClock {
     /// Advances the clock by `us` microseconds.
     pub fn advance_us(&self, us: u64) {
         self.cell.fetch_add(us, Ordering::SeqCst);
-    }
-
-    /// Jumps the clock to an absolute microsecond timestamp. Only moves
-    /// forward: a target earlier than the current reading is ignored so
-    /// the clock stays monotonic.
-    pub fn set_us(&self, us: u64) {
-        self.cell.fetch_max(us, Ordering::SeqCst);
     }
 }
 
@@ -90,12 +78,6 @@ mod tests {
         hand.advance_us(250);
         assert_eq!(clock.now_us(), 250);
         assert_eq!(clone.now_us(), 250);
-        hand.set_us(1_000);
-        assert_eq!(clock.now_us(), 1_000);
-        // set_us never rewinds.
-        hand.set_us(10);
-        assert_eq!(clock.now_us(), 1_000);
-        assert!(clock.is_manual());
     }
 
     #[test]
@@ -104,6 +86,5 @@ mod tests {
         let a = clock.now_us();
         let b = clock.now_us();
         assert!(b >= a);
-        assert!(!clock.is_manual());
     }
 }

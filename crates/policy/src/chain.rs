@@ -34,10 +34,10 @@
 
 use crate::adapt::{AdaptationStep, AdaptivePolicy, FaultObserver};
 use crate::mitigation::{choose_mitigation, HotspotMitigation, SplitPolicy};
-use crate::plan::RecomputePlan;
+use crate::plan::{InputView, RecomputePlan};
 use crate::strategy::Strategy;
 use rcmp_model::rng::derive_indexed;
-use rcmp_model::{Error, JobId, NodeId, PartitionId, Result, RetryPolicy};
+use rcmp_model::{Error, JobId, NodeId, Result, RetryPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -76,23 +76,21 @@ impl RecoveryPlan {
 }
 
 /// What the planner reads of a backend's *current* state: the job
-/// lineage, which partitions are gone, and which persisted map outputs
-/// are still usable. Reading current state is what lets the plan merge
-/// the damage of any number of loss events (§IV-A).
+/// lineage and a snapshot of each job's input — which blocks are
+/// readable, and which persisted map outputs still match them.
+/// Reading current state is what lets the plan merge the damage of any
+/// number of loss events (§IV-A).
 pub trait LineageView {
     /// The job that produces `job`'s input; `None` when that input is
     /// external to the chain.
     fn producer(&self, job: JobId) -> Option<JobId>;
 
-    /// Partitions of `job`'s input that must be regenerated before the
-    /// job can consume it.
-    fn lost_input(&self, job: JobId) -> Result<BTreeSet<PartitionId>>;
-
-    /// Partitions of `job`'s input read by those of its mappers that
-    /// would have to re-run today: no persisted output, or one computed
-    /// from an input that has since been regenerated differently (the
-    /// Fig. 5 rule).
-    fn rerun_input(&self, job: JobId) -> Result<BTreeSet<PartitionId>>;
+    /// `job`'s input as its JobInit would see it now, the same snapshot
+    /// [`job_init`] decides over; [`Error::FileNotFound`] when the input
+    /// file does not exist.
+    ///
+    /// [`job_init`]: crate::job_init
+    fn input(&self, job: JobId) -> Result<InputView>;
 
     /// Nodes that can take recomputation work — schedulable ones, so a
     /// draining node does not count — which sizes
@@ -135,7 +133,13 @@ pub fn plan_cascade<V: LineageView + ?Sized>(
     let mitigation = choose_mitigation(split, hotspot, view.survivors());
     let mut steps = Vec::new();
     let mut consumer = target;
-    let mut need = view.lost_input(target)?;
+    // A missing input file needs nothing: never created, or reclaimed,
+    // which the walk checks on its own below.
+    let mut need = match view.input(target) {
+        Ok(input) => input.lost(),
+        Err(Error::FileNotFound(_)) => BTreeSet::new(),
+        Err(e) => return Err(e),
+    };
     while !need.is_empty() {
         let Some(producer) = view.producer(consumer) else {
             // External input with irreversible loss: unrecoverable by
@@ -154,7 +158,7 @@ pub fn plan_cascade<V: LineageView + ?Sized>(
                 partition: None,
             });
         }
-        let rerun = view.rerun_input(producer)?;
+        let input = view.input(producer)?;
         let mut instructions = RecomputePlan::new(need, mitigation.split);
         instructions.spread_output = mitigation.spread_output;
         steps.push(RecoveryStep {
@@ -163,8 +167,7 @@ pub fn plan_cascade<V: LineageView + ?Sized>(
         });
         // One job deeper: partitions the re-running mappers read that
         // are lost must themselves be regenerated.
-        let lost_deeper = view.lost_input(producer)?;
-        need = rerun.intersection(&lost_deeper).copied().collect();
+        need = input.rerun().intersection(&input.lost()).copied().collect();
         consumer = producer;
     }
     steps.reverse();

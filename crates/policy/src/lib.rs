@@ -29,7 +29,9 @@
 //! * [`RecomputePlan`] — the unified recomputation instruction set that
 //!   `rcmp-engine::RecomputeInstructions` and `rcmp-sim::RecomputeSpec`
 //!   are re-exports of; [`reduce_task_set`] expands a run into its
-//!   whole or split reduce tasks for both backends.
+//!   whole or split reduce tasks for both backends, and [`job_init`]
+//!   decides, over an [`InputView`] of the job's input, which mappers
+//!   a run re-runs and whether its input is lost.
 //! * [`chain`] — the middleware program itself: [`plan_cascade`] (the
 //!   backward lineage walk to the minimum recomputation plan), the
 //!   replication cadence, and [`drive_chain`], the chain control loop
@@ -93,7 +95,7 @@ pub use fair::{jain_index, DrrArbiter, Grant, TenantShare};
 pub use fault::{FailureAt, Fault, TriggerPoint};
 pub use membership::{rehome_target, Membership, NodeInfo, NodeStatus, Rehome};
 pub use mitigation::{choose_mitigation, HotspotMitigation, MitigationChoice, SplitPolicy};
-pub use plan::{reduce_task_set, reduce_tasks_for, RecomputePlan};
+pub use plan::{job_init, reduce_task_set, reduce_tasks_for, InputView, MapInput, RecomputePlan};
 pub use strategy::Strategy;
 pub use tasks::{FnMapTasks, FnReduceTasks, MapTaskSet, ReduceTaskSet};
 pub use topology::{rack_aware_order, RackTopology, SliceTopology};

@@ -125,7 +125,7 @@ impl Membership {
     }
 
     /// Full record of node `n`, if it is a member.
-    pub fn info(&self, n: u32) -> Option<NodeInfo> {
+    fn info(&self, n: u32) -> Option<NodeInfo> {
         self.nodes.get(n as usize).copied()
     }
 

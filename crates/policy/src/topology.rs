@@ -151,7 +151,7 @@ impl RackTopology {
     }
 
     /// Nodes per rack (the last rack may be smaller).
-    pub fn nodes_per_rack(&self) -> u32 {
+    fn nodes_per_rack(&self) -> u32 {
         self.nodes.div_ceil(self.racks)
     }
 

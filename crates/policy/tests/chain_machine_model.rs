@@ -29,8 +29,8 @@ use proptest::prelude::*;
 use rcmp_model::{Error, JobId, PartitionId, Result, RetryPolicy};
 use rcmp_policy::{
     drive_chain, plan_cascade, AdaptConfig, ChainBackend, ChainConfig, ChainEvent, Clock,
-    DynamicPolicy, FailureAt, Fault, HotspotMitigation, LineageView, Loss, Reclaimed,
-    RecomputePlan, RecoveryPlan, RecoveryStep, RunOutcome, SplitPolicy, Stamp,
+    DynamicPolicy, FailureAt, Fault, HotspotMitigation, InputView, LineageView, Loss, MapInput,
+    Reclaimed, RecomputePlan, RecoveryPlan, RecoveryStep, RunOutcome, SplitPolicy, Stamp,
     Strategy as Resilience, TaskCounts,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -180,14 +180,34 @@ impl LineageView for World {
     fn producer(&self, job: JobId) -> Option<JobId> {
         (job.0 > 1).then(|| JobId(job.0 - 1))
     }
-    fn lost_input(&self, job: JobId) -> Result<BTreeSet<PartitionId>> {
-        Ok(self.lost(job.0 - 1))
-    }
-    fn rerun_input(&self, job: JobId) -> Result<BTreeSet<PartitionId>> {
-        if self.reclaimed[job.0 as usize - 1] {
+    /// The raw facts, one block per written input partition (an
+    /// unwritten one has none, as on both backends): holders and
+    /// liveness, the persisted output's node and version. The planner
+    /// properties below check against `lost`, `map_valid` and `starved`,
+    /// which read the same world on their own.
+    fn input(&self, job: JobId) -> Result<InputView> {
+        let file = job.0 - 1;
+        if self.reclaimed[file as usize] {
             return Err(Error::FileNotFound(self.input_path(job)));
         }
-        Ok(self.rerun(job.0))
+        let parts = &self.files[file as usize];
+        Ok(InputView {
+            unwritten: (0..parts.len() as u32)
+                .filter(|&q| parts[q as usize].holders.is_none())
+                .map(PartitionId)
+                .collect(),
+            blocks: (0..parts.len())
+                .filter(|&q| parts[q].holders.is_some())
+                .map(|q| MapInput {
+                    partition: PartitionId(q as u32),
+                    readable: self.readable(file, q),
+                    stored: self.map_out[job.0 as usize][q]
+                        .filter(|&(node, _)| self.alive[node as usize])
+                        .map(|(_, version)| version),
+                    current: parts[q].version,
+                })
+                .collect(),
+        })
     }
     fn survivors(&self) -> usize {
         self.live().len()

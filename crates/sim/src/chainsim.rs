@@ -19,14 +19,12 @@
 use crate::hw::HwProfile;
 use crate::jobsim::JobSim;
 use crate::report::{SimChainReport, SimJobReport};
-use crate::state::{FileId, SimState};
+use crate::state::SimState;
 use crate::workload::WorkloadCfg;
-use rcmp_model::{
-    ChainCacheConfig, Error, JobId, PartitionId, PlacementKernel, Result, RetryPolicy,
-};
+use rcmp_model::{ChainCacheConfig, Error, JobId, PlacementKernel, Result, RetryPolicy};
 use rcmp_policy::{
-    drive_chain, ChainBackend, ChainConfig, Clock, Fault, LineageView, Loss, Membership, Reclaimed,
-    RecoveryStep, RunOutcome, Stamp, Strategy, TaskCounts, TriggerPoint,
+    drive_chain, ChainBackend, ChainConfig, Clock, Fault, InputView, LineageView, Loss, Membership,
+    Reclaimed, RecoveryStep, RunOutcome, Stamp, Strategy, TaskCounts, TriggerPoint,
 };
 use std::collections::BTreeSet;
 
@@ -221,7 +219,20 @@ impl<'a> Runner<'a> {
         Ok(losses)
     }
 
-    fn completed(&mut self, seq: u64, mut rep: SimJobReport, losses: Vec<Loss>) -> RunOutcome {
+    /// A run's outcome: what a finished run executed, charged to the
+    /// clock, or a cancellation when JobInit found its input lost —
+    /// what `EngineChain::execute` makes of the tracker's result.
+    fn outcome(
+        &mut self,
+        seq: u64,
+        run: Result<SimJobReport>,
+        losses: Vec<Loss>,
+    ) -> Result<RunOutcome> {
+        let mut rep = match run {
+            Ok(rep) => rep,
+            Err(Error::JobInputLost { .. }) => return Ok(RunOutcome::cancelled(losses)),
+            Err(e) => return Err(e),
+        };
         rep.seq = seq;
         self.t += rep.duration;
         let tasks = TaskCounts {
@@ -230,22 +241,11 @@ impl<'a> Runner<'a> {
             reduce_tasks_run: rep.reduce_tasks_run,
         };
         self.report.runs.push(rep);
-        RunOutcome {
+        Ok(RunOutcome {
             losses,
             completed: Some(tasks),
             resumed: false,
-        }
-    }
-
-    fn lost_partitions(&self, file: FileId) -> BTreeSet<PartitionId> {
-        self.state
-            .files
-            .get(&file)
-            .map(|f| f.lost_partitions(&self.state))
-            .unwrap_or_default()
-            .into_iter()
-            .map(PartitionId)
-            .collect()
+        })
     }
 }
 
@@ -255,23 +255,9 @@ impl LineageView for Runner<'_> {
         (job.0 > 1).then(|| JobId(job.0 - 1))
     }
 
-    fn lost_input(&self, job: JobId) -> Result<BTreeSet<PartitionId>> {
-        Ok(self.lost_partitions(job.0 - 1))
-    }
-
-    fn rerun_input(&self, job: JobId) -> Result<BTreeSet<PartitionId>> {
-        let input = job.0 - 1;
+    fn input(&self, job: JobId) -> Result<InputView> {
         let block = self.cfg.wl.block_size.as_u64();
-        Ok(self
-            .state
-            .file_blocks(input, block)
-            .into_iter()
-            .filter(|&(pid, blk, _, _)| {
-                let version = self.state.partition_version(input, pid);
-                !self.state.map_output_valid((job.0, pid, blk), version)
-            })
-            .map(|(pid, ..)| PartitionId(pid))
-            .collect())
+        Ok(self.state.map_inputs(job.0, block).1)
     }
 
     fn survivors(&self) -> usize {
@@ -304,40 +290,30 @@ impl ChainBackend for Runner<'_> {
         if self.state.live_nodes().is_empty() {
             return Err(Error::NoLiveNodes);
         }
-        // This or a previous failure may have broken the input.
-        if !self.lost_partitions(job.0 - 1).is_empty() {
-            return Ok(RunOutcome::cancelled(losses));
-        }
         let strategy = self.cfg.strategy;
-        let rep = self.js.run_full(
+        let run = self.js.run_full(
             &mut self.state,
             job.0,
             strategy.output_replication(),
             strategy.persists_outputs(),
-        )?;
-        Ok(self.completed(seq, rep, losses))
+        );
+        self.outcome(seq, run, losses)
     }
 
     /// A crash scripted onto a recovery run cancels it when a mapper
-    /// the step must re-run lost its input (§IV-A), as the engine's
-    /// pre-flight check does; a crash that spares that input leaves the
-    /// step running on the survivors, and the loop replans after it.
+    /// the step must re-run lost its input (§IV-A), as JobInit does on
+    /// every run; a crash that spares that input leaves the step running
+    /// on the survivors, and the loop replans after it.
     fn run_recompute(&mut self, seq: u64, step: RecoveryStep) -> Result<RunOutcome> {
         let losses = self.inject_failures(seq)?;
-        if !losses.is_empty() {
-            if self.state.live_nodes().is_empty() {
-                return Err(Error::NoLiveNodes);
-            }
-            let lost = self.lost_input(step.job)?;
-            if !self.rerun_input(step.job)?.is_disjoint(&lost) {
-                return Ok(RunOutcome::cancelled(losses));
-            }
+        if !losses.is_empty() && self.state.live_nodes().is_empty() {
+            return Err(Error::NoLiveNodes);
         }
         let persist = self.cfg.strategy.persists_outputs();
-        let rep =
-            self.js
-                .run_recompute(&mut self.state, step.job.0, &step.instructions, persist)?;
-        Ok(self.completed(seq, rep, losses))
+        let run = self
+            .js
+            .run_recompute(&mut self.state, step.job.0, &step.instructions, persist);
+        self.outcome(seq, run, losses)
     }
 
     /// The delay the engine sleeps shows up as simulated time.

@@ -22,12 +22,12 @@
 use crate::hw::HwProfile;
 use crate::report::SimJobReport;
 use crate::speculate::{speculate_wave, SpeculationCfg, WaveTask};
-use crate::state::{MapOutputRec, Node, Segment, SimState};
+use crate::state::{InputBlock, MapOutputRec, Node, Segment, SimState};
 use crate::workload::WorkloadCfg;
 use rcmp_model::{JobId, PlacementKernel, Result};
 use rcmp_policy::{
-    assign_map_waves, assign_reduce_waves, reduce_task_set, FnReduceTasks, MapTaskSet, PolicyCtx,
-    SliceTopology,
+    assign_map_waves, assign_reduce_waves, job_init, reduce_task_set, FnReduceTasks, MapTaskSet,
+    PolicyCtx, SliceTopology,
 };
 use std::collections::BTreeMap;
 
@@ -54,20 +54,13 @@ pub struct JobSim {
     pub placement: PlacementKernel,
 }
 
-struct MapTaskSim {
-    pid: u32,
-    blk: u32,
-    bytes: u64,
-    holders: Vec<Node>,
-}
-
 /// The kernel's view of one run's mappers, as the engine's scheduler
 /// views its `MapTask`s: the primary is a block's first holder and any
 /// holder is local — neither exists when storage is non-collocated —
 /// and `cache_src[t]` is the live node whose chain cache holds task
 /// `t`'s input partition.
 struct MapTaskView<'a> {
-    all: &'a [MapTaskSim],
+    all: &'a [InputBlock],
     to_run: &'a [usize],
     cache_src: &'a [Option<Node>],
     noncollocated: bool,
@@ -122,7 +115,9 @@ impl JobSim {
     }
 
     /// Full (initial or restarted) run of `job`. Fails with
-    /// [`rcmp_model::Error::NoLiveNodes`] on a fully-dead cluster.
+    /// [`rcmp_model::Error::NoLiveNodes`] on a fully-dead cluster, and
+    /// with [`rcmp_model::Error::JobInputLost`] — before it discards
+    /// anything — when its input is lost.
     pub fn run_full(
         &self,
         state: &mut SimState,
@@ -130,21 +125,15 @@ impl JobSim {
         replication: u32,
         persist: bool,
     ) -> Result<SimJobReport> {
-        // A restarted job discards partial results (§V-A) — including
-        // any chain-cached copies of the discarded output (the engine's
-        // `delete_file` invalidation hook).
-        state.clear_job_outputs(job);
-        if let Some(f) = state.files.get_mut(&job) {
-            f.partitions.clear();
-        }
-        if let Some(c) = state.chain_cache.as_mut() {
-            c.invalidate_file(&job);
-        }
         self.run(state, job, None, replication, persist)
     }
 
-    /// RCMP recomputation run. Fails with
-    /// [`rcmp_model::Error::NoLiveNodes`] on a fully-dead cluster.
+    /// RCMP recomputation run. Fails with [`rcmp_model::Error::Config`]
+    /// or [`rcmp_model::Error::UnsplittableJob`] on a plan the engine
+    /// rejects too ([`RecomputeSpec::validate`]; simulated jobs are
+    /// splittable), with [`rcmp_model::Error::NoLiveNodes`] on a
+    /// fully-dead cluster, and with [`rcmp_model::Error::JobInputLost`]
+    /// when a mapper it must re-run lost its input.
     pub fn run_recompute(
         &self,
         state: &mut SimState,
@@ -152,12 +141,14 @@ impl JobSim {
         spec: &RecomputeSpec,
         persist: bool,
     ) -> Result<SimJobReport> {
+        spec.validate(JobId(job), self.wl.num_reducers, true)?;
         self.run(state, job, Some(spec), 1, persist)
     }
 
-    /// One run with its input file pinned in the chain cache for the
-    /// duration — what the engine tracker's `ChainCachePin` does — so
-    /// the run's own output cannot evict the partitions it is reading.
+    /// One run: [`job_init`] first, so a cancelled run leaves the state
+    /// as it found it, then a full run's discard, then the run with its
+    /// input pinned in the chain cache (the tracker's `ChainCachePin`),
+    /// so its own output cannot evict the partitions it reads.
     fn run(
         &self,
         state: &mut SimState,
@@ -166,17 +157,32 @@ impl JobSim {
         replication: u32,
         persist: bool,
     ) -> Result<SimJobReport> {
+        let (all, input) = state.map_inputs(job, self.wl.block_size.as_u64());
+        let to_run = job_init(JobId(job), recompute, &input)?;
+        if recompute.is_none() {
+            // A restarted job discards partial results (§V-A) —
+            // including any chain-cached copies of the discarded output
+            // (the engine's `delete_file` invalidation hook).
+            state.clear_job_outputs(job);
+            if let Some(f) = state.files.get_mut(&job) {
+                f.partitions.clear();
+            }
+            if let Some(c) = state.chain_cache.as_mut() {
+                c.invalidate_file(&job);
+            }
+        }
         let input_file = job - 1;
         if let Some(c) = state.chain_cache.as_mut() {
             c.pin(&input_file);
         }
-        let result = self.run_pinned(state, job, recompute, replication, persist);
+        let result = self.run_pinned(state, job, recompute, replication, persist, &all, &to_run);
         if let Some(c) = state.chain_cache.as_mut() {
             c.unpin(&input_file);
         }
         result
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn run_pinned(
         &self,
         state: &mut SimState,
@@ -184,11 +190,12 @@ impl JobSim {
         recompute: Option<&RecomputeSpec>,
         replication: u32,
         persist: bool,
+        all_tasks: &[InputBlock],
+        to_run: &[usize],
     ) -> Result<SimJobReport> {
         let hw = &self.hw;
         let wl = &self.wl;
         let input_file = job - 1;
-        let block = wl.block_size.as_u64();
         let live = state.live_nodes();
         // A membership snapshot for this run's scheduling decisions —
         // mid-run transitions (none today) would only affect later runs,
@@ -202,38 +209,6 @@ impl JobSim {
             ..SimJobReport::default()
         };
 
-        // ---------------- mapper task set -------------------------------
-        let blocks = state.file_blocks(input_file, block);
-        let all_tasks: Vec<MapTaskSim> = blocks
-            .into_iter()
-            .map(|(pid, blk, bytes, holders)| MapTaskSim {
-                pid,
-                blk,
-                bytes,
-                holders,
-            })
-            .collect();
-        let reuse = recompute.is_some_and(|r| r.reuse_map_outputs);
-        let to_run: Vec<usize> = match recompute.and_then(|r| r.force_rerun_mappers) {
-            Some(n) => {
-                // Stride evenly across the input so the forced set is
-                // spread over partitions (and their holders) the way
-                // real invalidation is — taking a prefix would pile all
-                // reads onto one partition's few replica holders.
-                let total = all_tasks.len();
-                let n = n.min(total);
-                let mut picked: Vec<usize> = (0..n).map(|i| i * total / n.max(1)).collect();
-                picked.dedup();
-                picked
-            }
-            None => (0..all_tasks.len())
-                .filter(|&i| {
-                    let t = &all_tasks[i];
-                    let v = state.partition_version(input_file, t.pid);
-                    !(reuse && state.map_output_valid((job, t.pid, t.blk), v))
-                })
-                .collect(),
-        };
         report.mappers_reused = all_tasks.len() - to_run.len();
         report.mappers_run = to_run.len();
 
@@ -253,8 +228,8 @@ impl JobSim {
             })
             .collect();
         let view = MapTaskView {
-            all: &all_tasks,
-            to_run: &to_run,
+            all: all_tasks,
+            to_run,
             cache_src: &cache_src,
             noncollocated: noncol,
         };
@@ -266,7 +241,7 @@ impl JobSim {
             // partition is cached; else own node if it holds a live
             // replica; else rotate over the live holders so concurrent
             // remote readers of one partition spread across its replicas.
-            let assignments: Vec<(Node, &MapTaskSim, Node, bool)> = wave
+            let assignments: Vec<(Node, &InputBlock, Node, bool)> = wave
                 .iter()
                 .map(|&(node, ti)| {
                     let t = &all_tasks[to_run[ti]];
@@ -284,9 +259,10 @@ impl JobSim {
                                 .copied()
                                 .filter(|&h| state.is_alive(h))
                                 .collect();
+                            // Invariant: `job_init` (in `run`) cancels on an unreadable block.
                             assert!(
                                 !live_holders.is_empty(),
-                                "planner guarantees readable input"
+                                "job_init guarantees readable input"
                             );
                             live_holders[t.blk as usize % live_holders.len()]
                         };
@@ -383,12 +359,11 @@ impl JobSim {
                     uncontended,
                     alt_duration: alt,
                 });
-                let v = state.partition_version(input_file, t.pid);
                 state.record_map_output(
                     (job, t.pid, t.blk),
                     MapOutputRec {
                         node: *node,
-                        input_version: v,
+                        input_version: t.version,
                         bytes: out_bytes,
                     },
                 );
@@ -466,9 +441,8 @@ impl JobSim {
         let mut reduce_phase = 0.0f64;
         let mut new_segments: BTreeMap<u32, Vec<Segment>> = BTreeMap::new();
         // Writer of each whole-partition reduce task: the chain cache
-        // only admits whole reducer outputs (mirroring the engine's
+        // only admits whole reducer outputs (the engine's
         // `split.is_none()` staging guard).
-        let whole_outputs = recompute.is_none_or(|r| r.split_factor() <= 1);
         let mut cache_writers: BTreeMap<u32, Node> = BTreeMap::new();
         for (w, wave) in r_waves.iter().enumerate() {
             // Wave-level serving load per source disk: every task
@@ -548,7 +522,7 @@ impl JobSim {
                 shuffle_max = shuffle_max.max(fetch_vol + slow_delay);
 
                 // Placement of the output.
-                if whole_outputs {
+                if reduce_ids[ti].split.is_none() {
                     cache_writers.insert(pid, node);
                 }
                 let seg_holders = self.place_output(state, node, replication, recompute);
@@ -648,7 +622,7 @@ impl JobSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcmp_model::{ByteSize, SlotConfig};
+    use rcmp_model::{ByteSize, Error, PartitionId, SlotConfig};
 
     fn small_wl(nodes: u32) -> WorkloadCfg {
         WorkloadCfg {
@@ -673,7 +647,7 @@ mod tests {
     #[test]
     fn task_view_schedules_like_closures_over_the_same_holders() {
         // Holders include dead node 4; task 1 is reused (not run).
-        let all: Vec<MapTaskSim> = [
+        let all: Vec<InputBlock> = [
             vec![2, 0],
             vec![1],
             vec![],
@@ -683,11 +657,12 @@ mod tests {
         ]
         .into_iter()
         .enumerate()
-        .map(|(i, holders)| MapTaskSim {
+        .map(|(i, holders)| InputBlock {
             pid: i as u32,
             blk: 0,
             bytes: 1,
             holders,
+            version: 0,
         })
         .collect();
         let to_run = [0, 2, 3, 4, 5];
@@ -903,6 +878,50 @@ mod tests {
         js.run_recompute(&mut st, 1, &spec, true).unwrap();
         let p = &st.files[&1].partitions[*lost.first().unwrap() as usize];
         assert!(p.segments.len() > 1, "output scattered over nodes");
+    }
+
+    /// The engine's plan checks: `JobSim` accepted these plans, and the
+    /// out-of-range one grew the output file to 100 partitions.
+    #[test]
+    fn recompute_rejects_the_plans_the_engine_rejects() {
+        let (js, mut st) = sim(4);
+        js.run_full(&mut st, 1, 1, true).unwrap();
+        let before = st.files.clone();
+        for (plan, split) in [([99u32], Some(0)), ([99], None), ([0], Some(0))] {
+            let err = js
+                .run_recompute(&mut st, 1, &RecomputeSpec::new(plan, split), true)
+                .unwrap_err();
+            assert!(matches!(err, Error::Config(_)), "{plan:?} {split:?}: {err}");
+        }
+        assert_eq!(st.files, before, "a rejected plan changes nothing");
+    }
+
+    /// JobInit decides before a full run discards anything: a run over
+    /// a lost input is cancelled and leaves the job's output file and
+    /// persisted map outputs as they were.
+    #[test]
+    fn full_run_over_unreadable_input_is_cancelled_and_discards_nothing() {
+        let (js, mut st) = sim(4);
+        js.run_full(&mut st, 1, 1, true).unwrap();
+        js.run_full(&mut st, 2, 1, true).unwrap();
+        st.fail_node(3);
+        let lost: Vec<PartitionId> = st.files[&1]
+            .lost_partitions(&st)
+            .into_iter()
+            .map(PartitionId)
+            .collect();
+        assert!(!lost.is_empty());
+        let (output, map_outputs) = (st.files[&2].clone(), st.map_outputs.clone());
+        let err = js.run_full(&mut st, 2, 1, true).unwrap_err();
+        assert_eq!(
+            err,
+            Error::JobInputLost {
+                job: JobId(2),
+                lost_partitions: lost,
+            }
+        );
+        assert_eq!(st.files[&2], output);
+        assert_eq!(st.map_outputs, map_outputs);
     }
 
     #[test]

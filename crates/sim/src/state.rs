@@ -7,8 +7,8 @@
 //! transitions the real `rcmp-dfs`/`rcmp-engine` pair performs.
 
 use crate::workload::WorkloadCfg;
-use rcmp_model::{Error, Result};
-use rcmp_policy::{rehome_target, CacheLedger, Membership, Rehome};
+use rcmp_model::{Error, PartitionId, Result};
+use rcmp_policy::{rehome_target, CacheLedger, InputView, MapInput, Membership, Rehome};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Node index (dense, 0-based).
@@ -55,6 +55,28 @@ impl SimPartition {
     pub fn is_lost(&self, state: &SimState) -> bool {
         self.is_written() && self.segments.iter().any(|s| s.live_holder(state).is_none())
     }
+
+    /// `(block_bytes, holders)` per block, in segment order, given the
+    /// DFS block size.
+    fn blocks(&self, block_size: u64) -> Vec<(u64, Vec<Node>)> {
+        let mut blocks = Vec::new();
+        for seg in &self.segments {
+            if seg.bytes == 0 {
+                continue;
+            }
+            let n = seg.bytes.div_ceil(block_size).max(1);
+            let per = seg.bytes / n;
+            for i in 0..n {
+                let b = if i == n - 1 {
+                    seg.bytes - per * (n - 1)
+                } else {
+                    per
+                };
+                blocks.push((b, seg.holders.clone()));
+            }
+        }
+        blocks
+    }
 }
 
 /// A partitioned file.
@@ -89,6 +111,17 @@ pub struct MapOutputRec {
 
 /// Key of a map output: (consuming job, input partition, block index).
 pub type MapKey = (u32, u32, u32);
+
+/// One mapper's input block.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct InputBlock {
+    pub pid: u32,
+    pub blk: u32,
+    pub bytes: u64,
+    pub holders: Vec<Node>,
+    /// Its partition's version now.
+    pub version: u64,
+}
 
 /// The simulated cluster state.
 #[derive(Clone, Debug, Default)]
@@ -318,64 +351,44 @@ impl SimState {
         Ok((moved, dropped))
     }
 
-    /// Blocks of one partition: `(block_bytes, holders)` per block, in
-    /// segment order, given the DFS block size.
-    pub fn partition_blocks(
-        &self,
-        file: FileId,
-        pid: u32,
-        block_size: u64,
-    ) -> Vec<(u64, Vec<Node>)> {
-        let Some(f) = self.files.get(&file) else {
-            return Vec::new();
-        };
-        let Some(p) = f.partitions.get(pid as usize) else {
-            return Vec::new();
-        };
+    /// The blocks job `job`'s mappers read from its input file `job − 1`,
+    /// given the DFS block size, and the snapshot of that input that
+    /// [`rcmp_policy::job_init`] and the planner decide over. A
+    /// partition's version stands in for the engine's content
+    /// fingerprint of its blocks (Fig. 5 rule), and a map output counts
+    /// as stored while its node is alive.
+    pub(crate) fn map_inputs(&self, job: u32, block_size: u64) -> (Vec<InputBlock>, InputView) {
         let mut blocks = Vec::new();
-        for seg in &p.segments {
-            if seg.bytes == 0 {
-                continue;
-            }
-            let n = seg.bytes.div_ceil(block_size).max(1);
-            let per = seg.bytes / n;
-            for i in 0..n {
-                let b = if i == n - 1 {
-                    seg.bytes - per * (n - 1)
-                } else {
-                    per
-                };
-                blocks.push((b, seg.holders.clone()));
-            }
-        }
-        blocks
-    }
-
-    /// All blocks of a file: `(pid, block_idx, bytes, holders)`.
-    pub fn file_blocks(&self, file: FileId, block_size: u64) -> Vec<(u32, u32, u64, Vec<Node>)> {
-        let Some(f) = self.files.get(&file) else {
-            return Vec::new();
+        let mut view = InputView::default();
+        let Some(f) = self.files.get(&(job - 1)) else {
+            return (blocks, view);
         };
-        let mut out = Vec::new();
-        for pid in 0..f.partitions.len() as u32 {
-            for (i, (bytes, holders)) in self
-                .partition_blocks(file, pid, block_size)
-                .into_iter()
-                .enumerate()
-            {
-                out.push((pid, i as u32, bytes, holders));
+        for (pid, p) in (0u32..).zip(&f.partitions) {
+            if !p.is_written() {
+                view.unwritten.insert(PartitionId(pid));
+            }
+            for (blk, (bytes, holders)) in (0u32..).zip(p.blocks(block_size)) {
+                let stored = self
+                    .map_outputs
+                    .get(&(job, pid, blk))
+                    .filter(|r| self.is_alive(r.node))
+                    .map(|r| r.input_version);
+                view.blocks.push(MapInput {
+                    partition: PartitionId(pid),
+                    readable: holders.iter().any(|&n| self.is_alive(n)),
+                    stored,
+                    current: p.version,
+                });
+                blocks.push(InputBlock {
+                    pid,
+                    blk,
+                    bytes,
+                    holders,
+                    version: p.version,
+                });
             }
         }
-        out
-    }
-
-    /// Current version of a partition (0 for unwritten).
-    pub fn partition_version(&self, file: FileId, pid: u32) -> u64 {
-        self.files
-            .get(&file)
-            .and_then(|f| f.partitions.get(pid as usize))
-            .map(|p| p.version)
-            .unwrap_or(0)
+        (blocks, view)
     }
 
     /// Replaces a partition's contents with new segments, bumping the
@@ -406,13 +419,6 @@ impl SimState {
     /// Records a mapper's persisted output.
     pub fn record_map_output(&mut self, key: MapKey, rec: MapOutputRec) {
         self.map_outputs.insert(key, rec);
-    }
-
-    /// Is the persisted output for this mapper valid today?
-    pub fn map_output_valid(&self, key: MapKey, current_version: u64) -> bool {
-        self.map_outputs
-            .get(&key)
-            .is_some_and(|r| self.is_alive(r.node) && r.input_version == current_version)
     }
 
     /// Drops all map outputs of one consuming job (Hadoop-mode cleanup /
@@ -508,40 +514,23 @@ mod tests {
             holders: vec![n],
             bytes: 100,
         };
+        let version = |s: &SimState| s.files[&1].partitions[0].version;
         s.rewrite_partition(1, 0, vec![seg1(0)]);
-        let v0 = s.partition_version(1, 0);
+        let v0 = version(&s);
         // Unsplit → unsplit regeneration: byte-identical, same version.
         s.rewrite_partition(1, 0, vec![seg1(1)]);
-        assert_eq!(s.partition_version(1, 0), v0);
+        assert_eq!(version(&s), v0);
         // Split regeneration: version bumps (Fig. 5).
         s.rewrite_partition(1, 0, vec![seg1(1), seg1(2)]);
-        let v1 = s.partition_version(1, 0);
+        let v1 = version(&s);
         assert!(v1 > v0);
         // Back to unsplit from split shape: boundaries change → bump.
         s.rewrite_partition(1, 0, vec![seg1(3)]);
-        assert!(s.partition_version(1, 0) > v1);
+        assert!(version(&s) > v1);
     }
 
     #[test]
-    fn map_output_validity() {
-        let mut s = SimState::new(&wl());
-        s.record_map_output(
-            (2, 0, 0),
-            MapOutputRec {
-                node: 1,
-                input_version: 5,
-                bytes: 10,
-            },
-        );
-        assert!(s.map_output_valid((2, 0, 0), 5));
-        assert!(!s.map_output_valid((2, 0, 0), 6), "stale version");
-        assert!(!s.map_output_valid((2, 0, 1), 5), "missing entry");
-        s.fail_node(1);
-        assert!(!s.map_output_valid((2, 0, 0), 5), "node dead");
-    }
-
-    #[test]
-    fn partition_blocks_split_by_block_size() {
+    fn map_inputs_snapshot_holders_versions_and_live_outputs() {
         let mut s = SimState::new(&wl());
         s.rewrite_partition(
             1,
@@ -551,10 +540,39 @@ mod tests {
                 bytes: 250,
             }],
         );
-        let blocks = s.partition_blocks(1, 0, 100);
-        assert_eq!(blocks.len(), 3);
-        let total: u64 = blocks.iter().map(|(b, _)| b).sum();
-        assert_eq!(total, 250);
+        let v = s.files[&1].partitions[0].version;
+        let rec = |input_version| MapOutputRec {
+            node: 1,
+            input_version,
+            bytes: 10,
+        };
+        s.record_map_output((2, 0, 0), rec(v));
+        s.record_map_output((2, 0, 1), rec(v + 1));
+        let (blocks, view) = s.map_inputs(2, 100);
+        assert_eq!(
+            blocks
+                .iter()
+                .map(|b| (b.pid, b.blk, b.bytes))
+                .collect::<Vec<_>>(),
+            [(0, 0, 83), (0, 1, 83), (0, 2, 84)],
+            "split by block size"
+        );
+        let stored: Vec<_> = view.blocks.iter().map(|b| b.stored).collect();
+        assert_eq!(stored, [Some(v), Some(v + 1), None]);
+        assert!(view.blocks.iter().all(|b| b.readable && b.current == v));
+        let reusable: Vec<_> = view.blocks.iter().map(|b| b.reusable(false)).collect();
+        assert_eq!(
+            reusable,
+            [true, false, false],
+            "stale version, missing entry"
+        );
+        assert!(view.unwritten.is_empty());
+        s.fail_node(1);
+        let (_, view) = s.map_inputs(2, 100);
+        assert!(view.blocks.iter().all(|b| b.stored.is_none()), "node dead");
+        s.fail_node(0);
+        let (_, view) = s.map_inputs(2, 100);
+        assert!(view.blocks.iter().all(|b| !b.readable), "holder dead");
     }
 
     #[test]
@@ -586,8 +604,8 @@ mod tests {
         s.record_map_output((1, 0, 0), rec);
         s.record_map_output((2, 0, 0), rec);
         s.clear_job_outputs(1);
-        assert!(!s.map_output_valid((1, 0, 0), 0));
-        assert!(s.map_output_valid((2, 0, 0), 0));
+        assert!(!s.map_outputs.contains_key(&(1, 0, 0)));
+        assert!(s.map_outputs.contains_key(&(2, 0, 0)));
         assert_eq!(s.persisted_bytes(), 7);
     }
 
@@ -625,8 +643,14 @@ mod tests {
                 assert_eq!(seg.holders.len(), 3, "replication factor kept");
             }
         }
-        assert!(!s.map_output_valid((1, 0, 0), 0), "leaver's outputs gone");
-        assert!(s.map_output_valid((1, 0, 1), 0), "survivors untouched");
+        assert!(
+            !s.map_outputs.contains_key(&(1, 0, 0)),
+            "leaver's outputs gone"
+        );
+        assert!(
+            s.map_outputs.contains_key(&(1, 0, 1)),
+            "survivors untouched"
+        );
     }
 
     #[test]

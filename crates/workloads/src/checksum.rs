@@ -41,7 +41,7 @@ impl OutputDigest {
     }
 
     /// Digest of an encoded record stream.
-    pub fn of_encoded(data: Bytes) -> rcmp_model::Result<Self> {
+    fn of_encoded(data: Bytes) -> rcmp_model::Result<Self> {
         Self::of_stream(rcmp_model::RecordReader::new(data))
     }
 
