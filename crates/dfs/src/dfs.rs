@@ -16,7 +16,7 @@ use rcmp_obs::{
     EventCode, FlightRecorder, Histogram, MetricsRegistry, PhaseKind, PhaseProfiler, SpanKind,
     Tracer,
 };
-use rcmp_policy::{rehome_target, NodeStatus, RackTopology, Rehome};
+use rcmp_policy::{rehome_target, Membership, Rehome};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,10 +30,11 @@ pub struct DfsConfig {
     pub block_size: ByteSize,
     /// Seed for placement randomness.
     pub seed: u64,
-    /// Optional rack topology; when present, remote replicas are placed
-    /// rack-aware (HDFS-style), protecting against single rack failures
-    /// (§III-A).
-    pub topology: Option<RackTopology>,
+    /// Racks the initial nodes are spread over, in contiguous blocks
+    /// ([`Membership::with_racks`]); `1` is a flat cluster. Remote
+    /// replicas are placed rack-aware (HDFS-style), protecting against
+    /// single rack failures (§III-A).
+    pub racks: u32,
     /// Lock shards per node store. `1` is the legacy single-lock
     /// layout; `0` is clamped to 1. Access accounting is shard-count
     /// independent.
@@ -46,14 +47,15 @@ impl DfsConfig {
             nodes,
             block_size,
             seed: 0xd5f5,
-            topology: None,
+            racks: 1,
             store_shards: NodeStore::DEFAULT_SHARDS,
         }
     }
 
-    /// Adds a rack topology (rack-aware remote-replica placement).
-    pub fn with_topology(mut self, topology: RackTopology) -> Self {
-        self.topology = Some(topology);
+    /// Spreads the initial nodes over `racks` racks (rack-aware
+    /// remote-replica placement).
+    pub fn with_racks(mut self, racks: u32) -> Self {
+        self.racks = racks;
         self
     }
 }
@@ -75,22 +77,14 @@ const IO_US_BOUNDS: [u64; 11] = [
     50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,
 ];
 
-/// One member node of the DFS: its block store plus its membership
-/// lifecycle status. Dynamic membership (join / drain / decommission /
-/// rejoin) mutates the status in place — indices are dense and stable,
-/// a node keeps its `NodeId` for the lifetime of the cluster.
-struct NodeSlot {
-    store: Arc<NodeStore>,
-    status: NodeStatus,
-}
-
-impl NodeSlot {
-    fn new(shards: u32) -> Self {
-        Self {
-            store: Arc::new(NodeStore::with_shards(shards)),
-            status: NodeStatus::Up,
-        }
-    }
+/// The DFS's member nodes: the cluster's one membership record (each
+/// node's status, capacity and rack, and the epoch) and the nodes'
+/// block stores, indexed alike. Indices are dense and stable — a node
+/// keeps its `NodeId` for the lifetime of the cluster — and a join
+/// appends to both at once.
+struct Members {
+    membership: Membership,
+    stores: Vec<Arc<NodeStore>>,
 }
 
 /// One block of a validated copy plan: where verified bytes may come
@@ -107,17 +101,22 @@ struct BlockCopy {
 /// Thread-safe: the engine's node executors read and write concurrently.
 /// The namespace lock is never held while block payloads are copied.
 ///
-/// Membership semantics (mirroring `rcmp_policy::Membership`):
-/// **readable** nodes (Up or Draining) serve reads and appear in
-/// [`Dfs::live_nodes`]; **schedulable** nodes (Up only) receive new
-/// replicas and appear in [`Dfs::placement_targets`]. A draining node
-/// therefore stops accumulating data immediately while everything it
-/// already holds stays reachable — the graceful counterpart to
-/// [`Dfs::fail_node`].
+/// The DFS owns the cluster's one `rcmp_policy::Membership` record,
+/// and every membership transition goes through it
+/// ([`Dfs::membership`] hands out snapshots). **Readable** nodes (Up
+/// or Draining) serve reads and appear in [`Dfs::live_nodes`];
+/// **schedulable** nodes (Up only) receive new replicas and appear in
+/// [`Dfs::placement_targets`]. A draining node therefore stops
+/// accumulating data immediately while everything it already holds
+/// stays reachable — the graceful counterpart to [`Dfs::fail_node`].
+///
+/// Lock order: a nested read takes the namespace lock before the
+/// member lock, and the namespace lock is never taken while the member
+/// lock is held for writing.
 pub struct Dfs {
     cfg: DfsConfig,
     namespace: RwLock<HashMap<String, FileMeta>>,
-    nodes: RwLock<Vec<NodeSlot>>,
+    members: RwLock<Members>,
     next_block: AtomicU64,
     rng: Mutex<SmallRng>,
     tracer: Arc<Tracer>,
@@ -137,14 +136,17 @@ impl Dfs {
     pub fn new_traced(cfg: DfsConfig, tracer: Arc<Tracer>) -> Self {
         assert!(cfg.nodes > 0, "DFS needs at least one node");
         assert!(!cfg.block_size.is_zero(), "block size must be positive");
-        let nodes = (0..cfg.nodes)
-            .map(|_| NodeSlot::new(cfg.store_shards))
-            .collect();
+        let members = Members {
+            membership: Membership::with_racks(cfg.nodes, cfg.racks),
+            stores: (0..cfg.nodes)
+                .map(|_| Arc::new(NodeStore::with_shards(cfg.store_shards)))
+                .collect(),
+        };
         let rng = Mutex::new(rng_for(cfg.seed, "dfs-placement"));
         Self {
             cfg,
             namespace: RwLock::new(HashMap::new()),
-            nodes: RwLock::new(nodes),
+            members: RwLock::new(members),
             next_block: AtomicU64::new(1),
             rng,
             tracer,
@@ -196,53 +198,43 @@ impl Dfs {
         &self.tracer
     }
 
+    /// A snapshot of the membership record: every node's status,
+    /// capacity and rack, and the epoch.
+    pub fn membership(&self) -> Membership {
+        self.members.read().membership.clone()
+    }
+
     /// Nodes whose data is currently reachable (Up or Draining),
     /// ascending.
     pub fn live_nodes(&self) -> Vec<NodeId> {
-        self.filtered_nodes(NodeStatus::is_readable)
+        node_ids(self.members.read().membership.readable())
     }
 
     /// Nodes new replicas may land on (Up only), ascending. A draining
     /// node still serves its data but stops accumulating more.
     pub fn placement_targets(&self) -> Vec<NodeId> {
-        self.filtered_nodes(NodeStatus::is_schedulable)
-    }
-
-    fn filtered_nodes(&self, pred: fn(NodeStatus) -> bool) -> Vec<NodeId> {
-        self.nodes
-            .read()
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| pred(s.status))
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
+        node_ids(self.members.read().membership.schedulable())
     }
 
     /// May data on `node` still be read (Up or Draining)?
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.node_status(node).is_some_and(NodeStatus::is_readable)
-    }
-
-    /// Membership lifecycle status of `node`, if it is a member.
-    fn node_status(&self, node: NodeId) -> Option<NodeStatus> {
-        self.nodes.read().get(node.index()).map(|s| s.status)
+        self.members.read().membership.is_readable(node.raw())
     }
 
     fn store(&self, node: NodeId) -> Option<Arc<NodeStore>> {
-        self.nodes
-            .read()
-            .get(node.index())
-            .map(|s| Arc::clone(&s.store))
+        self.members.read().stores.get(node.index()).cloned()
     }
 
     // ----------------------------------------------------------- membership
 
-    /// Adds a fresh, empty node and returns its id. Joined nodes start
-    /// Up: immediately schedulable as placement targets.
-    pub fn join_node(&self) -> NodeId {
-        let mut nodes = self.nodes.write();
-        nodes.push(NodeSlot::new(self.cfg.store_shards));
-        NodeId(nodes.len() as u32 - 1)
+    /// Adds a fresh, empty node of `capacity` in `rack` and returns its
+    /// id. Joined nodes start Up: immediately schedulable as placement
+    /// targets.
+    pub fn join_node(&self, capacity: u32, rack: u32) -> NodeId {
+        let mut members = self.members.write();
+        let store = NodeStore::with_shards(self.cfg.store_shards);
+        members.stores.push(Arc::new(store));
+        NodeId(members.membership.join(capacity, rack))
     }
 
     /// Starts draining `node` (Up → Draining): its data stays readable
@@ -250,7 +242,7 @@ impl Dfs {
     /// their local node keep working — their blocks are simply placed on
     /// the remaining Up nodes.
     pub fn drain_node(&self, node: NodeId) -> Result<()> {
-        self.set_status(node, &[NodeStatus::Up], NodeStatus::Draining, "drain")?;
+        self.members.write().membership.drain(node.raw())?;
         // A draining node's DFS data stays readable, but its in-memory
         // cached partitions stop being scheduling targets: conservative
         // invalidation keeps stable placement off departing nodes.
@@ -264,40 +256,14 @@ impl Dfs {
     /// (→ Up). A decommissioned node rejoins empty, like a fresh join
     /// that kept its id.
     pub fn rejoin_node(&self, node: NodeId) -> Result<()> {
-        self.set_status(
-            node,
-            &[NodeStatus::Draining, NodeStatus::Decommissioned],
-            NodeStatus::Up,
-            "rejoin",
-        )
-    }
-
-    fn set_status(
-        &self,
-        node: NodeId,
-        from: &[NodeStatus],
-        to: NodeStatus,
-        what: &str,
-    ) -> Result<()> {
-        let mut nodes = self.nodes.write();
-        let Some(slot) = nodes.get_mut(node.index()) else {
-            return Err(Error::Config(format!("dfs: {what} of unknown {node}")));
-        };
-        if !from.contains(&slot.status) {
-            return Err(Error::Config(format!(
-                "dfs: cannot {what} {node} in state {:?}",
-                slot.status
-            )));
-        }
-        slot.status = to;
-        Ok(())
+        self.members.write().membership.rejoin(node.raw())
     }
 
     /// Gracefully removes `node`: every block replica it holds is first
     /// copied to the lowest-id Up node that does not already hold that
     /// block (incremental rebalance preserving the persisted-output
-    /// lineage — content hashes never change), then the node's store is
-    /// wiped and its status set to Decommissioned.
+    /// lineage — content hashes never change), then the node leaves the
+    /// membership Decommissioned and its store is wiped.
     ///
     /// Plan-then-commit like [`Dfs::replicate_file`]: targets for every
     /// block are validated before any byte is copied, so an
@@ -309,24 +275,10 @@ impl Dfs {
     /// moved (they stay readable, merely less replicated) and counted
     /// in the report.
     pub fn decommission_node(&self, node: NodeId) -> Result<RebalanceReport> {
-        match self.node_status(node) {
-            None => {
-                return Err(Error::Config(format!(
-                    "dfs: decommission of unknown {node}"
-                )))
-            }
-            Some(s) if !s.is_readable() => {
-                return Err(Error::Config(format!(
-                    "dfs: cannot decommission {node} in state {s:?}"
-                )))
-            }
-            Some(_) => {}
-        }
-        let pool: Vec<NodeId> = self
-            .placement_targets()
-            .into_iter()
-            .filter(|&n| n != node)
-            .collect();
+        let membership = self.membership();
+        membership.check_decommission(node.raw())?;
+        let mut pool = node_ids(membership.schedulable());
+        pool.retain(|&n| n != node);
 
         // Phase 1: plan. A block with no target is dropped in place:
         // some other readable replica keeps it alive.
@@ -340,7 +292,9 @@ impl Dfs {
                 .flat_map(PartitionMeta::blocks)
                 .filter(|b| b.replicas.contains(&node))
             {
-                match rehome_target(&b.replicas, node, &pool, |n| self.is_alive(n)) {
+                match rehome_target(&b.replicas, node, &pool, |n| {
+                    membership.is_readable(n.raw())
+                }) {
                     Rehome::Move(target) => plan.push(BlockCopy {
                         id: b.id,
                         content_hash: b.content_hash,
@@ -368,7 +322,8 @@ impl Dfs {
         };
 
         // Phase 3: commit — new holders into the namespace, the leaving
-        // node out of every replica set, store wiped, status flipped.
+        // node out of every replica set, the membership transition,
+        // store wiped.
         {
             let mut by_block: HashMap<BlockId, NodeId> =
                 plan.iter().map(|c| (c.id, c.targets[0])).collect();
@@ -387,10 +342,9 @@ impl Dfs {
             }
         }
         let store = {
-            let mut nodes = self.nodes.write();
-            let slot = &mut nodes[node.index()];
-            slot.status = NodeStatus::Decommissioned;
-            Arc::clone(&slot.store)
+            let mut members = self.members.write();
+            members.membership.decommission(node.raw())?;
+            Arc::clone(&members.stores[node.index()])
         };
         store.wipe();
         if let Some(cache) = &self.chain_cache {
@@ -558,8 +512,10 @@ impl Dfs {
         // failing write never leaves earlier chunks orphaned in stores.
         // Only schedulable (Up) nodes are placement targets: a draining
         // writer can finish its in-flight work, but its output lands on
-        // nodes that are staying.
-        let live = self.placement_targets();
+        // nodes that are staying. One membership snapshot serves every
+        // chunk: its schedulable nodes and its racks.
+        let membership = self.membership();
+        let live = node_ids(membership.schedulable());
         if (replication as usize) > live.len() {
             return Err(Error::InsufficientReplicaTargets {
                 wanted: replication as usize,
@@ -574,14 +530,7 @@ impl Dfs {
             let id = BlockId(self.next_block.fetch_add(1, Ordering::Relaxed));
             let targets = {
                 let mut rng = self.rng.lock();
-                place_block(
-                    policy,
-                    writer,
-                    replication,
-                    &live,
-                    self.cfg.topology.as_ref(),
-                    &mut *rng,
-                )?
+                place_block(policy, writer, replication, &live, &membership, &mut *rng)?
             };
             let content_hash = rcmp_model::hash::hash_bytes(&chunk);
             for &t in &targets {
@@ -995,15 +944,11 @@ impl Dfs {
             ..Default::default()
         };
         let (was_alive, store) = {
-            let mut nodes = self.nodes.write();
-            let Some(slot) = nodes.get_mut(node.index()) else {
+            let mut members = self.members.write();
+            let Some(store) = members.stores.get(node.index()).cloned() else {
                 return report;
             };
-            let was = slot.status.is_readable();
-            if was {
-                slot.status = NodeStatus::Dead;
-            }
-            (was, Arc::clone(&slot.store))
+            (members.membership.mark_dead(node.raw()).is_ok(), store)
         };
         store.wipe();
         if let Some(cache) = &self.chain_cache {
@@ -1051,25 +996,25 @@ impl Dfs {
 
     /// Bytes currently stored across the cluster.
     pub fn total_used(&self) -> ByteSize {
-        let stores: Vec<Arc<NodeStore>> = self
-            .nodes
-            .read()
-            .iter()
-            .map(|s| Arc::clone(&s.store))
-            .collect();
+        let stores = self.members.read().stores.clone();
         stores.iter().map(|s| s.used()).sum()
     }
+}
+
+fn node_ids(raw: Vec<u32>) -> Vec<NodeId> {
+    raw.into_iter().map(NodeId).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcmp_policy::NodeStatus;
 
     /// What the tests inspect and break on one node's store.
     impl Dfs {
         /// Total member count, including departed nodes.
         fn num_nodes(&self) -> u32 {
-            self.nodes.read().len() as u32
+            self.members.read().stores.len() as u32
         }
 
         fn node_used(&self, node: NodeId) -> ByteSize {
@@ -1565,7 +1510,7 @@ mod tests {
         let err = d.decommission_node(NodeId(0)).unwrap_err();
         assert!(matches!(err, Error::DataLoss { .. }), "{err:?}");
         assert_no_orphans(&d);
-        assert_eq!(d.node_status(NodeId(0)), Some(NodeStatus::Up));
+        assert_eq!(d.membership().status(0), Some(NodeStatus::Up));
     }
 
     /// Splits that finish out of order still leave the partition in
@@ -1653,7 +1598,7 @@ mod tests {
         )
         .unwrap();
         d.drain_node(NodeId(0)).unwrap();
-        assert_eq!(d.node_status(NodeId(0)), Some(NodeStatus::Draining));
+        assert_eq!(d.membership().status(0), Some(NodeStatus::Draining));
         assert_eq!(d.live_nodes().len(), 4, "draining stays readable");
         assert_eq!(d.placement_targets(), vec![NodeId(1), NodeId(2), NodeId(3)]);
         // Existing data still serves.
@@ -1750,7 +1695,7 @@ mod tests {
         let err = d.decommission_node(NodeId(0)).unwrap_err();
         assert!(matches!(err, Error::InsufficientReplicaTargets { .. }));
         // State unchanged: still up, still serving.
-        assert_eq!(d.node_status(NodeId(0)), Some(NodeStatus::Up));
+        assert_eq!(d.membership().status(0), Some(NodeStatus::Up));
         assert_eq!(
             d.read_partition("f", PartitionId(0), NodeId(0)).unwrap(),
             data
@@ -1772,7 +1717,7 @@ mod tests {
             )
             .is_err());
         // ...until a third node joins.
-        let n = d.join_node();
+        let n = d.join_node(1, 0);
         assert_eq!(n, NodeId(2));
         assert_eq!(d.num_nodes(), 3);
         d.write_partition_segment(
@@ -1794,13 +1739,37 @@ mod tests {
 
     #[test]
     fn invalid_membership_transitions_are_typed_errors() {
-        let d = dfs(2);
+        let d = dfs(3);
+        d.create_file("f", 1, 1).unwrap();
+        d.write_partition_segment(
+            "f",
+            PartitionId(0),
+            payload(100, 3),
+            NodeId(1),
+            PlacementPolicy::WriterLocal,
+        )
+        .unwrap();
         assert!(d.drain_node(NodeId(9)).is_err(), "unknown node");
+        d.fail_node(NodeId(2));
+        d.decommission_node(NodeId(1)).unwrap();
+        // Node 0 is Up, node 1 Decommissioned, node 2 Dead. A rejected
+        // transition changes no status, epoch, store or replica set.
+        let state = || {
+            let used: Vec<ByteSize> = (0..d.num_nodes()).map(|n| d.node_used(NodeId(n))).collect();
+            (d.membership(), used, d.file_meta("f").unwrap())
+        };
+        let before = state();
+        assert_eq!(before.0.epoch(), 2);
+        assert!(d.drain_node(NodeId(2)).is_err(), "cannot drain the dead");
+        assert!(d.decommission_node(NodeId(2)).is_err());
         assert!(d.rejoin_node(NodeId(0)).is_err(), "up nodes cannot rejoin");
-        d.fail_node(NodeId(0));
-        assert!(d.drain_node(NodeId(0)).is_err(), "cannot drain the dead");
-        assert!(d.decommission_node(NodeId(0)).is_err());
-        assert_eq!(d.node_status(NodeId(0)), Some(NodeStatus::Dead));
+        assert!(
+            d.decommission_node(NodeId(1)).is_err(),
+            "already decommissioned"
+        );
+        assert!(d.fail_node(NodeId(9)).is_benign(), "unknown node");
+        assert_eq!(state(), before);
+        assert_eq!(d.membership().status(2), Some(NodeStatus::Dead));
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //!   immediately placable), drain (readable but no longer a placement
 //!   target), decommission (replicas rebalanced away deterministically,
 //!   then the store is wiped — nothing is ever lost) and rejoin. The
-//!   lifecycle states are `rcmp_policy::NodeStatus`, the same model the
-//!   scheduler's membership snapshots use.
+//!   DFS owns the engine's one `rcmp_policy::Membership` record — each
+//!   node's status, capacity and rack — and hands the scheduler
+//!   snapshots of it; remote replicas follow HDFS's rack-aware order
+//!   over the racks it records.
 //!
 //! Everything is in-memory (a node's "disk" is a locked hash map): the
 //! engine exercises real data paths and real concurrency, while wall

@@ -3,7 +3,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rcmp_model::{Error, NodeId, Result};
-use rcmp_policy::{rack_aware_order, RackTopology};
+use rcmp_policy::{rack_aware_order, Membership};
 use serde::{Deserialize, Serialize};
 
 /// How the first replica of a freshly written block is placed.
@@ -26,15 +26,16 @@ pub enum PlacementPolicy {
 ///
 /// Returns `factor` distinct live nodes. The writer is preferred for the
 /// first replica under [`PlacementPolicy::WriterLocal`] (if alive).
-/// With a [`RackTopology`], remote replicas follow HDFS's rack-aware
-/// preference: second replica off the writer's rack, third on the
-/// second's rack (randomized within each preference class).
+/// Remote replicas follow HDFS's rack-aware preference over the racks
+/// `membership` records: second replica off the writer's rack, third on
+/// the second's rack (randomized within each preference class). On one
+/// rack that is a uniform random pick.
 pub fn place_block(
     policy: PlacementPolicy,
     writer: NodeId,
     factor: u32,
     live: &[NodeId],
-    topology: Option<&RackTopology>,
+    membership: &Membership,
     rng: &mut impl Rng,
 ) -> Result<Vec<NodeId>> {
     if live.is_empty() || (factor as usize) > live.len() {
@@ -50,13 +51,10 @@ pub fn place_block(
             targets.push(*live.choose(rng).expect("non-empty"))
         }
     }
-    // Remaining replicas: random distinct live nodes, rack-ordered when
-    // a topology is configured.
+    // Remaining replicas: random distinct live nodes, rack-ordered.
     let mut rest: Vec<NodeId> = live.iter().copied().filter(|n| *n != targets[0]).collect();
     rest.shuffle(rng);
-    if let Some(t) = topology {
-        rest = rack_aware_order(t, targets[0], &rest);
-    }
+    let rest = rack_aware_order(membership, targets[0], rest);
     targets.extend(rest.into_iter().take(factor as usize - 1));
     debug_assert_eq!(targets.len(), factor as usize);
     Ok(targets)
@@ -79,7 +77,7 @@ mod tests {
             NodeId(3),
             3,
             &nodes(10),
-            None,
+            &Membership::uniform(10),
             &mut rng,
         )
         .unwrap();
@@ -100,7 +98,7 @@ mod tests {
             NodeId(3),
             2,
             &live,
-            None,
+            &Membership::uniform(10),
             &mut rng,
         )
         .unwrap();
@@ -111,10 +109,11 @@ mod tests {
     fn spread_uses_many_first_targets() {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
         let live = nodes(10);
+        let m = Membership::uniform(10);
         let mut firsts = std::collections::HashSet::new();
         for _ in 0..100 {
             let t =
-                place_block(PlacementPolicy::Spread, NodeId(0), 1, &live, None, &mut rng).unwrap();
+                place_block(PlacementPolicy::Spread, NodeId(0), 1, &live, &m, &mut rng).unwrap();
             firsts.insert(t[0]);
         }
         assert!(
@@ -132,7 +131,7 @@ mod tests {
             NodeId(0),
             3,
             &nodes(2),
-            None,
+            &Membership::uniform(2),
             &mut rng,
         )
         .unwrap_err();
@@ -147,7 +146,8 @@ mod tests {
 
     #[test]
     fn rack_aware_second_replica_leaves_writer_rack() {
-        let t = RackTopology::new(9, 3);
+        let m = Membership::with_racks(9, 3);
+        let same_rack = |a: NodeId, b: NodeId| m.rack(a.raw()) == m.rack(b.raw());
         let mut rng = rand::rngs::SmallRng::seed_from_u64(6);
         for _ in 0..50 {
             let targets = place_block(
@@ -155,17 +155,17 @@ mod tests {
                 NodeId(1),
                 3,
                 &nodes(9),
-                Some(&t),
+                &m,
                 &mut rng,
             )
             .unwrap();
             assert_eq!(targets[0], NodeId(1));
             assert!(
-                !t.same_rack(targets[0], targets[1]),
+                !same_rack(targets[0], targets[1]),
                 "second replica must leave the writer's rack: {targets:?}"
             );
             assert!(
-                t.same_rack(targets[1], targets[2]),
+                same_rack(targets[1], targets[2]),
                 "third replica shares the second's rack: {targets:?}"
             );
         }
@@ -179,7 +179,7 @@ mod tests {
             NodeId(1),
             1,
             &nodes(4),
-            None,
+            &Membership::uniform(4),
             &mut rng,
         )
         .unwrap();

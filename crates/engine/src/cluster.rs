@@ -30,7 +30,6 @@ pub struct Cluster {
     cfg: ClusterConfig,
     dfs: Arc<Dfs>,
     map_outputs: MapOutputStore,
-    membership: Mutex<Membership>,
     epoch_gauge: Gauge,
     live_gauge: Gauge,
     tracer: Arc<Tracer>,
@@ -43,16 +42,6 @@ pub struct Cluster {
 
 impl Cluster {
     pub fn new(cfg: ClusterConfig) -> Self {
-        Self::build(cfg, None)
-    }
-
-    /// Like [`Cluster::new`] but with a rack topology: remote replicas
-    /// are placed rack-aware (HDFS-style, §III-A).
-    pub fn with_topology(cfg: ClusterConfig, topology: rcmp_policy::RackTopology) -> Self {
-        Self::build(cfg, Some(topology))
-    }
-
-    fn build(cfg: ClusterConfig, topology: Option<rcmp_policy::RackTopology>) -> Self {
         cfg.validate().expect("invalid cluster config");
         // One clock for the whole run: tracer spans, flight-recorder
         // timestamps and phase-profiler guards all agree on an epoch.
@@ -68,7 +57,7 @@ impl Cluster {
             nodes: cfg.nodes,
             block_size: cfg.block_size,
             seed: cfg.seed,
-            topology,
+            racks: 1,
             store_shards: cfg.shuffle.store_shards,
         };
         let mut dfs = Dfs::new_traced(dfs_cfg, tracer.clone()).with_obs(
@@ -81,20 +70,13 @@ impl Cluster {
                 rcmp_dfs::ChainCache::new(cfg.chain_cache.budget).with_obs(&metrics),
             ));
         }
-        // The authoritative membership record both backends schedule
-        // against: same node→rack layout as the DFS placement topology.
-        let membership = match &dfs.config().topology {
-            Some(t) => Membership::with_racks(cfg.nodes, t.racks),
-            None => Membership::uniform(cfg.nodes),
-        };
         let epoch_gauge = metrics.gauge("membership.epoch");
         let live_gauge = metrics.gauge("membership.live_nodes");
-        live_gauge.set(membership.schedulable().len() as i64);
+        live_gauge.set(dfs.placement_targets().len() as i64);
         Self {
             cfg,
             dfs: Arc::new(dfs),
             map_outputs: MapOutputStore::new(),
-            membership: Mutex::new(membership),
             epoch_gauge,
             live_gauge,
             tracer,
@@ -190,22 +172,20 @@ impl Cluster {
 
     // ----------------------------------------------------------- membership
 
-    /// A snapshot of the authoritative membership record. Every
-    /// scheduling decision is made against such a snapshot; the
-    /// simulator builds the identical record from the same transition
-    /// sequence, which is what keeps engine and sim schedules
-    /// byte-identical across membership epochs.
+    /// A snapshot of the cluster's one membership record, which the
+    /// DFS owns. Every scheduling decision is made against such a
+    /// snapshot; the simulator builds the identical record from the
+    /// same transition sequence, which is what keeps engine and sim
+    /// schedules byte-identical across membership epochs.
     pub fn membership(&self) -> Membership {
-        self.membership.lock().clone()
+        self.dfs.membership()
     }
 
     /// Updates the membership gauges and emits a `membership.*` span
     /// after a successful transition.
     fn note_transition(&self, what: &str, node: NodeId) {
-        let (epoch, live) = {
-            let m = self.membership.lock();
-            (m.epoch(), m.schedulable().len())
-        };
+        let m = self.membership();
+        let (epoch, live) = (m.epoch(), m.schedulable().len());
         self.epoch_gauge.set(epoch as i64);
         self.live_gauge.set(live as i64);
         self.tracer.instant(
@@ -222,9 +202,7 @@ impl Cluster {
     /// Adds a fresh node (Up, empty) and returns its id. Bumps the
     /// membership epoch.
     pub fn join_node(&self, capacity: u32, rack: u32) -> NodeId {
-        let id = self.dfs.join_node();
-        let idx = self.membership.lock().join(capacity, rack);
-        debug_assert_eq!(idx, id.raw(), "dfs and membership indices agree");
+        let id = self.dfs.join_node(capacity, rack);
         self.note_transition("join", id);
         id
     }
@@ -233,7 +211,6 @@ impl Cluster {
     /// data stays readable. Bumps the membership epoch.
     pub fn drain_node(&self, node: NodeId) -> Result<()> {
         self.dfs.drain_node(node)?;
-        self.membership.lock().drain(node.raw())?;
         self.note_transition("drain", node);
         Ok(())
     }
@@ -242,7 +219,6 @@ impl Cluster {
     /// membership epoch.
     pub fn rejoin_node(&self, node: NodeId) -> Result<()> {
         self.dfs.rejoin_node(node)?;
-        self.membership.lock().rejoin(node.raw())?;
         self.note_transition("rejoin", node);
         Ok(())
     }
@@ -254,7 +230,6 @@ impl Cluster {
     /// epoch.
     pub fn decommission_node(&self, node: NodeId) -> Result<RebalanceReport> {
         let report = self.dfs.decommission_node(node)?;
-        self.membership.lock().decommission(node.raw())?;
         self.map_outputs.drop_node(node);
         self.note_transition("decommission", node);
         Ok(report)
@@ -262,11 +237,13 @@ impl Cluster {
 
     /// Kills a node: DFS blocks *and* persisted map outputs on it are
     /// gone. Returns the DFS loss report (irreversibly lost partitions
-    /// per file).
+    /// per file). Bumps the membership epoch if the node was readable;
+    /// killing it again changes nothing.
     pub fn fail_node(&self, node: NodeId) -> LossReport {
+        let was_alive = self.dfs.is_alive(node);
         let report = self.dfs.fail_node(node);
         self.map_outputs.drop_node(node);
-        if self.membership.lock().mark_dead(node.raw()).is_ok() {
+        if was_alive {
             self.note_transition("dead", node);
         }
         report
@@ -375,6 +352,43 @@ mod tests {
                 .map(|n| n.raw())
                 .collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn rejected_transitions_change_nothing() {
+        let cl = Cluster::new(ClusterConfig::small_test(3));
+        cl.dfs().create_file("f", 1, 1).unwrap();
+        cl.dfs()
+            .write_partition_segment(
+                "f",
+                PartitionId(0),
+                Bytes::from(vec![3u8; 100]),
+                NodeId(1),
+                PlacementPolicy::WriterLocal,
+            )
+            .unwrap();
+        cl.fail_node(NodeId(2));
+        cl.decommission_node(NodeId(1)).unwrap();
+        // Node 0 is Up, node 1 Decommissioned, node 2 Dead.
+        let state = || {
+            (
+                cl.membership(),
+                cl.metrics().gauge("membership.epoch").get(),
+                cl.metrics().gauge("membership.live_nodes").get(),
+                cl.dfs().total_used(),
+                cl.dfs().file_meta("f").unwrap(),
+            )
+        };
+        let before = state();
+        assert_eq!((before.1, before.2), (2, 1));
+        assert!(cl.drain_node(NodeId(2)).is_err(), "drain a dead node");
+        assert!(cl.rejoin_node(NodeId(0)).is_err(), "rejoin an Up node");
+        assert!(
+            cl.decommission_node(NodeId(1)).is_err(),
+            "decommission a decommissioned node"
+        );
+        assert!(cl.fail_node(NodeId(9)).is_benign(), "kill an unknown node");
+        assert_eq!(state(), before);
     }
 
     #[test]

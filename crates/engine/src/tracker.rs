@@ -45,7 +45,8 @@ use rcmp_obs::{
     SpanId, SpanKind, Tracer,
 };
 use rcmp_policy::{
-    job_init, reduce_task_set, reduce_tasks_for, PolicyCtx, RecomputePlan, SliceTopology,
+    job_init, reduce_task_set, reduce_tasks_for, Membership, PolicyCtx, RecomputePlan,
+    SliceTopology,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -392,8 +393,7 @@ impl<'a> JobTracker<'a> {
             for _round in 0..MAX_RECOVERY_ROUNDS {
                 // MAP PHASE: ensure every needed map output exists.
                 while !pending_maps.is_empty() {
-                    let live = self.live_or_fail()?;
-                    let membership = self.cluster.membership();
+                    let (membership, live) = self.live_or_fail()?;
                     let topo = SliceTopology::for_kernel(
                         &live,
                         slot_cfg.map,
@@ -488,8 +488,7 @@ impl<'a> JobTracker<'a> {
                 if pending_reduces.is_empty() {
                     break;
                 }
-                let live = self.live_or_fail()?;
-                let membership = self.cluster.membership();
+                let (membership, live) = self.live_or_fail()?;
                 let topo = SliceTopology::for_kernel(
                     &live,
                     slot_cfg.reduce,
@@ -762,14 +761,16 @@ impl<'a> JobTracker<'a> {
         }
     }
 
-    /// Nodes the next wave may be scheduled on (Up only — draining
-    /// nodes keep serving data but take no new tasks).
-    fn live_or_fail(&self) -> Result<Vec<NodeId>> {
-        let live = self.cluster.schedulable_nodes();
+    /// One membership snapshot for the next phase, and the nodes its
+    /// waves may be scheduled on (Up only — draining nodes keep serving
+    /// data but take no new tasks).
+    fn live_or_fail(&self) -> Result<(Membership, Vec<NodeId>)> {
+        let membership = self.cluster.membership();
+        let live: Vec<NodeId> = membership.schedulable().into_iter().map(NodeId).collect();
         if live.is_empty() {
             return Err(Error::NoLiveNodes);
         }
-        Ok(live)
+        Ok((membership, live))
     }
 
     /// JobInit over the input as it stands now

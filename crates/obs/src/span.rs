@@ -29,8 +29,9 @@ pub enum Phase {
     Reduce,
 }
 
-/// The shape of an injected fault (mirrors `rcmp-engine`'s `Fault`
-/// without depending on the engine crate).
+/// The shape of an injected fault: one variant per `rcmp_policy::Fault`
+/// variant, without its payload (this crate sits below the policy
+/// crate and cannot name `Fault`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultKind {
     /// A node was killed (blocks and map outputs lost with it).

@@ -51,16 +51,18 @@
 //! * [`FailureAt`] — the fault script, `(run, TriggerPoint, Fault)`
 //!   with no clock in it: the engine's injector, the simulator and the
 //!   chain-machine model replay the same entries.
-//! * [`Membership`] — the versioned, mutable node set: join / drain /
-//!   decommission / rejoin transitions with epoch numbers, snapshotted
-//!   identically by both backends.
+//! * [`Membership`] — the versioned, mutable node set: each node's
+//!   status, capacity and rack, with join / drain / decommission /
+//!   rejoin / death transitions and epoch numbers. Each backend keeps
+//!   exactly one (the engine's DFS, the simulator's state) and every
+//!   scheduling, placement and read decision reads it.
 //! * [`CacheLedger`] — chain-cache admission, LRU-with-pin eviction and
 //!   spill bookkeeping; the engine hangs payloads off it, the simulator
 //!   prices reads against it. [`rehome_target`] is the matching single
 //!   rule for where a decommissioned node's replicas go.
-//! * [`RackTopology`] — the single node→rack layout shared by DFS
-//!   replica placement and the rack-aware kernel (formerly duplicated
-//!   in `rcmp-dfs`).
+//! * [`rack_aware_order`] — HDFS's rack-aware replica order for DFS
+//!   placement, over the racks the [`Membership`] records (the same
+//!   racks the rack-aware kernel reads).
 //! * [`DrrArbiter`] — cross-tenant fair-share arbitration (weighted
 //!   deficit round-robin with per-tenant in-flight quotas), the tier
 //!   *above* the wave kernels that the `rcmp-serve` job service uses to
@@ -98,7 +100,7 @@ pub use mitigation::{choose_mitigation, HotspotMitigation, MitigationChoice, Spl
 pub use plan::{job_init, reduce_task_set, reduce_tasks_for, InputView, MapInput, RecomputePlan};
 pub use strategy::Strategy;
 pub use tasks::{FnMapTasks, FnReduceTasks, MapTaskSet, ReduceTaskSet};
-pub use topology::{rack_aware_order, RackTopology, SliceTopology};
+pub use topology::{rack_aware_order, SliceTopology};
 pub use waves::{
     assign_map_waves, assign_reduce_waves, PolicyCtx, ReduceAssignment, WaveAssignment,
 };

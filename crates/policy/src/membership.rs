@@ -88,16 +88,22 @@ impl Membership {
     }
 
     /// A homogeneous cluster of `n` nodes spread over `racks` racks in
-    /// contiguous blocks — the same layout as
-    /// [`crate::RackTopology::rack_of`].
+    /// contiguous blocks of `n.div_ceil(racks)` nodes (node 0..k−1 →
+    /// rack 0, and so on; the last rack may be smaller).
+    ///
+    /// "Current replication strategies protect against the simultaneous
+    /// failure of two nodes or against single rack-level failures"
+    /// (§III-A); the DCO cluster's nodes "are distributed in 3 different
+    /// racks" (§V-A).
     pub fn with_racks(n: u32, racks: u32) -> Self {
-        let topo = crate::RackTopology::new(n, racks.max(1));
+        let racks = racks.max(1);
+        let per_rack = n.div_ceil(racks).max(1);
         Self {
             nodes: (0..n)
                 .map(|i| NodeInfo {
                     status: NodeStatus::Up,
                     capacity: 1,
-                    rack: topo.rack_of(rcmp_model::NodeId(i)),
+                    rack: (i / per_rack).min(racks - 1),
                 })
                 .collect(),
             epoch: 0,
@@ -127,6 +133,11 @@ impl Membership {
     /// Full record of node `n`, if it is a member.
     fn info(&self, n: u32) -> Option<NodeInfo> {
         self.nodes.get(n as usize).copied()
+    }
+
+    /// Rack of node `n`; unknown nodes land in rack 0.
+    pub fn rack(&self, n: u32) -> u32 {
+        self.info(n).map_or(0, |i| i.rack)
     }
 
     /// May tasks and new replicas be placed on `n`?
@@ -171,9 +182,7 @@ impl Membership {
     /// Rack indices aligned position-for-position with `live`. Unknown
     /// nodes land in rack 0.
     pub fn racks_for(&self, live: &[u32]) -> Vec<u32> {
-        live.iter()
-            .map(|&n| self.info(n).map_or(0, |i| i.rack))
-            .collect()
+        live.iter().map(|&n| self.rack(n)).collect()
     }
 
     /// Adds a fresh node (Up) and returns its index. Bumps the epoch.
@@ -200,13 +209,20 @@ impl Membership {
         self.transition(n, &[NodeStatus::Up], NodeStatus::Draining, "drain")
     }
 
+    /// May `n` be decommissioned? The check half of
+    /// [`Membership::decommission`], mutating nothing: both backends make
+    /// it before any replica moves, and fail with its error.
+    pub fn check_decommission(&self, n: u32) -> Result<()> {
+        self.check(n, &DECOMMISSIONABLE, "decommission")
+    }
+
     /// Finishes removing `n`: Up | Draining → Decommissioned (the
     /// caller is responsible for rebalancing its replicas first). Bumps
     /// the epoch.
     pub fn decommission(&mut self, n: u32) -> Result<()> {
         self.transition(
             n,
-            &[NodeStatus::Up, NodeStatus::Draining],
+            &DECOMMISSIONABLE,
             NodeStatus::Decommissioned,
             "decommission",
         )
@@ -235,6 +251,19 @@ impl Membership {
         )
     }
 
+    /// Errors unless `n` is a member whose status is in `from`.
+    fn check(&self, n: u32, from: &[NodeStatus], what: &str) -> Result<()> {
+        match self.status(n) {
+            None => Err(Error::Config(format!(
+                "membership: {what} of unknown node {n}"
+            ))),
+            Some(s) if !from.contains(&s) => Err(Error::Config(format!(
+                "membership: cannot {what} node {n} in state {s:?}"
+            ))),
+            Some(_) => Ok(()),
+        }
+    }
+
     fn transition(
         &mut self,
         n: u32,
@@ -242,22 +271,15 @@ impl Membership {
         to: NodeStatus,
         what: &str,
     ) -> Result<()> {
-        let Some(info) = self.nodes.get_mut(n as usize) else {
-            return Err(Error::Config(format!(
-                "membership: {what} of unknown node {n}"
-            )));
-        };
-        if !from.contains(&info.status) {
-            return Err(Error::Config(format!(
-                "membership: cannot {what} node {n} in state {:?}",
-                info.status
-            )));
-        }
-        info.status = to;
+        self.check(n, from, what)?;
+        self.nodes[n as usize].status = to;
         self.epoch += 1;
         Ok(())
     }
 }
+
+/// The statuses a node may be decommissioned from.
+const DECOMMISSIONABLE: [NodeStatus; 2] = [NodeStatus::Up, NodeStatus::Draining];
 
 /// Where one replica of a departing node goes (graceful decommission).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -346,10 +368,30 @@ mod tests {
     }
 
     #[test]
-    fn rack_layout_matches_rack_topology() {
-        let m = Membership::with_racks(10, 3); // 4+4+2 like RackTopology
+    fn rack_layout_is_contiguous_blocks() {
+        let m = Membership::with_racks(10, 3); // 4+4+2: the last rack is smaller
         let racks = m.racks_for(&m.schedulable());
         assert_eq!(racks, vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2]);
+        let dco = Membership::with_racks(60, 3);
+        assert_eq!([0, 19, 20, 59].map(|n| dco.rack(n)), [0, 0, 1, 2]);
+        let flat = Membership::with_racks(5, 1);
+        assert!((0..5).all(|n| flat.rack(n) == 0), "one rack");
+        assert_eq!(flat, Membership::uniform(5));
+    }
+
+    #[test]
+    fn check_decommission_is_the_transition_check() {
+        let mut m = Membership::uniform(3);
+        m.drain(1).unwrap();
+        m.mark_dead(2).unwrap();
+        let epoch = m.epoch();
+        for n in 0..4 {
+            let checked = m.check_decommission(n).map_err(|e| e.to_string());
+            let mut moved = m.clone();
+            let applied = moved.decommission(n).map_err(|e| e.to_string());
+            assert_eq!(checked, applied, "node {n}");
+        }
+        assert_eq!(m.epoch(), epoch, "the check mutates nothing");
     }
 
     #[test]

@@ -9,15 +9,13 @@
 //! [`SliceTopology::for_kernel`], the one place membership turns into
 //! capacities and racks.
 //!
-//! [`RackTopology`] is the single source of truth for node→rack layout:
-//! `rcmp-dfs` re-exports it for replica placement, and
-//! [`crate::Membership::with_racks`] derives its rack vector from the
-//! same contiguous-block rule — the two representations that used to
-//! drift are now one struct.
+//! Racks are part of the membership record: [`crate::Membership`]
+//! holds each node's rack next to its status and capacity, and both
+//! the rack-aware placement kernel (through [`SliceTopology`]) and the
+//! DFS's rack-aware replica order ([`rack_aware_order`]) read it there.
 
 use crate::Membership;
 use rcmp_model::{NodeId, PlacementKernel};
-use serde::{Deserialize, Serialize};
 
 /// What the wave kernels need to know about a cluster for one phase.
 ///
@@ -116,94 +114,42 @@ impl<'a, N: Copy> SliceTopology<'a, N> {
     }
 }
 
-/// Maps nodes to racks: contiguous blocks of `nodes.div_ceil(racks)`
-/// nodes per rack (node 0..k−1 → rack 0, etc.).
-///
-/// "Current replication strategies protect against the simultaneous
-/// failure of two nodes or against single rack-level failures" (§III-A);
-/// the DCO cluster's nodes "are distributed in 3 different racks"
-/// (§V-A). HDFS's default policy puts the first replica on the writer,
-/// the second on a different rack, and the third on the same rack as
-/// the second — surviving the loss of any single rack with factor ≥ 2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RackTopology {
-    /// Number of nodes.
-    pub nodes: u32,
-    /// Number of racks.
-    pub racks: u32,
-}
-
-impl RackTopology {
-    /// A topology of `nodes` nodes over `racks` racks.
-    pub fn new(nodes: u32, racks: u32) -> Self {
-        assert!(racks >= 1 && nodes >= 1, "need at least one node and rack");
-        Self { nodes, racks }
-    }
-
-    /// A flat (single-rack) topology: rack awareness is a no-op.
-    pub fn flat(nodes: u32) -> Self {
-        Self::new(nodes, 1)
-    }
-
-    /// The DCO layout: 3 racks.
-    pub fn dco(nodes: u32) -> Self {
-        Self::new(nodes, 3)
-    }
-
-    /// Nodes per rack (the last rack may be smaller).
-    fn nodes_per_rack(&self) -> u32 {
-        self.nodes.div_ceil(self.racks)
-    }
-
-    /// The rack a node lives in.
-    pub fn rack_of(&self, node: NodeId) -> u32 {
-        (node.raw() / self.nodes_per_rack()).min(self.racks - 1)
-    }
-
-    /// Whether two nodes share a rack.
-    pub fn same_rack(&self, a: NodeId, b: NodeId) -> bool {
-        self.rack_of(a) == self.rack_of(b)
-    }
-
-    /// All nodes in one rack.
-    pub fn rack_members(&self, rack: u32) -> Vec<NodeId> {
-        (0..self.nodes)
-            .map(NodeId)
-            .filter(|&n| self.rack_of(n) == rack)
-            .collect()
-    }
-}
-
 /// Orders placement candidates HDFS-style given a first (writer-local)
 /// replica: off-rack nodes first (the second replica must leave the
 /// writer's rack), then same-rack-as-second for the third, then anyone.
+/// Racks are read from `membership`. When every candidate shares the
+/// writer's rack (a one-rack cluster) the candidates come back as
+/// given, without a copy.
 ///
-/// Returns the candidates sorted by preference; the caller takes as
-/// many as the replication factor requires.
+/// HDFS's default policy puts the first replica on the writer, the
+/// second on a different rack, and the third on the same rack as the
+/// second — surviving the loss of any single rack with factor ≥ 2
+/// (§III-A).
+///
+/// Returns the candidates (less `first`) sorted by preference; the
+/// caller takes as many as the replication factor requires.
 pub fn rack_aware_order(
-    topology: &RackTopology,
+    membership: &Membership,
     first: NodeId,
-    candidates: &[NodeId],
+    mut candidates: Vec<NodeId>,
 ) -> Vec<NodeId> {
-    let mut off_rack: Vec<NodeId> = candidates
-        .iter()
-        .copied()
-        .filter(|&n| !topology.same_rack(first, n))
-        .collect();
-    let on_rack: Vec<NodeId> = candidates
-        .iter()
-        .copied()
-        .filter(|&n| topology.same_rack(first, n) && n != first)
-        .collect();
+    let rack = |n: NodeId| membership.rack(n.raw());
+    let first_rack = rack(first);
+    candidates.retain(|&n| n != first);
+    if candidates.iter().all(|&n| rack(n) == first_rack) {
+        return candidates;
+    }
+    let (mut off_rack, on_rack): (Vec<NodeId>, Vec<NodeId>) =
+        candidates.into_iter().partition(|&n| rack(n) != first_rack);
     // Third replica prefers the *second* replica's rack: after the
     // first off-rack pick, stable-partition the rest of the off-rack
     // list so the second pick's rack-mates come next.
     if off_rack.len() > 1 {
-        let second_rack = topology.rack_of(off_rack[0]);
+        let second_rack = rack(off_rack[0]);
         let (mut same_as_second, other): (Vec<NodeId>, Vec<NodeId>) = off_rack[1..]
             .iter()
             .copied()
-            .partition(|&n| topology.rack_of(n) == second_rack);
+            .partition(|&n| rack(n) == second_rack);
         let mut ordered = vec![off_rack[0]];
         ordered.append(&mut same_as_second);
         ordered.extend(other);
@@ -248,45 +194,15 @@ mod tests {
     }
 
     #[test]
-    fn rack_of_contiguous_blocks() {
-        let t = RackTopology::dco(60);
-        assert_eq!(t.nodes_per_rack(), 20);
-        assert_eq!(t.rack_of(NodeId(0)), 0);
-        assert_eq!(t.rack_of(NodeId(19)), 0);
-        assert_eq!(t.rack_of(NodeId(20)), 1);
-        assert_eq!(t.rack_of(NodeId(59)), 2);
-        assert!(t.same_rack(NodeId(0), NodeId(19)));
-        assert!(!t.same_rack(NodeId(19), NodeId(20)));
-    }
-
-    #[test]
-    fn uneven_division_clamps_last_rack() {
-        let t = RackTopology::new(10, 3); // 4+4+2
-        assert_eq!(t.rack_of(NodeId(9)), 2);
-        assert_eq!(t.rack_members(2), vec![NodeId(8), NodeId(9)]);
-        let total: usize = (0..3).map(|r| t.rack_members(r).len()).sum();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn flat_topology_is_one_rack() {
-        let t = RackTopology::flat(5);
-        for a in 0..5 {
-            for b in 0..5 {
-                assert!(t.same_rack(NodeId(a), NodeId(b)));
-            }
-        }
-    }
-
-    #[test]
     fn rack_aware_order_prefers_off_rack_then_seconds_rack() {
-        let t = RackTopology::new(9, 3); // racks {0,1,2},{3,4,5},{6,7,8}
+        let m = Membership::with_racks(9, 3); // racks {0,1,2},{3,4,5},{6,7,8}
+        let rack = |n: NodeId| m.rack(n.raw());
         let candidates: Vec<NodeId> = (0..9).map(NodeId).collect();
-        let order = rack_aware_order(&t, NodeId(0), &candidates);
+        let order = rack_aware_order(&m, NodeId(0), candidates);
         // First pick is off-rack.
-        assert!(!t.same_rack(NodeId(0), order[0]));
+        assert_ne!(rack(NodeId(0)), rack(order[0]));
         // Second pick shares the first pick's rack (HDFS third replica).
-        assert!(t.same_rack(order[0], order[1]));
+        assert_eq!(rack(order[0]), rack(order[1]));
         // Writer's rack-mates come last.
         let tail: Vec<u32> = order[order.len() - 2..].iter().map(|n| n.raw()).collect();
         assert_eq!(tail, vec![1, 2]);
@@ -294,10 +210,13 @@ mod tests {
 
     #[test]
     fn order_handles_all_same_rack() {
-        let t = RackTopology::flat(4);
-        let candidates: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let order = rack_aware_order(&t, NodeId(1), &candidates);
-        assert_eq!(order.len(), 3, "writer excluded, everyone else listed");
-        assert!(!order.contains(&NodeId(1)));
+        let m = Membership::uniform(4);
+        let candidates: Vec<NodeId> = [3, 0, 1, 2].map(NodeId).to_vec();
+        let order = rack_aware_order(&m, NodeId(1), candidates);
+        assert_eq!(
+            order,
+            [3, 0, 2].map(NodeId),
+            "writer excluded, everyone else in the given order"
+        );
     }
 }

@@ -261,7 +261,7 @@ impl LineageView for Runner<'_> {
     }
 
     fn survivors(&self) -> usize {
-        self.state.live_nodes().len()
+        self.state.membership().schedulable().len()
     }
 
     fn input_path(&self, job: JobId) -> String {
@@ -287,7 +287,7 @@ impl ChainBackend for Runner<'_> {
     /// cancelled job's partial results (§V-A), so a retry is a full run.
     fn run_job(&mut self, seq: u64, job: JobId, _retry: bool) -> Result<RunOutcome> {
         let losses = self.inject_failures(seq)?;
-        if self.state.live_nodes().is_empty() {
+        if self.state.membership().schedulable().is_empty() {
             return Err(Error::NoLiveNodes);
         }
         let strategy = self.cfg.strategy;
@@ -306,7 +306,7 @@ impl ChainBackend for Runner<'_> {
     /// on the survivors, and the loop replans after it.
     fn run_recompute(&mut self, seq: u64, step: RecoveryStep) -> Result<RunOutcome> {
         let losses = self.inject_failures(seq)?;
-        if !losses.is_empty() && self.state.live_nodes().is_empty() {
+        if !losses.is_empty() && self.state.membership().schedulable().is_empty() {
             return Err(Error::NoLiveNodes);
         }
         let persist = self.cfg.strategy.persists_outputs();
@@ -339,7 +339,7 @@ impl ChainBackend for Runner<'_> {
         let j = job.0;
         let bytes = self.state.files.get(&j).map(|f| f.bytes()).unwrap_or(0);
         let copies = (factor.saturating_sub(1)) as u64 * bytes;
-        let live = self.state.live_nodes().len().max(1) as f64;
+        let live = self.state.membership().schedulable().len().max(1) as f64;
         let secs = copies as f64 / (self.cfg.hw.disk_write_bw * live);
         self.t += secs;
         self.state.replicate_file(j, factor);

@@ -196,11 +196,11 @@ impl JobSim {
         let hw = &self.hw;
         let wl = &self.wl;
         let input_file = job - 1;
-        let live = state.live_nodes();
         // A membership snapshot for this run's scheduling decisions —
         // mid-run transitions (none today) would only affect later runs,
         // matching the engine's snapshot-per-phase behaviour.
         let membership = state.membership().clone();
+        let live = membership.schedulable();
         let ctx = PolicyCtx::disabled();
 
         let mut report = SimJobReport {
@@ -600,7 +600,7 @@ impl JobSim {
         replication: u32,
         recompute: Option<&RecomputeSpec>,
     ) -> Vec<Vec<Node>> {
-        let live = state.live_nodes();
+        let live = state.membership().schedulable();
         if recompute.is_some_and(|r| r.spread_output) {
             // Scatter the task's blocks round-robin over all live nodes.
             return live.iter().map(|&n| vec![n]).collect();

@@ -222,13 +222,6 @@ impl SimState {
         self.membership.is_readable(node)
     }
 
-    /// Nodes that take new tasks and replicas (Up only): a draining
-    /// node keeps serving its data but schedules nothing new — the same
-    /// split the engine's `Cluster::schedulable_nodes` makes.
-    pub fn live_nodes(&self) -> Vec<Node> {
-        self.membership.schedulable()
-    }
-
     /// Kills a node: its map outputs vanish; partitions report lost via
     /// `lost_partitions`. Returns files that newly lost partitions.
     pub fn fail_node(&mut self, node: Node) -> BTreeMap<FileId, BTreeSet<u32>> {
@@ -287,11 +280,7 @@ impl SimState {
     /// Fails with [`Error::InsufficientReplicaTargets`] — leaving all
     /// state unchanged — when a sole-replica segment has nowhere to go.
     pub fn decommission_node(&mut self, node: Node) -> Result<(usize, usize)> {
-        if !self.membership.is_readable(node) {
-            // Surface the membership's own typed transition error.
-            self.membership.decommission(node)?;
-            unreachable!("decommission of a non-readable node must fail");
-        }
+        self.membership.check_decommission(node)?;
         let pool: Vec<Node> = self
             .membership
             .schedulable()
@@ -345,9 +334,7 @@ impl SimState {
         if let Some(c) = self.chain_cache.as_mut() {
             c.invalidate_node(node);
         }
-        self.membership
-            .decommission(node)
-            .expect("validated readable above");
+        self.membership.decommission(node)?;
         Ok((moved, dropped))
     }
 
@@ -437,7 +424,7 @@ impl SimState {
     /// Adds replicas to every segment of a file up to `factor` holders
     /// (hybrid replication points).
     pub fn replicate_file(&mut self, file: FileId, factor: u32) {
-        let live = self.live_nodes();
+        let live = self.membership.schedulable();
         if live.is_empty() {
             return;
         }
@@ -616,10 +603,13 @@ mod tests {
         s.drain_node(2).unwrap();
         assert!(s.membership().epoch() > e0);
         assert!(s.is_alive(2), "draining data stays readable");
-        assert!(!s.live_nodes().contains(&2), "no longer schedulable");
+        assert!(
+            !s.membership().schedulable().contains(&2),
+            "no longer schedulable"
+        );
         assert!(s.files[&0].lost_partitions(&s).is_empty(), "nothing lost");
         s.rejoin_node(2).unwrap();
-        assert!(s.live_nodes().contains(&2));
+        assert!(s.membership().schedulable().contains(&2));
     }
 
     #[test]
@@ -671,7 +661,7 @@ mod tests {
         let mut s = SimState::new(&wl());
         let n = s.join_node(2, 1);
         assert_eq!(n, 4);
-        assert!(s.live_nodes().contains(&4));
+        assert!(s.membership().schedulable().contains(&4));
         s.rewrite_partition(
             1,
             0,
