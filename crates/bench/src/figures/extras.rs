@@ -55,7 +55,7 @@ pub fn locality_ablation(scale_down: u64) -> LocalityAblation {
                 if noncol {
                     js = js.noncollocated();
                 }
-                let mut st = SimState::new(&wl);
+                let mut st = SimState::new(&wl, 0);
                 js.run_full(&mut st, 1, 1, true).unwrap().duration
             };
             let collocated = run(false);
@@ -118,7 +118,7 @@ pub fn speculation_futility(scale_down: u64) -> Vec<SpeculationReport> {
 
     // Scenario 1: hot-spot recompute over single-replicated data.
     let js = mk();
-    let mut st = SimState::new(&wl);
+    let mut st = SimState::new(&wl, 0);
     js.run_full(&mut st, 1, 1, true).unwrap();
     js.run_full(&mut st, 2, 1, true).unwrap();
     st.fail_node(wl.nodes - 1);
@@ -146,7 +146,7 @@ pub fn speculation_futility(scale_down: u64) -> Vec<SpeculationReport> {
 
     // Scenario 2: replicated input with a dead node (alternates exist).
     let js = mk();
-    let mut st = SimState::new(&wl);
+    let mut st = SimState::new(&wl, 0);
     st.fail_node(wl.nodes - 1);
     let r = js.run_full(&mut st, 1, 1, true).unwrap();
     let replicated = SpeculationReport {

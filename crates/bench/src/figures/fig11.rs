@@ -37,7 +37,7 @@ fn speedup(nodes: u32, split: u32, scale_down: u64) -> f64 {
     let wl = workload(nodes, scale_down);
     let hw = HwProfile::dco();
     let js = JobSim::new(hw, wl.clone());
-    let mut state = SimState::new(&wl);
+    let mut state = SimState::new(&wl, 0);
     let initial = js.run_full(&mut state, 1, 1, true).unwrap();
     state.fail_node(nodes - 1);
     let lost = state.files[&1].lost_partitions(&state);

@@ -33,7 +33,7 @@ fn speedup(hw: &HwProfile, reducers: u32, scale_down: u64) -> f64 {
     wl.per_node_input = wl.per_node_input / scale_down.max(1);
     let n = wl.nodes;
     let js = JobSim::new(hw.clone(), wl.clone());
-    let mut state = SimState::new(&wl);
+    let mut state = SimState::new(&wl, 0);
     let initial = js.run_full(&mut state, 1, 1, true).unwrap();
     assert_eq!(initial.reduce_waves, reducers / n);
     // Recompute the failed node's reducers (reducers/N of them), all

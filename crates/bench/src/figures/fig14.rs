@@ -42,7 +42,7 @@ fn speedup(hw: &HwProfile, waves: u32, scale_down: u64) -> (f64, u32) {
     let wl = workload(scale_down);
     let n = wl.nodes;
     let js = JobSim::new(hw.clone(), wl.clone());
-    let mut state = SimState::new(&wl);
+    let mut state = SimState::new(&wl, 0);
     let initial = js.run_full(&mut state, 1, 1, true).unwrap();
     state.fail_node(n - 1);
     let lost = state.files[&1].lost_partitions(&state);

@@ -3,20 +3,18 @@
 use crate::block::{BlockInfo, BlockLocation};
 use crate::chain_cache::ChainCache;
 use crate::namespace::{FileMeta, PartitionMeta, SegmentMeta};
-use crate::placement::{place_block, PlacementPolicy};
 use crate::report::{LossReport, RebalanceReport};
 use crate::storage::{NodeAccessStats, NodeStore};
 use bytes::{Bytes, BytesMut};
-use parking_lot::{Mutex, RwLock};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rcmp_model::rng::rng_for;
+use parking_lot::RwLock;
 use rcmp_model::{BlockId, ByteSize, Error, NodeId, PartitionId, Result};
 use rcmp_obs::{
     EventCode, FlightRecorder, Histogram, MetricsRegistry, PhaseKind, PhaseProfiler, SpanKind,
     Tracer,
 };
-use rcmp_policy::{rehome_target, Membership, Rehome};
+use rcmp_policy::{
+    block_key, rehome_target, replica_targets, segment_key, Membership, PlacementPolicy, Rehome,
+};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,7 +26,7 @@ pub struct DfsConfig {
     pub nodes: u32,
     /// Block size; writes are chunked to this size.
     pub block_size: ByteSize,
-    /// Seed for placement randomness.
+    /// Seed of the replica-target keys and the remote-read pick.
     pub seed: u64,
     /// Racks the initial nodes are spread over, in contiguous blocks
     /// ([`Membership::with_racks`]); `1` is a flat cluster. Remote
@@ -118,7 +116,6 @@ pub struct Dfs {
     namespace: RwLock<HashMap<String, FileMeta>>,
     members: RwLock<Members>,
     next_block: AtomicU64,
-    rng: Mutex<SmallRng>,
     tracer: Arc<Tracer>,
     obs: Option<DfsObs>,
     chain_cache: Option<Arc<ChainCache>>,
@@ -142,13 +139,11 @@ impl Dfs {
                 .map(|_| Arc::new(NodeStore::with_shards(cfg.store_shards)))
                 .collect(),
         };
-        let rng = Mutex::new(rng_for(cfg.seed, "dfs-placement"));
         Self {
             cfg,
             namespace: RwLock::new(HashMap::new()),
             members: RwLock::new(members),
             next_block: AtomicU64::new(1),
-            rng,
             tracer,
             obs: None,
             chain_cache: None,
@@ -513,25 +508,27 @@ impl Dfs {
         // Only schedulable (Up) nodes are placement targets: a draining
         // writer can finish its in-flight work, but its output lands on
         // nodes that are staying. One membership snapshot serves every
-        // chunk: its schedulable nodes and its racks.
+        // chunk: its schedulable nodes and its racks. Each chunk's
+        // targets are a function of its position (path, partition,
+        // split, index in this call), so concurrent writers place the
+        // same copies in any order.
         let membership = self.membership();
-        let live = node_ids(membership.schedulable());
-        if (replication as usize) > live.len() {
+        let alive = membership.schedulable().len();
+        if (replication as usize) > alive {
             return Err(Error::InsufficientReplicaTargets {
                 wanted: replication as usize,
-                alive: live.len(),
+                alive,
             });
         }
+        let segment = segment_key(self.cfg.seed, path, pid.raw(), split);
         let open = self.tracer.open();
         let mut payload_bytes = 0u64;
         let mut blocks = Vec::with_capacity(chunks.len());
-        for chunk in chunks {
+        for (index, chunk) in (0u32..).zip(chunks) {
             payload_bytes += chunk.len() as u64;
             let id = BlockId(self.next_block.fetch_add(1, Ordering::Relaxed));
-            let targets = {
-                let mut rng = self.rng.lock();
-                place_block(policy, writer, replication, &live, &membership, &mut *rng)?
-            };
+            let key = block_key(segment, index);
+            let targets = replica_targets(key, policy, writer, replication, &[], &membership);
             let content_hash = rcmp_model::hash::hash_bytes(&chunk);
             for &t in &targets {
                 if let Some(store) = self.store(t) {
@@ -640,11 +637,8 @@ impl Dfs {
             });
         }
         // Remote-replica choice is a pure function of (seed, block,
-        // reader) — NOT a draw from the shared placement RNG. Reads must
-        // not advance that stream: the chain cache elides reads, and an
-        // elided stateful draw would diverge every later placement
-        // between cache-on and cache-off runs, breaking their replica
-        // layouts (and thus fault outcomes) apart.
+        // reader), not a stateful draw: the chain cache elides reads, so
+        // a draw here would split cache-on and cache-off runs apart.
         let preferred = if live_replicas.contains(&reader) {
             reader
         } else {
@@ -871,43 +865,44 @@ impl Dfs {
             return Err(Error::Config("replication factor must be >= 1".into()));
         }
         // Phase 1: plan. No mutation; all errors surface here. New
-        // copies land only on schedulable nodes; existing replicas on
-        // draining nodes still count as readable sources.
+        // copies land only on schedulable nodes, placed by the block's
+        // position with its readable replicas as holders (rack-aware,
+        // as HDFS re-replication is); existing replicas on draining
+        // nodes still count as readable sources.
         let meta = self.file_meta(path)?;
-        let live = self.placement_targets();
+        let membership = self.membership();
         let mut plan: Vec<BlockCopy> = Vec::new();
         for p in &meta.partitions {
-            for b in p.blocks() {
-                let have = self.readable_of(&b.replicas);
-                if have.is_empty() {
-                    return Err(Error::DataLoss {
-                        path: path.to_string(),
-                        partition: Some(p.id),
+            for s in &p.segments {
+                let segment = segment_key(self.cfg.seed, path, p.id.raw(), s.split);
+                for (index, b) in (0u32..).zip(&s.blocks) {
+                    let have = self.readable_of(&b.replicas);
+                    if have.is_empty() {
+                        return Err(Error::DataLoss {
+                            path: path.to_string(),
+                            partition: Some(p.id),
+                        });
+                    }
+                    if have.len() >= factor as usize {
+                        continue;
+                    }
+                    let key = block_key(segment, index);
+                    let policy = PlacementPolicy::WriterLocal;
+                    let targets =
+                        replica_targets(key, policy, s.writer, factor, &have, &membership);
+                    if have.len() + targets.len() < factor as usize {
+                        return Err(Error::InsufficientReplicaTargets {
+                            wanted: factor as usize,
+                            alive: membership.schedulable().len(),
+                        });
+                    }
+                    plan.push(BlockCopy {
+                        id: b.id,
+                        content_hash: b.content_hash,
+                        sources: have,
+                        targets,
                     });
                 }
-                if have.len() >= factor as usize {
-                    continue;
-                }
-                let need = factor as usize - have.len();
-                let mut candidates: Vec<NodeId> =
-                    live.iter().copied().filter(|n| !have.contains(n)).collect();
-                if candidates.len() < need {
-                    return Err(Error::InsufficientReplicaTargets {
-                        wanted: factor as usize,
-                        alive: live.len(),
-                    });
-                }
-                {
-                    let mut rng = self.rng.lock();
-                    candidates.shuffle(&mut *rng);
-                }
-                candidates.truncate(need);
-                plan.push(BlockCopy {
-                    id: b.id,
-                    content_hash: b.content_hash,
-                    sources: have,
-                    targets: candidates,
-                });
             }
         }
         // Phase 2: copy data per the validated plan.

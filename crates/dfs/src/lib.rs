@@ -10,10 +10,12 @@
 //!   **blocks** — a segment is what one writer (a reducer, or one split
 //!   of a reducer) produced, so a split recomputation naturally spreads
 //!   a partition's data over many nodes;
-//! * replica **placement** is writer-local first (collocated clusters,
-//!   §II), remote replicas on random distinct live nodes; a `Spread`
-//!   policy implements the paper's alternative hot-spot mitigation
-//!   (§IV-B2) where reducers scatter their output over many nodes;
+//! * replica **placement** is `rcmp_policy::replica_targets`, the rule
+//!   the simulator shares: writer-local first (collocated clusters,
+//!   §II), remote replicas on the schedulable nodes a block's position
+//!   weighs highest, in HDFS's rack order; a `Spread` policy implements
+//!   the paper's alternative hot-spot mitigation (§IV-B2) where reducers
+//!   scatter their output over many nodes;
 //! * **node failure** atomically drops the node's block store and
 //!   reports which partitions of which files lost *all* replicas —
 //!   the irreversible-data-loss events that trigger RCMP recovery;
@@ -33,7 +35,6 @@
 pub mod block;
 pub mod chain_cache;
 pub mod namespace;
-pub mod placement;
 pub mod report;
 pub mod storage;
 
@@ -43,6 +44,6 @@ pub use block::{BlockInfo, BlockLocation};
 pub use chain_cache::{ChainCache, ChainCacheStats};
 pub use dfs::{Dfs, DfsConfig};
 pub use namespace::{FileMeta, PartitionMeta, SegmentMeta};
-pub use placement::PlacementPolicy;
+pub use rcmp_policy::PlacementPolicy;
 pub use report::{LossReport, RebalanceReport};
 pub use storage::NodeAccessStats;

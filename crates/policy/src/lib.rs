@@ -60,9 +60,12 @@
 //!   spill bookkeeping; the engine hangs payloads off it, the simulator
 //!   prices reads against it. [`rehome_target`] is the matching single
 //!   rule for where a decommissioned node's replicas go.
-//! * [`rack_aware_order`] — HDFS's rack-aware replica order for DFS
-//!   placement, over the racks the [`Membership`] records (the same
-//!   racks the rack-aware kernel reads).
+//! * [`replica_targets`] — the one replica-target rule: where each
+//!   copy of a block goes, a pure function of the block's position
+//!   ([`segment_key`], [`block_key`]), the seed, the writer and the
+//!   [`Membership`] (rendezvous weight, then HDFS's rack order over the
+//!   racks the rack-aware kernel reads). The engine's DFS writes and
+//!   re-replicates through it, and the simulator places through it.
 //! * [`DrrArbiter`] — cross-tenant fair-share arbitration (weighted
 //!   deficit round-robin with per-tenant in-flight quotas), the tier
 //!   *above* the wave kernels that the `rcmp-serve` job service uses to
@@ -100,7 +103,7 @@ pub use mitigation::{choose_mitigation, HotspotMitigation, MitigationChoice, Spl
 pub use plan::{job_init, reduce_task_set, reduce_tasks_for, InputView, MapInput, RecomputePlan};
 pub use strategy::Strategy;
 pub use tasks::{FnMapTasks, FnReduceTasks, MapTaskSet, ReduceTaskSet};
-pub use topology::{rack_aware_order, SliceTopology};
+pub use topology::{block_key, replica_targets, segment_key, PlacementPolicy, SliceTopology};
 pub use waves::{
     assign_map_waves, assign_reduce_waves, PolicyCtx, ReduceAssignment, WaveAssignment,
 };

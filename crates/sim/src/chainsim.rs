@@ -19,7 +19,7 @@
 use crate::hw::HwProfile;
 use crate::jobsim::JobSim;
 use crate::report::{SimChainReport, SimJobReport};
-use crate::state::SimState;
+use crate::state::{file_path, SimState};
 use crate::workload::WorkloadCfg;
 use rcmp_model::{ChainCacheConfig, Error, JobId, PlacementKernel, Result, RetryPolicy};
 use rcmp_policy::{
@@ -45,8 +45,8 @@ pub struct ChainSimConfig {
     /// `ClusterConfig::retry`): the same full-jitter delays the engine
     /// sleeps show up here as simulated time.
     pub retry: RetryPolicy,
-    /// Seed the backoff jitter derives from (the engine uses
-    /// `ClusterConfig::seed`).
+    /// Seed the backoff jitter and the replica-target keys derive from
+    /// (the engine uses `ClusterConfig::seed` for both).
     pub seed: u64,
     /// Placement kernel (the engine's `ClusterConfig::placement`).
     pub placement: PlacementKernel,
@@ -171,10 +171,9 @@ struct Runner<'a> {
 
 impl<'a> Runner<'a> {
     fn new(cfg: &'a ChainSimConfig) -> Self {
-        let mut state = SimState::new(&cfg.wl);
-        if let Some(m) = &cfg.membership {
-            state.set_membership(m.clone());
-        }
+        let membership =
+            (cfg.membership.clone()).unwrap_or_else(|| Membership::uniform(cfg.wl.nodes));
+        let mut state = SimState::with_membership(&cfg.wl, cfg.seed, membership);
         if cfg.chain_cache.enabled {
             state.enable_chain_cache(cfg.chain_cache.budget.as_u64());
         }
@@ -265,10 +264,7 @@ impl LineageView for Runner<'_> {
     }
 
     fn input_path(&self, job: JobId) -> String {
-        match job.0 - 1 {
-            0 => "input".to_string(),
-            file => format!("out/{file}"),
-        }
+        file_path(job.0 - 1)
     }
 }
 
@@ -525,7 +521,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "irreversible data loss: input partition")]
     fn lost_external_input_is_typed_data_loss() {
-        let holders = SimState::new(&wl_small()).files[&0].partitions[0].segments[0]
+        let holders = SimState::new(&wl_small(), 0).files[&0].partitions[0].segments[0]
             .holders
             .clone();
         assert_eq!(holders.len(), 3);

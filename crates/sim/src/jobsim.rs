@@ -22,12 +22,12 @@
 use crate::hw::HwProfile;
 use crate::report::SimJobReport;
 use crate::speculate::{speculate_wave, SpeculationCfg, WaveTask};
-use crate::state::{InputBlock, MapOutputRec, Node, Segment, SimState};
+use crate::state::{file_path, InputBlock, MapOutputRec, Node, Segment, SimState};
 use crate::workload::WorkloadCfg;
 use rcmp_model::{JobId, PlacementKernel, Result};
 use rcmp_policy::{
-    assign_map_waves, assign_reduce_waves, job_init, reduce_task_set, FnReduceTasks, MapTaskSet,
-    PolicyCtx, SliceTopology,
+    assign_map_waves, assign_reduce_waves, block_key, job_init, reduce_task_set, replica_targets,
+    segment_key, FnReduceTasks, MapTaskSet, PlacementPolicy, PolicyCtx, SliceTopology,
 };
 use std::collections::BTreeMap;
 
@@ -438,6 +438,16 @@ impl JobSim {
         // into an N-way seek storm.
         const COPIER_WINDOW: usize = 5;
 
+        // Output placement is the engine's: a segment takes the key of
+        // its first block. A task writes one segment, or under the
+        // spread-output mitigation one per block, each placed apart as
+        // the engine's chunks are.
+        let out_path = file_path(job);
+        let (policy, segment_bytes) = if recompute.is_some_and(|r| r.spread_output) {
+            (PlacementPolicy::Spread, wl.block_size.as_u64())
+        } else {
+            (PlacementPolicy::WriterLocal, u64::MAX)
+        };
         let mut reduce_phase = 0.0f64;
         let mut new_segments: BTreeMap<u32, Vec<Segment>> = BTreeMap::new();
         // Writer of each whole-partition reduce task: the chain cache
@@ -469,7 +479,7 @@ impl JobSim {
             let mut wave_time = 0.0f64;
             let mut shuffle_max = 0.0f64;
             for &(node, ti) in wave {
-                let (pid, _split, fetch, out_b) = reduce_tasks[ti];
+                let (pid, split, fetch, out_b) = reduce_tasks[ti];
                 // This task's share of the serving bottleneck: smaller
                 // (split) tasks drain proportionally sooner.
                 let fetch_disk = if max_fetch == 0 {
@@ -525,12 +535,15 @@ impl JobSim {
                 if reduce_ids[ti].split.is_none() {
                     cache_writers.insert(pid, node);
                 }
-                let seg_holders = self.place_output(state, node, replication, recompute);
-                for holders in seg_holders {
-                    new_segments
-                        .entry(pid)
-                        .or_default()
-                        .push(Segment { holders, bytes: 0 });
+                let segment = segment_key(state.seed, &out_path, pid, split);
+                for index in 0..out_b.div_ceil(segment_bytes).max(1) as u32 {
+                    let key = block_key(segment, index);
+                    let holders = replica_targets(key, policy, node, replication, &[], &membership);
+                    new_segments.entry(pid).or_default().push(Segment {
+                        holders,
+                        bytes: 0,
+                        key,
+                    });
                 }
             }
             // Overlap rule: the first wave's shuffle (volume *and*
@@ -589,34 +602,6 @@ impl JobSim {
         report.duration = hw.job_overhead + map_phase + reduce_phase;
         Ok(report)
     }
-
-    /// Output placement for one reduce task: writer-local (plus
-    /// replicas), or scattered under the spread-output mitigation.
-    /// Returns one holder-list per segment the task writes.
-    fn place_output(
-        &self,
-        state: &SimState,
-        writer: Node,
-        replication: u32,
-        recompute: Option<&RecomputeSpec>,
-    ) -> Vec<Vec<Node>> {
-        let live = state.membership().schedulable();
-        if recompute.is_some_and(|r| r.spread_output) {
-            // Scatter the task's blocks round-robin over all live nodes.
-            return live.iter().map(|&n| vec![n]).collect();
-        }
-        let mut holders = vec![writer];
-        let start = live.iter().position(|&n| n == writer).unwrap_or(0);
-        let mut i = 1usize;
-        while holders.len() < replication as usize && i <= live.len() {
-            let cand = live[(start + i) % live.len()];
-            if !holders.contains(&cand) {
-                holders.push(cand);
-            }
-            i += 1;
-        }
-        vec![holders]
-    }
 }
 
 #[cfg(test)]
@@ -640,7 +625,7 @@ mod tests {
 
     fn sim(nodes: u32) -> (JobSim, SimState) {
         let wl = small_wl(nodes);
-        let state = SimState::new(&wl);
+        let state = SimState::new(&wl, 0);
         (JobSim::new(HwProfile::stic(), wl), state)
     }
 
@@ -852,7 +837,7 @@ mod tests {
     #[test]
     fn slow_shuffle_dominates() {
         let wl = small_wl(4);
-        let state = SimState::new(&wl);
+        let state = SimState::new(&wl, 0);
         let fast = JobSim::new(HwProfile::stic(), wl.clone());
         let slow = JobSim::new(HwProfile::stic().with_slow_shuffle(), wl);
         let tf = fast.run_full(&mut state.clone(), 1, 1, true).unwrap();

@@ -8,7 +8,10 @@
 
 use crate::workload::WorkloadCfg;
 use rcmp_model::{Error, PartitionId, Result};
-use rcmp_policy::{rehome_target, CacheLedger, InputView, MapInput, Membership, Rehome};
+use rcmp_policy::{
+    block_key, rehome_target, replica_targets, segment_key, CacheLedger, InputView, MapInput,
+    Membership, PlacementPolicy, Rehome,
+};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Node index (dense, 0-based).
@@ -17,12 +20,25 @@ pub type Node = u32;
 /// File index: 0 is the external input, `j ≥ 1` is job `j`'s output.
 pub type FileId = u32;
 
+/// The engine's path of file `file`: `input` for the external input,
+/// `out/j` for job `j`'s output.
+pub fn file_path(file: FileId) -> String {
+    match file {
+        0 => "input".to_string(),
+        j => format!("out/{j}"),
+    }
+}
+
 /// One writer's replicated contribution to a partition.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Segment {
     /// Nodes holding a replica of this segment's blocks.
     pub holders: Vec<Node>,
     pub bytes: u64,
+    /// Placement key of the segment's first block
+    /// ([`rcmp_policy::block_key`]): at one block per partition, the
+    /// holders are the engine's replicas of that block exactly.
+    pub key: u64,
 }
 
 impl Segment {
@@ -139,41 +155,45 @@ pub struct SimState {
     /// `rcmp-policy` ledger the engine's `ChainCache` keeps, minus the
     /// payloads — a dropped entry costs the simulator nothing to free.
     pub chain_cache: Option<CacheLedger<FileId>>,
+    /// Seed of the replica-target keys (the engine's `DfsConfig::seed`).
+    pub(crate) seed: u64,
 }
 
 impl SimState {
-    /// Fresh state: all nodes alive, external input (file 0) written as
-    /// one partition per node. Like HDFS, the first replica of each
-    /// block is writer-local and the remaining replicas scatter
-    /// pseudo-randomly across the cluster *per block* — so when a node
-    /// dies, re-reads of its primary blocks spread over many surviving
-    /// disks instead of piling onto a couple of neighbours.
-    pub fn new(wl: &WorkloadCfg) -> Self {
-        let n = wl.nodes;
+    /// Fresh state over a uniform cluster of `wl.nodes` nodes; see
+    /// [`SimState::with_membership`].
+    pub fn new(wl: &WorkloadCfg, seed: u64) -> Self {
+        Self::with_membership(wl, seed, Membership::uniform(wl.nodes))
+    }
+
+    /// Fresh state over `membership` (racked or heterogeneous; it must
+    /// cover `wl.nodes`), the external input (file 0) written as one
+    /// partition per node, writer-local, each block's other replicas
+    /// where [`replica_targets`] puts them in the engine's DFS.
+    pub fn with_membership(wl: &WorkloadCfg, seed: u64, membership: Membership) -> Self {
         let block = wl.block_size.as_u64();
         let mut input = SimFile::default();
-        for p in 0..n {
+        for p in 0..wl.nodes {
             let bytes = wl.per_node_input.as_u64();
             let num_blocks = bytes.div_ceil(block).max(1);
             let per = bytes / num_blocks;
+            let segment = segment_key(seed, &file_path(0), p, 0);
             let mut segments = Vec::with_capacity(num_blocks as usize);
             for b in 0..num_blocks {
-                let mut holders: Vec<Node> = vec![p];
-                // Deterministic per-block scatter for the remote copies.
-                let mut h = rcmp_model::partition::mix64(((p as u64) << 32) | b);
-                while holders.len() < wl.input_replication.min(n) as usize {
-                    let cand = (h % n as u64) as Node;
-                    if !holders.contains(&cand) {
-                        holders.push(cand);
-                    }
-                    h = rcmp_model::partition::mix64(h);
-                }
+                let key = block_key(segment, b as u32);
+                let policy = PlacementPolicy::WriterLocal;
+                let replication = wl.input_replication;
+                let holders = replica_targets(key, policy, p, replication, &[], &membership);
                 let sz = if b == num_blocks - 1 {
                     bytes - per * (num_blocks - 1)
                 } else {
                     per
                 };
-                segments.push(Segment { holders, bytes: sz });
+                segments.push(Segment {
+                    holders,
+                    bytes: sz,
+                    key,
+                });
             }
             input.partitions.push(SimPartition {
                 segments,
@@ -183,10 +203,11 @@ impl SimState {
         let mut files = BTreeMap::new();
         files.insert(0, input);
         Self {
-            membership: Membership::uniform(n),
+            membership,
             files,
             map_outputs: BTreeMap::new(),
             chain_cache: None,
+            seed,
         }
     }
 
@@ -203,18 +224,6 @@ impl SimState {
     /// Current membership snapshot (statuses, capacities, racks, epoch).
     pub fn membership(&self) -> &Membership {
         &self.membership
-    }
-
-    /// Replaces the membership wholesale — for heterogeneous or racked
-    /// simulations built before any data movement happened. The new
-    /// view must cover every node that holds data.
-    pub fn set_membership(&mut self, membership: Membership) {
-        assert!(
-            membership.len() >= self.membership.len(),
-            "membership must cover all {} existing nodes",
-            self.membership.len()
-        );
-        self.membership = membership;
     }
 
     /// True while the node's data remains readable (Up | Draining).
@@ -421,26 +430,24 @@ impl SimState {
         self.map_outputs.values().map(|r| r.bytes).sum()
     }
 
-    /// Adds replicas to every segment of a file up to `factor` holders
-    /// (hybrid replication points).
+    /// Raises every segment of a file to `factor` readable holders
+    /// (hybrid replication points) through [`replica_targets`], as
+    /// `Dfs::replicate_file` does. A lost segment stays lost.
     pub fn replicate_file(&mut self, file: FileId, factor: u32) {
-        let live = self.membership.schedulable();
-        if live.is_empty() {
+        let membership = &self.membership;
+        let Some(f) = self.files.get_mut(&file) else {
             return;
-        }
-        if let Some(f) = self.files.get_mut(&file) {
-            for p in &mut f.partitions {
-                for seg in &mut p.segments {
-                    let mut i = 0usize;
-                    while seg.holders.len() < factor as usize && i < live.len() {
-                        let cand = live[i];
-                        if !seg.holders.contains(&cand) {
-                            seg.holders.push(cand);
-                        }
-                        i += 1;
-                    }
-                }
-            }
+        };
+        for seg in f.partitions.iter_mut().flat_map(|p| &mut p.segments) {
+            let readable: Vec<Node> = (seg.holders.iter().copied())
+                .filter(|&n| membership.is_readable(n))
+                .collect();
+            let Some(&first) = readable.first() else {
+                continue;
+            };
+            let policy = PlacementPolicy::WriterLocal;
+            let extra = replica_targets(seg.key, policy, first, factor, &readable, membership);
+            seg.holders.extend(extra);
         }
     }
 }
@@ -459,7 +466,7 @@ mod tests {
 
     #[test]
     fn initial_input_is_replicated() {
-        let s = SimState::new(&wl());
+        let s = SimState::new(&wl(), 0);
         let f = &s.files[&0];
         assert_eq!(f.partitions.len(), 4);
         for p in &f.partitions {
@@ -470,7 +477,7 @@ mod tests {
 
     #[test]
     fn triple_replication_survives_two_failures() {
-        let mut s = SimState::new(&wl());
+        let mut s = SimState::new(&wl(), 0);
         assert!(s.fail_node(0).is_empty());
         assert!(s.fail_node(1).is_empty());
         // Third failure kills partitions replicated on {0,1,2} etc.
@@ -480,13 +487,14 @@ mod tests {
 
     #[test]
     fn single_replica_partition_lost_with_node() {
-        let mut s = SimState::new(&wl());
+        let mut s = SimState::new(&wl(), 0);
         s.rewrite_partition(
             1,
             0,
             vec![Segment {
                 holders: vec![2],
                 bytes: 100,
+                key: 0,
             }],
         );
         let lost = s.fail_node(2);
@@ -496,10 +504,11 @@ mod tests {
 
     #[test]
     fn version_rules_mirror_fingerprints() {
-        let mut s = SimState::new(&wl());
+        let mut s = SimState::new(&wl(), 0);
         let seg1 = |n: Node| Segment {
             holders: vec![n],
             bytes: 100,
+            key: 0,
         };
         let version = |s: &SimState| s.files[&1].partitions[0].version;
         s.rewrite_partition(1, 0, vec![seg1(0)]);
@@ -518,13 +527,14 @@ mod tests {
 
     #[test]
     fn map_inputs_snapshot_holders_versions_and_live_outputs() {
-        let mut s = SimState::new(&wl());
+        let mut s = SimState::new(&wl(), 0);
         s.rewrite_partition(
             1,
             0,
             vec![Segment {
                 holders: vec![0],
                 bytes: 250,
+                key: 0,
             }],
         );
         let v = s.files[&1].partitions[0].version;
@@ -564,13 +574,14 @@ mod tests {
 
     #[test]
     fn replicate_file_adds_holders() {
-        let mut s = SimState::new(&wl());
+        let mut s = SimState::new(&wl(), 0);
         s.rewrite_partition(
             1,
             0,
             vec![Segment {
                 holders: vec![0],
                 bytes: 100,
+                key: 0,
             }],
         );
         s.replicate_file(1, 2);
@@ -582,7 +593,7 @@ mod tests {
 
     #[test]
     fn clear_job_outputs_scoped() {
-        let mut s = SimState::new(&wl());
+        let mut s = SimState::new(&wl(), 0);
         let rec = MapOutputRec {
             node: 0,
             input_version: 0,
@@ -598,7 +609,7 @@ mod tests {
 
     #[test]
     fn drained_node_serves_but_takes_no_new_placements() {
-        let mut s = SimState::new(&wl());
+        let mut s = SimState::new(&wl(), 0);
         let e0 = s.membership().epoch();
         s.drain_node(2).unwrap();
         assert!(s.membership().epoch() > e0);
@@ -614,7 +625,7 @@ mod tests {
 
     #[test]
     fn decommission_rehomes_replicas_and_drops_its_outputs() {
-        let mut s = SimState::new(&wl());
+        let mut s = SimState::new(&wl(), 0);
         let rec = |node| MapOutputRec {
             node,
             input_version: 0,
@@ -645,7 +656,7 @@ mod tests {
 
     #[test]
     fn decommission_sole_replica_without_target_fails_clean() {
-        let mut s = SimState::new(&wl());
+        let mut s = SimState::new(&wl(), 0);
         s.fail_node(0);
         s.fail_node(1);
         s.fail_node(3);
@@ -658,7 +669,7 @@ mod tests {
 
     #[test]
     fn join_grows_the_placement_pool() {
-        let mut s = SimState::new(&wl());
+        let mut s = SimState::new(&wl(), 0);
         let n = s.join_node(2, 1);
         assert_eq!(n, 4);
         assert!(s.membership().schedulable().contains(&4));
@@ -668,6 +679,7 @@ mod tests {
             vec![Segment {
                 holders: vec![0],
                 bytes: 100,
+                key: 0,
             }],
         );
         s.replicate_file(1, 5);

@@ -33,7 +33,7 @@ fn run(hw: HwProfile, noncollocated: bool) -> rcmp_sim::SimJobReport {
     if noncollocated {
         js = js.noncollocated();
     }
-    let mut st = SimState::new(&w);
+    let mut st = SimState::new(&w, 0);
     js.run_full(&mut st, 1, 1, true).unwrap()
 }
 
@@ -81,7 +81,7 @@ fn recomputation_works_noncollocated() {
     use rcmp_sim::jobsim::RecomputeSpec;
     let w = wl();
     let js = JobSim::new(HwProfile::stic(), w.clone()).noncollocated();
-    let mut st = SimState::new(&w);
+    let mut st = SimState::new(&w, 0);
     let init = js.run_full(&mut st, 1, 1, true).unwrap();
     st.fail_node(7);
     let lost = st.files[&1].lost_partitions(&st);

@@ -32,7 +32,7 @@ fn wl(nodes: u32, replication: u32) -> WorkloadCfg {
 fn balanced_local_runs_rarely_speculate() {
     let w = wl(6, 3);
     let js = JobSim::new(HwProfile::stic(), w.clone()).with_speculation(SpeculationCfg::default());
-    let mut st = SimState::new(&w);
+    let mut st = SimState::new(&w, 0);
     let r = js.run_full(&mut st, 1, 1, true).unwrap();
     // Balanced local reads: no 1.5x-median stragglers at all.
     assert_eq!(
@@ -53,7 +53,7 @@ fn hotspot_stragglers_speculate_and_replicas_decide_the_benefit() {
         if spec_on {
             js = js.with_speculation(SpeculationCfg::default());
         }
-        let mut st = SimState::new(&w);
+        let mut st = SimState::new(&w, 0);
         js.run_full(&mut st, 1, 1, true).unwrap();
         js.run_full(&mut st, 2, 1, true).unwrap();
         st.fail_node(5);
@@ -107,7 +107,7 @@ fn replicated_input_stragglers_can_be_rescued() {
     let w = wl(6, 3);
     let js = JobSim::new(HwProfile::stic(), w.clone())
         .with_speculation(SpeculationCfg { slow_factor: 1.2 });
-    let mut st = SimState::new(&w);
+    let mut st = SimState::new(&w, 0);
     st.fail_node(5);
     let r = js.run_full(&mut st, 1, 1, true).unwrap();
     if r.speculation.speculated > 0 {

@@ -10,7 +10,7 @@
 //! repro its assertion prints.
 
 use proptest::prelude::*;
-use rcmp::core::{ChainDriver, EventLog, Strategy};
+use rcmp::core::{ChainDriver, EventLog, HotspotMitigation, SplitPolicy, Strategy};
 use rcmp::engine::failure::{FailureAt, Fault};
 use rcmp::engine::{
     Cluster, JobRun, JobTracker, NoFailures, RandomizedInjector, ScriptedInjector, TriggerPoint,
@@ -22,7 +22,7 @@ use rcmp::model::{
 use rcmp::obs::{FaultKind, SpanKind};
 use rcmp::workloads::checksum::{digest_file, OutputDigest};
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const NODES: u32 = 5;
@@ -427,6 +427,88 @@ fn backends_replay_identical_recovery_sequences() {
                     leg.repro(seed),
                     base.repro(seed)
                 ),
+            }
+        }
+    }
+}
+
+/// Every block's replicas, keyed by its position — file, partition,
+/// segment (in split order) and index in the segment — never by block
+/// id, which concurrent writers draw in a race.
+type ReplicaLayout = BTreeMap<(String, u32, usize, usize), Vec<NodeId>>;
+
+fn replica_layout(cl: &Cluster, chain: &rcmp::workloads::ChainSpec) -> ReplicaLayout {
+    let mut layout = ReplicaLayout::new();
+    let files = std::iter::once("input").chain(chain.jobs.iter().map(|j| j.output.as_str()));
+    for file in files {
+        let Ok(meta) = cl.dfs().file_meta(file) else {
+            continue;
+        };
+        for p in &meta.partitions {
+            for (s, segment) in p.segments.iter().enumerate() {
+                for (i, block) in segment.blocks.iter().enumerate() {
+                    let at = (file.to_string(), p.id.raw(), s, i);
+                    layout.insert(at, block.replicas.clone());
+                }
+            }
+        }
+    }
+    layout
+}
+
+/// Replay covers replica sets: every copy's target is a function of
+/// its block's position, not of the order concurrent writers finish.
+/// Under crash-only chaos at the default kernel, for outputs written
+/// with two replicas (REPL-2), raised to two at replication points
+/// (hybrid every 2 jobs) and scattered by the spread-output mitigation
+/// (RCMP), the threaded backend and the reactor at auto, 1 and 2
+/// workers end each seed with the same outcome, the same event log and
+/// the same replicas for every block. Every seed kills a node, and
+/// plans a recovery where the strategy recomputes.
+#[test]
+fn every_backend_replays_replica_sets_identically() {
+    let hybrid = Strategy::Hybrid {
+        split: SplitPolicy::None,
+        every_k: 2,
+        factor: 2,
+        reclaim: false,
+    };
+    let spread = Strategy::Rcmp {
+        split: SplitPolicy::None,
+        hotspot: HotspotMitigation::SpreadOutput,
+    };
+    for strategy in [Strategy::Replication { factor: 2 }, hybrid, spread] {
+        for seed in [2u64, 31, 47] {
+            let mut first = None;
+            for executor in backends() {
+                let leg = Leg {
+                    executor,
+                    ..Leg::default()
+                };
+                let repro = format!("{strategy:?}, {}", leg.repro(seed));
+                let cl = cluster_on(leg, ChainCacheConfig::default());
+                let chain = setup(&cl);
+                let result = ChainDriver::new(&cl, strategy)
+                    .with_injector(chaos(seed, CRASH_ONLY))
+                    .run(&chain.jobs);
+                let outcome = chaos_outcome(result, &cl, &chain, &repro)
+                    .unwrap_or_else(|msg| panic!("{msg}"));
+                let killed = cl.schedulable_nodes().len() < NODES as usize;
+                let recovered = outcome
+                    .1
+                    .as_ref()
+                    .is_some_and(|e| e.recoveries().count() > 0);
+                assert!(
+                    killed && (recovered || strategy.recovery().is_none()),
+                    "{repro}: no kill or no recovery, the test lost its teeth"
+                );
+                let run = (outcome, replica_layout(&cl, &chain));
+                match &first {
+                    None => first = Some((repro, run)),
+                    Some((base, expected)) => {
+                        assert!(&run == expected, "{repro} diverged from {base}")
+                    }
+                }
             }
         }
     }

@@ -18,12 +18,14 @@ use rcmp::model::{
     PlacementKernel, Result, SlotConfig,
 };
 use rcmp::policy::{AdaptConfig, Clock, DynamicPolicy};
+use rcmp::sim::state::file_path;
 use rcmp::sim::{
     simulate_chain, try_simulate_chain, ChainSimConfig, FailureAt, HwProfile, JobSim,
     SimChainReport, SimState, WorkloadCfg,
 };
 use rcmp::workloads::checksum::{digest_file, OutputDigest};
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const NODES: u32 = 4;
@@ -70,7 +72,7 @@ fn sim_run() -> rcmp::sim::SimJobReport {
         input_replication: 3,
     };
     let js = JobSim::new(HwProfile::stic(), wl.clone());
-    let mut state = SimState::new(&wl);
+    let mut state = SimState::new(&wl, 5);
     js.run_full(&mut state, 1, 1, true).unwrap()
 }
 
@@ -186,7 +188,7 @@ fn recompute_fractions_agree() {
         input_replication: 3,
     };
     let js = JobSim::new(HwProfile::stic(), wl.clone());
-    let mut state = SimState::new(&wl);
+    let mut state = SimState::new(&wl, 5);
     js.run_full(&mut state, 1, 1, true).unwrap();
     state.fail_node(NODES - 1);
     let sim_lost = state.files[&1].lost_partitions(&state);
@@ -258,12 +260,17 @@ const JOBS: u32 = 7;
 /// one block per partition the task sets are the same.
 const WHOLE_PARTITION_BLOCK: u64 = 4 * BLOCK;
 
+/// The seed of both backends in every chain-level case: replica
+/// targets and backoff jitter derive from it on either clock.
+const SEED: u64 = 0xc0ffee;
+
 /// The engine at the agreement shape with `block`-byte blocks, its
 /// input written.
 fn chain_cluster(block: u64, kernel: PlacementKernel) -> Cluster {
     let cluster = Cluster::new(ClusterConfig {
         block_size: ByteSize::bytes(block),
         placement: kernel,
+        seed: SEED,
         ..ClusterConfig::small_test(NODES)
     });
     let cfg = DataGenConfig {
@@ -274,14 +281,9 @@ fn chain_cluster(block: u64, kernel: PlacementKernel) -> Cluster {
     cluster
 }
 
-/// The simulator at the same shape.
-fn chain_sim(
-    block: u64,
-    strategy: Strategy,
-    kernel: PlacementKernel,
-    script: &[FailureAt],
-) -> ChainSimConfig {
-    let wl = WorkloadCfg {
+/// The simulator's workload at the same shape.
+fn chain_wl(block: u64) -> WorkloadCfg {
+    WorkloadCfg {
         nodes: NODES,
         slots: SlotConfig::ONE_ONE,
         jobs: JOBS,
@@ -291,10 +293,21 @@ fn chain_sim(
         map_ratio: 1.0,
         reduce_ratio: 1.0,
         input_replication: 3,
-    };
-    ChainSimConfig::new(HwProfile::stic(), wl, strategy)
+    }
+}
+
+/// The simulator at the same shape.
+fn chain_sim(
+    block: u64,
+    strategy: Strategy,
+    kernel: PlacementKernel,
+    script: &[FailureAt],
+) -> ChainSimConfig {
+    let mut cfg = ChainSimConfig::new(HwProfile::stic(), chain_wl(block), strategy)
         .with_failures(script.to_vec())
-        .with_placement(kernel)
+        .with_placement(kernel);
+    cfg.seed = SEED;
+    cfg
 }
 
 /// One fault script through both backends: the engine's chain (with
@@ -427,8 +440,8 @@ fn paper_fault_scripts_agree_in_both_backends() {
 /// (§IV-C) cannot go on: both backends end with the same typed data
 /// loss, naming that input. Hybrid every 3 jobs with reclaim replicates
 /// `out/6` and deletes `out/1..=5`; killing both holders of an `out/6`
-/// partition as job 7 starts sends the cascade into job 6, whose input
-/// is gone.
+/// block as job 7 starts sends the cascade into job 6, whose input is
+/// gone.
 #[test]
 fn cascade_into_reclaimed_input_is_typed_data_loss_in_both_backends() {
     let strategy = Strategy::Hybrid {
@@ -437,7 +450,18 @@ fn cascade_into_reclaimed_input_is_typed_data_loss_in_both_backends() {
         factor: 2,
         reclaim: true,
     };
-    let script = [FailureAt::at_job(7, 0), FailureAt::at_job(7, 1)];
+    let killed = [0, 1];
+    let (engine_sets, sim_sets) = replica_sets(BLOCK, strategy);
+    for (backend, sets) in [("engine", engine_sets), ("sim", sim_sets)] {
+        let lost = sets.iter().any(|((file, _), blocks)| {
+            file == "out/6" && blocks.iter().any(|b| b.iter().all(|n| killed.contains(n)))
+        });
+        assert!(
+            lost,
+            "{backend}: nodes {killed:?} hold no out/6 block alone"
+        );
+    }
+    let script = killed.map(|node| FailureAt::at_job(7, node));
     let (engine, sim) = chain_both(BLOCK, strategy, PlacementKernel::Default, &script);
     for (backend, result) in [("engine", engine.map(|_| ())), ("sim", sim.map(|_| ()))] {
         match result {
@@ -449,16 +473,13 @@ fn cascade_into_reclaimed_input_is_typed_data_loss_in_both_backends() {
     }
 }
 
-/// Where second replicas live is the one placement decision the two
-/// backends still take apart: the engine shuffles copy targets with
-/// its DFS RNG, the simulator takes the lowest live nodes. Two kills
-/// in one run can therefore take both copies of a partition on one
-/// backend and not the other, so the logs differ; the property above
-/// draws one crash at most where outputs carry two replicas. Each
-/// backend still converges, and the engine's output is golden.
+/// Where second replicas live is one rule on both clocks
+/// (`rcmp_policy::replica_targets`, keyed by each block's position), so
+/// two kills in one run take both copies of the same partitions on
+/// both backends: a hybrid's replicated outputs as job 7 starts, and
+/// REPL-2's as job 2 starts.
 #[test]
-fn second_replica_targets_diverge_but_both_backends_converge() {
-    let golden = golden_digest();
+fn second_replica_targets_agree_in_both_backends() {
     let hybrid = Strategy::Hybrid {
         split: SplitPolicy::None,
         every_k: 2,
@@ -473,10 +494,83 @@ fn second_replica_targets_diverge_but_both_backends_converge() {
         ),
     ];
     for (strategy, script) in cases {
-        let (engine, sim) = chain_both(BLOCK, strategy, PlacementKernel::Default, &script);
-        let (_, digest) = engine.unwrap_or_else(|e| panic!("{strategy:?}: engine: {e}"));
-        assert_eq!(digest, golden, "{strategy:?}");
-        sim.unwrap_or_else(|e| panic!("{strategy:?}: sim: {e}"));
+        let default = PlacementKernel::Default;
+        assert_agree(WHOLE_PARTITION_BLOCK, strategy, default, &script);
+    }
+}
+
+/// Replica sets per `(file, partition)`: each block's replicas, in
+/// segment order.
+type ReplicaSets = BTreeMap<(String, u32), Vec<Vec<u32>>>;
+
+/// Every file's replica sets after a fault-free chain under `strategy`
+/// on each backend: the engine's namespace, and the holders of a
+/// simulator state driven through the same runs and replication points.
+/// The simulator has one segment per reducer, keyed like its first
+/// block, so the two agree exactly at one block per partition.
+fn replica_sets(block: u64, strategy: Strategy) -> (ReplicaSets, ReplicaSets) {
+    let cluster = chain_cluster(block, PlacementKernel::Default);
+    let chain = ChainBuilder::new(JOBS, NODES).build();
+    ChainDriver::new(&cluster, strategy)
+        .run(&chain.jobs)
+        .unwrap();
+    let mut engine = ReplicaSets::new();
+    for file in (0..=JOBS).map(file_path) {
+        let Ok(meta) = cluster.dfs().file_meta(&file) else {
+            continue;
+        };
+        for p in &meta.partitions {
+            let blocks = p
+                .blocks()
+                .map(|b| b.replicas.iter().map(|n| n.raw()).collect());
+            engine.insert((file.clone(), p.id.raw()), blocks.collect());
+        }
+    }
+
+    let wl = chain_wl(block);
+    let js = JobSim::new(HwProfile::stic(), wl.clone());
+    let mut state = SimState::new(&wl, SEED);
+    let point = strategy.replication_point();
+    for job in 1..=JOBS {
+        let factor = strategy.output_replication();
+        js.run_full(&mut state, job, factor, strategy.persists_outputs())
+            .unwrap();
+        if let (Some((factor, reclaim)), Strategy::Hybrid { every_k, .. }) = (point, strategy) {
+            if job % every_k == 0 {
+                state.replicate_file(job, factor);
+                if reclaim {
+                    state.files.retain(|&file, _| file == 0 || file >= job);
+                }
+            }
+        }
+    }
+    let mut sim = ReplicaSets::new();
+    for (&file, f) in &state.files {
+        for (pid, p) in (0u32..).zip(&f.partitions) {
+            let holders = p.segments.iter().map(|s| s.holders.clone()).collect();
+            sim.insert((file_path(file), pid), holders);
+        }
+    }
+    (engine, sim)
+}
+
+/// One block per partition, one replica set per block: after REPL-2's
+/// fault-free chain, which places every output at write time, and after
+/// a hybrid's replication points every 2 jobs, which raise factor-1
+/// outputs to 2, every file and partition has the same replicas, in
+/// the same order, on both backends (the input's three copies too).
+#[test]
+fn replica_sets_agree_in_both_backends() {
+    let hybrid = Strategy::Hybrid {
+        split: SplitPolicy::None,
+        every_k: 2,
+        factor: 2,
+        reclaim: false,
+    };
+    for strategy in [Strategy::Replication { factor: 2 }, hybrid] {
+        let (engine, sim) = replica_sets(WHOLE_PARTITION_BLOCK, strategy);
+        assert_eq!(engine.len(), (JOBS + 1) as usize * NODES as usize);
+        assert_eq!(engine, sim, "{strategy:?}");
     }
 }
 
@@ -525,13 +619,8 @@ fn crash_that_spares_a_recovery_step_lets_it_finish_in_both_backends() {
     }
 }
 
-/// Every strategy the property draws, with the number of crashes its
-/// scripts may hold and the last run a second crash may hit: outputs
-/// with two replicas take one crash at most (see
-/// `second_replica_targets_diverge_but_both_backends_converge`), and a
-/// static hybrid's outputs have one copy until its first point, after
-/// chain job `every_k`.
-fn property_strategies() -> Vec<(Strategy, u64)> {
+/// Every strategy the property draws.
+fn property_strategies() -> Vec<Strategy> {
     let dynamic = DynamicPolicy {
         failure_prob_per_job: 0.3,
         extra_replicas: 1,
@@ -550,32 +639,26 @@ fn property_strategies() -> Vec<(Strategy, u64)> {
         reclaim,
     };
     vec![
-        (Strategy::rcmp_no_split(), u64::MAX),
-        (Strategy::rcmp_split(3), u64::MAX),
-        (hybrid(2, SplitPolicy::None, false), 2),
-        (hybrid(2, SplitPolicy::None, true), 2),
-        (hybrid(3, SplitPolicy::Fixed(3), false), 3),
-        (hybrid(3, SplitPolicy::Fixed(3), true), 3),
-        (Strategy::Replication { factor: 2 }, 0),
-        (Strategy::Optimistic, u64::MAX),
-        (
-            Strategy::DynamicHybrid {
-                split: SplitPolicy::Survivors,
-                factor: 2,
-                policy: dynamic,
-                reclaim: false,
-            },
-            0,
-        ),
-        (
-            Strategy::AdaptiveHybrid {
-                split: SplitPolicy::Fixed(3),
-                factor: 2,
-                adapt,
-                reclaim: false,
-            },
-            0,
-        ),
+        Strategy::rcmp_no_split(),
+        Strategy::rcmp_split(3),
+        hybrid(2, SplitPolicy::None, false),
+        hybrid(2, SplitPolicy::None, true),
+        hybrid(3, SplitPolicy::Fixed(3), false),
+        hybrid(3, SplitPolicy::Fixed(3), true),
+        Strategy::Replication { factor: 2 },
+        Strategy::Optimistic,
+        Strategy::DynamicHybrid {
+            split: SplitPolicy::Survivors,
+            factor: 2,
+            policy: dynamic,
+            reclaim: false,
+        },
+        Strategy::AdaptiveHybrid {
+            split: SplitPolicy::Fixed(3),
+            factor: 2,
+            adapt,
+            reclaim: false,
+        },
     ]
 }
 
@@ -588,26 +671,19 @@ const KERNELS: [PlacementKernel; 4] = [
 
 /// A script of up to two `JobStart` entries drawn as `(run, node,
 /// shape)`: each a crash (shapes 0 and 1) or a drain (shape 2) of any
-/// node at runs 1..=14, with a second crash kept only where
-/// `second_crash_by` allows it.
-fn fault_script(drawn: &[(u64, u32, u8)], second_crash_by: u64) -> Vec<FailureAt> {
-    let mut crashes = Vec::new();
-    let mut script = Vec::new();
-    for &(seq, node, shape) in drawn {
+/// node at runs 1..=14.
+fn fault_script(drawn: &[(u64, u32, u8)]) -> Vec<FailureAt> {
+    let entry = |&(seq, node, shape): &(u64, u32, u8)| {
         let node = NodeId(node);
         let fault = if shape < 2 {
-            crashes.push(seq);
-            if crashes.len() == 2 && crashes.iter().any(|&s| s > second_crash_by) {
-                continue;
-            }
             Fault::NodeCrash(node)
         } else {
             Fault::NodeDrain { node }
         };
         let point = TriggerPoint::JobStart;
-        script.push(FailureAt { seq, point, fault });
-    }
-    script
+        FailureAt { seq, point, fault }
+    };
+    drawn.iter().map(entry).collect()
 }
 
 proptest! {
@@ -622,8 +698,8 @@ proptest! {
         kernel in 0..KERNELS.len(),
         drawn in prop::collection::vec((1u64..=14, 0..NODES, 0..3u8), 0..=2),
     ) {
-        let (strategy, second_crash_by) = property_strategies()[strategy];
-        let script = fault_script(&drawn, second_crash_by);
+        let strategy = property_strategies()[strategy];
+        let script = fault_script(&drawn);
         assert_agree(WHOLE_PARTITION_BLOCK, strategy, KERNELS[kernel], &script);
     }
 }
