@@ -3,19 +3,19 @@
 //! A/B-measures the production telemetry tier on the 4800-task DCO
 //! wave (Fig. 11's largest cluster, the acceptance shape): the same
 //! wave runs once with telemetry *off* (a disabled [`FlightRecorder`],
-//! no tracer/metrics/profiler attached to the reactor, no per-task
+//! no tracer/metrics/profiler attached to the worker pool, no per-task
 //! instrumentation) and once with the *full* tier on — always-on
-//! flight-recorder events per task, phase-profiler attribution,
-//! reactor poll/park accounting and exec metrics. Each configuration
-//! has its own reactor session, opened once as the engine opens one per
-//! job, and only `run_wave` is timed. The configurations are
+//! flight-recorder events per task, phase-profiler attribution, pool
+//! task/park accounting and exec metrics. Each configuration has its
+//! own pool session, opened once as the engine opens one per job, and
+//! only `run_wave` is timed. The configurations are
 //! interleaved and best-of-N timed, and the gate asserts the full tier
 //! costs less than the 5% wall-clock budget. The recorder's own sampled
 //! self-measurement (ns per record call, drop accounting, bytes
 //! retained) rides along in the JSON.
 
-use rcmp_exec::{AsyncExecutor, AsyncSession, SlotTask, TaskCtx, WaveSpec};
-use rcmp_model::ClusterConfig;
+use rcmp_exec::{BackendExecutor, Session, SlotTask, TaskCtx, WaveSpec};
+use rcmp_model::{ClusterConfig, ExecutorConfig};
 use rcmp_obs::{
     Clock, EventCode, FlightRecorder, MetricsRegistry, PhaseKind, PhaseProfiler, RecorderStats,
     Tracer,
@@ -38,7 +38,7 @@ pub struct ObsBench {
     pub nodes: u32,
     /// Slot tasks per wave.
     pub tasks: u32,
-    /// Async reactor worker threads.
+    /// Worker-pool threads.
     pub workers: u32,
     /// Interleaved repeats per configuration (best-of timing).
     pub repeats: u32,
@@ -75,7 +75,7 @@ fn slot_body(i: u64) -> u64 {
 /// `TaskDone` flight-recorder event. With a disabled recorder and no
 /// profiler this degenerates to the bare wave.
 fn time_wave(
-    session: &AsyncSession<'_, '_>,
+    session: &Session<'_, '_>,
     tasks: u32,
     recorder: &Arc<FlightRecorder>,
     profiler: Option<&Arc<PhaseProfiler>>,
@@ -111,9 +111,10 @@ fn time_wave(
 pub fn run_with(tasks: u32, repeats: u32) -> ObsBench {
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get() as u32);
 
-    // Telemetry off: disabled recorder, bare reactor.
+    // Telemetry off: disabled recorder, bare pool.
     let off_recorder = Arc::new(FlightRecorder::disabled());
-    let off_exec = AsyncExecutor::new(workers);
+    let pool = ExecutorConfig::async_workers(workers);
+    let off_exec = BackendExecutor::from_config(&pool);
 
     // Full tier: always-on recorder, profiler, tracer + exec metrics.
     let clock = Clock::monotonic();
@@ -121,7 +122,7 @@ pub fn run_with(tasks: u32, repeats: u32) -> ObsBench {
     let profiler = Arc::new(PhaseProfiler::new(clock.clone()));
     let tracer = Arc::new(Tracer::with_clock(clock));
     let metrics = MetricsRegistry::new();
-    let on_exec = AsyncExecutor::new(workers)
+    let on_exec = BackendExecutor::from_config(&pool)
         .with_obs(tracer, &metrics)
         .with_profiler(profiler.clone());
 

@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// single trace), one [`MetricsRegistry`] the tracker registers its
 /// hot-path counters in, plus the production telemetry tier — an
 /// always-on [`FlightRecorder`], a [`PhaseProfiler`] fed by the
-/// tracker, the DFS and the reactor, and a slot the driver parks a
+/// tracker, the DFS and the executor pool, and a slot the driver parks a
 /// post-mortem [`BlackboxDump`] in when a chain dies. All timestamps
 /// flow through one shared [`Clock`].
 pub struct Cluster {
@@ -50,7 +50,8 @@ impl Cluster {
         let metrics = Arc::new(MetricsRegistry::new());
         let recorder = Arc::new(FlightRecorder::with_defaults(clock.clone()));
         let profiler = Arc::new(PhaseProfiler::new(clock));
-        let executor = BackendExecutor::from_config(&cfg.executor)
+        let slots = cfg.nodes * cfg.slots.map.max(cfg.slots.reduce);
+        let executor = BackendExecutor::for_slots(&cfg.executor, slots)
             .with_obs(tracer.clone(), &metrics)
             .with_profiler(profiler.clone());
         let dfs_cfg = DfsConfig {
@@ -110,7 +111,7 @@ impl Cluster {
     }
 
     /// The phase profiler: the cluster-wide time-budget decomposition
-    /// the tracker, the DFS and the reactor accumulate into.
+    /// the tracker, the DFS and the executor pool accumulate into.
     pub fn profiler(&self) -> &Arc<PhaseProfiler> {
         &self.profiler
     }
@@ -140,9 +141,8 @@ impl Cluster {
         parked.remove(&key)
     }
 
-    /// The wave-executor backend selected by
-    /// `ClusterConfig::executor` — the tracker runs every map and
-    /// reduce wave through it.
+    /// The wave executor sized by `ClusterConfig::executor` — the
+    /// tracker runs every map and reduce wave through it.
     pub fn executor(&self) -> &BackendExecutor {
         &self.executor
     }

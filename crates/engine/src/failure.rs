@@ -31,7 +31,7 @@
 //! Partial faults (torn writes and flakes) are armed on the chain's
 //! tracker, handed to specific reduce tasks when their wave is
 //! assigned, and committed by the control thread at the wave boundary,
-//! so a schedule replays identically on every executor backend.
+//! so a schedule replays identically at every worker-pool size.
 //!
 //! The [`RandomizedInjector`] turns these into seeded chaos schedules
 //! for soak testing.

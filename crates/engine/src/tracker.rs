@@ -35,7 +35,7 @@ use crate::udf::Combiner;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use rcmp_dfs::{ChainCache, PlacementPolicy};
-use rcmp_exec::{BackendExecutor, SessionExecutor, SlotOutcome, SlotTask, TaskCtx, WaveSpec};
+use rcmp_exec::{BackendExecutor, Session, SlotOutcome, SlotTask, TaskCtx, WaveSpec};
 use rcmp_model::rng::derive_indexed;
 use rcmp_model::{
     Error, JobId, NodeId, PartitionId, Record, RecordReader, ReduceTaskId, Result, TaskId, TenantId,
@@ -98,7 +98,7 @@ pub struct JobTracker<'a> {
     /// `JobRun` span so analyzers can filter per tenant.
     tenant: Option<TenantId>,
     /// Per-chain executor session override (the job service leases each
-    /// admitted chain its own reactor session from a global worker
+    /// admitted chain its own pool session from a global worker
     /// budget). `None` runs on the cluster's shared executor.
     executor: Option<Arc<BackendExecutor>>,
     /// Partial faults armed by the injector, not yet handed to a task:
@@ -197,14 +197,14 @@ impl<'a> JobTracker<'a> {
     }
 
     /// Runs every wave on `executor` instead of the cluster's shared
-    /// backend (per-chain reactor sessions under the job service).
+    /// pool (per-chain pools under the job service).
     pub fn with_executor(mut self, executor: Arc<BackendExecutor>) -> Self {
         self.executor = Some(executor);
         self
     }
 
-    /// The wave-executor backend this tracker submits to: the per-chain
-    /// override when one was leased, else the cluster's shared backend.
+    /// The wave executor this tracker submits to: the per-chain
+    /// override when one was leased, else the cluster's shared pool.
     fn wave_executor(&self) -> &BackendExecutor {
         match &self.executor {
             Some(e) => e,
@@ -374,8 +374,8 @@ impl<'a> JobTracker<'a> {
         };
 
         // ----- phase loop ------------------------------------------------
-        // The whole loop runs under one executor session: the async
-        // backend spawns its worker pool once per *job* here, instead of
+        // The whole loop runs under one executor session: the pool
+        // spawns its workers once per *job* here, instead of
         // rebuilding it for every wave (`exec.worker_starts` stays at
         // the pool size while `exec.waves` climbs).
         let mut map_wave_counter = 0u32;
@@ -807,7 +807,7 @@ impl<'a> JobTracker<'a> {
     #[allow(clippy::too_many_arguments)]
     fn run_wave<'env, W, T: Send + 'env>(
         &'env self,
-        session: &SessionExecutor<'_, 'env>,
+        session: &Session<'_, 'env>,
         at: &RunAt,
         (phase, index, capacity): (Phase, u32, u32),
         wave: Vec<(NodeId, W)>,
@@ -838,7 +838,7 @@ impl<'a> JobTracker<'a> {
             .into_iter()
             .map(|(node, w)| task(node, w, wave_open.id))
             .collect();
-        // The async backend's queue order is a pure function of the
+        // The pool's claim order is a pure function of the
         // cluster seed, the run sequence number and the wave index, so
         // replays are bit-identical.
         let seed = derive_indexed(

@@ -1,7 +1,7 @@
 //! A shared worker budget for concurrent executor sessions.
 //!
 //! The job service multiplexes many chains onto one cluster, each chain
-//! running its waves on its own reactor session. Without a cap, N
+//! running its waves on its own pool session. Without a cap, N
 //! concurrent chains × `workers` threads each would oversubscribe the
 //! host. [`WorkerBudget`] is the global cap: a session leases workers
 //! before it spawns, gets at least one (so an admitted chain always

@@ -24,7 +24,7 @@ pub(crate) type TaskFn<'env, T> = Box<dyn FnOnce(&TaskCtx) -> T + Send + 'env>;
 ///
 /// The closure borrows from the caller's environment (`'env`), so the
 /// engine's task bodies can capture `&JobTracker` without `'static`
-/// gymnastics — both backends run waves under a scoped thread pool.
+/// gymnastics — the pool's workers are scoped threads.
 pub struct SlotTask<'env, T> {
     run: TaskFn<'env, T>,
 }
@@ -45,7 +45,7 @@ impl<'env, T> SlotTask<'env, T> {
 pub enum SlotOutcome<T> {
     /// The task body ran to completion and returned this value.
     Completed(T),
-    /// The task body panicked; the executor contained the panic. The
+    /// The task body panicked; the pool contained the panic. The
     /// engine surfaces this as `Error::ExecutorShutdown`.
     Abandoned,
 }

@@ -31,53 +31,24 @@ impl Default for SlotConfig {
     }
 }
 
-/// Which wave-executor backend runs a job's slot tasks.
-///
-/// Both backends execute the *same* schedules — wave assignment is
-/// decided by the shared policy kernel before any task starts — so the
-/// choice trades OS resources against fidelity to Hadoop's
-/// process-per-slot model, not correctness.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExecutorKind {
-    /// One OS thread per occupied slot per wave (Hadoop 1.0.3's
-    /// TaskTracker model, and this repo's original behaviour).
-    #[default]
-    Threaded,
-    /// A hand-rolled cooperative reactor: a bounded worker pool
-    /// multiplexes every logical slot task of the wave, so thousands of
-    /// simulated slots fit in one process with at most
-    /// [`ExecutorConfig::workers`] OS threads.
-    Async,
-}
-
-/// Wave-executor backend selection, threaded through [`ClusterConfig`]
-/// so the engine, the chaos harness and the figure runner all pick a
-/// backend in one place.
+/// The wave executor's size, threaded through [`ClusterConfig`] so the
+/// engine, the chaos harness and the figure runner all size it in one
+/// place. Every size runs the same schedules — wave assignment is
+/// decided by the shared policy kernel before any task starts, and
+/// outcomes are collected in input order — so the worker count trades
+/// OS threads for parallelism, never correctness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecutorConfig {
-    /// Backend to execute waves with.
-    pub backend: ExecutorKind,
-    /// Worker OS threads for [`ExecutorKind::Async`]; `0` means
-    /// auto-size to the machine's available parallelism. Ignored by
-    /// [`ExecutorKind::Threaded`].
+    /// Worker threads of the job-scoped pool; `0` means auto: the
+    /// machine's available parallelism, capped at the cluster's slot
+    /// count.
     pub workers: u32,
 }
 
 impl ExecutorConfig {
-    /// The async backend with auto-sized workers.
-    pub fn async_auto() -> Self {
-        Self {
-            backend: ExecutorKind::Async,
-            ..Self::default()
-        }
-    }
-
-    /// The async backend with a fixed worker count.
+    /// The pool with a fixed worker count.
     pub fn async_workers(workers: u32) -> Self {
-        Self {
-            backend: ExecutorKind::Async,
-            workers,
-        }
+        Self { workers }
     }
 }
 
@@ -299,7 +270,7 @@ pub struct ServeConfig {
     /// chain session: a new session leases up to
     /// [`ServeConfig::workers_per_chain`] workers from what remains.
     pub worker_budget: u32,
-    /// Reactor workers requested per chain session (the lease is capped
+    /// Pool workers requested per chain session (the lease is capped
     /// by what the global budget has left, never below 1).
     pub workers_per_chain: u32,
     /// Deficit round-robin quantum (cost units credited per tenant
@@ -372,7 +343,7 @@ pub struct ClusterConfig {
     /// so a permanently-failing scenario ends in a typed error instead
     /// of a livelock.
     pub max_recovery_attempts: u32,
-    /// Which wave-executor backend the engine runs slot tasks on.
+    /// The size of the worker pool the engine runs slot tasks on.
     #[serde(default)]
     pub executor: ExecutorConfig,
     /// Shuffle data-path tuning (store shards).
@@ -494,16 +465,12 @@ mod tests {
     }
 
     #[test]
-    fn executor_defaults_to_threaded() {
+    fn executor_defaults_to_an_auto_sized_pool() {
         let cfg = ClusterConfig::small_test(4);
-        assert_eq!(cfg.executor.backend, ExecutorKind::Threaded);
         assert_eq!(cfg.executor.workers, 0);
         assert_eq!(
             ExecutorConfig::async_workers(8),
-            ExecutorConfig {
-                backend: ExecutorKind::Async,
-                workers: 8,
-            }
+            ExecutorConfig { workers: 8 }
         );
     }
 

@@ -23,8 +23,8 @@ pub mod rng;
 pub mod units;
 
 pub use config::{
-    ChainCacheConfig, ClusterConfig, ExecutorConfig, ExecutorKind, PlacementKernel, RetryPolicy,
-    ServeConfig, ShuffleConfig, SlotConfig,
+    ChainCacheConfig, ClusterConfig, ExecutorConfig, PlacementKernel, RetryPolicy, ServeConfig,
+    ShuffleConfig, SlotConfig,
 };
 pub use error::{Error, Result};
 pub use ids::{

@@ -48,12 +48,9 @@ fn event_name(span: &Span) -> String {
         SpanKind::RecoveryPlan { target, steps, .. } => {
             format!("plan recovery of {target} ({steps} steps)")
         }
-        SpanKind::ExecutorWave {
-            backend,
-            tasks,
-            workers,
-            ..
-        } => format!("{backend} wave ({tasks} tasks / {workers} workers)"),
+        SpanKind::ExecutorWave { tasks, workers } => {
+            format!("pool wave ({tasks} tasks / {workers} workers)")
+        }
         SpanKind::AdaptationPoint {
             interval, switched, ..
         } => match (interval, switched) {

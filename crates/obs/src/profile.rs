@@ -44,10 +44,11 @@ pub enum PhaseKind {
     RecomputeWave,
     /// Seeded retry backoff sleeps.
     RetryBackoff,
-    /// Reactor time spent polling task futures (`rcmp-exec` async
-    /// backend).
+    /// Time `rcmp-exec`'s pool workers spent running task bodies (the
+    /// name is from the cooperative reactor the pool replaced).
     ReactorPoll,
-    /// Reactor time workers spent parked waiting for ready tasks.
+    /// Time idle pool workers spent parked on a wave until its last
+    /// task resolved.
     ReactorPark,
     /// Map input served from the in-memory inter-job chain cache
     /// (replaces a `DfsRead` on a cache hit).

@@ -148,19 +148,14 @@ pub enum SpanKind {
         /// Total partitions the plan regenerates.
         partitions: u32,
     },
-    /// One wave executed by a wave-executor backend, with reactor
-    /// health counters (emitted by `rcmp-exec`'s async backend; the
-    /// threaded backend stays byte-identical to the pre-executor code
-    /// and records nothing extra).
+    /// One wave as `rcmp-exec`'s worker pool ran it, from publish to
+    /// the last task's outcome (emitted when the executor is
+    /// instrumented, as every cluster's is).
     ExecutorWave {
-        /// Backend name (`"async"`).
-        backend: String,
-        /// Logical slot tasks the wave carried.
+        /// Slot tasks the wave carried.
         tasks: u32,
-        /// OS worker threads that multiplexed them.
+        /// Pool worker threads that claimed them.
         workers: u32,
-        /// Total future polls across the wave.
-        polls: u64,
     },
     /// The closed-loop adaptive policy re-derived its replication
     /// interval after a job completed (`rcmp_policy::adapt`). The

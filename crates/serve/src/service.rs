@@ -10,9 +10,9 @@
 //!   frees up, asks the arbiter for the next grants, and spawns one
 //!   runner per granted chain;
 //! * the **runner threads** — lease workers from the global budget,
-//!   build a per-chain executor session matching the cluster's backend,
-//!   and drive the chain to completion with the tenant tag and chain
-//!   label threaded through the whole observability stack.
+//!   build a per-chain worker pool sized to the lease, and drive the
+//!   chain to completion with the tenant tag and chain label threaded
+//!   through the whole observability stack.
 //!
 //! Every scheduling decision is made by the deterministic arbiter;
 //! the only wall-clock inputs are chain latencies (reported, never used
@@ -414,15 +414,10 @@ fn dispatch_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Builds a per-chain executor session matching the cluster's backend
-/// kind: async chains get their own reactor sized to the worker lease;
-/// threaded stays threaded (its per-slot threads are its semantics).
+/// Builds a chain's own worker pool, sized to its worker lease and
+/// reporting into the cluster's observability.
 fn per_chain_executor(cluster: &Cluster, workers: u32) -> BackendExecutor {
-    let cfg = match cluster.executor().name() {
-        "async" => ExecutorConfig::async_workers(workers),
-        _ => ExecutorConfig::default(),
-    };
-    BackendExecutor::from_config(&cfg)
+    BackendExecutor::from_config(&ExecutorConfig::async_workers(workers))
         .with_obs(cluster.tracer().clone(), cluster.metrics())
         .with_profiler(cluster.profiler().clone())
 }

@@ -23,7 +23,7 @@
 use crate::{ChainRequest, ChainResult, ChainTicket, JobService};
 use rcmp_core::{ChainDriver, Strategy};
 use rcmp_engine::{Cluster, FailureInjector, RandomizedInjector};
-use rcmp_model::{ClusterConfig, Error, ExecutorConfig, Result, ServeConfig, TenantId};
+use rcmp_model::{ClusterConfig, Error, Result, ServeConfig, TenantId};
 use rcmp_policy::{jain_index, TenantShare};
 use rcmp_workloads::checksum::{digest_file, OutputDigest};
 use rcmp_workloads::{generate_input, ChainBuilder, DataGenConfig};
@@ -65,9 +65,6 @@ pub struct SoakScenario {
     /// Seed for the shared chaos injector carried by `chaos` tenants'
     /// chains (`None` disables chaos).
     pub chaos_seed: Option<u64>,
-    /// Wave-executor backend of the scenario's clusters. An async
-    /// backend also gives every admitted chain its own reactor.
-    pub executor: ExecutorConfig,
 }
 
 impl SoakScenario {
@@ -88,7 +85,6 @@ impl SoakScenario {
             },
             tenants: Vec::new(),
             chaos_seed: None,
-            executor: ExecutorConfig::default(),
         }
     }
 
@@ -154,9 +150,7 @@ impl SoakScenario {
     }
 
     fn cluster_config(&self) -> ClusterConfig {
-        let mut cfg = ClusterConfig::small_test(self.nodes);
-        cfg.executor = self.executor;
-        cfg
+        ClusterConfig::small_test(self.nodes)
     }
 }
 

@@ -98,7 +98,7 @@ impl SimChainReport {
     /// time-budget schema: the returned [`PhaseBreakdown`] has the same
     /// rows in the same order as the engine profiler's snapshot, so
     /// engine and simulator figures render and diff through one code
-    /// path. Phases the simulator does not model (reactor poll/park,
+    /// path. Phases the simulator does not model (executor task/park time,
     /// block verify, DFS byte I/O timing) stay at zero — visible,
     /// rather than silently absent from the schema.
     pub fn phase_breakdown(&self) -> PhaseBreakdown {

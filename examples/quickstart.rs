@@ -21,8 +21,8 @@ fn main() {
         slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
         max_recovery_attempts: 100,
-        // Thread-per-slot; `ExecutorConfig::async_auto()` runs the
-        // same seeded schedule on the cooperative reactor instead.
+        // An auto-sized worker pool; `ExecutorConfig::async_workers(n)`
+        // runs the same seeded schedule on `n` workers.
         executor: ExecutorConfig::default(),
         shuffle: Default::default(),
         retry: Default::default(),

@@ -5,9 +5,9 @@
 //! chaos is binary: the chain either converges to the exact golden
 //! output digest, or surfaces a typed [`Error::RecoveryExhausted`] —
 //! never a hang, a panic or a silently wrong output. Every schedule is
-//! a pure function of its seed and replays byte-identically on every
-//! wave-executor backend, so a failing case replays from the one-line
-//! repro its assertion prints.
+//! a pure function of its seed and replays byte-identically at every
+//! worker-pool size, so a failing case replays from the one-line repro
+//! its assertion prints.
 
 use proptest::prelude::*;
 use rcmp::core::{ChainDriver, EventLog, HotspotMitigation, SplitPolicy, Strategy};
@@ -16,8 +16,8 @@ use rcmp::engine::{
     Cluster, JobRun, JobTracker, NoFailures, RandomizedInjector, ScriptedInjector, TriggerPoint,
 };
 use rcmp::model::{
-    ByteSize, ChainCacheConfig, ClusterConfig, Error, ExecutorConfig, ExecutorKind, NodeId,
-    PlacementKernel, SlotConfig,
+    ByteSize, ChainCacheConfig, ClusterConfig, Error, ExecutorConfig, NodeId, PlacementKernel,
+    SlotConfig,
 };
 use rcmp::obs::{FaultKind, SpanKind};
 use rcmp::workloads::checksum::{digest_file, OutputDigest};
@@ -28,11 +28,10 @@ use std::sync::Arc;
 const NODES: u32 = 5;
 const JOBS: u32 = 7;
 
-/// The wave-executor backends a chaos run can execute on.
-fn backends() -> [ExecutorConfig; 4] {
+/// The worker-pool sizes a chaos run can execute on: auto, 1 and 2.
+fn pool_sizes() -> [ExecutorConfig; 3] {
     [
         ExecutorConfig::default(),
-        ExecutorConfig::async_auto(),
         ExecutorConfig::async_workers(1),
         ExecutorConfig::async_workers(2),
     ]
@@ -57,13 +56,12 @@ struct Leg {
 
 impl Leg {
     fn label(&self) -> String {
-        let backend = match (self.executor.backend, self.executor.workers) {
-            (ExecutorKind::Threaded, _) => "threaded".to_string(),
-            (ExecutorKind::Async, 0) => "async".to_string(),
-            (ExecutorKind::Async, workers) => format!("async:{workers}"),
+        let workers = match self.executor.workers {
+            0 => "auto".to_string(),
+            workers => workers.to_string(),
         };
         format!(
-            "backend {backend}, kernel {}, slots {}-{}",
+            "workers {workers}, kernel {}, slots {}-{}",
             self.kernel.label(),
             self.slots.map,
             self.slots.reduce
@@ -76,9 +74,9 @@ impl Leg {
     }
 }
 
-/// Every backend under every kernel, at slots 1-1.
+/// Every pool size under every kernel, at slots 1-1.
 fn legs() -> impl Iterator<Item = Leg> {
-    backends().into_iter().flat_map(|executor| {
+    pool_sizes().into_iter().flat_map(|executor| {
         KERNELS.map(|kernel| Leg {
             executor,
             kernel,
@@ -202,16 +200,16 @@ proptest! {
     })]
 
     /// ≥50 randomized fault schedules over the 7-job chain, each on a
-    /// backend and kernel drawn with it: every one ends in
+    /// pool size and kernel drawn with it: every one ends in
     /// golden-digest success or a typed recovery error.
     #[test]
     fn chaos_schedule_converges_or_fails_typed(
         chaos_seed in 0u64..1_000_000,
-        backend in 0usize..4,
+        pool in 0usize..3,
         kernel in 0usize..4,
     ) {
         let leg = Leg {
-            executor: backends()[backend],
+            executor: pool_sizes()[pool],
             kernel: KERNELS[kernel],
             slots: SlotConfig::ONE_ONE,
         };
@@ -236,7 +234,7 @@ proptest! {
     /// The cached chain under chaos (ISSUE 10): 60 randomized fault
     /// schedules over the 7-job chain with the inter-job cache on and
     /// the `stable` kernel routing mappers to cached partitions, each
-    /// on a backend drawn with it. The binary contract is unchanged
+    /// on a pool size drawn with it. The binary contract is unchanged
     /// from the cache-off soak — exact golden digest or a typed
     /// recovery error — because kills, drains and corruption all
     /// invalidate cached partitions and fall back to the persisted DFS
@@ -244,10 +242,10 @@ proptest! {
     #[test]
     fn cached_chaos_schedule_converges_or_fails_typed(
         chaos_seed in 0u64..1_000_000,
-        backend in 0usize..4,
+        pool in 0usize..3,
     ) {
         let leg = Leg {
-            executor: backends()[backend],
+            executor: pool_sizes()[pool],
             kernel: PlacementKernel::Stable,
             slots: SlotConfig::ONE_ONE,
         };
@@ -271,7 +269,7 @@ proptest! {
 #[test]
 fn tiny_budget_degrades_to_pure_spill_through() {
     let expected = golden_once();
-    for executor in backends() {
+    for executor in pool_sizes() {
         let cl = cluster_on(
             Leg {
                 executor,
@@ -335,14 +333,13 @@ fn chaos_replay(
 }
 
 /// One replay guarantee: faults commit at the wave boundary, so a
-/// chaos schedule replays byte-identically on every wave-executor
-/// backend at any worker count. For both fault mixes — crash-only, and
-/// the full shape with corruption, torn writes and shuffle flakes — and
-/// under every placement kernel at both slot shapes, the threaded
-/// backend and the reactor at auto, 1 and 2 workers end each seed with
-/// the same outcome and the same recovery event sequence, and every run
-/// ends golden or with a typed error. The seeds include every one that
-/// raced when partial faults still committed inside tasks.
+/// chaos schedule replays byte-identically at any worker count. For
+/// both fault mixes — crash-only, and the full shape with corruption,
+/// torn writes and shuffle flakes — and under every placement kernel at
+/// both slot shapes, the pool at auto, 1 and 2 workers ends each seed
+/// with the same outcome and the same recovery event sequence, and
+/// every run ends golden or with a typed error. The seeds include every
+/// one that raced when partial faults still committed inside tasks.
 #[test]
 fn every_backend_replays_chaos_identically() {
     const SEEDS: [u64; 8] = [
@@ -354,7 +351,7 @@ fn every_backend_replays_chaos_identically() {
             for kernel in KERNELS {
                 for seed in SEEDS {
                     let mut first: Option<(Leg, (String, Option<EventLog>))> = None;
-                    for executor in backends() {
+                    for executor in pool_sizes() {
                         let leg = Leg {
                             executor,
                             kernel,
@@ -393,21 +390,16 @@ fn every_backend_replays_chaos_identically() {
     }
 }
 
-/// Backend determinism under the paper's fail-stop failure model, at
-/// the default kernel and slots: with a crash-only chaos schedule the
-/// threaded backend and the reactor at auto and 1 workers drive the
-/// 7-job chain through identical recovery event sequences — every loss,
-/// recovery plan and recompute run in the same order — and every seed
-/// kills at least one node.
+/// Pool determinism under the paper's fail-stop failure model, at the
+/// default kernel and slots: with a crash-only chaos schedule the pool
+/// at auto, 1 and 2 workers drives the 7-job chain through identical
+/// recovery event sequences — every loss, recovery plan and recompute
+/// run in the same order — and every seed kills at least one node.
 #[test]
 fn backends_replay_identical_recovery_sequences() {
     for seed in [11u64, 4096, 777_777] {
         let mut first: Option<(Leg, (String, Option<EventLog>))> = None;
-        for executor in [
-            ExecutorConfig::default(),
-            ExecutorConfig::async_auto(),
-            ExecutorConfig::async_workers(1),
-        ] {
+        for executor in pool_sizes() {
             let leg = Leg {
                 executor,
                 ..Leg::default()
@@ -461,10 +453,10 @@ fn replica_layout(cl: &Cluster, chain: &rcmp::workloads::ChainSpec) -> ReplicaLa
 /// Under crash-only chaos at the default kernel, for outputs written
 /// with two replicas (REPL-2), raised to two at replication points
 /// (hybrid every 2 jobs) and scattered by the spread-output mitigation
-/// (RCMP), the threaded backend and the reactor at auto, 1 and 2
-/// workers end each seed with the same outcome, the same event log and
-/// the same replicas for every block. Every seed kills a node, and
-/// plans a recovery where the strategy recomputes.
+/// (RCMP), the pool at auto, 1 and 2 workers ends each seed with the
+/// same outcome, the same event log and the same replicas for every
+/// block. Every seed kills a node, and plans a recovery where the
+/// strategy recomputes.
 #[test]
 fn every_backend_replays_replica_sets_identically() {
     let hybrid = Strategy::Hybrid {
@@ -480,7 +472,7 @@ fn every_backend_replays_replica_sets_identically() {
     for strategy in [Strategy::Replication { factor: 2 }, hybrid, spread] {
         for seed in [2u64, 31, 47] {
             let mut first = None;
-            for executor in backends() {
+            for executor in pool_sizes() {
                 let leg = Leg {
                     executor,
                     ..Leg::default()
@@ -514,7 +506,7 @@ fn every_backend_replays_replica_sets_identically() {
     }
 }
 
-/// The serial reactor (`async_workers(1)`) replays full-shape chaos —
+/// The serial pool (`async_workers(1)`) replays full-shape chaos —
 /// torn writes, shuffle flakes, replica corruption — exactly: two runs
 /// of the same seed end with the same outcome and event sequence.
 #[test]
@@ -529,7 +521,7 @@ fn serial_reactor_replays_full_chaos_exactly() {
         assert_eq!(
             first,
             second,
-            "{}: serial reactor replay diverged",
+            "{}: serial pool replay diverged",
             leg.repro(seed)
         );
     }
@@ -1076,7 +1068,7 @@ fn every_placement_kernel_converges_chaos_chain_to_golden() {
         PlacementKernel::Delay { rounds: 2 },
         PlacementKernel::CapacityWeighted,
     ];
-    let legs = backends().into_iter().flat_map(|executor| {
+    let legs = pool_sizes().into_iter().flat_map(|executor| {
         kernels.map(|kernel| Leg {
             executor,
             kernel,

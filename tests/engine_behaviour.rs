@@ -1,6 +1,6 @@
 //! Real-engine behavioural tests: slot semantics (§II), the observable
 //! hot-spot of Fig. 6, and recovery with unsplittable jobs. Each test
-//! runs on every wave-executor backend under every placement kernel.
+//! runs at pool sizes auto, 1 and 2 under every placement kernel.
 
 use rcmp::core::{ChainDriver, Strategy};
 use rcmp::engine::{
@@ -12,15 +12,15 @@ use rcmp::model::{
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
 use std::sync::Arc;
 
-/// The wave-executor backends and placement kernels every test runs
-/// under, as (executor, kernel) legs.
+/// The pool sizes and placement kernels every test runs under, as
+/// (executor, kernel) legs.
 fn legs() -> impl Iterator<Item = (ExecutorConfig, PlacementKernel)> {
-    let backends = [
+    let pools = [
         ExecutorConfig::default(),
-        ExecutorConfig::async_auto(),
+        ExecutorConfig::async_workers(1),
         ExecutorConfig::async_workers(2),
     ];
-    backends.into_iter().flat_map(|exec| {
+    pools.into_iter().flat_map(|exec| {
         [
             PlacementKernel::Default,
             PlacementKernel::RackAware,

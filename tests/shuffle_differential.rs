@@ -8,8 +8,8 @@
 //! byte-identical digests (and, where the accounting is deterministic,
 //! identical I/O numbers).
 //!
-//! Each proptest case draws its wave-executor backend and placement
-//! kernel, so the differentials hold on every one of them.
+//! Each proptest case draws its worker-pool size and placement kernel,
+//! so the differentials hold on every one of them.
 
 use proptest::prelude::*;
 use rcmp::core::{ChainDriver, Strategy};
@@ -28,11 +28,11 @@ use std::sync::Arc;
 
 const NODES: u32 = 4;
 
-/// One (backend, kernel) leg, drawn by index from a proptest case.
-fn leg(backend: usize, kernel: usize) -> (ExecutorConfig, PlacementKernel) {
-    let backends = [
+/// One (pool size, kernel) leg, drawn by index from a proptest case.
+fn leg(pool: usize, kernel: usize) -> (ExecutorConfig, PlacementKernel) {
+    let pools = [
         ExecutorConfig::default(),
-        ExecutorConfig::async_auto(),
+        ExecutorConfig::async_workers(1),
         ExecutorConfig::async_workers(2),
     ];
     let kernels = [
@@ -41,7 +41,7 @@ fn leg(backend: usize, kernel: usize) -> (ExecutorConfig, PlacementKernel) {
         PlacementKernel::Delay { rounds: 3 },
         PlacementKernel::CapacityWeighted,
     ];
-    (backends[backend], kernels[kernel])
+    (pools[pool], kernels[kernel])
 }
 
 fn cluster(
@@ -143,10 +143,10 @@ proptest! {
     fn streaming_merge_matches_legacy_oracle(
         seed in 1u64..100_000,
         records in 5_000u64..25_000,
-        backend in 0usize..3,
+        pool in 0usize..3,
         kernel in 0usize..4,
     ) {
-        let leg = leg(backend, kernel);
+        let leg = leg(pool, kernel);
         let chain = ChainBuilder::new(1, NODES * 2).build();
         let run = run(seed, records, chain.job(1).clone(), leg);
         prop_assert_eq!(&run.partitions, &run.oracle, "output diverged at seed {} on {:?}", seed, leg);
@@ -162,10 +162,10 @@ proptest! {
     fn combiner_preserves_output_and_shrinks_shuffle(
         seed in 1u64..100_000,
         records in 40_000u64..100_000,
-        backend in 0usize..3,
+        pool in 0usize..3,
         kernel in 0usize..4,
     ) {
-        let leg = leg(backend, kernel);
+        let leg = leg(pool, kernel);
         let agg = |combine| AggBuilder::new(NODES * 2, 16).combine(combine).build();
         let raw = run(seed, records, agg(false), leg);
         let combined = run(seed, records, agg(true), leg);
@@ -188,8 +188,8 @@ proptest! {
 /// Runs a chain through randomized fault schedules twice — once with
 /// `store_shards: 1` and once with 8 — and demands identical outcomes,
 /// identical digests on convergence, and *exactly* equal
-/// [`rcmp::dfs::NodeAccessStats`] on every node. The serial reactor
-/// (`async:1`) is pinned here on purpose: `max_concurrent_reads` is a
+/// [`rcmp::dfs::NodeAccessStats`] on every node. The serial pool
+/// (one worker) is pinned here on purpose: `max_concurrent_reads` is a
 /// high-water mark over wall-clock overlapping reads, so it is only
 /// deterministic when one worker drains the waves serially.
 #[test]
@@ -240,8 +240,8 @@ fn sharded_store_accounting_matches_single_lock_under_chaos() {
     }
 }
 
-/// The per-job reactor session observed at engine level: one multi-wave
-/// job on `async:2` spawns exactly two OS worker threads total, while
+/// The per-job pool session observed at engine level: one multi-wave
+/// job on two workers spawns exactly two OS worker threads total, while
 /// the wave counter keeps climbing — the pool now lives for the job,
 /// not for a wave.
 #[test]

@@ -26,7 +26,7 @@ use rcmp::sim::{
 use rcmp::workloads::checksum::{digest_file, OutputDigest};
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const NODES: u32 = 4;
 const BLOCK: u64 = 4096;
@@ -669,11 +669,45 @@ const KERNELS: [PlacementKernel; 4] = [
     PlacementKernel::CapacityWeighted,
 ];
 
+/// Each node's partners: for every factor-2 output block it holds, the
+/// block's other holder (so a node appears once per block the two
+/// share). Read from the fault-free REPL-2 chain at one block per
+/// partition, where both backends place the same copies
+/// (`replica_sets_agree_in_both_backends`); a replication point raises
+/// an output to the same pair.
+fn factor2_partners() -> &'static BTreeMap<u32, Vec<u32>> {
+    static PARTNERS: OnceLock<BTreeMap<u32, Vec<u32>>> = OnceLock::new();
+    PARTNERS.get_or_init(|| {
+        let repl2 = Strategy::Replication { factor: 2 };
+        let (engine, _) = replica_sets(WHOLE_PARTITION_BLOCK, repl2);
+        let mut partners: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        let outputs = engine.iter().filter(|((file, _), _)| *file != file_path(0));
+        for pair in outputs.flat_map(|(_, blocks)| blocks) {
+            if let [a, b] = pair[..] {
+                partners.entry(a).or_default().push(b);
+                partners.entry(b).or_default().push(a);
+            }
+        }
+        partners
+    })
+}
+
 /// A script of up to two `JobStart` entries drawn as `(run, node,
-/// shape)`: each a crash (shapes 0 and 1) or a drain (shape 2) of any
-/// node at runs 1..=14.
+/// shape)`: each a crash (shapes 0 and 1) or a drain (shape 2) at runs
+/// 1..=14. An entry's node is its draw modulo the node count, except
+/// that when both entries are crashes, the second draw indexes the
+/// first node's [`factor2_partners`]: the pair then takes both copies
+/// of some output block, and the two backends' replica sets decide
+/// what is lost.
 fn fault_script(drawn: &[(u64, u32, u8)]) -> Vec<FailureAt> {
-    let entry = |&(seq, node, shape): &(u64, u32, u8)| {
+    let nodes: Vec<u32> = match drawn {
+        &[(_, first, 0..=1), (_, second, 0..=1)] => {
+            let partners = &factor2_partners()[&(first % NODES)];
+            vec![first % NODES, partners[second as usize % partners.len()]]
+        }
+        _ => drawn.iter().map(|&(_, draw, _)| draw % NODES).collect(),
+    };
+    let entry = |(&(seq, _, shape), node): (&(u64, u32, u8), u32)| {
         let node = NodeId(node);
         let fault = if shape < 2 {
             Fault::NodeCrash(node)
@@ -683,7 +717,7 @@ fn fault_script(drawn: &[(u64, u32, u8)]) -> Vec<FailureAt> {
         let point = TriggerPoint::JobStart;
         FailureAt { seq, point, fault }
     };
-    drawn.iter().map(entry).collect()
+    drawn.iter().zip(nodes).map(entry).collect()
 }
 
 proptest! {
@@ -696,7 +730,7 @@ proptest! {
     fn every_fault_script_agrees_in_both_backends(
         strategy in 0..10usize,
         kernel in 0..KERNELS.len(),
-        drawn in prop::collection::vec((1u64..=14, 0..NODES, 0..3u8), 0..=2),
+        drawn in prop::collection::vec((1u64..=14, 0..1024u32, 0..3u8), 0..=2),
     ) {
         let strategy = property_strategies()[strategy];
         let script = fault_script(&drawn);
@@ -739,7 +773,7 @@ fn recovery_times_on_the_simulated_clock() {
 }
 
 /// MTTR on the wall clock, for the benchmark's `chain_kill` shape
-/// (async executor, chain cache, stable placement, split recovery):
+/// (two pool workers, chain cache, stable placement, split recovery):
 /// every leg is a real, non-negative duration inside the chain's wall
 /// time.
 #[test]
