@@ -46,7 +46,7 @@ pub use failure::{
 };
 pub use job::{JobRun, JobSpec, RecomputeInstructions, RunMode};
 pub use mapstore::{BucketIndex, MapInputKey, MapOutputStore};
-pub use metrics::{IoBytes, JobReport, ShuffleMetrics, TaskRecord};
+pub use metrics::{IoBytes, JobReport, TaskRecord};
 pub use shuffle::{MergeStats, ShuffleFailure, StreamingShuffle};
 pub use tracker::JobTracker;
 pub use udf::{

@@ -7,61 +7,8 @@
 
 use rcmp_dfs::LossReport;
 use rcmp_model::{JobId, NodeId, TaskId};
-use rcmp_obs::{Counter, Gauge, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
-
-/// Pre-resolved handles for the `shuffle.*` metric family, registered
-/// once per tracker so the reducer hot path never touches the registry
-/// map. Mirrors [`crate::shuffle::MergeStats`] plus the combiner
-/// volume counters.
-#[derive(Clone)]
-pub struct ShuffleMetrics {
-    /// `shuffle.runs_merged`: sorted runs fed through the k-way heap.
-    pub runs_merged: Counter,
-    /// `shuffle.runs_presorted`: runs streamed straight from an
-    /// index-attested sorted bucket (no decode-and-sort pass).
-    pub runs_presorted: Counter,
-    /// `shuffle.index_bytes_skipped`: payload bytes of those runs.
-    pub index_bytes_skipped: Counter,
-    /// `shuffle.empty_runs_skipped`: empty buckets skipped via index.
-    pub empty_runs_skipped: Counter,
-    /// `shuffle.runs_coalesced`: runs placed under the nested merger to
-    /// respect the fan-in.
-    pub runs_coalesced: Counter,
-    /// `shuffle.heap_peak`: peak merge-heap size of the latest reducer.
-    pub heap_peak: Gauge,
-    /// `shuffle.combiner_records_in`: records entering map-side combine.
-    pub combiner_records_in: Counter,
-    /// `shuffle.combiner_records_out`: records left after combining.
-    pub combiner_records_out: Counter,
-}
-
-impl ShuffleMetrics {
-    /// Resolves every handle against `registry`.
-    pub fn register(registry: &MetricsRegistry) -> Self {
-        Self {
-            runs_merged: registry.counter("shuffle.runs_merged"),
-            runs_presorted: registry.counter("shuffle.runs_presorted"),
-            index_bytes_skipped: registry.counter("shuffle.index_bytes_skipped"),
-            empty_runs_skipped: registry.counter("shuffle.empty_runs_skipped"),
-            runs_coalesced: registry.counter("shuffle.runs_coalesced"),
-            heap_peak: registry.gauge("shuffle.heap_peak"),
-            combiner_records_in: registry.counter("shuffle.combiner_records_in"),
-            combiner_records_out: registry.counter("shuffle.combiner_records_out"),
-        }
-    }
-
-    /// Folds one reducer's merge counters into the registry handles.
-    pub fn observe_merge(&self, stats: &crate::shuffle::MergeStats) {
-        self.runs_merged.add(stats.runs_merged);
-        self.runs_presorted.add(stats.runs_presorted);
-        self.index_bytes_skipped.add(stats.index_bytes_skipped);
-        self.empty_runs_skipped.add(stats.empty_runs_skipped);
-        self.runs_coalesced.add(stats.runs_coalesced);
-        self.heap_peak.set(stats.heap_peak as i64);
-    }
-}
 
 /// I/O volume accounting, in bytes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]

@@ -1,32 +1,25 @@
-//! Slot-constrained wave scheduling — thin adapter over the shared
-//! policy kernel.
+//! The engine's map tasks as the shared wave kernel sees them.
 //!
-//! The actual assignment policies (Hadoop slot-pull with
-//! primary→replica→steal preference for mappers, round-robin /
-//! balanced placement for reducers, wave arithmetic) live in
-//! `rcmp-policy`; see that crate's docs for the paper phenomena they
-//! reproduce (§II waves, §III-A locality, §IV-B hot-spots). This module
-//! only translates the engine's `MapTask`/`ReduceTask` structs into the
-//! kernel's index-based task-set view and maps the returned indices
-//! back onto tasks.
+//! The assignment policies (Hadoop slot-pull with primary→replica→steal
+//! preference for mappers, round-robin / balanced placement for
+//! reducers, wave arithmetic) live in `rcmp-policy`; see that crate's
+//! docs for the paper phenomena they reproduce (§II waves, §III-A
+//! locality, §IV-B hot-spots). The job machine (`rcmp_policy::job`)
+//! assigns reduce tasks over their ids itself; this module only shows
+//! the kernel a run's pending `MapTask`s through its index-based
+//! task-set view.
 
-use crate::task::{MapTask, ReduceTask};
+use crate::task::MapTask;
 use rcmp_model::{NodeId, Result};
-use rcmp_policy::{FnReduceTasks, MapTaskSet, PolicyCtx, SliceTopology, WaveAssignment};
+use rcmp_policy::{MapTaskSet, PolicyCtx, SliceTopology, WaveAssignment};
 
-pub use rcmp_policy::ReduceAssignment;
-
-/// Tasks grouped into waves: `waves[w]` is the list of `(node, task)`
-/// pairs running concurrently in wave `w`.
-pub type Waves<T> = Vec<Vec<(NodeId, T)>>;
-
-/// The kernel's view of a slice of engine map tasks: the primary holder
-/// is the block's first replica (the writer-local copy, see
+/// The kernel's view of some of a run's engine map tasks: the primary
+/// holder is the block's first replica (the writer-local copy, see
 /// `rcmp-dfs`'s placement), any listed replica is local, and
 /// `cached[t]` names the node whose chain cache holds task `t`'s input
 /// partition (empty when the cache is off).
 struct MapTaskSlice<'a> {
-    tasks: &'a [MapTask],
+    tasks: Vec<&'a MapTask>,
     cached: &'a [Option<NodeId>],
 }
 
@@ -48,53 +41,26 @@ impl MapTaskSet<NodeId> for MapTaskSlice<'_> {
     }
 }
 
-/// Reifies an index-based kernel assignment back onto owned tasks.
-fn resolve<T>(assignment: WaveAssignment<NodeId>, tasks: Vec<T>) -> Waves<T> {
-    let mut slots: Vec<Option<T>> = tasks.into_iter().map(Some).collect();
-    assignment
-        .into_iter()
-        .map(|wave| {
-            wave.into_iter()
-                // Invariant: the kernel places each index once (its oracle proptest pins it).
-                .map(|(n, t)| (n, slots[t].take().expect("kernel assigns each task once")))
-                .collect()
-        })
-        .collect()
-}
-
-/// Assigns map tasks to waves over `topo` via the shared kernel.
+/// Assigns the mappers `pending` (indices into `tasks`) to waves over
+/// `topo` via the shared kernel; the assignment indexes `pending`.
 ///
-/// `cached` is the chain-cache holder map, aligned with `tasks`:
+/// `cached` is the chain-cache holder map, aligned with `pending`:
 /// `cached[t]` names the node holding task `t`'s input partition in
 /// memory, if any (empty when the cache is off). Only the `Stable`
 /// kernel reads it. Errors with [`rcmp_model::Error::NoLiveNodes`] when
 /// the cluster has no survivors.
-pub fn assign_map_waves(
-    tasks: Vec<MapTask>,
+pub fn assign_map_indices(
+    tasks: &[MapTask],
+    pending: &[usize],
     topo: &SliceTopology<'_, NodeId>,
     cached: &[Option<NodeId>],
     ctx: PolicyCtx<'_>,
-) -> Result<Waves<MapTask>> {
+) -> Result<WaveAssignment<NodeId>> {
     let set = MapTaskSlice {
-        tasks: &tasks,
+        tasks: pending.iter().map(|&i| &tasks[i]).collect(),
         cached,
     };
-    let assignment = rcmp_policy::assign_map_waves(topo, &set, ctx)?;
-    Ok(resolve(assignment, tasks))
-}
-
-/// Assigns reduce tasks to waves over `topo` via the shared kernel.
-/// Errors with [`rcmp_model::Error::NoLiveNodes`] when the cluster has
-/// no survivors.
-pub fn assign_reduce_waves(
-    tasks: Vec<ReduceTask>,
-    topo: &SliceTopology<'_, NodeId>,
-    style: ReduceAssignment,
-    ctx: PolicyCtx<'_>,
-) -> Result<Waves<ReduceTask>> {
-    let set = FnReduceTasks::new(tasks.len(), |t| tasks[t].id.partition.index());
-    let assignment = rcmp_policy::assign_reduce_waves(topo, &set, style, ctx)?;
-    Ok(resolve(assignment, tasks))
+    rcmp_policy::assign_map_waves(topo, &set, ctx)
 }
 
 #[cfg(test)]
@@ -102,9 +68,7 @@ mod tests {
     use super::*;
     use crate::mapstore::MapInputKey;
     use rcmp_dfs::BlockLocation;
-    use rcmp_model::{
-        BlockId, ByteSize, Error, JobId, MapTaskId, PartitionId, PlacementKernel, ReduceTaskId,
-    };
+    use rcmp_model::{BlockId, ByteSize, Error, JobId, MapTaskId, PartitionId, PlacementKernel};
     use rcmp_policy::Membership;
 
     fn nodes(n: u32) -> Vec<NodeId> {
@@ -124,16 +88,14 @@ mod tests {
         }
     }
 
-    fn reduce_task(p: u32) -> ReduceTask {
-        ReduceTask::new(ReduceTaskId::whole(JobId(1), PartitionId(p)))
-    }
-
-    fn on_big<T>(waves: &Waves<T>) -> usize {
-        waves
-            .iter()
-            .flatten()
-            .filter(|(n, _)| *n == NodeId(1))
-            .count()
+    /// Every task of `tasks`, assigned.
+    fn assign(
+        tasks: &[MapTask],
+        topo: &SliceTopology<'_, NodeId>,
+        cached: &[Option<NodeId>],
+    ) -> Result<WaveAssignment<NodeId>> {
+        let all: Vec<usize> = (0..tasks.len()).collect();
+        assign_map_indices(tasks, &all, topo, cached, PolicyCtx::disabled())
     }
 
     #[test]
@@ -142,25 +104,15 @@ mod tests {
         m.join(3, 0); // node 1 weighs 3×
         let live = nodes(2);
         let topo = SliceTopology::for_kernel(&live, 1, PlacementKernel::CapacityWeighted, &m);
-
         let tasks: Vec<MapTask> = (0..8).map(|i| map_task(i, &[])).collect();
-        let waves = assign_map_waves(tasks, &topo, &[], PolicyCtx::disabled()).unwrap();
+        let waves = assign(&tasks, &topo, &[]).unwrap();
         assert_eq!(
             waves.len(),
             2,
             "3×-weighted node packs the job into 2 waves"
         );
-        assert_eq!(on_big(&waves), 6);
-
-        let tasks: Vec<ReduceTask> = (0..8).map(|_| reduce_task(0)).collect();
-        let waves = assign_reduce_waves(
-            tasks,
-            &topo,
-            ReduceAssignment::Balance,
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        assert_eq!(on_big(&waves), 6, "weighted balance loads node 1 3× harder");
+        let on_big = waves.iter().flatten().filter(|(n, _)| *n == NodeId(1));
+        assert_eq!(on_big.count(), 6);
     }
 
     #[test]
@@ -172,31 +124,33 @@ mod tests {
         let tasks: Vec<MapTask> = (0..4).map(|i| map_task(i, &[0])).collect();
         let cached: Vec<Option<NodeId>> = (0..4).map(|i| Some(NodeId(i))).collect();
         let stable = SliceTopology::for_kernel(&live, 1, PlacementKernel::Stable, &m);
-        let waves =
-            assign_map_waves(tasks.clone(), &stable, &cached, PolicyCtx::disabled()).unwrap();
+        let waves = assign(&tasks, &stable, &cached).unwrap();
         assert_eq!(waves.len(), 1);
-        for (node, task) in &waves[0] {
-            assert_eq!(*node, NodeId(task.id.index), "task follows its cached copy");
+        for &(node, task) in &waves[0] {
+            assert_eq!(node, NodeId(task as u32), "task follows its cached copy");
         }
         // Other kernels are handed the same holders and ignore them.
         let default = SliceTopology::for_kernel(&live, 1, PlacementKernel::Default, &m);
-        let waves = assign_map_waves(tasks, &default, &cached, PolicyCtx::disabled()).unwrap();
+        let waves = assign(&tasks, &default, &cached).unwrap();
         assert_eq!(waves[0][0].0, NodeId(0), "default follows the DFS primary");
+    }
+
+    /// Only the pending tasks are placed, and the assignment indexes
+    /// them, not the run's task list.
+    #[test]
+    fn only_pending_tasks_are_assigned() {
+        let m = Membership::uniform(2);
+        let live = nodes(2);
+        let topo = SliceTopology::for_kernel(&live, 1, PlacementKernel::Default, &m);
+        let tasks: Vec<MapTask> = (0..4).map(|i| map_task(i, &[i % 2])).collect();
+        let waves = assign_map_indices(&tasks, &[1, 2], &topo, &[], PolicyCtx::disabled());
+        assert_eq!(waves.unwrap(), [vec![(NodeId(0), 1), (NodeId(1), 0)]]);
     }
 
     #[test]
     fn dead_cluster_is_a_typed_error() {
         let topo = SliceTopology::new(&[], 1, 1);
-        let err = assign_map_waves(vec![map_task(0, &[0])], &topo, &[], PolicyCtx::disabled())
-            .unwrap_err();
-        assert_eq!(err, Error::NoLiveNodes);
-        let err = assign_reduce_waves(
-            vec![reduce_task(0)],
-            &topo,
-            ReduceAssignment::RoundRobinByPartition,
-            PolicyCtx::disabled(),
-        )
-        .unwrap_err();
+        let err = assign(&[map_task(0, &[0])], &topo, &[]).unwrap_err();
         assert_eq!(err, Error::NoLiveNodes);
     }
 }

@@ -20,18 +20,6 @@ pub struct MapTask {
     pub block: BlockLocation,
 }
 
-/// One reducer (whole or one split of a recomputed reducer).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReduceTask {
-    pub id: ReduceTaskId,
-}
-
-impl ReduceTask {
-    pub fn new(id: ReduceTaskId) -> Self {
-        Self { id }
-    }
-}
-
 /// Which bucket each emitted key of one job run belongs to, as a dense
 /// slot number computed once per run: a whole partition owns one slot,
 /// a partition recomputed `k`-way split owns `k` consecutive ones (one

@@ -1,19 +1,23 @@
-//! The Master: JobInit, wave execution, intra-job failure recovery.
+//! The Master: one job submission's effects under the job machine.
 //!
-//! `run` executes one job submission to completion or to an
-//! unrecoverable data-loss error:
+//! The phase loop — plan checks, the `JobStart` fire, JobInit, output
+//! preparation, rounds of slot-constrained map and reduce waves with
+//! their fault points, per-task retry budgets and the damage re-check —
+//! is `rcmp_policy::run_job`, the program the simulator runs too. This
+//! module is its engine backend:
 //!
-//! * **JobInit** enumerates the input file's blocks (one mapper per
-//!   block) and the reduce task set. For a [`RunMode::Recompute`]
-//!   submission it readies only the minimum necessary tasks: the tagged
-//!   reducer partitions (split if instructed) and the mappers whose
-//!   persisted outputs are missing or whose input fingerprints no longer
-//!   match (§IV-A) — Hadoop, by contrast, "treats each job submitted to
-//!   the system as a brand new job and re-executes it entirely", which
-//!   is what [`RunMode::Full`] does.
-//! * **Execution** proceeds in slot-constrained waves; the failure
-//!   injector is consulted at job start and after every wave, and killed
-//!   nodes lose their DFS blocks and map outputs immediately.
+//! * **JobInit** reads the input file's blocks (one mapper per block)
+//!   and the persisted map outputs. A [`RunMode::Recompute`] submission
+//!   readies only the minimum necessary tasks: the tagged reducer
+//!   partitions (split if instructed) and the mappers whose persisted
+//!   outputs are missing or whose input fingerprints no longer match
+//!   (§IV-A) — Hadoop, by contrast, "treats each job submitted to the
+//!   system as a brand new job and re-executes it entirely", which is
+//!   what [`RunMode::Full`] does.
+//! * **Execution** runs each wave on the job's executor session; the
+//!   failure injector is consulted at job start and around every wave,
+//!   and killed nodes lose their DFS blocks and map outputs immediately.
+//!   Every task's outcome is recorded, traced and counted here.
 //! * **Intra-job recovery** is Hadoop-style task re-execution: lost map
 //!   outputs re-run their mappers from surviving input replicas; lost
 //!   output partitions are cleared and their reducers re-run. When a
@@ -27,10 +31,10 @@ use crate::codec::ChunkingWriter;
 use crate::failure::{FailureInjector, Fault, ProgressEvent, TriggerPoint};
 use crate::job::{JobRun, JobSpec, RunMode};
 use crate::mapstore::MapInputKey;
-use crate::metrics::{IoBytes, JobReport, ShuffleMetrics, TaskRecord};
-use crate::scheduler::{assign_map_waves, assign_reduce_waves, Waves};
+use crate::metrics::{IoBytes, JobReport, TaskRecord};
+use crate::scheduler::assign_map_indices;
 use crate::shuffle::{ShuffleFailure, StreamingShuffle, MAX_MERGE_WIDTH};
-use crate::task::{encode_sorted_bucket, BucketSlots, MapBuckets, MapTask, ReduceTask};
+use crate::task::{encode_sorted_bucket, BucketSlots, MapBuckets, MapTask};
 use crate::udf::Combiner;
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -41,20 +45,16 @@ use rcmp_model::{
     Error, JobId, NodeId, PartitionId, Record, RecordReader, ReduceTaskId, Result, TaskId, TenantId,
 };
 use rcmp_obs::{
-    Counter, EventCode, FaultKind, FlightRecorder, Histogram, Phase, PhaseKind, PhaseProfiler,
-    SpanId, SpanKind, Tracer,
+    Counter, EventCode, FaultKind, FlightRecorder, Gauge, Histogram, Phase, PhaseKind,
+    PhaseProfiler, SpanId, SpanKind, Tracer,
 };
 use rcmp_policy::{
-    job_init, reduce_task_set, reduce_tasks_for, Membership, PolicyCtx, RecomputePlan,
-    SliceTopology,
+    run_job, InputView, JobBackend, JobShape, JobTally, MapResult, Membership, PolicyCtx,
+    RecomputePlan, ReduceResult, SliceTopology, WaveAssignment,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Maximum phase-recovery iterations before declaring the job stuck
-/// (defensive; real scenarios converge in a handful).
-const MAX_RECOVERY_ROUNDS: u32 = 1000;
 
 /// A reducer pulls key groups from the merge until they hold this many
 /// values, then runs the UDF over them: the merge / reduce-UDF
@@ -118,7 +118,17 @@ pub struct JobTracker<'a> {
     m_shuffle_bytes: Counter,
     m_shuffle_us: Histogram,
     m_backoff_ms: Histogram,
-    m_shuffle: ShuffleMetrics,
+    /// `shuffle.*`: each reducer's merge counters, folded in after its
+    /// merge, and the map-side combiner's record counts.
+    m_runs_merged: Counter,
+    m_runs_presorted: Counter,
+    m_index_bytes_skipped: Counter,
+    m_empty_runs_skipped: Counter,
+    m_runs_coalesced: Counter,
+    /// Peak merge-heap size of the latest reducer.
+    m_heap_peak: Gauge,
+    m_combiner_records_in: Counter,
+    m_combiner_records_out: Counter,
 }
 
 /// What every wave of one job run is stamped with.
@@ -141,7 +151,7 @@ struct TaskFaults {
 }
 
 enum ReduceOutcome {
-    Done(ReduceTask, TaskRecord),
+    Done(ReduceTaskId, TaskRecord),
     /// Shuffle found map outputs missing (lost to a failure, or — with
     /// the key — a stored output whose payload failed to decode, which
     /// the wave's accounting drops); the task stays pending and the
@@ -156,7 +166,7 @@ enum ReduceOutcome {
     /// healthy (written, replicated) while silently missing records, so
     /// the phase loop must clear and fully re-reduce it.
     Torn {
-        task: ReduceTask,
+        id: ReduceTaskId,
         node: NodeId,
     },
     /// The task hit an error no re-execution can cure (a reducer
@@ -184,7 +194,14 @@ impl<'a> JobTracker<'a> {
                 &[100, 1_000, 10_000, 100_000, 1_000_000],
             ),
             m_backoff_ms: metrics.histogram("retry.backoff_ms", &[1, 2, 4, 8, 16, 32, 64]),
-            m_shuffle: ShuffleMetrics::register(metrics),
+            m_runs_merged: metrics.counter("shuffle.runs_merged"),
+            m_runs_presorted: metrics.counter("shuffle.runs_presorted"),
+            m_index_bytes_skipped: metrics.counter("shuffle.index_bytes_skipped"),
+            m_empty_runs_skipped: metrics.counter("shuffle.empty_runs_skipped"),
+            m_runs_coalesced: metrics.counter("shuffle.runs_coalesced"),
+            m_heap_peak: metrics.gauge("shuffle.heap_peak"),
+            m_combiner_records_in: metrics.counter("shuffle.combiner_records_in"),
+            m_combiner_records_out: metrics.counter("shuffle.combiner_records_out"),
             cluster,
         }
     }
@@ -250,12 +267,7 @@ impl<'a> JobTracker<'a> {
             .dfs()
             .chain_cache()
             .map(|cache| ChainCachePin::new(cache.clone(), run.spec.input.clone()));
-        let mut report = JobReport {
-            job: run.spec.job,
-            seq,
-            ..JobReport::default()
-        };
-        let result = self.run_inner(run, seq, open.id, &mut report);
+        let (report, result) = self.run_machine(run, seq, open.id);
         if result.is_err() {
             // A failed/cancelled run never publishes partial output: drop
             // anything its reducers staged (the DFS restart path will
@@ -289,366 +301,60 @@ impl<'a> JobTracker<'a> {
         (report, result)
     }
 
-    fn run_inner(
-        &self,
-        run: &JobRun,
-        seq: u64,
-        job_span: SpanId,
-        report: &mut JobReport,
-    ) -> Result<()> {
-        let spec = &run.spec;
-        let started = Instant::now();
-        if spec.num_reducers == 0 {
-            return Err(Error::Config("job needs at least one reducer".into()));
-        }
-        if spec.output_replication == 0 {
-            return Err(Error::Config("output replication must be >= 1".into()));
-        }
-        let instructions = match &run.mode {
+    /// The run itself: [`rcmp_policy::run_job`] over an [`EngineJob`],
+    /// its tally folded into the report.
+    fn run_machine(&self, run: &JobRun, seq: u64, span: SpanId) -> (JobReport, Result<()>) {
+        let (started, spec, config) = (Instant::now(), &run.spec, self.cluster.config());
+        let plan = match &run.mode {
             RunMode::Full => None,
-            RunMode::Recompute(i) => {
-                i.validate(spec.job, spec.num_reducers, spec.splittable)?;
-                if i.force_rerun_mappers.is_some() {
-                    return Err(Error::Config("force_rerun_mappers is sim-only".into()));
-                }
-                Some(i.clone())
-            }
+            RunMode::Recompute(plan) => Some(plan),
         };
-
-        self.fire(seq, spec.job, TriggerPoint::JobStart, job_span, report);
-
-        // ----- JobInit (pre-flight) -------------------------------------
-        // Decided *before* any destructive output mutation (deleting a
-        // Full run's old output, clearing a recompute's target
-        // partitions): if the input is not readable the job must cancel
-        // leaving the cluster exactly as it found it — otherwise
-        // recovery planning would see partitions this run cleared
-        // itself as empty-but-not-lost.
-        let (mut inputs, mut pending_maps) = self.init_maps(spec, instructions.as_ref())?;
-        report.map_tasks_reused += inputs.len() - pending_maps.len();
-        // The in-loop refreshes re-run whatever map output went missing
-        // since, under the run's own fingerprint rule.
-        let refresh = RecomputePlan {
-            reuse_map_outputs: true,
-            ..instructions.clone().unwrap_or_else(RecomputePlan::empty)
-        };
-
-        // ----- output file + reduce task set ---------------------------
-        let dfs = self.cluster.dfs();
-        match &instructions {
-            None => {
-                if dfs.file_exists(&spec.output) {
-                    // A restarted job discards partial results (§V-A).
-                    dfs.delete_file(&spec.output)?;
-                }
-                self.cluster.map_outputs().clear_job(spec.job);
-                dfs.create_file(&spec.output, spec.output_replication, spec.num_reducers)?;
-            }
-            Some(i) => {
-                dfs.file_meta(&spec.output)?; // must exist
-                for &p in &i.partitions {
-                    dfs.clear_partition(&spec.output, p)?;
-                }
-            }
-        }
-        let (reduce_ids, reduce_style) =
-            reduce_task_set(instructions.as_ref(), spec.job, spec.num_reducers);
-        let mut pending_reduces: Vec<ReduceTask> =
-            reduce_ids.into_iter().map(ReduceTask::new).collect();
-        // Partitions this run is responsible for (damage re-checks).
-        let target_partitions: BTreeSet<PartitionId> = match &instructions {
-            None => (0..spec.num_reducers).map(PartitionId).collect(),
-            Some(i) => i.partitions.clone(),
-        };
-        let split_plan = instructions.as_ref().and_then(|i| match i.split {
-            Some(k) if k > 1 => Some((&i.partitions, k)),
-            _ => None,
-        });
-        let slots = BucketSlots::new(spec.job, spec.num_reducers, split_plan);
-        // §IV-B2 spread-output mitigation: the plan scatters this run's
-        // recomputed reducer output blocks over all nodes instead of
-        // using the job's configured placement.
-        let placement = match &instructions {
-            Some(i) if i.spread_output => PlacementPolicy::Spread,
-            _ => spec.placement,
-        };
-
-        // ----- phase loop ------------------------------------------------
-        // The whole loop runs under one executor session: the pool
-        // spawns its workers once per *job* here, instead of
-        // rebuilding it for every wave (`exec.worker_starts` stays at
-        // the pool size while `exec.waves` climbs).
-        let mut map_wave_counter = 0u32;
-        let mut reduce_wave_counter = 0u32;
-        let mut map_retries: HashMap<MapInputKey, u32> = HashMap::new();
-        let mut reduce_retries: HashMap<ReduceTaskId, u32> = HashMap::new();
-        let at = RunAt {
-            seq,
+        let shape = JobShape {
             job: spec.job,
-            span: job_span,
-            recompute: run.mode.is_recompute(),
+            num_reducers: spec.num_reducers,
+            output_replication: spec.output_replication,
+            splittable: spec.splittable,
+            plan,
+            slots: config.slots,
+            kernel: config.placement,
+            task_retries: config.retry.task_retries,
         };
-        let slot_cfg = self.cluster.config().slots;
-        self.wave_executor().with_session(|session| -> Result<()> {
-            for _round in 0..MAX_RECOVERY_ROUNDS {
-                // MAP PHASE: ensure every needed map output exists.
-                while !pending_maps.is_empty() {
-                    let (membership, live) = self.live_or_fail()?;
-                    let topo = SliceTopology::for_kernel(
-                        &live,
-                        slot_cfg.map,
-                        self.cluster.config().placement,
-                        &membership,
-                    );
-                    // Which live node's chain cache holds each task's
-                    // input partition (job i's reducer output read by job
-                    // i+1's mappers). The `stable` kernel routes tasks to
-                    // those holders; a holder that is no longer live
-                    // yields no affinity.
-                    let cached: Vec<Option<NodeId>> = match self.cluster.dfs().chain_cache() {
-                        Some(cache) => pending_maps
-                            .iter()
-                            .map(|t| {
-                                cache
-                                    .holder(&spec.input, t.key.pid)
-                                    .filter(|h| live.contains(h))
-                            })
-                            .collect(),
-                        None => Vec::new(),
-                    };
-                    let waves = assign_map_waves(
-                        pending_maps.clone(),
-                        &topo,
-                        &cached,
-                        PolicyCtx::new(&self.tracer, Some(job_span)),
-                    )?;
-                    let mut interrupted = false;
-                    for wave in waves {
-                        let wave_idx = map_wave_counter;
-                        let slots = &slots;
-                        interrupted = self.run_wave(
-                            session,
-                            &at,
-                            (Phase::Map, wave_idx, live.len() as u32 * slot_cfg.map),
-                            wave,
-                            report,
-                            |node, task: MapTask, wave_span| {
-                                SlotTask::new(move |_: &TaskCtx| {
-                                    let key = task.key;
-                                    self.run_map_task(node, task, spec, slots, wave_idx, wave_span)
-                                        .map_err(|e| (key, e))
-                                })
-                            },
-                            |outcome, report| match outcome {
-                                Ok(rec) => {
-                                    self.recorder.record(
-                                        EventCode::TaskDone,
-                                        Some(rec.node),
-                                        u64::from(rec.id.job().0),
-                                        u64::from(wave_idx),
-                                    );
-                                    report.io += rec.io;
-                                    report.tasks.push(rec);
-                                    report.map_tasks_run += 1;
-                                    Ok(false)
-                                }
-                                Err((key, e)) => {
-                                    self.recorder.record(
-                                        EventCode::TaskRetry,
-                                        None,
-                                        0,
-                                        u64::from(wave_idx),
-                                    );
-                                    report.task_retries += 1;
-                                    self.charge_retry(&mut map_retries, key, spec.job, || {
-                                        format!(
-                                            "map task over {} block {} kept failing: {e}",
-                                            key.pid, key.block_idx
-                                        )
-                                    })?;
-                                    Ok(true)
-                                }
-                            },
-                        )?;
-                        map_wave_counter += 1;
-                        if interrupted {
-                            break;
-                        }
-                    }
-                    // Refresh: which map outputs are still missing?
-                    (inputs, pending_maps) = self.init_maps(spec, Some(&refresh))?;
-                    if !interrupted && !pending_maps.is_empty() {
-                        // Defensive: tasks ran without interruption but
-                        // outputs still missing would mean a bug.
-                        report.task_retries += pending_maps.len();
-                    }
-                }
-
-                // REDUCE PHASE.
-                if pending_reduces.is_empty() {
-                    break;
-                }
-                let (membership, live) = self.live_or_fail()?;
-                let topo = SliceTopology::for_kernel(
-                    &live,
-                    slot_cfg.reduce,
-                    self.cluster.config().placement,
-                    &membership,
-                );
-                let waves: Waves<ReduceTask> = assign_reduce_waves(
-                    pending_reduces.clone(),
-                    &topo,
-                    reduce_style,
-                    PolicyCtx::new(&self.tracer, Some(job_span)),
-                )?;
-                // Owned by `Arc` because session workers may briefly outlive
-                // one wave's call frame: the slot closures clone the handle
-                // instead of borrowing this round-local vector.
-                let input_keys: Arc<Vec<MapInputKey>> =
-                    Arc::new(inputs.iter().map(|t| t.key).collect());
-                let mut torn_partitions: BTreeSet<PartitionId> = BTreeSet::new();
-                for wave in waves {
-                    let wave_idx = reduce_wave_counter;
-                    let reassign = self.run_wave(
-                        session,
-                        &at,
-                        (Phase::Reduce, wave_idx, live.len() as u32 * slot_cfg.reduce),
-                        wave,
-                        report,
-                        // Called in input order after the mid-wave
-                        // injection point, so which task carries each
-                        // armed fault is fixed before any task runs.
-                        |node, task: ReduceTask, wave_span| {
-                            let faults = self.take_faults(node);
-                            let input_keys = Arc::clone(&input_keys);
-                            SlotTask::new(move |_: &TaskCtx| {
-                                let outcome = self.run_reduce_task(
-                                    node,
-                                    task,
-                                    faults,
-                                    input_keys.as_slice(),
-                                    spec,
-                                    placement,
-                                    wave_idx,
-                                    wave_span,
-                                );
-                                (node, faults.torn, outcome)
-                            })
-                        },
-                        |(node, torn, outcome), report| {
-                            if torn && !matches!(outcome, ReduceOutcome::Torn { .. }) {
-                                // Failed before its write: re-arm.
-                                self.torn.lock().insert(node);
-                            }
-                            match outcome {
-                                ReduceOutcome::Done(task, rec) => {
-                                    report.io += rec.io;
-                                    report.tasks.push(rec);
-                                    report.reduce_tasks_run += 1;
-                                    pending_reduces.retain(|t| t.id != task.id);
-                                    Ok(false)
-                                }
-                                ReduceOutcome::Missing(corrupt) => {
-                                    // Drop a corrupt output: its mapper
-                                    // re-runs.
-                                    if let Some(key) = corrupt {
-                                        self.cluster.map_outputs().remove(&key);
-                                    }
-                                    report.task_retries += 1;
-                                    Ok(true)
-                                }
-                                ReduceOutcome::Retry(id) => {
-                                    report.task_retries += 1;
-                                    self.charge_retry(&mut reduce_retries, id, spec.job, || {
-                                        format!("reduce task {id} kept failing retryably")
-                                    })?;
-                                    Ok(true)
-                                }
-                                ReduceOutcome::Fatal(e) => Err(e),
-                                ReduceOutcome::Torn { task, node } => {
-                                    report.task_retries += 1;
-                                    // The torn writer dies at the wave
-                                    // boundary, unseen by its siblings;
-                                    // its partition is a loss of its own.
-                                    let loss = self.cluster.fail_node(node);
-                                    let loss_span = self.tracer.instant(
-                                        SpanKind::Loss {
-                                            seq,
-                                            lost_partitions: 1,
-                                        },
-                                        Some(job_span),
-                                        None,
-                                        loss.node,
-                                    );
-                                    self.tracer.mark_cause(loss_span);
-                                    report.losses.push(loss);
-                                    torn_partitions.insert(task.id.partition);
-                                    Ok(true)
-                                }
-                            }
-                        },
-                    )?;
-                    reduce_wave_counter += 1;
-                    if reassign {
-                        break;
-                    }
-                }
-
-                // Damage check: target partitions that lost blocks — or were
-                // left half-written by a torn write (which may look healthy:
-                // the committed prefix chunks can still be fully replicated)
-                // — must be cleared and fully re-reduced.
-                let meta = dfs.file_meta(&spec.output)?;
-                for &p in &target_partitions {
-                    if meta.partitions[p.index()].is_lost() || torn_partitions.contains(&p) {
-                        dfs.clear_partition(&spec.output, p)?;
-                        for t in reduce_tasks_for(instructions.as_ref(), spec.job, p)
-                            .map(ReduceTask::new)
-                        {
-                            if !pending_reduces.iter().any(|x| x.id == t.id) {
-                                pending_reduces.push(t);
-                            }
-                        }
-                    }
-                }
-
-                // Refresh missing map outputs for the next round.
-                (inputs, pending_maps) = self.init_maps(spec, Some(&refresh))?;
-
-                if pending_reduces.is_empty() && pending_maps.is_empty() {
-                    break;
-                }
-            }
-            Ok(())
-        })?;
-
-        if !pending_reduces.is_empty() {
-            return Err(Error::JobFailed {
-                job: spec.job,
-                reason: "recovery did not converge".into(),
-            });
+        let (job, recompute) = (spec.job, run.mode.is_recompute());
+        let mut engine = EngineJob {
+            tracker: self,
+            run,
+            at: RunAt {
+                seq,
+                job,
+                span,
+                recompute,
+            },
+            report: JobReport {
+                job,
+                seq,
+                ..JobReport::default()
+            },
+            inputs: Vec::new(),
+            input_keys: Arc::default(),
+        };
+        let mut tally = JobTally::default();
+        let result = run_job(&mut engine, &shape, &mut tally);
+        let mut report = engine.report;
+        report.map_tasks_reused = tally.map_tasks_reused;
+        report.task_retries = tally.task_retries;
+        if result.is_ok() {
+            report.map_waves = tally.map_waves;
+            report.reduce_waves = tally.reduce_waves;
+            report.duration = started.elapsed();
         }
-
-        if !run.persist_map_outputs {
-            self.cluster.map_outputs().clear_job(spec.job);
-        }
-        // The job converged: atomically admit its staged reducer outputs
-        // into the chain cache (control thread, ascending partition
-        // order — admission never depends on worker interleaving).
-        if let Some(cache) = self.cluster.dfs().chain_cache() {
-            cache.commit(&spec.output);
-        }
-        report.map_waves = map_wave_counter;
-        report.reduce_waves = reduce_wave_counter;
-        report.duration = started.elapsed();
-        Ok(())
+        (report, result)
     }
 
     // ------------------------------------------------------------ helpers
 
     /// Consults the injector at an execution point and applies whatever
-    /// faults it raises. Returns the nodes that were killed (the only
-    /// fault shape the wave loop must react to immediately; the others
+    /// faults it raises. Returns whether a node was killed (the only
+    /// fault shape the job machine must react to immediately; the others
     /// surface through their own detection paths).
     ///
     /// Every injected fault becomes a `Fault` instant span; a node crash
@@ -662,11 +368,11 @@ impl<'a> JobTracker<'a> {
         point: TriggerPoint,
         job_span: SpanId,
         report: &mut JobReport,
-    ) -> Vec<NodeId> {
+    ) -> bool {
         let faults = self
             .injector
             .poll_faults(&ProgressEvent { seq, job, point });
-        let mut kills = Vec::new();
+        let mut killed = false;
         for fault in faults {
             let (kind, at_node) = match &fault {
                 Fault::NodeCrash(node) => (FaultKind::NodeCrash, *node),
@@ -675,15 +381,9 @@ impl<'a> JobTracker<'a> {
                 Fault::ShuffleFlake { node, .. } => (FaultKind::ShuffleFlake, *node),
                 Fault::NodeDrain { node } => (FaultKind::NodeDrain, *node),
             };
-            let fault_code = match kind {
-                FaultKind::NodeCrash => 0,
-                FaultKind::CorruptReplica => 1,
-                FaultKind::TornWrite => 2,
-                FaultKind::ShuffleFlake => 3,
-                FaultKind::NodeDrain => 4,
-            };
-            self.recorder
-                .record(EventCode::FaultInjected, Some(at_node), seq, fault_code);
+            // The record's code is the kind's position: crash 0 … drain 4.
+            let code = kind as u64;
+            (self.recorder).record(EventCode::FaultInjected, Some(at_node), seq, code);
             let fault_span = self.tracer.instant(
                 SpanKind::Fault {
                     seq,
@@ -714,7 +414,7 @@ impl<'a> JobTracker<'a> {
                     );
                     self.tracer.mark_cause(loss_span);
                     report.losses.push(loss);
-                    kills.push(node);
+                    killed = true;
                 }
                 Fault::CorruptReplica { node } => {
                     // Silent on-disk damage: nothing observes it here.
@@ -741,7 +441,7 @@ impl<'a> JobTracker<'a> {
                 }
             }
         }
-        kills
+        killed
     }
 
     /// Hands the next reduce task on `node` its share of the faults
@@ -761,49 +461,19 @@ impl<'a> JobTracker<'a> {
         }
     }
 
-    /// One membership snapshot for the next phase, and the nodes its
-    /// waves may be scheduled on (Up only — draining nodes keep serving
-    /// data but take no new tasks).
-    fn live_or_fail(&self) -> Result<(Membership, Vec<NodeId>)> {
-        let membership = self.cluster.membership();
-        let live: Vec<NodeId> = membership.schedulable().into_iter().map(NodeId).collect();
-        if live.is_empty() {
-            return Err(Error::NoLiveNodes);
-        }
-        Ok((membership, live))
-    }
-
-    /// JobInit over the input as it stands now
-    /// ([`rcmp_policy::job_init`]): every mapper of the job, and those
-    /// that must run; persisted outputs stand in for the rest. Fails
-    /// with [`Error::JobInputLost`] if the input is lost.
-    fn init_maps(
-        &self,
-        spec: &JobSpec,
-        plan: Option<&RecomputePlan>,
-    ) -> Result<(Vec<MapTask>, Vec<MapTask>)> {
-        let (inputs, view) = self.cluster.map_inputs(spec.job, &spec.input)?;
-        let rerun = job_init(spec.job, plan, &view)?;
-        let pending = rerun.iter().map(|&i| inputs[i].clone()).collect();
-        Ok((inputs, pending))
-    }
-
-    /// Runs one assigned wave through the job's executor session, inside
-    /// the bracket both phases share, in this order: the mid-wave
-    /// injection point (kills land after assignment, before execution,
-    /// so tasks placed on the victim fail with it), the `Wave` span and
-    /// `WaveStart`, the slot tasks `task` builds under the wave's span,
-    /// run under the metrics hot scope, `account` over each outcome in
-    /// input order, the span close, `RecomputeWave` time and `WaveEnd`,
-    /// then the after-wave injection point. `(phase, index, capacity)`
-    /// names the wave: its phase, its index within that phase in this
-    /// run, and the live slot capacity it was assigned against.
+    /// Runs one assigned wave through the job's executor session, in
+    /// this order: the `Wave` span and `WaveStart`, the slot tasks
+    /// `task` builds under the wave's span, run under the metrics hot
+    /// scope, `account` over each outcome in input order, the span
+    /// close, `RecomputeWave` time and `WaveEnd`. The fault points
+    /// around it belong to the job machine ([`rcmp_policy::job`]).
+    /// `(phase, index, capacity)` names the wave: its phase, its index
+    /// within that phase in this run, and the live slot capacity it was
+    /// assigned against.
     ///
-    /// `account` says whether its task failed. The first error it
-    /// returns — or a panicked task, as [`Error::ExecutorShutdown`] —
-    /// stops the accounting and fails the job once `WaveEnd` is
-    /// recorded. Otherwise returns whether the phase loop must
-    /// reassign: a task failed or an injection point killed a node.
+    /// The first error `account` returns — or a panicked task, as
+    /// [`Error::ExecutorShutdown`] — stops the accounting and fails the
+    /// job once `WaveEnd` is recorded.
     #[allow(clippy::too_many_arguments)]
     fn run_wave<'env, W, T: Send + 'env>(
         &'env self,
@@ -813,23 +483,12 @@ impl<'a> JobTracker<'a> {
         wave: Vec<(NodeId, W)>,
         report: &mut JobReport,
         task: impl Fn(NodeId, W, SpanId) -> SlotTask<'env, T>,
-        mut account: impl FnMut(T, &mut JobReport) -> Result<bool>,
-    ) -> Result<bool> {
-        let (kind, label, mid, after) = match phase {
-            Phase::Map => (
-                "map",
-                "map-wave",
-                TriggerPoint::MidMapWave(index),
-                TriggerPoint::AfterMapWave(index),
-            ),
-            Phase::Reduce => (
-                "reduce",
-                "reduce-wave",
-                TriggerPoint::MidReduceWave(index),
-                TriggerPoint::AfterReduceWave(index),
-            ),
+        mut account: impl FnMut(T, &mut JobReport) -> Result<()>,
+    ) -> Result<()> {
+        let (kind, label) = match phase {
+            Phase::Map => ("map", "map-wave"),
+            Phase::Reduce => ("reduce", "reduce-wave"),
         };
-        let mid_kills = self.fire(at.seq, at.job, mid, at.span, report);
         let wave_open = self.tracer.open();
         let tasks = wave.len();
         self.recorder
@@ -854,16 +513,11 @@ impl<'a> JobTracker<'a> {
             let _hot = self.cluster.metrics().enter_hot_scope();
             session.run_wave(&spec, slot_tasks)
         };
-        let failed = outcomes.into_iter().try_fold(false, |failed, outcome| {
-            let task_failed = match outcome {
-                SlotOutcome::Completed(value) => account(value, report)?,
-                SlotOutcome::Abandoned => {
-                    return Err(Error::ExecutorShutdown {
-                        reason: format!("{kind} task panicked in wave {index}"),
-                    })
-                }
-            };
-            Ok(failed || task_failed)
+        let accounted = outcomes.into_iter().try_for_each(|outcome| match outcome {
+            SlotOutcome::Completed(value) => account(value, report),
+            SlotOutcome::Abandoned => Err(Error::ExecutorShutdown {
+                reason: format!("{kind} task panicked in wave {index}"),
+            }),
         });
         self.tracer.close(
             wave_open,
@@ -883,32 +537,7 @@ impl<'a> JobTracker<'a> {
         }
         self.recorder
             .record(EventCode::WaveEnd, None, u64::from(index), wave_us);
-        let failed = failed?;
-        let kills = self.fire(at.seq, at.job, after, at.span, report);
-        Ok(failed || !kills.is_empty() || !mid_kills.is_empty())
-    }
-
-    /// Charges one retry of task `key` against the per-task budget
-    /// (`RetryPolicy::task_retries`); past it the job escalates to
-    /// [`Error::RecoveryExhausted`] instead of re-running the task
-    /// forever.
-    fn charge_retry<K: Eq + std::hash::Hash>(
-        &self,
-        spent: &mut HashMap<K, u32>,
-        key: K,
-        job: JobId,
-        reason: impl FnOnce() -> String,
-    ) -> Result<()> {
-        let count = spent.entry(key).or_insert(0);
-        *count += 1;
-        if *count > self.cluster.config().retry.task_retries {
-            return Err(Error::RecoveryExhausted {
-                job,
-                attempts: *count,
-                reason: reason(),
-            });
-        }
-        Ok(())
+        accounted
     }
 
     /// Span wrapper around [`Self::map_task_inner`]: one `Task` span per
@@ -1059,7 +688,7 @@ impl<'a> JobTracker<'a> {
     /// key; the combiner's emissions are re-sorted so the stored bucket
     /// keeps the sorted-run invariant the streaming merge relies on.
     fn combine_bucket(&self, combiner: &dyn Combiner, recs: Vec<Record>) -> Vec<Record> {
-        self.m_shuffle.combiner_records_in.add(recs.len() as u64);
+        self.m_combiner_records_in.add(recs.len() as u64);
         let mut out: Vec<Record> = Vec::with_capacity(recs.len());
         let mut values: Vec<Bytes> = Vec::new();
         let mut i = 0usize;
@@ -1075,7 +704,7 @@ impl<'a> JobTracker<'a> {
             i = j;
         }
         out.sort_unstable_by(|a, b| a.key.cmp(&b.key).then_with(|| a.value.cmp(&b.value)));
-        self.m_shuffle.combiner_records_out.add(out.len() as u64);
+        self.m_combiner_records_out.add(out.len() as u64);
         out
     }
 
@@ -1109,7 +738,7 @@ impl<'a> JobTracker<'a> {
     fn run_reduce_task(
         &self,
         node: NodeId,
-        task: ReduceTask,
+        id: ReduceTaskId,
         faults: TaskFaults,
         input_keys: &[MapInputKey],
         spec: &JobSpec,
@@ -1117,10 +746,10 @@ impl<'a> JobTracker<'a> {
         wave_idx: u32,
         wave_span: SpanId,
     ) -> ReduceOutcome {
-        let tid: TaskId = task.id.into();
+        let tid: TaskId = id.into();
         let open = self.tracer.open();
         let outcome = self.reduce_task_inner(
-            node, task, faults, input_keys, spec, placement, wave_idx, open.id,
+            node, id, faults, input_keys, spec, placement, wave_idx, open.id,
         );
         let (ok, bytes_in, bytes_out) = match &outcome {
             ReduceOutcome::Done(_, rec) => (true, rec.io.shuffle_total(), rec.io.output_written),
@@ -1239,7 +868,7 @@ impl<'a> JobTracker<'a> {
     fn reduce_task_inner(
         &self,
         node: NodeId,
-        task: ReduceTask,
+        id: ReduceTaskId,
         faults: TaskFaults,
         input_keys: &[MapInputKey],
         spec: &JobSpec,
@@ -1261,12 +890,11 @@ impl<'a> JobTracker<'a> {
         };
         // Plan the fetches via the bucket indexes, then k-way-merge the
         // per-mapper sorted runs straight into the reducer.
-        let plan = || StreamingShuffle::plan(store, input_keys, task.id, node, MAX_MERGE_WIDTH);
-        let (mut merge, start, end) =
-            match self.shuffle_with_retry(node, task.id, faults.flakes, plan) {
-                Ok(planned) => planned,
-                Err(outcome) => return outcome,
-            };
+        let plan = || StreamingShuffle::plan(store, input_keys, id, node, MAX_MERGE_WIDTH);
+        let (mut merge, start, end) = match self.shuffle_with_retry(node, id, faults.flakes, plan) {
+            Ok(planned) => planned,
+            Err(outcome) => return outcome,
+        };
         self.record_fetches(&merge.per_source, node, task_span, start, end);
         // Merge vs UDF attribution: groups are pulled a batch at a time
         // and the UDF runs over the batch, so the UDF is timed per batch
@@ -1310,14 +938,20 @@ impl<'a> JobTracker<'a> {
         self.profiler
             .add_ns(PhaseKind::StreamingMerge, loop_ns.saturating_sub(udf_ns));
         self.profiler.add_ns(PhaseKind::ReduceUdf, udf_ns);
-        self.m_shuffle.observe_merge(&merge.stats());
+        let stats = merge.stats();
+        self.m_runs_merged.add(stats.runs_merged);
+        self.m_runs_presorted.add(stats.runs_presorted);
+        self.m_index_bytes_skipped.add(stats.index_bytes_skipped);
+        self.m_empty_runs_skipped.add(stats.empty_runs_skipped);
+        self.m_runs_coalesced.add(stats.runs_coalesced);
+        self.m_heap_peak.set(stats.heap_peak as i64);
         if let Some(e) = emit_error {
             return ReduceOutcome::Fatal(e);
         }
         let output_bytes = out.byte_count();
         let chunks = out.finish();
         let dfs = self.cluster.dfs();
-        let split = task.id.split.map_or(0, |(split, _)| split.raw());
+        let split = id.split.map_or(0, |(split, _)| split.raw());
         if faults.torn {
             // Armed torn write: commit only a strict prefix of the
             // chunks. The committed prefix can look like a healthy
@@ -1326,15 +960,9 @@ impl<'a> JobTracker<'a> {
             // clear and re-reduce the partition.
             let keep = chunks.len() / 2;
             let prefix: Vec<_> = chunks.into_iter().take(keep).collect();
-            let _ = dfs.write_split_chunks(
-                &spec.output,
-                task.id.partition,
-                split,
-                prefix,
-                node,
-                placement,
-            );
-            return ReduceOutcome::Torn { task, node };
+            let _ =
+                dfs.write_split_chunks(&spec.output, id.partition, split, prefix, node, placement);
+            return ReduceOutcome::Torn { id, node };
         }
         // Stage whole-reducer output in the chain cache alongside the
         // durable DFS write (write-behind keeps lineage intact: every
@@ -1344,22 +972,15 @@ impl<'a> JobTracker<'a> {
         // `Bytes` clones are refcount bumps, so staging is free.
         let stage = dfs
             .chain_cache()
-            .filter(|_| task.id.split.is_none())
+            .filter(|_| id.split.is_none())
             .map(|cache| (cache.clone(), chunks.clone()));
-        match dfs.write_split_chunks(
-            &spec.output,
-            task.id.partition,
-            split,
-            chunks,
-            node,
-            placement,
-        ) {
+        match dfs.write_split_chunks(&spec.output, id.partition, split, chunks, node, placement) {
             Ok(()) => {
                 if let Some((cache, staged)) = stage {
-                    cache.stage(&spec.output, task.id.partition, node, &staged);
+                    cache.stage(&spec.output, id.partition, node, &staged);
                 }
             }
-            Err(_) => return ReduceOutcome::Retry(task.id),
+            Err(_) => return ReduceOutcome::Retry(id),
         }
         let io = IoBytes {
             shuffle_local: merge.local_bytes,
@@ -1369,9 +990,9 @@ impl<'a> JobTracker<'a> {
             ..IoBytes::default()
         };
         ReduceOutcome::Done(
-            task,
+            id,
             TaskRecord {
-                id: task.id.into(),
+                id: id.into(),
                 node,
                 wave: wave_idx,
                 io,
@@ -1379,6 +1000,258 @@ impl<'a> JobTracker<'a> {
                 input_source: None,
             },
         )
+    }
+}
+
+/// One run of the tracker: the engine's side of [`rcmp_policy::run_job`].
+/// Each task's outcome is recorded, traced and counted here before the
+/// machine charges it.
+struct EngineJob<'r, 'a> {
+    tracker: &'r JobTracker<'a>,
+    run: &'r JobRun,
+    at: RunAt,
+    report: JobReport,
+    /// The latest input snapshot's mappers, and the keys every reducer
+    /// shuffles from.
+    inputs: Vec<MapTask>,
+    input_keys: Arc<Vec<MapInputKey>>,
+}
+
+/// What the waves of a run that goes ahead share: the job's executor
+/// session, and each key's reduce bucket slot (by `Arc`: session workers
+/// may briefly outlive one wave's call frame).
+struct EngineWaves<'w, 'r> {
+    session: &'w Session<'w, 'r>,
+    slots: Arc<BucketSlots>,
+}
+
+impl<'r> JobBackend for EngineJob<'r, '_> {
+    type Waves<'w>
+        = EngineWaves<'w, 'r>
+    where
+        Self: 'w;
+
+    /// Forcing mappers is the simulator's Fig. 13/14 knob: real map
+    /// outputs carry the fingerprints that decide reuse.
+    fn check_plan(&self, plan: &RecomputePlan) -> Result<()> {
+        match plan.force_rerun_mappers {
+            Some(_) => Err(Error::Config("force_rerun_mappers is sim-only".into())),
+            None => Ok(()),
+        }
+    }
+
+    fn fire(&mut self, point: TriggerPoint) -> bool {
+        let at = &self.at;
+        (self.tracker).fire(at.seq, at.job, point, at.span, &mut self.report)
+    }
+
+    fn input(&mut self) -> Result<InputView> {
+        let spec = &self.run.spec;
+        let (inputs, view) = self.tracker.cluster.map_inputs(spec.job, &spec.input)?;
+        self.input_keys = Arc::new(inputs.iter().map(|t| t.key).collect());
+        self.inputs = inputs;
+        Ok(view)
+    }
+
+    fn discard_output(&mut self) -> Result<()> {
+        let (cluster, spec) = (self.tracker.cluster, &self.run.spec);
+        if cluster.dfs().file_exists(&spec.output) {
+            cluster.dfs().delete_file(&spec.output)?;
+        }
+        cluster.map_outputs().clear_job(spec.job);
+        (cluster.dfs()).create_file(&spec.output, spec.output_replication, spec.num_reducers)
+    }
+
+    fn clear(&mut self, partitions: &BTreeSet<PartitionId>) -> Result<()> {
+        let (dfs, output) = (self.tracker.cluster.dfs(), &self.run.spec.output);
+        dfs.file_meta(output)?; // must exist
+        (partitions.iter()).try_for_each(|&p| dfs.clear_partition(output, p))
+    }
+
+    /// The phase loop runs under one executor session: the pool spawns
+    /// its workers once per *job*, not per wave (`exec.worker_starts`
+    /// stays at the pool size while `exec.waves` climbs).
+    fn with_waves<R>(&mut self, phases: impl FnOnce(&mut Self, &EngineWaves<'_, 'r>) -> R) -> R {
+        let (tracker, run) = (self.tracker, self.run);
+        let split = match &run.mode {
+            RunMode::Recompute(i) if i.split_factor() > 1 => {
+                Some((&i.partitions, i.split_factor()))
+            }
+            _ => None,
+        };
+        let slots = Arc::new(BucketSlots::new(run.spec.job, run.spec.num_reducers, split));
+        (tracker.wave_executor())
+            .with_session(|session| phases(self, &EngineWaves { session, slots }))
+    }
+
+    fn membership(&self) -> Membership {
+        self.tracker.cluster.membership()
+    }
+
+    fn policy_ctx(&self) -> PolicyCtx<'_> {
+        PolicyCtx::new(&self.tracker.tracer, Some(self.at.span))
+    }
+
+    /// The `stable` kernel routes a mapper to the live node whose chain
+    /// cache holds its input partition (job i's reducer output).
+    fn assign_maps(
+        &mut self,
+        pending: &[usize],
+        topo: &SliceTopology<'_, NodeId>,
+    ) -> Result<WaveAssignment<NodeId>> {
+        let holder = |cache: &Arc<ChainCache>, i: usize| {
+            let holder = cache.holder(&self.run.spec.input, self.inputs[i].key.pid);
+            holder.filter(|h| topo.live().contains(h))
+        };
+        let cached: Vec<Option<NodeId>> = match self.tracker.cluster.dfs().chain_cache() {
+            Some(cache) => pending.iter().map(|&i| holder(cache, i)).collect(),
+            None => Vec::new(),
+        };
+        assign_map_indices(&self.inputs, pending, topo, &cached, self.policy_ctx())
+    }
+
+    fn map_wave(
+        &mut self,
+        waves: &EngineWaves<'_, 'r>,
+        (w, capacity): (u32, u32),
+        tasks: &[(NodeId, usize)],
+        mut account: impl FnMut(MapResult) -> Result<()>,
+    ) -> Result<()> {
+        let (tracker, spec) = (self.tracker, &self.run.spec);
+        let tasks = (tasks.iter()).map(|&(node, i)| (node, self.inputs[i].clone()));
+        tracker.run_wave(
+            waves.session,
+            &self.at,
+            (Phase::Map, w, capacity),
+            tasks.collect(),
+            &mut self.report,
+            |node, task: MapTask, wave_span| {
+                let slots = Arc::clone(&waves.slots);
+                SlotTask::new(move |_: &TaskCtx| {
+                    let (idx, key) = (task.id.index as usize, task.key);
+                    let result = tracker.run_map_task(node, task, spec, &slots, w, wave_span);
+                    result.map_err(|e| (idx, key, e))
+                })
+            },
+            |outcome, report| match outcome {
+                Ok(rec) => {
+                    let job = u64::from(rec.id.job().0);
+                    let recorder = &tracker.recorder;
+                    recorder.record(EventCode::TaskDone, Some(rec.node), job, u64::from(w));
+                    report.io += rec.io;
+                    report.tasks.push(rec);
+                    report.map_tasks_run += 1;
+                    account(MapResult::Done)
+                }
+                Err((task, key, e)) => {
+                    (tracker.recorder).record(EventCode::TaskRetry, None, 0, u64::from(w));
+                    let (pid, block) = (key.pid, key.block_idx);
+                    let reason = format!("map task over {pid} block {block} kept failing: {e}");
+                    account(MapResult::Failed { task, reason })
+                }
+            },
+        )
+    }
+
+    fn reduce_wave(
+        &mut self,
+        waves: &EngineWaves<'_, 'r>,
+        (w, capacity): (u32, u32),
+        tasks: &[(NodeId, ReduceTaskId)],
+        mut account: impl FnMut(ReduceResult) -> Result<()>,
+    ) -> Result<()> {
+        let (tracker, run, at) = (self.tracker, self.run, &self.at);
+        // §IV-B2 spread-output mitigation: the plan scatters this run's
+        // recomputed reducer output blocks over all nodes instead of
+        // using the job's configured placement.
+        let placement = match &run.mode {
+            RunMode::Recompute(i) if i.spread_output => PlacementPolicy::Spread,
+            _ => run.spec.placement,
+        };
+        tracker.run_wave(
+            waves.session,
+            at,
+            (Phase::Reduce, w, capacity),
+            tasks.to_vec(),
+            &mut self.report,
+            // Called in input order after the mid-wave injection point,
+            // so which task carries each armed fault is fixed before
+            // any task runs.
+            |node, id: ReduceTaskId, wave_span| {
+                let faults = tracker.take_faults(node);
+                let input_keys = Arc::clone(&self.input_keys);
+                SlotTask::new(move |_: &TaskCtx| {
+                    let keys = input_keys.as_slice();
+                    let outcome = tracker.run_reduce_task(
+                        node, id, faults, keys, &run.spec, placement, w, wave_span,
+                    );
+                    (node, faults.torn, outcome)
+                })
+            },
+            |(node, torn, outcome), report| {
+                if torn && !matches!(outcome, ReduceOutcome::Torn { .. }) {
+                    // Failed before its write: re-arm.
+                    tracker.torn.lock().insert(node);
+                }
+                match outcome {
+                    ReduceOutcome::Done(id, rec) => {
+                        report.io += rec.io;
+                        report.tasks.push(rec);
+                        report.reduce_tasks_run += 1;
+                        account(ReduceResult::Done(id))
+                    }
+                    ReduceOutcome::Missing(corrupt) => {
+                        // Drop a corrupt output: its mapper re-runs.
+                        if let Some(key) = corrupt {
+                            tracker.cluster.map_outputs().remove(&key);
+                        }
+                        account(ReduceResult::Missing)
+                    }
+                    ReduceOutcome::Retry(id) => account(ReduceResult::Retry(id)),
+                    ReduceOutcome::Fatal(e) => Err(e),
+                    ReduceOutcome::Torn { id, node } => {
+                        // The torn writer dies at the wave boundary,
+                        // unseen by its siblings; its partition is a
+                        // loss of its own.
+                        let loss = tracker.cluster.fail_node(node);
+                        let kind = SpanKind::Loss {
+                            seq: at.seq,
+                            lost_partitions: 1,
+                        };
+                        let span = tracker.tracer.instant(kind, Some(at.span), None, loss.node);
+                        tracker.tracer.mark_cause(span);
+                        report.losses.push(loss);
+                        account(ReduceResult::Torn(id.partition))
+                    }
+                }
+            },
+        )
+    }
+
+    fn lost_partitions(&self) -> Result<BTreeSet<PartitionId>> {
+        let meta = self
+            .tracker
+            .cluster
+            .dfs()
+            .file_meta(&self.run.spec.output)?;
+        Ok((meta.partitions.iter())
+            .filter(|p| p.is_lost())
+            .map(|p| p.id)
+            .collect())
+    }
+
+    /// Admits the staged reducer outputs into the chain cache on the
+    /// control thread, in ascending partition order, so admission never
+    /// depends on worker interleaving.
+    fn commit(&mut self) -> Result<()> {
+        let (cluster, spec) = (self.tracker.cluster, &self.run.spec);
+        if !self.run.persist_map_outputs {
+            cluster.map_outputs().clear_job(spec.job);
+        }
+        if let Some(cache) = cluster.dfs().chain_cache() {
+            cache.commit(&spec.output);
+        }
+        Ok(())
     }
 }
 
@@ -1519,6 +1392,27 @@ mod tests {
                 if attempts == retries + 1),
             "{err:?}"
         );
+    }
+
+    /// An invalid plan is rejected before the run fires its `JobStart`
+    /// entries: the crash scripted onto the run never strikes, and
+    /// nothing changes (DESIGN §3.7).
+    #[test]
+    fn invalid_plan_is_rejected_before_the_job_start_fire() {
+        let cluster = Cluster::new(ClusterConfig::small_test(2));
+        let injector = crate::failure::ScriptedInjector::default();
+        injector.add(crate::failure::FailureAt {
+            seq: 1,
+            point: TriggerPoint::JobStart,
+            fault: Fault::NodeCrash(NodeId(0)),
+        });
+        let tracker = JobTracker::new(&cluster, Arc::new(injector));
+        let plan = RecomputePlan::new([99u32], None);
+        let err = tracker
+            .run(&JobRun::recompute(identity_job(2), plan), 1)
+            .unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err:?}");
+        assert!(cluster.is_alive(NodeId(0)), "the crash never fired");
     }
 
     /// Forcing mappers is the simulator's knob: the engine rejects it

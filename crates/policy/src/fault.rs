@@ -6,12 +6,12 @@
 //! (Fig. 8b/8c), the FAIL x,y pairs of Fig. 9. A [`FailureAt`] says the
 //! same thing without a clock: *which* run (`seq`, the paper's job
 //! numbering), *where* in it ([`TriggerPoint`]) and *what* ([`Fault`]).
-//! The engine's injector fires an entry at its execution point; the
-//! simulator reads a `JobStart` crash as the paper's offset (the k-th
-//! crash scripted for a run strikes 15·k s after the previous one was
-//! detected, or after the run started) and a `JobStart` drain as an
-//! instant membership change. The chain-machine model consumes the
-//! same type.
+//! Both backends fire an entry at the job machine's point
+//! ([`crate::job`]); the simulator charges a `JobStart` crash the
+//! paper's offset (the k-th crash scripted for a run strikes 15·k s
+//! after the previous one was detected, or after the run started), a
+//! wave-point crash the detection timeout from that boundary, and a
+//! drain nothing. The chain-machine model consumes the same type.
 
 use rcmp_model::NodeId;
 use serde::{Deserialize, Serialize};
@@ -19,9 +19,10 @@ use serde::{Deserialize, Serialize};
 /// Where in a job's execution a scripted fault fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum TriggerPoint {
-    /// Right after JobInit, before the first map wave (the paper's
-    /// "15 s after the start of some job" lands here or in the first
-    /// map wave for our workloads).
+    /// As the run starts: after its plan is checked and before JobInit,
+    /// so a crash here can take the run's input and cancel it (the
+    /// paper's "15 s after the start of some job" lands here or in the
+    /// first map wave for our workloads).
     JobStart,
     /// During the given map wave (0-based): fired after the wave's tasks
     /// are assigned but before they execute, so a node killed here dies

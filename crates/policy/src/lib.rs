@@ -39,6 +39,12 @@
 //!   the simulator's `chainsim` are its two backends. The loop writes
 //!   the one [`EventLog`] of [`ChainEvent`]s both report. [`Strategy`]
 //!   is the menu it runs under.
+//! * [`job`] — one job run: JobInit, the map and reduce rounds in
+//!   slot-bounded waves with their fault points, per-task retry budgets
+//!   and the damage re-check, as [`run_job`] over a [`JobBackend`]. The
+//!   engine's `JobTracker` and the simulator's `JobSim` are its two
+//!   backends, so a crash in the middle of a job replays on either
+//!   clock.
 //! * [`choose_mitigation`] — hot-spot mitigation selection (split vs
 //!   spread-output, §IV-B2) shared by the middleware and the simulator.
 //! * [`PolicyCtx`] — optional `rcmp-obs` instrumentation: every
@@ -78,6 +84,7 @@ mod cache;
 pub mod chain;
 mod fair;
 mod fault;
+pub mod job;
 mod membership;
 mod mitigation;
 mod plan;
@@ -98,6 +105,7 @@ pub use chain::{
 };
 pub use fair::{jain_index, DrrArbiter, Grant, TenantShare};
 pub use fault::{FailureAt, Fault, TriggerPoint};
+pub use job::{run_job, JobBackend, JobShape, JobTally, MapResult, ReduceResult};
 pub use membership::{rehome_target, Membership, NodeInfo, NodeStatus, Rehome};
 pub use mitigation::{choose_mitigation, HotspotMitigation, MitigationChoice, SplitPolicy};
 pub use plan::{job_init, reduce_task_set, reduce_tasks_for, InputView, MapInput, RecomputePlan};

@@ -1,9 +1,9 @@
 //! The kernel's view of a phase's task list.
 //!
 //! Tasks are addressed by index `0..len()`; the kernel returns indices
-//! and the backend maps them back onto its own task objects (the engine
-//! onto `MapTask`/`ReduceTask` structs, the simulator onto tuple
-//! arrays). The queries are exactly the facts the paper's placement
+//! and the caller maps them back onto its own tasks (the engine onto
+//! `MapTask` structs, the simulator onto its input blocks, the job
+//! machine onto reducer ids). The queries are exactly the facts the paper's placement
 //! policies consume: which node holds a map input block (and which copy
 //! is the primary), and which partition a reduce task belongs to.
 

@@ -6,33 +6,31 @@
 //! replication points — is `rcmp_policy::drive_chain`, the loop the
 //! real middleware runs. This module is its simulator backend: it
 //! answers the planner's lineage questions from the sim state's
-//! placement and map-output validity, runs jobs through [`JobSim`], and
-//! charges simulated seconds. The fault script is the engine's
-//! ([`FailureAt`]); the simulator has no wave clock, so it replays
-//! `JobStart` entries only. The k-th crash scripted for a run strikes
-//! 15·k s after the previous one was detected (after the run started,
-//! for the first) and wastes that offset plus `detect_timeout`, then
-//! the job is discarded and restarted (§V-A). A drain takes no time.
-//! The loop's event log is stamped in simulated seconds, and a loss's
-//! fault and detection stamps lie `detect_timeout` apart.
+//! placement and map-output validity, runs jobs through [`JobSim`] —
+//! the job machine `rcmp_policy::run_job`, as the engine's tracker
+//! does — and charges simulated seconds. The fault script is the
+//! engine's ([`FailureAt`]), and its crashes and drains fire at the
+//! machine's points on both clocks. The k-th crash scripted for a run's
+//! `JobStart` strikes 15·k s after the previous one was detected (after
+//! the run started, for the first) and wastes that offset plus
+//! `detect_timeout`, then the job is discarded and restarted (§V-A); a
+//! crash at a wave boundary strikes there and costs `detect_timeout`.
+//! A drain takes no time. The loop's event log is stamped in simulated
+//! seconds, and a loss's fault and detection stamps lie
+//! `detect_timeout` apart.
 
 use crate::hw::HwProfile;
-use crate::jobsim::JobSim;
-use crate::report::{SimChainReport, SimJobReport};
+use crate::jobsim::{sim_time, JobSim, Script};
+use crate::report::SimChainReport;
 use crate::state::{file_path, SimState};
 use crate::workload::WorkloadCfg;
 use rcmp_model::{ChainCacheConfig, Error, JobId, PlacementKernel, Result, RetryPolicy};
 use rcmp_policy::{
-    drive_chain, ChainBackend, ChainConfig, Clock, Fault, InputView, LineageView, Loss, Membership,
-    Reclaimed, RecoveryStep, RunOutcome, Stamp, Strategy, TaskCounts, TriggerPoint,
+    drive_chain, ChainBackend, ChainConfig, Fault, InputView, LineageView, Membership, Reclaimed,
+    RecomputePlan, RecoveryStep, RunOutcome, Stamp, Strategy, TaskCounts,
 };
-use std::collections::BTreeSet;
 
 pub use rcmp_policy::FailureAt;
-
-/// Seconds into a run the paper injects its failure (§V-A); the k-th
-/// crash scripted for one run is charged `k` times this.
-const CRASH_OFFSET: f64 = 15.0;
 
 /// Chain simulation configuration.
 #[derive(Clone, Debug)]
@@ -106,14 +104,6 @@ impl ChainSimConfig {
     }
 }
 
-/// A reading of the simulated clock.
-fn sim_time(at: f64) -> Stamp {
-    Stamp {
-        clock: Clock::SimSeconds,
-        at,
-    }
-}
-
 /// Bound on chain restarts, recovery cycles per job and replans per
 /// recovery — the engine's `ClusterConfig::max_recovery_attempts`.
 const MAX_ATTEMPTS: u32 = 100;
@@ -132,12 +122,11 @@ pub fn simulate_chain(cfg: &ChainSimConfig) -> SimChainReport {
 /// exhausted, or a scripted fault the simulator cannot replay
 /// ([`Error::Config`]).
 pub fn try_simulate_chain(cfg: &ChainSimConfig) -> Result<SimChainReport> {
-    if let Some(f) = cfg.failures.iter().find(|f| {
-        f.point != TriggerPoint::JobStart
-            || !matches!(f.fault, Fault::NodeCrash(_) | Fault::NodeDrain { .. })
-    }) {
+    let replayable =
+        |f: &&FailureAt| matches!(f.fault, Fault::NodeCrash(_) | Fault::NodeDrain { .. });
+    if let Some(f) = cfg.failures.iter().find(|f| !replayable(f)) {
         return Err(Error::Config(format!(
-            "the simulator replays JobStart crashes and drains only, not {f:?}"
+            "the simulator replays crashes and drains only, not {f:?}"
         )));
     }
     let mut runner = Runner::new(cfg);
@@ -186,63 +175,58 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// Applies the faults scripted for run `seq`, in script order: a
-    /// crash (the paper's FAIL X,X case injects two in the same job)
-    /// is one [`Loss`], a drain is skipped unless
-    /// [`Membership::drainable`] allows it. The work until a crash's
-    /// detection is wasted: the paper's RCMP discards partial results,
-    /// and the same accounting applies to every strategy — a ~45 s
-    /// symmetric penalty for the first crash.
-    fn inject_failures(&mut self, seq: u64) -> Result<Vec<Loss>> {
-        let mut losses = Vec::new();
-        for f in self.cfg.failures.iter().filter(|f| f.seq == seq) {
-            match f.fault {
-                Fault::NodeCrash(node) => {
-                    let offset = CRASH_OFFSET * (losses.len() + 1) as f64;
-                    let fault = sim_time(self.t + offset);
-                    self.t += offset + self.cfg.hw.detect_timeout;
-                    let lost = self.state.fail_node(node.raw());
-                    losses.push(Loss {
-                        node: Some(node),
-                        lost_partitions: lost.values().map(BTreeSet::len).sum(),
-                        fault,
-                        detected: self.now(),
-                    });
-                }
-                Fault::NodeDrain { node } if self.state.membership().drainable(node.raw()) => {
-                    self.state.drain_node(node.raw())?;
-                }
-                _ => {}
-            }
-        }
-        Ok(losses)
-    }
-
-    /// A run's outcome: what a finished run executed, charged to the
-    /// clock, or a cancellation when JobInit found its input lost —
-    /// what `EngineChain::execute` makes of the tracker's result.
-    fn outcome(
+    /// Runs `job` through [`JobSim`] with the faults scripted for run
+    /// `seq` fired at its points, and charges the clock: a run that
+    /// finishes its duration, a cancelled one the time until its input
+    /// was found lost. The work until a crash's detection is wasted:
+    /// the paper's RCMP discards partial results, and the same
+    /// accounting applies to every strategy — a ~45 s symmetric penalty
+    /// for the first `JobStart` crash. A cancellation (JobInit found the
+    /// input lost) is what `EngineChain::execute` makes of the
+    /// tracker's `JobInputLost`.
+    fn run(
         &mut self,
         seq: u64,
-        run: Result<SimJobReport>,
-        losses: Vec<Loss>,
+        job: JobId,
+        plan: Option<&RecomputePlan>,
+        replication: u32,
     ) -> Result<RunOutcome> {
-        let mut rep = match run {
-            Ok(rep) => rep,
-            Err(Error::JobInputLost { .. }) => return Ok(RunOutcome::cancelled(losses)),
+        let entries: Vec<FailureAt> = (self.cfg.failures.iter())
+            .filter(|f| f.seq == seq)
+            .copied()
+            .collect();
+        let mut script = Script {
+            entries: &entries,
+            task_retries: self.cfg.retry.task_retries,
+            clock: self.t,
+            ..Script::default()
+        };
+        let persist = self.cfg.strategy.persists_outputs();
+        let (js, state) = (&self.js, &mut self.state);
+        let run = js.run_scripted(state, job.0, plan, replication, persist, &mut script);
+        self.t = script.clock;
+        let completed = match run {
+            Ok(mut rep) => {
+                rep.seq = seq;
+                self.t += rep.duration;
+                let tasks = TaskCounts {
+                    map_tasks_run: rep.mappers_run,
+                    map_tasks_reused: rep.mappers_reused,
+                    reduce_tasks_run: rep.reduce_tasks_run,
+                };
+                self.report.runs.push(rep);
+                Some(tasks)
+            }
+            Err(Error::JobInputLost { .. }) => {
+                self.t += script.elapsed;
+                None
+            }
             Err(e) => return Err(e),
         };
-        rep.seq = seq;
-        self.t += rep.duration;
-        let tasks = TaskCounts {
-            map_tasks_run: rep.mappers_run,
-            map_tasks_reused: rep.mappers_reused,
-            reduce_tasks_run: rep.reduce_tasks_run,
-        };
-        self.report.runs.push(rep);
+        let losses = script.losses;
         Ok(RunOutcome {
             losses,
-            completed: Some(tasks),
+            completed,
             resumed: false,
         })
     }
@@ -255,8 +239,8 @@ impl LineageView for Runner<'_> {
     }
 
     fn input(&self, job: JobId) -> Result<InputView> {
-        let block = self.cfg.wl.block_size.as_u64();
-        Ok(self.state.map_inputs(job.0, block).1)
+        let blocks = (self.state).input_blocks(job.0, self.cfg.wl.block_size.as_u64());
+        Ok(self.state.input_view(job.0, &blocks))
     }
 
     fn survivors(&self) -> usize {
@@ -282,18 +266,8 @@ impl ChainBackend for Runner<'_> {
     /// One full attempt of the job: the simulator always discards a
     /// cancelled job's partial results (§V-A), so a retry is a full run.
     fn run_job(&mut self, seq: u64, job: JobId, _retry: bool) -> Result<RunOutcome> {
-        let losses = self.inject_failures(seq)?;
-        if self.state.membership().schedulable().is_empty() {
-            return Err(Error::NoLiveNodes);
-        }
-        let strategy = self.cfg.strategy;
-        let run = self.js.run_full(
-            &mut self.state,
-            job.0,
-            strategy.output_replication(),
-            strategy.persists_outputs(),
-        );
-        self.outcome(seq, run, losses)
+        let replication = self.cfg.strategy.output_replication();
+        self.run(seq, job, None, replication)
     }
 
     /// A crash scripted onto a recovery run cancels it when a mapper
@@ -301,15 +275,7 @@ impl ChainBackend for Runner<'_> {
     /// every run; a crash that spares that input leaves the step running
     /// on the survivors, and the loop replans after it.
     fn run_recompute(&mut self, seq: u64, step: RecoveryStep) -> Result<RunOutcome> {
-        let losses = self.inject_failures(seq)?;
-        if !losses.is_empty() && self.state.membership().schedulable().is_empty() {
-            return Err(Error::NoLiveNodes);
-        }
-        let persist = self.cfg.strategy.persists_outputs();
-        let run = self
-            .js
-            .run_recompute(&mut self.state, step.job.0, &step.instructions, persist);
-        self.outcome(seq, run, losses)
+        self.run(seq, step.job, Some(&step.instructions), 1)
     }
 
     /// The delay the engine sleeps shows up as simulated time.
@@ -359,7 +325,7 @@ impl ChainBackend for Runner<'_> {
 mod tests {
     use super::*;
     use rcmp_model::{ByteSize, SlotConfig};
-    use rcmp_policy::{ChainEvent, SplitPolicy};
+    use rcmp_policy::{ChainEvent, SplitPolicy, TriggerPoint};
 
     fn wl_small() -> WorkloadCfg {
         WorkloadCfg {
@@ -529,13 +495,73 @@ mod tests {
         run(Strategy::rcmp_no_split(), kills);
     }
 
+    /// Every node killed as run 1 starts: JobInit finds the input lost
+    /// and cancels the run, and the planner ends the chain in typed data
+    /// loss on the external input — what the engine does (the machine
+    /// checks for a live node per phase, after JobInit, on both clocks).
     #[test]
-    #[should_panic(expected = "no live nodes")]
-    fn fully_dead_cluster_is_typed_no_live_nodes() {
+    #[should_panic(expected = "irreversible data loss: input partition")]
+    fn fully_dead_cluster_is_typed_data_loss_on_the_input() {
         let kills = (0..wl_small().nodes)
             .map(|n| FailureAt::at_job(1, n))
             .collect();
         run(Strategy::rcmp_no_split(), kills);
+    }
+
+    /// A run checks its plan before it fires its `JobStart` entries, on
+    /// both clocks (the engine's
+    /// `invalid_plan_is_rejected_before_the_job_start_fire`): the crash
+    /// scripted onto a run with an invalid plan never strikes.
+    #[test]
+    fn job_start_fire_and_plan_validation_order() {
+        let cfg = ChainSimConfig::new(HwProfile::stic(), wl_small(), Strategy::rcmp_no_split())
+            .with_failures(vec![FailureAt::at_job(1, 0)]);
+        let mut runner = Runner::new(&cfg);
+        let step = RecoveryStep {
+            job: JobId(1),
+            instructions: rcmp_policy::RecomputePlan::new([99u32], None),
+        };
+        let err = runner.run_recompute(1, step).unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err}");
+        assert!(runner.state.is_alive(0), "the crash never fired");
+    }
+
+    /// A crash at a wave boundary strikes there: its fault stamp lies
+    /// past the run's start by the run's waves so far, and it is
+    /// detected `detect_timeout` later. The fault shapes the simulator
+    /// has no model for are a configuration error, at any point.
+    #[test]
+    fn wave_point_crashes_replay_and_other_shapes_are_config() {
+        let node = rcmp_model::NodeId(1);
+        let at = |point, fault| FailureAt {
+            seq: 2,
+            point,
+            fault,
+        };
+        let crash = at(TriggerPoint::AfterMapWave(0), Fault::NodeCrash(node));
+        let r = run(Strategy::rcmp_no_split(), vec![crash]);
+        let (started, fault, detected) =
+            (r.events.stamped()).fold((0.0, 0.0, 0.0), |acc, (fault, at, e)| match e {
+                ChainEvent::JobStarted { seq: 2, .. } => (at, acc.1, acc.2),
+                ChainEvent::LossObserved { .. } => (acc.0, fault, at),
+                _ => acc,
+            });
+        assert!(fault > started, "{started} {fault}");
+        let timeout = HwProfile::stic().detect_timeout;
+        assert!(
+            (detected - fault - timeout).abs() < 1e-9,
+            "{fault} {detected}"
+        );
+        for fault in [
+            Fault::CorruptReplica { node },
+            Fault::TornWrite { node },
+            Fault::ShuffleFlake { node, times: 1 },
+        ] {
+            let cfg = ChainSimConfig::new(HwProfile::stic(), wl_small(), Strategy::rcmp_no_split())
+                .with_failures(vec![at(TriggerPoint::MidReduceWave(0), fault)]);
+            let err = try_simulate_chain(&cfg).map(|_| ()).unwrap_err();
+            assert!(matches!(err, Error::Config(_)), "{fault:?}: {err}");
+        }
     }
 
     /// A crash scripted onto every run from run 4 on, all of the node

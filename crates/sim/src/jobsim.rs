@@ -22,14 +22,15 @@
 use crate::hw::HwProfile;
 use crate::report::SimJobReport;
 use crate::speculate::{speculate_wave, SpeculationCfg, WaveTask};
-use crate::state::{file_path, InputBlock, MapOutputRec, Node, Segment, SimState};
+use crate::state::{file_path, InputBlock, MapOutputRec, Node, Segment, SimPartition, SimState};
 use crate::workload::WorkloadCfg;
-use rcmp_model::{JobId, PlacementKernel, Result};
+use rcmp_model::{JobId, NodeId, PartitionId, PlacementKernel, ReduceTaskId, Result};
 use rcmp_policy::{
-    assign_map_waves, assign_reduce_waves, block_key, job_init, reduce_task_set, replica_targets,
-    segment_key, FnReduceTasks, MapTaskSet, PlacementPolicy, PolicyCtx, SliceTopology,
+    assign_map_waves, block_key, replica_targets, run_job, segment_key, Clock, FailureAt, Fault,
+    InputView, JobBackend, JobShape, JobTally, Loss, MapResult, MapTaskSet, Membership,
+    PlacementPolicy, PolicyCtx, ReduceResult, SliceTopology, Stamp, TriggerPoint, WaveAssignment,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Instructions for a recomputation run. This *is* the shared
 /// [`rcmp_policy::RecomputePlan`] — the same type the engine consumes as
@@ -66,21 +67,21 @@ struct MapTaskView<'a> {
     noncollocated: bool,
 }
 
-impl MapTaskSet<Node> for MapTaskView<'_> {
+impl MapTaskSet<NodeId> for MapTaskView<'_> {
     fn len(&self) -> usize {
         self.to_run.len()
     }
 
-    fn is_primary_holder(&self, task: usize, node: Node) -> bool {
-        !self.noncollocated && self.all[self.to_run[task]].holders.first() == Some(&node)
+    fn is_primary_holder(&self, task: usize, node: NodeId) -> bool {
+        !self.noncollocated && self.all[self.to_run[task]].holders.first() == Some(&node.raw())
     }
 
-    fn holds_replica(&self, task: usize, node: Node) -> bool {
-        !self.noncollocated && self.all[self.to_run[task]].holders.contains(&node)
+    fn holds_replica(&self, task: usize, node: NodeId) -> bool {
+        !self.noncollocated && self.all[self.to_run[task]].holders.contains(&node.raw())
     }
 
-    fn cache_holder(&self, task: usize) -> Option<Node> {
-        self.cache_src[task]
+    fn cache_holder(&self, task: usize) -> Option<NodeId> {
+        self.cache_src[task].map(NodeId)
     }
 }
 
@@ -115,9 +116,10 @@ impl JobSim {
     }
 
     /// Full (initial or restarted) run of `job`. Fails with
-    /// [`rcmp_model::Error::NoLiveNodes`] on a fully-dead cluster, and
-    /// with [`rcmp_model::Error::JobInputLost`] — before it discards
-    /// anything — when its input is lost.
+    /// [`rcmp_model::Error::JobInputLost`] — before it discards
+    /// anything — when its input is lost, and with
+    /// [`rcmp_model::Error::NoLiveNodes`] when no node can take its
+    /// tasks.
     pub fn run_full(
         &self,
         state: &mut SimState,
@@ -125,15 +127,23 @@ impl JobSim {
         replication: u32,
         persist: bool,
     ) -> Result<SimJobReport> {
-        self.run(state, job, None, replication, persist)
+        self.run_scripted(
+            state,
+            job,
+            None,
+            replication,
+            persist,
+            &mut Script::default(),
+        )
     }
 
     /// RCMP recomputation run. Fails with [`rcmp_model::Error::Config`]
     /// or [`rcmp_model::Error::UnsplittableJob`] on a plan the engine
     /// rejects too ([`RecomputeSpec::validate`]; simulated jobs are
-    /// splittable), with [`rcmp_model::Error::NoLiveNodes`] on a
-    /// fully-dead cluster, and with [`rcmp_model::Error::JobInputLost`]
-    /// when a mapper it must re-run lost its input.
+    /// splittable), with [`rcmp_model::Error::JobInputLost`] when a
+    /// mapper it must re-run lost its input, and with
+    /// [`rcmp_model::Error::NoLiveNodes`] when no node can take its
+    /// tasks.
     pub fn run_recompute(
         &self,
         state: &mut SimState,
@@ -141,466 +151,688 @@ impl JobSim {
         spec: &RecomputeSpec,
         persist: bool,
     ) -> Result<SimJobReport> {
-        spec.validate(JobId(job), self.wl.num_reducers, true)?;
-        self.run(state, job, Some(spec), 1, persist)
+        self.run_scripted(state, job, Some(spec), 1, persist, &mut Script::default())
     }
 
-    /// One run: [`job_init`] first, so a cancelled run leaves the state
-    /// as it found it, then a full run's discard, then the run with its
-    /// input pinned in the chain cache (the tracker's `ChainCachePin`),
-    /// so its own output cannot evict the partitions it reads.
-    fn run(
+    /// One run through the job machine ([`rcmp_policy::run_job`]), with
+    /// `script`'s entries fired at its points.
+    pub(crate) fn run_scripted(
         &self,
         state: &mut SimState,
         job: u32,
-        recompute: Option<&RecomputeSpec>,
+        plan: Option<&RecomputeSpec>,
         replication: u32,
         persist: bool,
+        script: &mut Script<'_>,
     ) -> Result<SimJobReport> {
-        let (all, input) = state.map_inputs(job, self.wl.block_size.as_u64());
-        let to_run = job_init(JobId(job), recompute, &input)?;
-        if recompute.is_none() {
-            // A restarted job discards partial results (§V-A) —
-            // including any chain-cached copies of the discarded output
-            // (the engine's `delete_file` invalidation hook).
-            state.clear_job_outputs(job);
-            if let Some(f) = state.files.get_mut(&job) {
-                f.partitions.clear();
-            }
-            if let Some(c) = state.chain_cache.as_mut() {
-                c.invalidate_file(&job);
-            }
-        }
-        let input_file = job - 1;
-        if let Some(c) = state.chain_cache.as_mut() {
-            c.pin(&input_file);
-        }
-        let result = self.run_pinned(state, job, recompute, replication, persist, &all, &to_run);
-        if let Some(c) = state.chain_cache.as_mut() {
-            c.unpin(&input_file);
-        }
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_pinned(
-        &self,
-        state: &mut SimState,
-        job: u32,
-        recompute: Option<&RecomputeSpec>,
-        replication: u32,
-        persist: bool,
-        all_tasks: &[InputBlock],
-        to_run: &[usize],
-    ) -> Result<SimJobReport> {
-        let hw = &self.hw;
-        let wl = &self.wl;
-        let input_file = job - 1;
-        // A membership snapshot for this run's scheduling decisions —
-        // mid-run transitions (none today) would only affect later runs,
-        // matching the engine's snapshot-per-phase behaviour.
-        let membership = state.membership().clone();
-        let live = membership.schedulable();
-        let ctx = PolicyCtx::disabled();
-
-        let mut report = SimJobReport {
+        let shape = JobShape {
+            job: JobId(job),
+            num_reducers: self.wl.num_reducers,
+            output_replication: replication,
+            splittable: true,
+            plan,
+            slots: self.wl.slots,
+            kernel: self.placement,
+            task_retries: script.task_retries,
+        };
+        let report = SimJobReport {
             job,
-            recompute: recompute.is_some(),
+            recompute: plan.is_some(),
             ..SimJobReport::default()
         };
+        let mut run = SimRun {
+            js: self,
+            state,
+            job,
+            plan,
+            replication,
+            persist,
+            script,
+            all: Vec::new(),
+            map_phase: 0.0,
+            reduce_phase: 0.0,
+            detect_secs: 0.0,
+            outputs_lost: false,
+            report,
+            staged: BTreeMap::new(),
+            cache_writers: BTreeMap::new(),
+        };
+        let mut tally = JobTally::default();
+        let result = run_job(&mut run, &shape, &mut tally);
+        run.report.mappers_reused = tally.map_tasks_reused;
+        run.script.elapsed = run.elapsed();
+        result.map(|()| run.report)
+    }
+}
 
-        report.mappers_reused = all_tasks.len() - to_run.len();
-        report.mappers_run = to_run.len();
+/// One run's fault script and the chain clock. In: the entries scripted
+/// for the run, the per-task retry budget and the clock at the run's
+/// start. Out: the clock after its `JobStart` crashes, one loss per
+/// crash in firing order, and the seconds it spent in waves and in
+/// detecting wave-point crashes — what a cancelled run charges. A plain
+/// run has no entries, so none of its tasks can fail.
+#[derive(Default)]
+pub(crate) struct Script<'a> {
+    pub entries: &'a [FailureAt],
+    pub task_retries: u32,
+    pub clock: f64,
+    pub losses: Vec<Loss>,
+    pub elapsed: f64,
+}
 
-        // ---------------- map phase -------------------------------------
-        let mut map_phase = 0.0f64;
-        let noncol = self.noncollocated;
-        // Chain-cache affinity: which node holds each task's input
-        // partition in memory. The kernel routes tasks to it under the
-        // `Stable` kernel (as the engine tracker does); reads use it
-        // whenever the cache is on.
-        let cache_src: Vec<Option<Node>> = to_run
-            .iter()
-            .map(|&i| {
-                state
-                    .cache_holder(input_file, all_tasks[i].pid)
-                    .filter(|&h| state.is_alive(h) && !noncol)
-            })
+/// A reading of the simulated clock.
+pub(crate) fn sim_time(at: f64) -> Stamp {
+    Stamp {
+        clock: Clock::SimSeconds,
+        at,
+    }
+}
+
+/// Seconds into a run the paper injects its failure (§V-A); the k-th
+/// crash scripted for one run's `JobStart` is charged `k` times this.
+const CRASH_OFFSET: f64 = 15.0;
+
+/// Paper §V-D: the SLOW SHUFFLE delay applies per transfer, serialized
+/// over the copier window (Hadoop fetches ~5 map outputs at a time), so
+/// it scales with the number of sources.
+const PARALLEL_COPIES: f64 = 5.0;
+
+/// Map outputs are served through a bounded copier window (~5
+/// concurrent segment fetches per serving disk in Hadoop), so — unlike
+/// the map phase's simultaneous whole-block reads, which are the
+/// hot-spot mechanism — shuffle serving never degenerates into an N-way
+/// seek storm.
+const COPIER_WINDOW: usize = 5;
+
+/// The reducer output of one partition until its last task's wave ends.
+#[derive(Default)]
+struct Staged {
+    segments: Vec<Segment>,
+    bytes: u64,
+    tasks: u32,
+}
+
+/// One job run: the simulator's side of [`rcmp_policy::run_job`]. Each
+/// wave charges its cost-model duration; the script's crashes and
+/// drains apply to the state at the machine's points.
+struct SimRun<'a, 's> {
+    js: &'a JobSim,
+    state: &'a mut SimState,
+    job: u32,
+    plan: Option<&'a RecomputeSpec>,
+    replication: u32,
+    persist: bool,
+    script: &'a mut Script<'s>,
+    /// The latest input snapshot's blocks.
+    all: Vec<InputBlock>,
+    map_phase: f64,
+    reduce_phase: f64,
+    /// Detection time of the run's wave-point crashes.
+    detect_secs: f64,
+    /// A crash took a map output of this job since the last input
+    /// snapshot: every reducer's shuffle finds it missing.
+    outputs_lost: bool,
+    report: SimJobReport,
+    staged: BTreeMap<u32, Staged>,
+    /// Writer of each whole-partition reduce task: the chain cache only
+    /// admits whole reducer outputs (the engine's `split.is_none()`
+    /// staging guard).
+    cache_writers: BTreeMap<u32, Node>,
+}
+
+impl SimRun<'_, '_> {
+    /// Seconds into the run, job overhead aside.
+    fn elapsed(&self) -> f64 {
+        self.map_phase + self.reduce_phase + self.detect_secs
+    }
+
+    /// Where mapper `t`'s input comes from: the chain-cache holder's
+    /// memory when the partition is cached (on a live node, and storage
+    /// is collocated).
+    fn cache_source(&self, t: &InputBlock) -> Option<Node> {
+        let holder = self.state.cache_holder(self.job - 1, t.pid);
+        holder.filter(|&h| self.state.is_alive(h) && !self.js.noncollocated)
+    }
+}
+
+impl JobBackend for SimRun<'_, '_> {
+    type Waves<'w>
+        = ()
+    where
+        Self: 'w;
+
+    /// A crash kills its node now. At `JobStart` the k-th one strikes
+    /// 15·k s after the previous one was detected (after the run
+    /// started, for the first), the paper's injection; at a wave point
+    /// it strikes there. It is detected `detect_timeout` later, and the
+    /// run pays the wait. A drain is free, and skipped unless
+    /// [`rcmp_policy::Membership::drainable`] allows it.
+    fn fire(&mut self, point: TriggerPoint) -> bool {
+        let detect = self.js.hw.detect_timeout;
+        let mut killed = false;
+        for f in self.script.entries.iter().filter(|f| f.point == point) {
+            match f.fault {
+                Fault::NodeCrash(node) => {
+                    let (elapsed, script) = (self.elapsed(), &mut *self.script);
+                    let (fault, detected) = if point == TriggerPoint::JobStart {
+                        let offset = CRASH_OFFSET * (script.losses.len() + 1) as f64;
+                        let fault = script.clock + offset;
+                        script.clock += offset + detect;
+                        (fault, script.clock)
+                    } else {
+                        let fault = script.clock + elapsed;
+                        self.detect_secs += detect;
+                        (fault, fault + detect)
+                    };
+                    let outputs = self.state.map_outputs.range((self.job, 0, 0)..);
+                    let mut outputs = outputs.take_while(|((job, ..), _)| *job == self.job);
+                    self.outputs_lost |= outputs.any(|(_, rec)| rec.node == node.raw());
+                    let lost = self.state.fail_node(node.raw());
+                    self.script.losses.push(Loss {
+                        node: Some(node),
+                        lost_partitions: lost.values().map(BTreeSet::len).sum(),
+                        fault: sim_time(fault),
+                        detected: sim_time(detected),
+                    });
+                    killed = true;
+                }
+                Fault::NodeDrain { node } if self.state.membership().drainable(node.raw()) => {
+                    let _ = self.state.drain_node(node.raw());
+                }
+                _ => {}
+            }
+        }
+        killed
+    }
+
+    fn input(&mut self) -> Result<InputView> {
+        // The input file does not change while its reader runs: its
+        // blocks are read once, their liveness and outputs every time.
+        if self.all.is_empty() {
+            let block_size = self.js.wl.block_size.as_u64();
+            self.all = self.state.input_blocks(self.job, block_size);
+        }
+        self.outputs_lost = false;
+        Ok(self.state.input_view(self.job, &self.all))
+    }
+
+    /// A restarted job discards partial results (§V-A), including any
+    /// chain-cached copies of the discarded output (the engine's
+    /// `delete_file` invalidation hook), and starts from unwritten
+    /// partitions.
+    fn discard_output(&mut self) -> Result<()> {
+        let job = self.job;
+        self.state.clear_job_outputs(job);
+        let file = self.state.files.entry(job).or_default();
+        file.partitions.clear();
+        (file.partitions).resize(self.js.wl.num_reducers as usize, SimPartition::default());
+        if let Some(c) = self.state.chain_cache.as_mut() {
+            c.invalidate_file(&job);
+        }
+        Ok(())
+    }
+
+    fn clear(&mut self, partitions: &BTreeSet<PartitionId>) -> Result<()> {
+        for p in partitions {
+            self.staged.remove(&p.raw());
+            self.state.clear_partition(self.job, p.raw());
+        }
+        Ok(())
+    }
+
+    /// The run's input stays pinned in the chain cache while it runs
+    /// and commits (the tracker's `ChainCachePin`), so its own output
+    /// cannot evict the partitions it reads.
+    fn with_waves<R>(&mut self, phases: impl FnOnce(&mut Self, &()) -> R) -> R {
+        let input = self.job - 1;
+        if let Some(c) = self.state.chain_cache.as_mut() {
+            c.pin(&input);
+        }
+        let out = phases(self, &());
+        if let Some(c) = self.state.chain_cache.as_mut() {
+            c.unpin(&input);
+        }
+        out
+    }
+
+    fn membership(&self) -> Membership {
+        self.state.membership().clone()
+    }
+
+    /// Chain-cache affinity: which node holds each task's input
+    /// partition in memory. The kernel routes tasks to it under the
+    /// `Stable` kernel, as the engine tracker does.
+    fn assign_maps(
+        &mut self,
+        pending: &[usize],
+        topo: &SliceTopology<'_, NodeId>,
+    ) -> Result<WaveAssignment<NodeId>> {
+        let cache_src: Vec<Option<Node>> = (pending.iter())
+            .map(|&i| self.cache_source(&self.all[i]))
             .collect();
         let view = MapTaskView {
-            all: all_tasks,
-            to_run,
+            all: &self.all,
+            to_run: pending,
             cache_src: &cache_src,
-            noncollocated: noncol,
+            noncollocated: self.js.noncollocated,
         };
-        let topo = SliceTopology::for_kernel(&live, wl.slots.map, self.placement, &membership);
-        let waves = assign_map_waves(&topo, &view, ctx)?;
-        report.map_waves = waves.len() as u32;
-        for wave in &waves {
-            // Source per task: the chain-cache holder's memory when the
-            // partition is cached; else own node if it holds a live
-            // replica; else rotate over the live holders so concurrent
-            // remote readers of one partition spread across its replicas.
-            let assignments: Vec<(Node, &InputBlock, Node, bool)> = wave
-                .iter()
-                .map(|&(node, ti)| {
-                    let t = &all_tasks[to_run[ti]];
-                    if let Some(h) = cache_src[ti] {
-                        return (node, t, h, true);
-                    }
-                    let src =
-                        if !self.noncollocated && t.holders.contains(&node) && state.is_alive(node)
-                        {
-                            node
-                        } else {
-                            let live_holders: Vec<Node> = t
-                                .holders
-                                .iter()
-                                .copied()
-                                .filter(|&h| state.is_alive(h))
-                                .collect();
-                            // Invariant: `job_init` (in `run`) cancels on an unreadable block.
-                            assert!(
-                                !live_holders.is_empty(),
-                                "job_init guarantees readable input"
-                            );
-                            live_holders[t.blk as usize % live_holders.len()]
-                        };
-                    (node, t, src, false)
-                })
-                .collect();
-            // Per-node stream counts this wave. Collocated clusters
-            // share one disk per node between input reads and map-output
-            // writes; the non-collocated deployment has distinct storage
-            // and compute tiers, so the two kinds of streams never
-            // contend with each other. Cached reads come from memory and
-            // never touch the source disk.
-            let mut read_streams: BTreeMap<Node, usize> = BTreeMap::new();
-            let mut write_streams: BTreeMap<Node, usize> = BTreeMap::new();
-            let mut net_out: BTreeMap<Node, usize> = BTreeMap::new();
-            for (node, _, src, from_cache) in &assignments {
-                if !from_cache {
-                    *read_streams.entry(*src).or_insert(0) += 1;
-                }
-                *write_streams.entry(*node).or_insert(0) += 1;
-                if self.noncollocated || src != node {
-                    *net_out.entry(*src).or_insert(0) += 1;
-                }
-            }
-            let read_contention = |src: Node| {
-                read_streams.get(&src).copied().unwrap_or(0)
-                    + if self.noncollocated {
-                        0
-                    } else {
-                        write_streams.get(&src).copied().unwrap_or(0)
-                    }
-            };
-            let write_contention = |node: Node| {
-                write_streams.get(&node).copied().unwrap_or(0)
-                    + if self.noncollocated {
-                        0
-                    } else {
-                        read_streams.get(&node).copied().unwrap_or(0)
-                    }
-            };
-            let mut wave_tasks: Vec<WaveTask> = Vec::with_capacity(assignments.len());
-            for (node, t, src, from_cache) in &assignments {
-                let mut read_time = if *from_cache {
-                    // Memory-resident partition: zero disk work, zero
-                    // re-decode — the M3R fast path. A non-holder reader
-                    // still crosses the network.
-                    report.cache_hits += 1;
-                    report.cache_read_bytes += t.bytes;
-                    if src == node {
-                        report.cache_hits_local += 1;
-                    }
-                    t.bytes as f64 / hw.mem_read_bw
-                } else {
-                    let read_bw = hw.disk_stream_bw(hw.disk_read_bw, read_contention(*src));
-                    t.bytes as f64 / read_bw
-                };
-                if self.noncollocated || src != node {
-                    let net_bw = hw.nic_stream_bw(net_out.get(src).copied().unwrap_or(1).max(1));
-                    read_time = read_time.max(t.bytes as f64 / net_bw);
-                    report.io.map_input_remote += t.bytes;
-                } else {
-                    report.io.map_input_local += t.bytes;
-                }
-                let cpu = t.bytes as f64 * hw.map_cpu_per_byte;
-                let out_bytes = (t.bytes as f64 * wl.map_ratio) as u64;
-                let write_bw = hw.disk_stream_bw(hw.disk_write_bw, write_contention(*node));
-                let write_time = out_bytes as f64 / write_bw;
-                let dur = hw.task_overhead + read_time + cpu + write_time;
-                // A speculative duplicate could read from another live
-                // replica, uncontended (it launches after the wave's
-                // bulk finished). With single-replicated input there is
-                // no alternate — the paper's point about replication
-                // being a prerequisite for input-bound speculation.
-                let alt = t
-                    .holders
-                    .iter()
-                    .any(|&h| h != *src && state.is_alive(h))
-                    .then(|| {
-                        hw.task_overhead
-                            + t.bytes as f64 / hw.disk_stream_bw(hw.disk_read_bw, 1)
-                            + cpu
-                            + write_time
-                    });
-                // Healthy baseline: a local task whose node disk serves
-                // its own slots' reads + writes (2 streams per map slot)
-                // — the progress rate Hadoop considers normal.
-                let healthy_streams = (2 * wl.slots.map).max(1) as usize;
-                let uncontended = hw.task_overhead
-                    + t.bytes as f64 / hw.disk_stream_bw(hw.disk_read_bw, healthy_streams)
-                    + cpu
-                    + out_bytes as f64 / hw.disk_stream_bw(hw.disk_write_bw, healthy_streams);
-                wave_tasks.push(WaveTask {
-                    duration: dur,
-                    uncontended,
-                    alt_duration: alt,
-                });
-                state.record_map_output(
-                    (job, t.pid, t.blk),
-                    MapOutputRec {
-                        node: *node,
-                        input_version: t.version,
-                        bytes: out_bytes,
-                    },
-                );
-            }
-            let wave_time = match &self.speculation {
-                Some(cfg) => {
-                    let (effective, stats) = speculate_wave(cfg, &wave_tasks);
-                    report.speculation.add(&stats);
-                    report.mapper_durations.extend_from_slice(&effective);
-                    effective.iter().copied().fold(0.0f64, f64::max)
-                }
-                None => {
-                    let durs: Vec<f64> = wave_tasks.iter().map(|t| t.duration).collect();
-                    report.mapper_durations.extend_from_slice(&durs);
-                    durs.iter().copied().fold(0.0f64, f64::max)
-                }
-            };
-            map_phase += wave_time;
-        }
+        assign_map_waves(topo, &view, PolicyCtx::disabled())
+    }
 
-        // ---------------- reduce task set -------------------------------
-        // (partition, split_index, fetch_bytes, out_bytes)
-        let total_input: u64 = all_tasks.iter().map(|t| t.bytes).sum();
-        let shuffle_total = (total_input as f64 * wl.map_ratio) as u64;
-        let per_partition_shuffle = shuffle_total / wl.num_reducers as u64;
-        let (reduce_ids, r_style) = reduce_task_set(recompute, JobId(job), wl.num_reducers);
-        let reduce_tasks: Vec<(u32, u32, u64, u64)> = reduce_ids
-            .iter()
-            .map(|id| {
-                let (s, k) = id.split.map_or((0, 1), |(s, k)| (s.raw(), k));
-                let f = per_partition_shuffle / k as u64;
-                (
-                    id.partition.raw(),
-                    s,
-                    f,
-                    (f as f64 * wl.reduce_ratio) as u64,
-                )
+    fn map_wave(
+        &mut self,
+        _: &(),
+        _: (u32, u32),
+        wave: &[(NodeId, usize)],
+        mut account: impl FnMut(MapResult) -> Result<()>,
+    ) -> Result<()> {
+        let (hw, wl) = (&self.js.hw, &self.js.wl);
+        let noncol = self.js.noncollocated;
+        let state = &*self.state;
+        // Source per task: the chain-cache holder's memory when the
+        // partition is cached; else own node if it holds a live
+        // replica; else rotate over the live holders so concurrent
+        // remote readers of one partition spread across its replicas.
+        // A task fails when its node is down, or no live node holds
+        // its block.
+        let sources: Vec<std::result::Result<(Node, Node, bool), &str>> = (wave.iter())
+            .map(|&(node, ti)| {
+                let (node, t) = (node.raw(), &self.all[ti]);
+                if !state.is_alive(node) {
+                    return Err("its node is down");
+                }
+                if let Some(h) = self.cache_source(t) {
+                    return Ok((node, h, true));
+                }
+                if !noncol && t.holders.contains(&node) {
+                    return Ok((node, node, false));
+                }
+                let live_holders: Vec<Node> = (t.holders.iter().copied())
+                    .filter(|&h| state.is_alive(h))
+                    .collect();
+                match live_holders.len() {
+                    0 => Err("no live node holds its block"),
+                    n => Ok((node, live_holders[t.blk as usize % n], false)),
+                }
             })
             .collect();
-        report.reduce_tasks_run = reduce_tasks.len();
+        let assignments: Vec<(Node, &InputBlock, Node, bool)> = (wave.iter().zip(&sources))
+            .filter_map(|(&(_, ti), src)| {
+                let &(node, src, from_cache) = src.as_ref().ok()?;
+                Some((node, &self.all[ti], src, from_cache))
+            })
+            .collect();
+        // Per-node stream counts this wave. Collocated clusters
+        // share one disk per node between input reads and map-output
+        // writes; the non-collocated deployment has distinct storage
+        // and compute tiers, so the two kinds of streams never
+        // contend with each other. Cached reads come from memory and
+        // never touch the source disk.
+        let mut read_streams: BTreeMap<Node, usize> = BTreeMap::new();
+        let mut write_streams: BTreeMap<Node, usize> = BTreeMap::new();
+        let mut net_out: BTreeMap<Node, usize> = BTreeMap::new();
+        for (node, _, src, from_cache) in &assignments {
+            if !from_cache {
+                *read_streams.entry(*src).or_insert(0) += 1;
+            }
+            *write_streams.entry(*node).or_insert(0) += 1;
+            if noncol || src != node {
+                *net_out.entry(*src).or_insert(0) += 1;
+            }
+        }
+        let read_contention = |src: Node| {
+            read_streams.get(&src).copied().unwrap_or(0)
+                + if noncol {
+                    0
+                } else {
+                    write_streams.get(&src).copied().unwrap_or(0)
+                }
+        };
+        let write_contention = |node: Node| {
+            write_streams.get(&node).copied().unwrap_or(0)
+                + if noncol {
+                    0
+                } else {
+                    read_streams.get(&node).copied().unwrap_or(0)
+                }
+        };
+        let report = &mut self.report;
+        let mut outputs = Vec::with_capacity(assignments.len());
+        let mut wave_tasks: Vec<WaveTask> = Vec::with_capacity(assignments.len());
+        for (node, t, src, from_cache) in &assignments {
+            let mut read_time = if *from_cache {
+                // Memory-resident partition: zero disk work, zero
+                // re-decode — the M3R fast path. A non-holder reader
+                // still crosses the network.
+                report.cache_hits += 1;
+                report.cache_read_bytes += t.bytes;
+                if src == node {
+                    report.cache_hits_local += 1;
+                }
+                t.bytes as f64 / hw.mem_read_bw
+            } else {
+                let read_bw = hw.disk_stream_bw(hw.disk_read_bw, read_contention(*src));
+                t.bytes as f64 / read_bw
+            };
+            if noncol || src != node {
+                let net_bw = hw.nic_stream_bw(net_out.get(src).copied().unwrap_or(1).max(1));
+                read_time = read_time.max(t.bytes as f64 / net_bw);
+                report.io.map_input_remote += t.bytes;
+            } else {
+                report.io.map_input_local += t.bytes;
+            }
+            let cpu = t.bytes as f64 * hw.map_cpu_per_byte;
+            let out_bytes = (t.bytes as f64 * wl.map_ratio) as u64;
+            let write_bw = hw.disk_stream_bw(hw.disk_write_bw, write_contention(*node));
+            let write_time = out_bytes as f64 / write_bw;
+            let dur = hw.task_overhead + read_time + cpu + write_time;
+            // A speculative duplicate could read from another live
+            // replica, uncontended (it launches after the wave's
+            // bulk finished). With single-replicated input there is
+            // no alternate — the paper's point about replication
+            // being a prerequisite for input-bound speculation.
+            let alt = t
+                .holders
+                .iter()
+                .any(|&h| h != *src && state.is_alive(h))
+                .then(|| {
+                    hw.task_overhead
+                        + t.bytes as f64 / hw.disk_stream_bw(hw.disk_read_bw, 1)
+                        + cpu
+                        + write_time
+                });
+            // Healthy baseline: a local task whose node disk serves
+            // its own slots' reads + writes (2 streams per map slot)
+            // — the progress rate Hadoop considers normal.
+            let healthy_streams = (2 * wl.slots.map).max(1) as usize;
+            let uncontended = hw.task_overhead
+                + t.bytes as f64 / hw.disk_stream_bw(hw.disk_read_bw, healthy_streams)
+                + cpu
+                + out_bytes as f64 / hw.disk_stream_bw(hw.disk_write_bw, healthy_streams);
+            wave_tasks.push(WaveTask {
+                duration: dur,
+                uncontended,
+                alt_duration: alt,
+            });
+            let output = MapOutputRec {
+                node: *node,
+                input_version: t.version,
+                bytes: out_bytes,
+            };
+            outputs.push(((self.job, t.pid, t.blk), output));
+        }
+        let wave_time = match &self.js.speculation {
+            Some(cfg) => {
+                let (effective, stats) = speculate_wave(cfg, &wave_tasks);
+                report.speculation.add(&stats);
+                report.mapper_durations.extend_from_slice(&effective);
+                effective.iter().copied().fold(0.0f64, f64::max)
+            }
+            None => {
+                let durs: Vec<f64> = wave_tasks.iter().map(|t| t.duration).collect();
+                report.mapper_durations.extend_from_slice(&durs);
+                durs.iter().copied().fold(0.0f64, f64::max)
+            }
+        };
+        self.map_phase += wave_time;
+        report.map_waves += 1;
+        report.mappers_run += outputs.len();
+        for (key, output) in outputs {
+            self.state.record_map_output(key, output);
+        }
+        for (&(node, ti), src) in wave.iter().zip(sources) {
+            account(match src {
+                Ok(_) => MapResult::Done,
+                Err(why) => {
+                    let t = &self.all[ti];
+                    MapResult::Failed {
+                        task: ti,
+                        reason: format!(
+                            "map task over {} block {} on {node} kept failing: {why}",
+                            PartitionId(t.pid),
+                            t.blk
+                        ),
+                    }
+                }
+            })?;
+        }
+        Ok(())
+    }
 
+    fn reduce_wave(
+        &mut self,
+        _: &(),
+        (index, _): (u32, u32),
+        wave: &[(NodeId, ReduceTaskId)],
+        mut account: impl FnMut(ReduceResult) -> Result<()>,
+    ) -> Result<()> {
+        let (hw, wl) = (&self.js.hw, &self.js.wl);
+        let job = self.job;
+        let state = &*self.state;
+        // A reducer shuffles from every mapper: once a crash took a map
+        // output, every reducer fails and the mappers re-run first.
+        if self.outputs_lost {
+            self.report.reduce_waves += 1;
+            return wave.iter().try_for_each(|_| account(ReduceResult::Missing));
+        }
         // Map-output location profile for shuffle sourcing (valid
         // entries of this job, including reused ones).
         let mut mo_bytes: BTreeMap<Node, u64> = BTreeMap::new();
         let mut total_mo = 0u64;
-        for ((j, _, _), rec) in state.map_outputs.range((job, 0, 0)..(job + 1, 0, 0)) {
-            debug_assert_eq!(*j, job);
+        let mut num_sources = 0usize;
+        for (_, rec) in state.map_outputs.range((job, 0, 0)..(job + 1, 0, 0)) {
             *mo_bytes.entry(rec.node).or_insert(0) += rec.bytes;
             total_mo += rec.bytes;
+            num_sources += 1;
         }
-        let num_sources = state
-            .map_outputs
-            .range((job, 0, 0)..(job + 1, 0, 0))
-            .count();
-
-        // ---------------- reduce phase ----------------------------------
-        let topo = SliceTopology::for_kernel(&live, wl.slots.reduce, self.placement, &membership);
-        let reds = FnReduceTasks::new(reduce_tasks.len(), |t| reduce_tasks[t].0 as usize);
-        let r_waves = assign_reduce_waves(&topo, &reds, r_style, ctx)?;
-        report.reduce_waves = r_waves.len() as u32;
-
-        // Paper §V-D: the SLOW SHUFFLE delay applies per transfer,
-        // serialized over the copier window (Hadoop fetches ~5 map
-        // outputs at a time), so it scales with the number of sources.
-        const PARALLEL_COPIES: f64 = 5.0;
         let slow_delay = hw.shuffle_transfer_delay * (num_sources as f64 / PARALLEL_COPIES).ceil();
-
-        // Map outputs are served through a bounded copier window (~5
-        // concurrent segment fetches per serving disk in Hadoop), so —
-        // unlike the map phase's simultaneous whole-block reads, which
-        // are the hot-spot mechanism — shuffle serving never degenerates
-        // into an N-way seek storm.
-        const COPIER_WINDOW: usize = 5;
+        // (node, task, fetch bytes, output bytes) of the tasks whose node
+        // is up; the others fail with it.
+        let total_input: u64 = self.all.iter().map(|t| t.bytes).sum();
+        let shuffle_total = (total_input as f64 * wl.map_ratio) as u64;
+        let per_partition_shuffle = shuffle_total / wl.num_reducers as u64;
+        let running: Vec<(Node, ReduceTaskId, u64, u64)> = (wave.iter())
+            .filter(|(node, _)| state.is_alive(node.raw()))
+            .map(|&(node, id)| {
+                let k = id.split.map_or(1, |(_, k)| k);
+                let f = per_partition_shuffle / k as u64;
+                (node.raw(), id, f, (f as f64 * wl.reduce_ratio) as u64)
+            })
+            .collect();
+        // Wave-level serving load per source disk: every task
+        // fetches `frac(m)` of its volume from node m.
+        let wave_fetch_total: u64 = running.iter().map(|t| t.2).sum();
+        let max_fetch: u64 = running.iter().map(|t| t.2).max().unwrap_or(0);
+        let serve_streams = running.len().clamp(1, COPIER_WINDOW);
+        let serve_bw = hw.disk_agg_bw(hw.disk_read_bw, serve_streams);
+        let serve_time = mo_bytes
+            .values()
+            .map(|&mb| {
+                if total_mo == 0 {
+                    0.0
+                } else {
+                    (wave_fetch_total as f64 * mb as f64 / total_mo as f64) / serve_bw
+                }
+            })
+            .fold(0.0f64, f64::max);
 
         // Output placement is the engine's: a segment takes the key of
         // its first block. A task writes one segment, or under the
         // spread-output mitigation one per block, each placed apart as
         // the engine's chunks are.
         let out_path = file_path(job);
-        let (policy, segment_bytes) = if recompute.is_some_and(|r| r.spread_output) {
+        let (policy, segment_bytes) = if self.plan.is_some_and(|r| r.spread_output) {
             (PlacementPolicy::Spread, wl.block_size.as_u64())
         } else {
             (PlacementPolicy::WriterLocal, u64::MAX)
         };
-        let mut reduce_phase = 0.0f64;
-        let mut new_segments: BTreeMap<u32, Vec<Segment>> = BTreeMap::new();
-        // Writer of each whole-partition reduce task: the chain cache
-        // only admits whole reducer outputs (the engine's
-        // `split.is_none()` staging guard).
-        let mut cache_writers: BTreeMap<u32, Node> = BTreeMap::new();
-        for (w, wave) in r_waves.iter().enumerate() {
-            // Wave-level serving load per source disk: every task
-            // fetches `frac(m)` of its volume from node m.
-            let wave_fetch_total: u64 = wave.iter().map(|&(_, ti)| reduce_tasks[ti].2).sum();
-            let max_fetch: u64 = wave
-                .iter()
-                .map(|&(_, ti)| reduce_tasks[ti].2)
-                .max()
-                .unwrap_or(0);
-            let serve_streams = wave.len().clamp(1, COPIER_WINDOW);
-            let serve_bw = hw.disk_agg_bw(hw.disk_read_bw, serve_streams);
-            let serve_time = mo_bytes
-                .values()
-                .map(|&mb| {
-                    if total_mo == 0 {
-                        0.0
-                    } else {
-                        (wave_fetch_total as f64 * mb as f64 / total_mo as f64) / serve_bw
-                    }
-                })
-                .fold(0.0f64, f64::max);
-
-            let mut wave_time = 0.0f64;
-            let mut shuffle_max = 0.0f64;
-            for &(node, ti) in wave {
-                let (pid, split, fetch, out_b) = reduce_tasks[ti];
-                // This task's share of the serving bottleneck: smaller
-                // (split) tasks drain proportionally sooner.
-                let fetch_disk = if max_fetch == 0 {
-                    0.0
-                } else {
-                    serve_time * fetch as f64 / max_fetch as f64
-                };
-                let local_bytes = if total_mo == 0 || self.noncollocated {
-                    0
-                } else {
-                    (fetch as f64 * mo_bytes.get(&node).copied().unwrap_or(0) as f64
-                        / total_mo as f64) as u64
-                };
-                let remote = fetch.saturating_sub(local_bytes);
-                let tasks_on_node = wave.iter().filter(|(n, _)| *n == node).count();
-                let fetch_net = remote as f64 / hw.nic_stream_bw(tasks_on_node);
-                let fetch_vol = fetch_disk.max(fetch_net);
-                let fetch_time = fetch_vol + slow_delay;
-                report.io.shuffle_local += local_bytes;
-                report.io.shuffle_remote += remote;
-
-                // Sort + reduce CPU.
-                let cpu = fetch as f64 * hw.reduce_cpu_per_byte;
-
-                // Output write. With replication r, every node in a
-                // balanced wave writes its own output *and* absorbs
-                // incoming replicas from r-1 peers: r× the bytes over
-                // r× the concurrent streams (the seek penalty makes
-                // this super-linear — the REPL contention of Fig. 8a).
-                let write_streams = tasks_on_node * replication as usize;
-                let disk_bytes = out_b * replication as u64;
-                let mut write_time =
-                    disk_bytes as f64 / hw.disk_agg_bw(hw.disk_write_bw, write_streams);
-                if self.noncollocated {
-                    // The output crosses the network to the storage tier.
-                    write_time = write_time
-                        .max(out_b as f64 * replication as f64 / hw.nic_stream_bw(tasks_on_node));
-                }
-                if replication > 1 {
-                    let repl_bytes = out_b * (replication as u64 - 1);
-                    let net_time = repl_bytes as f64 / hw.nic_stream_bw(tasks_on_node);
-                    write_time = write_time.max(net_time);
-                    report.io.replication_written += repl_bytes;
-                }
-                report.io.output_written += out_b;
-
-                let dur = hw.task_overhead + fetch_time + cpu + write_time;
-                report.reducer_durations.push(dur);
-                wave_time = wave_time.max(dur);
-                shuffle_max = shuffle_max.max(fetch_vol + slow_delay);
-
-                // Placement of the output.
-                if reduce_ids[ti].split.is_none() {
-                    cache_writers.insert(pid, node);
-                }
-                let segment = segment_key(state.seed, &out_path, pid, split);
-                for index in 0..out_b.div_ceil(segment_bytes).max(1) as u32 {
-                    let key = block_key(segment, index);
-                    let holders = replica_targets(key, policy, node, replication, &[], &membership);
-                    new_segments.entry(pid).or_default().push(Segment {
-                        holders,
-                        bytes: 0,
-                        key,
-                    });
-                }
-            }
-            // Overlap rule: the first wave's shuffle (volume *and*
-            // copier-delay rounds) proceeds while map waves still run;
-            // at minimum the last map wave's data — one copier round
-            // with its transfer-end delay — remains exposed after the
-            // map phase ends. The effective first-wave shuffle is
-            // therefore ≈ max(map_phase, shuffle), which is exactly why
-            // under SLOW SHUFFLE "finishing the map phase faster does
-            // not decrease the time necessary to complete the
-            // network-bottlenecked shuffle" (§V-D). Later waves have no
-            // map phase to hide behind and pay everything in full.
-            if w == 0 && report.map_waves >= 1 {
-                let min_exposed = shuffle_max / report.map_waves as f64 + hw.shuffle_transfer_delay;
-                let credit = (shuffle_max - min_exposed).max(0.0).min(map_phase);
-                reduce_phase += wave_time - credit;
+        let replication = self.replication;
+        let report = &mut self.report;
+        let mut wave_time = 0.0f64;
+        let mut shuffle_max = 0.0f64;
+        for &(node, id, fetch, out_b) in &running {
+            let pid = id.partition.raw();
+            // This task's share of the serving bottleneck: smaller
+            // (split) tasks drain proportionally sooner.
+            let fetch_disk = if max_fetch == 0 {
+                0.0
             } else {
-                reduce_phase += wave_time;
-            }
-        }
+                serve_time * fetch as f64 / max_fetch as f64
+            };
+            let local_bytes = if total_mo == 0 || self.js.noncollocated {
+                0
+            } else {
+                (fetch as f64 * mo_bytes.get(&node).copied().unwrap_or(0) as f64 / total_mo as f64)
+                    as u64
+            };
+            let remote = fetch.saturating_sub(local_bytes);
+            let tasks_on_node = running.iter().filter(|t| t.0 == node).count();
+            let fetch_net = remote as f64 / hw.nic_stream_bw(tasks_on_node);
+            let fetch_vol = fetch_disk.max(fetch_net);
+            let fetch_time = fetch_vol + slow_delay;
+            report.io.shuffle_local += local_bytes;
+            report.io.shuffle_remote += remote;
 
-        // Commit output placements with real byte counts.
-        let by_partition: BTreeMap<u32, u64> = reduce_tasks
-            .iter()
-            .map(|&(p, _, _, out_b)| (p, out_b))
-            .fold(BTreeMap::new(), |mut m, (p, b)| {
-                *m.entry(p).or_insert(0) += b;
-                m
-            });
-        for (pid, mut segs) in new_segments {
-            let total = by_partition.get(&pid).copied().unwrap_or(0);
-            let n = segs.len().max(1) as u64;
-            for s in &mut segs {
-                s.bytes = total / n;
+            // Sort + reduce CPU.
+            let cpu = fetch as f64 * hw.reduce_cpu_per_byte;
+
+            // Output write. With replication r, every node in a
+            // balanced wave writes its own output *and* absorbs
+            // incoming replicas from r-1 peers: r× the bytes over
+            // r× the concurrent streams (the seek penalty makes
+            // this super-linear — the REPL contention of Fig. 8a).
+            let write_streams = tasks_on_node * replication as usize;
+            let disk_bytes = out_b * replication as u64;
+            let mut write_time =
+                disk_bytes as f64 / hw.disk_agg_bw(hw.disk_write_bw, write_streams);
+            if self.js.noncollocated {
+                // The output crosses the network to the storage tier.
+                write_time = write_time
+                    .max(out_b as f64 * replication as f64 / hw.nic_stream_bw(tasks_on_node));
             }
-            if let Some(first) = segs.first_mut() {
-                first.bytes += total % n;
+            if replication > 1 {
+                let repl_bytes = out_b * (replication as u64 - 1);
+                let net_time = repl_bytes as f64 / hw.nic_stream_bw(tasks_on_node);
+                write_time = write_time.max(net_time);
+                report.io.replication_written += repl_bytes;
             }
-            state.rewrite_partition(job, pid, segs);
+            report.io.output_written += out_b;
+
+            let dur = hw.task_overhead + fetch_time + cpu + write_time;
+            report.reducer_durations.push(dur);
+            wave_time = wave_time.max(dur);
+            shuffle_max = shuffle_max.max(fetch_vol + slow_delay);
+
+            // Placement of the output.
+            if id.split.is_none() {
+                self.cache_writers.insert(pid, node);
+            }
+            let split = id.split.map_or(0, |(s, _)| s.raw());
+            let segment = segment_key(state.seed, &out_path, pid, split);
+            let staged = self.staged.entry(pid).or_default();
+            for index in 0..out_b.div_ceil(segment_bytes).max(1) as u32 {
+                let key = block_key(segment, index);
+                let holders =
+                    replica_targets(key, policy, node, replication, &[], state.membership());
+                staged.segments.push(Segment {
+                    holders,
+                    bytes: 0,
+                    key,
+                });
+            }
+            staged.bytes += out_b;
+            staged.tasks += 1;
         }
-        // Write-behind done: admit this run's whole reducer outputs into
-        // the chain cache — the same commit the engine tracker performs
-        // at successful job completion.
-        if let Some(cache) = state.chain_cache.as_mut() {
-            for (&pid, &node) in &cache_writers {
-                let bytes = by_partition.get(&pid).copied().unwrap_or(0);
+        // Overlap rule: the first wave's shuffle (volume *and*
+        // copier-delay rounds) proceeds while map waves still run;
+        // at minimum the last map wave's data — one copier round
+        // with its transfer-end delay — remains exposed after the
+        // map phase ends. The effective first-wave shuffle is
+        // therefore ≈ max(map_phase, shuffle), which is exactly why
+        // under SLOW SHUFFLE "finishing the map phase faster does
+        // not decrease the time necessary to complete the
+        // network-bottlenecked shuffle" (§V-D). Later waves have no
+        // map phase to hide behind and pay everything in full.
+        if index == 0 && report.map_waves >= 1 {
+            let min_exposed = shuffle_max / report.map_waves as f64 + hw.shuffle_transfer_delay;
+            let credit = (shuffle_max - min_exposed).max(0.0).min(self.map_phase);
+            self.reduce_phase += wave_time - credit;
+        } else {
+            self.reduce_phase += wave_time;
+        }
+        report.reduce_waves += 1;
+        report.reduce_tasks_run += running.len();
+        // A partition's output lands once its last task is done, with
+        // its bytes split evenly over its segments.
+        let split = self.plan.map_or(1, RecomputeSpec::split_factor);
+        let done: Vec<u32> = (self.staged.iter())
+            .filter(|(_, staged)| staged.tasks == split)
+            .map(|(&pid, _)| pid)
+            .collect();
+        for pid in done {
+            let Staged {
+                mut segments,
+                bytes,
+                ..
+            } = self.staged.remove(&pid).unwrap_or_default();
+            let n = segments.len().max(1) as u64;
+            for s in &mut segments {
+                s.bytes = bytes / n;
+            }
+            if let Some(first) = segments.first_mut() {
+                first.bytes += bytes % n;
+            }
+            self.state.rewrite_partition(job, pid, segments);
+        }
+        for &(node, id) in wave {
+            account(if self.state.is_alive(node.raw()) {
+                ReduceResult::Done(id)
+            } else {
+                ReduceResult::Retry(id)
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Written partitions with a block no live node holds, and those
+    /// whose finished tasks' output has lost one before it landed.
+    fn lost_partitions(&self) -> Result<BTreeSet<PartitionId>> {
+        let state = &*self.state;
+        let written = (state.files.get(&self.job)).map(|f| f.lost_partitions(state));
+        let staged = (self.staged.iter())
+            .filter(|(_, s)| {
+                s.segments
+                    .iter()
+                    .any(|seg| seg.live_holder(state).is_none())
+            })
+            .map(|(&pid, _)| pid);
+        let lost = written.into_iter().flatten().chain(staged);
+        Ok(lost.map(PartitionId).collect())
+    }
+
+    /// Write-behind done: admits this run's whole reducer outputs into
+    /// the chain cache — the same commit the engine tracker performs at
+    /// successful job completion.
+    fn commit(&mut self) -> Result<()> {
+        let job = self.job;
+        let output = self.state.files.get(&job);
+        let bytes = |pid: u32| output.map_or(0, |f| f.partitions[pid as usize].bytes());
+        let staged: Vec<(u32, Node, u64)> = (self.cache_writers.iter())
+            .map(|(&pid, &node)| (pid, node, bytes(pid)))
+            .collect();
+        if let Some(cache) = self.state.chain_cache.as_mut() {
+            for (pid, node, bytes) in staged {
                 cache.stage(job, pid, node, bytes);
             }
             cache.commit(&job);
         }
-
-        if !persist {
-            state.clear_job_outputs(job);
+        if !self.persist {
+            self.state.clear_job_outputs(job);
         }
-
-        report.duration = hw.job_overhead + map_phase + reduce_phase;
-        Ok(report)
+        let hw = &self.js.hw;
+        self.report.duration =
+            hw.job_overhead + self.map_phase + self.reduce_phase + self.detect_secs;
+        Ok(())
     }
 }
 
@@ -654,7 +886,7 @@ mod tests {
         let cache_src = vec![None; to_run.len()];
         let mut m = rcmp_policy::Membership::with_racks(4, 2);
         m.join(3, 1);
-        let live = m.schedulable();
+        let live: Vec<NodeId> = m.schedulable().into_iter().map(NodeId).collect();
         let holders = |t: usize| &all[to_run[t]].holders;
         let kernels = [
             PlacementKernel::Default,
@@ -674,8 +906,8 @@ mod tests {
             };
             let collocated = rcmp_policy::FnMapTasks::new(
                 to_run.len(),
-                |t, n| holders(t).first() == Some(&n),
-                |t, n| holders(t).contains(&n),
+                |t, n: NodeId| holders(t).first() == Some(&n.raw()),
+                |t, n: NodeId| holders(t).contains(&n.raw()),
             );
             assert_eq!(
                 assign_map_waves(&topo, &view(false), ctx),
@@ -683,7 +915,8 @@ mod tests {
                 "{kernel:?}, collocated"
             );
             // Separate storage: no node holds any input locally.
-            let remote = rcmp_policy::FnMapTasks::new(to_run.len(), |_, _| false, |_, _| false);
+            let never = |_, _: NodeId| false;
+            let remote = rcmp_policy::FnMapTasks::new(to_run.len(), never, never);
             assert_eq!(
                 assign_map_waves(&topo, &view(true), ctx),
                 assign_map_waves(&topo, &remote, ctx),
@@ -909,11 +1142,77 @@ mod tests {
         assert_eq!(st.map_outputs, map_outputs);
     }
 
+    /// Pinned difference (DESIGN §3.7): forcing mappers is the
+    /// simulator's Fig. 13/14 knob, and it re-runs exactly that many
+    /// mappers, reusing the rest; the engine rejects the plan
+    /// (`recompute_rejects_forced_mappers_and_touches_nothing`).
+    #[test]
+    fn forced_mappers_run_exactly_on_the_simulator() {
+        let (js, mut st) = sim(4);
+        js.run_full(&mut st, 1, 1, true).unwrap();
+        let mut spec = RecomputeSpec::new([0u32], None);
+        spec.force_rerun_mappers = Some(5);
+        let r = js.run_recompute(&mut st, 1, &spec, true).unwrap();
+        assert_eq!((r.mappers_run, r.mappers_reused), (5, 11));
+    }
+
+    /// A job with no reducers is a configuration error before the run
+    /// fires or touches anything, as on the engine (DESIGN §3.7).
+    #[test]
+    fn a_job_without_reducers_is_a_config_error() {
+        let mut wl = small_wl(4);
+        wl.num_reducers = 0;
+        let mut st = SimState::new(&wl, 0);
+        let before = st.files.clone();
+        let err = (JobSim::new(HwProfile::stic(), wl).run_full(&mut st, 1, 1, true)).unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err}");
+        assert_eq!(st.files, before);
+    }
+
     #[test]
     fn no_persist_clears_outputs() {
         let (js, mut st) = sim(4);
         js.run_full(&mut st, 1, 1, false).unwrap();
         assert_eq!(st.persisted_bytes(), 0);
+    }
+
+    /// Pinned difference (DESIGN §3.7): the simulator pins a run's
+    /// input only once the run goes ahead, so a run cancelled at JobInit
+    /// leaves the cache's recency as it was — the next admission evicts
+    /// the cancelled run's input first. The engine pins before the plan
+    /// checks, and its cancelled run would have made that input the
+    /// most recent.
+    #[test]
+    fn a_run_cancelled_at_job_init_pins_nothing() {
+        let resident = |st: &SimState, file: u32| -> Vec<u32> {
+            (0..4)
+                .filter(|&p| st.cache_holder(file, p).is_some())
+                .collect()
+        };
+        let (js, mut probe) = sim(4);
+        probe.enable_chain_cache(u64::MAX);
+        for job in 1..=3 {
+            js.run_full(&mut probe, job, 1, true).unwrap();
+        }
+        let budget = probe.chain_cache.as_ref().unwrap().used_bytes();
+        let (js, mut st) = sim(4);
+        st.enable_chain_cache(budget);
+        for job in 1..=3 {
+            js.run_full(&mut st, job, 1, true).unwrap();
+        }
+        // Job 2's input loses a partition: its run is cancelled.
+        st.clear_partition(1, 0);
+        let err = js.run_full(&mut st, 2, 1, true).unwrap_err();
+        assert!(matches!(err, Error::JobInputLost { .. }), "{err}");
+        // Job 4 needs four partitions' room; out(3) is its pinned input.
+        js.run_full(&mut st, 4, 1, true).unwrap();
+        assert_eq!(
+            resident(&st, 1),
+            [] as [u32; 0],
+            "the unpinned input went first"
+        );
+        assert_eq!(resident(&st, 2), [0, 1, 2, 3]);
+        assert_eq!(resident(&st, 4), [0, 1, 2, 3]);
     }
 
     /// A recomputation run re-reads an older file. The run pins it, and

@@ -20,8 +20,9 @@
 //!   exactly which partitions and map outputs are lost;
 //! * the **strategy** semantics of the real middleware (RCMP
 //!   with/without splitting, REPL-k, OPTIMISTIC, hybrid) by running the
-//!   same `rcmp-policy` chain loop and planner it runs, including
-//!   cascading recomputation with the fingerprint-reuse rule and
+//!   same `rcmp-policy` chain loop, planner and job machine it runs,
+//!   including cascading recomputation with the fingerprint-reuse rule,
+//!   intra-job recovery from crashes at wave boundaries, and
 //!   failure-detection timeouts.
 //!
 //! Time advances per task phase from bandwidth shares; per-task

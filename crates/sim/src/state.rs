@@ -56,6 +56,10 @@ pub struct SimPartition {
     /// (split regeneration, or shape change) — the simulator's stand-in
     /// for the engine's content fingerprints (Fig. 5 rule).
     pub version: u64,
+    /// Segments the last write left. A clear keeps it, so rewriting the
+    /// same shape keeps the version, as the engine's content hashes
+    /// stay when a cleared partition is regenerated byte for byte.
+    pub shape: usize,
 }
 
 impl SimPartition {
@@ -196,6 +200,7 @@ impl SimState {
                 });
             }
             input.partitions.push(SimPartition {
+                shape: segments.len(),
                 segments,
                 version: 0,
             });
@@ -348,43 +353,51 @@ impl SimState {
     }
 
     /// The blocks job `job`'s mappers read from its input file `job − 1`,
-    /// given the DFS block size, and the snapshot of that input that
-    /// [`rcmp_policy::job_init`] and the planner decide over. A
-    /// partition's version stands in for the engine's content
-    /// fingerprint of its blocks (Fig. 5 rule), and a map output counts
-    /// as stored while its node is alive.
-    pub(crate) fn map_inputs(&self, job: u32, block_size: u64) -> (Vec<InputBlock>, InputView) {
+    /// given the DFS block size.
+    pub(crate) fn input_blocks(&self, job: u32, block_size: u64) -> Vec<InputBlock> {
         let mut blocks = Vec::new();
-        let mut view = InputView::default();
         let Some(f) = self.files.get(&(job - 1)) else {
-            return (blocks, view);
+            return blocks;
         };
         for (pid, p) in (0u32..).zip(&f.partitions) {
-            if !p.is_written() {
-                view.unwritten.insert(PartitionId(pid));
-            }
             for (blk, (bytes, holders)) in (0u32..).zip(p.blocks(block_size)) {
-                let stored = self
-                    .map_outputs
-                    .get(&(job, pid, blk))
-                    .filter(|r| self.is_alive(r.node))
-                    .map(|r| r.input_version);
-                view.blocks.push(MapInput {
-                    partition: PartitionId(pid),
-                    readable: holders.iter().any(|&n| self.is_alive(n)),
-                    stored,
-                    current: p.version,
-                });
+                let version = p.version;
                 blocks.push(InputBlock {
                     pid,
                     blk,
                     bytes,
                     holders,
-                    version: p.version,
+                    version,
                 });
             }
         }
-        (blocks, view)
+        blocks
+    }
+
+    /// The snapshot of job `job`'s input, whose blocks are `blocks`, that
+    /// [`rcmp_policy::job_init`] and the planner decide over. A
+    /// partition's version stands in for the engine's content
+    /// fingerprint of its blocks (Fig. 5 rule), and a map output counts
+    /// as stored while its node is alive.
+    pub(crate) fn input_view(&self, job: u32, blocks: &[InputBlock]) -> InputView {
+        let partitions = self
+            .files
+            .get(&(job - 1))
+            .map_or(&[][..], |f| &f.partitions);
+        let unwritten = (0u32..).zip(partitions).filter(|(_, p)| !p.is_written());
+        let stored = |b: &InputBlock| self.map_outputs.get(&(job, b.pid, b.blk));
+        let input = |b: &InputBlock| MapInput {
+            partition: PartitionId(b.pid),
+            readable: b.holders.iter().any(|&n| self.is_alive(n)),
+            stored: stored(b)
+                .filter(|r| self.is_alive(r.node))
+                .map(|r| r.input_version),
+            current: b.version,
+        };
+        InputView {
+            unwritten: unwritten.map(|(pid, _)| PartitionId(pid)).collect(),
+            blocks: blocks.iter().map(input).collect(),
+        }
     }
 
     /// Replaces a partition's contents with new segments, bumping the
@@ -405,11 +418,24 @@ impl SimState {
                 .resize(pid as usize + 1, SimPartition::default());
         }
         let p = &mut f.partitions[pid as usize];
-        let shape_preserved = p.segments.len() == 1 && segments.len() == 1 && p.is_written();
-        if !shape_preserved {
+        if !(p.shape == 1 && segments.len() == 1) {
             p.version += 1;
         }
+        p.shape = segments.len();
         p.segments = segments;
+    }
+
+    /// Clears a partition before its regeneration (the engine's
+    /// `clear_partition`): it reads as unwritten, and a cached copy of
+    /// it stops serving.
+    pub fn clear_partition(&mut self, file: FileId, pid: u32) {
+        if let Some(c) = self.chain_cache.as_mut() {
+            c.invalidate_partition(&file, pid);
+        }
+        let f = self.files.get_mut(&file);
+        if let Some(p) = f.and_then(|f| f.partitions.get_mut(pid as usize)) {
+            p.segments.clear();
+        }
     }
 
     /// Records a mapper's persisted output.
@@ -526,7 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn map_inputs_snapshot_holders_versions_and_live_outputs() {
+    fn input_view_snapshots_holders_versions_and_live_outputs() {
         let mut s = SimState::new(&wl(), 0);
         s.rewrite_partition(
             1,
@@ -545,7 +571,8 @@ mod tests {
         };
         s.record_map_output((2, 0, 0), rec(v));
         s.record_map_output((2, 0, 1), rec(v + 1));
-        let (blocks, view) = s.map_inputs(2, 100);
+        let blocks = s.input_blocks(2, 100);
+        let view = s.input_view(2, &blocks);
         assert_eq!(
             blocks
                 .iter()
@@ -565,10 +592,10 @@ mod tests {
         );
         assert!(view.unwritten.is_empty());
         s.fail_node(1);
-        let (_, view) = s.map_inputs(2, 100);
+        let view = s.input_view(2, &blocks);
         assert!(view.blocks.iter().all(|b| b.stored.is_none()), "node dead");
         s.fail_node(0);
-        let (_, view) = s.map_inputs(2, 100);
+        let view = s.input_view(2, &blocks);
         assert!(view.blocks.iter().all(|b| !b.readable), "holder dead");
     }
 

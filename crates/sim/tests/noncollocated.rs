@@ -105,3 +105,27 @@ fn recomputation_works_noncollocated() {
     assert!(whole.duration < init.duration, "recompute beats rerun");
     assert!(split.duration <= whole.duration, "splitting still helps");
 }
+
+/// Pinned difference (DESIGN §3.7): the engine has no non-collocated
+/// deployment, and the simulator's one never reads a chain-cached input,
+/// since storage and compute are separate tiers. The same two jobs with
+/// the cache on read from it when collocated.
+#[test]
+fn noncollocated_runs_read_no_chain_cached_input() {
+    let hits = |noncollocated: bool| {
+        let w = wl();
+        let mut js = JobSim::new(HwProfile::stic(), w.clone());
+        if noncollocated {
+            js = js.noncollocated();
+        }
+        let mut st = SimState::new(&w, 0);
+        st.enable_chain_cache(u64::MAX);
+        js.run_full(&mut st, 1, 1, true).unwrap();
+        js.run_full(&mut st, 2, 1, true).unwrap().cache_hits
+    };
+    assert!(
+        hits(false) > 0,
+        "collocated runs read the cached partitions"
+    );
+    assert_eq!(hits(true), 0);
+}

@@ -1,14 +1,15 @@
 //! Property-based validation of the shared policy kernel: the engine's
-//! wave-assignment adapter (owned `MapTask`/`ReduceTask`s, chain-cache
-//! holders) is a view of ONE implementation, so over randomized
-//! clusters, membership churn, slot counts and replica layouts it must
+//! map-task view (`MapTask`s with their replicas and chain-cache
+//! holders) and the job machine's reduce keying (`ReduceTaskId`s by
+//! partition) are views of ONE implementation, so over randomized
+//! clusters, membership churn, slot counts and replica layouts they must
 //! produce *identical* schedules to the kernel run over plain task
 //! indices, as the simulator runs it.
 
 use proptest::prelude::*;
 use rcmp::dfs::BlockLocation;
 use rcmp::engine::scheduler as eng;
-use rcmp::engine::task::{MapTask, ReduceTask};
+use rcmp::engine::task::MapTask;
 use rcmp::engine::MapInputKey;
 use rcmp::model::PlacementKernel;
 use rcmp::model::{BlockId, ByteSize, Error, JobId, MapTaskId, NodeId, PartitionId, ReduceTaskId};
@@ -31,6 +32,40 @@ fn map_task(idx: usize, holders: &[u32]) -> MapTask {
             replicas: holders.iter().map(|&n| NodeId(n)).collect(),
         },
     }
+}
+
+/// The engine's map schedule of every task in `tasks`, as `(node, task)`
+/// pairs per wave.
+fn eng_map_waves(
+    tasks: Vec<MapTask>,
+    topo: &SliceTopology<'_, NodeId>,
+    cached: &[Option<NodeId>],
+    ctx: PolicyCtx<'_>,
+) -> Result<Vec<Vec<(NodeId, MapTask)>>, Error> {
+    let all: Vec<usize> = (0..tasks.len()).collect();
+    let waves = eng::assign_map_indices(&tasks, &all, topo, cached, ctx)?;
+    let task = |(n, t): (NodeId, usize)| (n, tasks[t].clone());
+    Ok(waves
+        .into_iter()
+        .map(|w| w.into_iter().map(task).collect())
+        .collect())
+}
+
+/// The engine's reduce schedule, as the job machine assigns it: the
+/// kernel over the tasks' ids, keyed by partition.
+fn eng_reduce_waves(
+    tasks: Vec<ReduceTaskId>,
+    topo: &SliceTopology<'_, NodeId>,
+    style: ReduceAssignment,
+    ctx: PolicyCtx<'_>,
+) -> Result<Vec<Vec<(NodeId, ReduceTaskId)>>, Error> {
+    let set = FnReduceTasks::new(tasks.len(), |t| tasks[t].partition.index());
+    let waves = assign_reduce_waves(topo, &set, style, ctx)?;
+    let task = |(n, t): (NodeId, usize)| (n, tasks[t]);
+    Ok(waves
+        .into_iter()
+        .map(|w| w.into_iter().map(task).collect())
+        .collect())
 }
 
 /// Plain map tasks over node indices: task `t`'s replicas are
@@ -175,7 +210,7 @@ proptest! {
             .enumerate()
             .map(|(i, hs)| map_task(i, hs))
             .collect();
-        let eng_waves = eng::assign_map_waves(
+        let eng_waves = eng_map_waves(
             eng_tasks,
             &SliceTopology::new(&live_eng, slots, slots),
             &vec![None; layout.len()],
@@ -223,11 +258,11 @@ proptest! {
         let live_plain: Vec<u32> = (0..nodes).collect();
         let live_eng: Vec<NodeId> = (0..nodes).map(NodeId).collect();
 
-        let eng_tasks: Vec<ReduceTask> = parts
+        let eng_tasks: Vec<ReduceTaskId> = parts
             .iter()
-            .map(|&p| ReduceTask::new(ReduceTaskId::whole(JobId(1), PartitionId(p))))
+            .map(|&p| ReduceTaskId::whole(JobId(1), PartitionId(p)))
             .collect();
-        let eng_waves = eng::assign_reduce_waves(
+        let eng_waves = eng_reduce_waves(
             eng_tasks,
             &SliceTopology::new(&live_eng, slots, slots),
             style,
@@ -250,7 +285,7 @@ proptest! {
             .enumerate()
             .flat_map(|(w, wave)| {
                 wave.iter()
-                    .map(move |(n, t)| (w, n.raw(), t.id.partition.raw()))
+                    .map(move |(n, t)| (w, n.raw(), t.partition.raw()))
             })
             .collect();
         let parts_ref = &parts;
@@ -271,7 +306,7 @@ proptest! {
         let no_nodes_plain: [u32; 0] = [];
         let layout = vec![vec![0u32]; tasks];
         let uncached = vec![None; tasks];
-        let e = eng::assign_map_waves(
+        let e = eng_map_waves(
             eng_tasks,
             &SliceTopology::new(&no_nodes_eng, 1, 1),
             &vec![None; tasks],
@@ -344,7 +379,7 @@ proptest! {
                 .collect();
             let cached_eng: Vec<Option<NodeId>> =
                 cached.iter().map(|o| o.map(NodeId)).collect();
-            let eng = eng::assign_map_waves(
+            let eng = eng_map_waves(
                 eng_tasks,
                 &SliceTopology::for_kernel(&live_eng, slots, kernel, m),
                 &cached_eng,
@@ -411,11 +446,11 @@ proptest! {
             let live_plain = m.schedulable();
             let live_eng: Vec<NodeId> =
                 live_plain.iter().copied().map(NodeId).collect();
-            let eng_tasks: Vec<ReduceTask> = parts
+            let eng_tasks: Vec<ReduceTaskId> = parts
                 .iter()
-                .map(|&p| ReduceTask::new(ReduceTaskId::whole(JobId(1), PartitionId(p))))
+                .map(|&p| ReduceTaskId::whole(JobId(1), PartitionId(p)))
                 .collect();
-            let eng = eng::assign_reduce_waves(
+            let eng = eng_reduce_waves(
                 eng_tasks,
                 &SliceTopology::for_kernel(&live_eng, slots, kernel, m),
                 style,
@@ -437,7 +472,7 @@ proptest! {
                         .enumerate()
                         .flat_map(|(w, wave)| {
                             wave.iter()
-                                .map(move |(n, t)| (w, n.raw(), t.id.partition.raw()))
+                                .map(move |(n, t)| (w, n.raw(), t.partition.raw()))
                         })
                         .collect();
                     let parts_ref = &parts;

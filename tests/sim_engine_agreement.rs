@@ -619,6 +619,24 @@ fn crash_that_spares_a_recovery_step_lets_it_finish_in_both_backends() {
     }
 }
 
+/// With every node killed as run 1 starts, JobInit finds the input
+/// lost and cancels the run on both backends, and the planner ends the
+/// chain in typed data loss on the external input. (The simulator used
+/// to check for a live node once per run, before JobInit, and end in
+/// `NoLiveNodes`; the job machine checks per phase, after JobInit.)
+#[test]
+fn fully_dead_cluster_typed_error_in_both_backends() {
+    let script: Vec<FailureAt> = (0..NODES).map(|n| FailureAt::at_job(1, n)).collect();
+    let strategy = Strategy::rcmp_no_split();
+    let (engine, sim) = chain_both(BLOCK, strategy, PlacementKernel::Default, &script);
+    for (backend, result) in [("engine", engine.map(|_| ())), ("sim", sim.map(|_| ()))] {
+        match result {
+            Err(Error::DataLoss { path, .. }) => assert_eq!(path, "input", "{backend}"),
+            other => panic!("{backend}: expected data loss on the input, got {other:?}"),
+        }
+    }
+}
+
 /// Every strategy the property draws.
 fn property_strategies() -> Vec<Strategy> {
     let dynamic = DynamicPolicy {
@@ -692,29 +710,44 @@ fn factor2_partners() -> &'static BTreeMap<u32, Vec<u32>> {
     })
 }
 
-/// A script of up to two `JobStart` entries drawn as `(run, node,
-/// shape)`: each a crash (shapes 0 and 1) or a drain (shape 2) at runs
-/// 1..=14. An entry's node is its draw modulo the node count, except
-/// that when both entries are crashes, the second draw indexes the
-/// first node's [`factor2_partners`]: the pair then takes both copies
-/// of some output block, and the two backends' replica sets decide
-/// what is lost.
-fn fault_script(drawn: &[(u64, u32, u8)]) -> Vec<FailureAt> {
+/// The point a drawn entry fires at: `JobStart` for draws 0 and 1, else
+/// one of the four wave points of wave 0 or 1.
+fn trigger_point(draw: u8) -> TriggerPoint {
+    let wave = u32::from(draw.saturating_sub(2) / 4);
+    match draw {
+        0..=1 => TriggerPoint::JobStart,
+        d => match (d - 2) % 4 {
+            0 => TriggerPoint::MidMapWave(wave),
+            1 => TriggerPoint::AfterMapWave(wave),
+            2 => TriggerPoint::MidReduceWave(wave),
+            _ => TriggerPoint::AfterReduceWave(wave),
+        },
+    }
+}
+
+/// A script of up to two entries drawn as `(run, node, shape, point)`:
+/// each a crash (shapes 0 and 1) or a drain (shape 2) at runs 1..=14,
+/// at the [`trigger_point`] drawn. An entry's node is its draw modulo
+/// the node count, except that when both entries are crashes, the
+/// second draw indexes the first node's [`factor2_partners`]: the pair
+/// then takes both copies of some output block, and the two backends'
+/// replica sets decide what is lost.
+fn fault_script(drawn: &[(u64, u32, u8, u8)]) -> Vec<FailureAt> {
     let nodes: Vec<u32> = match drawn {
-        &[(_, first, 0..=1), (_, second, 0..=1)] => {
+        &[(_, first, 0..=1, _), (_, second, 0..=1, _)] => {
             let partners = &factor2_partners()[&(first % NODES)];
             vec![first % NODES, partners[second as usize % partners.len()]]
         }
-        _ => drawn.iter().map(|&(_, draw, _)| draw % NODES).collect(),
+        _ => drawn.iter().map(|&(_, draw, ..)| draw % NODES).collect(),
     };
-    let entry = |(&(seq, _, shape), node): (&(u64, u32, u8), u32)| {
+    let entry = |(&(seq, _, shape, point), node): (&(u64, u32, u8, u8), u32)| {
         let node = NodeId(node);
         let fault = if shape < 2 {
             Fault::NodeCrash(node)
         } else {
             Fault::NodeDrain { node }
         };
-        let point = TriggerPoint::JobStart;
+        let point = trigger_point(point);
         FailureAt { seq, point, fault }
     };
     drawn.iter().zip(nodes).map(entry).collect()
@@ -724,18 +757,57 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Engine ≡ sim on fault scripts: every strategy × every kernel ×
-    /// random scripts of crashes and drains logs one event skeleton in
-    /// both backends, or ends both in the same typed error.
+    /// random scripts of crashes and drains, at job start or at a wave
+    /// boundary, logs one event skeleton in both backends, or ends both
+    /// in the same typed error.
     #[test]
     fn every_fault_script_agrees_in_both_backends(
         strategy in 0..10usize,
         kernel in 0..KERNELS.len(),
-        drawn in prop::collection::vec((1u64..=14, 0..1024u32, 0..3u8), 0..=2),
+        drawn in prop::collection::vec((1u64..=14, 0..1024u32, 0..3u8, 0..10u8), 0..=2),
     ) {
         let strategy = property_strategies()[strategy];
         let script = fault_script(&drawn);
         assert_agree(WHOLE_PARTITION_BLOCK, strategy, KERNELS[kernel], &script);
     }
+}
+
+/// A crash in the middle of job 7 replays on both clocks. After its
+/// map wave, node 1's death takes map outputs the reducers need and a
+/// partition of job 6's output, so the refresh cancels the run; after
+/// its reduce wave, it also takes job 7's own output partition. Either
+/// way both backends log one event sequence: the loss, the
+/// cancellation, one plan, its recomputations, job 7 again.
+#[test]
+fn crash_at_job_7s_after_map_wave_agrees_in_both_backends() {
+    assert_mid_job_crash_agrees(TriggerPoint::AfterMapWave(0));
+}
+
+/// See [`crash_at_job_7s_after_map_wave_agrees_in_both_backends`].
+#[test]
+fn crash_at_job_7s_after_reduce_wave_agrees_in_both_backends() {
+    assert_mid_job_crash_agrees(TriggerPoint::AfterReduceWave(0));
+}
+
+fn assert_mid_job_crash_agrees(point: TriggerPoint) {
+    let script = [FailureAt {
+        seq: 7,
+        point,
+        fault: Fault::NodeCrash(NodeId(1)),
+    }];
+    let strategy = Strategy::rcmp_no_split();
+    let default = PlacementKernel::Default;
+    let (engine, sim) = chain_both(WHOLE_PARTITION_BLOCK, strategy, default, &script);
+    let ((engine, digest), sim) = (engine.unwrap(), sim.unwrap());
+    assert_eq!(digest, golden_digest());
+    assert_eq!(skeleton(&engine.events), skeleton(&sim.events), "{point:?}");
+    let cancelled = |log: &EventLog| {
+        let cancel = |e: &ChainEvent| matches!(e, ChainEvent::JobCancelled { seq: 7, .. });
+        log.iter().any(cancel)
+    };
+    assert!(cancelled(&engine.events), "{point:?}: {:?}", engine.events);
+    assert_eq!(engine.events.losses(), 1);
+    assert!(engine.jobs_started > 7);
 }
 
 /// MTTR on the simulated clock, for the paper's STIC FAIL 7: the
