@@ -19,8 +19,7 @@ use crate::planner::ClusterLineage;
 use crate::reclaim::reclaim_before;
 use crate::strategy::Strategy;
 use rcmp_engine::{
-    Cluster, FailureInjector, JobReport, JobRun, JobSpec, JobTracker, NoFailures,
-    RecomputeInstructions, RunMode,
+    Cluster, FailureInjector, JobReport, JobRun, JobSpec, JobTracker, NoFailures, RunMode,
 };
 use rcmp_model::{Error, JobId, NodeId, Result};
 use rcmp_obs::{BlackboxDump, EventCode, Gauge, PhaseBreakdown, PhaseKind, SpanKind};
@@ -30,19 +29,6 @@ use rcmp_policy::{
 };
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How a cancelled job is re-run once its input is restored.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RestartMode {
-    /// Re-run the whole job, discarding partial results — the paper's
-    /// implementation ("for simplicity, for the job during which the
-    /// failure occurs, RCMP currently discards the partial results").
-    Discard,
-    /// Resume: re-run only the lost/unfinished partitions, reusing the
-    /// job's surviving persisted map outputs — the improvement the paper
-    /// describes as the ideal behaviour (§V-A).
-    ResumePartial,
-}
 
 /// Result of driving a chain to completion.
 #[derive(Debug, Default)]
@@ -89,7 +75,6 @@ pub struct ChainDriver<'a> {
     cluster: &'a Cluster,
     injector: Arc<dyn FailureInjector>,
     strategy: Strategy,
-    restart_mode: RestartMode,
     /// Chain key for post-mortems: blackbox dumps are parked on the
     /// cluster (and written to `RCMP_BLACKBOX_DIR`) under this label so
     /// concurrent chains never clobber each other's dumps.
@@ -115,7 +100,6 @@ impl<'a> ChainDriver<'a> {
             cluster,
             injector: Arc::new(NoFailures),
             strategy,
-            restart_mode: RestartMode::Discard,
             chain_label: "chain".to_string(),
             tenant: None,
             executor: None,
@@ -126,11 +110,6 @@ impl<'a> ChainDriver<'a> {
 
     pub fn with_injector(mut self, injector: Arc<dyn FailureInjector>) -> Self {
         self.injector = injector;
-        self
-    }
-
-    pub fn with_restart_mode(mut self, mode: RestartMode) -> Self {
-        self.restart_mode = mode;
         self
     }
 
@@ -240,48 +219,26 @@ impl<'a> ChainDriver<'a> {
     }
 
     /// Builds the submission for a (re)run of a job at the head of the
-    /// chain loop.
-    fn build_run(&self, spec: JobSpec, retry: bool) -> Result<JobRun> {
+    /// chain loop: the whole job, discarding partial results — the
+    /// paper's implementation ("for simplicity, for the job during which
+    /// the failure occurs, RCMP currently discards the partial
+    /// results").
+    fn build_run(&self, spec: JobSpec, retry: bool) -> JobRun {
         if retry {
             // A retried job re-derives its output from the DFS ground
             // truth. Drop any chain-cached partitions of the previous
             // attempt up front — the hash guard on cache reads would
             // catch stale bytes anyway, but a cancelled run's failure
-            // may have raced the per-hook invalidations, and the resume
-            // decision below must not be able to observe cache state
-            // that DFS metadata no longer backs.
+            // may have raced the per-hook invalidations.
             if let Some(cache) = self.cluster.dfs().chain_cache() {
                 cache.invalidate_file(&spec.output);
             }
         }
-        let mode = if retry
-            && self.restart_mode == RestartMode::ResumePartial
-            && self.cluster.dfs().file_exists(&spec.output)
-        {
-            // Resume: only the partitions that are lost or were never
-            // written, reusing surviving persisted map outputs.
-            let meta = self.cluster.dfs().file_meta(&spec.output)?;
-            let partitions: Vec<_> = meta
-                .partitions
-                .iter()
-                .filter(|p| p.is_lost() || !p.is_written())
-                .map(|p| p.id)
-                .collect();
-            if partitions.is_empty() {
-                // Everything survived; nothing to do, but Full would
-                // wipe it. Run a no-op recompute of zero partitions.
-                RunMode::Recompute(RecomputeInstructions::empty())
-            } else {
-                RunMode::Recompute(RecomputeInstructions::new(partitions, None))
-            }
-        } else {
-            RunMode::Full
-        };
-        Ok(JobRun {
+        JobRun {
             spec,
-            mode,
+            mode: RunMode::Full,
             persist_map_outputs: self.strategy.persists_outputs(),
-        })
+        }
     }
 
     /// Publishes one adaptive decision to the observability layer:
@@ -359,11 +316,7 @@ impl EngineChain<'_> {
             Err(Error::JobInputLost { .. }) => None,
             Err(e) => return Err(e),
         };
-        Ok(RunOutcome {
-            losses,
-            completed,
-            resumed: run.mode.is_recompute(),
-        })
+        Ok(RunOutcome { losses, completed })
     }
 
     /// A loss seen now: the engine declares a crashed node dead
@@ -397,7 +350,7 @@ impl<'r> ChainBackend for EngineChain<'r> {
         let strategy = self.driver.strategy;
         let mut spec = self.lineage.spec(job)?.clone();
         spec.output_replication = strategy.output_replication();
-        let run = self.driver.build_run(spec, retry)?;
+        let run = self.driver.build_run(spec, retry);
         self.execute(seq, &run)
     }
 

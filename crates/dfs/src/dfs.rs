@@ -13,7 +13,8 @@ use rcmp_obs::{
     Tracer,
 };
 use rcmp_policy::{
-    block_key, rehome_target, replica_targets, segment_key, Membership, PlacementPolicy, Rehome,
+    block_key, decommission_target, replica_targets, segment_key, Membership, PlacementPolicy,
+    MIN_REPLICAS,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -255,53 +256,50 @@ impl Dfs {
     }
 
     /// Gracefully removes `node`: every block replica it holds is first
-    /// copied to the lowest-id Up node that does not already hold that
-    /// block (incremental rebalance preserving the persisted-output
-    /// lineage — content hashes never change), then the node leaves the
+    /// copied to the node [`decommission_target`] names for the block
+    /// (incremental rebalance preserving the persisted-output lineage —
+    /// content hashes never change), then the node leaves the
     /// membership Decommissioned and its store is wiped.
     ///
     /// Plan-then-commit like [`Dfs::replicate_file`]: targets for every
     /// block are validated before any byte is copied, so an
-    /// impossible rebalance (a sole surviving replica with no Up node to
-    /// take it) fails the whole call with namespace and stores
-    /// unchanged; a copy that fails mid-way (every source of some block
-    /// corrupt) removes the copies already placed. Blocks whose every
-    /// placement target already holds a copy are dropped rather than
-    /// moved (they stay readable, merely less replicated) and counted
-    /// in the report.
+    /// impossible rebalance (a block left with fewer than
+    /// [`MIN_REPLICAS`] readable copies and no Up node to take one)
+    /// fails the whole call with namespace and stores unchanged; a copy
+    /// that fails mid-way (every source of some block corrupt) removes
+    /// the copies already placed. A replica the rule finds no target
+    /// for is dropped rather than moved (the block stays readable,
+    /// merely less replicated) and counted in the report.
     pub fn decommission_node(&self, node: NodeId) -> Result<RebalanceReport> {
-        let membership = self.membership();
-        membership.check_decommission(node.raw())?;
-        let mut pool = node_ids(membership.schedulable());
-        pool.retain(|&n| n != node);
+        // The membership as it will stand: the leaving node neither
+        // holds a readable copy nor takes a new one.
+        let mut after = self.membership();
+        after.decommission(node.raw())?;
 
-        // Phase 1: plan. A block with no target is dropped in place:
-        // some other readable replica keeps it alive.
+        // Phase 1: plan.
         let mut plan: Vec<BlockCopy> = Vec::new();
         let mut dropped = 0usize;
         {
             let ns = self.namespace.read();
-            for b in ns
-                .values()
-                .flat_map(|meta| &meta.partitions)
-                .flat_map(PartitionMeta::blocks)
-                .filter(|b| b.replicas.contains(&node))
-            {
-                match rehome_target(&b.replicas, node, &pool, |n| {
-                    membership.is_readable(n.raw())
-                }) {
-                    Rehome::Move(target) => plan.push(BlockCopy {
-                        id: b.id,
-                        content_hash: b.content_hash,
-                        sources: self.readable_of(&b.replicas),
-                        targets: vec![target],
-                    }),
-                    Rehome::Drop => dropped += 1,
-                    Rehome::Stuck => {
-                        return Err(Error::InsufficientReplicaTargets {
-                            wanted: 1,
-                            alive: pool.len(),
-                        });
+            for (path, meta) in ns.iter() {
+                for p in &meta.partitions {
+                    for s in &p.segments {
+                        let segment = segment_key(self.cfg.seed, path, p.id.raw(), s.split);
+                        for (index, b) in (0u32..).zip(&s.blocks) {
+                            if !b.replicas.contains(&node) {
+                                continue;
+                            }
+                            let key = block_key(segment, index);
+                            match decommission_target(key, node, &b.replicas, &after)? {
+                                Some(target) => plan.push(BlockCopy {
+                                    id: b.id,
+                                    content_hash: b.content_hash,
+                                    sources: self.readable_of(&b.replicas),
+                                    targets: vec![target],
+                                }),
+                                None => dropped += 1,
+                            }
+                        }
                     }
                 }
             }
@@ -503,20 +501,21 @@ impl Dfs {
         };
 
         // Place blocks without holding the namespace lock (payload
-        // copies happen here). Feasibility is checked up front so a
-        // failing write never leaves earlier chunks orphaned in stores.
-        // Only schedulable (Up) nodes are placement targets: a draining
-        // writer can finish its in-flight work, but its output lands on
-        // nodes that are staying. One membership snapshot serves every
-        // chunk: its schedulable nodes and its racks. Each chunk's
-        // targets are a function of its position (path, partition,
-        // split, index in this call), so concurrent writers place the
-        // same copies in any order.
+        // copies happen here). Only schedulable (Up) nodes are placement
+        // targets: a draining writer can finish its in-flight work, but
+        // its output lands on nodes that are staying. One membership
+        // snapshot serves every chunk: its schedulable nodes and its
+        // racks. Each chunk's targets are a function of its position
+        // (path, partition, split, index in this call), so concurrent
+        // writers place the same copies in any order. With fewer Up
+        // nodes than the factor a chunk gets a copy on each, as HDFS's
+        // pipeline writes down to its minimum; below the minimum the
+        // write fails up front, before any chunk lands in a store.
         let membership = self.membership();
         let alive = membership.schedulable().len();
-        if (replication as usize) > alive {
+        if alive < MIN_REPLICAS {
             return Err(Error::InsufficientReplicaTargets {
-                wanted: replication as usize,
+                wanted: MIN_REPLICAS,
                 alive,
             });
         }
@@ -855,11 +854,13 @@ impl Dfs {
     /// the output of every k-th job).
     ///
     /// Plan-then-commit: every block's source and targets are validated
-    /// *before* any data is copied, so a lost block or a too-small
-    /// cluster fails the whole call without orphaning copies in node
-    /// stores (a leak the property suite caught); a block whose every
-    /// source turns out corrupt during the copy removes the copies
-    /// already placed.
+    /// *before* any data is copied, so a lost block fails the whole
+    /// call without orphaning copies in node stores (a leak the
+    /// property suite caught); a block whose every source turns out
+    /// corrupt during the copy removes the copies already placed. A
+    /// block keeps its readable replicas (at least [`MIN_REPLICAS`])
+    /// plus what [`replica_targets`] returns, which is fewer than the
+    /// factor when the Up nodes run out.
     pub fn replicate_file(&self, path: &str, factor: u32) -> Result<()> {
         if factor == 0 {
             return Err(Error::Config("replication factor must be >= 1".into()));
@@ -890,11 +891,8 @@ impl Dfs {
                     let policy = PlacementPolicy::WriterLocal;
                     let targets =
                         replica_targets(key, policy, s.writer, factor, &have, &membership);
-                    if have.len() + targets.len() < factor as usize {
-                        return Err(Error::InsufficientReplicaTargets {
-                            wanted: factor as usize,
-                            alive: membership.schedulable().len(),
-                        });
+                    if targets.is_empty() {
+                        continue; // every Up node holds a copy already
                     }
                     plan.push(BlockCopy {
                         id: b.id,
@@ -1335,18 +1333,21 @@ mod tests {
     }
 
     #[test]
-    fn replication_factor_too_high_fails() {
+    fn a_factor_above_the_up_nodes_writes_down_to_the_minimum() {
         let d = dfs(2);
         d.create_file("f", 3, 1).unwrap();
-        let err = d
-            .write_partition_segment(
-                "f",
-                PartitionId(0),
-                payload(64, 1),
-                NodeId(0),
-                PlacementPolicy::WriterLocal,
-            )
-            .unwrap_err();
+        let write = |writer| {
+            let policy = PlacementPolicy::WriterLocal;
+            d.write_partition_segment("f", PartitionId(0), payload(64, 1), writer, policy)
+        };
+        write(NodeId(0)).unwrap();
+        let meta = d.file_meta("f").unwrap();
+        let replicas = &meta.partitions[0].blocks().next().unwrap().replicas;
+        assert_eq!(replicas, &[NodeId(0), NodeId(1)], "one copy per Up node");
+        // A draining writer still writes, but not with no Up node left.
+        d.drain_node(NodeId(0)).unwrap();
+        d.drain_node(NodeId(1)).unwrap();
+        let err = write(NodeId(0)).unwrap_err();
         assert!(matches!(err, Error::InsufficientReplicaTargets { .. }));
     }
 
@@ -1639,10 +1640,15 @@ mod tests {
         assert_eq!(report.blocks_dropped, 0);
         assert_eq!(d.node_used(NodeId(0)), ByteSize::ZERO);
         assert_eq!(d.live_nodes(), vec![NodeId(1), NodeId(2)]);
-        // Deterministic target: lowest-id Up node not already holding.
+        // Each block's new copy is the rule's first target for it.
         let meta = d.file_meta("f").unwrap();
-        for b in meta.partitions[0].blocks() {
-            assert_eq!(b.replicas, vec![NodeId(1)]);
+        let segment = segment_key(d.config().seed, "f", 0, 0);
+        let after = d.membership();
+        for (index, b) in (0u32..).zip(meta.partitions[0].blocks()) {
+            let key = block_key(segment, index);
+            let spread = PlacementPolicy::Spread;
+            let rule = replica_targets(key, spread, NodeId(0), 1, &[], &after);
+            assert_eq!(b.replicas, rule);
         }
         assert_eq!(
             d.read_partition("f", PartitionId(0), NodeId(2)).unwrap(),
@@ -1701,17 +1707,17 @@ mod tests {
     fn joined_node_becomes_placement_target() {
         let d = dfs(2);
         d.create_file("f", 3, 1).unwrap();
-        // Factor 3 on 2 nodes is infeasible...
-        assert!(d
-            .write_partition_segment(
-                "f",
-                PartitionId(0),
-                payload(64, 1),
-                NodeId(0),
-                PlacementPolicy::WriterLocal,
-            )
-            .is_err());
-        // ...until a third node joins.
+        // Factor 3 on 2 nodes writes two copies...
+        d.write_partition_segment(
+            "f",
+            PartitionId(0),
+            payload(64, 1),
+            NodeId(0),
+            PlacementPolicy::WriterLocal,
+        )
+        .unwrap();
+        d.clear_partition("f", PartitionId(0)).unwrap();
+        // ...and three once a third node joins.
         let n = d.join_node(1, 0);
         assert_eq!(n, NodeId(2));
         assert_eq!(d.num_nodes(), 3);

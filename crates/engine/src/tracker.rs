@@ -65,27 +65,6 @@ use std::time::Instant;
 /// the chain, hundreds on an aggregation).
 const REDUCE_BATCH_VALUES: usize = 256;
 
-/// RAII pin on one file's chain-cache entries: held for the duration of
-/// a job run so the input partitions its mappers read cannot be evicted
-/// by the same run's staged output, released on every exit path.
-struct ChainCachePin {
-    cache: Arc<ChainCache>,
-    path: String,
-}
-
-impl ChainCachePin {
-    fn new(cache: Arc<ChainCache>, path: String) -> Self {
-        cache.pin_file(&path);
-        Self { cache, path }
-    }
-}
-
-impl Drop for ChainCachePin {
-    fn drop(&mut self) {
-        self.cache.unpin_file(&self.path);
-    }
-}
-
 // Shuffle-attempt and task-retry budgets live in
 // `ClusterConfig::retry` (`rcmp_model::RetryPolicy`), together with the
 // seeded full-jitter backoff that paces the retries.
@@ -259,14 +238,6 @@ impl<'a> JobTracker<'a> {
             u64::from(run.spec.job.0) | (u64::from(run.mode.is_recompute()) << 32),
         );
         let open = self.tracer.open();
-        // Pin the input file's cached partitions for the duration of the
-        // run: memory pressure from this job's own staged output must
-        // not evict the very partitions its mappers are still reading.
-        let _input_pin = self
-            .cluster
-            .dfs()
-            .chain_cache()
-            .map(|cache| ChainCachePin::new(cache.clone(), run.spec.input.clone()));
         let (report, result) = self.run_machine(run, seq, open.id);
         if result.is_err() {
             // A failed/cancelled run never publishes partial output: drop
@@ -1070,7 +1041,10 @@ impl<'r> JobBackend for EngineJob<'r, '_> {
 
     /// The phase loop runs under one executor session: the pool spawns
     /// its workers once per *job*, not per wave (`exec.worker_starts`
-    /// stays at the pool size while `exec.waves` climbs).
+    /// stays at the pool size while `exec.waves` climbs). The run's
+    /// input stays pinned in the chain cache while it runs and commits,
+    /// so its own staged output cannot evict the partitions its mappers
+    /// read; a run that never gets here pins nothing.
     fn with_waves<R>(&mut self, phases: impl FnOnce(&mut Self, &EngineWaves<'_, 'r>) -> R) -> R {
         let (tracker, run) = (self.tracker, self.run);
         let split = match &run.mode {
@@ -1080,8 +1054,16 @@ impl<'r> JobBackend for EngineJob<'r, '_> {
             _ => None,
         };
         let slots = Arc::new(BucketSlots::new(run.spec.job, run.spec.num_reducers, split));
-        (tracker.wave_executor())
-            .with_session(|session| phases(self, &EngineWaves { session, slots }))
+        let cache = tracker.cluster.dfs().chain_cache();
+        if let Some(c) = cache {
+            c.pin_file(&run.spec.input);
+        }
+        let out = (tracker.wave_executor())
+            .with_session(|session| phases(self, &EngineWaves { session, slots }));
+        if let Some(c) = cache {
+            c.unpin_file(&run.spec.input);
+        }
+        out
     }
 
     fn membership(&self) -> Membership {
@@ -1260,7 +1242,7 @@ mod tests {
     use super::*;
     use crate::failure::NoFailures;
     use crate::udf::{IdentityMapper, IdentityReducer};
-    use rcmp_model::{ClusterConfig, RecordWriter};
+    use rcmp_model::{ByteSize, ClusterConfig, RecordWriter};
 
     fn identity_job(num_reducers: u32) -> JobSpec {
         JobSpec {
@@ -1442,5 +1424,76 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, Error::Config(_)), "{err:?}");
         assert_eq!(dfs.file_meta("out/1").unwrap(), before);
+    }
+
+    /// A run pins its input in the chain cache only once it goes ahead
+    /// (the simulator's test of the same name): a run cancelled at
+    /// JobInit leaves the cache's recency as it was, so the next
+    /// admission evicts that run's input first.
+    #[test]
+    fn a_run_cancelled_at_job_init_pins_nothing() {
+        let chain_job = |j: u32| JobSpec {
+            job: JobId(j),
+            input: if j == 1 {
+                "input".into()
+            } else {
+                format!("out/{}", j - 1)
+            },
+            output: format!("out/{j}"),
+            ..identity_job(4)
+        };
+        let cluster_with = |budget: ByteSize| {
+            let mut cfg = ClusterConfig::small_test(4);
+            cfg.chain_cache = rcmp_model::ChainCacheConfig {
+                enabled: true,
+                budget,
+            };
+            let cluster = Cluster::new(cfg);
+            let dfs = cluster.dfs();
+            dfs.create_file("input", 1, 4).unwrap();
+            for p in 0..4u32 {
+                let mut w = RecordWriter::new();
+                for key in 0..64u64 {
+                    w.push(&Record::new(key * 4 + u64::from(p), vec![p as u8; 32]));
+                }
+                let (pid, policy) = (PartitionId(p), PlacementPolicy::WriterLocal);
+                let chunks = vec![w.finish()];
+                let written = dfs.write_partition_chunks("input", pid, chunks, NodeId(p), policy);
+                written.unwrap();
+            }
+            let tracker = JobTracker::new(&cluster, Arc::new(NoFailures));
+            for j in 1..=3 {
+                tracker
+                    .run(&JobRun::full(chain_job(j)), u64::from(j))
+                    .unwrap();
+            }
+            cluster
+        };
+        let resident = |cluster: &Cluster, path: &str| -> Vec<u32> {
+            let cache = cluster.dfs().chain_cache().unwrap();
+            (0..4)
+                .filter(|&p| cache.holder(path, PartitionId(p)).is_some())
+                .collect()
+        };
+        let probe = cluster_with(ByteSize::gib(1));
+        let budget = probe.dfs().chain_cache().unwrap().stats().used_bytes;
+        let cluster = cluster_with(ByteSize::bytes(budget));
+        let tracker = JobTracker::new(&cluster, Arc::new(NoFailures));
+        // Job 2's input loses a partition: its run is cancelled.
+        cluster
+            .dfs()
+            .clear_partition("out/1", PartitionId(0))
+            .unwrap();
+        let err = tracker.run(&JobRun::full(chain_job(2)), 4).unwrap_err();
+        assert!(matches!(err, Error::JobInputLost { .. }), "{err}");
+        // Job 4 needs four partitions' room; out/3 is its pinned input.
+        tracker.run(&JobRun::full(chain_job(4)), 5).unwrap();
+        assert_eq!(
+            resident(&cluster, "out/1"),
+            [] as [u32; 0],
+            "the unpinned input went first"
+        );
+        assert_eq!(resident(&cluster, "out/2"), [0, 1, 2, 3]);
+        assert_eq!(resident(&cluster, "out/4"), [0, 1, 2, 3]);
     }
 }

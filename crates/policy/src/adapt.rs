@@ -99,13 +99,14 @@ impl DynamicPolicy {
         }
     }
 
-    /// Should a replication point be placed after `jobs_since_point`
-    /// un-replicated jobs?
-    pub fn should_replicate(&self, jobs_since_point: u32) -> bool {
-        match self.break_even_interval() {
-            Some(k) => jobs_since_point >= k,
-            None => false,
-        }
+    /// The `every_k` of the [`Strategy::Hybrid`] this policy derives: a
+    /// replication point every break-even distance, `0` (never) when
+    /// there is none. A hybrid never restarts, so counting jobs since
+    /// the last point and taking the chain position modulo `k` agree.
+    ///
+    /// [`Strategy::Hybrid`]: crate::Strategy::Hybrid
+    pub fn every_k(&self) -> u32 {
+        self.break_even_interval().unwrap_or(0)
     }
 }
 
@@ -436,7 +437,6 @@ mod tests {
             k > 1000,
             "rare failures → replication points essentially never: {k}"
         );
-        assert!(!p.should_replicate(100));
     }
 
     #[test]
@@ -445,8 +445,7 @@ mod tests {
         let p = policy(0.5, 10);
         let k = p.break_even_interval().unwrap();
         assert!(k <= 20, "heavy failures → short interval, got {k}");
-        assert!(p.should_replicate(k));
-        assert!(!p.should_replicate(k - 1));
+        assert_eq!(p.every_k(), k);
     }
 
     #[test]
@@ -472,7 +471,7 @@ mod tests {
     fn zero_probability_never_replicates() {
         let p = policy(0.0, 10);
         assert_eq!(p.break_even_interval(), None);
-        assert!(!p.should_replicate(u32::MAX));
+        assert_eq!(p.every_k(), 0, "a hybrid that never replicates");
     }
 
     #[test]

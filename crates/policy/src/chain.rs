@@ -11,9 +11,9 @@
 //!
 //! * [`plan_cascade`] — the backward lineage walk over a
 //!   [`LineageView`];
-//! * the replication cadence (static modulus, [`DynamicPolicy`]
-//!   threshold, or the closed-loop [`AdaptivePolicy`]), one private
-//!   decision taken after every completed chain job;
+//! * the replication cadence (static modulus, or the closed-loop
+//!   [`AdaptivePolicy`]), one private decision taken after every
+//!   completed chain job;
 //! * [`drive_chain`] — the loop itself, generic over a [`ChainBackend`]
 //!   that performs the effects. `rcmp-core`'s `ChainDriver` is the
 //!   engine backend (real job runs, real sleeps, profiler, tracer);
@@ -29,8 +29,6 @@
 //! a job that keeps losing its input, recovery that keeps being
 //! interrupted), `DataLoss` (the walk reached a lost external input),
 //! or whatever a backend run returns (`NoLiveNodes`, …).
-//!
-//! [`DynamicPolicy`]: crate::adapt::DynamicPolicy
 
 use crate::adapt::{AdaptationStep, AdaptivePolicy, FaultObserver};
 use crate::mitigation::{choose_mitigation, HotspotMitigation, SplitPolicy};
@@ -227,9 +225,6 @@ pub struct RunOutcome {
     /// What the run executed if it finished; `None` if it was cancelled
     /// because its input is irreversibly lost.
     pub completed: Option<TaskCounts>,
-    /// A retried chain job re-ran only its missing partitions (the
-    /// engine's `RestartMode::ResumePartial`).
-    pub resumed: bool,
 }
 
 impl RunOutcome {
@@ -303,8 +298,7 @@ pub trait ChainBackend {
 #[allow(missing_docs)] // fields: see the variant docs
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChainEvent {
-    /// A job run was submitted; `recompute` marks a recovery step or a
-    /// retry resumed partially.
+    /// A job run was submitted; `recompute` marks a recovery step.
     JobStarted {
         seq: u64,
         job: JobId,
@@ -557,14 +551,12 @@ pub struct ChainSummary {
     pub events: EventLog,
 }
 
-/// Hybrid replication points: static modulus (§IV-C), the dynamic
-/// expected-cost threshold, or the closed-loop adaptive policy (§IV-C
-/// future work). The closed loop survives chain restarts so its
-/// failure-intensity estimate keeps everything observed.
+/// Hybrid replication points: static modulus (§IV-C) or the
+/// closed-loop adaptive policy (§IV-C future work). The closed loop
+/// survives chain restarts so its failure-intensity estimate keeps
+/// everything observed.
 struct Cadence {
     strategy: Strategy,
-    /// Jobs completed since the last replication point (dynamic hybrid).
-    jobs_since_point: u32,
     adaptive: Option<AdaptivePolicy>,
 }
 
@@ -572,7 +564,6 @@ impl Cadence {
     fn new(strategy: Strategy) -> Self {
         Self {
             strategy,
-            jobs_since_point: 0,
             adaptive: match strategy {
                 Strategy::AdaptiveHybrid { adapt, .. } => Some(AdaptivePolicy::new(adapt)),
                 _ => None,
@@ -595,10 +586,6 @@ impl Cadence {
             (Strategy::Hybrid { every_k, .. }, _) => {
                 every_k != 0 && position.is_multiple_of(every_k)
             }
-            (Strategy::DynamicHybrid { policy, .. }, _) => {
-                self.jobs_since_point += 1;
-                policy.should_replicate(self.jobs_since_point)
-            }
             (Strategy::AdaptiveHybrid { .. }, Some(policy)) => {
                 let due = policy.job_completed();
                 adapted = policy.trajectory().last().copied();
@@ -609,7 +596,6 @@ impl Cadence {
         if !due {
             return (None, adapted);
         }
-        self.jobs_since_point = 0;
         (self.strategy.replication_point(), adapted)
     }
 
@@ -673,12 +659,11 @@ impl<B: ChainBackend> Chain<'_, B> {
     /// its completion or cancellation. Its faults feed the cadence.
     fn run(&mut self, job: JobId, retry: bool, step: Option<RecoveryStep>) -> Result<RunOutcome> {
         self.seq += 1;
-        let (seq, started, recovery) = (self.seq, self.backend.now().at, step.is_some());
+        let (seq, started, recompute) = (self.seq, self.backend.now().at, step.is_some());
         let run = match step {
             Some(step) => self.backend.run_recompute(seq, step)?,
             None => self.backend.run_job(seq, job, retry)?,
         };
-        let recompute = recovery || run.resumed;
         self.emit_at(
             started,
             ChainEvent::JobStarted {

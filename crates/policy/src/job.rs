@@ -8,8 +8,9 @@
 //! damage re-check, which clears a lost or torn target partition and
 //! re-adds its tasks. Each wave sits in one bracket — fire
 //! `Mid*Wave(w)`, run it, fire `After*Wave(w)` — and a failed task or a
-//! killed node ends the round so the next one reassigns over the
-//! survivors. Each failed attempt is charged to its task, and past
+//! killed node ends the round, JobInit refreshes what went missing, and
+//! the next round reassigns over the survivors; a round nothing
+//! interrupted refreshes nothing. Each failed attempt is charged to its task, and past
 //! `task_retries` the run ends in [`Error::RecoveryExhausted`] instead
 //! of re-running it forever. Like [`crate::chain`] it holds no bytes,
 //! threads or clock: a [`JobBackend`] performs the effects (the
@@ -250,18 +251,13 @@ impl Rounds<'_, '_> {
         for _round in 0..MAX_RECOVERY_ROUNDS {
             while !self.pending_maps.is_empty() {
                 let interrupted = self.map_round(b, waves)?;
-                self.pending_maps = self.missing_maps(b)?;
-                if !interrupted {
-                    // Defensive: outputs missing after an uninterrupted
-                    // round would mean a backend bug.
-                    self.tally.task_retries += self.pending_maps.len();
-                }
+                self.after_round(b, interrupted)?;
             }
             if self.pending_reduces.is_empty() {
                 break;
             }
-            self.reduce_round(b, waves)?;
-            self.pending_maps = self.missing_maps(b)?;
+            let interrupted = self.reduce_round(b, waves)?;
+            self.after_round(b, interrupted)?;
             if self.pending_reduces.is_empty() && self.pending_maps.is_empty() {
                 break;
             }
@@ -269,9 +265,17 @@ impl Rounds<'_, '_> {
         Ok(())
     }
 
-    /// JobInit over the input as it stands now, under the refresh rule.
-    fn missing_maps<B: JobBackend>(&self, b: &mut B) -> Result<Vec<usize>> {
-        job_init(self.shape.job, Some(&self.refresh), &b.input()?)
+    /// After a round: JobInit over the input as it stands now, under the
+    /// refresh rule, when a failed task or a killed node interrupted
+    /// the round. A round nothing interrupted ran every pending mapper
+    /// and lost no output, so nothing is missing.
+    fn after_round<B: JobBackend>(&mut self, b: &mut B, interrupted: bool) -> Result<()> {
+        self.pending_maps = if interrupted {
+            job_init(self.shape.job, Some(&self.refresh), &b.input()?)?
+        } else {
+            Vec::new()
+        };
+        Ok(())
     }
 
     /// One round of map waves over one membership snapshot; true when
@@ -310,8 +314,8 @@ impl Rounds<'_, '_> {
     }
 
     /// One round of reduce waves over one membership snapshot, then the
-    /// damage re-check.
-    fn reduce_round<B: JobBackend>(&mut self, b: &mut B, waves: &B::Waves<'_>) -> Result<()> {
+    /// damage re-check; true when a wave was interrupted.
+    fn reduce_round<B: JobBackend>(&mut self, b: &mut B, waves: &B::Waves<'_>) -> Result<bool> {
         let (membership, live) = schedulable(b)?;
         let (slots, job, budget) = (
             self.shape.slots.reduce,
@@ -325,7 +329,7 @@ impl Rounds<'_, '_> {
         let assignment: Vec<Vec<(NodeId, ReduceTaskId)>> = (assignment.into_iter())
             .map(|wave| wave.into_iter().map(|(n, t)| (n, pending[t])).collect())
             .collect();
-        let mut torn = BTreeSet::new();
+        let (mut torn, mut interrupted) = (BTreeSet::new(), false);
         for wave in assignment {
             let w = self.tally.reduce_waves;
             let (tally, spent) = (&mut *self.tally, &mut self.reduce_retries);
@@ -356,6 +360,7 @@ impl Rounds<'_, '_> {
             })?;
             self.tally.reduce_waves += 1;
             if reassign {
+                interrupted = true;
                 break;
             }
         }
@@ -374,7 +379,7 @@ impl Rounds<'_, '_> {
                 }
             }
         }
-        Ok(())
+        Ok(interrupted)
     }
 }
 

@@ -64,14 +64,15 @@
 //!   scheduling, placement and read decision reads it.
 //! * [`CacheLedger`] — chain-cache admission, LRU-with-pin eviction and
 //!   spill bookkeeping; the engine hangs payloads off it, the simulator
-//!   prices reads against it. [`rehome_target`] is the matching single
-//!   rule for where a decommissioned node's replicas go.
+//!   prices reads against it.
 //! * [`replica_targets`] — the one replica-target rule: where each
 //!   copy of a block goes, a pure function of the block's position
 //!   ([`segment_key`], [`block_key`]), the seed, the writer and the
 //!   [`Membership`] (rendezvous weight, then HDFS's rack order over the
-//!   racks the rack-aware kernel reads). The engine's DFS writes and
-//!   re-replicates through it, and the simulator places through it.
+//!   racks the rack-aware kernel reads). The engine's DFS writes,
+//!   re-replicates and re-homes a decommissioned node's replicas
+//!   through it, and so does the simulator; both go ahead with fewer
+//!   copies than the factor down to [`MIN_REPLICAS`].
 //! * [`DrrArbiter`] — cross-tenant fair-share arbitration (weighted
 //!   deficit round-robin with per-tenant in-flight quotas), the tier
 //!   *above* the wave kernels that the `rcmp-serve` job service uses to
@@ -106,12 +107,15 @@ pub use chain::{
 pub use fair::{jain_index, DrrArbiter, Grant, TenantShare};
 pub use fault::{FailureAt, Fault, TriggerPoint};
 pub use job::{run_job, JobBackend, JobShape, JobTally, MapResult, ReduceResult};
-pub use membership::{rehome_target, Membership, NodeInfo, NodeStatus, Rehome};
+pub use membership::{Membership, NodeInfo, NodeStatus};
 pub use mitigation::{choose_mitigation, HotspotMitigation, MitigationChoice, SplitPolicy};
 pub use plan::{job_init, reduce_task_set, reduce_tasks_for, InputView, MapInput, RecomputePlan};
 pub use strategy::Strategy;
 pub use tasks::{FnMapTasks, FnReduceTasks, MapTaskSet, ReduceTaskSet};
-pub use topology::{block_key, replica_targets, segment_key, PlacementPolicy, SliceTopology};
+pub use topology::{
+    block_key, decommission_target, replica_targets, segment_key, PlacementPolicy, SliceTopology,
+    MIN_REPLICAS,
+};
 pub use waves::{
     assign_map_waves, assign_reduce_waves, PolicyCtx, ReduceAssignment, WaveAssignment,
 };

@@ -209,20 +209,13 @@ impl Membership {
         self.transition(n, &[NodeStatus::Up], NodeStatus::Draining, "drain")
     }
 
-    /// May `n` be decommissioned? The check half of
-    /// [`Membership::decommission`], mutating nothing: both backends make
-    /// it before any replica moves, and fail with its error.
-    pub fn check_decommission(&self, n: u32) -> Result<()> {
-        self.check(n, &DECOMMISSIONABLE, "decommission")
-    }
-
     /// Finishes removing `n`: Up | Draining → Decommissioned (the
     /// caller is responsible for rebalancing its replicas first). Bumps
     /// the epoch.
     pub fn decommission(&mut self, n: u32) -> Result<()> {
         self.transition(
             n,
-            &DECOMMISSIONABLE,
+            &[NodeStatus::Up, NodeStatus::Draining],
             NodeStatus::Decommissioned,
             "decommission",
         )
@@ -275,40 +268,6 @@ impl Membership {
         self.nodes[n as usize].status = to;
         self.epoch += 1;
         Ok(())
-    }
-}
-
-/// The statuses a node may be decommissioned from.
-const DECOMMISSIONABLE: [NodeStatus; 2] = [NodeStatus::Up, NodeStatus::Draining];
-
-/// Where one replica of a departing node goes (graceful decommission).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Rehome<N> {
-    /// Copy the replica to this node.
-    Move(N),
-    /// Every candidate already holds a copy and another readable holder
-    /// remains: drop the replica in place.
-    Drop,
-    /// The departing node holds the last readable copy and no candidate
-    /// can take it; the decommission must fail.
-    Stuck,
-}
-
-/// The re-homing rule both backends apply to each replica `leaving`
-/// holds (so `holders` contains `leaving`): the first node of `pool`
-/// (the schedulable nodes, ascending) that does not already hold the
-/// data takes it; failing that the replica is dropped if some other
-/// holder is still `readable`.
-pub fn rehome_target<N: Copy + PartialEq>(
-    holders: &[N],
-    leaving: N,
-    pool: &[N],
-    readable: impl Fn(N) -> bool,
-) -> Rehome<N> {
-    match pool.iter().find(|t| !holders.contains(t)) {
-        Some(&t) => Rehome::Move(t),
-        None if holders.iter().any(|&h| h != leaving && readable(h)) => Rehome::Drop,
-        None => Rehome::Stuck,
     }
 }
 
@@ -377,35 +336,5 @@ mod tests {
         let flat = Membership::with_racks(5, 1);
         assert!((0..5).all(|n| flat.rack(n) == 0), "one rack");
         assert_eq!(flat, Membership::uniform(5));
-    }
-
-    #[test]
-    fn check_decommission_is_the_transition_check() {
-        let mut m = Membership::uniform(3);
-        m.drain(1).unwrap();
-        m.mark_dead(2).unwrap();
-        let epoch = m.epoch();
-        for n in 0..4 {
-            let checked = m.check_decommission(n).map_err(|e| e.to_string());
-            let mut moved = m.clone();
-            let applied = moved.decommission(n).map_err(|e| e.to_string());
-            assert_eq!(checked, applied, "node {n}");
-        }
-        assert_eq!(m.epoch(), epoch, "the check mutates nothing");
-    }
-
-    #[test]
-    fn rehome_moves_then_drops_then_sticks() {
-        let readable = |n: u32| n != 9;
-        // First pool node that does not already hold a copy.
-        assert_eq!(
-            rehome_target(&[0, 1], 0, &[1, 2, 3], readable),
-            Rehome::Move(2)
-        );
-        // Every candidate holds one; node 1 keeps the data readable.
-        assert_eq!(rehome_target(&[0, 1], 0, &[1], readable), Rehome::Drop);
-        // The only other holder is unreadable: nowhere to go.
-        assert_eq!(rehome_target(&[0, 9], 0, &[9], readable), Rehome::Stuck);
-        assert_eq!(rehome_target(&[0], 0, &[], readable), Rehome::Stuck);
     }
 }

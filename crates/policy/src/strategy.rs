@@ -1,11 +1,13 @@
 //! The failure-resilience strategies compared in the evaluation (§V-A).
 //!
 //! The strategy *menu* sits beside the per-run decision types it is
-//! built from ([`SplitPolicy`], [`HotspotMitigation`], [`DynamicPolicy`],
-//! [`AdaptConfig`]) so the chain machine (`crate::chain`) and both of
-//! its backends name one enum.
+//! built from ([`SplitPolicy`], [`HotspotMitigation`], [`AdaptConfig`])
+//! so the chain machine (`crate::chain`) and both of its backends name
+//! one enum. The expected-cost interval of §IV-C's future work is a
+//! [`Strategy::Hybrid`] whose `every_k` is
+//! [`DynamicPolicy::every_k`](crate::adapt::DynamicPolicy::every_k).
 
-use crate::adapt::{AdaptConfig, DynamicPolicy};
+use crate::adapt::AdaptConfig;
 use crate::mitigation::{HotspotMitigation, SplitPolicy};
 use serde::{Deserialize, Serialize};
 
@@ -40,18 +42,6 @@ pub enum Strategy {
         every_k: u32,
         /// Replicas a replication point raises the output to.
         factor: u32,
-        /// Reclaim persisted outputs behind each replication point.
-        reclaim: bool,
-    },
-    /// The paper's §IV-C future work: hybrid with replication points
-    /// placed by an expected-cost model instead of a static modulus.
-    DynamicHybrid {
-        /// Reducer splitting applied to recomputation runs.
-        split: SplitPolicy,
-        /// Replicas a replication point raises the output to.
-        factor: u32,
-        /// The expected-cost threshold deciding when a point is due.
-        policy: DynamicPolicy,
         /// Reclaim persisted outputs behind each replication point.
         reclaim: bool,
     },
@@ -103,9 +93,6 @@ impl Strategy {
             Strategy::Hybrid {
                 factor, reclaim, ..
             }
-            | Strategy::DynamicHybrid {
-                factor, reclaim, ..
-            }
             | Strategy::AdaptiveHybrid {
                 factor, reclaim, ..
             } => Some((factor, reclaim)),
@@ -120,9 +107,7 @@ impl Strategy {
         match *self {
             Strategy::Optimistic | Strategy::Replication { .. } => None,
             Strategy::Rcmp { split, hotspot } => Some((split, hotspot)),
-            Strategy::Hybrid { split, .. }
-            | Strategy::DynamicHybrid { split, .. }
-            | Strategy::AdaptiveHybrid { split, .. } => {
+            Strategy::Hybrid { split, .. } | Strategy::AdaptiveHybrid { split, .. } => {
                 Some((split, HotspotMitigation::SplitReducers))
             }
         }
@@ -132,10 +117,7 @@ impl Strategy {
     pub fn persists_outputs(&self) -> bool {
         matches!(
             self,
-            Strategy::Rcmp { .. }
-                | Strategy::Hybrid { .. }
-                | Strategy::DynamicHybrid { .. }
-                | Strategy::AdaptiveHybrid { .. }
+            Strategy::Rcmp { .. } | Strategy::Hybrid { .. } | Strategy::AdaptiveHybrid { .. }
         )
     }
 }
@@ -164,13 +146,6 @@ mod tests {
         assert_eq!(Strategy::rcmp_split(8).recovery(), Some(split));
         let hybrid_split = (SplitPolicy::None, HotspotMitigation::SplitReducers);
         assert_eq!(hybrid.recovery(), Some(hybrid_split));
-        assert!(Strategy::DynamicHybrid {
-            split: SplitPolicy::None,
-            factor: 2,
-            policy: DynamicPolicy::from_trace_stats(0.17, 10.0, 10, 1),
-            reclaim: false,
-        }
-        .persists_outputs());
         assert!(Strategy::AdaptiveHybrid {
             split: SplitPolicy::None,
             factor: 2,

@@ -17,7 +17,7 @@
 use crate::Membership;
 use rcmp_model::partition::mix64;
 use rcmp_model::rng::derive_indexed;
-use rcmp_model::PlacementKernel;
+use rcmp_model::{Error, PlacementKernel, Result};
 use serde::{Deserialize, Serialize};
 
 /// What the wave kernels need to know about a cluster for one phase.
@@ -142,10 +142,18 @@ pub fn block_key(segment: u64, index: u32) -> u64 {
     mix64(segment ^ u64::from(index))
 }
 
+/// HDFS's `dfs.namenode.replication.min`: a write, a replication point
+/// or a decommission goes ahead once the block has this many readable
+/// copies, taking what [`replica_targets`] returns when the candidates
+/// run out before the factor (HDFS re-replicates later; here the
+/// shortfall stays).
+pub const MIN_REPLICAS: usize = 1;
+
 /// The one replica-target rule: the nodes that receive new copies of
 /// the block keyed `key` so that `holders` plus the copies reach
-/// `factor` — at write time with no holders, and when raising a
-/// block's replication with its readable replicas as `holders`.
+/// `factor` — at write time with no holders, when raising a block's
+/// replication with its readable replicas as `holders`, and when a
+/// decommission replaces the copy a leaving node held.
 ///
 /// Candidates are the schedulable nodes not in `holders`, ranked by the
 /// rendezvous weight `mix64(key ^ node)`. With no holders, the first
@@ -159,7 +167,8 @@ pub fn block_key(segment: u64, index: u32) -> u64 {
 /// So a factor-f placement is a prefix of the factor-(f+1) one, raising
 /// a factor-1 write to f gives the factor-f write, and a node outside
 /// the targets can die without moving them. Returns fewer copies when
-/// the candidates run out; callers keep their own feasibility checks.
+/// the candidates run out; callers go ahead with at least
+/// [`MIN_REPLICAS`] copies.
 pub fn replica_targets<N>(
     key: u64,
     policy: PlacementPolicy,
@@ -227,6 +236,37 @@ where
         targets.push(N::from(candidates.swap_remove(i).1));
     }
     targets
+}
+
+/// Where the copy a decommissioned node `leaving` held of the block
+/// keyed `key` goes: the next copy [`replica_targets`] gives the block,
+/// with its `replicas` still readable in `after` (the membership once
+/// `leaving` is gone) as holders, so the copy leaves the remaining
+/// copy's rack when it can. `Ok(None)` when the rule finds no target
+/// and at least [`MIN_REPLICAS`] readable copies remain: the replica is
+/// dropped in place. Fewer, and the decommission fails.
+pub fn decommission_target<N>(
+    key: u64,
+    leaving: N,
+    replicas: &[N],
+    after: &Membership,
+) -> Result<Option<N>>
+where
+    N: Copy + PartialEq + From<u32> + Into<u32>,
+{
+    let holders: Vec<N> = (replicas.iter().copied())
+        .filter(|&n| after.is_readable(n.into()))
+        .collect();
+    let factor = holders.len() as u32 + 1;
+    let spread = PlacementPolicy::Spread;
+    match replica_targets(key, spread, leaving, factor, &holders, after)[..] {
+        [target] => Ok(Some(target)),
+        _ if holders.len() >= MIN_REPLICAS => Ok(None),
+        _ => Err(Error::InsufficientReplicaTargets {
+            wanted: MIN_REPLICAS,
+            alive: after.schedulable().len(),
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -378,6 +418,25 @@ mod tests {
                 "third replica shares the second's rack: {t:?}"
             );
         }
+    }
+
+    #[test]
+    fn decommission_moves_off_the_remaining_rack_then_drops_then_fails() {
+        // Racks {0, 1} and {2, 3}; node 3 leaves a block held by 0 and 3.
+        let mut after = Membership::with_racks(4, 2);
+        after.decommission(3).unwrap();
+        for key in 0..20 {
+            let moved = decommission_target(key, 3u32, &[0, 3], &after).unwrap();
+            assert_eq!(moved, Some(2), "off node 0's rack, key {key}");
+        }
+        // Every Up node holds a copy already: drop in place.
+        after.mark_dead(1).unwrap();
+        assert_eq!(decommission_target(7, 3u32, &[0, 2, 3], &after), Ok(None));
+        // The leaver holds the last readable copy and no node is free.
+        after.drain(0).unwrap();
+        after.drain(2).unwrap();
+        let err = decommission_target(7, 3u32, &[1, 3], &after).unwrap_err();
+        assert!(matches!(err, Error::InsufficientReplicaTargets { .. }));
     }
 
     #[test]

@@ -471,7 +471,6 @@ fn completed(losses: Vec<Loss>) -> RunOutcome {
     RunOutcome {
         losses,
         completed: Some(TaskCounts::default()),
-        resumed: false,
     }
 }
 
@@ -694,10 +693,10 @@ fn strategy() -> impl Strategy<Value = Resilience> {
             factor: 2,
             reclaim,
         }),
-        (split(), prop::bool::ANY).prop_map(move |(split, reclaim)| S::DynamicHybrid {
+        (split(), prop::bool::ANY).prop_map(move |(split, reclaim)| S::Hybrid {
             split,
+            every_k: eager.every_k(),
             factor: 2,
-            policy: eager,
             reclaim,
         }),
         (split(), prop::bool::ANY).prop_map(|(split, reclaim)| S::AdaptiveHybrid {

@@ -224,11 +224,7 @@ impl<'a> Runner<'a> {
             Err(e) => return Err(e),
         };
         let losses = script.losses;
-        Ok(RunOutcome {
-            losses,
-            completed,
-            resumed: false,
-        })
+        Ok(RunOutcome { losses, completed })
     }
 }
 

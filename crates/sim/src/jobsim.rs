@@ -381,7 +381,7 @@ impl JobBackend for SimRun<'_, '_> {
     }
 
     /// The run's input stays pinned in the chain cache while it runs
-    /// and commits (the tracker's `ChainCachePin`), so its own output
+    /// and commits (as in the tracker's `with_waves`), so its own output
     /// cannot evict the partitions it reads.
     fn with_waves<R>(&mut self, phases: impl FnOnce(&mut Self, &()) -> R) -> R {
         let input = self.job - 1;
@@ -1176,12 +1176,10 @@ mod tests {
         assert_eq!(st.persisted_bytes(), 0);
     }
 
-    /// Pinned difference (DESIGN §3.7): the simulator pins a run's
-    /// input only once the run goes ahead, so a run cancelled at JobInit
-    /// leaves the cache's recency as it was — the next admission evicts
-    /// the cancelled run's input first. The engine pins before the plan
-    /// checks, and its cancelled run would have made that input the
-    /// most recent.
+    /// A run pins its input only once it goes ahead, so a run cancelled
+    /// at JobInit leaves the cache's recency as it was — the next
+    /// admission evicts the cancelled run's input first. The tracker's
+    /// test of the same name checks the engine (DESIGN §3.7).
     #[test]
     fn a_run_cancelled_at_job_init_pins_nothing() {
         let resident = |st: &SimState, file: u32| -> Vec<u32> {

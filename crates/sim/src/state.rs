@@ -7,10 +7,10 @@
 //! transitions the real `rcmp-dfs`/`rcmp-engine` pair performs.
 
 use crate::workload::WorkloadCfg;
-use rcmp_model::{Error, PartitionId, Result};
+use rcmp_model::{PartitionId, Result};
 use rcmp_policy::{
-    block_key, rehome_target, replica_targets, segment_key, CacheLedger, InputView, MapInput,
-    Membership, PlacementPolicy, Rehome,
+    block_key, decommission_target, replica_targets, segment_key, CacheLedger, InputView, MapInput,
+    Membership, PlacementPolicy,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -287,20 +287,17 @@ impl SimState {
         self.membership.rejoin(node)
     }
 
-    /// Gracefully removes a node: every segment replica it holds is
-    /// re-homed by [`rehome_target`] — the rule `rcmp-dfs` applies per
-    /// block — its map outputs are dropped, and it leaves the membership
-    /// `Decommissioned`. Returns `(moved, dropped)` replica counts.
-    /// Fails with [`Error::InsufficientReplicaTargets`] — leaving all
-    /// state unchanged — when a sole-replica segment has nowhere to go.
+    /// Gracefully removes a node: every segment replica it holds moves
+    /// to the node [`decommission_target`] names for the segment (the
+    /// rule `rcmp-dfs` applies per block), its map outputs are dropped,
+    /// and it leaves the membership `Decommissioned`. Returns `(moved,
+    /// dropped)` replica counts. Fails with
+    /// [`rcmp_model::Error::InsufficientReplicaTargets`] — leaving all
+    /// state unchanged — when a segment would keep fewer than
+    /// [`rcmp_policy::MIN_REPLICAS`] readable copies.
     pub fn decommission_node(&mut self, node: Node) -> Result<(usize, usize)> {
-        self.membership.check_decommission(node)?;
-        let pool: Vec<Node> = self
-            .membership
-            .schedulable()
-            .into_iter()
-            .filter(|&n| n != node)
-            .collect();
+        let mut after = self.membership.clone();
+        after.decommission(node)?;
         // Plan: (file, pid, seg) → Some(target) moves the replica,
         // None drops it in place (other readable holders remain).
         let mut plan: Vec<(FileId, usize, usize, Option<Node>)> = Vec::new();
@@ -310,17 +307,8 @@ impl SimState {
                     if !seg.holders.contains(&node) {
                         continue;
                     }
-                    let readable = |n| self.membership.is_readable(n);
-                    match rehome_target(&seg.holders, node, &pool, readable) {
-                        Rehome::Move(t) => plan.push((f, pid, si, Some(t))),
-                        Rehome::Drop => plan.push((f, pid, si, None)),
-                        Rehome::Stuck => {
-                            return Err(Error::InsufficientReplicaTargets {
-                                wanted: 1,
-                                alive: pool.len(),
-                            });
-                        }
-                    }
+                    let target = decommission_target(seg.key, node, &seg.holders, &after)?;
+                    plan.push((f, pid, si, target));
                 }
             }
         }
@@ -348,7 +336,7 @@ impl SimState {
         if let Some(c) = self.chain_cache.as_mut() {
             c.invalidate_node(node);
         }
-        self.membership.decommission(node)?;
+        self.membership = after;
         Ok((moved, dropped))
     }
 
@@ -481,7 +469,7 @@ impl SimState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcmp_model::SlotConfig;
+    use rcmp_model::{Error, SlotConfig};
 
     fn wl() -> WorkloadCfg {
         let mut w = WorkloadCfg::stic(SlotConfig::ONE_ONE);

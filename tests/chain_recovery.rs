@@ -6,7 +6,6 @@
 //! a pure function of the input — every strategy, failure pattern and
 //! recovery path must reproduce it exactly.
 
-use rcmp::core::driver::RestartMode;
 use rcmp::core::strategy::HotspotMitigation;
 use rcmp::core::{ChainDriver, ChainEvent, SplitPolicy, Strategy};
 use rcmp::engine::{Cluster, ScriptedInjector, TriggerPoint};
@@ -344,46 +343,6 @@ fn hybrid_bounds_cascade_and_reclaims() {
     assert!(!cl.dfs().file_exists("out/3"));
 
     assert_eq!(final_digest(&cl, &chain), reference);
-}
-
-/// The resume-partial extension (the paper's "ideal" behaviour, §V-A):
-/// the cancelled job re-runs only its lost partitions, reusing its own
-/// surviving persisted map outputs — Fig. 1's minimal task set.
-#[test]
-fn resume_partial_restart_is_minimal_and_correct() {
-    let reference = reference_digest(5, 3);
-    let (cl, chain) = setup(5, 3);
-    let injector = Arc::new(ScriptedInjector::single(
-        2,
-        TriggerPoint::AfterReduceWave(0),
-        NodeId(1),
-    ));
-    let outcome = ChainDriver::new(&cl, Strategy::rcmp_no_split())
-        .with_restart_mode(RestartMode::ResumePartial)
-        .with_injector(injector)
-        .run(&chain.jobs)
-        .unwrap();
-    assert_eq!(final_digest(&cl, &chain), reference);
-
-    // If the failure cancelled job 2 (it can also be absorbed
-    // intra-job when the damaged partitions' inputs survive), the retry
-    // must have been a partial resume.
-    let cancelled = outcome
-        .events
-        .iter()
-        .any(|e| matches!(e, ChainEvent::JobCancelled { .. }));
-    if cancelled {
-        let resumed = outcome.events.events_for_job(JobId(2)).any(|e| {
-            matches!(
-                e,
-                ChainEvent::JobStarted {
-                    recompute: true,
-                    ..
-                }
-            )
-        });
-        assert!(resumed, "job 2 retried as a resume, not Full");
-    }
 }
 
 /// Losses that break nothing downstream are abandoned, not recomputed

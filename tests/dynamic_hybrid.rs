@@ -1,6 +1,7 @@
-//! The §IV-C future-work strategy end-to-end: dynamic replication
-//! points driven by the expected-cost model, on both the real engine
-//! and the simulator.
+//! The §IV-C future-work strategy end-to-end: replication points every
+//! break-even distance of the expected-cost model — a hybrid whose
+//! `every_k` the model derives — on both the real engine and the
+//! simulator.
 
 use rcmp::core::{ChainDriver, ChainEvent, DynamicPolicy, SplitPolicy, Strategy};
 use rcmp::engine::{Cluster, ScriptedInjector, TriggerPoint};
@@ -24,16 +25,20 @@ fn cluster() -> Cluster {
     })
 }
 
+fn policy(failure_prob: f64) -> DynamicPolicy {
+    DynamicPolicy {
+        failure_prob_per_job: failure_prob,
+        extra_replicas: 1,
+        replication_byte_cost: 1.0,
+        recompute_fraction: 0.2,
+    }
+}
+
 fn dynamic(failure_prob: f64, reclaim: bool) -> Strategy {
-    Strategy::DynamicHybrid {
+    Strategy::Hybrid {
         split: SplitPolicy::Fixed(4),
+        every_k: policy(failure_prob).every_k(),
         factor: 2,
-        policy: DynamicPolicy {
-            failure_prob_per_job: failure_prob,
-            extra_replicas: 1,
-            replication_byte_cost: 1.0,
-            recompute_fraction: 0.2,
-        },
         reclaim,
     }
 }
@@ -150,44 +155,30 @@ fn sim_dynamic_hybrid_matches_static_interval() {
     use rcmp::sim::{simulate_chain, ChainSimConfig, FailureAt, HwProfile, WorkloadCfg};
     let mut wl = WorkloadCfg::stic(SlotConfig::ONE_ONE);
     wl.per_node_input = wl.per_node_input / 8;
-    // Policy with break-even interval 2 behaves like Hybrid every_k=2.
-    let policy = DynamicPolicy {
-        failure_prob_per_job: 2.5,
-        extra_replicas: 1,
-        replication_byte_cost: 1.0,
-        recompute_fraction: 0.2,
+    // Policy with break-even interval 2 derives Hybrid every_k=2.
+    assert_eq!(policy(2.5).break_even_interval(), Some(2));
+    let derived = Strategy::Hybrid {
+        split: SplitPolicy::Fixed(8),
+        every_k: policy(2.5).every_k(),
+        factor: 2,
+        reclaim: false,
     };
-    assert_eq!(policy.break_even_interval(), Some(2));
-    let dynamic_run = simulate_chain(
-        &ChainSimConfig::new(
-            HwProfile::stic(),
-            wl.clone(),
-            Strategy::DynamicHybrid {
-                split: SplitPolicy::Fixed(8),
-                factor: 2,
-                policy,
-                reclaim: false,
-            },
-        )
-        .with_failures(vec![FailureAt::at_job(6, 9)]),
+    let every_2 = Strategy::Hybrid {
+        split: SplitPolicy::Fixed(8),
+        every_k: 2,
+        factor: 2,
+        reclaim: false,
+    };
+    assert_eq!(derived, every_2);
+    let run = simulate_chain(
+        &ChainSimConfig::new(HwProfile::stic(), wl, derived)
+            .with_failures(vec![FailureAt::at_job(6, 9)]),
     );
-    let static_run = simulate_chain(
-        &ChainSimConfig::new(
-            HwProfile::stic(),
-            wl.clone(),
-            Strategy::Hybrid {
-                split: SplitPolicy::Fixed(8),
-                every_k: 2,
-                factor: 2,
-                reclaim: false,
-            },
-        )
-        .with_failures(vec![FailureAt::at_job(6, 9)]),
-    );
-    assert!(
-        (dynamic_run.total_time - static_run.total_time).abs() < 1e-6,
-        "interval-2 dynamic policy ≡ every_k=2 hybrid: {} vs {}",
-        dynamic_run.total_time,
-        static_run.total_time
-    );
+    let points: Vec<u32> = (run.events.iter())
+        .filter_map(|e| match e {
+            ChainEvent::ReplicationPoint { job, .. } => Some(job.raw()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(points, [2, 4, 6], "a point every second job");
 }

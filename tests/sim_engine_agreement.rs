@@ -14,7 +14,7 @@ use rcmp::engine::{
     Cluster, Fault, JobRun, JobTracker, NoFailures, ScriptedInjector, TriggerPoint,
 };
 use rcmp::model::{
-    ByteSize, ChainCacheConfig, ClusterConfig, Error, ExecutorConfig, JobId, NodeId,
+    ByteSize, ChainCacheConfig, ClusterConfig, Error, ExecutorConfig, JobId, NodeId, PartitionId,
     PlacementKernel, Result, SlotConfig,
 };
 use rcmp::policy::{AdaptConfig, Clock, DynamicPolicy};
@@ -342,20 +342,32 @@ fn golden_digest() -> OutputDigest {
 }
 
 /// Both backends ran one policy over `script`: the same event skeleton,
-/// or the same typed error.
-fn assert_agree(block: u64, strategy: Strategy, kernel: PlacementKernel, script: &[FailureAt]) {
+/// or the same typed error. Returns the engine's final digest when the
+/// chain converged.
+fn assert_agree(
+    block: u64,
+    strategy: Strategy,
+    kernel: PlacementKernel,
+    script: &[FailureAt],
+) -> Option<OutputDigest> {
     let case = format!("{strategy:?} under {kernel:?}, {block}-B blocks, script {script:?}");
     match chain_both(block, strategy, kernel, script) {
-        (Ok((engine, _)), Ok(sim)) => assert_eq!(
-            skeleton(&engine.events),
-            skeleton(&sim.events),
-            "{case}: the backends' event logs diverge"
-        ),
-        (Err(engine), Err(sim)) => assert_eq!(
-            std::mem::discriminant(&engine),
-            std::mem::discriminant(&sim),
-            "{case}: engine ended in {engine}, sim in {sim}"
-        ),
+        (Ok((engine, digest)), Ok(sim)) => {
+            assert_eq!(
+                skeleton(&engine.events),
+                skeleton(&sim.events),
+                "{case}: the backends' event logs diverge"
+            );
+            Some(digest)
+        }
+        (Err(engine), Err(sim)) => {
+            assert_eq!(
+                std::mem::discriminant(&engine),
+                std::mem::discriminant(&sim),
+                "{case}: engine ended in {engine}, sim in {sim}"
+            );
+            None
+        }
         (engine, sim) => panic!(
             "{case}: engine {:?}, sim {:?}",
             engine.map(|(o, _)| o.jobs_started),
@@ -392,15 +404,12 @@ fn late_failure_starts_fourteen_runs_in_both_backends() {
 /// the FAIL x,y pairs of Fig. 9 — under Fig. 9's three strategies. As
 /// in the figure, the first kill takes the last node and the second
 /// the one before it, and Hadoop's run numbering never exceeds the
-/// chain length.
-///
-/// One pair is pinned, not agreed: REPL-3 under two kills leaves two
-/// Up nodes of four for three copies. The engine's DFS refuses a write
-/// with fewer targets than its factor, so the reducer exhausts its
-/// retries; the simulator writes as many copies as there are nodes,
-/// as HDFS's pipeline would. At Fig. 9's ten nodes neither happens.
+/// chain length. Every script ends in the golden digest. REPL-3 under
+/// two kills leaves two Up nodes of four for three copies: both
+/// backends write down to HDFS's minimum, one copy per Up node.
 #[test]
 fn paper_fault_scripts_agree_in_both_backends() {
+    let golden = golden_digest();
     let scripts: [&[u64]; 7] = [&[2], &[7], &[2, 2], &[7, 7], &[7, 14], &[2, 4], &[4, 7]];
     let strategies = [
         Strategy::rcmp_split(8),
@@ -421,17 +430,8 @@ fn paper_fault_scripts_agree_in_both_backends() {
                     FailureAt::at_job(seq, NODES - i)
                 })
                 .collect();
-            if is_repl && script.len() == 2 {
-                let (engine, sim) = chain_both(BLOCK, strategy, PlacementKernel::Default, &script);
-                let engine = engine.map(|_| ()).unwrap_err();
-                assert!(
-                    matches!(engine, Error::RecoveryExhausted { .. }),
-                    "{script:?}: {engine}"
-                );
-                sim.unwrap_or_else(|e| panic!("{script:?}: sim: {e}"));
-                continue;
-            }
-            assert_agree(BLOCK, strategy, PlacementKernel::Default, &script);
+            let digest = assert_agree(BLOCK, strategy, PlacementKernel::Default, &script);
+            assert_eq!(digest, Some(golden), "{strategy:?}, script {script:?}");
         }
     }
 }
@@ -574,6 +574,80 @@ fn replica_sets_agree_in_both_backends() {
     }
 }
 
+/// Decommission re-homing is the replica-target rule on both backends:
+/// each replica the leaving node held moves to the node
+/// `replica_targets` names with the block's remaining readable copies
+/// as holders. Here two racks hold two nodes each, and the input is
+/// written at factor 2 from each partition's own node, so partition 0
+/// has one copy on node 0 (rack 0) and one on rack 1. Decommissioning
+/// the rack-1 copy must put the new one on rack 1's other node, not
+/// next to node 0 — the lowest-id free node.
+#[test]
+fn decommission_rehomes_off_the_remaining_copys_rack_in_both_backends() {
+    let membership = rcmp::policy::Membership::with_racks(NODES, 2);
+    let dfs_cfg = rcmp::dfs::DfsConfig {
+        seed: SEED,
+        ..rcmp::dfs::DfsConfig::new(NODES, ByteSize::bytes(WHOLE_PARTITION_BLOCK)).with_racks(2)
+    };
+    let dfs = rcmp::dfs::Dfs::new(dfs_cfg);
+    dfs.create_file("input", 2, NODES).unwrap();
+    for p in 0..NODES {
+        let chunk = bytes::Bytes::from(vec![p as u8; BYTES_PER_PARTITION as usize]);
+        let (pid, policy) = (PartitionId(p), rcmp::dfs::PlacementPolicy::WriterLocal);
+        let written = dfs.write_partition_chunks("input", pid, vec![chunk], NodeId(p), policy);
+        written.unwrap();
+    }
+    let wl = WorkloadCfg {
+        input_replication: 2,
+        ..chain_wl(WHOLE_PARTITION_BLOCK)
+    };
+    let mut state = SimState::with_membership(&wl, SEED, membership.clone());
+    let engine_holders = |p: u32| -> Vec<u32> {
+        let meta = dfs.file_meta("input").unwrap();
+        let block = meta.partitions[p as usize]
+            .blocks()
+            .next()
+            .unwrap()
+            .replicas
+            .clone();
+        block.into_iter().map(|n| n.raw()).collect()
+    };
+    let sim_holders = |state: &SimState, p: u32| {
+        state.files[&0].partitions[p as usize].segments[0]
+            .holders
+            .clone()
+    };
+    for p in 0..NODES {
+        assert_eq!(
+            engine_holders(p),
+            sim_holders(&state, p),
+            "partition {p} before"
+        );
+    }
+    let [first, leaving] = engine_holders(0)[..] else {
+        panic!("two copies of partition 0");
+    };
+    assert_eq!((membership.rack(first), membership.rack(leaving)), (0, 1));
+
+    dfs.decommission_node(NodeId(leaving)).unwrap();
+    state.decommission_node(leaving).unwrap();
+    let moved = engine_holders(0);
+    assert_eq!(moved.len(), 2, "the factor is kept: {moved:?}");
+    assert!(!moved.contains(&leaving));
+    assert_eq!(
+        membership.rack(moved[1]),
+        1,
+        "the new copy is off node {first}'s rack: {moved:?}"
+    );
+    for p in 0..NODES {
+        assert_eq!(
+            engine_holders(p),
+            sim_holders(&state, p),
+            "partition {p} after"
+        );
+    }
+}
+
 /// The simulator sizes every partition of a job's output alike; the
 /// engine's key scatter does not, so at two blocks per partition some
 /// of its partitions span three. Once a node is gone, the map tasks
@@ -665,12 +739,7 @@ fn property_strategies() -> Vec<Strategy> {
         hybrid(3, SplitPolicy::Fixed(3), true),
         Strategy::Replication { factor: 2 },
         Strategy::Optimistic,
-        Strategy::DynamicHybrid {
-            split: SplitPolicy::Survivors,
-            factor: 2,
-            policy: dynamic,
-            reclaim: false,
-        },
+        hybrid(dynamic.every_k(), SplitPolicy::Survivors, false),
         Strategy::AdaptiveHybrid {
             split: SplitPolicy::Fixed(3),
             factor: 2,
@@ -711,9 +780,10 @@ fn factor2_partners() -> &'static BTreeMap<u32, Vec<u32>> {
 }
 
 /// The point a drawn entry fires at: `JobStart` for draws 0 and 1, else
-/// one of the four wave points of wave 0 or 1.
-fn trigger_point(draw: u8) -> TriggerPoint {
-    let wave = u32::from(draw.saturating_sub(2) / 4);
+/// one of the four wave points of a wave below `waves`, the waves a
+/// phase of the entry's run has.
+fn trigger_point(draw: u8, waves: u32) -> TriggerPoint {
+    let wave = u32::from(draw.saturating_sub(2) / 4) % waves;
     match draw {
         0..=1 => TriggerPoint::JobStart,
         d => match (d - 2) % 4 {
@@ -727,7 +797,10 @@ fn trigger_point(draw: u8) -> TriggerPoint {
 
 /// A script of up to two entries drawn as `(run, node, shape, point)`:
 /// each a crash (shapes 0 and 1) or a drain (shape 2) at runs 1..=14,
-/// at the [`trigger_point`] drawn. An entry's node is its draw modulo
+/// at the [`trigger_point`] drawn. A phase of a whole job runs its four
+/// tasks in one wave on four Up nodes and in two once an earlier run's
+/// entry took a node, so only an entry after another draws wave 1. An
+/// entry's node is its draw modulo
 /// the node count, except that when both entries are crashes, the
 /// second draw indexes the first node's [`factor2_partners`]: the pair
 /// then takes both copies of some output block, and the two backends'
@@ -747,10 +820,25 @@ fn fault_script(drawn: &[(u64, u32, u8, u8)]) -> Vec<FailureAt> {
         } else {
             Fault::NodeDrain { node }
         };
-        let point = trigger_point(point);
+        let taken = drawn.iter().filter(|d| d.0 < seq).count() as u32;
+        let point = trigger_point(point, NODES.div_ceil(NODES - taken));
         FailureAt { seq, point, fault }
     };
     drawn.iter().zip(nodes).map(entry).collect()
+}
+
+/// One case of the agreement property: a strategy of
+/// [`property_strategies`], a kernel of [`KERNELS`] and the entries
+/// [`fault_script`] turns into a script.
+type Case = (usize, usize, Vec<(u64, u32, u8, u8)>);
+
+fn property_case() -> impl proptest::strategy::Strategy<Value = Case> {
+    let entry = (1u64..=14, 0..1024u32, 0..3u8, 0..10u8);
+    (
+        0..10usize,
+        0..KERNELS.len(),
+        prop::collection::vec(entry, 0..=2),
+    )
 }
 
 proptest! {
@@ -761,15 +849,43 @@ proptest! {
     /// boundary, logs one event skeleton in both backends, or ends both
     /// in the same typed error.
     #[test]
-    fn every_fault_script_agrees_in_both_backends(
-        strategy in 0..10usize,
-        kernel in 0..KERNELS.len(),
-        drawn in prop::collection::vec((1u64..=14, 0..1024u32, 0..3u8, 0..10u8), 0..=2),
-    ) {
+    fn every_fault_script_agrees_in_both_backends((strategy, kernel, drawn) in property_case()) {
         let strategy = property_strategies()[strategy];
         let script = fault_script(&drawn);
         assert_agree(WHOLE_PARTITION_BLOCK, strategy, KERNELS[kernel], &script);
     }
+}
+
+/// The property's wave-point draws are spent: replaying the property's
+/// own 256 cases on the engine, 103 of their 220 wave-point entries
+/// fire (0.47), where drawing wave 1 from a run with one wave fired 44
+/// (0.20). Most of the rest sit at runs the chain never reaches. The
+/// floor is 0.4.
+#[test]
+fn drawn_wave_points_fire() {
+    use proptest::strategy::Strategy as _;
+    use proptest::test_runner::case_rng;
+    let at_wave = |f: &&FailureAt| f.point != TriggerPoint::JobStart;
+    let (mut drawn_points, mut fired) = (0usize, 0usize);
+    for case in 0..256 {
+        let mut rng = case_rng("every_fault_script_agrees_in_both_backends", case);
+        let (strategy, kernel, drawn) = property_case().sample(&mut rng);
+        let script = fault_script(&drawn);
+        let cluster = chain_cluster(WHOLE_PARTITION_BLOCK, KERNELS[kernel]);
+        let chain = ChainBuilder::new(JOBS, NODES).build();
+        let injector = Arc::new(ScriptedInjector::new(script.iter().copied()).tolerate_unfired());
+        let _ = ChainDriver::new(&cluster, property_strategies()[strategy])
+            .with_injector(injector.clone())
+            .run(&chain.jobs);
+        let points = script.iter().filter(at_wave).count();
+        drawn_points += points;
+        fired += points - injector.unfired().iter().filter(at_wave).count();
+    }
+    let share = fired as f64 / drawn_points as f64;
+    assert!(
+        share >= 0.4,
+        "{fired} of {drawn_points} wave-point entries fired"
+    );
 }
 
 /// A crash in the middle of job 7 replays on both clocks. After its
