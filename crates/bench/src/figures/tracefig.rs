@@ -1,15 +1,16 @@
 //! Pseudo-figure `trace`: runs the paper's FAIL 7 scenario in the
-//! simulator at paper scale, lowers the result into the causal span
-//! schema ([`rcmp_sim::chain_trace`]) and applies the observability
-//! analyzers — the span summary, the slot-occupancy profile (Fig. 4)
-//! and the recomputation critical path. Demonstrates that the same
-//! trace tooling works on simulated chains, where the engine never ran.
+//! simulator at paper scale and applies the observability analyzers to
+//! the trace it recorded ([`rcmp_sim::SimChainReport::trace`]) — the
+//! span summary, the slot-occupancy profile (Fig. 4) and the
+//! recomputation critical path. The job machine and the chain loop
+//! write that trace on both clocks, so the same tooling reads simulated
+//! chains, where the engine never ran.
 
 use crate::table;
 use rcmp_core::Strategy;
 use rcmp_model::SlotConfig;
 use rcmp_obs::{recomputation_critical_path, slot_occupancy, summary, SpanKind};
-use rcmp_sim::{chain_trace, simulate_chain, ChainSimConfig, FailureAt, HwProfile, WorkloadCfg};
+use rcmp_sim::{simulate_chain, ChainSimConfig, FailureAt, HwProfile, WorkloadCfg};
 use serde::{Deserialize, Serialize};
 
 /// Analyzer digest of the simulated FAIL 7 cascade's trace.
@@ -36,7 +37,7 @@ pub fn run_scaled(scale_down: u64) -> TraceFigure {
     wl.per_node_input = wl.per_node_input / scale_down.max(1);
     let cfg = ChainSimConfig::new(HwProfile::stic(), wl.clone(), Strategy::rcmp_no_split())
         .with_failures(vec![FailureAt::at_job(7, wl.nodes - 1)]);
-    let trace = chain_trace(&simulate_chain(&cfg));
+    let trace = simulate_chain(&cfg).trace;
 
     let occ = slot_occupancy(&trace);
     let mean = |recompute: bool| {

@@ -10,9 +10,10 @@
 //! a job run is a [`JobTracker`] run against the cluster, a backoff is
 //! a real sleep, a replication point is `replicate_file` plus
 //! [`reclaim_before`], and time is wall-clock microseconds since the
-//! chain started. The loop writes the [`EventLog`]; this backend
-//! mirrors each event into the tracer and flight recorder as it is
-//! logged, and charges the phase profiler.
+//! chain started. The loop writes the [`EventLog`] and the chain's
+//! spans on the cluster's tracer; this backend records plans, recovery
+//! runs and adaptive decisions in the flight recorder, and charges the
+//! phase profiler.
 
 use crate::dag::JobGraph;
 use crate::planner::ClusterLineage;
@@ -22,10 +23,10 @@ use rcmp_engine::{
     Cluster, FailureInjector, JobReport, JobRun, JobSpec, JobTracker, NoFailures, RunMode,
 };
 use rcmp_model::{Error, JobId, NodeId, Result};
-use rcmp_obs::{BlackboxDump, EventCode, Gauge, PhaseBreakdown, PhaseKind, SpanKind};
+use rcmp_obs::{BlackboxDump, EventCode, Gauge, PhaseBreakdown, PhaseKind, SpanId, Tracer};
 use rcmp_policy::{
-    drive_chain, AdaptationStep, ChainBackend, ChainConfig, ChainEvent, Clock, EventLog, Loss,
-    Reclaimed, RecoveryStep, RunOutcome, Stamp, TaskCounts,
+    drive_chain, AdaptationStep, ChainBackend, ChainConfig, Clock, EventLog, Loss, Reclaimed,
+    RecoveryPlan, RecoveryStep, RunOutcome, Stamp, TaskCounts,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -188,7 +189,6 @@ impl<'a> ChainDriver<'a> {
                 graph: &graph,
             },
             started: Instant::now(),
-            run_started_us: 0,
             runs: Vec::new(),
             job_phases: Vec::new(),
         };
@@ -242,8 +242,9 @@ impl<'a> ChainDriver<'a> {
     }
 
     /// Publishes one adaptive decision to the observability layer:
-    /// gauges for dashboards, and an `AdaptationPoint` instant span
-    /// whose `cause` is the fault lineage that moved the estimate.
+    /// gauges for dashboards, and a flight-recorder record when the
+    /// interval switched. The chain loop writes its `AdaptationPoint`
+    /// span.
     fn publish_adaptation(&self, seq: u64, step: &AdaptationStep) {
         let rate_ppm = (step.rate * 1e6).round();
         self.g_failure_rate.set(rate_ppm as i64);
@@ -257,45 +258,31 @@ impl<'a> ChainDriver<'a> {
                 u64::from(step.interval.unwrap_or(0)),
             );
         }
-        let tracer = self.cluster.tracer();
-        tracer.instant(
-            SpanKind::AdaptationPoint {
-                seq,
-                rate_ppm: rate_ppm as u64,
-                interval: step.interval,
-                switched: step.switched,
-            },
-            None,
-            tracer.current_cause(),
-            None,
-        );
     }
 }
 
 /// The engine backend of the chain loop: job runs are real
 /// [`JobTracker`] runs, waits are real sleeps, the clock is wall time
-/// since the chain started, and every event the loop logs is mirrored
-/// into the cluster's tracer and flight recorder.
+/// since the chain started, and the chain's spans go to the cluster's
+/// tracer.
 struct EngineChain<'r> {
     driver: &'r ChainDriver<'r>,
     tracker: JobTracker<'r>,
     lineage: ClusterLineage<'r>,
     started: Instant,
-    /// Tracer time the current run started at: the loop logs a run's
-    /// `JobStarted` once the run is over, and the mirror puts it back.
-    run_started_us: u64,
     runs: Vec<JobReport>,
     job_phases: Vec<(u64, PhaseBreakdown)>,
 }
 
 impl EngineChain<'_> {
-    /// Submits one run and files its report, or its cancellation. Either
-    /// way the run's losses come back in firing order, one per fault.
-    fn execute(&mut self, seq: u64, run: &JobRun) -> Result<RunOutcome> {
+    /// Submits one run, caused by `cause`, and files its report, or its
+    /// cancellation. Either way the run's losses come back in firing
+    /// order, one per fault.
+    fn execute(&mut self, seq: u64, run: &JobRun, cause: Option<SpanId>) -> Result<RunOutcome> {
         let cluster = self.driver.cluster;
         let phases_before = cluster.profiler().snapshot();
-        self.run_started_us = cluster.tracer().now_us();
-        let (report, result) = self.tracker.run_reporting(run, seq);
+        let (report, result) = self.tracker.run_reporting(run, seq, cause);
+        let last_loss = report.last_loss;
         let losses = report
             .losses
             .iter()
@@ -316,7 +303,11 @@ impl EngineChain<'_> {
             Err(Error::JobInputLost { .. }) => None,
             Err(e) => return Err(e),
         };
-        Ok(RunOutcome { losses, completed })
+        Ok(RunOutcome {
+            losses,
+            completed,
+            last_loss,
+        })
     }
 
     /// A loss seen now: the engine declares a crashed node dead
@@ -346,15 +337,19 @@ impl<'r> ChainBackend for EngineChain<'r> {
         }
     }
 
+    fn tracer(&self) -> &Tracer {
+        self.driver.cluster.tracer()
+    }
+
     fn run_job(&mut self, seq: u64, job: JobId, retry: bool) -> Result<RunOutcome> {
         let strategy = self.driver.strategy;
         let mut spec = self.lineage.spec(job)?.clone();
         spec.output_replication = strategy.output_replication();
         let run = self.driver.build_run(spec, retry);
-        self.execute(seq, &run)
+        self.execute(seq, &run, None)
     }
 
-    fn run_recompute(&mut self, seq: u64, step: RecoveryStep) -> Result<RunOutcome> {
+    fn run_recompute(&mut self, seq: u64, step: RecoveryStep, plan: SpanId) -> Result<RunOutcome> {
         let mut spec = self.lineage.spec(step.job)?.clone();
         spec.output_replication = 1;
         let run = JobRun {
@@ -368,7 +363,7 @@ impl<'r> ChainBackend for EngineChain<'r> {
             seq,
             u64::from(step.job.0),
         );
-        self.execute(seq, &run)
+        self.execute(seq, &run, Some(plan))
     }
 
     fn wait(&mut self, ms: u64) {
@@ -388,13 +383,20 @@ impl<'r> ChainBackend for EngineChain<'r> {
         Ok(())
     }
 
-    fn planning<T>(&mut self, walk: impl FnOnce(&ClusterLineage<'r>) -> T) -> T {
-        let _timer = self
-            .driver
-            .cluster
-            .profiler()
-            .span(PhaseKind::RecoveryPlanning);
-        walk(&self.lineage)
+    /// Times the walk, and records the plan it found in the flight
+    /// recorder.
+    fn planning(
+        &mut self,
+        walk: impl FnOnce(&ClusterLineage<'r>) -> Result<RecoveryPlan>,
+    ) -> Result<RecoveryPlan> {
+        let cluster = self.driver.cluster;
+        let plan = {
+            let _timer = cluster.profiler().span(PhaseKind::RecoveryPlanning);
+            walk(&self.lineage)?
+        };
+        let (steps, partitions) = (plan.steps.len() as u64, plan.partition_count() as u64);
+        (cluster.recorder()).record(EventCode::RecoveryPlanned, None, steps, partitions);
+        Ok(plan)
     }
 
     fn replicate(&mut self, job: JobId, factor: u32, reclaim: bool) -> Result<Reclaimed> {
@@ -410,65 +412,5 @@ impl<'r> ChainBackend for EngineChain<'r> {
 
     fn adapted(&mut self, seq: u64, step: &AdaptationStep) {
         self.driver.publish_adaptation(seq, step);
-    }
-
-    /// Mirrors the logged event into the tracer, so the durable log and
-    /// the trace never disagree. `RecoveryPlanned` also goes to the
-    /// flight recorder and becomes a `RecoveryPlan` span in the causal
-    /// chain — caused by the loss that triggered it, and the cause of
-    /// the recomputation runs it submits; every other event becomes a
-    /// generic instant, a `JobStarted` at its run's start.
-    fn observe(&mut self, event: &ChainEvent) {
-        let cluster = self.driver.cluster;
-        let tracer = cluster.tracer();
-        let (seq, label) = match event {
-            ChainEvent::RecoveryPlanned {
-                target,
-                steps,
-                partitions,
-            } => {
-                cluster.recorder().record(
-                    EventCode::RecoveryPlanned,
-                    None,
-                    *steps as u64,
-                    *partitions as u64,
-                );
-                let plan = SpanKind::RecoveryPlan {
-                    target: *target,
-                    steps: *steps as u32,
-                    partitions: *partitions as u32,
-                };
-                let id = tracer.instant(plan, None, tracer.current_cause(), None);
-                tracer.mark_cause(id);
-                return;
-            }
-            ChainEvent::JobStarted {
-                seq,
-                job,
-                recompute,
-            } => {
-                let tag = if *recompute { " recompute" } else { "" };
-                (*seq, format!("job_started {job}{tag}"))
-            }
-            ChainEvent::JobCompleted { seq, job, .. } => (*seq, format!("job_completed {job}")),
-            ChainEvent::LossObserved {
-                seq,
-                lost_partitions,
-                ..
-            } => (*seq, format!("loss_observed {lost_partitions} partitions")),
-            ChainEvent::JobCancelled { seq, job } => (*seq, format!("job_cancelled {job}")),
-            ChainEvent::ReplicationPoint { job, factor } => {
-                (0, format!("replication_point {job} x{factor}"))
-            }
-            ChainEvent::StorageReclaimed { files_deleted, .. } => {
-                (0, format!("storage_reclaimed {files_deleted} files"))
-            }
-            ChainEvent::ChainRestarted => (0, "chain_restarted".to_string()),
-        };
-        let at = match event {
-            ChainEvent::JobStarted { .. } => self.run_started_us,
-            _ => tracer.now_us(),
-        };
-        tracer.record(SpanKind::Event { seq, label }, None, None, None, at, at);
     }
 }

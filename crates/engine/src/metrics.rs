@@ -106,6 +106,9 @@ pub struct JobReport {
     pub tasks: Vec<TaskRecord>,
     /// Data-loss events that occurred during this run (node kills).
     pub losses: Vec<LossReport>,
+    /// The latest `Loss` span the run wrote: what a recovery plan for
+    /// this run's losses is caused by.
+    pub last_loss: Option<rcmp_obs::SpanId>,
     /// Tasks that failed and were re-executed within this run
     /// (Hadoop-style task-level recovery).
     pub task_retries: usize,

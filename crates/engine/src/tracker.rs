@@ -17,7 +17,9 @@
 //! * **Execution** runs each wave on the job's executor session; the
 //!   failure injector is consulted at job start and around every wave,
 //!   and killed nodes lose their DFS blocks and map outputs immediately.
-//!   Every task's outcome is recorded, traced and counted here.
+//!   Every task's outcome is recorded, traced and counted here; the
+//!   run's `JobRun`, `Wave`, `Fault` and `Loss` spans are the job
+//!   machine's.
 //! * **Intra-job recovery** is Hadoop-style task re-execution: lost map
 //!   outputs re-run their mappers from surviving input replicas; lost
 //!   output partitions are cleared and their reducers re-run. When a
@@ -45,8 +47,8 @@ use rcmp_model::{
     Error, JobId, NodeId, PartitionId, Record, RecordReader, ReduceTaskId, Result, TaskId, TenantId,
 };
 use rcmp_obs::{
-    Counter, EventCode, FaultKind, FlightRecorder, Gauge, Histogram, Phase, PhaseKind,
-    PhaseProfiler, SpanId, SpanKind, Tracer,
+    Counter, EventCode, FlightRecorder, Gauge, Histogram, OpenSpan, PhaseKind, PhaseProfiler,
+    SpanId, SpanKind, Tracer,
 };
 use rcmp_policy::{
     run_job, InputView, JobBackend, JobShape, JobTally, MapResult, Membership, PolicyCtx,
@@ -73,8 +75,9 @@ const REDUCE_BATCH_VALUES: usize = 256;
 pub struct JobTracker<'a> {
     cluster: &'a Cluster,
     injector: Arc<dyn FailureInjector>,
-    /// Owning tenant when driven by the job service; stamped on the
-    /// `JobRun` span so analyzers can filter per tenant.
+    /// Owning tenant when driven by the job service; the job machine
+    /// stamps it on the `JobRun` span so analyzers can filter per
+    /// tenant.
     tenant: Option<TenantId>,
     /// Per-chain executor session override (the job service leases each
     /// admitted chain its own pool session from a global worker
@@ -114,8 +117,6 @@ pub struct JobTracker<'a> {
 struct RunAt {
     seq: u64,
     job: JobId,
-    /// The run's `JobRun` span: parent of its waves, faults and losses.
-    span: SpanId,
     /// Recompute runs charge their wave time to `RecomputeWave`.
     recompute: bool,
 }
@@ -210,35 +211,30 @@ impl<'a> JobTracker<'a> {
 
     /// Runs one job submission. `seq` is the global run sequence number
     /// (the paper's job numbering: recomputations get fresh numbers).
-    ///
-    /// Wraps the whole run in a `JobRun` span. A recompute submission is
-    /// causally linked to the tracer's current cause (the recovery plan
-    /// or loss that triggered it), captured *before* execution so faults
-    /// injected during this run don't retroactively re-attribute it.
+    /// The run's `JobRun` span has no cause.
     pub fn run(&self, run: &JobRun, seq: u64) -> Result<JobReport> {
-        let (report, result) = self.run_reporting(run, seq);
+        let (report, result) = self.run_reporting(run, seq, None);
         result.map(|()| report)
     }
 
     /// [`Self::run`], with the report handed back whatever the outcome:
     /// a run that stopped early — cancelled on lost input
     /// ([`Error::JobInputLost`]) or failed — reports what it did until
-    /// then, its losses in firing order.
-    pub fn run_reporting(&self, run: &JobRun, seq: u64) -> (JobReport, Result<()>) {
-        let cause = if run.mode.is_recompute() {
-            self.tracer.current_cause()
-        } else {
-            None
-        };
-        let live_nodes = self.cluster.live_nodes().len() as u32;
+    /// then, its losses in firing order. `cause` is the span that caused
+    /// the run (a recomputation: the plan that submitted it).
+    pub fn run_reporting(
+        &self,
+        run: &JobRun,
+        seq: u64,
+        cause: Option<SpanId>,
+    ) -> (JobReport, Result<()>) {
         self.recorder.record(
             EventCode::JobStart,
             None,
             seq,
             u64::from(run.spec.job.0) | (u64::from(run.mode.is_recompute()) << 32),
         );
-        let open = self.tracer.open();
-        let (report, result) = self.run_machine(run, seq, open.id);
+        let (report, result) = self.run_machine(run, seq, cause);
         if result.is_err() {
             // A failed/cancelled run never publishes partial output: drop
             // anything its reducers staged (the DFS restart path will
@@ -249,23 +245,6 @@ impl<'a> JobTracker<'a> {
         }
         self.recorder
             .record(EventCode::JobEnd, None, seq, u64::from(result.is_ok()));
-        let slots = self.cluster.config().slots;
-        self.tracer.close(
-            open,
-            SpanKind::JobRun {
-                seq,
-                job: run.spec.job,
-                recompute: run.mode.is_recompute(),
-                live_nodes,
-                map_slots: slots.map,
-                reduce_slots: slots.reduce,
-                ok: result.is_ok(),
-                tenant: self.tenant,
-            },
-            None,
-            cause,
-            None,
-        );
         if result.is_ok() {
             self.m_task_retries.add(report.task_retries as u64);
         }
@@ -274,13 +253,19 @@ impl<'a> JobTracker<'a> {
 
     /// The run itself: [`rcmp_policy::run_job`] over an [`EngineJob`],
     /// its tally folded into the report.
-    fn run_machine(&self, run: &JobRun, seq: u64, span: SpanId) -> (JobReport, Result<()>) {
+    fn run_machine(
+        &self,
+        run: &JobRun,
+        seq: u64,
+        cause: Option<SpanId>,
+    ) -> (JobReport, Result<()>) {
         let (started, spec, config) = (Instant::now(), &run.spec, self.cluster.config());
         let plan = match &run.mode {
             RunMode::Full => None,
             RunMode::Recompute(plan) => Some(plan),
         };
         let shape = JobShape {
+            seq,
             job: spec.job,
             num_reducers: spec.num_reducers,
             output_replication: spec.output_replication,
@@ -289,6 +274,9 @@ impl<'a> JobTracker<'a> {
             slots: config.slots,
             kernel: config.placement,
             task_retries: config.retry.task_retries,
+            tracer: &self.tracer,
+            cause,
+            tenant: self.tenant,
         };
         let (job, recompute) = (spec.job, run.mode.is_recompute());
         let mut engine = EngineJob {
@@ -297,7 +285,6 @@ impl<'a> JobTracker<'a> {
             at: RunAt {
                 seq,
                 job,
-                span,
                 recompute,
             },
             report: JobReport {
@@ -313,6 +300,7 @@ impl<'a> JobTracker<'a> {
         let mut report = engine.report;
         report.map_tasks_reused = tally.map_tasks_reused;
         report.task_retries = tally.task_retries;
+        report.last_loss = tally.last_loss;
         if result.is_ok() {
             report.map_waves = tally.map_waves;
             report.reduce_waves = tally.reduce_waves;
@@ -323,96 +311,50 @@ impl<'a> JobTracker<'a> {
 
     // ------------------------------------------------------------ helpers
 
-    /// Consults the injector at an execution point and applies whatever
-    /// faults it raises. Returns whether a node was killed (the only
-    /// fault shape the job machine must react to immediately; the others
-    /// surface through their own detection paths).
-    ///
-    /// Every injected fault becomes a `Fault` instant span; a node crash
-    /// that irreversibly lost partitions additionally emits a `Loss`
-    /// span caused by the fault, and marks it as the tracer's current
-    /// cause so the recomputation run it triggers is causally linked.
-    fn fire(
-        &self,
-        seq: u64,
-        job: JobId,
-        point: TriggerPoint,
-        job_span: SpanId,
-        report: &mut JobReport,
-    ) -> bool {
-        let faults = self
-            .injector
-            .poll_faults(&ProgressEvent { seq, job, point });
-        let mut killed = false;
-        for fault in faults {
-            let (kind, at_node) = match &fault {
-                Fault::NodeCrash(node) => (FaultKind::NodeCrash, *node),
-                Fault::CorruptReplica { node } => (FaultKind::CorruptReplica, *node),
-                Fault::TornWrite { node } => (FaultKind::TornWrite, *node),
-                Fault::ShuffleFlake { node, .. } => (FaultKind::ShuffleFlake, *node),
-                Fault::NodeDrain { node } => (FaultKind::NodeDrain, *node),
-            };
-            // The record's code is the kind's position: crash 0 … drain 4.
-            let code = kind as u64;
-            (self.recorder).record(EventCode::FaultInjected, Some(at_node), seq, code);
-            let fault_span = self.tracer.instant(
-                SpanKind::Fault {
+    /// Applies one fault the injector raised at run `seq`: a crash
+    /// kills its node now and returns its loss report (the only shape
+    /// the job machine must react to immediately); the others arm or
+    /// damage something that surfaces through its own detection path.
+    fn apply(&self, seq: u64, fault: Fault) -> Option<rcmp_dfs::LossReport> {
+        // The record's code is the kind's position: crash 0 … drain 4.
+        let code = fault.kind() as u64;
+        (self.recorder).record(EventCode::FaultInjected, Some(fault.node()), seq, code);
+        match fault {
+            Fault::NodeCrash(node) => {
+                let loss = self.cluster.fail_node(node);
+                self.recorder.record(
+                    EventCode::PartitionsLost,
+                    Some(node),
                     seq,
-                    kind,
-                    at: format!("{point:?}"),
-                },
-                Some(job_span),
-                None,
-                Some(at_node),
-            );
-            match fault {
-                Fault::NodeCrash(node) => {
-                    let loss = self.cluster.fail_node(node);
-                    self.recorder.record(
-                        EventCode::PartitionsLost,
-                        Some(node),
-                        seq,
-                        loss.lost_partition_count() as u64,
-                    );
-                    let loss_span = self.tracer.instant(
-                        SpanKind::Loss {
-                            seq,
-                            lost_partitions: loss.lost_partition_count() as u32,
-                        },
-                        Some(job_span),
-                        Some(fault_span),
-                        Some(node),
-                    );
-                    self.tracer.mark_cause(loss_span);
-                    report.losses.push(loss);
-                    killed = true;
-                }
-                Fault::CorruptReplica { node } => {
-                    // Silent on-disk damage: nothing observes it here.
-                    // The checksum verification on the next read of this
-                    // replica demotes it to a lost replica.
-                    let _ = self.cluster.dfs().corrupt_replica_on(node);
-                }
-                Fault::TornWrite { node } => {
-                    self.torn.lock().insert(node);
-                }
-                Fault::ShuffleFlake { node, times } => {
-                    let mut flakes = self.flakes.lock();
-                    let left = flakes.entry(node).or_insert(0);
-                    *left = left.saturating_add(times);
-                }
-                Fault::NodeDrain { node } => {
-                    // Graceful membership change, not a failure: skipped
-                    // unless the membership allows it, so an injected
-                    // drain can never strand the chain. Data on the
-                    // drained node stays readable — no recovery runs.
-                    if self.cluster.membership().drainable(node.raw()) {
-                        let _ = self.cluster.drain_node(node);
-                    }
+                    loss.lost_partition_count() as u64,
+                );
+                return Some(loss);
+            }
+            Fault::CorruptReplica { node } => {
+                // Silent on-disk damage: nothing observes it here.
+                // The checksum verification on the next read of this
+                // replica demotes it to a lost replica.
+                let _ = self.cluster.dfs().corrupt_replica_on(node);
+            }
+            Fault::TornWrite { node } => {
+                self.torn.lock().insert(node);
+            }
+            Fault::ShuffleFlake { node, times } => {
+                let mut flakes = self.flakes.lock();
+                let left = flakes.entry(node).or_insert(0);
+                *left = left.saturating_add(times);
+            }
+            Fault::NodeDrain { node } => {
+                // Graceful membership change, not a failure: skipped
+                // unless the membership allows it, so an injected
+                // drain can never strand the chain. Data on the
+                // drained node stays readable — no recovery runs.
+                if self.cluster.membership().drainable(node.raw()) {
+                    let _ = self.cluster.drain_node(node);
                 }
             }
         }
-        killed
+        None
     }
 
     /// Hands the next reduce task on `node` its share of the faults
@@ -433,14 +375,13 @@ impl<'a> JobTracker<'a> {
     }
 
     /// Runs one assigned wave through the job's executor session, in
-    /// this order: the `Wave` span and `WaveStart`, the slot tasks
-    /// `task` builds under the wave's span, run under the metrics hot
-    /// scope, `account` over each outcome in input order, the span
-    /// close, `RecomputeWave` time and `WaveEnd`. The fault points
-    /// around it belong to the job machine ([`rcmp_policy::job`]).
-    /// `(phase, index, capacity)` names the wave: its phase, its index
-    /// within that phase in this run, and the live slot capacity it was
-    /// assigned against.
+    /// this order: `WaveStart`, the slot tasks `task` builds under the
+    /// wave's span, run under the metrics hot scope, `account` over each
+    /// outcome in input order, `RecomputeWave` time and `WaveEnd`. The
+    /// wave's span and the fault points around it belong to the job
+    /// machine ([`rcmp_policy::job`]). `(map, index, wave_open)` names
+    /// the wave: its phase, its index within that phase in this run, and
+    /// its open `Wave` span.
     ///
     /// The first error `account` returns — or a panicked task, as
     /// [`Error::ExecutorShutdown`] — stops the accounting and fails the
@@ -450,17 +391,16 @@ impl<'a> JobTracker<'a> {
         &'env self,
         session: &Session<'_, 'env>,
         at: &RunAt,
-        (phase, index, capacity): (Phase, u32, u32),
+        (map, index, wave_open): (bool, u32, OpenSpan),
         wave: Vec<(NodeId, W)>,
         report: &mut JobReport,
         task: impl Fn(NodeId, W, SpanId) -> SlotTask<'env, T>,
         mut account: impl FnMut(T, &mut JobReport) -> Result<()>,
     ) -> Result<()> {
-        let (kind, label) = match phase {
-            Phase::Map => ("map", "map-wave"),
-            Phase::Reduce => ("reduce", "reduce-wave"),
+        let (kind, label) = match map {
+            true => ("map", "map-wave"),
+            false => ("reduce", "reduce-wave"),
         };
-        let wave_open = self.tracer.open();
         let tasks = wave.len();
         self.recorder
             .record(EventCode::WaveStart, None, u64::from(index), tasks as u64);
@@ -490,18 +430,6 @@ impl<'a> JobTracker<'a> {
                 reason: format!("{kind} task panicked in wave {index}"),
             }),
         });
-        self.tracer.close(
-            wave_open,
-            SpanKind::Wave {
-                phase,
-                index,
-                tasks: tasks as u32,
-                capacity,
-            },
-            Some(at.span),
-            None,
-            None,
-        );
         let wave_us = self.tracer.now_us().saturating_sub(wave_open.start_us);
         if at.recompute {
             self.profiler.add_us(PhaseKind::RecomputeWave, wave_us);
@@ -1011,9 +939,16 @@ impl<'r> JobBackend for EngineJob<'r, '_> {
         }
     }
 
-    fn fire(&mut self, point: TriggerPoint) -> bool {
-        let at = &self.at;
-        (self.tracker).fire(at.seq, at.job, point, at.span, &mut self.report)
+    fn faults(&mut self, point: TriggerPoint) -> Vec<Fault> {
+        let (seq, job) = (self.at.seq, self.at.job);
+        (self.tracker.injector).poll_faults(&ProgressEvent { seq, job, point })
+    }
+
+    fn apply(&mut self, _: TriggerPoint, fault: Fault) -> Option<usize> {
+        let loss = self.tracker.apply(self.at.seq, fault)?;
+        let lost = loss.lost_partition_count();
+        self.report.losses.push(loss);
+        Some(lost)
     }
 
     fn input(&mut self) -> Result<InputView> {
@@ -1070,16 +1005,13 @@ impl<'r> JobBackend for EngineJob<'r, '_> {
         self.tracker.cluster.membership()
     }
 
-    fn policy_ctx(&self) -> PolicyCtx<'_> {
-        PolicyCtx::new(&self.tracker.tracer, Some(self.at.span))
-    }
-
     /// The `stable` kernel routes a mapper to the live node whose chain
     /// cache holds its input partition (job i's reducer output).
     fn assign_maps(
         &mut self,
         pending: &[usize],
         topo: &SliceTopology<'_, NodeId>,
+        ctx: PolicyCtx<'_>,
     ) -> Result<WaveAssignment<NodeId>> {
         let holder = |cache: &Arc<ChainCache>, i: usize| {
             let holder = cache.holder(&self.run.spec.input, self.inputs[i].key.pid);
@@ -1089,13 +1021,13 @@ impl<'r> JobBackend for EngineJob<'r, '_> {
             Some(cache) => pending.iter().map(|&i| holder(cache, i)).collect(),
             None => Vec::new(),
         };
-        assign_map_indices(&self.inputs, pending, topo, &cached, self.policy_ctx())
+        assign_map_indices(&self.inputs, pending, topo, &cached, ctx)
     }
 
     fn map_wave(
         &mut self,
         waves: &EngineWaves<'_, 'r>,
-        (w, capacity): (u32, u32),
+        (w, open): (u32, OpenSpan),
         tasks: &[(NodeId, usize)],
         mut account: impl FnMut(MapResult) -> Result<()>,
     ) -> Result<()> {
@@ -1104,7 +1036,7 @@ impl<'r> JobBackend for EngineJob<'r, '_> {
         tracker.run_wave(
             waves.session,
             &self.at,
-            (Phase::Map, w, capacity),
+            (true, w, open),
             tasks.collect(),
             &mut self.report,
             |node, task: MapTask, wave_span| {
@@ -1138,7 +1070,7 @@ impl<'r> JobBackend for EngineJob<'r, '_> {
     fn reduce_wave(
         &mut self,
         waves: &EngineWaves<'_, 'r>,
-        (w, capacity): (u32, u32),
+        (w, open): (u32, OpenSpan),
         tasks: &[(NodeId, ReduceTaskId)],
         mut account: impl FnMut(ReduceResult) -> Result<()>,
     ) -> Result<()> {
@@ -1153,7 +1085,7 @@ impl<'r> JobBackend for EngineJob<'r, '_> {
         tracker.run_wave(
             waves.session,
             at,
-            (Phase::Reduce, w, capacity),
+            (false, w, open),
             tasks.to_vec(),
             &mut self.report,
             // Called in input order after the mid-wave injection point,
@@ -1195,14 +1127,7 @@ impl<'r> JobBackend for EngineJob<'r, '_> {
                         // The torn writer dies at the wave boundary,
                         // unseen by its siblings; its partition is a
                         // loss of its own.
-                        let loss = tracker.cluster.fail_node(node);
-                        let kind = SpanKind::Loss {
-                            seq: at.seq,
-                            lost_partitions: 1,
-                        };
-                        let span = tracker.tracer.instant(kind, Some(at.span), None, loss.node);
-                        tracker.tracer.mark_cause(span);
-                        report.losses.push(loss);
+                        report.losses.push(tracker.cluster.fail_node(node));
                         account(ReduceResult::Torn(id.partition))
                     }
                 }
@@ -1323,9 +1248,14 @@ mod tests {
             });
         }
         let tracker = JobTracker::new(&cluster, Arc::new(injector));
-        let span = tracker.tracer.open().id;
-        let mut report = JobReport::default();
-        tracker.fire(1, JobId(1), TriggerPoint::JobStart, span, &mut report);
+        let event = ProgressEvent {
+            seq: 1,
+            job: JobId(1),
+            point: TriggerPoint::JobStart,
+        };
+        for fault in tracker.injector.poll_faults(&event) {
+            tracker.apply(1, fault);
+        }
         let handed = |node| {
             let faults = tracker.take_faults(NodeId(node));
             (faults.torn, faults.flakes)

@@ -2,10 +2,11 @@
 //!
 //! Everything in this crate that timestamps (the [`crate::Tracer`], the
 //! flight recorder, the phase profiler) reads time through a [`Clock`]
-//! instead of calling [`Instant::now`] directly. Production code uses
+//! instead of calling [`Instant::now`] directly. The engine uses
 //! [`Clock::monotonic`]; tests and the simulator use [`Clock::manual`],
-//! which is driven explicitly (the sim advances it from virtual time),
-//! so ordering assertions and phase-timer arithmetic are deterministic.
+//! which is driven explicitly — the simulator sets its tracer's clock
+//! from its own chain clock, simulated seconds as microseconds — so
+//! ordering assertions and phase-timer arithmetic are deterministic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,6 +65,11 @@ impl ManualClock {
     pub fn advance_us(&self, us: u64) {
         self.cell.fetch_add(us, Ordering::SeqCst);
     }
+
+    /// Sets the clock to `us` microseconds since its epoch.
+    pub fn set_us(&self, us: u64) {
+        self.cell.store(us, Ordering::SeqCst);
+    }
 }
 
 #[cfg(test)]
@@ -78,6 +84,8 @@ mod tests {
         hand.advance_us(250);
         assert_eq!(clock.now_us(), 250);
         assert_eq!(clone.now_us(), 250);
+        hand.set_us(1_000);
+        assert_eq!(clone.now_us(), 1_000);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   wave, task attempt, shuffle fetch, DFS block access, recovery plan
 //!   and injected fault becomes a [`span::Span`] with parent links
 //!   (job → wave → task → fetch) and *lineage* links (a recomputation
-//!   run → the loss that caused it). Spans are recorded through
-//!   contention-free per-thread shards and merged into a [`span::Trace`]
-//!   at the driver.
+//!   run → its plan → the loss that called for it), which their writers
+//!   pass as values. Spans are recorded through contention-free
+//!   per-thread shards and merged into a [`span::Trace`] at the driver.
 //! * [`metrics`] — a **metrics registry** of counters, gauges and
 //!   fixed-bucket histograms with cheap atomic handles usable from the
 //!   scheduler/tracker/shuffle hot paths.
@@ -37,8 +37,6 @@
 //! * [`profile`] — the **phase profiler**: pre-resolved atomic timers
 //!   around the engine's real phases, emitting a Fig.-7-style
 //!   [`profile::PhaseBreakdown`] with one schema for engine and sim.
-//! * [`snapshot`] — **snapshot deltas and rate views** over
-//!   [`metrics::MetricsSnapshot`], the seam a per-tenant scrape sits on.
 //! * [`blackbox`] — **post-mortem dumps**: last-N flight events + the
 //!   causal failure lineage + metrics + phases, frozen when a chain
 //!   dies.
@@ -52,7 +50,6 @@ pub mod export;
 pub mod metrics;
 pub mod profile;
 pub mod ring;
-pub mod snapshot;
 pub mod span;
 pub mod tracer;
 
@@ -68,6 +65,5 @@ pub use metrics::{
 };
 pub use profile::{PhaseBreakdown, PhaseEntry, PhaseKind, PhaseProfiler, PhaseTimer};
 pub use ring::{EventCode, FlightEvent, FlightLog, FlightRecorder, RecorderStats};
-pub use snapshot::{DeltaValue, MetricsDelta};
 pub use span::{FaultKind, Phase, Span, SpanId, SpanKind, Trace};
 pub use tracer::{OpenSpan, Tracer};

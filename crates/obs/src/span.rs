@@ -11,10 +11,8 @@
 use rcmp_model::{JobId, NodeId, TaskId, TenantId};
 use serde::{Deserialize, Serialize};
 
-/// Unique identifier of a span within one [`Trace`].
-///
-/// `SpanId(0)` is never issued; it is reserved as the "no span" value
-/// in the tracer's atomic cause register.
+/// Unique identifier of a span within one [`Trace`]. The tracer issues
+/// ids from 1.
 #[derive(
     Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]
@@ -159,8 +157,9 @@ pub enum SpanKind {
     },
     /// The closed-loop adaptive policy re-derived its replication
     /// interval after a job completed (`rcmp_policy::adapt`). The
-    /// `cause` link points at the Fault span that moved the estimate,
-    /// when one did.
+    /// `cause` link points at the latest `Loss` span since the previous
+    /// point — a loss is what moves the estimate — and is `None` when
+    /// the chain lost nothing in between.
     AdaptationPoint {
         /// Run sequence number of the job whose completion triggered
         /// the re-derivation.

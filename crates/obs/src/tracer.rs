@@ -8,12 +8,12 @@
 //! the driver. [`Tracer::snapshot`] merges the shards into a single
 //! time-ordered [`Trace`].
 //!
-//! Lineage between failure and recovery flows through the **cause
-//! register**: when a loss is recorded the tracer remembers its span id
-//! (`mark_cause`), and when the middleware later plans recovery or
-//! submits a recomputation run it reads the register (`current_cause`)
-//! to link the new span to the loss that provoked it — without any
-//! plumbing through the `JobTracker` / `ChainDriver` call signatures.
+//! The tracer keeps no lineage of its own: a span's `cause` is a value
+//! its writer passes in. The job machine links a loss to the fault
+//! that made it, and the chain loop links a recovery plan to the
+//! chain's latest loss and a recomputation run to its plan
+//! (`rcmp_policy::{job, chain}`), so chains sharing one tracer never
+//! see each other's causes.
 
 use crate::clock::Clock;
 use crate::span::{Span, SpanId, SpanKind, Trace};
@@ -49,8 +49,6 @@ pub struct OpenSpan {
 pub struct Tracer {
     clock: Clock,
     next_id: AtomicU64,
-    /// Lineage register: id of the most recent loss-like span, 0 = none.
-    cause: AtomicU64,
     shards: Vec<Mutex<Vec<Span>>>,
 }
 
@@ -72,7 +70,6 @@ impl Tracer {
         Self {
             clock,
             next_id: AtomicU64::new(1),
-            cause: AtomicU64::new(0),
             shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
         }
     }
@@ -153,20 +150,6 @@ impl Tracer {
         id
     }
 
-    /// Sets the lineage register to `id`: subsequent recovery plans and
-    /// recomputation runs will link to it via [`Tracer::current_cause`].
-    pub fn mark_cause(&self, id: SpanId) {
-        self.cause.store(id.0, Ordering::SeqCst);
-    }
-
-    /// The most recently marked cause span, if any.
-    pub fn current_cause(&self) -> Option<SpanId> {
-        match self.cause.load(Ordering::SeqCst) {
-            0 => None,
-            id => Some(SpanId(id)),
-        }
-    }
-
     /// Total spans recorded so far.
     fn span_count(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
@@ -223,15 +206,6 @@ mod tests {
         assert_eq!(trace.len(), 2);
         assert!(trace.spans[0].start_us <= trace.spans[1].start_us);
         assert_eq!(trace.get(inner).unwrap().parent, Some(a.id));
-    }
-
-    #[test]
-    fn cause_register_round_trips() {
-        let t = Tracer::new();
-        assert_eq!(t.current_cause(), None);
-        let id = t.instant(ev("loss"), None, None, None);
-        t.mark_cause(id);
-        assert_eq!(t.current_cause(), Some(id));
     }
 
     #[test]

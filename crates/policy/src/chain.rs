@@ -21,14 +21,22 @@
 //!   runs, scripted failures, simulated seconds).
 //!
 //! The loop alone writes the chain's [`EventLog`], stamping each
-//! [`ChainEvent`] with [`ChainBackend::now`]. DESIGN.md §3.6 tabulates
-//! its states, the backend calls and the events each transition logs.
+//! [`ChainEvent`] with [`ChainBackend::now`], and the chain's spans on
+//! [`ChainBackend::tracer`]: a `RecoveryPlan` per plan, an `Event`
+//! instant per other logged event ([`ChainEvent::span_kind`]), and an
+//! `AdaptationPoint` per closed-loop decision. Causes travel as values:
+//! a plan is caused by the latest `Loss` the chain has seen, a
+//! recomputation run by the plan that submitted it, an adaptation point
+//! by the latest loss since the previous point. DESIGN.md §3.6
+//! tabulates the loop's states, the backend calls and the events each
+//! transition logs.
 //!
 //! Every cycle is bounded by [`ChainConfig::max_attempts`] and ends in
 //! `Ok` or a typed [`Error`]: `RecoveryExhausted` (too many restarts,
 //! a job that keeps losing its input, recovery that keeps being
-//! interrupted), `DataLoss` (the walk reached a lost external input),
-//! or whatever a backend run returns (`NoLiveNodes`, …).
+//! interrupted), `DataLoss` (the walk, or a restart, reached a lost
+//! external input), or whatever a backend run returns (`NoLiveNodes`,
+//! …).
 
 use crate::adapt::{AdaptationStep, AdaptivePolicy, FaultObserver};
 use crate::mitigation::{choose_mitigation, HotspotMitigation, SplitPolicy};
@@ -36,6 +44,7 @@ use crate::plan::{InputView, RecomputePlan};
 use crate::strategy::Strategy;
 use rcmp_model::rng::derive_indexed;
 use rcmp_model::{Error, JobId, NodeId, Result, RetryPolicy};
+use rcmp_obs::{SpanId, SpanKind, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -225,6 +234,10 @@ pub struct RunOutcome {
     /// What the run executed if it finished; `None` if it was cancelled
     /// because its input is irreversibly lost.
     pub completed: Option<TaskCounts>,
+    /// The latest `Loss` span the run wrote (`JobTally::last_loss`).
+    ///
+    /// [`JobTally::last_loss`]: crate::JobTally::last_loss
+    pub last_loss: Option<SpanId>,
 }
 
 impl RunOutcome {
@@ -259,12 +272,16 @@ pub trait ChainBackend {
     /// Reads the backend's clock; every logged event is stamped with it.
     fn now(&self) -> Stamp;
 
+    /// The tracer on the backend's clock the chain's spans go to.
+    fn tracer(&self) -> &Tracer;
+
     /// Runs chain job `job` as run number `seq`. `retry` is set when
     /// this is the re-run of a job whose input recovery just restored.
     fn run_job(&mut self, seq: u64, job: JobId, retry: bool) -> Result<RunOutcome>;
 
-    /// Runs one step of a recovery plan as run number `seq`.
-    fn run_recompute(&mut self, seq: u64, step: RecoveryStep) -> Result<RunOutcome>;
+    /// Runs one step of a recovery plan as run number `seq`; `plan` is
+    /// the plan's span, the cause of the run's `JobRun` span.
+    fn run_recompute(&mut self, seq: u64, step: RecoveryStep, plan: SpanId) -> Result<RunOutcome>;
 
     /// Backs off for `ms` (> 0) milliseconds before another recovery
     /// cycle of the same job.
@@ -275,8 +292,11 @@ pub trait ChainBackend {
     fn restart(&mut self) -> Result<()>;
 
     /// Brackets the lineage walk, for a backend that accounts planning
-    /// time.
-    fn planning<T>(&mut self, walk: impl FnOnce(&Self::Lineage) -> T) -> T {
+    /// time or records the plan.
+    fn planning(
+        &mut self,
+        walk: impl FnOnce(&Self::Lineage) -> Result<RecoveryPlan>,
+    ) -> Result<RecoveryPlan> {
         walk(self.lineage())
     }
 
@@ -287,9 +307,6 @@ pub trait ChainBackend {
 
     /// The closed-loop policy took a decision after run `seq`.
     fn adapted(&mut self, _seq: u64, _step: &AdaptationStep) {}
-
-    /// The loop just logged `event`.
-    fn observe(&mut self, _event: &ChainEvent) {}
 }
 
 /// Everything the middleware does while driving a multi-job chain. In
@@ -336,6 +353,50 @@ pub enum ChainEvent {
     },
     /// OPTIMISTIC (or exhausted replication) restarted the whole chain.
     ChainRestarted,
+}
+
+impl ChainEvent {
+    /// The span [`drive_chain`] writes for this event: a
+    /// `RecoveryPlan` for a plan, else an `Event` instant carrying the
+    /// run number (0 for events without one) and a compact label.
+    pub fn span_kind(&self) -> SpanKind {
+        let (seq, label) = match *self {
+            ChainEvent::RecoveryPlanned {
+                target,
+                steps,
+                partitions,
+            } => {
+                return SpanKind::RecoveryPlan {
+                    target,
+                    steps: steps as u32,
+                    partitions: partitions as u32,
+                }
+            }
+            ChainEvent::JobStarted {
+                seq,
+                job,
+                recompute,
+            } => {
+                let tag = if recompute { " recompute" } else { "" };
+                (seq, format!("job_started {job}{tag}"))
+            }
+            ChainEvent::JobCompleted { seq, job, .. } => (seq, format!("job_completed {job}")),
+            ChainEvent::LossObserved {
+                seq,
+                lost_partitions,
+                ..
+            } => (seq, format!("loss_observed {lost_partitions} partitions")),
+            ChainEvent::JobCancelled { seq, job } => (seq, format!("job_cancelled {job}")),
+            ChainEvent::ReplicationPoint { job, factor } => {
+                (0, format!("replication_point {job} x{factor}"))
+            }
+            ChainEvent::StorageReclaimed { files_deleted, .. } => {
+                (0, format!("storage_reclaimed {files_deleted} files"))
+            }
+            ChainEvent::ChainRestarted => (0, "chain_restarted".to_string()),
+        };
+        SpanKind::Event { seq, label }
+    }
 }
 
 /// The record of one chain, written by [`drive_chain`] alone: every
@@ -607,8 +668,8 @@ impl Cadence {
 }
 
 /// One chain being driven: the backend, the loop's counters, and the
-/// log only the loop writes. Every event is stamped with the backend's
-/// clock, shown to [`ChainBackend::observe`] and appended to the log.
+/// log and spans only the loop writes. Every event is stamped with the
+/// backend's clock, appended to the log and written as a span.
 struct Chain<'a, B> {
     backend: &'a mut B,
     cfg: &'a ChainConfig<'a>,
@@ -618,6 +679,10 @@ struct Chain<'a, B> {
     /// Jobs whose outputs a replication point deleted since the chain
     /// last (re)started.
     reclaimed: BTreeSet<JobId>,
+    /// The latest `Loss` span the chain has seen: a plan's cause.
+    last_loss: Option<SpanId>,
+    /// The latest `Loss` span since the previous adaptation point.
+    loss_since_point: Option<SpanId>,
 }
 
 /// Runs the chain to completion on `backend`.
@@ -634,6 +699,8 @@ pub fn drive_chain<B: ChainBackend>(
         seq: 0,
         log,
         reclaimed: BTreeSet::new(),
+        last_loss: None,
+        loss_since_point: None,
     };
     chain.drive()?;
     Ok(ChainSummary {
@@ -644,26 +711,54 @@ pub fn drive_chain<B: ChainBackend>(
 }
 
 impl<B: ChainBackend> Chain<'_, B> {
-    fn emit(&mut self, event: ChainEvent) {
-        let at = self.backend.now().at;
-        self.emit_at(at, event);
+    /// The backend's clock and its tracer's, read now.
+    fn now(&self) -> (f64, u64) {
+        (self.backend.now().at, self.backend.tracer().now_us())
     }
 
-    fn emit_at(&mut self, at: f64, event: ChainEvent) {
-        self.backend.observe(&event);
+    fn emit(&mut self, event: ChainEvent) -> SpanId {
+        let now = self.now();
+        self.emit_at(now, event)
+    }
+
+    /// Logs `event` stamped `at`, with its span at tracer time `us`.
+    fn emit_at(&mut self, (at, us): (f64, u64), event: ChainEvent) -> SpanId {
+        let span = self.span(us, &event);
         self.log.push(at, event);
+        span
+    }
+
+    /// Writes `event`'s span at tracer time `us`; a plan's is caused by
+    /// the latest loss the chain has seen.
+    fn span(&self, us: u64, event: &ChainEvent) -> SpanId {
+        let cause = match event {
+            ChainEvent::RecoveryPlanned { .. } => self.last_loss,
+            _ => None,
+        };
+        let tracer = self.backend.tracer();
+        tracer.record(event.span_kind(), None, cause, None, us, us)
     }
 
     /// Submits the next run — chain job `job`, or recovery `step` of it
-    /// — and logs its start, one `LossObserved` per failed node, then
-    /// its completion or cancellation. Its faults feed the cadence.
-    fn run(&mut self, job: JobId, retry: bool, step: Option<RecoveryStep>) -> Result<RunOutcome> {
+    /// with its plan's span — and logs its start (its span stamped at
+    /// the run's start), one `LossObserved` per failed node, then its
+    /// completion or cancellation. Its faults feed the cadence.
+    fn run(
+        &mut self,
+        job: JobId,
+        retry: bool,
+        step: Option<(RecoveryStep, SpanId)>,
+    ) -> Result<RunOutcome> {
         self.seq += 1;
-        let (seq, started, recompute) = (self.seq, self.backend.now().at, step.is_some());
+        let (seq, started, recompute) = (self.seq, self.now(), step.is_some());
         let run = match step {
-            Some(step) => self.backend.run_recompute(seq, step)?,
+            Some((step, plan)) => self.backend.run_recompute(seq, step, plan)?,
             None => self.backend.run_job(seq, job, retry)?,
         };
+        if let Some(loss) = run.last_loss {
+            self.last_loss = Some(loss);
+            self.loss_since_point = Some(loss);
+        }
         self.emit_at(
             started,
             ChainEvent::JobStarted {
@@ -679,7 +774,7 @@ impl<B: ChainBackend> Chain<'_, B> {
                 node,
                 lost_partitions,
             };
-            self.backend.observe(&event);
+            self.span(self.backend.tracer().now_us(), &event);
             self.log.push_loss(loss.fault.at, loss.detected.at, event);
         }
         self.emit(match run.completed {
@@ -745,7 +840,16 @@ impl<B: ChainBackend> Chain<'_, B> {
                 let Some((split, hotspot)) = cfg.strategy.recovery() else {
                     // OPTIMISTIC discards everything and restarts;
                     // exhausted replication has no choice but the same
-                    // (§V-B "More failures").
+                    // (§V-B "More failures"). A restart starts over from
+                    // the chain's input, so it cannot bring a lost
+                    // partition of that input back.
+                    let (lineage, first) = (self.backend.lineage(), cfg.order[0]);
+                    if let Some(&partition) = lineage.input(first)?.lost().first() {
+                        return Err(Error::DataLoss {
+                            path: lineage.input_path(first),
+                            partition: Some(partition),
+                        });
+                    }
                     self.backend.restart()?;
                     self.reclaimed.clear();
                     self.emit(ChainEvent::ChainRestarted);
@@ -763,6 +867,14 @@ impl<B: ChainBackend> Chain<'_, B> {
     fn completed(&mut self, job: JobId, position: u32) -> Result<()> {
         let (point, adapted) = self.cadence.job_completed(position);
         if let Some(step) = &adapted {
+            let kind = SpanKind::AdaptationPoint {
+                seq: self.seq,
+                rate_ppm: (step.rate * 1e6).round() as u64,
+                interval: step.interval,
+                switched: step.switched,
+            };
+            let cause = self.loss_since_point.take();
+            self.backend.tracer().instant(kind, None, cause, None);
             self.backend.adapted(self.seq, step);
         }
         let Some((factor, reclaim)) = point else {
@@ -797,7 +909,7 @@ impl<B: ChainBackend> Chain<'_, B> {
             let plan = self
                 .backend
                 .planning(|view| plan_cascade(view, target, split, hotspot, reclaimed))?;
-            self.emit(ChainEvent::RecoveryPlanned {
+            let span = self.emit(ChainEvent::RecoveryPlanned {
                 target,
                 steps: plan.steps.len(),
                 partitions: plan.partition_count(),
@@ -806,7 +918,7 @@ impl<B: ChainBackend> Chain<'_, B> {
             // plan: replan from state.
             let mut nested = false;
             for step in plan.steps {
-                let run = self.run(step.job, false, Some(step))?;
+                let run = self.run(step.job, false, Some((step, span)))?;
                 if run.completed.is_none() || !run.losses.is_empty() {
                     nested = true;
                     break;

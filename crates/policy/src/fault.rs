@@ -14,6 +14,7 @@
 //! drain nothing. The chain-machine model consumes the same type.
 
 use rcmp_model::NodeId;
+use rcmp_obs::FaultKind;
 use serde::{Deserialize, Serialize};
 
 /// Where in a job's execution a scripted fault fires.
@@ -85,6 +86,17 @@ pub enum Fault {
 }
 
 impl Fault {
+    /// The fault's shape, as its `Fault` span names it.
+    pub fn kind(&self) -> FaultKind {
+        match self {
+            Fault::NodeCrash(_) => FaultKind::NodeCrash,
+            Fault::CorruptReplica { .. } => FaultKind::CorruptReplica,
+            Fault::TornWrite { .. } => FaultKind::TornWrite,
+            Fault::ShuffleFlake { .. } => FaultKind::ShuffleFlake,
+            Fault::NodeDrain { .. } => FaultKind::NodeDrain,
+        }
+    }
+
     /// The node this fault targets.
     pub fn node(&self) -> NodeId {
         match *self {

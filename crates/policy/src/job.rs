@@ -15,26 +15,39 @@
 //! of re-running it forever. Like [`crate::chain`] it holds no bytes,
 //! threads or clock: a [`JobBackend`] performs the effects (the
 //! engine's tracker on its executor session, the simulator on its cost
-//! model). DESIGN §3.7.
+//! model).
+//!
+//! The machine writes the run's spans, on the tracer of the backend's
+//! clock it is handed ([`JobShape::tracer`]): the `JobRun` span, opened
+//! before the plan checks and closed on every exit with `ok`; one
+//! `Wave` per wave, whose open span the backend parents its tasks
+//! under; and per scripted fault a `Fault` instant, with a `Loss`
+//! instant caused by it when a crash struck (a torn writer's `Loss`
+//! comes from [`ReduceResult::Torn`]). DESIGN §3.7.
 
-use crate::fault::TriggerPoint;
+use crate::fault::{Fault, TriggerPoint};
 use crate::membership::Membership;
 use crate::plan::{job_init, reduce_task_set, reduce_tasks_for, InputView, RecomputePlan};
 use crate::tasks::FnReduceTasks;
 use crate::topology::SliceTopology;
 use crate::waves::{assign_reduce_waves, PolicyCtx, ReduceAssignment, WaveAssignment};
 use rcmp_model::{
-    Error, JobId, NodeId, PartitionId, PlacementKernel, ReduceTaskId, Result, SlotConfig,
+    Error, JobId, NodeId, PartitionId, PlacementKernel, ReduceTaskId, Result, SlotConfig, TenantId,
 };
+use rcmp_obs::{OpenSpan, Phase, SpanId, SpanKind, Tracer};
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 
 /// Bound on a run's recovery rounds (defensive; real scenarios
 /// converge in a handful).
 pub const MAX_RECOVERY_ROUNDS: u32 = 1000;
 
-/// One run: the job's shape, and the plan when it recomputes.
-#[derive(Clone, Copy, Debug)]
+/// One run: the job's shape, the plan when it recomputes, and where
+/// its spans go.
+#[derive(Clone, Copy)]
 pub struct JobShape<'a> {
+    /// The run's number (the paper's job numbering).
+    pub seq: u64,
     /// The job.
     pub job: JobId,
     /// Its reducer partitions.
@@ -51,6 +64,12 @@ pub struct JobShape<'a> {
     pub kernel: PlacementKernel,
     /// Charged failures one task may retry (`RetryPolicy::task_retries`).
     pub task_retries: u32,
+    /// The tracer on the backend's clock the run's spans are written to.
+    pub tracer: &'a Tracer,
+    /// What caused the run (a recomputation: the plan that submitted it).
+    pub cause: Option<SpanId>,
+    /// The tenant the run's `JobRun` span is tagged with, if any.
+    pub tenant: Option<TenantId>,
 }
 
 /// What the machine counted over one run, whatever its outcome.
@@ -64,6 +83,8 @@ pub struct JobTally {
     pub map_waves: u32,
     /// Reduce waves run.
     pub reduce_waves: u32,
+    /// The latest `Loss` span the run wrote.
+    pub last_loss: Option<SpanId>,
 }
 
 /// How one map task ended.
@@ -109,9 +130,12 @@ pub trait JobBackend {
         Ok(())
     }
 
-    /// Applies this run's fault-script entries at `point`, in script
-    /// order; true when one killed a node.
-    fn fire(&mut self, point: TriggerPoint) -> bool;
+    /// This run's fault-script entries at `point`, in script order.
+    fn faults(&mut self, point: TriggerPoint) -> Vec<Fault>;
+
+    /// Applies one fault the script raised at `point`: for a crash, the
+    /// partitions it left irreversibly lost; `None` for other shapes.
+    fn apply(&mut self, point: TriggerPoint, fault: Fault) -> Option<usize>;
 
     /// The input as it stands now; the backend keeps the task list.
     fn input(&mut self) -> Result<InputView>;
@@ -129,27 +153,23 @@ pub trait JobBackend {
     /// The membership now; each phase schedules over one snapshot.
     fn membership(&self) -> Membership;
 
-    /// Instrumentation for the wave kernels.
-    fn policy_ctx(&self) -> PolicyCtx<'_> {
-        PolicyCtx::disabled()
-    }
-
-    /// Assigns the `pending` mappers to waves; the result indexes
-    /// `pending`.
+    /// Assigns the `pending` mappers to waves, its decisions traced
+    /// through `ctx`; the result indexes `pending`.
     fn assign_maps(
         &mut self,
         pending: &[usize],
         topo: &SliceTopology<'_, NodeId>,
+        ctx: PolicyCtx<'_>,
     ) -> Result<WaveAssignment<NodeId>>;
 
-    /// Runs map wave `at = (w, capacity)` — the wave's number in the
-    /// run, and the live slots it was assigned against — and hands
-    /// `account` each task's result in wave order, stopping at the
-    /// first error it returns.
+    /// Runs map wave `at = (w, span)` — the wave's number in the run,
+    /// and its open `Wave` span, which the machine closes — and hands
+    /// `account` each task's result in wave order, one per task,
+    /// stopping at the first error it returns.
     fn map_wave(
         &mut self,
         waves: &Self::Waves<'_>,
-        at: (u32, u32),
+        at: (u32, OpenSpan),
         tasks: &[(NodeId, usize)],
         account: impl FnMut(MapResult) -> Result<()>,
     ) -> Result<()>;
@@ -158,7 +178,7 @@ pub trait JobBackend {
     fn reduce_wave(
         &mut self,
         waves: &Self::Waves<'_>,
-        at: (u32, u32),
+        at: (u32, OpenSpan),
         tasks: &[(NodeId, ReduceTaskId)],
         account: impl FnMut(ReduceResult) -> Result<()>,
     ) -> Result<()>;
@@ -176,8 +196,109 @@ pub trait JobBackend {
 /// written, or a typed error — `Config` or `UnsplittableJob` on a bad
 /// plan, `JobInputLost` when JobInit (first or on a refresh) finds the
 /// input lost, `NoLiveNodes`, `RecoveryExhausted` when a task keeps
-/// failing, or whatever a wave returns.
+/// failing, or whatever a wave returns. Either way the run's `JobRun`
+/// span is closed, with `ok` set on success.
 pub fn run_job<B: JobBackend>(b: &mut B, shape: &JobShape<'_>, tally: &mut JobTally) -> Result<()> {
+    let live_nodes = b.membership().readable().len() as u32;
+    let open = shape.tracer.open();
+    let run = RunSpan {
+        tracer: shape.tracer,
+        id: open.id,
+        seq: shape.seq,
+        last_loss: Cell::new(None),
+    };
+    let result = run_phases(b, shape, &run, tally);
+    tally.last_loss = run.last_loss.get();
+    let kind = SpanKind::JobRun {
+        seq: shape.seq,
+        job: shape.job,
+        recompute: shape.plan.is_some(),
+        live_nodes,
+        map_slots: shape.slots.map,
+        reduce_slots: shape.slots.reduce,
+        ok: result.is_ok(),
+        tenant: shape.tenant,
+    };
+    shape.tracer.close(open, kind, None, shape.cause, None);
+    result
+}
+
+/// Where one run's spans go: the tracer, the `JobRun` span, the run's
+/// number; and the latest `Loss` span written.
+struct RunSpan<'t> {
+    tracer: &'t Tracer,
+    id: SpanId,
+    seq: u64,
+    last_loss: Cell<Option<SpanId>>,
+}
+
+impl RunSpan<'_> {
+    /// Fires this run's fault-script entries at `point`: a `Fault`
+    /// instant per entry, written before the backend applies it, and a
+    /// `Loss` instant caused by it when a crash struck. True when one
+    /// killed a node.
+    fn fire<B: JobBackend>(&self, b: &mut B, point: TriggerPoint) -> bool {
+        let mut killed = false;
+        for fault in b.faults(point) {
+            let node = Some(fault.node());
+            let at = format!("{point:?}");
+            let kind = SpanKind::Fault {
+                seq: self.seq,
+                kind: fault.kind(),
+                at,
+            };
+            let struck = self.tracer.instant(kind, Some(self.id), None, node);
+            if let Some(lost) = b.apply(point, fault) {
+                self.loss(lost, Some(struck), node);
+                killed = true;
+            }
+        }
+        killed
+    }
+
+    /// A `Loss` instant of `lost` partitions on `node`.
+    fn loss(&self, lost: usize, cause: Option<SpanId>, node: Option<NodeId>) {
+        let kind = SpanKind::Loss {
+            seq: self.seq,
+            lost_partitions: lost as u32,
+        };
+        let loss = self.tracer.instant(kind, Some(self.id), cause, node);
+        self.last_loss.set(Some(loss));
+    }
+
+    /// Runs `go` inside a `Wave` span of `tasks` tasks assigned against
+    /// `capacity` live slots.
+    fn wave<R>(
+        &self,
+        (phase, index, capacity): (Phase, u32, u32),
+        tasks: usize,
+        go: impl FnOnce(OpenSpan) -> R,
+    ) -> R {
+        let open = self.tracer.open();
+        let out = go(open);
+        let kind = SpanKind::Wave {
+            phase,
+            index,
+            tasks: tasks as u32,
+            capacity,
+        };
+        self.tracer.close(open, kind, Some(self.id), None, None);
+        out
+    }
+
+    /// The wave kernels' instrumentation: decisions under the run.
+    fn ctx(&self) -> PolicyCtx<'_> {
+        PolicyCtx::new(self.tracer, Some(self.id))
+    }
+}
+
+/// [`run_job`] inside its `JobRun` span.
+fn run_phases<B: JobBackend>(
+    b: &mut B,
+    shape: &JobShape<'_>,
+    span: &RunSpan<'_>,
+    tally: &mut JobTally,
+) -> Result<()> {
     let (job, plan) = (shape.job, shape.plan);
     if shape.num_reducers == 0 {
         return Err(Error::Config("job needs at least one reducer".into()));
@@ -189,7 +310,7 @@ pub fn run_job<B: JobBackend>(b: &mut B, shape: &JobShape<'_>, tally: &mut JobTa
         plan.validate(job, shape.num_reducers, shape.splittable)?;
         b.check_plan(plan)?;
     }
-    b.fire(TriggerPoint::JobStart);
+    span.fire(b, TriggerPoint::JobStart);
     // JobInit decides before the output is touched: a cancelled run
     // leaves the backend as it found it, so the planner never sees
     // partitions this run cleared as empty-but-not-lost.
@@ -203,6 +324,7 @@ pub fn run_job<B: JobBackend>(b: &mut B, shape: &JobShape<'_>, tally: &mut JobTa
     let (pending_reduces, style) = reduce_task_set(plan, job, shape.num_reducers);
     let mut run = Rounds {
         shape,
+        span,
         // Refreshes re-run whatever map output went missing since, under
         // the run's fingerprint rule. A forced count re-runs its mappers
         // once and reuses the rest regardless, so refreshes force none.
@@ -235,6 +357,7 @@ pub fn run_job<B: JobBackend>(b: &mut B, shape: &JobShape<'_>, tally: &mut JobTa
 /// The state of one run's phase loop.
 struct Rounds<'r, 's> {
     shape: &'r JobShape<'s>,
+    span: &'r RunSpan<'s>,
     refresh: RecomputePlan,
     /// Partitions this run is responsible for (damage re-checks).
     targets: BTreeSet<PartitionId>,
@@ -288,21 +411,24 @@ impl Rounds<'_, '_> {
             self.shape.task_retries,
         );
         let topo = SliceTopology::for_kernel(&live, slots, self.shape.kernel, &membership);
-        for wave in b.assign_maps(&self.pending_maps, &topo)? {
+        let span = self.span;
+        for wave in b.assign_maps(&self.pending_maps, &topo, span.ctx())? {
             let wave: Vec<(NodeId, usize)> =
                 (wave.into_iter().map(|(n, i)| (n, self.pending_maps[i]))).collect();
             let w = self.tally.map_waves;
             let (tally, spent) = (&mut *self.tally, &mut self.map_retries);
             let points = (TriggerPoint::MidMapWave(w), TriggerPoint::AfterMapWave(w));
-            let interrupted = bracket(b, points, |b, failed| {
-                let at = (w, live.len() as u32 * slots);
-                b.map_wave(waves, at, &wave, |result| match result {
-                    MapResult::Done => Ok(()),
-                    MapResult::Failed { task, reason } => {
-                        *failed = true;
-                        tally.task_retries += 1;
-                        charge(spent, task, budget, job, || reason)
-                    }
+            let at = (Phase::Map, w, live.len() as u32 * slots);
+            let interrupted = bracket(b, span, points, |b, failed| {
+                span.wave(at, wave.len(), |open| {
+                    b.map_wave(waves, (w, open), &wave, |result| match result {
+                        MapResult::Done => Ok(()),
+                        MapResult::Failed { task, reason } => {
+                            *failed = true;
+                            tally.task_retries += 1;
+                            charge(spent, task, budget, job, || reason)
+                        }
+                    })
                 })
             })?;
             self.tally.map_waves += 1;
@@ -325,7 +451,8 @@ impl Rounds<'_, '_> {
         let topo = SliceTopology::for_kernel(&live, slots, self.shape.kernel, &membership);
         let pending = &self.pending_reduces;
         let set = FnReduceTasks::new(pending.len(), |t| pending[t].partition.index());
-        let assignment = assign_reduce_waves(&topo, &set, self.style, b.policy_ctx())?;
+        let span = self.span;
+        let assignment = assign_reduce_waves(&topo, &set, self.style, span.ctx())?;
         let assignment: Vec<Vec<(NodeId, ReduceTaskId)>> = (assignment.into_iter())
             .map(|wave| wave.into_iter().map(|(n, t)| (n, pending[t])).collect())
             .collect();
@@ -338,24 +465,31 @@ impl Rounds<'_, '_> {
                 TriggerPoint::MidReduceWave(w),
                 TriggerPoint::AfterReduceWave(w),
             );
-            let reassign = bracket(b, points, |b, failed| {
-                let at = (w, live.len() as u32 * slots);
-                b.reduce_wave(waves, at, &wave, |result| {
-                    let failure = !matches!(result, ReduceResult::Done(_));
-                    *failed |= failure;
-                    tally.task_retries += usize::from(failure);
-                    match result {
-                        ReduceResult::Done(id) => pending.retain(|t| *t != id),
-                        ReduceResult::Missing => {}
-                        ReduceResult::Retry(id) => {
-                            let reason = || format!("reduce task {id} kept failing retryably");
-                            charge(spent, id, budget, job, reason)?;
+            let at = (Phase::Reduce, w, live.len() as u32 * slots);
+            let reassign = bracket(b, span, points, |b, failed| {
+                let mut writers = wave.iter().map(|&(node, _)| node);
+                span.wave(at, wave.len(), |open| {
+                    b.reduce_wave(waves, (w, open), &wave, |result| {
+                        let writer = writers.next();
+                        let failure = !matches!(result, ReduceResult::Done(_));
+                        *failed |= failure;
+                        tally.task_retries += usize::from(failure);
+                        match result {
+                            ReduceResult::Done(id) => pending.retain(|t| *t != id),
+                            ReduceResult::Missing => {}
+                            ReduceResult::Retry(id) => {
+                                let reason = || format!("reduce task {id} kept failing retryably");
+                                charge(spent, id, budget, job, reason)?;
+                            }
+                            // The torn writer died with its partition:
+                            // a loss of its own.
+                            ReduceResult::Torn(partition) => {
+                                span.loss(1, None, writer);
+                                torn.insert(partition);
+                            }
                         }
-                        ReduceResult::Torn(partition) => {
-                            torn.insert(partition);
-                        }
-                    }
-                    Ok(())
+                        Ok(())
+                    })
                 })
             })?;
             self.tally.reduce_waves += 1;
@@ -389,13 +523,14 @@ impl Rounds<'_, '_> {
 /// True when the round must reassign.
 fn bracket<B: JobBackend>(
     b: &mut B,
+    span: &RunSpan<'_>,
     (mid, after): (TriggerPoint, TriggerPoint),
     wave: impl FnOnce(&mut B, &mut bool) -> Result<()>,
 ) -> Result<bool> {
-    let mid_kill = b.fire(mid);
+    let mid_kill = span.fire(b, mid);
     let mut failed = false;
     wave(b, &mut failed)?;
-    Ok(b.fire(after) || failed || mid_kill)
+    Ok(span.fire(b, after) || failed || mid_kill)
 }
 
 /// One membership snapshot, and the Up nodes a phase may schedule on (a

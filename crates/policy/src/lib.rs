@@ -44,11 +44,13 @@
 //!   and the damage re-check, as [`run_job`] over a [`JobBackend`]. The
 //!   engine's `JobTracker` and the simulator's `JobSim` are its two
 //!   backends, so a crash in the middle of a job replays on either
-//!   clock.
+//!   clock. The machine and the chain loop write a chain's spans, so
+//!   its trace reads the same on both clocks.
 //! * [`choose_mitigation`] — hot-spot mitigation selection (split vs
 //!   spread-output, §IV-B2) shared by the middleware and the simulator.
-//! * [`PolicyCtx`] — optional `rcmp-obs` instrumentation: every
-//!   placement decision can emit a span, in both backends.
+//! * [`PolicyCtx`] — `rcmp-obs` instrumentation of the wave kernels:
+//!   the job machine traces every placement decision of a run under its
+//!   `JobRun` span, in both backends.
 //! * [`adapt`] — closed-loop adaptive resilience: the online
 //!   failure-intensity estimator and the [`AdaptivePolicy`] that
 //!   re-derives the replication cadence from it, shared (like the wave

@@ -43,8 +43,9 @@ pub enum ReduceAssignment {
 /// Optional instrumentation handle threaded through the kernels.
 ///
 /// When a tracer is attached, every placement decision emits an
-/// [`SpanKind::Event`] span (label prefix `policy.`) under `parent`, so
-/// traces from the engine and the simulator show the *same* decision
+/// [`SpanKind::Event`] span (label prefix `policy.`) under `parent`.
+/// The job machine attaches its run's tracer and `JobRun` span on both
+/// backends, so engine and simulator traces show the *same* decision
 /// points.
 #[derive(Clone, Copy, Default)]
 pub struct PolicyCtx<'a> {

@@ -23,10 +23,19 @@
 //!   seqs run 1, 2, 3, … without gaps; every `JobCancelled` is followed
 //!   by `RecoveryPlanned` or `ChainRestarted`; a plan's recomputations
 //!   start right after it, in plan order, until a nested failure; and
-//!   stamps never decrease.
+//!   stamps never decrease;
+//! * the loop writes one span per logged event, in order, and causes
+//!   as values: a plan is caused by the chain's latest `Loss` span, a
+//!   recomputation run by its plan's span, an adaptation point by the
+//!   latest loss since the previous point. The stream is read back from
+//!   those spans, so the grammar holds of chains that end in an error
+//!   too;
+//! * a chain that restarts ends in `DataLoss` on its input once the
+//!   input has a lost partition, never in `RecoveryExhausted`.
 
 use proptest::prelude::*;
 use rcmp_model::{Error, JobId, PartitionId, Result, RetryPolicy};
+use rcmp_obs::{Span, SpanId, SpanKind, Tracer};
 use rcmp_policy::{
     drive_chain, plan_cascade, AdaptConfig, ChainBackend, ChainConfig, ChainEvent, Clock,
     DynamicPolicy, FailureAt, Fault, HotspotMitigation, InputView, LineageView, Loss, MapInput,
@@ -247,23 +256,28 @@ struct Fake<'a> {
     cancels: u64,
     /// The job whose recovery was planned since it was last cancelled.
     recovered: Option<JobId>,
+    /// The chain job cancelled last: the target of the plans after it.
+    cancelled: Option<JobId>,
+    /// Where the loop writes the chain's spans, and this backend its
+    /// runs' `Loss` spans, as the job machine would.
+    tracer: Tracer,
     trace: Vec<String>,
     violations: Vec<String>,
-    /// Every event the loop logged, as `observe` saw it.
-    events: Vec<ChainEvent>,
-    /// The step jobs of every logged plan, re-derived from the world
-    /// when the plan was logged.
+    /// The step jobs of every plan, checked against the world it was
+    /// computed from.
     plans: Vec<Vec<JobId>>,
 }
 
 impl Fake<'_> {
-    fn begin_run(&mut self, seq: u64) -> Vec<Loss> {
+    /// Starts run `seq`: its crashes strike, each with a `Loss` span.
+    /// Returns the losses and the latest loss span.
+    fn begin_run(&mut self, seq: u64) -> (Vec<Loss>, Option<SpanId>) {
         self.calls += 1;
         if seq != self.calls {
             self.violations
                 .push(format!("run {} numbered {seq}", self.calls));
         }
-        let mut losses = Vec::new();
+        let (mut losses, mut last_loss) = (Vec::new(), None);
         for kill in self.script.kills.iter().filter(|k| k.seq == seq) {
             let Fault::NodeCrash(node) = kill.fault else {
                 continue;
@@ -275,14 +289,24 @@ impl Fake<'_> {
                     fault: self.now(),
                     detected: self.now(),
                 });
+                let kind = SpanKind::Loss {
+                    seq,
+                    lost_partitions: 0,
+                };
+                last_loss = Some(self.tracer.instant(kind, None, None, Some(node)));
             }
         }
-        losses
+        (losses, last_loss)
     }
 
-    /// A logged plan must be the one the planner computes from the
-    /// world as it stands when the plan is logged.
-    fn logged_plan(&mut self, target: JobId, steps: usize, partitions: usize) {
+    /// A plan the loop computed must be the one the planner computes
+    /// from the world as it stands, for the job cancelled last.
+    fn planned(&mut self, plan: &RecoveryPlan) {
+        let Some(target) = self.cancelled else {
+            self.violations
+                .push("a plan before any cancellation".into());
+            return;
+        };
         let Some((split, hotspot)) = self.script.strategy.recovery() else {
             let strategy = self.script.strategy;
             self.violations
@@ -293,20 +317,27 @@ impl Fake<'_> {
             .filter(|&j| self.world.reclaimed[j as usize])
             .map(JobId)
             .collect();
-        let Ok(plan) = plan_cascade(&self.world, target, split, hotspot, &reclaimed) else {
+        let Ok(derived) = plan_cascade(&self.world, target, split, hotspot, &reclaimed) else {
             self.violations
-                .push(format!("unplannable plan for {target} logged"));
+                .push(format!("unplannable plan for {target} planned"));
             return;
         };
-        if (plan.steps.len(), plan.partition_count()) != (steps, partitions) {
-            self.violations.push(format!(
-                "plan for {target} logged as {steps} steps, {partitions} partitions"
-            ));
+        if &derived != plan {
+            self.violations
+                .push(format!("plan for {target} is not the world's: {plan:?}"));
         }
-        self.check_plan(target, &plan);
+        self.check_plan(target, plan);
         self.plans.push(plan.steps.iter().map(|s| s.job).collect());
         self.recovered = Some(target);
+        let steps = plan.steps.len();
         self.trace.push(format!("plan for {target}: {steps} steps"));
+    }
+
+    /// The latest `RecoveryPlan` span.
+    fn last_plan_span(&self) -> Option<SpanId> {
+        let plans = self.tracer.snapshot().spans.into_iter();
+        let plans = plans.filter(|s| matches!(s.kind, SpanKind::RecoveryPlan { .. }));
+        plans.map(|s| s.id).max()
     }
 
     /// The planner properties, checked against the state the plan was
@@ -365,8 +396,12 @@ impl ChainBackend for Fake<'_> {
         }
     }
 
+    fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+
     fn run_job(&mut self, seq: u64, job: JobId, retry: bool) -> Result<RunOutcome> {
-        let losses = self.begin_run(seq);
+        let (losses, last_loss) = self.begin_run(seq);
         if retry != (self.recovered == Some(job)) {
             self.violations
                 .push(format!("run {seq} of {job}: retry = {retry}"));
@@ -378,8 +413,12 @@ impl ChainBackend for Fake<'_> {
         // A full run reads its whole input.
         if self.script.flake == Flake::CancelJob(job.0) || !self.world.lost(job.0 - 1).is_empty() {
             self.cancels += 1;
+            self.cancelled = Some(job);
             self.trace.push(format!("{seq}: {job} cancelled"));
-            return Ok(RunOutcome::cancelled(losses));
+            return Ok(RunOutcome {
+                last_loss,
+                ..RunOutcome::cancelled(losses)
+            });
         }
         let strategy = self.script.strategy;
         self.world
@@ -388,11 +427,15 @@ impl ChainBackend for Fake<'_> {
             self.world.map_out[job.0 as usize].fill(None);
         }
         self.trace.push(format!("{seq}: {job} completed"));
-        Ok(completed(losses))
+        Ok(completed(losses, last_loss))
     }
 
-    fn run_recompute(&mut self, seq: u64, step: RecoveryStep) -> Result<RunOutcome> {
-        let losses = self.begin_run(seq);
+    fn run_recompute(&mut self, seq: u64, step: RecoveryStep, plan: SpanId) -> Result<RunOutcome> {
+        if Some(plan) != self.last_plan_span() {
+            self.violations
+                .push(format!("run {seq} is caused by {plan:?}, not its plan"));
+        }
+        let (losses, last_loss) = self.begin_run(seq);
         if self.world.live().is_empty() {
             return Err(Error::NoLiveNodes);
         }
@@ -403,7 +446,10 @@ impl ChainBackend for Fake<'_> {
         }
         if starved || self.script.flake == Flake::CancelRecoveries {
             self.trace.push(format!("{seq}: re-{} cancelled", step.job));
-            return Ok(RunOutcome::cancelled(losses));
+            return Ok(RunOutcome {
+                last_loss,
+                ..RunOutcome::cancelled(losses)
+            });
         }
         self.world
             .execute(step.job.0, Some(&step.instructions), 1, seq);
@@ -411,7 +457,7 @@ impl ChainBackend for Fake<'_> {
             "{seq}: re-{} {:?}",
             step.job, step.instructions.partitions
         ));
-        Ok(completed(losses))
+        Ok(completed(losses, last_loss))
     }
 
     fn wait(&mut self, ms: u64) {
@@ -454,24 +500,109 @@ impl ChainBackend for Fake<'_> {
         Ok(Reclaimed::default())
     }
 
-    fn observe(&mut self, event: &ChainEvent) {
-        if let ChainEvent::RecoveryPlanned {
-            target,
-            steps,
-            partitions,
-        } = *event
-        {
-            self.logged_plan(target, steps, partitions);
+    /// Checks each plan against the world it was computed from.
+    fn planning(
+        &mut self,
+        walk: impl FnOnce(&World) -> Result<RecoveryPlan>,
+    ) -> Result<RecoveryPlan> {
+        let plan = walk(&self.world);
+        if let Ok(plan) = &plan {
+            self.planned(plan);
         }
-        self.events.push(event.clone());
+        plan
     }
 }
 
-fn completed(losses: Vec<Loss>) -> RunOutcome {
+fn completed(losses: Vec<Loss>, last_loss: Option<SpanId>) -> RunOutcome {
     RunOutcome {
         losses,
         completed: Some(TaskCounts::default()),
+        last_loss,
     }
+}
+
+/// The chain's spans read back: the logged events, from their `Event`
+/// and `RecoveryPlan` spans (a loss's node is not in its label), with
+/// the spans themselves. Checks the causes on the way: a plan's is the
+/// latest `Loss` span, an adaptation point's the latest loss since the
+/// previous point.
+fn read_back(tracer: &Tracer) -> std::result::Result<(Vec<ChainEvent>, Vec<Span>), String> {
+    let mut spans = tracer.snapshot().spans;
+    spans.sort_by_key(|s| s.id);
+    let (mut events, mut chain) = (Vec::new(), Vec::new());
+    let (mut last_loss, mut since_point) = (None, None);
+    for span in spans {
+        let job = |word: &str| JobId(word[1..].parse().unwrap());
+        let event = match &span.kind {
+            SpanKind::Loss { .. } => {
+                (last_loss, since_point) = (Some(span.id), Some(span.id));
+                continue;
+            }
+            SpanKind::AdaptationPoint { .. } => {
+                if span.cause != since_point.take() {
+                    return Err(format!(
+                        "{span:?}: not the latest loss since the last point"
+                    ));
+                }
+                continue;
+            }
+            &SpanKind::RecoveryPlan {
+                target,
+                steps,
+                partitions,
+            } => {
+                if span.cause != last_loss {
+                    return Err(format!("{span:?}: not caused by {last_loss:?}"));
+                }
+                ChainEvent::RecoveryPlanned {
+                    target,
+                    steps: steps as usize,
+                    partitions: partitions as usize,
+                }
+            }
+            SpanKind::Event { seq, label } => {
+                let (seq, words) = (*seq, label.split(' ').collect::<Vec<_>>());
+                let count = |word: &str| word.parse().unwrap();
+                match words[0] {
+                    "job_started" => ChainEvent::JobStarted {
+                        seq,
+                        job: job(words[1]),
+                        recompute: words.len() == 3,
+                    },
+                    "job_completed" => ChainEvent::JobCompleted {
+                        seq,
+                        job: job(words[1]),
+                        map_tasks_run: 0,
+                        map_tasks_reused: 0,
+                        reduce_tasks_run: 0,
+                    },
+                    "loss_observed" => ChainEvent::LossObserved {
+                        seq,
+                        node: None,
+                        lost_partitions: count(words[1]),
+                    },
+                    "job_cancelled" => ChainEvent::JobCancelled {
+                        seq,
+                        job: job(words[1]),
+                    },
+                    "replication_point" => ChainEvent::ReplicationPoint {
+                        job: job(words[1]),
+                        factor: words[2][1..].parse().unwrap(),
+                    },
+                    "storage_reclaimed" => ChainEvent::StorageReclaimed {
+                        files_deleted: count(words[1]),
+                        map_entries_dropped: 0,
+                    },
+                    "chain_restarted" => ChainEvent::ChainRestarted,
+                    _ => return Err(format!("unknown event span {label}")),
+                }
+            }
+            other => return Err(format!("the loop wrote {other:?}")),
+        };
+        events.push(event);
+        chain.push(span);
+    }
+    Ok((events, chain))
 }
 
 /// The grammar of the logged stream. `plans` holds each logged plan's
@@ -574,9 +705,10 @@ fn run(script: &Script) -> std::result::Result<Ending, TestCaseError> {
         waits: 0,
         cancels: 0,
         recovered: None,
+        cancelled: None,
+        tracer: Tracer::new(),
         trace: Vec::new(),
         violations: Vec::new(),
-        events: Vec::new(),
         plans: Vec::new(),
     };
     let result = drive_chain(
@@ -596,8 +728,12 @@ fn run(script: &Script) -> std::result::Result<Ending, TestCaseError> {
         fake.trace
     );
     prop_assert!(fake.waits <= fake.cancels);
-    if let Err(why) = check_grammar(&fake.events, &fake.plans, result.is_err()) {
-        prop_assert!(false, "{why}\nevents: {:#?}", fake.events);
+    let (events, spans) = match read_back(&fake.tracer) {
+        Ok(read) => read,
+        Err(why) => return Err(TestCaseError::fail(why)),
+    };
+    if let Err(why) = check_grammar(&events, &fake.plans, result.is_err()) {
+        prop_assert!(false, "{why}\nevents: {:#?}", events);
     }
     // No livelock: passes × (jobs + cancels, each recovered by at most
     // `max_attempts` plans of at most `jobs` steps).
@@ -611,10 +747,11 @@ fn run(script: &Script) -> std::result::Result<Ending, TestCaseError> {
         Ok(summary) => {
             prop_assert_eq!(summary.jobs_started, fake.calls);
             prop_assert!(summary.events.restarts() < script.max_attempts as usize);
-            // `observe` saw exactly what was logged, and the stamps
-            // never decrease: a loss's fault is no earlier than what
-            // came before it, and no later than its detection.
-            prop_assert!(summary.events.iter().eq(&fake.events));
+            // One span per logged event, in order, and the stamps never
+            // decrease: a loss's fault is no earlier than what came
+            // before it, and no later than its detection.
+            let kinds = spans.iter().map(|s| s.kind.clone());
+            prop_assert!(summary.events.iter().map(ChainEvent::span_kind).eq(kinds));
             let mut last = 0.0;
             for (fault, at, e) in summary.events.stamped() {
                 prop_assert!(
@@ -631,8 +768,14 @@ fn run(script: &Script) -> std::result::Result<Ending, TestCaseError> {
                 if adaptive { script.jobs as usize } else { 0 }
             );
         }
-        // A typed ending names something true of the world.
-        Err(Error::RecoveryExhausted { .. }) => {}
+        // A typed ending names something true of the world. A restart
+        // cannot bring a lost input back, so a restarting chain gives up
+        // on a lost input with `DataLoss`, not by running out of passes.
+        Err(Error::RecoveryExhausted { .. }) => {
+            if script.strategy.recovery().is_none() {
+                prop_assert!(fake.world.lost(0).is_empty(), "restarted over a lost input");
+            }
+        }
         Err(Error::DataLoss { path, partition }) => match partition {
             Some(p) => {
                 prop_assert_eq!(path.as_str(), "file/0");
@@ -657,7 +800,7 @@ fn run(script: &Script) -> std::result::Result<Ending, TestCaseError> {
         }
     }
     let ending = result.map(|s| (s.jobs_started, s.events.restarts(), s.adaptation.len()));
-    Ok((ending, fake.trace, fake.events))
+    Ok((ending, fake.trace, events))
 }
 
 fn strategy() -> impl Strategy<Value = Resilience> {

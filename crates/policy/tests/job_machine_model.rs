@@ -17,16 +17,21 @@
 //! * waves, task attempts and shuffle attempts stay under a closed form
 //!   in the task count, `task_retries`, `shuffle_attempts` and the
 //!   crashes and task faults that fired — the termination bound;
+//! * the run's spans are the machine's: one `JobRun` closed with the
+//!   outcome, one `Wave` per wave the backend ran, one `Fault` per
+//!   scripted node event and one `Loss` per crash — caused by its
+//!   `Fault`, or by nothing for a torn writer;
 //! * the same script replays to the same trace and the same outcome.
 
 use proptest::prelude::*;
 use rcmp_model::{
     Error, JobId, NodeId, PartitionId, PlacementKernel, ReduceTaskId, Result, SlotConfig,
 };
+use rcmp_obs::{OpenSpan, Span, SpanKind, Tracer};
 use rcmp_policy::{
-    assign_map_waves, run_job, FnMapTasks, InputView, JobBackend, JobShape, JobTally, MapInput,
-    MapResult, Membership, PolicyCtx, RecomputePlan, ReduceResult, SliceTopology, TriggerPoint,
-    WaveAssignment,
+    assign_map_waves, run_job, Fault, FnMapTasks, InputView, JobBackend, JobShape, JobTally,
+    MapInput, MapResult, Membership, PolicyCtx, RecomputePlan, ReduceResult, SliceTopology,
+    TriggerPoint, WaveAssignment,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -119,6 +124,8 @@ struct Fake<'a> {
     /// A crash took a map output since the last input snapshot.
     outputs_lost: bool,
     crashes: u32,
+    /// Torn writers killed (crashes the script did not name).
+    torn: u32,
     task_faults: u32,
     shuffles: u64,
     waves: u32,
@@ -157,25 +164,30 @@ impl JobBackend for Fake<'_> {
     where
         Self: 'w;
 
-    fn fire(&mut self, point: TriggerPoint) -> bool {
-        let mut killed = false;
-        for &(at, event) in &self.script.nodes {
-            if at != point {
-                continue;
+    fn faults(&mut self, point: TriggerPoint) -> Vec<Fault> {
+        let events = self.script.nodes.iter().filter(|(at, _)| *at == point);
+        events
+            .map(|&(_, event)| match event {
+                NodeEvent::Crash(n) => Fault::NodeCrash(NodeId(n)),
+                NodeEvent::Drain(n) => Fault::NodeDrain { node: NodeId(n) },
+            })
+            .collect()
+    }
+
+    fn apply(&mut self, point: TriggerPoint, fault: Fault) -> Option<usize> {
+        self.trace.push(format!("{point:?} {fault:?}"));
+        let n = fault.node().raw();
+        match fault {
+            Fault::NodeCrash(_) => {
+                self.kill(n);
+                return Some(0);
             }
-            match event {
-                NodeEvent::Crash(n) => {
-                    self.kill(n);
-                    killed = true;
-                }
-                NodeEvent::Drain(n) if self.world.membership.drainable(n) => {
-                    let _ = self.world.membership.drain(n);
-                }
-                NodeEvent::Drain(_) => {}
+            Fault::NodeDrain { .. } if self.world.membership.drainable(n) => {
+                let _ = self.world.membership.drain(n);
             }
-            self.trace.push(format!("{point:?} {event:?}"));
+            _ => {}
         }
-        killed
+        None
     }
 
     fn input(&mut self) -> Result<InputView> {
@@ -221,6 +233,7 @@ impl JobBackend for Fake<'_> {
         &mut self,
         pending: &[usize],
         topo: &SliceTopology<'_, NodeId>,
+        ctx: PolicyCtx<'_>,
     ) -> Result<WaveAssignment<NodeId>> {
         let holders = |t: usize| &self.world.blocks[pending[t]];
         let tasks = FnMapTasks::new(
@@ -228,13 +241,13 @@ impl JobBackend for Fake<'_> {
             |t, n: NodeId| holders(t).first() == Some(&n.raw()),
             |t, n: NodeId| holders(t).contains(&n.raw()),
         );
-        assign_map_waves(topo, &tasks, PolicyCtx::disabled())
+        assign_map_waves(topo, &tasks, ctx)
     }
 
     fn map_wave(
         &mut self,
         _: &(),
-        (index, _): (u32, u32),
+        (index, _): (u32, OpenSpan),
         wave: &[(NodeId, usize)],
         mut account: impl FnMut(MapResult) -> Result<()>,
     ) -> Result<()> {
@@ -267,7 +280,7 @@ impl JobBackend for Fake<'_> {
     fn reduce_wave(
         &mut self,
         _: &(),
-        (index, _): (u32, u32),
+        (index, _): (u32, OpenSpan),
         wave: &[(NodeId, ReduceTaskId)],
         mut account: impl FnMut(ReduceResult) -> Result<()>,
     ) -> Result<()> {
@@ -321,6 +334,7 @@ impl JobBackend for Fake<'_> {
             if matches!(result, ReduceResult::Torn(_)) {
                 // The torn writer dies at the wave boundary.
                 self.kill(node.raw());
+                self.torn += 1;
             }
             account(result)?;
         }
@@ -362,8 +376,10 @@ struct Ran {
     shuffles: u64,
     waves: u32,
     crashes: u32,
+    torn: u32,
     task_faults: u32,
     trace: Vec<String>,
+    spans: Vec<Span>,
 }
 
 fn run(case: &Case) -> Ran {
@@ -375,12 +391,15 @@ fn run(case: &Case) -> Ran {
         charged: BTreeMap::new(),
         outputs_lost: false,
         crashes: 0,
+        torn: 0,
         task_faults: 0,
         shuffles: 0,
         waves: 0,
         trace: Vec::new(),
     };
+    let tracer = Tracer::new();
     let shape = JobShape {
+        seq: 1,
         job: JobId(1),
         num_reducers: case.reducers,
         output_replication: 1,
@@ -392,6 +411,9 @@ fn run(case: &Case) -> Ran {
         },
         kernel: PlacementKernel::Default,
         task_retries: case.task_retries,
+        tracer: &tracer,
+        cause: None,
+        tenant: None,
     };
     let mut tally = JobTally::default();
     let result = run_job(&mut fake, &shape, &mut tally);
@@ -410,10 +432,21 @@ fn run(case: &Case) -> Ran {
         shuffles: fake.shuffles,
         waves: fake.waves,
         crashes: fake.crashes,
+        torn: fake.torn,
         task_faults: fake.task_faults,
         trace: fake.trace,
         world: fake.world,
+        spans: {
+            let mut spans = tracer.snapshot().spans;
+            spans.sort_by_key(|s| s.id);
+            spans
+        },
     }
+}
+
+/// The spans of `kind`.
+fn of_kind<'a>(spans: &'a [Span], kind: &'a str) -> impl Iterator<Item = &'a Span> {
+    spans.iter().filter(move |s| s.kind.name() == kind)
 }
 
 fn point(draw: u8) -> TriggerPoint {
@@ -579,6 +612,29 @@ proptest! {
             Err(Error::RecoveryExhausted { .. }) => prop_assert!(over),
             Err(e) => prop_assert!(false, "untyped ending {e}"),
         }
+
+        // The machine's spans: one run, one wave span per wave run, one
+        // fault per node event that fired, one loss per crash.
+        let runs: Vec<&Span> = of_kind(&ran.spans, "JobRun").collect();
+        prop_assert_eq!(runs.len(), 1);
+        let run_span = runs[0].id;
+        let ok = matches!(runs[0].kind, SpanKind::JobRun { ok, .. } if ok == ran.result.is_ok());
+        prop_assert!(ok, "{:?}", runs[0]);
+        prop_assert_eq!(of_kind(&ran.spans, "Wave").count() as u32, ran.waves);
+        let fired = ran.trace.iter().filter(|t| t.contains("Node")).count();
+        prop_assert_eq!(of_kind(&ran.spans, "Fault").count(), fired);
+        let losses: Vec<&Span> = of_kind(&ran.spans, "Loss").collect();
+        prop_assert_eq!(losses.len() as u32, ran.crashes);
+        let uncaused = losses.iter().filter(|l| l.cause.is_none()).count() as u32;
+        prop_assert_eq!(uncaused, ran.torn, "only a torn writer's loss has no fault");
+        for loss in losses.iter().filter(|l| l.cause.is_some()) {
+            let fault = ran.spans.iter().find(|s| Some(s.id) == loss.cause).unwrap();
+            prop_assert!(matches!(fault.kind, SpanKind::Fault { .. }), "{:?}", fault);
+            prop_assert_eq!(fault.node, loss.node);
+        }
+        prop_assert_eq!(ran.tally.last_loss, losses.last().map(|l| l.id));
+        let outside = ran.spans.iter().filter(|s| s.id != run_span && s.parent != Some(run_span));
+        prop_assert_eq!(outside.count(), 0, "every span sits in the run");
 
         // Replay: the same script runs the same way.
         let again = run(&case);

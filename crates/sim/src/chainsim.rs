@@ -17,14 +17,18 @@
 //! crash at a wave boundary strikes there and costs `detect_timeout`.
 //! A drain takes no time. The loop's event log is stamped in simulated
 //! seconds, and a loss's fault and detection stamps lie
-//! `detect_timeout` apart.
+//! `detect_timeout` apart. The chain's trace — written by the job
+//! machine, the chain loop and the waves, on a tracer whose clock is
+//! set from the same simulated seconds — comes back in
+//! [`SimChainReport::trace`].
 
 use crate::hw::HwProfile;
-use crate::jobsim::{sim_time, JobSim, Script};
+use crate::jobsim::{sim_time, JobSim, Script, SimTrace};
 use crate::report::SimChainReport;
 use crate::state::{file_path, SimState};
 use crate::workload::WorkloadCfg;
 use rcmp_model::{ChainCacheConfig, Error, JobId, PlacementKernel, Result, RetryPolicy};
+use rcmp_obs::{SpanId, Tracer};
 use rcmp_policy::{
     drive_chain, ChainBackend, ChainConfig, Fault, InputView, LineageView, Membership, Reclaimed,
     RecomputePlan, RecoveryStep, RunOutcome, Stamp, Strategy, TaskCounts,
@@ -144,6 +148,7 @@ pub fn try_simulate_chain(cfg: &ChainSimConfig) -> Result<SimChainReport> {
     report.jobs_started = summary.jobs_started;
     report.adaptation = summary.adaptation;
     report.events = summary.events;
+    report.trace = runner.trace.tracer.snapshot();
     Ok(report)
 }
 
@@ -155,7 +160,9 @@ struct Runner<'a> {
     js: JobSim,
     state: SimState,
     report: SimChainReport,
+    /// The chain clock, simulated seconds; `trace`'s clock follows it.
     t: f64,
+    trace: SimTrace,
 }
 
 impl<'a> Runner<'a> {
@@ -172,7 +179,14 @@ impl<'a> Runner<'a> {
             state,
             report: SimChainReport::default(),
             t: 0.0,
+            trace: SimTrace::default(),
         }
+    }
+
+    /// Moves the chain clock `secs` ahead.
+    fn advance(&mut self, secs: f64) {
+        self.t += secs;
+        self.trace.set(self.t);
     }
 
     /// Runs `job` through [`JobSim`] with the faults scripted for run
@@ -183,32 +197,35 @@ impl<'a> Runner<'a> {
     /// accounting applies to every strategy — a ~45 s symmetric penalty
     /// for the first `JobStart` crash. A cancellation (JobInit found the
     /// input lost) is what `EngineChain::execute` makes of the
-    /// tracker's `JobInputLost`.
+    /// tracker's `JobInputLost`. `cause` is the span that caused the run.
     fn run(
         &mut self,
         seq: u64,
         job: JobId,
         plan: Option<&RecomputePlan>,
         replication: u32,
+        cause: Option<SpanId>,
     ) -> Result<RunOutcome> {
         let entries: Vec<FailureAt> = (self.cfg.failures.iter())
             .filter(|f| f.seq == seq)
             .copied()
             .collect();
         let mut script = Script {
+            seq,
+            cause,
             entries: &entries,
             task_retries: self.cfg.retry.task_retries,
             clock: self.t,
             ..Script::default()
         };
         let persist = self.cfg.strategy.persists_outputs();
-        let (js, state) = (&self.js, &mut self.state);
-        let run = js.run_scripted(state, job.0, plan, replication, persist, &mut script);
+        let (js, state, trace) = (&self.js, &mut self.state, &self.trace);
+        let run = js.run_scripted(state, job.0, plan, replication, persist, &mut script, trace);
         self.t = script.clock;
         let completed = match run {
             Ok(mut rep) => {
                 rep.seq = seq;
-                self.t += rep.duration;
+                self.advance(rep.duration);
                 let tasks = TaskCounts {
                     map_tasks_run: rep.mappers_run,
                     map_tasks_reused: rep.mappers_reused,
@@ -218,13 +235,16 @@ impl<'a> Runner<'a> {
                 Some(tasks)
             }
             Err(Error::JobInputLost { .. }) => {
-                self.t += script.elapsed;
+                self.advance(script.elapsed);
                 None
             }
             Err(e) => return Err(e),
         };
-        let losses = script.losses;
-        Ok(RunOutcome { losses, completed })
+        Ok(RunOutcome {
+            losses: script.losses,
+            completed,
+            last_loss: script.last_loss,
+        })
     }
 }
 
@@ -259,25 +279,29 @@ impl ChainBackend for Runner<'_> {
         sim_time(self.t)
     }
 
+    fn tracer(&self) -> &Tracer {
+        &self.trace.tracer
+    }
+
     /// One full attempt of the job: the simulator always discards a
     /// cancelled job's partial results (§V-A), so a retry is a full run.
     fn run_job(&mut self, seq: u64, job: JobId, _retry: bool) -> Result<RunOutcome> {
         let replication = self.cfg.strategy.output_replication();
-        self.run(seq, job, None, replication)
+        self.run(seq, job, None, replication, None)
     }
 
     /// A crash scripted onto a recovery run cancels it when a mapper
     /// the step must re-run lost its input (§IV-A), as JobInit does on
     /// every run; a crash that spares that input leaves the step running
     /// on the survivors, and the loop replans after it.
-    fn run_recompute(&mut self, seq: u64, step: RecoveryStep) -> Result<RunOutcome> {
-        self.run(seq, step.job, Some(&step.instructions), 1)
+    fn run_recompute(&mut self, seq: u64, step: RecoveryStep, plan: SpanId) -> Result<RunOutcome> {
+        self.run(seq, step.job, Some(&step.instructions), 1, Some(plan))
     }
 
     /// The delay the engine sleeps shows up as simulated time.
     fn wait(&mut self, ms: u64) {
         let secs = ms as f64 / 1000.0;
-        self.t += secs;
+        self.advance(secs);
         self.report.backoff_secs += secs;
     }
 
@@ -299,7 +323,7 @@ impl ChainBackend for Runner<'_> {
         let copies = (factor.saturating_sub(1)) as u64 * bytes;
         let live = self.state.membership().schedulable().len().max(1) as f64;
         let secs = copies as f64 / (self.cfg.hw.disk_write_bw * live);
-        self.t += secs;
+        self.advance(secs);
         self.state.replicate_file(j, factor);
         let mut freed = Reclaimed::default();
         if reclaim {
@@ -517,7 +541,7 @@ mod tests {
             job: JobId(1),
             instructions: rcmp_policy::RecomputePlan::new([99u32], None),
         };
-        let err = runner.run_recompute(1, step).unwrap_err();
+        let err = (runner.run_recompute(1, step, rcmp_obs::SpanId(1))).unwrap_err();
         assert!(matches!(err, Error::Config(_)), "{err}");
         assert!(runner.state.is_alive(0), "the crash never fired");
     }
@@ -558,6 +582,63 @@ mod tests {
             let err = try_simulate_chain(&cfg).map(|_| ()).unwrap_err();
             assert!(matches!(err, Error::Config(_)), "{fault:?}: {err}");
         }
+    }
+
+    /// A chain records its trace on the simulated clock, seconds as
+    /// microseconds: each run's `JobRun` span starts when the log says
+    /// it started and, when it completed, ends there, holding one `Wave`
+    /// per wave and one ok `Task` per task the run executed, each inside
+    /// its wave. The crash's `Loss` is caused by its `Fault` and stamped
+    /// at its detection, the plan is caused by the loss, and each
+    /// recomputation run by the plan.
+    #[test]
+    fn a_chain_traces_its_runs_on_the_simulated_clock() {
+        use rcmp_obs::{Span, SpanKind};
+        let r = run(Strategy::rcmp_no_split(), vec![FailureAt::at_job(3, 5)]);
+        let us = |secs: f64| (secs * 1e6).round() as u64;
+        let spans = r.trace.spans();
+        let of = |name: &'static str| spans.iter().filter(move |s| s.kind.name() == name);
+        let at = |what: fn(&ChainEvent) -> bool| -> Vec<u64> {
+            let stamped = r.events.stamped().filter(|(.., e)| what(e));
+            stamped.map(|(_, at, _)| us(at)).collect()
+        };
+        let started = at(|e| matches!(e, ChainEvent::JobStarted { .. }));
+        let completed = at(|e| matches!(e, ChainEvent::JobCompleted { .. }));
+        let runs: Vec<&Span> = of("JobRun").collect();
+        assert_eq!(runs.len() as u64, r.jobs_started);
+        let mut completed = completed.into_iter();
+        for (run, &start) in runs.iter().zip(&started) {
+            let SpanKind::JobRun { seq, ok, .. } = run.kind else {
+                unreachable!()
+            };
+            assert_eq!(run.start_us, start, "run {seq}");
+            let Some(rep) = r.runs.iter().find(|rep| rep.seq == seq) else {
+                assert!(!ok, "run {seq} was cancelled");
+                continue;
+            };
+            assert_eq!(Some(run.end_us), completed.next(), "run {seq}");
+            let waves: Vec<&Span> = of("Wave").filter(|w| w.parent == Some(run.id)).collect();
+            assert_eq!(waves.len() as u32, rep.map_waves + rep.reduce_waves);
+            let tasks = of("Task").filter(|t| {
+                let wave = waves.iter().find(|w| Some(w.id) == t.parent);
+                wave.is_some_and(|w| w.start_us <= t.start_us && t.end_us <= w.end_us)
+            });
+            assert_eq!(tasks.count(), rep.mappers_run + rep.reduce_tasks_run);
+        }
+        let (fault, loss) = (of("Fault").next().unwrap(), of("Loss").next().unwrap());
+        assert_eq!(loss.cause, Some(fault.id));
+        assert_eq!(
+            loss.start_us,
+            at(|e| matches!(e, ChainEvent::LossObserved { .. }))[0]
+        );
+        let plan = of("RecoveryPlan").next().unwrap();
+        assert_eq!(plan.cause, Some(loss.id));
+        let recomputes = runs.iter().filter(|s| match s.kind {
+            SpanKind::JobRun { recompute, .. } => recompute,
+            _ => false,
+        });
+        assert!(recomputes.clone().count() > 0);
+        assert!(recomputes.clone().all(|s| s.cause == Some(plan.id)));
     }
 
     /// A crash scripted onto every run from run 4 on, all of the node

@@ -18,13 +18,21 @@
 //! * the first reducer wave's shuffle overlaps the map phase (§IV-B1:
 //!   "only the first reducer wave overlaps with the map phase"); later
 //!   waves pay their shuffle in full — the wave effects of Figs. 13/14.
+//!
+//! A run is traced as the engine's is: the job machine writes its
+//! run, wave, fault and loss spans on a [`SimTrace`] — a tracer whose
+//! manual clock reads simulated seconds as microseconds — and each
+//! wave writes one `Task` span per attempt, with its modelled duration.
 
 use crate::hw::HwProfile;
 use crate::report::SimJobReport;
 use crate::speculate::{speculate_wave, SpeculationCfg, WaveTask};
 use crate::state::{file_path, InputBlock, MapOutputRec, Node, Segment, SimPartition, SimState};
 use crate::workload::WorkloadCfg;
-use rcmp_model::{JobId, NodeId, PartitionId, PlacementKernel, ReduceTaskId, Result};
+use rcmp_model::{
+    JobId, MapTaskId, NodeId, PartitionId, PlacementKernel, ReduceTaskId, Result, TaskId,
+};
+use rcmp_obs::{ManualClock, OpenSpan, SpanId, SpanKind, Tracer};
 use rcmp_policy::{
     assign_map_waves, block_key, replica_targets, run_job, segment_key, Clock, FailureAt, Fault,
     InputView, JobBackend, JobShape, JobTally, Loss, MapResult, MapTaskSet, Membership,
@@ -127,14 +135,8 @@ impl JobSim {
         replication: u32,
         persist: bool,
     ) -> Result<SimJobReport> {
-        self.run_scripted(
-            state,
-            job,
-            None,
-            replication,
-            persist,
-            &mut Script::default(),
-        )
+        let (script, trace) = (&mut Script::default(), &SimTrace::default());
+        self.run_scripted(state, job, None, replication, persist, script, trace)
     }
 
     /// RCMP recomputation run. Fails with [`rcmp_model::Error::Config`]
@@ -151,11 +153,13 @@ impl JobSim {
         spec: &RecomputeSpec,
         persist: bool,
     ) -> Result<SimJobReport> {
-        self.run_scripted(state, job, Some(spec), 1, persist, &mut Script::default())
+        let (script, trace) = (&mut Script::default(), &SimTrace::default());
+        self.run_scripted(state, job, Some(spec), 1, persist, script, trace)
     }
 
     /// One run through the job machine ([`rcmp_policy::run_job`]), with
-    /// `script`'s entries fired at its points.
+    /// `script`'s entries fired at its points and its spans on `trace`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_scripted(
         &self,
         state: &mut SimState,
@@ -164,8 +168,10 @@ impl JobSim {
         replication: u32,
         persist: bool,
         script: &mut Script<'_>,
+        trace: &SimTrace,
     ) -> Result<SimJobReport> {
         let shape = JobShape {
+            seq: script.seq,
             job: JobId(job),
             num_reducers: self.wl.num_reducers,
             output_replication: replication,
@@ -174,6 +180,9 @@ impl JobSim {
             slots: self.wl.slots,
             kernel: self.placement,
             task_retries: script.task_retries,
+            tracer: &trace.tracer,
+            cause: script.cause,
+            tenant: None,
         };
         let report = SimJobReport {
             job,
@@ -188,6 +197,7 @@ impl JobSim {
             replication,
             persist,
             script,
+            trace,
             all: Vec::new(),
             map_phase: 0.0,
             reduce_phase: 0.0,
@@ -201,23 +211,58 @@ impl JobSim {
         let result = run_job(&mut run, &shape, &mut tally);
         run.report.mappers_reused = tally.map_tasks_reused;
         run.script.elapsed = run.elapsed();
+        run.script.last_loss = tally.last_loss;
         result.map(|()| run.report)
     }
 }
 
-/// One run's fault script and the chain clock. In: the entries scripted
-/// for the run, the per-task retry budget and the clock at the run's
-/// start. Out: the clock after its `JobStart` crashes, one loss per
-/// crash in firing order, and the seconds it spent in waves and in
-/// detecting wave-point crashes — what a cancelled run charges. A plain
-/// run has no entries, so none of its tasks can fail.
+/// One run's fault script and the chain clock. In: the run's number and
+/// the span that caused it, the entries scripted for the run, the
+/// per-task retry budget and the clock at the run's start. Out: the
+/// clock after its `JobStart` crashes, one loss per crash in firing
+/// order, the latest `Loss` span, and the seconds it spent in waves and
+/// in detecting wave-point crashes — what a cancelled run charges. A
+/// plain run has no entries, so none of its tasks can fail.
 #[derive(Default)]
 pub(crate) struct Script<'a> {
+    pub seq: u64,
+    pub cause: Option<SpanId>,
     pub entries: &'a [FailureAt],
     pub task_retries: u32,
     pub clock: f64,
     pub losses: Vec<Loss>,
+    pub last_loss: Option<SpanId>,
     pub elapsed: f64,
+}
+
+/// The simulator's tracer: its manual clock is set from the simulated
+/// clock, seconds as microseconds, so spans and the event log read one
+/// time base.
+pub(crate) struct SimTrace {
+    pub tracer: Tracer,
+    hand: ManualClock,
+}
+
+impl Default for SimTrace {
+    fn default() -> Self {
+        let (clock, hand) = rcmp_obs::Clock::manual();
+        Self {
+            tracer: Tracer::with_clock(clock),
+            hand,
+        }
+    }
+}
+
+impl SimTrace {
+    /// Sets the tracer's clock to `secs` simulated seconds.
+    pub fn set(&self, secs: f64) {
+        self.hand.set_us(us(secs));
+    }
+}
+
+/// Simulated seconds → span microseconds.
+fn us(secs: f64) -> u64 {
+    (secs * 1e6).round().max(0.0) as u64
 }
 
 /// A reading of the simulated clock.
@@ -244,6 +289,10 @@ const PARALLEL_COPIES: f64 = 5.0;
 /// seek storm.
 const COPIER_WINDOW: usize = 5;
 
+/// What a `Task` span says of its attempt: the task, bytes in and out,
+/// and the node that served a mapper's input.
+type TaskSpan = (TaskId, u64, u64, Option<NodeId>);
+
 /// The reducer output of one partition until its last task's wave ends.
 #[derive(Default)]
 struct Staged {
@@ -263,6 +312,7 @@ struct SimRun<'a, 's> {
     replication: u32,
     persist: bool,
     script: &'a mut Script<'s>,
+    trace: &'a SimTrace,
     /// The latest input snapshot's blocks.
     all: Vec<InputBlock>,
     map_phase: f64,
@@ -286,6 +336,30 @@ impl SimRun<'_, '_> {
         self.map_phase + self.reduce_phase + self.detect_secs
     }
 
+    /// Moves the trace clock to the run's simulated now.
+    fn sync(&self) {
+        self.trace.set(self.script.clock + self.elapsed());
+    }
+
+    /// One `Task` span under wave `open`: from the wave's start for
+    /// `secs` (`None`: a failed attempt, which takes no time), cut at
+    /// the wave's end (the first reduce wave's shuffle overlaps the map
+    /// phase, so its tasks can outlast its own share of the clock).
+    fn task_span(&self, open: OpenSpan, node: NodeId, task: TaskSpan, secs: Option<f64>) {
+        let (id, bytes_in, bytes_out, input_source) = task;
+        let end = us(self.script.clock + self.elapsed());
+        let start = open.start_us.min(end);
+        let kind = SpanKind::Task {
+            id,
+            bytes_in,
+            bytes_out,
+            input_source,
+            ok: secs.is_some(),
+        };
+        let stop = secs.map_or(start, |d| (start + us(d)).min(end));
+        (self.trace.tracer).record(kind, Some(open.id), None, Some(node), start, stop);
+    }
+
     /// Where mapper `t`'s input comes from: the chain-cache holder's
     /// memory when the partition is cached (on a live node, and storage
     /// is collocated).
@@ -301,48 +375,59 @@ impl JobBackend for SimRun<'_, '_> {
     where
         Self: 'w;
 
+    fn faults(&mut self, point: TriggerPoint) -> Vec<Fault> {
+        let entries = self.script.entries.iter().filter(|f| f.point == point);
+        entries.map(|f| f.fault).collect()
+    }
+
     /// A crash kills its node now. At `JobStart` the k-th one strikes
     /// 15·k s after the previous one was detected (after the run
     /// started, for the first), the paper's injection; at a wave point
     /// it strikes there. It is detected `detect_timeout` later, and the
-    /// run pays the wait. A drain is free, and skipped unless
+    /// run pays the wait: the trace clock moves to the detection. A
+    /// drain is free, and skipped unless
     /// [`rcmp_policy::Membership::drainable`] allows it.
-    fn fire(&mut self, point: TriggerPoint) -> bool {
+    fn apply(&mut self, point: TriggerPoint, fault: Fault) -> Option<usize> {
         let detect = self.js.hw.detect_timeout;
-        let mut killed = false;
-        for f in self.script.entries.iter().filter(|f| f.point == point) {
-            match f.fault {
-                Fault::NodeCrash(node) => {
-                    let (elapsed, script) = (self.elapsed(), &mut *self.script);
-                    let (fault, detected) = if point == TriggerPoint::JobStart {
-                        let offset = CRASH_OFFSET * (script.losses.len() + 1) as f64;
-                        let fault = script.clock + offset;
-                        script.clock += offset + detect;
-                        (fault, script.clock)
-                    } else {
-                        let fault = script.clock + elapsed;
-                        self.detect_secs += detect;
-                        (fault, fault + detect)
-                    };
-                    let outputs = self.state.map_outputs.range((self.job, 0, 0)..);
-                    let mut outputs = outputs.take_while(|((job, ..), _)| *job == self.job);
-                    self.outputs_lost |= outputs.any(|(_, rec)| rec.node == node.raw());
-                    let lost = self.state.fail_node(node.raw());
-                    self.script.losses.push(Loss {
-                        node: Some(node),
-                        lost_partitions: lost.values().map(BTreeSet::len).sum(),
-                        fault: sim_time(fault),
-                        detected: sim_time(detected),
-                    });
-                    killed = true;
-                }
-                Fault::NodeDrain { node } if self.state.membership().drainable(node.raw()) => {
+        match fault {
+            Fault::NodeCrash(node) => {
+                let (elapsed, script) = (self.elapsed(), &mut *self.script);
+                let (fault, detected) = if point == TriggerPoint::JobStart {
+                    let offset = CRASH_OFFSET * (script.losses.len() + 1) as f64;
+                    let fault = script.clock + offset;
+                    script.clock += offset + detect;
+                    (fault, script.clock)
+                } else {
+                    let fault = script.clock + elapsed;
+                    self.detect_secs += detect;
+                    (fault, fault + detect)
+                };
+                let outputs = self.state.map_outputs.range((self.job, 0, 0)..);
+                let mut outputs = outputs.take_while(|((job, ..), _)| *job == self.job);
+                self.outputs_lost |= outputs.any(|(_, rec)| rec.node == node.raw());
+                let lost: usize = self
+                    .state
+                    .fail_node(node.raw())
+                    .values()
+                    .map(BTreeSet::len)
+                    .sum();
+                self.script.losses.push(Loss {
+                    node: Some(node),
+                    lost_partitions: lost,
+                    fault: sim_time(fault),
+                    detected: sim_time(detected),
+                });
+                self.sync();
+                Some(lost)
+            }
+            Fault::NodeDrain { node } => {
+                if self.state.membership().drainable(node.raw()) {
                     let _ = self.state.drain_node(node.raw());
                 }
-                _ => {}
+                None
             }
+            _ => None,
         }
-        killed
     }
 
     fn input(&mut self) -> Result<InputView> {
@@ -406,6 +491,7 @@ impl JobBackend for SimRun<'_, '_> {
         &mut self,
         pending: &[usize],
         topo: &SliceTopology<'_, NodeId>,
+        ctx: PolicyCtx<'_>,
     ) -> Result<WaveAssignment<NodeId>> {
         let cache_src: Vec<Option<Node>> = (pending.iter())
             .map(|&i| self.cache_source(&self.all[i]))
@@ -416,13 +502,13 @@ impl JobBackend for SimRun<'_, '_> {
             cache_src: &cache_src,
             noncollocated: self.js.noncollocated,
         };
-        assign_map_waves(topo, &view, PolicyCtx::disabled())
+        assign_map_waves(topo, &view, ctx)
     }
 
     fn map_wave(
         &mut self,
         _: &(),
-        _: (u32, u32),
+        (_, open): (u32, OpenSpan),
         wave: &[(NodeId, usize)],
         mut account: impl FnMut(MapResult) -> Result<()>,
     ) -> Result<()> {
@@ -561,25 +647,34 @@ impl JobBackend for SimRun<'_, '_> {
             };
             outputs.push(((self.job, t.pid, t.blk), output));
         }
-        let wave_time = match &self.js.speculation {
+        let durations = match &self.js.speculation {
             Some(cfg) => {
                 let (effective, stats) = speculate_wave(cfg, &wave_tasks);
                 report.speculation.add(&stats);
-                report.mapper_durations.extend_from_slice(&effective);
-                effective.iter().copied().fold(0.0f64, f64::max)
+                effective
             }
-            None => {
-                let durs: Vec<f64> = wave_tasks.iter().map(|t| t.duration).collect();
-                report.mapper_durations.extend_from_slice(&durs);
-                durs.iter().copied().fold(0.0f64, f64::max)
-            }
+            None => wave_tasks.iter().map(|t| t.duration).collect(),
         };
-        self.map_phase += wave_time;
+        report.mapper_durations.extend_from_slice(&durations);
+        self.map_phase += durations.iter().copied().fold(0.0f64, f64::max);
         report.map_waves += 1;
         report.mappers_run += outputs.len();
         for (key, output) in outputs {
             self.state.record_map_output(key, output);
         }
+        let job = JobId(self.job);
+        let mut ran = durations.iter();
+        for (&(node, ti), src) in wave.iter().zip(&sources) {
+            let t = &self.all[ti];
+            let id = MapTaskId::new(job, ti as u32).into();
+            let (source, secs) = match src {
+                Ok((_, src, _)) => (Some(NodeId(*src)), ran.next().copied()),
+                Err(_) => (None, None),
+            };
+            let bytes = if secs.is_some() { t.bytes } else { 0 };
+            self.task_span(open, node, (id, bytes, 0, source), secs);
+        }
+        self.sync();
         for (&(node, ti), src) in wave.iter().zip(sources) {
             account(match src {
                 Ok(_) => MapResult::Done,
@@ -602,7 +697,7 @@ impl JobBackend for SimRun<'_, '_> {
     fn reduce_wave(
         &mut self,
         _: &(),
-        (index, _): (u32, u32),
+        (index, open): (u32, OpenSpan),
         wave: &[(NodeId, ReduceTaskId)],
         mut account: impl FnMut(ReduceResult) -> Result<()>,
     ) -> Result<()> {
@@ -613,6 +708,9 @@ impl JobBackend for SimRun<'_, '_> {
         // output, every reducer fails and the mappers re-run first.
         if self.outputs_lost {
             self.report.reduce_waves += 1;
+            for &(node, id) in wave {
+                self.task_span(open, node, (id.into(), 0, 0, None), None);
+            }
             return wave.iter().try_for_each(|_| account(ReduceResult::Missing));
         }
         // Map-output location profile for shuffle sourcing (valid
@@ -670,6 +768,7 @@ impl JobBackend for SimRun<'_, '_> {
         let report = &mut self.report;
         let mut wave_time = 0.0f64;
         let mut shuffle_max = 0.0f64;
+        let mut ran = Vec::with_capacity(running.len());
         for &(node, id, fetch, out_b) in &running {
             let pid = id.partition.raw();
             // This task's share of the serving bottleneck: smaller
@@ -720,6 +819,7 @@ impl JobBackend for SimRun<'_, '_> {
 
             let dur = hw.task_overhead + fetch_time + cpu + write_time;
             report.reducer_durations.push(dur);
+            ran.push((fetch, out_b, dur));
             wave_time = wave_time.max(dur);
             shuffle_max = shuffle_max.max(fetch_vol + slow_delay);
 
@@ -762,6 +862,18 @@ impl JobBackend for SimRun<'_, '_> {
         }
         report.reduce_waves += 1;
         report.reduce_tasks_run += running.len();
+        let mut ran = ran.into_iter();
+        for &(node, id) in wave {
+            let done = self
+                .state
+                .is_alive(node.raw())
+                .then(|| ran.next())
+                .flatten();
+            let (fetch, out) = done.map_or((0, 0), |(fetch, out, _)| (fetch, out));
+            let secs = done.map(|(.., secs)| secs);
+            self.task_span(open, node, (id.into(), fetch, out, None), secs);
+        }
+        self.sync();
         // A partition's output lands once its last task is done, with
         // its bytes split evenly over its segments.
         let split = self.plan.map_or(1, RecomputeSpec::split_factor);
@@ -832,6 +944,7 @@ impl JobBackend for SimRun<'_, '_> {
         let hw = &self.js.hw;
         self.report.duration =
             hw.job_overhead + self.map_phase + self.reduce_phase + self.detect_secs;
+        self.trace.set(self.script.clock + self.report.duration);
         Ok(())
     }
 }

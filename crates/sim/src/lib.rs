@@ -27,7 +27,9 @@
 //!
 //! Time advances per task phase from bandwidth shares; per-task
 //! durations are recorded so distributions (the mapper-time CDF of
-//! Fig. 12) fall out directly.
+//! Fig. 12) fall out directly, and a chain's trace — the engine's span
+//! schema, written by the same job machine and chain loop — comes back
+//! in [`SimChainReport::trace`].
 
 pub mod chainsim;
 pub mod hw;
@@ -35,7 +37,6 @@ pub mod jobsim;
 pub mod report;
 pub mod speculate;
 pub mod state;
-pub mod trace;
 pub mod workload;
 
 pub use chainsim::{simulate_chain, try_simulate_chain, ChainSimConfig, FailureAt};
@@ -44,5 +45,4 @@ pub use jobsim::JobSim;
 pub use report::{SimChainReport, SimJobReport};
 pub use speculate::{SpeculationCfg, SpeculationStats};
 pub use state::SimState;
-pub use trace::chain_trace;
 pub use workload::WorkloadCfg;

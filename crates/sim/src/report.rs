@@ -1,7 +1,7 @@
 //! Simulation reports.
 
 use crate::speculate::SpeculationStats;
-use rcmp_obs::{PhaseBreakdown, PhaseKind};
+use rcmp_obs::{PhaseBreakdown, PhaseKind, Trace};
 use rcmp_policy::EventLog;
 use serde::{Deserialize, Serialize};
 
@@ -86,6 +86,10 @@ pub struct SimChainReport {
     /// (empty unless the strategy is `AdaptiveHybrid`).
     #[serde(default)]
     pub adaptation: Vec<rcmp_policy::AdaptationStep>,
+    /// The chain's spans, stamped in simulated microseconds: the same
+    /// span kinds, parents and causes the engine's tracer holds.
+    #[serde(skip)]
+    pub trace: Trace,
 }
 
 impl SimChainReport {

@@ -53,8 +53,8 @@ impl Segment {
 pub struct SimPartition {
     pub segments: Vec<Segment>,
     /// Bumped whenever a regeneration changes block boundaries/contents
-    /// (split regeneration, or shape change) — the simulator's stand-in
-    /// for the engine's content fingerprints (Fig. 5 rule).
+    /// (a change of shape) — the simulator's stand-in for the engine's
+    /// content fingerprints (Fig. 5 rule).
     pub version: u64,
     /// Segments the last write left. A clear keeps it, so rewriting the
     /// same shape keeps the version, as the engine's content hashes
@@ -389,10 +389,11 @@ impl SimState {
     }
 
     /// Replaces a partition's contents with new segments, bumping the
-    /// version when block boundaries change: regeneration by `k > 1`
-    /// splits always bumps; unsplit regeneration bumps only if the
-    /// previous shape was not a single segment (the deterministic-
-    /// regeneration fingerprint rule of the real engine).
+    /// version when block boundaries change — when the segment count
+    /// does (the deterministic-regeneration fingerprint rule of the real
+    /// engine): a regeneration split `k` ways after a whole write or a
+    /// `j ≠ k` split bumps, one of the same shape as the last write
+    /// reproduces its blocks byte for byte and keeps it.
     pub fn rewrite_partition(&mut self, file: FileId, pid: u32, segments: Vec<Segment>) {
         // The partition's bytes are about to change: a cached copy of
         // the old version must not serve (the engine's hash guard +
@@ -406,7 +407,7 @@ impl SimState {
                 .resize(pid as usize + 1, SimPartition::default());
         }
         let p = &mut f.partitions[pid as usize];
-        if !(p.shape == 1 && segments.len() == 1) {
+        if p.shape != segments.len() {
             p.version += 1;
         }
         p.shape = segments.len();
@@ -534,6 +535,9 @@ mod tests {
         s.rewrite_partition(1, 0, vec![seg1(1), seg1(2)]);
         let v1 = version(&s);
         assert!(v1 > v0);
+        // Split the same way again: the same blocks, the same version.
+        s.rewrite_partition(1, 0, vec![seg1(3), seg1(0)]);
+        assert_eq!(version(&s), v1);
         // Back to unsplit from split shape: boundaries change → bump.
         s.rewrite_partition(1, 0, vec![seg1(3)]);
         assert!(version(&s) > v1);

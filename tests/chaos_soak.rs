@@ -16,8 +16,8 @@ use rcmp::engine::{
     Cluster, JobRun, JobTracker, NoFailures, RandomizedInjector, ScriptedInjector, TriggerPoint,
 };
 use rcmp::model::{
-    ByteSize, ChainCacheConfig, ClusterConfig, Error, ExecutorConfig, NodeId, PlacementKernel,
-    SlotConfig,
+    ByteSize, ChainCacheConfig, ClusterConfig, Error, ExecutorConfig, NodeId, PartitionId,
+    PlacementKernel, SlotConfig,
 };
 use rcmp::obs::{FaultKind, SpanKind};
 use rcmp::workloads::checksum::{digest_file, OutputDigest};
@@ -821,10 +821,12 @@ fn failed_run_traces_every_injected_fault() {
 }
 
 /// When every replica of an input partition dies and the strategy can
-/// only restart, the chain-restart budget surfaces `RecoveryExhausted`
-/// instead of restarting forever.
+/// only restart, the chain ends in typed data loss on that partition of
+/// the input — what RCMP's planner says of the same state — instead of
+/// restarting into the same loss until the restart budget runs out: a
+/// restart starts over from the input and cannot bring it back.
 #[test]
-fn unrecoverable_input_exhausts_chain_restart_budget() {
+fn unrecoverable_input_under_restarts_is_typed_data_loss() {
     on_every_leg(|leg| {
         let cl = Cluster::new(ClusterConfig {
             nodes: NODES,
@@ -858,10 +860,10 @@ fn unrecoverable_input_exhausts_chain_restart_budget() {
             .run(&chain.jobs)
             .unwrap_err();
         match err {
-            Error::RecoveryExhausted { attempts, .. } => {
-                assert_eq!(attempts, 4, "budget of 3 restarts, failing on the 4th");
+            Error::DataLoss { path, partition } => {
+                assert_eq!((path.as_str(), partition), ("input", Some(PartitionId(0))));
             }
-            other => panic!("expected RecoveryExhausted, got {other}"),
+            other => panic!("expected DataLoss on the input, got {other}"),
         }
     });
 }

@@ -13,6 +13,7 @@ use rcmp::obs::{
     chrome_trace_value, hotspot_report, recomputation_critical_path, slot_occupancy, summary,
     Clock, EventCode, FlightRecorder, PhaseKind, SpanId, SpanKind, Trace,
 };
+use rcmp::policy::{AdaptConfig, SplitPolicy};
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
 use serde::Value;
 use std::collections::HashMap;
@@ -58,7 +59,7 @@ fn chaos_chain(cl: &Cluster) -> ChainOutcome {
 }
 
 /// Same scenario, snapshotting only the trace.
-fn chaos_chain_trace() -> Trace {
+fn chaos_trace() -> Trace {
     let cl = cluster(100);
     chaos_chain(&cl);
     cl.tracer().snapshot()
@@ -88,7 +89,7 @@ fn run_seq(index: &HashMap<SpanId, &rcmp::obs::Span>, span: &rcmp::obs::Span) ->
 
 #[test]
 fn chrome_export_is_structurally_valid() {
-    let trace = chaos_chain_trace();
+    let trace = chaos_trace();
     let v = chrome_trace_value(&trace);
     let events = field(&v, "traceEvents").expect("traceEvents key");
     let Value::Array(events) = events else {
@@ -126,7 +127,7 @@ fn chrome_export_is_structurally_valid() {
 
 #[test]
 fn hotspot_top_node_is_the_recompute_node() {
-    let trace = chaos_chain_trace();
+    let trace = chaos_trace();
     let index: HashMap<SpanId, &rcmp::obs::Span> =
         trace.spans().iter().map(|s| (s.id, s)).collect();
 
@@ -210,7 +211,7 @@ fn hotspot_top_node_is_the_recompute_node() {
 
 #[test]
 fn recompute_runs_underutilize_slots() {
-    let trace = chaos_chain_trace();
+    let trace = chaos_trace();
     let occ = slot_occupancy(&trace);
     let recomputes: Vec<_> = occ
         .iter()
@@ -237,7 +238,7 @@ fn recompute_runs_underutilize_slots() {
 
 #[test]
 fn critical_path_covers_the_cascade() {
-    let trace = chaos_chain_trace();
+    let trace = chaos_trace();
     let path = recomputation_critical_path(&trace).expect("cascade recorded");
     assert!(path.cause.is_some(), "cascade causally linked to its loss");
     let recompute_seqs: Vec<u64> = trace
@@ -274,6 +275,48 @@ fn critical_path_covers_the_cascade() {
         ),
         "cascade roots at the injected fault/loss, got {:?}",
         root_span.kind
+    );
+}
+
+/// Causes travel as values, so one chain's spans never name another's
+/// as their cause, though both write to the cluster's one tracer (as
+/// every chain of `rcmp-serve` does). Chain A runs RCMP with a crash at
+/// run 4; chain B then runs a fault-free adaptive hybrid on the same
+/// cluster. Its adaptation points have no loss to point at, so none is
+/// caused by a span of chain A (a tracer-wide cause register linked
+/// every one of them to chain A's last plan).
+#[test]
+fn cause_links_stay_inside_their_chain() {
+    let cl = cluster(100);
+    chaos_chain(&cl);
+    let a_last = (cl.tracer().snapshot().spans.iter())
+        .map(|s| s.id)
+        .max()
+        .expect("chain A traced");
+    let adaptive = Strategy::AdaptiveHybrid {
+        split: SplitPolicy::Fixed(3),
+        factor: 2,
+        adapt: AdaptConfig::default_for(NODES),
+        reclaim: false,
+    };
+    let chain = ChainBuilder::new(JOBS, NODES).build();
+    let outcome = ChainDriver::new(&cl, adaptive).run(&chain.jobs).unwrap();
+    assert_eq!(outcome.events.losses(), 0, "chain B is fault-free");
+    let trace = cl.tracer().snapshot();
+    let b: Vec<&rcmp::obs::Span> = trace.spans().iter().filter(|s| s.id > a_last).collect();
+    let points = b.iter().filter(|s| s.kind.name() == "AdaptationPoint");
+    assert_eq!(
+        points.count(),
+        JOBS as usize,
+        "one adaptation point per job"
+    );
+    let leaks: Vec<_> = b
+        .iter()
+        .filter(|s| s.cause.is_some_and(|c| c <= a_last))
+        .collect();
+    assert!(
+        leaks.is_empty(),
+        "chain B's spans caused by chain A's: {leaks:#?}"
     );
 }
 

@@ -17,6 +17,7 @@ use rcmp::model::{
     ByteSize, ChainCacheConfig, ClusterConfig, Error, ExecutorConfig, JobId, NodeId, PartitionId,
     PlacementKernel, Result, SlotConfig,
 };
+use rcmp::obs::{causal_lineage, Span, SpanId, SpanKind, Trace};
 use rcmp::policy::{AdaptConfig, Clock, DynamicPolicy};
 use rcmp::sim::state::file_path;
 use rcmp::sim::{
@@ -25,7 +26,7 @@ use rcmp::sim::{
 };
 use rcmp::workloads::checksum::{digest_file, OutputDigest};
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
 const NODES: u32 = 4;
@@ -473,6 +474,148 @@ fn cascade_into_reclaimed_input_is_typed_data_loss_in_both_backends() {
     }
 }
 
+/// A trace as both backends write it: the spans of the job machine and
+/// the chain loop in the order they were written, each with its payload
+/// and the kinds of its parent and cause, and each run with its ok and
+/// failed `Task` spans. Left out: the engine's executor, block and
+/// shuffle spans, and the cluster events the simulator's state does not
+/// trace (`membership.*`, `dfs.*`).
+fn trace_projection(trace: &Trace) -> Vec<String> {
+    let index: HashMap<SpanId, &Span> = trace.spans().iter().map(|s| (s.id, s)).collect();
+    let kind = |id: Option<SpanId>| id.map(|id| index.get(&id).map_or("?", |s| s.kind.name()));
+    let mut tasks: HashMap<SpanId, (u32, u32)> = HashMap::new();
+    for s in trace.spans() {
+        if let SpanKind::Task { ok, .. } = s.kind {
+            let wave = s.parent.and_then(|w| index.get(&w));
+            let run = wave
+                .and_then(|w| w.parent)
+                .expect("a task sits in a wave of a run");
+            let (done, failed) = tasks.entry(run).or_default();
+            *if ok { done } else { failed } += 1;
+        }
+    }
+    let mut spans: Vec<&Span> = trace.spans().iter().collect();
+    spans.sort_by_key(|s| s.id);
+    spans
+        .into_iter()
+        .filter(|s| match &s.kind {
+            SpanKind::Event { label, .. } => {
+                !label.starts_with("membership.") && !label.starts_with("dfs.")
+            }
+            SpanKind::JobRun { .. }
+            | SpanKind::Wave { .. }
+            | SpanKind::Fault { .. }
+            | SpanKind::Loss { .. }
+            | SpanKind::RecoveryPlan { .. }
+            | SpanKind::AdaptationPoint { .. } => true,
+            _ => false,
+        })
+        .map(|s| {
+            let tasks = match s.kind {
+                SpanKind::JobRun { .. } => format!(" tasks {:?}", tasks.get(&s.id)),
+                _ => String::new(),
+            };
+            let (parent, cause) = (kind(s.parent), kind(s.cause));
+            format!(
+                "{:?} node={:?} parent={parent:?} cause={cause:?}{tasks}",
+                s.kind, s.node
+            )
+        })
+        .collect()
+}
+
+/// Both backends ran one policy over `script` and traced it alike: the
+/// same event skeleton and trace projection, or the same typed error
+/// (the simulator hands no trace back with an error).
+fn assert_traces_agree(
+    block: u64,
+    strategy: Strategy,
+    kernel: PlacementKernel,
+    script: &[FailureAt],
+) {
+    let case = format!("{strategy:?} under {kernel:?}, {block}-B blocks, script {script:?}");
+    let cluster = chain_cluster(block, kernel);
+    let chain = ChainBuilder::new(JOBS, NODES).build();
+    let injector = ScriptedInjector::new(script.iter().copied()).tolerate_unfired();
+    let engine = ChainDriver::new(&cluster, strategy)
+        .with_injector(Arc::new(injector))
+        .run(&chain.jobs);
+    let sim = try_simulate_chain(&chain_sim(block, strategy, kernel, script));
+    match (engine, sim) {
+        (Ok(engine), Ok(sim)) => {
+            assert_eq!(skeleton(&engine.events), skeleton(&sim.events), "{case}");
+            let (engine, sim) = (cluster.tracer().snapshot(), sim.trace);
+            let (engine, sim) = (trace_projection(&engine), trace_projection(&sim));
+            if let Some(i) = (0..engine.len().max(sim.len())).find(|&i| engine.get(i) != sim.get(i))
+            {
+                let from = i.saturating_sub(3);
+                panic!(
+                    "{case}: the traces diverge at span {i}:\nengine {:#?}\nsim {:#?}",
+                    &engine[from..engine.len().min(i + 3)],
+                    &sim[from..sim.len().min(i + 3)],
+                );
+            }
+        }
+        (Err(engine), Err(sim)) => assert_eq!(
+            std::mem::discriminant(&engine),
+            std::mem::discriminant(&sim),
+            "{case}: engine ended in {engine}, sim in {sim}"
+        ),
+        (engine, sim) => panic!(
+            "{case}: engine {:?}, sim {:?}",
+            engine.map(|o| o.jobs_started),
+            sim.map(|r| r.jobs_started)
+        ),
+    }
+}
+
+/// One trace on both clocks: the job machine writes every run, wave,
+/// fault and loss span and the chain loop every plan, adaptation point
+/// and event span, for the engine and the simulator alike. The paper's
+/// fault scripts under Fig. 9's strategies (as in
+/// `paper_fault_scripts_agree_in_both_backends`) and the 256 cases of
+/// `every_fault_script_agrees_in_both_backends` project to one trace on
+/// both backends. Like the property, the paper's scripts run at one
+/// block per partition here: at two, the backends' task sets differ
+/// (`uneven_partitions_move_steals_but_both_backends_converge`), and
+/// with them the task counts a trace carries.
+#[test]
+fn chain_traces_agree_in_both_backends() {
+    use proptest::strategy::Strategy as _;
+    use proptest::test_runner::case_rng;
+    let scripts: [&[u64]; 7] = [&[2], &[7], &[2, 2], &[7, 7], &[7, 14], &[2, 4], &[4, 7]];
+    let strategies = [
+        Strategy::rcmp_split(8),
+        Strategy::rcmp_no_split(),
+        Strategy::Replication { factor: 3 },
+    ];
+    for strategy in strategies {
+        let last = match strategy {
+            Strategy::Replication { .. } => u64::from(JOBS),
+            _ => u64::MAX,
+        };
+        for runs in scripts {
+            let script: Vec<FailureAt> = (1..)
+                .zip(runs)
+                .map(|(i, &seq)| FailureAt::at_job(seq.min(last), NODES - i))
+                .collect();
+            let default = PlacementKernel::Default;
+            assert_traces_agree(WHOLE_PARTITION_BLOCK, strategy, default, &script);
+        }
+    }
+    for case in 0..256 {
+        let mut rng = case_rng("every_fault_script_agrees_in_both_backends", case);
+        let (strategy, kernel, drawn) = property_case().sample(&mut rng);
+        let (strategy, kernel) = (property_strategies()[strategy], KERNELS[kernel]);
+        assert_traces_agree(
+            WHOLE_PARTITION_BLOCK,
+            strategy,
+            kernel,
+            &fault_script(&drawn),
+        );
+    }
+}
+
 /// Where second replicas live is one rule on both clocks
 /// (`rcmp_policy::replica_targets`, keyed by each block's position), so
 /// two kills in one run take both copies of the same partitions on
@@ -708,6 +851,128 @@ fn fully_dead_cluster_typed_error_in_both_backends() {
             Err(Error::DataLoss { path, .. }) => assert_eq!(path, "input", "{backend}"),
             other => panic!("{backend}: expected data loss on the input, got {other:?}"),
         }
+    }
+}
+
+/// A restart starts the chain over from its input, so it cannot bring
+/// a lost input partition back. OPTIMISTIC over an input with one copy
+/// per partition, whose holder of partition 1 dies as run 2 starts, ends
+/// on both backends in the data loss RCMP's planner names for the same
+/// state — where the restart loop used to resubmit job 1 until it ran
+/// out of passes and ended in `RecoveryExhausted`.
+#[test]
+fn restart_over_a_lost_external_input_is_data_loss_in_both_backends() {
+    let script = [FailureAt::at_job(2, 1)];
+    let cluster = Cluster::new(ClusterConfig {
+        block_size: ByteSize::bytes(BLOCK),
+        max_recovery_attempts: 5,
+        seed: SEED,
+        ..ClusterConfig::small_test(NODES)
+    });
+    let input = DataGenConfig {
+        value_size: 100,
+        replication: 1,
+        ..DataGenConfig::test("input", NODES, BYTES_PER_PARTITION)
+    };
+    generate_input(cluster.dfs(), &input).unwrap();
+    let chain = ChainBuilder::new(JOBS, NODES).build();
+    let engine = ChainDriver::new(&cluster, Strategy::Optimistic)
+        .with_injector(Arc::new(ScriptedInjector::new(script)))
+        .run(&chain.jobs);
+    let wl = WorkloadCfg {
+        input_replication: 1,
+        ..chain_wl(BLOCK)
+    };
+    let mut sim = ChainSimConfig::new(HwProfile::stic(), wl, Strategy::Optimistic)
+        .with_failures(script.to_vec());
+    sim.seed = SEED;
+    let sim = try_simulate_chain(&sim);
+    let lost = Error::DataLoss {
+        path: "input".into(),
+        partition: Some(PartitionId(1)),
+    };
+    assert_eq!(engine.map(|_| ()), Err(lost.clone()), "engine");
+    assert_eq!(sim.map(|_| ()), Err(lost), "sim");
+}
+
+/// The simulated STIC FAIL 7 is traced as the engine traces a chain:
+/// 14 runs, run 7 cancelled (`ok: false`); one crash, its `Loss` caused
+/// by its `Fault`; a causal lineage fault → loss → plan → the six
+/// recomputation runs it submitted; and `Wave` spans carrying the tasks
+/// the machine assigned and the slots it assigned them against.
+#[test]
+fn simulated_fail_7_trace_has_the_engines_shape() {
+    let wl = WorkloadCfg::stic(SlotConfig::ONE_ONE);
+    let failures = vec![FailureAt::at_job(7, wl.nodes - 1)];
+    let cfg = ChainSimConfig::new(HwProfile::stic(), wl, Strategy::rcmp_no_split())
+        .with_failures(failures);
+    let report = simulate_chain(&cfg);
+    let trace = &report.trace;
+    let runs: Vec<&Span> = trace.of_kind("JobRun").collect();
+    assert_eq!(runs.len(), 14);
+    for run in &runs {
+        let SpanKind::JobRun { seq, ok, .. } = run.kind else {
+            unreachable!()
+        };
+        assert_eq!(ok, seq != 7, "run {seq}");
+    }
+    let (faults, losses): (Vec<&Span>, Vec<&Span>) = (
+        trace.of_kind("Fault").collect(),
+        trace.of_kind("Loss").collect(),
+    );
+    assert_eq!((faults.len(), losses.len()), (1, 1));
+    assert_eq!(losses[0].cause, Some(faults[0].id));
+    let lineage = causal_lineage(trace);
+    let plan = lineage.iter().find(|s| s.kind.name() == "RecoveryPlan");
+    let plan = plan.expect("the plan is in the lineage");
+    assert_eq!(plan.cause, Some(losses[0].id));
+    let recomputes = lineage.iter().filter(|s| {
+        matches!(
+            s.kind,
+            SpanKind::JobRun {
+                recompute: true,
+                ..
+            }
+        ) && s.cause == Some(plan.id)
+    });
+    assert_eq!(recomputes.count(), 6);
+    for rep in &report.runs {
+        let run = runs
+            .iter()
+            .find(|s| matches!(s.kind, SpanKind::JobRun { seq, .. } if seq == rep.seq));
+        let run = run.expect("every completed run is traced");
+        let SpanKind::JobRun {
+            live_nodes,
+            map_slots,
+            ..
+        } = run.kind
+        else {
+            unreachable!()
+        };
+        let (mut maps, mut reduces) = (0, 0);
+        for wave in trace.of_kind("Wave").filter(|w| w.parent == Some(run.id)) {
+            let SpanKind::Wave {
+                phase,
+                tasks,
+                capacity,
+                ..
+            } = wave.kind
+            else {
+                unreachable!()
+            };
+            assert_eq!(capacity, live_nodes * map_slots, "run {}", rep.seq);
+            assert!(tasks <= capacity);
+            match phase {
+                rcmp::obs::Phase::Map => maps += tasks as usize,
+                rcmp::obs::Phase::Reduce => reduces += tasks as usize,
+            }
+        }
+        assert_eq!(
+            (maps, reduces),
+            (rep.mappers_run, rep.reduce_tasks_run),
+            "run {}",
+            rep.seq
+        );
     }
 }
 
